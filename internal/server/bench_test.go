@@ -2,8 +2,11 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"venn/internal/device"
 )
 
 // newBenchManager returns a manager with one General job whose demand is
@@ -136,5 +139,86 @@ func BenchmarkCheckInContended(b *testing.B) {
 				b.ReportMetric(float64(b.N)*batch/sec, "checkins/s")
 			}
 		})
+	}
+}
+
+// fleetCheckIns returns one check-in per device of an n-device fleet, in a
+// seeded shuffled order: the benchmarks below register the fleet in index
+// order and then visit it in this one, so no layout gets locality from
+// visiting devices in the order it allocated them.
+func fleetCheckIns(n int) (inOrder, shuffled []CheckIn) {
+	inOrder = make([]CheckIn, n)
+	for i := range inOrder {
+		inOrder[i] = CheckIn{DeviceID: fmt.Sprintf("device-%06d", i), CPU: float64(i%10) / 10, Mem: float64(i%7) / 7}
+	}
+	shuffled = append([]CheckIn(nil), inOrder...)
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	return inOrder, shuffled
+}
+
+// BenchmarkRegistryAdmit is the registry layer alone: one warm admit (hash,
+// shard lock, probe, ID compare, score refresh, reserve and release) per op,
+// at a fleet that fits the cache and at the benchmark's fleet, which does
+// not. The gap between the two is what a registry cache miss costs.
+func BenchmarkRegistryAdmit(b *testing.B) {
+	for _, fleet := range []int{2_000, 100_000} {
+		b.Run(fmt.Sprintf("fleet=%dk", fleet/1000), func(b *testing.B) {
+			r := newRegistry(defaultShards, device.NewGrid(device.Categories()), false)
+			inOrder, cis := fleetCheckIns(fleet)
+			admit := func(ci *CheckIn) {
+				h := r.hash(ci.DeviceID)
+				sh := r.shardOf(h)
+				sh.mu.Lock()
+				sh.reserve(1)
+				s, err := r.admit(sh, h, ci, 0, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.flags &^= slotBusy
+				sh.mu.Unlock()
+			}
+			for i := range inOrder {
+				admit(&inOrder[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, k := 0, 0; i < b.N; i++ {
+				admit(&cis[k])
+				if k++; k == fleet {
+					k = 0
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkManagerCheckInBatchFleet100k is BenchmarkManagerCheckInBatchSharded
+// at the benchmark's fleet size and on warm surplus traffic: each op is one
+// 64-item batch of known devices answered from the plan snapshot. It is the
+// standing number for the serving path's sensitivity to fleet size.
+func BenchmarkManagerCheckInBatchFleet100k(b *testing.B) {
+	const fleet, batch = 100_000, 64
+	m := NewManager(Config{DisableDailyBudget: true})
+	m.submitRefresh() // publish a plan snapshot: no jobs, so every check-in is surplus
+	inOrder, cis := fleetCheckIns(fleet)
+	for off := 0; off < fleet; off += batch {
+		m.CheckInBatch(inOrder[off:min(off+batch, fleet)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, off := 0, 0; i < b.N; i++ {
+		if off+batch > fleet {
+			off = 0
+		}
+		for _, r := range m.CheckInBatch(cis[off : off+batch]) {
+			if r.Error != "" {
+				b.Fatal(r.Error)
+			}
+		}
+		off += batch
+	}
+	b.StopTimer()
+	if got := m.MetricsSnapshot().LockFreeCheckIns; got < int64(b.N)*batch {
+		b.Fatalf("%d lock-free check-ins for %d batches: not the surplus path", got, b.N)
 	}
 }

@@ -69,18 +69,18 @@ const (
 
 // assignItem is one admitted check-in of a batch op. The result is written
 // through out, which points into the submitter's result slice; the submitter
-// is parked (or is the combiner) until the op completes, so the pointer
-// stays valid for the combiner's write.
+// is parked (or is the combiner) until the op completes, holding the shard
+// locks, so out and the slot handle s stay valid for the combiner.
 type assignItem struct {
-	md  *managedDevice
+	s   *slot
 	id  string
 	out *Assignment
 }
 
 // reportItem is one accepted report of a batch op.
 type reportItem struct {
-	r  Report
-	md *managedDevice
+	r Report
+	s *slot
 }
 
 // coreOp is one queued core operation. Exactly one payload group is live,
@@ -89,9 +89,9 @@ type coreOp struct {
 	qnext *coreOp // queue link; owned by the queue until the op is woken
 	kind  coreOpKind
 
-	md  *managedDevice // opAssign device / opReport device
-	id  string         // opAssign device ID
-	asg Assignment     // opAssign result
+	s   *slot      // opAssign device / opReport device
+	id  string     // opAssign device ID
+	asg Assignment // opAssign result
 
 	assigns []assignItem // opAssignBatch payload
 	rep     Report       // opReport payload
@@ -122,7 +122,7 @@ func getCoreOp(kind coreOpKind) *coreOp {
 // ops don't pin devices, slices, or request-backed strings.
 func putCoreOp(op *coreOp) {
 	op.qnext = nil
-	op.md = nil
+	op.s = nil
 	op.id = ""
 	op.asg = Assignment{}
 	op.assigns = nil
@@ -279,17 +279,17 @@ func (m *Manager) applyOpLocked(op *coreOp, now simtime.Time) {
 	}
 	switch op.kind {
 	case opAssign:
-		op.asg = m.assignCoreLocked(op.md, op.id, now)
+		op.asg = m.assignCoreLocked(op.s, op.id, now)
 	case opAssignBatch:
 		for i := range op.assigns {
 			it := &op.assigns[i]
-			*it.out = m.assignCoreLocked(it.md, it.id, now)
+			*it.out = m.assignCoreLocked(it.s, it.id, now)
 		}
 	case opReport:
-		m.reportCoreLocked(op.rep, op.md, now)
+		m.reportCoreLocked(op.rep, op.s, now)
 	case opReportBatch:
 		for i := range op.reports {
-			m.reportCoreLocked(op.reports[i].r, op.reports[i].md, now)
+			m.reportCoreLocked(op.reports[i].r, op.reports[i].s, now)
 		}
 	case opRegister:
 		op.status = m.registerJobLocked(op.spec, now)
@@ -306,9 +306,9 @@ func (m *Manager) applyOpLocked(op *coreOp, now simtime.Time) {
 // submitAssign runs the core section for one admitted check-in. The caller
 // holds the device's shard mutex and releases the reservation itself when no
 // assignment comes back.
-func (m *Manager) submitAssign(md *managedDevice, deviceID string, sp *obs.Span) Assignment {
+func (m *Manager) submitAssign(s *slot, deviceID string, sp *obs.Span) Assignment {
 	op := getCoreOp(opAssign)
-	op.md, op.id = md, deviceID
+	op.s, op.id = s, deviceID
 	op.sp = sp
 	m.submit(op)
 	asg := op.asg
@@ -327,9 +327,9 @@ func (m *Manager) submitAssignBatch(items []assignItem, sp *obs.Span) {
 }
 
 // submitReport applies one accepted report to the scheduler core.
-func (m *Manager) submitReport(r Report, md *managedDevice, sp *obs.Span) {
+func (m *Manager) submitReport(r Report, s *slot, sp *obs.Span) {
 	op := getCoreOp(opReport)
-	op.rep, op.md = r, md
+	op.rep, op.s = r, s
 	op.sp = sp
 	m.submit(op)
 	putCoreOp(op)

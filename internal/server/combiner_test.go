@@ -216,17 +216,12 @@ func TestCombinerConcurrentMixedLoad(t *testing.T) {
 				t.Errorf("forced-combine run recorded no combining rounds")
 			}
 			busy := 0
-			for i := range m.shards {
-				sh := &m.shards[i]
-				sh.mu.Lock()
-				for _, md := range sh.devices {
-					if md.busy {
-						busy++
-					}
+			for _, s := range m.reg.all() {
+				if s.flags&slotBusy != 0 {
+					busy++
 				}
-				sh.mu.Unlock()
 			}
-			if got := m.busyDevices.Load(); got != int64(busy) {
+			if got := m.reg.busy.Load(); got != int64(busy) {
 				t.Errorf("busy gauge %d != actual busy %d", got, busy)
 			}
 		})

@@ -5,9 +5,9 @@
 // report results or drop out. The scheduling core is exactly the simulator's
 // (internal/core); this package adapts it to real time.
 //
-// Concurrency model: per-device state (the device registry and busy flags)
-// is striped across Config.Shards lock shards keyed by a hash of the device
-// ID, so check-ins from different devices never contend on one global lock.
+// Concurrency model: per-device state (the device registry, registry.go) is
+// striped across Config.Shards lock shards keyed by a hash of the device ID,
+// so check-ins from different devices never contend on one global lock.
 // The scheduler core (Venn, job lifecycle, deadlines) stays behind a single
 // mutex, but that mutex now guards only job-state mutation and plan
 // construction: the finished cell plan is published as an immutable,
@@ -35,7 +35,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -230,19 +229,12 @@ type Config struct {
 	ObsSampleEvery int
 }
 
-// deviceShard is one stripe of the device registry. The trailing pad keeps
-// neighboring stripe mutexes on separate cache lines.
-type deviceShard struct {
-	mu      sync.Mutex
-	devices map[string]*managedDevice
-	_       [40]byte
-}
-
 // Manager is the live resource manager. All methods are safe for concurrent
 // use.
 type Manager struct {
 	// mu guards the scheduler core: venn, env, jobs, deadlines, attempt,
-	// completed, and the lifecycle counters. Device state lives in shards.
+	// completed, coreDev, and the lifecycle counters. Device state lives in
+	// reg.
 	mu sync.Mutex
 
 	cfg        Config
@@ -269,10 +261,11 @@ type Manager struct {
 	nextJob   job.ID
 	completed []*managedJob
 
-	shards      []deviceShard
-	nextDev     atomic.Int64
-	numDevices  atomic.Int64
-	busyDevices atomic.Int64
+	// reg is the device registry: sharded device state, admission, TTL.
+	reg *registry
+	// coreDev is the device view handed to the policy during one core-op
+	// item, materialised from the item's slot; the policy never retains it.
+	coreDev device.Device
 
 	// lockFreeOK gates the snapshot-probe fast path; false when the
 	// primary policy is not the Venn core (only Venn publishes plan
@@ -292,10 +285,6 @@ type Manager struct {
 	// clear, so no-op core sections pay one atomic swap instead of an
 	// O(cells) walk.
 	supplyDirty atomic.Bool
-	// sweepCursor round-robins TTL sweeps across shards.
-	sweepCursor atomic.Int64
-	// evictions counts devices dropped by TTL sweeps.
-	evictions atomic.Int64
 
 	// deadlines holds the at-time per collecting job; checked by Tick and
 	// opportunistically on the serving paths. deadlineDue mirrors a lower
@@ -540,19 +529,6 @@ type managedJob struct {
 	inFlight map[string]uint64 // deviceID -> attempt
 }
 
-type managedDevice struct {
-	dev *device.Device
-	// busy is true from assignment (or batch reservation) until the
-	// device reports; guarded by the owning shard's mutex.
-	busy bool
-	// cell caches the device's grid cell (recomputed only when the
-	// reported scores change); guarded by the owning shard's mutex.
-	cell int32
-	// lastSeenSec is the wall-clock second of the device's latest
-	// check-in, driving TTL eviction; guarded by the owning shard's mutex.
-	lastSeenSec int64
-}
-
 // NewManager constructs a live manager.
 func NewManager(cfg Config) *Manager {
 	if len(cfg.Categories) == 0 {
@@ -590,7 +566,6 @@ func NewManager(cfg Config) *Manager {
 		policyName: strings.ToLower(cfg.Policy),
 		pol:        policy.MustNew(cfg.Policy, policy.Config{Core: cfg.Options}),
 		jobs:       make(map[job.ID]*managedJob),
-		shards:     make([]deviceShard, cfg.Shards),
 		deadlines:  make(map[job.ID]simtime.Time),
 		attempt:    make(map[job.ID]uint64),
 		metrics:    newMetricsRecorder(),
@@ -598,13 +573,11 @@ func NewManager(cfg Config) *Manager {
 	}
 	// The snapshot fast path and plan telemetry need the concrete core.
 	m.venn, _ = m.pol.(*core.Venn)
-	for i := range m.shards {
-		m.shards[i].devices = make(map[string]*managedDevice)
-	}
 	for _, c := range cfg.Categories {
 		m.categories[c.Name] = c
 	}
 	grid := device.NewGrid(cfg.Categories)
+	m.reg = newRegistry(cfg.Shards, grid, !cfg.DisableDailyBudget)
 	m.env = &sim.Env{
 		Grid:          grid,
 		DB:            tsdb.New(grid.NumCells(), cfg.TSDBWindow, simtime.Hour),
@@ -700,18 +673,6 @@ func (m *Manager) now() simtime.Time {
 // nowSec is the wall-clock second used to bucket throughput rates.
 func (m *Manager) nowSec() int64 { return m.cfg.Clock().Unix() }
 
-// shardOf maps a device ID to its lock stripe.
-func (m *Manager) shardOf(deviceID string) *deviceShard {
-	return &m.shards[m.shardIndex(deviceID)]
-}
-
-// shardIndex is the FNV-1a stripe index of a device ID.
-func (m *Manager) shardIndex(deviceID string) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(deviceID))
-	return int(h.Sum32()) % len(m.shards)
-}
-
 // RegisterJob admits a new CL job and opens its first-round request. The
 // admission itself commits through the core pipeline (combiner.go) as an
 // opRegister, so job arrivals combine with in-flight assignment rounds.
@@ -757,56 +718,26 @@ func (m *Manager) registerJobLocked(spec JobSpec, now simtime.Time) JobStatus {
 	return m.statusLocked(mj)
 }
 
-// admitShardLocked runs the shard-local admission checks for one check-in
-// and reserves the device (busy=true) on success, so a concurrent check-in
-// for the same device cannot double-book it while the core section runs.
-// The caller holds the device's shard mutex and clears the reservation if
-// the scheduler hands out no assignment.
-//
-// Returns (md, nil) when the check-in should proceed to assignment,
-// (nil, nil) when it is refused without error (daily task budget), and
-// (nil, err) for busy/validation rejections.
-func (m *Manager) admitShardLocked(sh *deviceShard, ci CheckIn, now simtime.Time, nowSec int64) (*managedDevice, error) {
-	md, ok := sh.devices[ci.DeviceID]
-	if !ok {
-		md = &managedDevice{dev: device.New(device.ID(m.nextDev.Add(1)-1), ci.CPU, ci.Mem)}
-		md.cell = int32(m.env.Grid.CellOfDevice(md.dev))
-		// Clone: a v2 batch decode hands out strings backed by the whole
-		// request payload (bdec.shared); a map key lives forever.
-		sh.devices[strings.Clone(ci.DeviceID)] = md
-		m.numDevices.Add(1)
-	} else {
-		if md.busy {
-			md.lastSeenSec = nowSec
-			return nil, ErrDeviceBusy
-		}
-		// Refresh scores (hardware doesn't change, but normalization or
-		// reporting might); the cached cell follows them. Clamp exactly
-		// like device.New — raw wire values can be negative or NaN, and an
-		// unclamped score would put the device in an out-of-range cell
-		// (panicking the pendingSupply index).
-		if cpu, mem := device.Clamp01(ci.CPU), device.Clamp01(ci.Mem); md.dev.CPU != cpu || md.dev.Mem != mem {
-			md.dev.CPU, md.dev.Mem = cpu, mem
-			md.cell = int32(m.env.Grid.CellOfDevice(md.dev))
+// countCheckIns records n admitted check-ins, lockFree of them answered from
+// the plan snapshot, without the core mutex: the cumulative counters and the
+// pending supply history per grid cell (supply[c] check-ins in cell c, zeroed
+// here). A batch calls it once, before its core section, so the section's
+// supply drain sees the whole batch.
+func (m *Manager) countCheckIns(n, lockFree int, supply []int64) {
+	if n == 0 {
+		return
+	}
+	m.checkIns.Add(int64(n))
+	if lockFree > 0 {
+		m.lockFreeCheckIns.Add(int64(lockFree))
+	}
+	for c, k := range supply {
+		if k > 0 {
+			m.pendingSupply[c].Add(k)
+			supply[c] = 0
 		}
 	}
-	md.lastSeenSec = nowSec
-	// One task per day per device (the paper's realism constraint);
-	// benchmarks lift it via Config.DisableDailyBudget.
-	if !m.cfg.DisableDailyBudget && int(md.dev.LastTaskDay) == now.DayIndex() {
-		return nil, nil
-	}
-	md.busy = true
-	m.busyDevices.Add(1)
-	return md, nil
-}
-
-// countCheckIn records an admitted check-in without the core mutex: the
-// cumulative counter and the pending supply history for the device's cell.
-func (m *Manager) countCheckIn(md *managedDevice) {
-	m.checkIns.Add(1)
-	m.pendingSupply[md.cell].Add(1)
-	// Flag after the add: a drain that swaps the flag observes every count
+	// Flag after the adds: a drain that swaps the flag observes every count
 	// whose flag-set it raced, and a count it misses re-flags for the next
 	// drain.
 	m.supplyDirty.Store(true)
@@ -836,20 +767,25 @@ func (m *Manager) drainSupplyLocked(now simtime.Time) {
 // the freshness check (first) and snapshot load (second) bracket a provably
 // current view. Devices with a candidate — and any check-in racing a plan
 // refresh — fall back to the locked path.
-func (m *Manager) snapshotSaysIdle(md *managedDevice, now simtime.Time) bool {
+func (m *Manager) snapshotSaysIdle(s *slot, now simtime.Time) bool {
 	if !m.lockFreeOK || !m.venn.PlanFresh() {
 		return false
 	}
 	snap := m.venn.PlanSnapshot()
-	return snap != nil && !snap.HasCandidate(md.dev, device.CellID(md.cell), now)
+	if snap == nil {
+		return false
+	}
+	d := s.device()
+	return !snap.HasCandidate(&d, device.CellID(s.cell), now)
 }
 
 // assignCoreLocked runs the short scheduler critical section for one
 // admitted check-in. The caller holds both the device's shard mutex and the
 // core mutex; the device stays reserved on assignment and the caller frees
 // it otherwise.
-func (m *Manager) assignCoreLocked(md *managedDevice, deviceID string, now simtime.Time) Assignment {
-	j := m.pol.Assign(md.dev, now)
+func (m *Manager) assignCoreLocked(s *slot, deviceID string, now simtime.Time) Assignment {
+	m.coreDev = s.device()
+	j := m.pol.Assign(&m.coreDev, now)
 	if m.shadowsOn {
 		pick := job.ID(-1)
 		if j != nil {
@@ -857,7 +793,7 @@ func (m *Manager) assignCoreLocked(md *managedDevice, deviceID string, now simti
 		}
 		m.emitShadow(shadowEvent{
 			kind: shadowAssign, now: now, devID: deviceID,
-			cpu: md.dev.CPU, mem: md.dev.Mem, cell: device.CellID(md.cell),
+			cpu: s.cpu, mem: s.mem, cell: device.CellID(s.cell),
 			primaryJob: pick,
 		})
 	}
@@ -865,7 +801,7 @@ func (m *Manager) assignCoreLocked(md *managedDevice, deviceID string, now simti
 		return Assignment{Assigned: false}
 	}
 	mj := m.jobs[j.ID]
-	md.dev.LastTaskDay = int32(now.DayIndex())
+	s.lastTaskDay = int32(now.DayIndex())
 	// Clone: deviceID may share a v2 request payload's backing (bdec.shared)
 	// and this key outlives the request, until the device reports back.
 	mj.inFlight[strings.Clone(deviceID)] = m.attempt[j.ID]
@@ -882,13 +818,6 @@ func (m *Manager) assignCoreLocked(md *managedDevice, deviceID string, now simti
 	return Assignment{Assigned: true, JobID: int(j.ID), JobName: j.Name, Round: j.Round(), Policy: m.policyName}
 }
 
-// release frees a reserved device that received no assignment. The caller
-// holds the device's shard mutex.
-func (m *Manager) release(md *managedDevice) {
-	md.busy = false
-	m.busyDevices.Add(-1)
-}
-
 // DeviceCheckIn registers availability and returns an assignment (or none).
 func (m *Manager) DeviceCheckIn(ci CheckIn) (Assignment, error) {
 	return m.DeviceCheckInSpan(ci, nil)
@@ -901,21 +830,25 @@ func (m *Manager) DeviceCheckInSpan(ci CheckIn, sp *obs.Span) (Assignment, error
 	if ci.DeviceID == "" {
 		return Assignment{}, errDeviceIDMissing
 	}
-	sh := m.shardOf(ci.DeviceID)
+	h := m.reg.hash(ci.DeviceID)
+	sh := m.reg.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	sh.reserve(1)
 	now := m.now()
 	sec := m.nowSec()
-	md, err := m.admitShardLocked(sh, ci, now, sec)
+	s, err := m.reg.admit(sh, h, &ci, now.DayIndex(), sec)
 	if err != nil {
 		return Assignment{}, err
 	}
-	if md == nil {
+	if s == nil {
 		return Assignment{Assigned: false}, nil
 	}
-	m.countCheckIn(md)
+	m.checkIns.Add(1)
+	m.pendingSupply[s.cell].Add(1)
+	m.supplyDirty.Store(true) // after the add; see countCheckIns
 	var asg Assignment
-	if m.snapshotSaysIdle(md, now) {
+	if m.snapshotSaysIdle(s, now) {
 		m.lockFreeCheckIns.Add(1)
 		// Shadow planning stays off the lock-free surplus path: sampled
 		// scoring events leave via one non-blocking send; the shadow
@@ -923,18 +856,19 @@ func (m *Manager) DeviceCheckInSpan(ci CheckIn, sp *obs.Span) (Assignment, error
 		if m.shadowsOn && m.shadowSkip.Add(1)%shadowSampleStride == 0 {
 			m.emitShadow(shadowEvent{
 				kind: shadowAssign, now: now, devID: ci.DeviceID,
-				cpu: md.dev.CPU, mem: md.dev.Mem, cell: device.CellID(md.cell),
+				cpu: s.cpu, mem: s.mem, cell: device.CellID(s.cell),
 				primaryJob: -1, weight: shadowSampleStride,
 			})
 		}
 	} else {
-		asg = m.submitAssign(md, ci.DeviceID, sp)
+		asg = m.submitAssign(s, ci.DeviceID, sp)
 	}
 	m.metrics.checkins.Add(sec, 1)
 	if asg.Assigned {
+		m.reg.busy.Add(1)
 		m.metrics.assignRate.Add(sec, 1)
 	} else {
-		m.release(md)
+		s.flags &^= slotBusy
 	}
 	return asg, nil
 }
@@ -956,14 +890,14 @@ func (m *Manager) CheckInBatchSpan(cis []CheckIn, sp *obs.Span) []CheckInResult 
 	if len(cis) == 0 {
 		return out
 	}
-	held := m.lockShardsFor(func(yield func(string)) {
-		for _, ci := range cis {
-			if ci.DeviceID != "" {
-				yield(ci.DeviceID)
-			}
+	sc := m.reg.scratch(len(cis))
+	for i := range cis {
+		if id := cis[i].DeviceID; id != "" {
+			m.reg.mark(sc, i, id)
 		}
-	})
-	defer m.unlockShards(held)
+	}
+	m.reg.lockMarked(sc, true)
+	defer m.reg.unlockMarked(sc)
 
 	now := m.now()
 	nowSec := m.nowSec()
@@ -974,61 +908,65 @@ func (m *Manager) CheckInBatchSpan(cis []CheckIn, sp *obs.Span) []CheckInResult 
 	if m.lockFreeOK && !m.venn.PlanFresh() {
 		m.submitRefresh()
 	}
-	pending := make([]*managedDevice, len(cis))
-	var needCore []int
+	m.reg.touch(sc)
+	day := now.DayIndex()
 	var shadowBuf []shadowEvent // lock-free scoring events, one send per batch
-	admitted := 0
-	for i, ci := range cis {
-		if ci.DeviceID == "" {
+	admitted, lockFree := 0, 0
+	for i := range cis {
+		ci := &cis[i]
+		sh := sc.shard[i]
+		if sh == nil {
 			out[i].Error = errDeviceIDMissing.Error()
 			continue
 		}
-		md, err := m.admitShardLocked(m.shardOf(ci.DeviceID), ci, now, nowSec)
+		s, err := m.reg.admit(sh, sc.hash[i], ci, day, nowSec)
 		if err != nil {
 			out[i].Error = err.Error()
 			continue
 		}
-		if md == nil {
+		if s == nil {
 			continue // daily budget: Assigned=false, no error
 		}
-		pending[i] = md
+		sc.slots[i] = s
 		admitted++
-		m.countCheckIn(md)
+		sc.supply[s.cell]++
 		// The probe re-checks freshness per item: a concurrent batch may
 		// fulfil a request (or a job may register) mid-loop.
-		if m.snapshotSaysIdle(md, now) {
-			m.lockFreeCheckIns.Add(1)
+		if m.snapshotSaysIdle(s, now) {
+			lockFree++
 			if m.shadowsOn && m.shadowSkip.Add(1)%shadowSampleStride == 0 {
 				shadowBuf = append(shadowBuf, shadowEvent{
 					kind: shadowAssign, now: now, devID: ci.DeviceID,
-					cpu: md.dev.CPU, mem: md.dev.Mem, cell: device.CellID(md.cell),
+					cpu: s.cpu, mem: s.mem, cell: device.CellID(s.cell),
 					primaryJob: -1, weight: shadowSampleStride,
 				})
 			}
 			continue
 		}
-		needCore = append(needCore, i)
+		sc.core = append(sc.core, i)
 	}
+	m.countCheckIns(admitted, lockFree, sc.supply)
 	// Shadow planning stays off the lock-free surplus path: the whole
 	// batch's scoring events leave in one non-blocking send per shadow.
 	m.emitShadowBatch(shadowBuf)
 
 	assigned := 0
-	if len(needCore) > 0 {
-		items := make([]assignItem, len(needCore))
-		for k, i := range needCore {
-			items[k] = assignItem{md: pending[i], id: cis[i].DeviceID, out: &out[i].Assignment}
+	if len(sc.core) > 0 {
+		items := make([]assignItem, len(sc.core))
+		for k, i := range sc.core {
+			items[k] = assignItem{s: sc.slots[i], id: cis[i].DeviceID, out: &out[i].Assignment}
 		}
 		m.submitAssignBatch(items, sp)
-		for _, i := range needCore {
+		for _, i := range sc.core {
 			if out[i].Assigned {
 				assigned++
 			}
 		}
+		m.reg.busy.Add(int64(assigned))
 	}
-	for i, md := range pending {
-		if md != nil && !out[i].Assigned {
-			m.release(md)
+	for i, s := range sc.slots {
+		if s != nil && !out[i].Assigned {
+			s.flags &^= slotBusy
 		}
 	}
 	m.metrics.checkins.Add(nowSec, int64(admitted))
@@ -1038,7 +976,7 @@ func (m *Manager) CheckInBatchSpan(cis []CheckIn, sp *obs.Span) []CheckInResult 
 
 // reportCoreLocked applies one report to the scheduler core. The caller
 // holds the core mutex (and the device's shard mutex).
-func (m *Manager) reportCoreLocked(r Report, md *managedDevice, now simtime.Time) {
+func (m *Manager) reportCoreLocked(r Report, s *slot, now simtime.Time) {
 	mj, ok := m.jobs[job.ID(r.JobID)]
 	if !ok {
 		// Job finished meanwhile; the report is stale but harmless.
@@ -1051,7 +989,8 @@ func (m *Manager) reportCoreLocked(r Report, md *managedDevice, now simtime.Time
 	}
 	if r.OK {
 		m.reports++
-		m.pol.ObserveResponse(mj.j, md.dev, simtime.FromSeconds(r.DurationSeconds), now)
+		m.coreDev = s.device()
+		m.pol.ObserveResponse(mj.j, &m.coreDev, simtime.FromSeconds(r.DurationSeconds), now)
 		if m.shadowsOn {
 			m.emitShadow(shadowEvent{
 				kind: shadowResponse, now: now, jobID: mj.j.ID,
@@ -1081,17 +1020,19 @@ func (m *Manager) DeviceReportSpan(r Report, sp *obs.Span) error {
 	if r.DeviceID == "" {
 		return errDeviceIDMissing
 	}
-	sh := m.shardOf(r.DeviceID)
+	h := m.reg.hash(r.DeviceID)
+	sh := m.reg.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	md, ok := sh.devices[r.DeviceID]
-	if !ok {
+	s, _ := sh.find(h, r.DeviceID)
+	if s == nil {
 		return ErrUnknownDevice
 	}
-	if md.busy {
-		m.release(md)
+	if s.flags&slotBusy != 0 {
+		s.flags &^= slotBusy
+		m.reg.busy.Add(-1)
 	}
-	m.submitReport(r, md, sp)
+	m.submitReport(r, s, sp)
 	m.metrics.reportRate.Add(m.nowSec(), 1)
 	return nil
 }
@@ -1109,67 +1050,47 @@ func (m *Manager) ReportBatchSpan(rs []Report, sp *obs.Span) []ReportResult {
 	if len(rs) == 0 {
 		return out
 	}
-	held := m.lockShardsFor(func(yield func(string)) {
-		for _, r := range rs {
-			if r.DeviceID != "" {
-				yield(r.DeviceID)
-			}
+	sc := m.reg.scratch(len(rs))
+	for i := range rs {
+		if id := rs[i].DeviceID; id != "" {
+			m.reg.mark(sc, i, id)
 		}
-	})
-	defer m.unlockShards(held)
+	}
+	m.reg.lockMarked(sc, false)
+	defer m.reg.unlockMarked(sc)
 
-	devs := make([]*managedDevice, len(rs))
-	accepted := 0
-	for i, r := range rs {
-		if r.DeviceID == "" {
+	m.reg.touch(sc)
+	accepted, freed := 0, 0
+	for i := range rs {
+		sh := sc.shard[i]
+		if sh == nil {
 			out[i].Error = errDeviceIDMissing.Error()
 			continue
 		}
-		md, ok := m.shardOf(r.DeviceID).devices[r.DeviceID]
-		if !ok {
+		s, _ := sh.find(sc.hash[i], rs[i].DeviceID)
+		if s == nil {
 			out[i].Error = ErrUnknownDevice.Error()
 			continue
 		}
-		if md.busy {
-			m.release(md)
+		if s.flags&slotBusy != 0 {
+			s.flags &^= slotBusy
+			freed++
 		}
-		devs[i] = md
+		sc.slots[i] = s
 		accepted++
 	}
 	if accepted > 0 {
+		m.reg.busy.Add(int64(-freed))
 		items := make([]reportItem, 0, accepted)
-		for i, md := range devs {
-			if md != nil {
-				items = append(items, reportItem{r: rs[i], md: md})
+		for i, s := range sc.slots {
+			if s != nil {
+				items = append(items, reportItem{r: rs[i], s: s})
 			}
 		}
 		m.submitReportBatch(items, sp)
 	}
 	m.metrics.reportRate.Add(m.nowSec(), int64(accepted))
 	return out
-}
-
-// lockShardsFor locks, in ascending index order, every shard that any
-// device ID produced by iter hashes to, and returns the locked indices.
-// Ascending acquisition keeps the global lock order consistent across
-// concurrent batches (shards ascending, then the core mutex).
-func (m *Manager) lockShardsFor(iter func(yield func(string))) []int {
-	need := make([]bool, len(m.shards))
-	iter(func(id string) { need[m.shardIndex(id)] = true })
-	held := make([]int, 0, 8)
-	for i := range m.shards {
-		if need[i] {
-			m.shards[i].mu.Lock()
-			held = append(held, i)
-		}
-	}
-	return held
-}
-
-func (m *Manager) unlockShards(held []int) {
-	for i := len(held) - 1; i >= 0; i-- {
-		m.shards[held[i]].mu.Unlock()
-	}
 }
 
 // maybeCompleteLocked finishes the round (and possibly the job) when enough
@@ -1281,11 +1202,8 @@ func (m *Manager) Tick() {
 	m.expireDueLocked(now)
 }
 
-// sweepExpiredDevices walks a rotating slice of the shard registries and
-// evicts devices not seen within Config.DeviceTTL. The sweep covers a
-// fraction of the shards per tick so a huge registry never stalls one tick;
-// with the default 64 shards and a 1s tick the whole fleet is revisited
-// roughly every 16 seconds — instantaneous against any sensible TTL.
+// sweepExpiredDevices evicts, from a rotating fraction of the registry's
+// shards, the devices not seen within Config.DeviceTTL.
 //
 // Busy devices are evicted too once their last check-in is a full TTL in
 // the past: a reservation that old belongs to a device that crashed
@@ -1293,40 +1211,17 @@ func (m *Manager) Tick() {
 // would leak exactly the registry growth the TTL exists to cap. A
 // straggler's late report gets ErrUnknownDevice, which the agent protocol
 // already tolerates. After evictions, the core's device→cell cache is
-// reset: evicted IDs are never reused, so their entries would otherwise
-// leak with fleet churn.
+// reset: evicted device numbers are never reused, so their entries would
+// otherwise leak with fleet churn.
 func (m *Manager) sweepExpiredDevices() {
 	ttl := m.cfg.DeviceTTL
 	if ttl <= 0 {
 		return
 	}
-	cutoff := m.cfg.Clock().Add(-ttl).Unix()
-	sweep := len(m.shards)/16 + 1
-	evicted, busyEvicted := 0, 0
-	for i := 0; i < sweep; i++ {
-		sh := &m.shards[int(m.sweepCursor.Add(1)-1)%len(m.shards)]
-		sh.mu.Lock()
-		for id, md := range sh.devices {
-			if md.lastSeenSec >= cutoff {
-				continue
-			}
-			if md.busy {
-				busyEvicted++
-			}
-			delete(sh.devices, id)
-			evicted++
-		}
-		sh.mu.Unlock()
-	}
-	if evicted > 0 {
-		m.numDevices.Add(int64(-evicted))
-		m.busyDevices.Add(int64(-busyEvicted))
-		m.evictions.Add(int64(evicted))
-		if m.venn != nil {
-			m.mu.Lock()
-			m.venn.ResetCellCache()
-			m.mu.Unlock()
-		}
+	if m.reg.sweep(m.cfg.Clock().Add(-ttl).Unix()) > 0 && m.venn != nil {
+		m.mu.Lock()
+		m.venn.ResetCellCache()
+		m.mu.Unlock()
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 
 // Metrics is the GET /v1/metrics payload: serving throughput, queue depths,
 // and handler latency percentiles. Rates are averaged over the trailing
-// rateWindowSeconds full seconds; latency percentiles are computed over a
-// sliding window of the most recent latencyWindow requests per route.
+// rateWindowSeconds full seconds, or over the daemon's whole life while that
+// is shorter; latency percentiles are computed over a sliding window of the
+// most recent latencyWindow requests per route.
 type Metrics struct {
 	UptimeSeconds     float64 `json:"uptime_seconds"`
 	Shards            int     `json:"shards"`
@@ -47,6 +48,15 @@ type Metrics struct {
 	LockFreeCheckIns int64 `json:"lock_free_checkins_total"`
 	// DevicesEvicted counts registry entries dropped by TTL sweeps.
 	DevicesEvicted int64 `json:"devices_evicted_total"`
+	// The device registry's shape (registry.go), summed over its shards:
+	// table slots, slots holding a device (= KnownDevices) or a tombstone —
+	// (live+tombstones)/slots is the load factor — the ID arenas' bytes, IDs
+	// of evicted devices not yet compacted away included, and table rebuilds.
+	RegistrySlots      int64 `json:"registry_slots"`
+	RegistryLive       int64 `json:"registry_live"`
+	RegistryTombstones int64 `json:"registry_tombstones"`
+	RegistryIDBytes    int64 `json:"registry_id_bytes"`
+	RegistryRehashes   int64 `json:"registry_rehashes_total"`
 
 	// Core commit pipeline telemetry (combiner.go). CoreRounds counts
 	// combining rounds applied; CoreCombinedOps counts the queued ops they
@@ -173,20 +183,23 @@ func (rc *rateCounter) Add(nowSec int64, n int64) {
 	b.n.Add(n)
 }
 
-// PerSec averages the trailing window of fully elapsed seconds (the
-// current, still-filling second is excluded).
-func (rc *rateCounter) PerSec(nowSec int64) float64 {
+// PerSec averages the trailing window of elapsed seconds (the current,
+// still-filling second is excluded). The window is rateWindowSeconds, or the
+// seconds elapsed since startSec while those are fewer, so a young daemon's
+// rate is not diluted by seconds it did not live through.
+func (rc *rateCounter) PerSec(nowSec, startSec int64) float64 {
+	window := min(rateWindowSeconds, nowSec-startSec)
+	if window <= 0 {
+		return 0
+	}
 	var sum int64
-	for s := nowSec - rateWindowSeconds; s < nowSec; s++ {
-		if s < 0 {
-			continue
-		}
+	for s := nowSec - window; s < nowSec; s++ {
 		b := &rc.buckets[s%rateRingSeconds]
 		if b.sec.Load() == s {
 			sum += b.n.Load()
 		}
 	}
-	return float64(sum) / rateWindowSeconds
+	return float64(sum) / float64(window)
 }
 
 // latencyTrack keeps one route's cumulative count plus a ring of the most
@@ -285,21 +298,24 @@ func histSummary(s obs.HistSnapshot, scale float64) LatencySummary {
 
 // MetricsSnapshot assembles the /v1/metrics payload.
 func (m *Manager) MetricsSnapshot() Metrics {
-	sec := m.nowSec()
+	sec, startSec := m.nowSec(), m.start.Unix()
+	reg := m.reg.stats()
 	out := Metrics{
-		Shards:            len(m.shards),
-		CheckInsPerSec:    m.metrics.checkins.PerSec(sec),
-		AssignmentsPerSec: m.metrics.assignRate.PerSec(sec),
-		ReportsPerSec:     m.metrics.reportRate.PerSec(sec),
-		KnownDevices:      m.numDevices.Load(),
-		BusyDevices:       m.busyDevices.Load(),
+		Shards:            len(m.reg.shards),
+		CheckInsPerSec:    m.metrics.checkins.PerSec(sec, startSec),
+		AssignmentsPerSec: m.metrics.assignRate.PerSec(sec, startSec),
+		ReportsPerSec:     m.metrics.reportRate.PerSec(sec, startSec),
+		KnownDevices:      reg.Live,
+		BusyDevices:       m.reg.busy.Load(),
 		CheckIns:          m.checkIns.Load(),
 		LockFreeCheckIns:  m.lockFreeCheckIns.Load(),
-		DevicesEvicted:    m.evictions.Load(),
+		DevicesEvicted:    m.reg.evictions.Load(),
 		HandlerLatencyMs:  make(map[string]LatencySummary, int(obs.NumOps)),
 		ObsSampleEvery:    m.obs.SampleEvery(),
 		FlightRecorded:    m.obs.Flight().Recorded(),
 	}
+	out.RegistrySlots, out.RegistryLive, out.RegistryTombstones = reg.Slots, reg.Live, reg.Tombstones
+	out.RegistryIDBytes, out.RegistryRehashes = reg.IDBytes, reg.Rehashes
 	out.CoreRounds = m.coreRounds.Load()
 	out.CoreCombinedOps = m.coreCombinedOps.Load()
 	if out.CoreRounds > 0 {
@@ -328,7 +344,7 @@ func (m *Manager) MetricsSnapshot() Metrics {
 		}
 	}
 	for _, tr := range transportLabels {
-		if rate := m.metrics.perTransport[tr].PerSec(sec); rate > 0 {
+		if rate := m.metrics.perTransport[tr].PerSec(sec, startSec); rate > 0 {
 			if out.CheckInsPerSecByTransport == nil {
 				out.CheckInsPerSecByTransport = make(map[string]float64, len(transportLabels))
 			}

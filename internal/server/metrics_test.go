@@ -2,9 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 func TestRateCounter(t *testing.T) {
@@ -13,22 +15,59 @@ func TestRateCounter(t *testing.T) {
 	for s := int64(90); s < 100; s++ {
 		rc.Add(s, 5)
 	}
-	if got := rc.PerSec(100); got != 5 {
+	if got := rc.PerSec(100, 0); got != 5 {
 		t.Errorf("PerSec = %v, want 5", got)
 	}
 	// The current, still-filling second is excluded.
 	rc.Add(100, 1000)
-	if got := rc.PerSec(100); got != 5 {
+	if got := rc.PerSec(100, 0); got != 5 {
 		t.Errorf("PerSec with open second = %v, want 5", got)
 	}
 	// A quiet window decays to zero once the buckets fall out of range.
-	if got := rc.PerSec(100 + rateRingSeconds + 1); got != 0 {
+	if got := rc.PerSec(100+rateRingSeconds+1, 0); got != 0 {
 		t.Errorf("stale PerSec = %v, want 0", got)
 	}
 	// Bucket reuse after the ring wraps.
 	rc.Add(100+rateRingSeconds, 7)
-	if got := rc.PerSec(101 + rateRingSeconds); got != 0.7 {
+	if got := rc.PerSec(101+rateRingSeconds, 0); got != 0.7 {
 		t.Errorf("reused-bucket PerSec = %v, want 0.7", got)
+	}
+}
+
+// TestRatesOfAYoungDaemon pins the rate window to the daemon's age: five
+// seconds after start, 50 check-ins are 10/s, not 50 spread over the full
+// ten-second window; from ten seconds on the window is the fixed one.
+func TestRatesOfAYoungDaemon(t *testing.T) {
+	clk := newFakeClock()
+	m := newTestManager(clk)
+	svc := NewService(m, TransportStream)
+	if got := m.MetricsSnapshot().CheckInsPerSec; got != 0 {
+		t.Errorf("checkins_per_sec in the start second = %v, want 0", got)
+	}
+	for s := 0; s < 5; s++ {
+		cis := make([]CheckIn, 10)
+		for i := range cis {
+			cis[i] = CheckIn{DeviceID: fmt.Sprintf("young-%d-%d", s, i), CPU: 0.5, Mem: 0.5}
+		}
+		if _, err := svc.CheckInBatch(CheckInBatchRequest{CheckIns: cis}); err != nil {
+			t.Fatal(err)
+		}
+		clk.advance(time.Second)
+	}
+	mt := m.MetricsSnapshot()
+	if mt.CheckInsPerSec != 10 {
+		t.Errorf("checkins_per_sec at 5 s = %v, want 10", mt.CheckInsPerSec)
+	}
+	if got := mt.CheckInsPerSecByTransport[TransportStream]; got != 10 {
+		t.Errorf("stream checkins_per_sec at 5 s = %v, want 10", got)
+	}
+	clk.advance(5 * time.Second)
+	if got := m.MetricsSnapshot().CheckInsPerSec; got != 5 {
+		t.Errorf("checkins_per_sec at 10 s = %v, want 5", got)
+	}
+	clk.advance(5 * time.Second)
+	if got := m.MetricsSnapshot().CheckInsPerSec; got != 0 {
+		t.Errorf("checkins_per_sec at 15 s = %v, want 0", got)
 	}
 }
 
@@ -102,6 +141,10 @@ func TestMetricsSnapshotAndEndpoint(t *testing.T) {
 	if mt.Shards != defaultShards {
 		t.Errorf("shards = %d", mt.Shards)
 	}
+	if mt.RegistryLive != 3 || mt.RegistrySlots != defaultShards*minShardSlots || mt.RegistryIDBytes != 6 ||
+		mt.RegistryTombstones != 0 || mt.RegistryRehashes != 0 {
+		t.Errorf("registry shape: %+v", mt)
+	}
 	if mt.ActiveJobs != 1 || mt.CollectingJobs != 1 {
 		t.Errorf("job depths: %+v", mt)
 	}
@@ -117,12 +160,10 @@ func TestMetricsSnapshotAndEndpoint(t *testing.T) {
 		t.Error("untouched route must be omitted from the latency map")
 	}
 
-	// Rates: feed the counters directly at a known clock second.
-	sec := clk.now().Unix()
-	m.metrics.checkins.Add(sec-1, 30)
-	mt2 := m.MetricsSnapshot()
-	if mt2.CheckInsPerSec < 3.0-1e-9 {
-		t.Errorf("checkins_per_sec = %v, want >= 3", mt2.CheckInsPerSec)
+	// Rates: the three check-ins above, one second on.
+	clk.advance(time.Second)
+	if got := m.MetricsSnapshot().CheckInsPerSec; got != 3 {
+		t.Errorf("checkins_per_sec = %v, want 3", got)
 	}
 }
 

@@ -116,6 +116,12 @@ func TestPrometheusEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"venn_healthy 1",
 		"venn_checkins_total 1",
+		// The registry's shape after one 4-byte ID: 64 shards of 8 slots.
+		"venn_registry_slots 512",
+		"venn_registry_live 1",
+		"venn_registry_tombstones 0",
+		"venn_registry_id_bytes 4",
+		"venn_registry_rehashes_total 0",
 		"venn_request_duration_seconds_count",
 		"venn_request_stage_duration_seconds_bucket",
 	} {

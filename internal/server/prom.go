@@ -50,6 +50,11 @@ func WritePrometheus(b *strings.Builder, m *Manager) {
 
 	gauge("venn_known_devices", "Devices currently in the registry.", float64(mt.KnownDevices))
 	gauge("venn_busy_devices", "Devices currently holding a task.", float64(mt.BusyDevices))
+	gauge("venn_registry_slots", "Device registry table slots, all shards.", float64(mt.RegistrySlots))
+	gauge("venn_registry_live", "Device registry slots holding a device.", float64(mt.RegistryLive))
+	gauge("venn_registry_tombstones", "Device registry slots holding an evicted device's tombstone.", float64(mt.RegistryTombstones))
+	gauge("venn_registry_id_bytes", "Bytes in the device registry's ID arenas, evicted IDs not yet compacted included.", float64(mt.RegistryIDBytes))
+	counter("venn_registry_rehashes_total", "Device registry table rebuilds (growth, tombstone purge, arena compaction).", mt.RegistryRehashes)
 	obs.PromFamily(b, "venn_jobs", "Jobs by lifecycle state.", "gauge")
 	obs.PromSample(b, "venn_jobs", `state="active"`, float64(mt.ActiveJobs))
 	obs.PromSample(b, "venn_jobs", `state="scheduling"`, float64(mt.SchedulingJobs))

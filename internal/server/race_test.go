@@ -133,15 +133,10 @@ func TestConcurrentCheckInReport(t *testing.T) {
 	// by its report) or released; count the stragglers still busy and
 	// compare against the gauge.
 	busy := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, md := range sh.devices {
-			if md.busy {
-				busy++
-			}
+	for _, s := range m.reg.all() {
+		if s.flags&slotBusy != 0 {
+			busy++
 		}
-		sh.mu.Unlock()
 	}
 	if int64(busy) != mt.BusyDevices {
 		t.Errorf("busy gauge = %d, actual busy devices = %d", mt.BusyDevices, busy)

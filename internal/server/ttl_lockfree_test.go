@@ -34,7 +34,7 @@ func TestDeviceTTLEviction(t *testing.T) {
 
 	// Within the TTL nothing is evicted.
 	clk.advance(30 * time.Minute)
-	for i := 0; i < len(m.shards); i++ {
+	for i := 0; i < len(m.reg.shards); i++ {
 		m.Tick()
 	}
 	if got := m.MetricsSnapshot().KnownDevices; got != 11 {
@@ -46,7 +46,7 @@ func TestDeviceTTLEviction(t *testing.T) {
 	// agent (its gauge entry must be released with it). Tick enough times
 	// for the round-robin sweep to cover all shards.
 	clk.advance(time.Hour)
-	for i := 0; i < len(m.shards); i++ {
+	for i := 0; i < len(m.reg.shards); i++ {
 		m.Tick()
 	}
 	mt := m.MetricsSnapshot()
@@ -79,7 +79,7 @@ func TestDeviceTTLEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.advance(1000 * time.Hour)
-	for i := 0; i < len(m2.shards); i++ {
+	for i := 0; i < len(m2.reg.shards); i++ {
 		m2.Tick()
 	}
 	if got := m2.MetricsSnapshot().KnownDevices; got != 1 {

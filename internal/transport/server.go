@@ -313,6 +313,7 @@ func (s *Server) serveConn(sc *srvConn) {
 		const maxCoalesce = 64
 		hdrs := make([]byte, maxCoalesce*HeaderSize)
 		pending := make([]outFrame, 0, maxCoalesce)
+		vec := make(net.Buffers, 0, 2*maxCoalesce) // backing of every round's vectored write
 		failed := false
 		for {
 			fr, ok := <-sc.out
@@ -333,7 +334,7 @@ func (s *Server) serveConn(sc *srvConn) {
 				}
 			}
 			if !failed {
-				bufs := make(net.Buffers, 0, 2*len(pending))
+				bufs := vec[:0]
 				for i := range pending {
 					f := &pending[i]
 					h := hdrs[i*HeaderSize : (i+1)*HeaderSize]
@@ -343,10 +344,13 @@ func (s *Server) serveConn(sc *srvConn) {
 						bufs = append(bufs, f.payload)
 					}
 				}
+				// Count before the write, not after: a client that holds its
+				// answer must find it counted, and it can read the answer and
+				// sample the telemetry before WriteTo has even returned here.
+				s.framesOut.Add(int64(len(pending)))
 				if _, err := bufs.WriteTo(sc.c); err != nil {
 					failed = true
-				} else {
-					s.framesOut.Add(int64(len(pending)))
+					s.framesOut.Add(int64(-len(pending)))
 				}
 			}
 			// Written or dropped, pooled payloads are done with either way;
