@@ -164,7 +164,6 @@ func main() {
 		dailyBudget  = flag.Bool("daily-budget", true, "enforce the one-task-per-device-day budget (false lifts it, for sustained-demand benchmarking)")
 		deviceTTL    = flag.Duration("device-ttl", 24*time.Hour, "evict devices not seen for this long (0 disables)")
 		maxBody      = flag.Int64("max-body-bytes", 0, "HTTP single-item request body bound in bytes (0 = default 1MiB)")
-		window       = flag.Int("stream-window", 0, "max in-flight frames per stream connection (0 = default)")
 		streamShards = flag.Int("stream-shards", 0, "SO_REUSEPORT accept shards for the stream listener (0 = GOMAXPROCS, 1 = single listener)")
 		maxWireVer   = flag.Int("max-wire-version", 0, "cap the stream protocol version served and offered to peers (0 = newest, 1 = pre-v2 JSON only)")
 		peers        = flag.String("peers", "", "comma-separated stream addresses of every cluster member (enables federation; requires -stream-addr)")
@@ -283,7 +282,7 @@ func main() {
 		acceptShards = runtime.GOMAXPROCS(0)
 	}
 	if *streamAddr != "" {
-		streamSrv = transport.NewServer(m, transport.Options{Window: *window, MaxVersion: byte(*maxWireVer)})
+		streamSrv = transport.NewServer(m, transport.Options{MaxVersion: byte(*maxWireVer)})
 		go func() {
 			if err := streamSrv.ListenAndServeSharded(*streamAddr, acceptShards); err != nil && !errors.Is(err, transport.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "venndaemon: stream listener:", err)

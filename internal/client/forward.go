@@ -71,12 +71,10 @@ func rawForwardEncoder(items []byte, n int) reqEncoder {
 // concatenated v2 wire bytes) to their owning daemon in one hop frame.
 // Results[i] answers item i in buffer order.
 func (s *StreamClient) CheckInBatchForwardRaw(items []byte, n int, trace uint64) ([]server.CheckInResult, error) {
-	buf, _, _, err := s.doTrace(transport.OpCheckInBatch|transport.HopFlag, trace, rawForwardEncoder(items, n))
-	if err != nil {
-		return nil, err
-	}
 	var resp server.CheckInBatchResponse
-	if err := resp.UnmarshalBinary(buf); err != nil {
+	_, err := s.do(transport.OpCheckInBatch|transport.HopFlag, trace, rawForwardEncoder(items, n),
+		func(_ byte, buf []byte) error { return resp.UnmarshalBinary(buf) })
+	if err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != n {
@@ -88,12 +86,10 @@ func (s *StreamClient) CheckInBatchForwardRaw(items []byte, n int, trace uint64)
 // ReportBatchForwardRaw relays n already-encoded report items to their
 // owning daemon in one hop frame. Results[i] answers item i in buffer order.
 func (s *StreamClient) ReportBatchForwardRaw(items []byte, n int, trace uint64) ([]server.ReportResult, error) {
-	buf, _, _, err := s.doTrace(transport.OpReportBatch|transport.HopFlag, trace, rawForwardEncoder(items, n))
-	if err != nil {
-		return nil, err
-	}
 	var resp server.ReportBatchResponse
-	if err := resp.UnmarshalBinary(buf); err != nil {
+	_, err := s.do(transport.OpReportBatch|transport.HopFlag, trace, rawForwardEncoder(items, n),
+		func(_ byte, buf []byte) error { return resp.UnmarshalBinary(buf) })
+	if err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != n {

@@ -90,7 +90,7 @@ func (s *StreamClient) Close() error {
 // Ping round-trips an empty frame — a cheap reachability and liveness
 // probe.
 func (s *StreamClient) Ping() error {
-	_, _, _, err := s.do(transport.OpPing, jsonPayload(nil))
+	_, err := s.do(transport.OpPing, 0, jsonPayload(nil), nil)
 	return err
 }
 
@@ -111,22 +111,19 @@ func (s *StreamClient) CheckIn(ci server.CheckIn) (server.Assignment, error) {
 
 func (s *StreamClient) checkInOp(op byte, ci server.CheckIn, trace uint64) (server.Assignment, bool, error) {
 	var asg server.Assignment
-	resp, ver, fwd, err := s.doTrace(op, trace, func(ver byte) ([]byte, byte, error) {
+	fwd, err := s.do(op, trace, func(ver byte) ([]byte, byte, error) {
 		if ver >= transport.Version2 {
 			b, err := ci.AppendBinary(transport.GetBuf(64))
 			return b, transport.Version2, err
 		}
 		b, err := ci.MarshalJSON()
 		return b, transport.Version1, err
+	}, func(ver byte, resp []byte) error {
+		if ver >= transport.Version2 {
+			return asg.UnmarshalBinary(resp)
+		}
+		return asg.UnmarshalJSON(resp)
 	})
-	if err != nil {
-		return asg, fwd, err
-	}
-	if ver >= transport.Version2 {
-		err = asg.UnmarshalBinary(resp)
-	} else {
-		err = asg.UnmarshalJSON(resp)
-	}
 	return asg, fwd, err
 }
 
@@ -143,23 +140,20 @@ func (s *StreamClient) CheckInBatch(cis []server.CheckIn) ([]server.CheckInResul
 
 func (s *StreamClient) checkInBatchOp(op byte, cis []server.CheckIn, trace uint64) ([]server.CheckInResult, bool, error) {
 	req := server.CheckInBatchRequest{CheckIns: cis}
-	buf, ver, fwd, err := s.doTrace(op, trace, func(ver byte) ([]byte, byte, error) {
+	var resp server.CheckInBatchResponse
+	fwd, err := s.do(op, trace, func(ver byte) ([]byte, byte, error) {
 		if ver >= transport.Version2 {
 			b, err := req.AppendBinary(transport.GetBuf(256))
 			return b, transport.Version2, err
 		}
 		b, err := req.MarshalJSON()
 		return b, transport.Version1, err
+	}, func(ver byte, buf []byte) error {
+		if ver >= transport.Version2 {
+			return resp.UnmarshalBinary(buf)
+		}
+		return resp.UnmarshalJSON(buf)
 	})
-	if err != nil {
-		return nil, fwd, err
-	}
-	var resp server.CheckInBatchResponse
-	if ver >= transport.Version2 {
-		err = resp.UnmarshalBinary(buf)
-	} else {
-		err = resp.UnmarshalJSON(buf)
-	}
 	if err != nil {
 		return nil, fwd, err
 	}
@@ -179,15 +173,14 @@ func (s *StreamClient) Report(r server.Report) error {
 }
 
 func (s *StreamClient) reportOp(op byte, r server.Report, trace uint64) (bool, error) {
-	_, _, fwd, err := s.doTrace(op, trace, func(ver byte) ([]byte, byte, error) {
+	return s.do(op, trace, func(ver byte) ([]byte, byte, error) {
 		if ver >= transport.Version2 {
 			b, err := r.AppendBinary(transport.GetBuf(64))
 			return b, transport.Version2, err
 		}
 		b, err := r.MarshalJSON()
 		return b, transport.Version1, err
-	})
-	return fwd, err
+	}, nil)
 }
 
 // ReportBatch submits a batch of task results in one frame. Results[i]
@@ -202,23 +195,20 @@ func (s *StreamClient) ReportBatch(rs []server.Report) ([]server.ReportResult, e
 
 func (s *StreamClient) reportBatchOp(op byte, rs []server.Report, trace uint64) ([]server.ReportResult, bool, error) {
 	req := server.ReportBatchRequest{Reports: rs}
-	buf, ver, fwd, err := s.doTrace(op, trace, func(ver byte) ([]byte, byte, error) {
+	var resp server.ReportBatchResponse
+	fwd, err := s.do(op, trace, func(ver byte) ([]byte, byte, error) {
 		if ver >= transport.Version2 {
 			b, err := req.AppendBinary(transport.GetBuf(256))
 			return b, transport.Version2, err
 		}
 		b, err := req.MarshalJSON()
 		return b, transport.Version1, err
+	}, func(ver byte, buf []byte) error {
+		if ver >= transport.Version2 {
+			return resp.UnmarshalBinary(buf)
+		}
+		return resp.UnmarshalJSON(buf)
 	})
-	if err != nil {
-		return nil, fwd, err
-	}
-	var resp server.ReportBatchResponse
-	if ver >= transport.Version2 {
-		err = resp.UnmarshalBinary(buf)
-	} else {
-		err = resp.UnmarshalJSON(buf)
-	}
 	if err != nil {
 		return nil, fwd, err
 	}
@@ -292,14 +282,13 @@ func (s *StreamClient) doJSON(op byte, in, out any) error {
 			return err
 		}
 	}
-	buf, _, _, err := s.do(op, jsonPayload(payload))
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(buf, out)
+	_, err := s.do(op, 0, jsonPayload(payload), func(_ byte, buf []byte) error {
+		if out == nil {
+			return nil
+		}
+		return json.Unmarshal(buf, out)
+	})
+	return err
 }
 
 // reqEncoder builds a request payload given the connection's negotiated
@@ -310,24 +299,26 @@ func (s *StreamClient) doJSON(op byte, in, out any) error {
 // transport.GetBuf and must not retain the slice.
 type reqEncoder func(negotiated byte) ([]byte, byte, error)
 
-// do sends one request frame over a pooled connection and waits for its
-// response, returning the response payload, the version of the response
-// frame (which dictates how to decode it), and whether the response carried
-// the forwarded flag (HopFlag on a non-hop request's response: the daemon
-// federation-hopped at least one item, i.e. a ring-aware caller's topology
-// is stale) — or the decoded error frame.
-func (s *StreamClient) do(op byte, enc reqEncoder) ([]byte, byte, bool, error) {
-	return s.doTrace(op, 0, enc)
-}
+// respDecoder decodes a success response's payload, given the version of
+// the frame it arrived in. The payload is a pooled buffer recycled when the
+// decoder returns, so it must copy what it keeps (every codec does). A nil
+// decoder ignores the payload.
+type respDecoder func(ver byte, payload []byte) error
 
-// doTrace is do with an optional trace context: a nonzero trace (the
-// forwarding daemon's sampled span ID) is prepended to the payload and
-// announced via TraceFlag on the opcode, so the receiving daemon records the
-// hop under the same trace ID. Silently dropped on v1 connections — the flag
-// and prefix are v2 vocabulary.
-func (s *StreamClient) doTrace(op byte, trace uint64, enc reqEncoder) ([]byte, byte, bool, error) {
+// do sends one request frame over a pooled connection, waits for its
+// response, and hands the response payload to dec. It reports whether the
+// response carried the forwarded flag (HopFlag on a non-hop request's
+// response: the daemon federation-hopped at least one item, i.e. a
+// ring-aware caller's topology is stale), and the decoded error frame or
+// dec's error.
+//
+// A nonzero trace (the forwarding daemon's sampled span ID) is prepended to
+// the payload and announced via TraceFlag on the opcode, so the receiving
+// daemon records the hop under the same trace ID. Silently dropped on v1
+// connections — the flag and prefix are v2 vocabulary.
+func (s *StreamClient) do(op byte, trace uint64, enc reqEncoder, dec respDecoder) (bool, error) {
 	c := s.conns[s.next.Add(1)%uint64(len(s.conns))]
-	return c.do(op, trace, enc)
+	return c.do(op, trace, enc, dec)
 }
 
 // streamConn is one pooled connection: a lazily dialed socket, a reader
@@ -352,12 +343,32 @@ type streamConn struct {
 	gen     uint64
 }
 
+// streamResp is what the read loop hands a waiting call: a response frame
+// (payload in a pooled buffer, the receiver's to recycle) or the error that
+// ended the connection.
 type streamResp struct {
 	ver     byte
 	op      byte
 	payload []byte
 	err     error
 }
+
+// waiter is what one call blocks on: the channel its response arrives on and
+// the timer that bounds the wait. Calls draw them from waiterPool instead of
+// making both per request. A waiter goes back to the pool only after its call
+// received the one response registered for it: on any other exit (timeout,
+// write failure) a late send may still be on its way, so the waiter is left
+// to the garbage collector.
+type waiter struct {
+	ch    chan streamResp
+	timer *time.Timer
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan streamResp, 1), timer: t}
+}}
 
 // connect dials under mu if needed, negotiates the protocol version, and
 // starts the reader for the new connection.
@@ -440,7 +451,7 @@ func negotiate(c net.Conn, timeout time.Duration, maxVer byte) (byte, *bufio.Rea
 // (the next call redials).
 func (sc *streamConn) readLoop(gen uint64, c net.Conn, br *bufio.Reader) {
 	for {
-		fr, err := transport.ReadFrame(br, defaultClientMaxPayload, transport.MaxVersion)
+		fr, err := transport.ReadFramePooled(br, defaultClientMaxPayload, transport.MaxVersion)
 		if err != nil {
 			sc.teardown(gen, fmt.Errorf("client: stream connection lost: %w", err))
 			return
@@ -454,6 +465,7 @@ func (sc *streamConn) readLoop(gen uint64, c net.Conn, br *bufio.Reader) {
 					sc.onPush(tp)
 				}
 			}
+			transport.PutBuf(fr.Payload)
 			continue
 		}
 		sc.mu.Lock()
@@ -465,8 +477,10 @@ func (sc *streamConn) readLoop(gen uint64, c net.Conn, br *bufio.Reader) {
 		sc.mu.Unlock()
 		if ch != nil {
 			ch <- streamResp{ver: fr.Ver, op: fr.Op, payload: fr.Payload}
+		} else {
+			// A response nobody waits for (timed-out request) is dropped.
+			transport.PutBuf(fr.Payload)
 		}
-		// A response nobody waits for (timed-out request) is dropped.
 	}
 }
 
@@ -496,13 +510,14 @@ func (sc *streamConn) close(err error) {
 	sc.teardown(gen, err)
 }
 
-func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder) ([]byte, byte, bool, error) {
-	ch := make(chan streamResp, 1)
+func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder, dec respDecoder) (bool, error) {
+	w := waiterPool.Get().(*waiter)
 
 	sc.mu.Lock()
 	if err := sc.connectLocked(); err != nil {
 		sc.mu.Unlock()
-		return nil, 0, false, err
+		waiterPool.Put(w) // never registered: no send can be on its way
+		return false, err
 	}
 	// The payload encoding depends on the version this connection
 	// negotiated, so it is built under mu, after connect. The codecs are
@@ -510,7 +525,8 @@ func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder) ([]byte, byte, b
 	payload, frameVer, err := enc(sc.ver)
 	if err != nil {
 		sc.mu.Unlock()
-		return nil, 0, false, err
+		waiterPool.Put(w)
+		return false, err
 	}
 	// TraceFlag rides only on the wire opcode: the server strips it before
 	// building the response, so response matching below uses the bare op.
@@ -522,7 +538,7 @@ func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder) ([]byte, byte, b
 	gen := sc.gen
 	sc.nextID++
 	id := sc.nextID
-	sc.pending[id] = ch
+	sc.pending[id] = w.ch
 	// Write under mu: frames from concurrent callers interleave whole, and
 	// the shared buffered writer coalesces them. The write deadline keeps a
 	// wedged peer from holding the lock forever.
@@ -537,24 +553,20 @@ func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder) ([]byte, byte, b
 	transport.PutBuf(payload)
 	if err != nil {
 		sc.teardown(gen, fmt.Errorf("client: stream write: %w", err))
-		// teardown already delivered the failure to ch (buffered), but be
-		// defensive about ordering: prefer the write error.
-		select {
-		case <-ch:
-		default:
-		}
-		return nil, 0, false, &NotSentError{Err: fmt.Errorf("client: stream write: %w", err)}
+		return false, &NotSentError{Err: fmt.Errorf("client: stream write: %w", err)}
 	}
 
-	timer := time.NewTimer(sc.timeout)
-	defer timer.Stop()
+	w.timer.Reset(sc.timeout)
 	select {
-	case resp := <-ch:
+	case resp := <-w.ch:
+		w.timer.Stop()
+		waiterPool.Put(w)
 		if resp.err != nil {
-			return nil, 0, false, resp.err
+			return false, resp.err
 		}
+		defer transport.PutBuf(resp.payload)
 		if resp.op == transport.OpError {
-			return nil, 0, false, decodeStreamError(resp.ver, resp.payload)
+			return false, decodeStreamError(resp.ver, resp.payload)
 		}
 		// On a non-hop request, HopFlag on the response opcode is the
 		// forwarded flag: the daemon federation-hopped at least one item.
@@ -563,16 +575,19 @@ func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder) ([]byte, byte, b
 		if op&transport.HopFlag == 0 && resp.op == op|transport.RespFlag|transport.HopFlag {
 			forwarded = true
 		} else if resp.op != op|transport.RespFlag {
-			return nil, 0, false, fmt.Errorf("client: stream response opcode %#x for request %#x", resp.op, op)
+			return false, fmt.Errorf("client: stream response opcode %#x for request %#x", resp.op, op)
 		}
-		return resp.payload, resp.ver, forwarded, nil
-	case <-timer.C:
+		if dec == nil {
+			return forwarded, nil
+		}
+		return forwarded, dec(resp.ver, resp.payload)
+	case <-w.timer.C:
 		sc.mu.Lock()
 		if gen == sc.gen && sc.pending != nil {
 			delete(sc.pending, id)
 		}
 		sc.mu.Unlock()
-		return nil, 0, false, fmt.Errorf("client: stream request timed out after %v", sc.timeout)
+		return false, fmt.Errorf("client: stream request timed out after %v", sc.timeout)
 	}
 }
 

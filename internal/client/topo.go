@@ -141,24 +141,25 @@ func (t *topoState) ensureView() *topoView {
 // fetch performs one OpTopology round trip and installs the result. The
 // caller must have set t.fetching; fetch clears it.
 func (t *topoState) fetch() {
-	payload, _, _, err := t.root.do(transport.OpTopology, func(ver byte) ([]byte, byte, error) {
+	var view *topoView
+	_, err := t.root.do(transport.OpTopology, 0, func(ver byte) ([]byte, byte, error) {
 		if ver < transport.Version2 {
 			return nil, 0, errTopoV1
 		}
 		return nil, transport.Version2, nil
+	}, func(_ byte, payload []byte) error {
+		var tp transport.TopologyPayload
+		if tp.UnmarshalBinary(payload) == nil {
+			view = t.buildView(tp)
+		}
+		return nil
 	})
 	disable := false
-	var view *topoView
 	if err != nil {
 		var se *StreamError
 		// A v1 seed or a seed with no federation layer will never serve a
 		// topology; a transport failure might, next time.
 		disable = errors.Is(err, errTopoV1) || errors.As(err, &se)
-	} else {
-		var tp transport.TopologyPayload
-		if tp.UnmarshalBinary(payload) == nil {
-			view = t.buildView(tp)
-		}
 	}
 	t.mu.Lock()
 	t.fetching = false

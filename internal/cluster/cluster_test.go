@@ -82,8 +82,8 @@ func deviceOwnedBy(t *testing.T, r *cluster.Ring, owner string, tag string) stri
 // spanning both owners through a single ingress daemon and asserts the
 // requests are served with zero routing errors while the misrouted half is
 // forwarded. Run under -race in CI, this is the federation concurrency
-// test: handler goroutines on the ingress node call into the peer stream
-// pool while the peer's handlers apply them locally.
+// test: connection goroutines on the ingress node call into the peer stream
+// pool while the peer's connections apply them locally.
 func TestFederationTwoDaemonForward(t *testing.T) {
 	nodes := startFederation(t, 2, nil)
 	a, b := nodes[0], nodes[1]

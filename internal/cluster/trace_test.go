@@ -59,8 +59,9 @@ func TestForwardTraceJoinsFlightRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Spans finish on the transport writer goroutines after the responses go
-	// out, so the flight records can land an instant after CheckIn returns.
+	// Spans finish on the connection's goroutine after the flush that carried
+	// the response, so the flight records can land an instant after CheckIn
+	// returns.
 	var arec, brec obs.Record
 	deadline := time.Now().Add(2 * time.Second)
 	for {

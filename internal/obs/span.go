@@ -15,7 +15,7 @@ const (
 	StageApply                  // scheduler-core apply under the commit path
 	StageHop                    // federation forward round-trip (origin side)
 	StageEncode                 // response payload encode
-	StageWrite                  // response write (out-queue wait + syscall)
+	StageWrite                  // the flush that carried the response
 	NumStages
 )
 

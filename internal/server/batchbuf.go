@@ -1,0 +1,76 @@
+package server
+
+import (
+	"math"
+	"unsafe"
+)
+
+// BatchBuf is the reusable storage of one batch request: the decoded items,
+// their byte boundaries, the results, and the combiner's item slices. A
+// stream connection owns one and serves every frame out of it, so a warm
+// batch allocates nothing; the allocating entry points run the same code over
+// a fresh zero BatchBuf. Everything in it, and every result slice a …Buf call
+// returns, is valid only until the owner's next use of it; after a Decode*
+// the device IDs are views of the payload, which must stay untouched until
+// the reply is encoded.
+type BatchBuf struct {
+	CheckIns []CheckIn
+	Reports  []Report
+	Bounds   []uint32 // of the batch decoded last; see RawItems
+
+	checkInResults []CheckInResult
+	reportResults  []ReportResult
+	assigns        []assignItem
+	reports        []reportItem
+}
+
+// grow returns s with length n and every element zero, reusing its backing
+// array when that is large enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// fill sets every element of s to v.
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// DecodeCheckIns decodes a v2 check-in batch payload into b.CheckIns and
+// b.Bounds.
+func (b *BatchBuf) DecodeCheckIns(payload []byte) (err error) {
+	d := bdec{b: payload, shared: unsafe.String(unsafe.SliceData(payload), len(payload))}
+	b.CheckIns, b.Bounds, err = decodeCheckIns(&d, b.CheckIns, b.Bounds, true)
+	return err
+}
+
+// DecodeReports decodes a v2 report batch payload into b.Reports and b.Bounds.
+func (b *BatchBuf) DecodeReports(payload []byte) (err error) {
+	d := bdec{b: payload, shared: unsafe.String(unsafe.SliceData(payload), len(payload))}
+	b.Reports, b.Bounds, err = decodeReports(&d, b.Reports, b.Bounds, true)
+	return err
+}
+
+// Release ends a frame's use of b, once its reply is encoded. It does nothing
+// in a normal build; the poolcheck build overwrites what the frame left in b,
+// so that a test catches whatever still reads it.
+func (b *BatchBuf) Release() {
+	if !Poolcheck {
+		return
+	}
+	const gone = "\xa5poolcheck: read after release\xa5"
+	bad := math.Float64frombits(0xA5A5A5A5A5A5A5A5)
+	fill(b.CheckIns, CheckIn{DeviceID: gone, CPU: bad, Mem: bad})
+	fill(b.Reports, Report{DeviceID: gone, JobID: -0x5A5A5A5B, DurationSeconds: bad})
+	fill(b.Bounds, 0xA5A5A5A5)
+	fill(b.checkInResults, CheckInResult{Error: gone})
+	fill(b.reportResults, ReportResult{Error: gone})
+	clear(b.assigns)
+	clear(b.reports)
+}

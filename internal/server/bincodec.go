@@ -68,13 +68,14 @@ func appendBinBool(b []byte, v bool) []byte {
 // first error and return zero values afterwards, so call sites read
 // straight-line and check err once per item.
 //
-// When shared is set (one string conversion of the whole payload, done by
-// the batch-request decoders), str returns substrings of it instead of
-// allocating per field — the dominant allocation in the v2 serving profile
-// (BenchmarkForwardPath). The substrings share the payload-sized backing
-// array, so any site that RETAINS a decoded string beyond the request (the
-// device registry, in-flight maps, shadow events) must strings.Clone it;
-// transient uses (map lookups, comparisons, re-encoding) need nothing.
+// When shared is set (the batch-request decoders), str returns substrings of
+// it instead of allocating per field. The exported Unmarshal* decoders set it
+// to one copy of the payload; BatchBuf's set it to a view of the payload
+// itself, so the IDs they decode ARE the frame's bytes, valid until the
+// transport has encoded the frame's reply. Either way a site that RETAINS a
+// decoded string beyond the request (the device registry, in-flight maps,
+// shadow events, the relay) must copy it; transient uses (map lookups,
+// comparisons, re-encoding) need nothing.
 type bdec struct {
 	b      []byte
 	shared string
@@ -429,17 +430,33 @@ func (r *CheckInBatchRequest) MarshalBinary() ([]byte, error) {
 	return r.AppendBinary(make([]byte, 0, 8+24*len(r.CheckIns)))
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler (wire protocol v2).
-func (r *CheckInBatchRequest) UnmarshalBinary(data []byte) error {
-	d := bdec{b: data, shared: string(data)}
-	*r = CheckInBatchRequest{}
-	if n := d.count(); n > 0 {
-		r.CheckIns = make([]CheckIn, n)
-		for i := range r.CheckIns {
-			r.CheckIns[i].decodeBinary(&d)
-		}
+// decodeCheckIns decodes a v2 check-in batch body — count, then that many
+// items — into items' backing (and, when wantBounds, the item byte boundaries
+// into bounds'), growing them only when too small. The allocating Unmarshal*
+// wrappers pass nil slices; BatchBuf.DecodeCheckIns reuses its own.
+func decodeCheckIns(d *bdec, items []CheckIn, bounds []uint32, wantBounds bool) ([]CheckIn, []uint32, error) {
+	n := d.count()
+	items, bounds = grow(items, n), bounds[:0]
+	if wantBounds && n > 0 {
+		bounds = grow(bounds, n+1)
 	}
-	return d.finish()
+	for i := range items {
+		if len(bounds) > 0 {
+			bounds[i] = uint32(d.i)
+		}
+		items[i].decodeBinary(d)
+	}
+	if len(bounds) > 0 {
+		bounds[n] = uint32(d.i)
+	}
+	return items, bounds, d.finish()
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler (wire protocol v2).
+func (r *CheckInBatchRequest) UnmarshalBinary(data []byte) (err error) {
+	d := bdec{b: data, shared: string(data)}
+	r.CheckIns, _, err = decodeCheckIns(&d, nil, nil, false)
+	return err
 }
 
 // UnmarshalBinaryBounds is UnmarshalBinary plus the item byte boundaries:
@@ -447,23 +464,10 @@ func (r *CheckInBatchRequest) UnmarshalBinary(data []byte) error {
 // has count+1 entries; nil for an empty batch). The federation relay uses
 // the boundaries to splice still-encoded items into forward frames without
 // re-encoding them.
-func (r *CheckInBatchRequest) UnmarshalBinaryBounds(data []byte) ([]uint32, error) {
+func (r *CheckInBatchRequest) UnmarshalBinaryBounds(data []byte) (bounds []uint32, err error) {
 	d := bdec{b: data, shared: string(data)}
-	*r = CheckInBatchRequest{}
-	var bounds []uint32
-	if n := d.count(); n > 0 {
-		r.CheckIns = make([]CheckIn, n)
-		bounds = make([]uint32, n+1)
-		for i := range r.CheckIns {
-			bounds[i] = uint32(d.i)
-			r.CheckIns[i].decodeBinary(&d)
-		}
-		bounds[n] = uint32(d.i)
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return bounds, nil
+	r.CheckIns, bounds, err = decodeCheckIns(&d, nil, nil, true)
+	return bounds, err
 }
 
 // AppendBinary appends the v2 wire form to b (see CheckInBatchRequest).
@@ -507,38 +511,39 @@ func (r *ReportBatchRequest) MarshalBinary() ([]byte, error) {
 	return r.AppendBinary(make([]byte, 0, 8+27*len(r.Reports)))
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler (wire protocol v2).
-func (r *ReportBatchRequest) UnmarshalBinary(data []byte) error {
-	d := bdec{b: data, shared: string(data)}
-	*r = ReportBatchRequest{}
-	if n := d.count(); n > 0 {
-		r.Reports = make([]Report, n)
-		for i := range r.Reports {
-			r.Reports[i].decodeBinary(&d)
-		}
+// decodeReports is decodeCheckIns for reports (a generic one would call the
+// item decoder through a function value, and d would escape on every call).
+func decodeReports(d *bdec, items []Report, bounds []uint32, wantBounds bool) ([]Report, []uint32, error) {
+	n := d.count()
+	items, bounds = grow(items, n), bounds[:0]
+	if wantBounds && n > 0 {
+		bounds = grow(bounds, n+1)
 	}
-	return d.finish()
+	for i := range items {
+		if len(bounds) > 0 {
+			bounds[i] = uint32(d.i)
+		}
+		items[i].decodeBinary(d)
+	}
+	if len(bounds) > 0 {
+		bounds[n] = uint32(d.i)
+	}
+	return items, bounds, d.finish()
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler (wire protocol v2).
+func (r *ReportBatchRequest) UnmarshalBinary(data []byte) (err error) {
+	d := bdec{b: data, shared: string(data)}
+	r.Reports, _, err = decodeReports(&d, nil, nil, false)
+	return err
 }
 
 // UnmarshalBinaryBounds is UnmarshalBinary plus item byte boundaries (see
 // CheckInBatchRequest.UnmarshalBinaryBounds).
-func (r *ReportBatchRequest) UnmarshalBinaryBounds(data []byte) ([]uint32, error) {
+func (r *ReportBatchRequest) UnmarshalBinaryBounds(data []byte) (bounds []uint32, err error) {
 	d := bdec{b: data, shared: string(data)}
-	*r = ReportBatchRequest{}
-	var bounds []uint32
-	if n := d.count(); n > 0 {
-		r.Reports = make([]Report, n)
-		bounds = make([]uint32, n+1)
-		for i := range r.Reports {
-			bounds[i] = uint32(d.i)
-			r.Reports[i].decodeBinary(&d)
-		}
-		bounds[n] = uint32(d.i)
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return bounds, nil
+	r.Reports, bounds, err = decodeReports(&d, nil, nil, true)
+	return bounds, err
 }
 
 // AppendBinary appends the v2 wire form to b (see CheckInBatchRequest).

@@ -886,7 +886,14 @@ func (m *Manager) CheckInBatch(cis []CheckIn) []CheckInResult {
 // CheckInBatchSpan is CheckInBatch carrying the batch request's span (see
 // DeviceCheckInSpan).
 func (m *Manager) CheckInBatchSpan(cis []CheckIn, sp *obs.Span) []CheckInResult {
-	out := make([]CheckInResult, len(cis))
+	return m.checkInBatch(cis, sp, &BatchBuf{})
+}
+
+// checkInBatch is CheckInBatchSpan with the results and the combiner's items
+// in buf's storage (see BatchBuf for how long the results stay valid).
+func (m *Manager) checkInBatch(cis []CheckIn, sp *obs.Span, buf *BatchBuf) []CheckInResult {
+	buf.checkInResults = grow(buf.checkInResults, len(cis))
+	out := buf.checkInResults
 	if len(cis) == 0 {
 		return out
 	}
@@ -952,7 +959,8 @@ func (m *Manager) CheckInBatchSpan(cis []CheckIn, sp *obs.Span) []CheckInResult 
 
 	assigned := 0
 	if len(sc.core) > 0 {
-		items := make([]assignItem, len(sc.core))
+		buf.assigns = grow(buf.assigns, len(sc.core))
+		items := buf.assigns
 		for k, i := range sc.core {
 			items[k] = assignItem{s: sc.slots[i], id: cis[i].DeviceID, out: &out[i].Assignment}
 		}
@@ -1046,7 +1054,13 @@ func (m *Manager) ReportBatch(rs []Report) []ReportResult {
 // ReportBatchSpan is ReportBatch carrying the batch request's span (see
 // DeviceCheckInSpan).
 func (m *Manager) ReportBatchSpan(rs []Report, sp *obs.Span) []ReportResult {
-	out := make([]ReportResult, len(rs))
+	return m.reportBatch(rs, sp, &BatchBuf{})
+}
+
+// reportBatch is ReportBatchSpan over buf's storage (see checkInBatch).
+func (m *Manager) reportBatch(rs []Report, sp *obs.Span, buf *BatchBuf) []ReportResult {
+	buf.reportResults = grow(buf.reportResults, len(rs))
+	out := buf.reportResults
 	if len(rs) == 0 {
 		return out
 	}
@@ -1081,13 +1095,13 @@ func (m *Manager) ReportBatchSpan(rs []Report, sp *obs.Span) []ReportResult {
 	}
 	if accepted > 0 {
 		m.reg.busy.Add(int64(-freed))
-		items := make([]reportItem, 0, accepted)
+		buf.reports = grow(buf.reports, accepted)[:0]
 		for i, s := range sc.slots {
 			if s != nil {
-				items = append(items, reportItem{r: rs[i], s: s})
+				buf.reports = append(buf.reports, reportItem{r: rs[i], s: s})
 			}
 		}
-		m.submitReportBatch(items, sp)
+		m.submitReportBatch(buf.reports, sp)
 	}
 	m.metrics.reportRate.Add(m.nowSec(), int64(accepted))
 	return out

@@ -49,7 +49,7 @@ func TestRatesOfAYoungDaemon(t *testing.T) {
 		for i := range cis {
 			cis[i] = CheckIn{DeviceID: fmt.Sprintf("young-%d-%d", s, i), CPU: 0.5, Mem: 0.5}
 		}
-		if _, err := svc.CheckInBatch(CheckInBatchRequest{CheckIns: cis}); err != nil {
+		if _, err := svc.CheckInBatchLocal(CheckInBatchRequest{CheckIns: cis}, nil); err != nil {
 			t.Fatal(err)
 		}
 		clk.advance(time.Second)

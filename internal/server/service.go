@@ -233,48 +233,44 @@ func (s *Service) CheckInLocal(ci CheckIn, sp *obs.Span) (Assignment, error) {
 	return asg, nil
 }
 
-// CheckInBatch processes a batch of check-ins; Results[i] answers
+// CheckInBatchRouted processes a batch of check-ins; Results[i] answers
 // CheckIns[i], with per-item rejections in each result's Error field. With a
 // federation router attached the batch is split by device owner, forwarded
-// per owner concurrently, and merged back in order.
-func (s *Service) CheckInBatch(req CheckInBatchRequest) (CheckInBatchResponse, error) {
-	resp, _, err := s.CheckInBatchRouted(req, RawItems{}, nil)
-	return resp, err
-}
-
-// CheckInBatchRouted is CheckInBatch for transports that care whether the
-// batch was (partly) forwarded to a peer: the bool is true when any item
-// took a federation hop. raw optionally carries the batch's still-encoded
-// v2 payload for the router's zero-copy relay (see RawItems); pass the zero
+// per owner concurrently, and merged back in order; the bool is true when any
+// item took such a hop. raw optionally carries the batch's still-encoded v2
+// payload for the router's zero-copy relay (see RawItems); pass the zero
 // value when unavailable.
 func (s *Service) CheckInBatchRouted(req CheckInBatchRequest, raw RawItems, sp *obs.Span) (CheckInBatchResponse, bool, error) {
-	if len(req.CheckIns) > MaxBatch {
-		return CheckInBatchResponse{}, false, svcErr(CodeInvalid, fmt.Errorf("server: batch exceeds %d items", MaxBatch))
-	}
-	if r := s.m.router(); r != nil {
-		var results []CheckInResult
-		var forwarded bool
-		if rr, ok := r.(RawRouter); ok && raw.Data != nil {
-			results, forwarded = rr.CheckInBatchRaw(req.CheckIns, raw, sp)
-		} else {
-			results, forwarded = r.CheckInBatch(req.CheckIns, sp)
-		}
-		s.countServed(results)
-		return CheckInBatchResponse{Results: results}, forwarded, nil
-	}
-	resp, err := s.CheckInBatchLocal(req, sp)
-	return resp, false, err
+	results, forwarded, err := s.CheckInBatchBuf(&BatchBuf{CheckIns: req.CheckIns}, raw, false, sp)
+	return CheckInBatchResponse{Results: results}, forwarded, err
 }
 
 // CheckInBatchLocal applies the batch to this node's manager, bypassing any
 // federation router (see CheckInLocal).
 func (s *Service) CheckInBatchLocal(req CheckInBatchRequest, sp *obs.Span) (CheckInBatchResponse, error) {
-	if len(req.CheckIns) > MaxBatch {
-		return CheckInBatchResponse{}, svcErr(CodeInvalid, fmt.Errorf("server: batch exceeds %d items", MaxBatch))
+	results, _, err := s.CheckInBatchBuf(&BatchBuf{CheckIns: req.CheckIns}, RawItems{}, true, sp)
+	return CheckInBatchResponse{Results: results}, err
+}
+
+// CheckInBatchBuf serves the batch in b.CheckIns out of b's storage: it is
+// CheckInBatchLocal when local is set and CheckInBatchRouted otherwise, and
+// the one implementation of both. The results are b's to reuse (see
+// BatchBuf) unless a router produced them.
+func (s *Service) CheckInBatchBuf(b *BatchBuf, raw RawItems, local bool, sp *obs.Span) ([]CheckInResult, bool, error) {
+	if len(b.CheckIns) > MaxBatch {
+		return nil, false, svcErr(CodeInvalid, fmt.Errorf("server: batch exceeds %d items", MaxBatch))
 	}
-	results := s.m.CheckInBatchSpan(req.CheckIns, sp)
+	var results []CheckInResult
+	forwarded := false
+	if r := s.m.router(); r == nil || local {
+		results = s.m.checkInBatch(b.CheckIns, sp, b)
+	} else if rr, ok := r.(RawRouter); ok && raw.Data != nil {
+		results, forwarded = rr.CheckInBatchRaw(b.CheckIns, raw, sp)
+	} else {
+		results, forwarded = r.CheckInBatch(b.CheckIns, sp)
+	}
 	s.countServed(results)
-	return CheckInBatchResponse{Results: results}, nil
+	return results, forwarded, nil
 }
 
 // countServed attributes a batch's accepted items to this transport's
@@ -310,40 +306,37 @@ func (s *Service) ReportLocal(r Report, sp *obs.Span) error {
 	return nil
 }
 
-// ReportBatch records a batch of task results; Results[i] answers
-// Reports[i]. Routed per device owner when a federation router is attached.
-func (s *Service) ReportBatch(req ReportBatchRequest) (ReportBatchResponse, error) {
-	resp, _, err := s.ReportBatchRouted(req, RawItems{}, nil)
-	return resp, err
-}
-
-// ReportBatchRouted is ReportBatch with the forwarded bit and optional raw
-// relay payload (see CheckInBatchRouted).
+// ReportBatchRouted records a batch of task results; Results[i] answers
+// Reports[i]. Routed per device owner when a federation router is attached,
+// with the forwarded bit and optional raw relay payload of CheckInBatchRouted.
 func (s *Service) ReportBatchRouted(req ReportBatchRequest, raw RawItems, sp *obs.Span) (ReportBatchResponse, bool, error) {
-	if len(req.Reports) > MaxBatch {
-		return ReportBatchResponse{}, false, svcErr(CodeInvalid, fmt.Errorf("server: batch exceeds %d items", MaxBatch))
-	}
-	if r := s.m.router(); r != nil {
-		var results []ReportResult
-		var forwarded bool
-		if rr, ok := r.(RawRouter); ok && raw.Data != nil {
-			results, forwarded = rr.ReportBatchRaw(req.Reports, raw, sp)
-		} else {
-			results, forwarded = r.ReportBatch(req.Reports, sp)
-		}
-		return ReportBatchResponse{Results: results}, forwarded, nil
-	}
-	resp, err := s.ReportBatchLocal(req, sp)
-	return resp, false, err
+	results, forwarded, err := s.ReportBatchBuf(&BatchBuf{Reports: req.Reports}, raw, false, sp)
+	return ReportBatchResponse{Results: results}, forwarded, err
 }
 
 // ReportBatchLocal applies the batch to this node's manager, bypassing any
 // federation router (see CheckInLocal).
 func (s *Service) ReportBatchLocal(req ReportBatchRequest, sp *obs.Span) (ReportBatchResponse, error) {
-	if len(req.Reports) > MaxBatch {
-		return ReportBatchResponse{}, svcErr(CodeInvalid, fmt.Errorf("server: batch exceeds %d items", MaxBatch))
+	results, _, err := s.ReportBatchBuf(&BatchBuf{Reports: req.Reports}, RawItems{}, true, sp)
+	return ReportBatchResponse{Results: results}, err
+}
+
+// ReportBatchBuf serves the batch in b.Reports out of b's storage (see
+// CheckInBatchBuf).
+func (s *Service) ReportBatchBuf(b *BatchBuf, raw RawItems, local bool, sp *obs.Span) ([]ReportResult, bool, error) {
+	if len(b.Reports) > MaxBatch {
+		return nil, false, svcErr(CodeInvalid, fmt.Errorf("server: batch exceeds %d items", MaxBatch))
 	}
-	return ReportBatchResponse{Results: s.m.ReportBatchSpan(req.Reports, sp)}, nil
+	var results []ReportResult
+	forwarded := false
+	if r := s.m.router(); r == nil || local {
+		results = s.m.reportBatch(b.Reports, sp, b)
+	} else if rr, ok := r.(RawRouter); ok && raw.Data != nil {
+		results, forwarded = rr.ReportBatchRaw(b.Reports, raw, sp)
+	} else {
+		results, forwarded = r.ReportBatch(b.Reports, sp)
+	}
+	return results, forwarded, nil
 }
 
 // NoteForwardedIn records receipt of one peer-forwarded request frame of

@@ -58,10 +58,10 @@ func TestServiceTypedErrors(t *testing.T) {
 	for i := range over {
 		over[i].DeviceID = "x"
 	}
-	if _, err := svc.CheckInBatch(CheckInBatchRequest{CheckIns: over}); ErrCode(err) != CodeInvalid {
+	if _, err := svc.CheckInBatchLocal(CheckInBatchRequest{CheckIns: over}, nil); ErrCode(err) != CodeInvalid {
 		t.Errorf("oversize batch: code %v, want CodeInvalid", ErrCode(err))
 	}
-	if _, err := svc.ReportBatch(ReportBatchRequest{Reports: make([]Report, MaxBatch+1)}); ErrCode(err) != CodeInvalid {
+	if _, err := svc.ReportBatchLocal(ReportBatchRequest{Reports: make([]Report, MaxBatch+1)}, nil); ErrCode(err) != CodeInvalid {
 		t.Errorf("oversize report batch: code %v, want CodeInvalid", ErrCode(err))
 	}
 
@@ -92,10 +92,10 @@ func TestServicePerTransportRates(t *testing.T) {
 	for i := range cis {
 		cis[i] = CheckIn{DeviceID: string(rune('a' + i)), CPU: 0.5, Mem: 0.5}
 	}
-	if _, err := httpSvc.CheckInBatch(CheckInBatchRequest{CheckIns: cis[:4]}); err != nil {
+	if _, err := httpSvc.CheckInBatchLocal(CheckInBatchRequest{CheckIns: cis[:4]}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := streamSvc.CheckInBatch(CheckInBatchRequest{CheckIns: cis[4:]}); err != nil {
+	if _, err := streamSvc.CheckInBatchLocal(CheckInBatchRequest{CheckIns: cis[4:]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	sec := m.nowSec()

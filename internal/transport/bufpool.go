@@ -1,21 +1,29 @@
 package transport
 
-import "sync"
+import (
+	"sync"
 
-// Frame buffer pooling. The stream hot path used to allocate three times per
-// request — the read payload in ReadFrame, the encoder scratch in
-// MarshalBinary, and nothing reusable on the client side — and
-// BenchmarkForwardPath showed those allocations dominating the forward
-// path's profile. GetBuf/PutBuf recycle byte slices through a sync.Pool so
-// the server's per-frame read/write buffers, the client's request scratch,
-// and the relay's coalescing buffers all reuse steady-state memory.
+	"venn/internal/server"
+)
+
+// Frame buffer pooling. GetBuf/PutBuf recycle byte slices through a
+// sync.Pool so the client's request scratch and reply buffers, the relay's
+// coalescing buffers, and the server's detour for frames larger than a
+// connection's read buffer all reuse steady-state memory.
 //
 // The pool holds *[]byte (not []byte) so Put never allocates an interface
 // box for the slice header. Buffers above maxPooledBuf are left to the GC:
 // one multi-megabyte metrics reply must not pin its footprint forever.
-const maxPooledBuf = 1 << 20
+// Buffers below minPooledBuf are left to it too: PutBuf accepts any buffer
+// its caller owns, and one json.Marshal result of a hundred bytes, once
+// pooled, would fail every GetBuf that drew it — each failure putting it
+// back and allocating a fresh buffer beside it.
+const (
+	minPooledBuf = 4096
+	maxPooledBuf = 1 << 20
+)
 
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, minPooledBuf); return &b }}
 
 // GetBuf returns a zero-length buffer with capacity at least n. The buffer
 // is pool-owned: hand it back with PutBuf once nothing references it.
@@ -24,21 +32,29 @@ func GetBuf(n int) []byte {
 	if cap(*bp) >= n {
 		return (*bp)[:0]
 	}
-	// Too small for this caller; recycle it for a smaller one and size a
-	// fresh buffer generously so it keeps being reusable.
+	// Too small for this caller; recycle it for a smaller one.
 	bufPool.Put(bp)
-	if n < 4096 {
-		n = 4096
-	}
 	return make([]byte, 0, n)
+}
+
+// poison does nothing in a normal build. Under the poolcheck build tag it
+// overwrites b with 0xA5, which is how a test finds a string or a range that
+// still points into bytes their owner has given up.
+func poison(b []byte) {
+	if server.Poolcheck {
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
 }
 
 // PutBuf returns a buffer obtained from GetBuf (or any buffer the caller
 // owns outright) to the pool. The caller must not touch b afterwards.
 func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
+	if cap(b) < minPooledBuf || cap(b) > maxPooledBuf {
 		return
 	}
+	poison(b[:cap(b)])
 	b = b[:0]
 	bufPool.Put(&b)
 }

@@ -31,9 +31,9 @@
 // treat as "peer speaks v1 only". See README "Wire protocol" for the spec.
 //
 // A response reuses the request's opcode with RespFlag set, or OpError with
-// an ErrorPayload body. Request IDs are chosen by the client; responses may
-// arrive out of order (the server answers each frame as its handler
-// finishes), which is what makes pipelining pay.
+// an ErrorPayload body. Request IDs are chosen by the client and echoed; the
+// server answers a connection's frames one at a time, in the order they
+// arrived, and writes the replies to a pipelined burst in one write.
 package transport
 
 import (
@@ -41,7 +41,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"time"
 )
 
 // Protocol constants.
@@ -324,6 +323,13 @@ func PutHeader(hdr []byte, ver, op byte, id uint32, payloadLen int) {
 	binary.BigEndian.PutUint32(hdr[8:12], uint32(payloadLen))
 }
 
+// appendFrame appends one whole frame to b.
+func appendFrame(b []byte, ver, op byte, id uint32, payload []byte) []byte {
+	b = append(b, make([]byte, HeaderSize)...)
+	PutHeader(b[len(b)-HeaderSize:], ver, op, id, len(payload))
+	return append(b, payload...)
+}
+
 // WriteFrame writes one frame to w (typically a *bufio.Writer; the caller
 // owns flushing).
 func WriteFrame(w io.Writer, ver, op byte, id uint32, payload []byte) error {
@@ -336,76 +342,15 @@ func WriteFrame(w io.Writer, ver, op byte, id uint32, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads and validates one frame. Frames with a version above
+// readHeader reads and validates one frame header, returning the frame
+// without its payload and the payload's length. Frames with a version above
 // maxVer are rejected — a v1-only server passes Version1 here, which is
 // exactly how a pre-v2 daemon behaves. Payloads above maxPayload are
 // rejected as a protocol violation — a correct peer never sends them, and
-// honoring the prefix would let a malformed length balloon memory. The
-// returned payload is freshly allocated (it may outlive the reader).
-func ReadFrame(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	if hdr[0] != Magic0 || hdr[1] != Magic1 {
-		return Frame{}, &ErrProtocol{msg: "bad magic"}
-	}
-	if hdr[2] < Version1 || hdr[2] > maxVer {
-		return Frame{}, &ErrProtocol{msg: fmt.Sprintf("unsupported version %d", hdr[2])}
-	}
-	n := binary.BigEndian.Uint32(hdr[8:12])
-	if int64(n) > int64(maxPayload) {
-		return Frame{}, &ErrProtocol{msg: fmt.Sprintf("payload %d exceeds limit %d", n, maxPayload)}
-	}
-	fr := Frame{Ver: hdr[2], Op: hdr[3], ID: binary.BigEndian.Uint32(hdr[4:8])}
-	if n > 0 {
-		fr.Payload = make([]byte, n)
-		if _, err := io.ReadFull(br, fr.Payload); err != nil {
-			return Frame{}, err
-		}
-	}
-	return fr, nil
-}
-
-// ReadFramePooled is ReadFrame with the payload read into a pooled buffer
-// (GetBuf). The caller owns the payload and must return it with PutBuf once
-// the frame is fully handled — which also means the payload must not escape
-// the handler (decoders copy what they keep).
-func ReadFramePooled(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	if hdr[0] != Magic0 || hdr[1] != Magic1 {
-		return Frame{}, &ErrProtocol{msg: "bad magic"}
-	}
-	if hdr[2] < Version1 || hdr[2] > maxVer {
-		return Frame{}, &ErrProtocol{msg: fmt.Sprintf("unsupported version %d", hdr[2])}
-	}
-	n := binary.BigEndian.Uint32(hdr[8:12])
-	if int64(n) > int64(maxPayload) {
-		return Frame{}, &ErrProtocol{msg: fmt.Sprintf("payload %d exceeds limit %d", n, maxPayload)}
-	}
-	fr := Frame{Ver: hdr[2], Op: hdr[3], ID: binary.BigEndian.Uint32(hdr[4:8])}
-	if n > 0 {
-		fr.Payload = GetBuf(int(n))[:n]
-		if _, err := io.ReadFull(br, fr.Payload); err != nil {
-			PutBuf(fr.Payload)
-			return Frame{}, err
-		}
-	}
-	return fr, nil
-}
-
-// ReadFramePooledTimed is ReadFramePooled, additionally reporting the time
-// spent reading the payload bytes (after the header completed) in
-// nanoseconds. The header wait is deliberately excluded: between requests it
-// measures client idle time, which would poison any latency attribution.
-// readNs is 0 for empty payloads and whenever the payload was already
-// buffered.
-func ReadFramePooledTimed(br *bufio.Reader, maxPayload int, maxVer byte) (fr Frame, readNs int64, err error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+// honoring the prefix would let a malformed length balloon memory.
+func readHeader(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, int, error) {
+	hdr, err := br.Peek(HeaderSize)
+	if err != nil {
 		return Frame{}, 0, err
 	}
 	if hdr[0] != Magic0 || hdr[1] != Magic1 {
@@ -418,24 +363,39 @@ func ReadFramePooledTimed(br *bufio.Reader, maxPayload int, maxVer byte) (fr Fra
 	if int64(n) > int64(maxPayload) {
 		return Frame{}, 0, &ErrProtocol{msg: fmt.Sprintf("payload %d exceeds limit %d", n, maxPayload)}
 	}
-	fr = Frame{Ver: hdr[2], Op: hdr[3], ID: binary.BigEndian.Uint32(hdr[4:8])}
-	if n > 0 {
-		fr.Payload = GetBuf(int(n))[:n]
-		if br.Buffered() >= int(n) {
-			// Fast path: the payload is already in the read buffer; a clock
-			// read per frame here would cost more than the copy it times.
-			if _, err := io.ReadFull(br, fr.Payload); err != nil {
-				PutBuf(fr.Payload)
-				return Frame{}, 0, err
-			}
-			return fr, 0, nil
-		}
-		t0 := time.Now()
-		if _, err := io.ReadFull(br, fr.Payload); err != nil {
-			PutBuf(fr.Payload)
-			return Frame{}, 0, err
-		}
-		readNs = int64(time.Since(t0))
+	fr := Frame{Ver: hdr[2], Op: hdr[3], ID: binary.BigEndian.Uint32(hdr[4:8])}
+	_, _ = br.Discard(HeaderSize) // cannot fail: the bytes were peeked
+	return fr, int(n), nil
+}
+
+// ReadFrame reads and validates one frame (see readHeader for what is
+// rejected). The returned payload is freshly allocated (it may outlive the
+// reader).
+func ReadFrame(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, error) {
+	fr, n, err := readHeader(br, maxPayload, maxVer)
+	if err != nil || n == 0 {
+		return fr, err
 	}
-	return fr, readNs, nil
+	fr.Payload = make([]byte, n)
+	if _, err := io.ReadFull(br, fr.Payload); err != nil {
+		return Frame{}, err
+	}
+	return fr, nil
+}
+
+// ReadFramePooled is ReadFrame with the payload read into a pooled buffer
+// (GetBuf). The caller owns the payload and must return it with PutBuf once
+// the frame is fully handled — which also means the payload must not escape
+// the handler (decoders copy what they keep).
+func ReadFramePooled(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, error) {
+	fr, n, err := readHeader(br, maxPayload, maxVer)
+	if err != nil || n == 0 {
+		return fr, err
+	}
+	fr.Payload = GetBuf(n)[:n]
+	if _, err := io.ReadFull(br, fr.Payload); err != nil {
+		PutBuf(fr.Payload)
+		return Frame{}, err
+	}
+	return fr, nil
 }

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -21,11 +23,6 @@ var ErrServerClosed = errors.New("transport: server closed")
 
 // Options parameterizes the stream server. The zero value takes defaults.
 type Options struct {
-	// Window bounds the in-flight (read but unanswered) requests per
-	// connection (default 64). When a client pipelines past it, the server
-	// simply stops reading that connection until responses drain —
-	// backpressure propagates through TCP instead of growing queues.
-	Window int
 	// MaxPayload bounds one frame's payload (default server.MaxBatch KiB,
 	// matching the HTTP adapter's batch body bound). A frame announcing
 	// more is a protocol violation and closes the connection.
@@ -39,9 +36,6 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults() {
-	if o.Window <= 0 {
-		o.Window = 64
-	}
 	if o.MaxPayload <= 0 {
 		o.MaxPayload = server.MaxBatch * 1024
 	}
@@ -51,13 +45,16 @@ func (o *Options) fillDefaults() {
 }
 
 // Server serves the scheduler's Service over framed TCP streams. Each
-// connection gets a read loop (frames → bounded handler window) and a write
-// loop (responses → buffered writer, flushed when idle); responses carry
-// the request's ID and may be answered out of order.
+// connection is served by one goroutine, one frame at a time (serveConn):
+// responses carry the request's ID and leave in request order, and a client
+// that wants requests served in parallel opens more connections.
 type Server struct {
 	svc  *server.Service
 	m    *server.Manager
 	opts Options
+	// writeTimeout is the writeTimeout constant; a field so that tests can
+	// shorten it.
+	writeTimeout time.Duration
 
 	mu     sync.Mutex
 	lns    map[net.Listener]struct{}
@@ -77,11 +74,12 @@ type Server struct {
 func NewServer(m *server.Manager, opts Options) *Server {
 	opts.fillDefaults()
 	s := &Server{
-		svc:   server.NewService(m, server.TransportStream),
-		m:     m,
-		opts:  opts,
-		lns:   make(map[net.Listener]struct{}),
-		conns: make(map[*srvConn]struct{}),
+		svc:          server.NewService(m, server.TransportStream),
+		m:            m,
+		opts:         opts,
+		writeTimeout: writeTimeout,
+		lns:          make(map[net.Listener]struct{}),
+		conns:        make(map[*srvConn]struct{}),
 	}
 	m.SetStreamTelemetrySource(s)
 	if opts.MaxVersion >= Version2 {
@@ -90,12 +88,13 @@ func NewServer(m *server.Manager, opts Options) *Server {
 	return s
 }
 
-// PushTopology implements server.TopologyPusher: it enqueues an unsolicited
+// PushTopology implements server.TopologyPusher: it sends an unsolicited
 // OpTopology|RespFlag frame (request ID 0) to every connection that has
 // fetched the topology, so ring-aware clients learn of membership changes
-// without polling. The enqueue is non-blocking — a connection whose write
-// window is full simply misses the push and re-syncs on the next forwarded
-// response flag.
+// without polling. It never waits for a connection: the payload is parked on
+// each one (replacing an older push not yet written) and written here only
+// if the connection's write lock is free; a connection busy writing sends it
+// with that write. The count is of connections the push was handed to.
 func (s *Server) PushTopology(info server.TopologyInfo) int {
 	tp := TopologyPayload{Epoch: info.Epoch, VNodes: info.VNodes, Members: info.Members}
 	payload, err := tp.MarshalBinary()
@@ -110,14 +109,11 @@ func (s *Server) PushTopology(info server.TopologyInfo) int {
 		}
 	}
 	s.mu.Unlock()
-	pushed := 0
 	for _, sc := range conns {
-		// The payload is shared across connections, so it is never pooled.
-		if sc.tryPush(outFrame{ver: Version2, op: OpTopology | RespFlag, id: 0, payload: payload}) {
-			pushed++
-		}
+		sc.push.Store(&payload)
+		_ = s.send(sc, nil, 0, true) // a failed write has closed the connection
 	}
-	return pushed
+	return len(conns)
 }
 
 // StreamTelemetry snapshots the live stream counters (implements
@@ -155,7 +151,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		sc := &srvConn{c: c, out: make(chan outFrame, s.opts.Window)}
+		sc := &srvConn{c: c, br: bufio.NewReaderSize(c, readBufSize)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -180,7 +176,8 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Shutdown closes the listeners, stops reading new frames on every
-// connection, and waits for in-flight requests to be answered and flushed.
+// connection, and waits for the frames already read to be answered and
+// flushed.
 // If ctx expires first, remaining connections are closed hard and ctx's
 // error is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -235,189 +232,232 @@ func (s *Server) Close() error {
 	return nil
 }
 
-type outFrame struct {
-	ver     byte
-	op      byte
-	id      uint32
-	payload []byte
-	// pooled marks a payload owned by the frame buffer pool; the writer
-	// returns it with PutBuf once the bytes are on the wire.
-	pooled bool
-	// sp is the request's observability span (nil when unsampled). The
-	// writer attributes the out-queue wait plus the write syscall to its
-	// write stage and finishes it once the bytes are on the wire (or the
-	// connection died). enq is the enqueue instant, set only with a span.
-	sp  *obs.Span
-	enq time.Time
-}
+// Connection tuning. These are constants, not options: no caller in the tree
+// needs a second value.
+const (
+	// readBufSize is a connection's read buffer. Frames up to this size are
+	// served in place; larger ones detour through the frame pool.
+	readBufSize = 64 << 10
+	// flushAt bounds the replies a pipelined burst may accumulate before a
+	// write is forced, and the write buffer a connection keeps between bursts.
+	flushAt = 64 << 10
+	// writeTimeout bounds one write of replies. A peer that sends requests
+	// and stops reading them fills its socket, then blocks the connection's
+	// only goroutine in Write; past this bound the connection is dropped.
+	writeTimeout = 5 * time.Second
+)
 
+// srvConn is one accepted connection. c never changes; its goroutine
+// (serveConn) owns every other field above the marker exclusively; the
+// fields below it are what a topology push, arriving from another goroutine,
+// may touch.
 type srvConn struct {
-	c   net.Conn
-	out chan outFrame
-	// draining flips when Shutdown asked this connection to stop reading;
-	// the read loop then treats its (deadline-induced) read error as a
-	// clean end-of-stream and lets in-flight responses flush.
-	draining atomic.Bool
+	c  net.Conn
+	br *bufio.Reader
+	// wbuf holds the replies encoded since the last flush, header and all;
+	// pending counts them and spans lists the sampled ones, which finish when
+	// the flush has put them on the wire.
+	wbuf    []byte
+	pending int
+	spans   []*obs.Span
+	// big is the pool buffer holding the current frame's payload when that
+	// is too large for the read buffer; nil otherwise.
+	big []byte
+	// batch is the storage every batch frame of this connection is decoded
+	// into and answered from; ciResp and repResp box its results for the
+	// encoder without a per-frame allocation.
+	batch   server.BatchBuf
+	ciResp  server.CheckInBatchResponse
+	repResp server.ReportBatchResponse
+
+	// --- shared with PushTopology ---
+
 	// topoSub marks a connection that has fetched the topology (served an
 	// OpTopology request) and therefore receives topology pushes.
 	topoSub atomic.Bool
-	// outMu/outClosed guard out against pushes racing the channel close:
-	// handler sends are already ordered before the close by handlers.Wait,
-	// but PushTopology arrives from the cluster health loop at any time.
-	outMu     sync.RWMutex
-	outClosed bool
-}
-
-// tryPush enqueues an unsolicited frame without blocking; it reports false
-// when the connection is closing or its write window is full.
-func (sc *srvConn) tryPush(fr outFrame) bool {
-	sc.outMu.RLock()
-	defer sc.outMu.RUnlock()
-	if sc.outClosed {
-		return false
-	}
-	select {
-	case sc.out <- fr:
-		return true
-	default:
-		return false
-	}
+	// wmu serializes socket writes: the connection's flushes and a pusher's
+	// direct write. push parks the latest topology payload not yet written.
+	wmu  sync.Mutex
+	push atomic.Pointer[[]byte]
 }
 
 // beginDrain stops the connection's read loop at the next frame boundary by
-// expiring its read deadline.
+// expiring its read deadline. Frames already in the read buffer are still
+// served.
 func (sc *srvConn) beginDrain() {
-	sc.draining.Store(true)
 	_ = sc.c.SetReadDeadline(time.Unix(0, 1))
 }
 
+// next reads the connection's next frame. A payload that fits the read
+// buffer is a view of it: nothing is copied, and the bytes are the frame's
+// until release. wait is the time spent waiting for payload bytes after
+// the header completed — 0 when they were already buffered, which is also
+// when a clock read would cost more than the wait it times. The header wait
+// is excluded: between requests it measures client idle time.
+func (sc *srvConn) next(maxPayload int, maxVer byte) (fr Frame, wait time.Duration, err error) {
+	fr, n, err := readHeader(sc.br, maxPayload, maxVer)
+	if err != nil || n == 0 {
+		return fr, 0, err
+	}
+	var t0 time.Time
+	if sc.br.Buffered() < n {
+		t0 = time.Now()
+	}
+	if n <= sc.br.Size() {
+		fr.Payload, err = sc.br.Peek(n)
+	} else {
+		fr.Payload = GetBuf(n)[:n]
+		if _, err = io.ReadFull(sc.br, fr.Payload); err == nil {
+			sc.big = fr.Payload
+		} else {
+			PutBuf(fr.Payload)
+		}
+	}
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	if !t0.IsZero() {
+		wait = time.Since(t0)
+	}
+	return fr, wait, nil
+}
+
+// release gives up the current frame's payload once its reply is encoded:
+// the read buffer's bytes are consumed, a pool buffer goes back. Nothing may
+// read the payload, or a device ID decoded as a view of it, afterwards; the
+// poolcheck build overwrites both so that a test catches whatever does.
+func (sc *srvConn) release(payload []byte) {
+	poison(payload)
+	sc.batch.Release()
+	if sc.big != nil {
+		PutBuf(sc.big)
+		sc.big = nil
+	} else {
+		_, _ = sc.br.Discard(len(payload)) // cannot fail: the bytes were peeked
+	}
+}
+
+// frameBuffered reports whether a complete frame is waiting in the read
+// buffer, so that serving it cannot block.
+func (sc *srvConn) frameBuffered() bool {
+	if sc.br.Buffered() < HeaderSize {
+		return false
+	}
+	hdr, _ := sc.br.Peek(HeaderSize)
+	return uint64(sc.br.Buffered()-HeaderSize) >= uint64(binary.BigEndian.Uint32(hdr[8:12]))
+}
+
+// serveConn runs one connection to completion on one goroutine: read a
+// frame, serve it, encode the reply straight into the write buffer, and
+// write the buffer out once no further complete frame is already waiting —
+// so a pipelined burst costs one write, and replies leave in request order.
+// Parallelism comes from connections, not from frames within one.
 func (s *Server) serveConn(sc *srvConn) {
 	defer func() {
+		sc.c.Close()
 		s.mu.Lock()
 		delete(s.conns, sc)
 		s.mu.Unlock()
 		s.connsActive.Add(-1)
 		s.wg.Done()
 	}()
-
-	// Writer loop: serializes response frames onto the socket. Queued
-	// responses are drained into one writev-style vectored write
-	// (net.Buffers.WriteTo — a single writev(2) on TCP), so a burst of
-	// pipelined replies coalesces into one syscall without copying payloads
-	// into an intermediate buffer. After a write error it keeps draining
-	// the channel (dropping frames) so handler goroutines can never block
-	// on a dead connection.
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		const maxCoalesce = 64
-		hdrs := make([]byte, maxCoalesce*HeaderSize)
-		pending := make([]outFrame, 0, maxCoalesce)
-		vec := make(net.Buffers, 0, 2*maxCoalesce) // backing of every round's vectored write
-		failed := false
-		for {
-			fr, ok := <-sc.out
-			if !ok {
-				return
-			}
-			pending = append(pending[:0], fr)
-		gather:
-			for len(pending) < maxCoalesce {
-				select {
-				case fr2, ok2 := <-sc.out:
-					if !ok2 {
-						break gather // write the batch; outer recv exits next
-					}
-					pending = append(pending, fr2)
-				default:
-					break gather
-				}
-			}
-			if !failed {
-				bufs := vec[:0]
-				for i := range pending {
-					f := &pending[i]
-					h := hdrs[i*HeaderSize : (i+1)*HeaderSize]
-					PutHeader(h, f.ver, f.op, f.id, len(f.payload))
-					bufs = append(bufs, h)
-					if len(f.payload) > 0 {
-						bufs = append(bufs, f.payload)
-					}
-				}
-				// Count before the write, not after: a client that holds its
-				// answer must find it counted, and it can read the answer and
-				// sample the telemetry before WriteTo has even returned here.
-				s.framesOut.Add(int64(len(pending)))
-				if _, err := bufs.WriteTo(sc.c); err != nil {
-					failed = true
-					s.framesOut.Add(int64(-len(pending)))
-				}
-			}
-			// Written or dropped, pooled payloads are done with either way;
-			// spans seal here — the write stage covers out-queue wait plus
-			// the syscall, and a dropped frame records as an error.
-			for i := range pending {
-				f := &pending[i]
-				if f.sp != nil {
-					if failed {
-						f.sp.SetError()
-					} else {
-						f.sp.Mark(obs.StageWrite, time.Since(f.enq))
-					}
-					f.sp.Finish()
-				}
-				if f.pooled {
-					PutBuf(f.payload)
-				}
-			}
-		}
-	}()
-
-	// Read loop: each frame is handled on its own goroutine, bounded by the
-	// in-flight window. When the window is full the loop blocks before
-	// reading further — pipelining depth is capped per connection, and
-	// backpressure reaches the client through TCP flow control.
-	br := bufio.NewReaderSize(sc.c, 64<<10)
-	sem := make(chan struct{}, s.opts.Window)
-	var handlers sync.WaitGroup
-	for {
-		fr, readNs, err := ReadFramePooledTimed(br, s.opts.MaxPayload, s.opts.MaxVersion)
-		if err != nil {
-			// EOF, peer reset, protocol violation, or the drain deadline:
-			// all end the read loop; in-flight work still completes below.
-			break
-		}
-		s.framesIn.Add(1)
-		if fr.Ver >= Version2 {
-			s.framesInV2.Add(1)
-		}
-		sem <- struct{}{}
-		handlers.Add(1)
-		go func(fr Frame, readNs int64) {
-			defer handlers.Done()
-			t0 := time.Now()
-			op, payload, pooled, sp := s.handle(sc, fr.Ver, fr.Op, fr.Payload)
-			// The request payload is pooled and nothing retains it past
-			// handle (decoders copy; the relay copies item ranges before
-			// returning), so it recycles here.
-			PutBuf(fr.Payload)
-			s.svc.Obs().ObserveTotal(obsOpOf(fr.Op), time.Since(t0))
-			sp.Mark(obs.StageRead, time.Duration(readNs))
-			of := outFrame{ver: fr.Ver, op: op, id: fr.ID, payload: payload, pooled: pooled, sp: sp}
-			if sp != nil {
-				of.enq = time.Now()
-			}
-			sc.out <- of
-			<-sem
-		}(fr, readNs)
+	for s.serveFrame(sc) {
 	}
-	handlers.Wait()
-	sc.outMu.Lock()
-	sc.outClosed = true
-	sc.outMu.Unlock()
-	close(sc.out)
-	<-writerDone
-	sc.c.Close()
+	// Every frame read has been answered; a protocol violation in the
+	// middle of a burst leaves the answers before it still to send.
+	s.flush(sc)
+}
+
+// serveFrame reads and answers one frame. It reports false when the
+// connection is finished: EOF, a peer reset, a protocol violation, the drain
+// deadline, or a failed write.
+func (s *Server) serveFrame(sc *srvConn) bool {
+	fr, wait, err := sc.next(s.opts.MaxPayload, s.opts.MaxVersion)
+	if err != nil {
+		return false
+	}
+	s.framesIn.Add(1)
+	if fr.Ver >= Version2 {
+		s.framesInV2.Add(1)
+	}
+	t0 := time.Now()
+	sc.wbuf = append(sc.wbuf, make([]byte, HeaderSize)...)
+	start := len(sc.wbuf)
+	op, sp := s.handle(sc, fr.Ver, fr.Op, fr.Payload)
+	PutHeader(sc.wbuf[start-HeaderSize:], fr.Ver, op, fr.ID, len(sc.wbuf)-start)
+	sc.release(fr.Payload)
+	s.svc.Obs().ObserveTotal(obsOpOf(fr.Op), time.Since(t0))
+	sc.pending++
+	if sp != nil {
+		sp.Mark(obs.StageRead, wait)
+		sc.spans = append(sc.spans, sp)
+	}
+	if len(sc.wbuf) < flushAt && sc.frameBuffered() {
+		return true
+	}
+	return s.flush(sc)
+}
+
+// flush writes the buffered replies in one write and finishes their sampled
+// spans: the write stage is the flush, shared by every reply in it, and a
+// reply that could not be written records as an error. It reports false
+// when the connection is dead.
+func (s *Server) flush(sc *srvConn) bool {
+	var t0 time.Time
+	if len(sc.spans) > 0 {
+		t0 = time.Now()
+	}
+	err := s.send(sc, sc.wbuf, sc.pending, false)
+	for _, sp := range sc.spans {
+		if err != nil {
+			sp.SetError()
+		} else {
+			sp.Mark(obs.StageWrite, time.Since(t0))
+		}
+		sp.Finish()
+	}
+	clear(sc.spans)
+	sc.spans, sc.pending, sc.wbuf = sc.spans[:0], 0, sc.wbuf[:0]
+	if cap(sc.wbuf) > flushAt {
+		sc.wbuf = nil // one oversized reply must not pin its footprint
+	}
+	return err == nil
+}
+
+// send writes buf (n frames) and any parked topology push to the socket
+// under the write lock and the write deadline. With try set it gives up
+// when the lock is taken, leaving the push parked for the lock's holder,
+// which looks again after unlocking. A failed write closes the connection:
+// a frame may be half on the wire.
+func (s *Server) send(sc *srvConn, buf []byte, n int, try bool) error {
+	for {
+		if !try {
+			sc.wmu.Lock()
+		} else if !sc.wmu.TryLock() {
+			return nil
+		}
+		if p := sc.push.Swap(nil); p != nil {
+			buf = appendFrame(buf, Version2, OpTopology|RespFlag, 0, *p)
+			n++
+		}
+		var err error
+		if n > 0 {
+			// Count before the write, not after: a client that holds its
+			// answer must find it counted, and it can read the answer and
+			// sample the telemetry before Write has even returned here.
+			s.framesOut.Add(int64(n))
+			_ = sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+			if _, err = sc.c.Write(buf); err != nil {
+				s.framesOut.Add(int64(-n))
+				sc.c.Close()
+			}
+		}
+		sc.wmu.Unlock()
+		if err != nil || sc.push.Load() == nil {
+			return err
+		}
+		buf, n = buf[:0], 0
+	}
 }
 
 // obsOpOf maps an opcode (flag bits ignored) to its observability op.
@@ -439,25 +479,24 @@ func obsOpOf(op byte) obs.Op {
 }
 
 // handle peels the optional trace context off a request frame, starts the
-// request's observability span, and dispatches. A TraceFlag-marked frame
-// (v2 only) carries a 9-byte trace prefix: when its sampled bit is set the
-// span is forced with the origin's trace ID — the receiving side of a
+// request's observability span, and dispatches; the reply's payload lands in
+// the connection's write buffer and its opcode is returned. A TraceFlag-marked
+// frame (v2 only) carries a 9-byte trace prefix: when its sampled bit is set
+// the span is forced with the origin's trace ID — the receiving side of a
 // federation hop records the same trace the origin did, which is what lets
 // a slow hop in the origin's flight recorder be joined against the remote's
 // record. Unsampled requests get the regular 1-in-N sampler; hop requests
 // whose origin did not sample never start a span of their own.
-func (s *Server) handle(sc *srvConn, ver, op byte, payload []byte) (byte, []byte, bool, *obs.Span) {
+func (s *Server) handle(sc *srvConn, ver, op byte, payload []byte) (byte, *obs.Span) {
 	var trace uint64
 	if op&TraceFlag != 0 {
 		op &^= TraceFlag
 		if ver < Version2 {
-			b, p, pl := errFrame(ver, server.CodeInvalid, errors.New("transport: trace context requires protocol v2"))
-			return b, p, pl, nil
+			return sc.replyErr(ver, server.CodeInvalid, errors.New("transport: trace context requires protocol v2")), nil
 		}
 		id, sampled, rest, err := PeelTrace(payload)
 		if err != nil {
-			b, p, pl := errFrame(ver, server.CodeInvalid, err)
-			return b, p, pl, nil
+			return sc.replyErr(ver, server.CodeInvalid, err), nil
 		}
 		payload = rest
 		if sampled {
@@ -471,16 +510,29 @@ func (s *Server) handle(sc *srvConn, ver, op byte, payload []byte) (byte, []byte
 	} else if op&HopFlag == 0 {
 		sp = s.svc.Obs().Sample(obsOp)
 	}
-	ro, rp, pooled := s.dispatch(sc, ver, op, payload, sp)
+	ro := s.dispatch(sc, ver, op, payload, sp)
 	if ro == OpError {
 		sp.SetError()
 	}
-	return ro, rp, pooled, sp
+	return ro, sp
+}
+
+// timed runs f and marks its duration on sp's stage st. The clock reads are
+// span-gated, so the unsampled path pays nothing extra.
+func timed(sp *obs.Span, st obs.Stage, f func() error) error {
+	if sp == nil {
+		return f()
+	}
+	t0 := time.Now()
+	err := f()
+	sp.Mark(st, time.Since(t0))
+	return err
 }
 
 // dispatch routes one request frame to the service layer and encodes the
-// response. Decode errors and service errors both become OpError frames;
-// only framing violations (handled in the read loop) close the connection.
+// response into the connection's write buffer, returning its opcode. Decode
+// errors and service errors both become OpError frames; only framing
+// violations (handled in the read loop) close the connection.
 //
 // A hop-flagged frame was already forwarded once by a peer daemon: it is
 // dispatched to the local service unconditionally — the hop guard — so a
@@ -496,34 +548,27 @@ func (s *Server) handle(sc *srvConn, ver, op byte, payload []byte) (byte, []byte
 // and re-fetch the ring. v1 responses never carry it, keeping this server
 // byte-identical to a pre-v2 daemon on v1 connections.
 //
-// The returned bool marks a pooled response payload (the writer recycles it
-// after the write).
-func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Span) (byte, []byte, bool) {
+// v2 batch frames are decoded into, and answered from, the connection's
+// BatchBuf: the decoded device IDs are views of payload, which the caller
+// keeps intact until the reply is encoded.
+func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Span) byte {
 	forwarded := op&HopFlag != 0
 	if forwarded {
 		switch op &^ HopFlag {
 		case OpCheckIn, OpCheckInBatch, OpReport, OpReportBatch:
 			s.svc.NoteForwardedIn(len(payload))
 		default:
-			return errFrame(ver, server.CodeInvalid, errors.New("transport: hop flag on non-forwardable opcode"))
+			return sc.replyErr(ver, server.CodeInvalid, errors.New("transport: hop flag on non-forwardable opcode"))
 		}
 	}
-	// dec wraps decodeReq with the span's decode-stage mark; the clock reads
-	// are span-gated, so the unsampled path pays nothing extra.
 	dec := func(v wireCodec) error {
-		if sp == nil {
-			return decodeReq(ver, payload, v)
-		}
-		t0 := time.Now()
-		err := decodeReq(ver, payload, v)
-		sp.Mark(obs.StageDecode, time.Since(t0))
-		return err
+		return timed(sp, obs.StageDecode, func() error { return decodeReq(ver, payload, v) })
 	}
 	switch op &^ HopFlag {
 	case OpCheckIn:
 		var ci server.CheckIn
 		if err := dec(&ci); err != nil {
-			return svcErrFrame(ver, err)
+			return sc.replySvcErr(ver, err)
 		}
 		var asg server.Assignment
 		var err error
@@ -533,50 +578,37 @@ func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Spa
 			asg, err = s.svc.CheckIn(ci, sp)
 		}
 		if err != nil {
-			return svcErrFrame(ver, err)
+			return sc.replySvcErr(ver, err)
 		}
-		return respFrameSpan(ver, op, &asg, sp)
+		return sc.reply(ver, op, &asg, sp)
 	case OpCheckInBatch:
-		var req server.CheckInBatchRequest
-		if forwarded {
-			if err := dec(&req); err != nil {
-				return svcErrFrame(ver, err)
-			}
-			resp, err := s.svc.CheckInBatchLocal(req, sp)
-			if err != nil {
-				return svcErrFrame(ver, err)
-			}
-			return respFrameSpan(ver, op, &resp, sp)
-		}
+		b := &sc.batch
 		var raw server.RawItems
 		if ver >= Version2 {
-			var t0 time.Time
-			if sp != nil {
-				t0 = time.Now()
+			if err := timed(sp, obs.StageDecode, func() error { return b.DecodeCheckIns(payload) }); err != nil {
+				return sc.replySvcErr(ver, err)
 			}
-			bounds, err := req.UnmarshalBinaryBounds(payload)
-			if sp != nil {
-				sp.Mark(obs.StageDecode, time.Since(t0))
+			raw = server.RawItems{Data: payload, Bounds: b.Bounds}
+		} else {
+			var req server.CheckInBatchRequest
+			if err := dec(&req); err != nil {
+				return sc.replySvcErr(ver, err)
 			}
-			if err != nil {
-				return svcErrFrame(ver, err)
-			}
-			raw = server.RawItems{Data: payload, Bounds: bounds}
-		} else if err := dec(&req); err != nil {
-			return svcErrFrame(ver, err)
+			b.CheckIns = req.CheckIns
 		}
-		resp, fwd, err := s.svc.CheckInBatchRouted(req, raw, sp)
+		results, fwd, err := s.svc.CheckInBatchBuf(b, raw, forwarded, sp)
 		if err != nil {
-			return svcErrFrame(ver, err)
+			return sc.replySvcErr(ver, err)
 		}
 		if fwd && ver >= Version2 {
 			op |= HopFlag
 		}
-		return respFrameSpan(ver, op, &resp, sp)
+		sc.ciResp.Results = results
+		return sc.reply(ver, op, &sc.ciResp, sp)
 	case OpReport:
 		var rep server.Report
 		if err := dec(&rep); err != nil {
-			return svcErrFrame(ver, err)
+			return sc.replySvcErr(ver, err)
 		}
 		var err error
 		if forwarded {
@@ -585,88 +617,75 @@ func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Spa
 			err = s.svc.Report(rep, sp)
 		}
 		if err != nil {
-			return svcErrFrame(ver, err)
+			return sc.replySvcErr(ver, err)
 		}
-		return op | RespFlag, nil, false
+		return op | RespFlag
 	case OpReportBatch:
-		var req server.ReportBatchRequest
-		if forwarded {
-			if err := dec(&req); err != nil {
-				return svcErrFrame(ver, err)
-			}
-			resp, err := s.svc.ReportBatchLocal(req, sp)
-			if err != nil {
-				return svcErrFrame(ver, err)
-			}
-			return respFrameSpan(ver, op, &resp, sp)
-		}
+		b := &sc.batch
 		var raw server.RawItems
 		if ver >= Version2 {
-			var t0 time.Time
-			if sp != nil {
-				t0 = time.Now()
+			if err := timed(sp, obs.StageDecode, func() error { return b.DecodeReports(payload) }); err != nil {
+				return sc.replySvcErr(ver, err)
 			}
-			bounds, err := req.UnmarshalBinaryBounds(payload)
-			if sp != nil {
-				sp.Mark(obs.StageDecode, time.Since(t0))
+			raw = server.RawItems{Data: payload, Bounds: b.Bounds}
+		} else {
+			var req server.ReportBatchRequest
+			if err := dec(&req); err != nil {
+				return sc.replySvcErr(ver, err)
 			}
-			if err != nil {
-				return svcErrFrame(ver, err)
-			}
-			raw = server.RawItems{Data: payload, Bounds: bounds}
-		} else if err := dec(&req); err != nil {
-			return svcErrFrame(ver, err)
+			b.Reports = req.Reports
 		}
-		resp, fwd, err := s.svc.ReportBatchRouted(req, raw, sp)
+		results, fwd, err := s.svc.ReportBatchBuf(b, raw, forwarded, sp)
 		if err != nil {
-			return svcErrFrame(ver, err)
+			return sc.replySvcErr(ver, err)
 		}
 		if fwd && ver >= Version2 {
 			op |= HopFlag
 		}
-		return respFrameSpan(ver, op, &resp, sp)
+		sc.repResp.Results = results
+		return sc.reply(ver, op, &sc.repResp, sp)
 	case OpRegisterJob:
 		var spec server.JobSpec
 		if err := json.Unmarshal(payload, &spec); err != nil {
-			return errFrame(ver, server.CodeInvalid, err)
+			return sc.replyErr(ver, server.CodeInvalid, err)
 		}
 		st, err := s.svc.RegisterJob(spec)
 		if err != nil {
-			return svcErrFrame(ver, err)
+			return sc.replySvcErr(ver, err)
 		}
-		return respFrame(ver, op, st)
+		return sc.reply(ver, op, st, nil)
 	case OpJobs:
-		return respFrame(ver, op, s.svc.Jobs())
+		return sc.reply(ver, op, s.svc.Jobs(), nil)
 	case OpJobStatus:
 		var req JobIDRequest
 		if err := json.Unmarshal(payload, &req); err != nil {
-			return errFrame(ver, server.CodeInvalid, err)
+			return sc.replyErr(ver, server.CodeInvalid, err)
 		}
 		st, err := s.svc.JobStatusByID(req.ID)
 		if err != nil {
-			return svcErrFrame(ver, err)
+			return sc.replySvcErr(ver, err)
 		}
-		return respFrame(ver, op, st)
+		return sc.reply(ver, op, st, nil)
 	case OpStats:
-		return respFrame(ver, op, s.svc.Stats())
+		return sc.reply(ver, op, s.svc.Stats(), nil)
 	case OpMetrics:
-		return respFrame(ver, op, s.svc.Metrics())
+		return sc.reply(ver, op, s.svc.Metrics(), nil)
 	case OpPing:
-		return op | RespFlag, nil, false
+		return op | RespFlag
 	case OpTopology:
 		// v2-era opcode: requests must ride in v2 frames. Serving it flags
 		// the connection for topology pushes.
 		if ver < Version2 {
-			return errFrame(ver, server.CodeInvalid, errors.New("transport: topology requires protocol v2"))
+			return sc.replyErr(ver, server.CodeInvalid, errors.New("transport: topology requires protocol v2"))
 		}
 		src := s.m.TopologySourceRef()
 		if src == nil {
-			return errFrame(ver, server.CodeUnavailable, errors.New("transport: no federation topology attached"))
+			return sc.replyErr(ver, server.CodeUnavailable, errors.New("transport: no federation topology attached"))
 		}
 		info := src.Topology()
 		sc.topoSub.Store(true)
 		tp := TopologyPayload{Epoch: info.Epoch, VNodes: info.VNodes, Members: info.Members}
-		return respFrame(ver, op, &tp)
+		return sc.reply(ver, op, &tp, nil)
 	case OpHello:
 		// Version negotiation. A server capped at v1 must be byte-for-byte
 		// indistinguishable from a pre-v2 daemon, so it falls through to
@@ -675,17 +694,17 @@ func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Spa
 		if s.opts.MaxVersion >= Version2 {
 			var req HelloRequest
 			if err := json.Unmarshal(payload, &req); err != nil {
-				return errFrame(ver, server.CodeInvalid, err)
+				return sc.replyErr(ver, server.CodeInvalid, err)
 			}
 			v := min(req.MaxVersion, int(s.opts.MaxVersion))
 			if v < int(Version1) {
 				v = int(Version1)
 			}
-			return respFrame(Version1, op, HelloResponse{Version: v})
+			return sc.reply(Version1, op, HelloResponse{Version: v}, nil)
 		}
 		fallthrough
 	default:
-		return errFrame(ver, server.CodeInvalid, errors.New("transport: unknown opcode"))
+		return sc.replyErr(ver, server.CodeInvalid, errors.New("transport: unknown opcode"))
 	}
 }
 
@@ -704,70 +723,55 @@ func decodeReq(ver byte, payload []byte, v wireCodec) error {
 	return v.UnmarshalJSON(payload)
 }
 
-// binaryAppender is the pooled-encode fast path: types that can append their
-// v2 wire form onto a caller-owned buffer, skipping the per-response
-// allocation MarshalBinary would make.
+// binaryAppender is the in-place encode fast path: types that can append
+// their v2 wire form onto the write buffer.
 type binaryAppender interface {
 	AppendBinary(b []byte) ([]byte, error)
 }
 
-// respFrame encodes a success response: the binary codec when the frame is
-// v2 and the type has one (into a pooled buffer when the type supports
-// appending), else the hand-rolled JSON marshaler, else encoding/json.
-// Non-serving opcodes keep JSON payloads in every version — they have no
-// binary codec, and they are off the hot path. The returned bool marks a
-// pooled payload.
-func respFrame(ver, op byte, v any) (byte, []byte, bool) {
-	if ver >= Version2 {
-		if m, ok := v.(binaryAppender); ok {
-			buf, err := m.AppendBinary(GetBuf(64))
-			if err != nil {
-				PutBuf(buf)
-				return errFrame(ver, server.CodeInvalid, err)
-			}
-			return op | RespFlag, buf, true
+// reply appends a success response's payload to the write buffer and returns
+// its opcode: the binary codec when the frame is v2 and the type has one
+// (appended in place when the type supports it), else the hand-rolled JSON
+// marshaler, else encoding/json. Non-serving opcodes keep JSON payloads in
+// every version — they have no binary codec, and they are off the hot path.
+// A sampled span gets the encode stage marked.
+func (sc *srvConn) reply(ver, op byte, v any, sp *obs.Span) byte {
+	mark := len(sc.wbuf)
+	err := timed(sp, obs.StageEncode, func() (err error) {
+		var buf []byte
+		if m, ok := v.(binaryAppender); ok && ver >= Version2 {
+			sc.wbuf, err = m.AppendBinary(sc.wbuf)
+			return err
+		} else if m, ok := v.(encoding.BinaryMarshaler); ok && ver >= Version2 {
+			buf, err = m.MarshalBinary()
+		} else if m, ok := v.(json.Marshaler); ok {
+			buf, err = m.MarshalJSON()
+		} else {
+			buf, err = json.Marshal(v)
 		}
-	}
-	var buf []byte
-	var err error
-	if m, ok := v.(encoding.BinaryMarshaler); ok && ver >= Version2 {
-		buf, err = m.MarshalBinary()
-	} else if m, ok := v.(json.Marshaler); ok {
-		buf, err = m.MarshalJSON()
-	} else {
-		buf, err = json.Marshal(v)
-	}
+		sc.wbuf = append(sc.wbuf, buf...)
+		return err
+	})
 	if err != nil {
-		return errFrame(ver, server.CodeInvalid, err)
+		sc.wbuf = sc.wbuf[:mark]
+		return sc.replyErr(ver, server.CodeInvalid, err)
 	}
-	return op | RespFlag, buf, false
+	return op | RespFlag
 }
 
-// respFrameSpan is respFrame with the span's encode-stage mark (clock reads
-// span-gated; a nil span takes the plain path).
-func respFrameSpan(ver, op byte, v any, sp *obs.Span) (byte, []byte, bool) {
-	if sp == nil {
-		return respFrame(ver, op, v)
-	}
-	t0 := time.Now()
-	ro, payload, pooled := respFrame(ver, op, v)
-	sp.Mark(obs.StageEncode, time.Since(t0))
-	return ro, payload, pooled
+func (sc *srvConn) replySvcErr(ver byte, err error) byte {
+	return sc.replyErr(ver, server.ErrCode(err), err)
 }
 
-func svcErrFrame(ver byte, err error) (byte, []byte, bool) {
-	return errFrame(ver, server.ErrCode(err), err)
-}
-
-func errFrame(ver byte, code server.Code, err error) (byte, []byte, bool) {
+// replyErr appends an error response's payload to the write buffer.
+func (sc *srvConn) replyErr(ver byte, code server.Code, err error) byte {
 	ep := ErrorPayload{Code: int(code), Error: err.Error()}
+	var buf []byte
 	if ver >= Version2 {
-		buf, _ := ep.MarshalBinary()
-		return OpError, buf, false
-	}
-	buf, mErr := json.Marshal(ep)
-	if mErr != nil {
+		buf, _ = ep.MarshalBinary()
+	} else if buf, err = json.Marshal(ep); err != nil {
 		buf = []byte(`{"code":1,"error":"transport: unencodable error"}`)
 	}
-	return OpError, buf, false
+	sc.wbuf = append(sc.wbuf, buf...)
+	return OpError
 }

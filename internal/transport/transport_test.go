@@ -141,10 +141,10 @@ func TestStreamTypedErrors(t *testing.T) {
 }
 
 // TestStreamPipelinedConcurrency hammers one small connection pool from
-// many goroutines — multiplexing, request-ID correlation, and the
-// in-flight window all under the race detector.
+// many goroutines — multiplexing and request-ID correlation over
+// connections that each serve one frame at a time, under the race detector.
 func TestStreamPipelinedConcurrency(t *testing.T) {
-	_, _, addr := startServer(t, transport.Options{Window: 8})
+	_, _, addr := startServer(t, transport.Options{})
 	c := client.NewStream(addr, client.WithStreamConns(2))
 	defer c.Close()
 
@@ -230,7 +230,7 @@ func TestStreamReconnect(t *testing.T) {
 // pipelined load answers everything it already read, never wedges, and
 // refuses new connections afterwards.
 func TestStreamShutdownMidStream(t *testing.T) {
-	_, ts, addr := startServer(t, transport.Options{Window: 16})
+	_, ts, addr := startServer(t, transport.Options{})
 
 	const clients = 4
 	var wg sync.WaitGroup
@@ -266,8 +266,12 @@ func TestStreamShutdownMidStream(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if tel := ts.StreamTelemetry(); tel.Conns != 0 {
+	tel := ts.StreamTelemetry()
+	if tel.Conns != 0 {
 		t.Errorf("%d connections survived shutdown", tel.Conns)
+	}
+	if tel.FramesIn == 0 || tel.FramesIn != tel.FramesOut {
+		t.Errorf("shutdown under load must answer every frame it read: %d in, %d out", tel.FramesIn, tel.FramesOut)
 	}
 	// New connections must be refused.
 	c2 := client.NewStream(addr, client.WithStreamTimeout(500*time.Millisecond))
