@@ -15,21 +15,7 @@ import (
 // allocs/op is the figure to watch — what a call allocates beyond the
 // results it hands back.
 func BenchmarkStreamClientDo(b *testing.B) {
-	m := server.NewManager(server.Config{ObsSampleEvery: -1})
-	ts := transport.NewServer(m, transport.Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() { _ = ts.Serve(ln) }()
-	defer ts.Close()
-	c := NewStream(ln.Addr().String(), WithStreamConns(1))
-	defer c.Close()
-
-	cis := make([]server.CheckIn, 64)
-	for i := range cis {
-		cis[i] = server.CheckIn{DeviceID: fmt.Sprintf("dev-%06d", i), CPU: 0.5, Mem: 0.5}
-	}
+	c, cis := doBenchClient(b)
 	b.Run("ping", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -46,4 +32,24 @@ func BenchmarkStreamClientDo(b *testing.B) {
 			}
 		}
 	})
+}
+
+// doBenchClient starts a daemon's stream listener on loopback and returns a
+// one-connection client of it with a 64-device surplus batch to send.
+func doBenchClient(tb testing.TB) (*StreamClient, []server.CheckIn) {
+	m := server.NewManager(server.Config{ObsSampleEvery: -1})
+	ts := transport.NewServer(m, transport.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go func() { _ = ts.Serve(ln) }()
+	c := NewStream(ln.Addr().String(), WithStreamConns(1))
+	tb.Cleanup(func() { _ = c.Close(); _ = ts.Close() })
+
+	cis := make([]server.CheckIn, 64)
+	for i := range cis {
+		cis[i] = server.CheckIn{DeviceID: fmt.Sprintf("dev-%06d", i), CPU: 0.5, Mem: 0.5}
+	}
+	return c, cis
 }

@@ -1,9 +1,7 @@
 package client
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"venn/internal/server"
 	"venn/internal/transport"
@@ -54,46 +52,19 @@ func (s *StreamClient) ReportBatchForward(rs []server.Report, trace uint64) ([]s
 // forward, which re-encodes per the negotiated version.
 var ErrRawUnsupported = errors.New("client: raw forward requires wire protocol v2")
 
-// rawForwardEncoder frames a pre-encoded batch: uvarint item count followed
-// by the already-encoded items, exactly the canonical v2 batch-request
-// layout — built into a pooled buffer, relayed without decoding.
-func rawForwardEncoder(items []byte, n int) reqEncoder {
-	return func(ver byte) ([]byte, byte, error) {
+// ForwardRaw relays an already-encoded v2 batch request — payload is the
+// canonical layout, uvarint item count then the items' wire bytes — to the
+// owning daemon in one hop frame of opcode op (OpCheckInBatch or
+// OpReportBatch), and hands the reply payload to dec. Unlike a reqEncoder's
+// product, payload stays the caller's: it is written out before ForwardRaw
+// returns and never recycled here. The reply is a pooled buffer recycled when
+// dec returns, so dec copies what it keeps.
+func (s *StreamClient) ForwardRaw(op byte, payload []byte, trace uint64, dec func(reply []byte) error) error {
+	_, err := s.pick().do(op|transport.HopFlag, trace, true, func(ver byte) ([]byte, byte, error) {
 		if ver < transport.Version2 {
 			return nil, 0, ErrRawUnsupported
 		}
-		payload := binary.AppendUvarint(transport.GetBuf(len(items)+binary.MaxVarintLen64), uint64(n))
-		return append(payload, items...), transport.Version2, nil
-	}
-}
-
-// CheckInBatchForwardRaw relays n already-encoded check-in items (the
-// concatenated v2 wire bytes) to their owning daemon in one hop frame.
-// Results[i] answers item i in buffer order.
-func (s *StreamClient) CheckInBatchForwardRaw(items []byte, n int, trace uint64) ([]server.CheckInResult, error) {
-	var resp server.CheckInBatchResponse
-	_, err := s.do(transport.OpCheckInBatch|transport.HopFlag, trace, rawForwardEncoder(items, n),
-		func(_ byte, buf []byte) error { return resp.UnmarshalBinary(buf) })
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != n {
-		return nil, fmt.Errorf("client: raw forward reply has %d results for %d items", len(resp.Results), n)
-	}
-	return resp.Results, nil
-}
-
-// ReportBatchForwardRaw relays n already-encoded report items to their
-// owning daemon in one hop frame. Results[i] answers item i in buffer order.
-func (s *StreamClient) ReportBatchForwardRaw(items []byte, n int, trace uint64) ([]server.ReportResult, error) {
-	var resp server.ReportBatchResponse
-	_, err := s.do(transport.OpReportBatch|transport.HopFlag, trace, rawForwardEncoder(items, n),
-		func(_ byte, buf []byte) error { return resp.UnmarshalBinary(buf) })
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != n {
-		return nil, fmt.Errorf("client: raw forward reply has %d results for %d items", len(resp.Results), n)
-	}
-	return resp.Results, nil
+		return payload, transport.Version2, nil
+	}, func(_ byte, reply []byte) error { return dec(reply) })
+	return err
 }

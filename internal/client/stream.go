@@ -317,8 +317,12 @@ type respDecoder func(ver byte, payload []byte) error
 // daemon records the hop under the same trace ID. Silently dropped on v1
 // connections — the flag and prefix are v2 vocabulary.
 func (s *StreamClient) do(op byte, trace uint64, enc reqEncoder, dec respDecoder) (bool, error) {
-	c := s.conns[s.next.Add(1)%uint64(len(s.conns))]
-	return c.do(op, trace, enc, dec)
+	return s.pick().do(op, trace, false, enc, dec)
+}
+
+// pick takes the pool's connections in turn.
+func (s *StreamClient) pick() *streamConn {
+	return s.conns[s.next.Add(1)%uint64(len(s.conns))]
 }
 
 // streamConn is one pooled connection: a lazily dialed socket, a reader
@@ -510,7 +514,9 @@ func (sc *streamConn) close(err error) {
 	sc.teardown(gen, err)
 }
 
-func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder, dec respDecoder) (bool, error) {
+// do is StreamClient.do on this connection. lent marks a payload the encoder
+// does not own (ForwardRaw): it is sent like any other and left alone after.
+func (sc *streamConn) do(op byte, trace uint64, lent bool, enc reqEncoder, dec respDecoder) (bool, error) {
 	w := waiterPool.Get().(*waiter)
 
 	sc.mu.Lock()
@@ -550,7 +556,9 @@ func (sc *streamConn) do(op byte, trace uint64, enc reqEncoder, dec respDecoder)
 	sc.mu.Unlock()
 	// The buffered writer has copied (or directly written) the payload by
 	// now, success or not — recycle it per the reqEncoder contract.
-	transport.PutBuf(payload)
+	if !lent {
+		transport.PutBuf(payload)
+	}
 	if err != nil {
 		sc.teardown(gen, fmt.Errorf("client: stream write: %w", err))
 		return false, &NotSentError{Err: fmt.Errorf("client: stream write: %w", err)}

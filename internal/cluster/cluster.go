@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,12 +24,13 @@ const (
 // *client.StreamClient implements it; tests inject fakes through
 // Config.Dial.
 //
-// The Raw variants carry a pre-encoded v2 batch: items is the concatenation
-// of n already-encoded batch items (exactly the bytes that followed the
-// count prefix on the frames they arrived in), relayed verbatim into the hop
-// frame. They return client.ErrRawUnsupported when the peer connection
-// negotiated a pre-v2 protocol, in which case the caller falls back to the
-// typed forward.
+// ForwardRaw carries a pre-encoded v2 batch request of opcode op: payload is
+// the count prefix followed by already-encoded items (exactly the bytes they
+// arrived as), relayed verbatim into the hop frame and still the caller's
+// afterwards; dec is handed the owner's reply payload, which is recycled when
+// it returns. ForwardRaw returns client.ErrRawUnsupported when the peer
+// connection negotiated a pre-v2 protocol, in which case the caller falls
+// back to the typed forward.
 //
 // trace is the originating request's sampled span ID (0 when unsampled): a
 // nonzero trace rides in the hop frame's trace context so the owner records
@@ -39,10 +39,9 @@ type PeerClient interface {
 	Ping() error
 	CheckInForward(ci server.CheckIn, trace uint64) (server.Assignment, error)
 	CheckInBatchForward(cis []server.CheckIn, trace uint64) ([]server.CheckInResult, error)
-	CheckInBatchForwardRaw(items []byte, n int, trace uint64) ([]server.CheckInResult, error)
 	ReportForward(r server.Report, trace uint64) error
 	ReportBatchForward(rs []server.Report, trace uint64) ([]server.ReportResult, error)
-	ReportBatchForwardRaw(items []byte, n int, trace uint64) ([]server.ReportResult, error)
+	ForwardRaw(op byte, payload []byte, trace uint64, dec func(reply []byte) error) error
 	Close() error
 }
 
@@ -81,11 +80,6 @@ type Config struct {
 	// daemons — forwarding to an old peer simply downgrades that hop to
 	// JSON payloads.
 	MaxWireVersion int
-	// DisableRelay turns off the zero-copy coalescing forward relay and
-	// falls back to the legacy decode→re-encode forward path (one frame per
-	// misrouted batch per owner). An escape hatch and a benchmark pivot
-	// (BenchmarkForwardPath compares the two); leave it off in production.
-	DisableRelay bool
 	// Dial overrides peer-client construction (tests). nil dials a real
 	// client.StreamClient with Timeout, StreamConns, and MaxWireVersion
 	// applied.
@@ -110,17 +104,18 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// peer is one remote member: its ID (dial address), its pooled stream
-// client, and its health state. fails is touched only by the health loop;
-// down is atomic so telemetry can read it anywhere.
+// peer is one remote member: its ID (dial address) and index in the ring's
+// Members(), its pooled stream client, and its health state. fails is touched
+// only by the health loop; down is atomic so telemetry can read it anywhere.
 type peer struct {
 	id    string
+	idx   int
 	c     PeerClient
 	fails int
 	down  atomic.Bool
 	// Per-peer forward coalescers for the zero-copy relay (see relay.go).
-	ciRelay  *relay[server.CheckInResult]
-	repRelay *relay[server.ReportResult]
+	ciRelay  *relay[server.CheckIn, server.CheckInResult]
+	repRelay *relay[server.Report, server.ReportResult]
 }
 
 // snapshot is the immutable routing view the serving hot path reads: the
@@ -129,8 +124,11 @@ type peer struct {
 // request and never take a lock — the PlanSnapshot pattern applied to
 // membership.
 type snapshot struct {
-	ring  *Ring
-	alive map[string]*peer // remote members currently considered up
+	ring *Ring
+	// table[ring.OwnerIndex(id)] is the remote member to forward id to, nil
+	// when that member is this node or is down. One entry past the members
+	// stands for the local group of a batch plan (see plan) and stays nil.
+	table []*peer
 }
 
 // Cluster shards device ownership across the member daemons and forwards
@@ -141,6 +139,7 @@ type Cluster struct {
 	cfg   Config
 	m     *server.Manager
 	ring  *Ring
+	self  int     // this node's index in ring.Members()
 	peers []*peer // remote members, sorted by ID
 
 	snap atomic.Pointer[snapshot]
@@ -217,12 +216,13 @@ func New(m *server.Manager, cfg Config) (*Cluster, error) {
 			return client.NewStream(addr, opts...)
 		}
 	}
-	for _, id := range ring.Members() {
+	for i, id := range ring.Members() {
 		if id == cfg.SelfID {
+			c.self = i
 			continue
 		}
-		p := &peer{id: id, c: dial(id)}
-		newPeerRelays(c, p)
+		p := &peer{id: id, idx: i, c: dial(id)}
+		p.ciRelay, p.repRelay = newRelay(c, p, &checkInOps), newRelay(c, p, &reportOps)
 		c.peers = append(c.peers, p)
 	}
 	c.publish()
@@ -243,20 +243,20 @@ func (c *Cluster) Ring() *Ring { return c.ring }
 // connections. Called at construction and by the health loop on transitions
 // (never concurrently: both run on one goroutine at a time).
 func (c *Cluster) publish() {
-	alive := make(map[string]*peer, len(c.peers))
+	table := make([]*peer, c.ring.Size()+1)
 	for _, p := range c.peers {
 		if !p.down.Load() {
-			alive[p.id] = p
+			table[p.idx] = p
 		}
 	}
-	c.snap.Store(&snapshot{ring: c.ring, alive: alive})
+	c.snap.Store(&snapshot{ring: c.ring, table: table})
 
-	members := make([]string, 0, len(alive)+1)
-	members = append(members, c.cfg.SelfID)
-	for id := range alive {
-		members = append(members, id)
+	members := make([]string, 0, len(c.peers)+1)
+	for i, id := range c.ring.Members() { // sorted already
+		if i == c.self || table[i] != nil {
+			members = append(members, id)
+		}
 	}
-	sort.Strings(members)
 	if prev := c.topo.Load(); prev != nil && slices.Equal(prev.Members, members) {
 		return
 	}
@@ -414,14 +414,13 @@ func (c *Cluster) route(deviceID string) *peer {
 		return nil
 	}
 	snap := c.snap.Load()
-	owner := snap.ring.Owner(deviceID)
-	if owner == c.cfg.SelfID {
+	owner := snap.ring.OwnerIndex(deviceID)
+	if owner == c.self {
 		return nil
 	}
-	p, up := snap.alive[owner]
-	if !up {
+	p := snap.table[owner]
+	if p == nil {
 		c.localFallbacks.Add(1)
-		return nil
 	}
 	return p
 }
@@ -488,161 +487,15 @@ func (c *Cluster) Report(r server.Report, sp *obs.Span) error {
 	return err
 }
 
-// batchPlan partitions batch indices by serving node: local items (owned
-// here, unroutable, or owned by a down peer) and one index group per live
-// remote owner.
-type batchPlan struct {
-	local  []int
-	remote map[*peer][]int
-}
-
-// planBatch splits items by owner under one snapshot load. ids yields the
-// device ID of item i. Down owners are counted as one fallback per batch
-// (frame granularity, matching forwardsOut).
-func (c *Cluster) planBatch(n int, ids func(i int) string) batchPlan {
-	snap := c.snap.Load()
-	var plan batchPlan // remote map allocated on first remote item — direct
-	// routing makes the all-local batch the steady state
-	var downSeen map[string]struct{}
-	for i := 0; i < n; i++ {
-		id := ids(i)
-		if id == "" {
-			plan.local = append(plan.local, i)
-			continue
-		}
-		owner := snap.ring.Owner(id)
-		if owner == c.cfg.SelfID {
-			plan.local = append(plan.local, i)
-			continue
-		}
-		p, up := snap.alive[owner]
-		if !up {
-			if downSeen == nil {
-				downSeen = make(map[string]struct{})
-			}
-			if _, dup := downSeen[owner]; !dup {
-				downSeen[owner] = struct{}{}
-				c.localFallbacks.Add(1)
-			}
-			plan.local = append(plan.local, i)
-			continue
-		}
-		if plan.remote == nil {
-			plan.remote = make(map[*peer][]int)
-		}
-		plan.remote[p] = append(plan.remote[p], i)
-	}
-	return plan
-}
-
-// forwardBatch is the shared engine behind the legacy (decode→re-encode)
-// batch entry points: split by owner (planBatch), forward each remote group
-// in one frame concurrently, apply the local group inline, and merge
-// everything back into request order with per-item errors preserved. A
-// remote group whose forward provably never left this node is applied
-// locally (degraded mode); a group the owner rejected, or whose outcome is
-// unknown, reports the failure on each of its items via errItem — items are
-// never dropped, and never guess-applied on the wrong node. One in-flight
-// permit covers the whole batch's forwards. The returned bool reports
-// whether any item was planned onto a peer (the forwarded flag a ring-aware
-// client reads as "your topology is stale"). A sampled span has each remote
-// group's round trip accumulated into its hop stage (the groups overlap, so
-// the mark is wall time spent forwarding, not a disjoint sum).
-func forwardBatch[Req, Res any](c *Cluster, items []Req, sp *obs.Span, deviceID func(Req) string,
-	forward func(PeerClient, []Req, uint64) ([]Res, error), local func([]Req) []Res,
-	errItem func(msg string) Res) ([]Res, bool) {
-	plan := c.planBatch(len(items), func(i int) string { return deviceID(items[i]) })
-	if len(plan.remote) == 0 {
-		// Every item is local, in request order: serve the batch as-is, no
-		// gather copy, no merge. This is the steady state under ring-aware
-		// clients.
-		c.directRoutedBatches.Add(1)
-		return local(items), false
-	}
-	out := make([]Res, len(items))
-
-	canForward := c.acquireForward()
-	forwarded := canForward
-	if !canForward {
-		// Draining: apply every remote group locally.
-		for _, idxs := range plan.remote {
-			c.localFallbacks.Add(1)
-			plan.local = append(plan.local, idxs...)
-		}
-		plan.remote = nil
-	}
-	gather := func(idxs []int) []Req {
-		sub := make([]Req, len(idxs))
-		for j, i := range idxs {
-			sub[j] = items[i]
-		}
-		return sub
-	}
-	if len(plan.remote) > 0 {
-		sp.SetForwarded()
-	}
-	var wg sync.WaitGroup
-	for p, idxs := range plan.remote {
-		wg.Add(1)
-		go func(p *peer, idxs []int) {
-			defer wg.Done()
-			sub := gather(idxs)
-			c.forwardsOut.Add(1)
-			var t0 time.Time
-			if sp != nil {
-				t0 = time.Now()
-			}
-			res, err := forward(p.c, sub, sp.TraceID())
-			if sp != nil {
-				sp.Mark(obs.StageHop, time.Since(t0))
-			}
-			if err != nil {
-				if fallback, typed := c.forwardFailed(err); fallback {
-					res = local(sub)
-				} else {
-					fill := errItem(typed.Error())
-					res = make([]Res, len(sub))
-					for j := range res {
-						res[j] = fill
-					}
-				}
-			}
-			for j, i := range idxs {
-				out[i] = res[j]
-			}
-		}(p, idxs)
-	}
-	if len(plan.local) > 0 {
-		res := local(gather(plan.local))
-		for j, i := range plan.local {
-			out[i] = res[j]
-		}
-	}
-	wg.Wait()
-	if canForward {
-		c.inflight.Done()
-	}
-	return out, forwarded
-}
-
-// CheckInBatch implements server.Router (see forwardBatch for the split,
-// fan-out, and merge contract).
+// CheckInBatch implements server.Router: the typed engine (see forwardBatch)
+// over a fresh BatchBuf, for callers without raw v2 bytes.
 func (c *Cluster) CheckInBatch(cis []server.CheckIn, sp *obs.Span) ([]server.CheckInResult, bool) {
-	return forwardBatch(c, cis, sp,
-		func(ci server.CheckIn) string { return ci.DeviceID },
-		PeerClient.CheckInBatchForward,
-		func(sub []server.CheckIn) []server.CheckInResult { return c.m.CheckInBatchSpan(sub, sp) },
-		func(msg string) server.CheckInResult { return server.CheckInResult{Error: msg} })
+	return forwardBatch(c, &checkInOps, &server.BatchBuf{CheckIns: cis}, server.RawItems{}, sp)
 }
 
-// ReportBatch implements server.Router (see forwardBatch for the split,
-// fan-out, and merge contract).
+// ReportBatch implements server.Router (see CheckInBatch).
 func (c *Cluster) ReportBatch(rs []server.Report, sp *obs.Span) ([]server.ReportResult, bool) {
-	return forwardBatch(c, rs, sp,
-		func(r server.Report) string { return r.DeviceID },
-		PeerClient.ReportBatchForward,
-		func(sub []server.Report) []server.ReportResult { return c.m.ReportBatchSpan(sub, sp) },
-		func(msg string) server.ReportResult { return server.ReportResult{Error: msg} })
+	return forwardBatch(c, &reportOps, &server.BatchBuf{Reports: rs}, server.RawItems{}, sp)
 }
 
 // ClusterTelemetry implements server.ClusterTelemetrySource. It reads only
@@ -652,7 +505,7 @@ func (c *Cluster) ClusterTelemetry() server.ClusterTelemetry {
 	snap := c.snap.Load()
 	states := make(map[string]string, len(c.peers))
 	for _, p := range c.peers {
-		if _, up := snap.alive[p.id]; up {
+		if snap.table[p.idx] != nil {
 			states[p.id] = "up"
 		} else {
 			states[p.id] = "down"

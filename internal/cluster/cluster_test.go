@@ -299,6 +299,8 @@ type fakePeer struct {
 	forwards atomic.Int64
 	closed   atomic.Bool
 	fwdErr   atomic.Value // error returned by forwards (nil = success)
+	echo     atomic.Bool  // raw check-in replies carry "echo:<device>" in Error
+	short    atomic.Bool  // raw check-in replies are one result short
 }
 
 func newFakePeer() *fakePeer { return &fakePeer{block: make(chan struct{})} }
@@ -349,22 +351,44 @@ func (f *fakePeer) ReportBatchForward(rs []server.Report, trace uint64) ([]serve
 	return make([]server.ReportResult, len(rs)), nil
 }
 
-func (f *fakePeer) CheckInBatchForwardRaw(items []byte, n int, trace uint64) ([]server.CheckInResult, error) {
+// ForwardRaw answers a raw hop the way an owner would: it decodes the hop
+// payload and replies one result per item, encoded as on the wire — zero
+// results by default, an echo of the device ID in Error when echo is set, one
+// result too few when short is set.
+func (f *fakePeer) ForwardRaw(op byte, payload []byte, trace uint64, dec func(reply []byte) error) error {
 	f.forwards.Add(1)
 	<-f.block
 	if err := f.forwardErr(); err != nil {
-		return nil, err
+		return err
 	}
-	return make([]server.CheckInResult, n), nil
-}
-
-func (f *fakePeer) ReportBatchForwardRaw(items []byte, n int, trace uint64) ([]server.ReportResult, error) {
-	f.forwards.Add(1)
-	<-f.block
-	if err := f.forwardErr(); err != nil {
-		return nil, err
+	var reply []byte
+	switch op {
+	case transport.OpCheckInBatch:
+		var req server.CheckInBatchRequest
+		if err := req.UnmarshalBinary(payload); err != nil {
+			return err
+		}
+		resp := server.CheckInBatchResponse{Results: make([]server.CheckInResult, len(req.CheckIns))}
+		for i, ci := range req.CheckIns {
+			if f.echo.Load() {
+				resp.Results[i].Error = "echo:" + ci.DeviceID
+			}
+		}
+		if f.short.Load() {
+			resp.Results = resp.Results[1:]
+		}
+		reply, _ = resp.MarshalBinary()
+	case transport.OpReportBatch:
+		var req server.ReportBatchRequest
+		if err := req.UnmarshalBinary(payload); err != nil {
+			return err
+		}
+		resp := server.ReportBatchResponse{Results: make([]server.ReportResult, len(req.Reports))}
+		reply, _ = resp.MarshalBinary()
+	default:
+		return fmt.Errorf("fake: raw forward of opcode %#x", op)
 	}
-	return make([]server.ReportResult, n), nil
+	return dec(reply)
 }
 
 func (f *fakePeer) Close() error {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,38 +28,321 @@ const (
 	// big enough to amortize the frame, small enough to keep owner-side
 	// decode latency flat.
 	relayFlushBytes = 128 << 10
+	// relayHdr is the room a coalescing buffer keeps ahead of its items for
+	// the count prefix, written once the count is final: the hop payload is
+	// built in place, once.
+	relayHdr = binary.MaxVarintLen16
 )
 
-// relayOut is one coalesced flush's verdict, delivered to every contributing
-// group. Exactly one of the three shapes applies: res holds the group's
-// results (success), fallback asks the contributor to apply its items
-// locally (the flush provably never left this node), or typed carries the
-// error to report on each item (authoritative rejection or ambiguous
+// batchOps is what differs between the check-in and the report batch paths;
+// everything else in this file is generic over it. The two instances are
+// package-level, so the hot path passes no closures.
+type batchOps[Req, Res any] struct {
+	op      byte // the batch opcode a raw hop frame carries
+	items   func(*server.BatchBuf) *[]Req
+	id      func(*Req) string
+	slots   func(*server.BatchBuf, int) []Res                        // the merged result slots
+	serve   func(*server.Manager, *server.BatchBuf, *obs.Span) []Res // apply the buffer's items here, out of the buffer
+	relay   func(*peer) *relay[Req, Res]
+	next    func(*server.ResultCursor, *Res) // decode an owner's next result into a slot
+	decode  func(payload []byte) ([]Req, error)
+	typed   func(PeerClient, []Req, uint64) ([]Res, error) // the version-negotiated forward
+	errItem func(msg string) Res
+	waits   sync.Pool // of *batchWait[Res]
+}
+
+var checkInOps = batchOps[server.CheckIn, server.CheckInResult]{
+	op:    transport.OpCheckInBatch,
+	items: func(b *server.BatchBuf) *[]server.CheckIn { return &b.CheckIns },
+	id:    func(ci *server.CheckIn) string { return ci.DeviceID },
+	slots: (*server.BatchBuf).CheckInSlots,
+	serve: (*server.Manager).CheckInBatchBuf,
+	relay: func(p *peer) *relay[server.CheckIn, server.CheckInResult] { return p.ciRelay },
+	next:  (*server.ResultCursor).CheckIn,
+	decode: func(payload []byte) ([]server.CheckIn, error) {
+		var req server.CheckInBatchRequest
+		err := req.UnmarshalBinary(payload)
+		return req.CheckIns, err
+	},
+	typed:   PeerClient.CheckInBatchForward,
+	errItem: func(msg string) server.CheckInResult { return server.CheckInResult{Error: msg} },
+}
+
+var reportOps = batchOps[server.Report, server.ReportResult]{
+	op:    transport.OpReportBatch,
+	items: func(b *server.BatchBuf) *[]server.Report { return &b.Reports },
+	id:    func(r *server.Report) string { return r.DeviceID },
+	slots: (*server.BatchBuf).ReportSlots,
+	serve: (*server.Manager).ReportBatchBuf,
+	relay: func(p *peer) *relay[server.Report, server.ReportResult] { return p.repRelay },
+	next:  (*server.ResultCursor).Report,
+	decode: func(payload []byte) ([]server.Report, error) {
+		var req server.ReportBatchRequest
+		err := req.UnmarshalBinary(payload)
+		return req.Reports, err
+	},
+	typed:   PeerClient.ReportBatchForward,
+	errItem: func(msg string) server.ReportResult { return server.ReportResult{Error: msg} },
+}
+
+// plan writes the flat owner plan of items into b under snap and returns how
+// many live remote owners the batch touches. Groups are the ring's member
+// indices, plus one last group for what is served here: items this node
+// owns, unroutable ones, and those of a down owner — counted as one fallback
+// per owner per batch (frame granularity, matching forwardsOut). One hash and
+// one table load per item; with nothing remote the sort is skipped and
+// b.Order is not valid.
+func plan[Req any](c *Cluster, snap *snapshot, b *server.BatchBuf, items []Req, id func(*Req) string) (remote int) {
+	local := int32(len(snap.table) - 1)
+	n, starts := len(items), len(snap.table)+2
+	b.Owner, b.Order = slices.Grow(b.Owner[:0], n)[:n], slices.Grow(b.Order[:0], n)[:n]
+	b.Start = slices.Grow(b.Start[:0], starts)[:starts]
+	clear(b.Start)
+	// Counted two places up, so that the prefix sums are each group's start
+	// one place up, and the scatter, advancing them, leaves them in place.
+	count := b.Start[2:]
+	for i := range items {
+		g := local
+		if k := id(&items[i]); k != "" {
+			g = int32(snap.ring.OwnerIndex(k))
+		}
+		b.Owner[i] = g
+		count[g]++
+	}
+	for m, p := range snap.table[:local] {
+		switch {
+		case count[m] == 0:
+		case p != nil:
+			remote++
+		default:
+			if m != c.self {
+				c.localFallbacks.Add(1)
+			}
+			count[local] += count[m]
+			count[m] = 0
+		}
+	}
+	if remote == 0 {
+		return 0
+	}
+	for g := 1; g < len(b.Start); g++ {
+		b.Start[g] += b.Start[g-1]
+	}
+	for i, g := range b.Owner {
+		if snap.table[g] == nil {
+			g = local
+		}
+		b.Order[b.Start[g+1]] = int32(i)
+		b.Start[g+1]++
+	}
+	return remote
+}
+
+// relayGroup is one batch's share of one hop: the item indices it forwards (a
+// range of its BatchBuf's plan) and the batch's result slots, which whoever
+// sends the hop fills at those indices before releasing the batch through
+// wait. Otherwise exactly one of two verdicts is set: fallback asks the batch
+// to apply the items locally (the hop provably never left this node), typed
+// carries the error to report on each (authoritative rejection or ambiguous
 // outcome; see forwardFailed).
-type relayOut[Res any] struct {
-	res      []Res
+type relayGroup[Res any] struct {
+	idxs     []int32
+	out      []Res
+	wait     *sync.WaitGroup
 	fallback bool
 	typed    error
 }
 
-// relayGroup is one batch's contribution to a coalesced flush: n items,
-// answered once on ch.
-type relayGroup[Res any] struct {
-	n  int
-	ch chan relayOut[Res]
+// batchWait is what a split batch blocks on while its hops are out: one group
+// per live remote owner. Pooled in batchOps.
+type batchWait[Res any] struct {
+	wg     sync.WaitGroup
+	groups []relayGroup[Res]
 }
 
-// relayBatch is a detached coalesced batch, ready to send: the concatenated
+// forwardBatch is the engine behind every batch entry point: split by owner
+// (plan), hand each remote group to its owner, apply the local group inline
+// while the hops are out, and merge everything into b's result slots in
+// request order with per-item errors preserved. With raw's still-encoded
+// items a remote group is contributed to the owner's relay, which splices the
+// byte ranges into a coalesced hop frame; without (HTTP JSON, v1 frames) it is
+// gathered and sent typed, one frame per group. A remote group whose hop
+// provably never left this node is applied locally (degraded mode); a group
+// the owner rejected, or whose outcome is unknown, reports the failure on each
+// of its items via errItem — items are never dropped, and never guess-applied
+// on the wrong node. One in-flight permit covers the whole batch's hops. The
+// returned bool reports whether any item was planned onto a peer (the
+// forwarded flag a ring-aware client reads as "your topology is stale"). A
+// sampled span's hop stage spans first-send-to-last-verdict — the local
+// slice is served meanwhile, so the mark is the wall time the request
+// genuinely spent waiting on peers.
+func forwardBatch[Req, Res any](c *Cluster, o *batchOps[Req, Res], b *server.BatchBuf, raw server.RawItems, sp *obs.Span) ([]Res, bool) {
+	items := *o.items(b)
+	if len(raw.Bounds) != len(items)+1 {
+		raw.Data = nil
+	}
+	snap := c.snap.Load()
+	remote := plan(c, snap, b, items, o.id)
+	if remote == 0 {
+		// Every item is local, in request order: serve the batch as-is, no
+		// gather copy, no merge. This is the steady state under ring-aware
+		// clients.
+		c.directRoutedBatches.Add(1)
+		return o.serve(c.m, b, sp), false
+	}
+	if !c.acquireForward() {
+		// Draining: every remote group is applied locally, so the batch is
+		// served whole.
+		c.localFallbacks.Add(int64(remote))
+		return o.serve(c.m, b, sp), false
+	}
+	defer c.inflight.Done()
+	sp.SetForwarded()
+	var t0 time.Time
+	if sp != nil {
+		t0 = time.Now()
+	}
+	out := o.slots(b, len(items))
+	w, _ := o.waits.Get().(*batchWait[Res])
+	if w == nil {
+		w = new(batchWait[Res])
+	}
+	w.groups = slices.Grow(w.groups[:0], remote) // no regrowth below: the relays hold pointers into it
+	w.wg.Add(remote)
+	local := len(snap.table) - 1
+	for m, p := range snap.table[:local] {
+		idxs := b.Order[b.Start[m]:b.Start[m+1]]
+		if len(idxs) == 0 {
+			continue
+		}
+		w.groups = append(w.groups, relayGroup[Res]{idxs: idxs, out: out, wait: &w.wg})
+		g := &w.groups[len(w.groups)-1]
+		if raw.Data != nil {
+			o.relay(p).contribute(raw, g, sp.TraceID())
+		} else {
+			go forwardTyped(c, o, p.c, items, g, sp.TraceID())
+		}
+	}
+	serveLocal(c, o, b, b.Order[b.Start[local]:], out, sp)
+	w.wg.Wait()
+	for i := range w.groups {
+		switch g := &w.groups[i]; {
+		case g.typed != nil:
+			fill := o.errItem(g.typed.Error())
+			for _, i := range g.idxs {
+				out[i] = fill
+			}
+		case g.fallback:
+			serveLocal(c, o, b, g.idxs, out, sp)
+		}
+	}
+	clear(w.groups)
+	o.waits.Put(w)
+	if sp != nil {
+		sp.Mark(obs.StageHop, time.Since(t0))
+	}
+	return out, true
+}
+
+// serveLocal applies the idxs items of b's batch on this node — gathered
+// into, and served out of, b.Sub() — and merges the results into out.
+func serveLocal[Req, Res any](c *Cluster, o *batchOps[Req, Res], b *server.BatchBuf, idxs []int32, out []Res, sp *obs.Span) {
+	if len(idxs) == 0 {
+		return
+	}
+	sub := b.Sub()
+	items, dst := *o.items(b), o.items(sub)
+	*dst = (*dst)[:0]
+	for _, i := range idxs {
+		*dst = append(*dst, items[i])
+	}
+	for j, res := range o.serve(c.m, sub, sp) {
+		out[idxs[j]] = res
+	}
+}
+
+// forwardTyped sends one remote group as a frame of its own through the
+// version-negotiated typed forward, re-encoding the gathered items.
+func forwardTyped[Req, Res any](c *Cluster, o *batchOps[Req, Res], pc PeerClient, items []Req, g *relayGroup[Res], trace uint64) {
+	sub := make([]Req, len(g.idxs))
+	for j, i := range g.idxs {
+		sub[j] = items[i]
+	}
+	c.forwardsOut.Add(1)
+	res, err := o.forward(pc, sub, trace)
+	deliver(c, []*relayGroup[Res]{g}, res, err)
+}
+
+// forward is o.typed with the reply's length checked.
+func (o *batchOps[Req, Res]) forward(pc PeerClient, items []Req, trace uint64) ([]Res, error) {
+	res, err := o.typed(pc, items, trace)
+	if err == nil && len(res) != len(items) {
+		err = shortReply(len(res), len(items))
+	}
+	return res, err
+}
+
+func shortReply(got, want int) error {
+	return fmt.Errorf("cluster: owner answered %d results for %d forwarded items", got, want)
+}
+
+// deliver ends one hop for the groups it carried, in contribution order: a
+// typed reply res is scattered over their slots (nil when the slots were
+// filled during decode), an error becomes every group's verdict (see
+// forwardFailed), and each group's batch is released. A group is not touched
+// after its release.
+func deliver[Res any](c *Cluster, groups []*relayGroup[Res], res []Res, err error) {
+	var fallback bool
+	var typed error
+	if err != nil {
+		fallback, typed = c.forwardFailed(err)
+	}
+	for _, g := range groups {
+		if err == nil && res != nil {
+			for j, i := range g.idxs {
+				g.out[i] = res[j]
+			}
+			res = res[len(g.idxs):]
+		}
+		g.fallback, g.typed = fallback, typed
+		g.wait.Done()
+	}
+}
+
+// relayBatch is a coalesced batch: relayHdr spare bytes then the concatenated
 // still-encoded items, their count, the groups awaiting the verdict, and the
 // trace context the hop frame carries. One frame carries one trace, so the
 // first sampled contributor's trace ID wins the round — sampling is sparse
 // enough (1-in-64 by default) that two sampled requests colliding in one
-// commit round is rare, and losing a hop mark merely under-samples.
-type relayBatch[Res any] struct {
+// commit round is rare, and losing a hop mark merely under-samples. Batches
+// cycle through their relay's pool; dec is bound once per batch, so handing
+// it to the peer client allocates nothing.
+type relayBatch[Req, Res any] struct {
+	o      *batchOps[Req, Res]
 	buf    []byte
 	items  int
 	groups []*relayGroup[Res]
 	trace  uint64
+	dec    func(reply []byte) error
+	cur    server.ResultCursor // decode's; here because o.next would move a local to the heap
+}
+
+// decode walks the owner's reply once, each result straight into the slot of
+// the item it answers.
+func (b *relayBatch[Req, Res]) decode(reply []byte) error {
+	cur := &b.cur
+	if n := cur.Count(reply); n != b.items {
+		if err := cur.Finish(); err != nil {
+			return err
+		}
+		return shortReply(n, b.items)
+	}
+	for _, g := range b.groups {
+		for _, i := range g.idxs {
+			b.o.next(cur, &g.out[i])
+		}
+	}
+	return cur.Finish()
 }
 
 // relay is the per-peer, per-operation coalescer, shaped as a group commit:
@@ -71,67 +355,67 @@ type relayBatch[Res any] struct {
 // beyond any window worth configuring here. Size overflow (relayFlushItems /
 // relayFlushBytes / MaxBatch) detaches for a parallel flush so one slow
 // commit round can't stall a hot peer.
-type relay[Res any] struct {
-	c *Cluster
-	p *peer
-	// sendRaw forwards the coalesced items without re-encoding; it returns
-	// client.ErrRawUnsupported when the peer connection negotiated v1, in
-	// which case sendTyped re-sends by decoding the buffer and taking the
-	// typed (version-negotiated) forward path.
-	sendRaw   func(pc PeerClient, items []byte, n int, trace uint64) ([]Res, error)
-	sendTyped func(pc PeerClient, items []byte, n int, trace uint64) ([]Res, error)
+type relay[Req, Res any] struct {
+	c    *Cluster
+	p    *peer
+	o    *batchOps[Req, Res]
+	loop func()    // commitLoop, bound once: `go r.loop()` allocates nothing
+	free sync.Pool // of *relayBatch[Req, Res]
 
 	mu       sync.Mutex
-	buf      []byte
-	items    int
-	groups   []*relayGroup[Res]
-	trace    uint64
-	inFlight bool // a commit flush is on the wire; commitLoop drains what accumulates
+	cur      *relayBatch[Req, Res] // coalescing; nil when nothing is pending
+	commit   *relayBatch[Req, Res] // detached for commitLoop to flush next
+	inFlight bool                  // a commitLoop is running and drains what accumulates
 }
 
-func newRelay[Res any](c *Cluster, p *peer,
-	sendRaw, sendTyped func(pc PeerClient, items []byte, n int, trace uint64) ([]Res, error)) *relay[Res] {
-	return &relay[Res]{c: c, p: p, sendRaw: sendRaw, sendTyped: sendTyped}
+func newRelay[Req, Res any](c *Cluster, p *peer, o *batchOps[Req, Res]) *relay[Req, Res] {
+	r := &relay[Req, Res]{c: c, p: p, o: o}
+	r.loop = r.commitLoop
+	return r
 }
 
-// contribute splices the idxs item ranges of raw into the coalescing buffer
-// and returns the group to wait on. The copy happens before contribute
-// returns, which is what lets the transport recycle raw.Data when its
-// handler finishes. The caller must hold an inflight permit (acquireForward)
-// until the group's verdict arrives.
-func (r *relay[Res]) contribute(raw server.RawItems, idxs []int, trace uint64) *relayGroup[Res] {
-	g := &relayGroup[Res]{n: len(idxs), ch: make(chan relayOut[Res], 1)}
-	var full *relayBatch[Res]
+// contribute splices the g.idxs item ranges of raw into the coalescing
+// buffer; g's batch is released once the hop carrying them has a verdict. The
+// copy happens before contribute returns, which is what lets the transport
+// recycle raw.Data when its handler finishes. The caller must hold an
+// inflight permit (acquireForward) until then.
+func (r *relay[Req, Res]) contribute(raw server.RawItems, g *relayGroup[Res], trace uint64) {
+	var full, sized *relayBatch[Req, Res]
+	start := false
 	r.mu.Lock()
 	// Never let a coalesced batch cross MaxBatch: the owner's service layer
 	// rejects larger hop frames outright.
-	if r.items > 0 && r.items+len(idxs) > server.MaxBatch {
-		full = r.detachLocked()
+	if r.cur != nil && r.cur.items+len(g.idxs) > server.MaxBatch {
+		full, r.cur = r.cur, nil
 	}
-	if r.buf == nil {
-		r.buf = transport.GetBuf(4096)
+	b := r.cur
+	if b == nil {
+		if b, _ = r.free.Get().(*relayBatch[Req, Res]); b == nil {
+			b = &relayBatch[Req, Res]{o: r.o}
+			b.dec = b.decode
+		}
+		b.buf = transport.GetBuf(4096)[:relayHdr]
+		r.cur = b
 	}
-	for _, i := range idxs {
-		r.buf = append(r.buf, raw.Data[raw.Bounds[i]:raw.Bounds[i+1]]...)
+	for _, i := range g.idxs {
+		b.buf = append(b.buf, raw.Data[raw.Bounds[i]:raw.Bounds[i+1]]...)
 	}
-	r.items += len(idxs)
-	r.groups = append(r.groups, g)
-	if r.trace == 0 {
-		r.trace = trace
+	b.items += len(g.idxs)
+	b.groups = append(b.groups, g)
+	if b.trace == 0 {
+		b.trace = trace
 	}
-	var sized *relayBatch[Res]
-	var commit *relayBatch[Res]
 	switch {
-	case r.items >= relayFlushItems || len(r.buf) >= relayFlushBytes:
+	case b.items >= relayFlushItems || len(b.buf) >= relayFlushBytes:
 		// Overflow valve: don't let a batch grow unboundedly behind the
 		// in-flight commit — detach and send it in parallel right away.
-		sized = r.detachLocked()
+		sized, r.cur = b, nil
 	case !r.inFlight:
 		// Idle relay: waiting can only add latency. Flush immediately and
 		// let whatever arrives during the flush accumulate for the next
 		// commit round.
-		r.inFlight = true
-		commit = r.detachLocked()
+		r.inFlight, start = true, true
+		r.commit, r.cur = b, nil
 	}
 	r.mu.Unlock()
 	if full != nil {
@@ -140,219 +424,80 @@ func (r *relay[Res]) contribute(raw server.RawItems, idxs []int, trace uint64) *
 	if sized != nil {
 		go r.flush(sized)
 	}
-	if commit != nil {
-		go r.commitLoop(commit)
+	if start {
+		go r.loop()
 	}
-	return g
 }
 
-// detachLocked takes ownership of the current batch and resets the
-// coalescing state. Caller holds mu.
-func (r *relay[Res]) detachLocked() *relayBatch[Res] {
-	b := &relayBatch[Res]{buf: r.buf, items: r.items, groups: r.groups, trace: r.trace}
-	r.buf, r.items, r.groups, r.trace = nil, 0, nil, 0
-	return b
-}
-
-// commitLoop is the group-commit driver: flush the batch, then keep flushing
-// whatever accumulated while the previous flush was on the wire, until a
-// round ends with nothing pending. Exactly one commitLoop runs per relay
-// (guarded by inFlight), so hop frames for coalesced traffic stay ordered
-// per peer while overflow flushes may overtake in parallel.
-func (r *relay[Res]) commitLoop(b *relayBatch[Res]) {
-	for b != nil {
+// commitLoop is the group-commit driver: flush the detached batch, then keep
+// flushing whatever accumulated while the previous flush was on the wire,
+// until a round ends with nothing pending. Exactly one commitLoop runs per
+// relay (guarded by inFlight), so hop frames for coalesced traffic stay
+// ordered per peer while overflow flushes may overtake in parallel.
+func (r *relay[Req, Res]) commitLoop() {
+	r.mu.Lock()
+	for r.commit != nil {
+		b := r.commit
+		r.mu.Unlock()
 		r.flush(b)
 		r.mu.Lock()
-		if r.items > 0 {
-			b = r.detachLocked()
+		r.commit, r.cur = r.cur, nil
+	}
+	r.inFlight = false
+	r.mu.Unlock()
+}
+
+// flush sends one detached batch to the peer and delivers the verdict to
+// every contributing group. One flush is one hop frame (forwards_out counts
+// frames, exactly as the typed path does) and its payload size feeds
+// forward_bytes_out.
+func (r *relay[Req, Res]) flush(b *relayBatch[Req, Res]) {
+	var count [relayHdr]byte
+	n := binary.PutUvarint(count[:], uint64(b.items))
+	payload := b.buf[relayHdr-n:]
+	copy(payload, count[:n])
+	r.c.forwardsOut.Add(1)
+	r.c.forwardBytesOut.Add(int64(len(payload)))
+	var res []Res
+	err := r.p.c.ForwardRaw(r.o.op, payload, b.trace, b.dec)
+	if errors.Is(err, client.ErrRawUnsupported) {
+		// v1 peer: decode our own buffer — the bytes came off our own wire, so
+		// this cannot fail in practice, but a failure is still surfaced as a
+		// forward error rather than guessed around — and take the negotiated
+		// typed path.
+		var items []Req
+		if items, err = r.o.decode(payload); err != nil {
+			err = fmt.Errorf("cluster: relay re-decode: %w", err)
 		} else {
-			r.inFlight = false
-			b = nil
+			res, err = r.o.forward(r.p.c, items, b.trace)
 		}
-		r.mu.Unlock()
 	}
-}
-
-// flush sends one detached batch to the peer and distributes the verdict to
-// every contributing group, in contribution order. One flush is one hop
-// frame (forwards_out counts frames, exactly as the legacy per-batch path
-// did) and its payload size feeds forward_bytes_out.
-func (r *relay[Res]) flush(b *relayBatch[Res]) {
-	c := r.c
-	c.forwardsOut.Add(1)
-	c.forwardBytesOut.Add(int64(len(b.buf) + uvarintLen(uint64(b.items))))
-	res, err := r.sendRaw(r.p.c, b.buf, b.items, b.trace)
-	if err != nil && errors.Is(err, client.ErrRawUnsupported) {
-		// v1 peer: decode our own buffer and take the negotiated typed path.
-		res, err = r.sendTyped(r.p.c, b.buf, b.items, b.trace)
-	}
-	if err == nil && len(res) != b.items {
-		err = fmt.Errorf("cluster: owner answered %d results for %d forwarded items", len(res), b.items)
-	}
-	var out relayOut[Res]
-	if err != nil {
-		fallback, typed := c.forwardFailed(err)
-		out = relayOut[Res]{fallback: fallback, typed: typed}
-	}
-	off := 0
-	for _, g := range b.groups {
-		o := out
-		if err == nil {
-			o.res = res[off : off+g.n]
-		}
-		off += g.n
-		g.ch <- o
-	}
+	deliver(r.c, b.groups, res, err)
 	transport.PutBuf(b.buf)
+	clear(b.groups)
+	b.buf, b.items, b.groups, b.trace = nil, 0, b.groups[:0], 0
+	r.free.Put(b)
 }
 
-// uvarintLen is the encoded size of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+// CheckInBatchBuf implements server.RawRouter (see forwardBatch).
+func (c *Cluster) CheckInBatchBuf(b *server.BatchBuf, raw server.RawItems, sp *obs.Span) ([]server.CheckInResult, bool) {
+	return forwardBatch(c, &checkInOps, b, raw, sp)
 }
 
-// decodeRawPayload rebuilds the canonical batch-request payload (uvarint
-// count followed by the items) from a relay buffer, for the typed-fallback
-// path and for tests.
-func decodeRawPayload(items []byte, n int) []byte {
-	payload := binary.AppendUvarint(make([]byte, 0, len(items)+binary.MaxVarintLen64), uint64(n))
-	return append(payload, items...)
+// ReportBatchBuf implements server.RawRouter (see forwardBatch).
+func (c *Cluster) ReportBatchBuf(b *server.BatchBuf, raw server.RawItems, sp *obs.Span) ([]server.ReportResult, bool) {
+	return forwardBatch(c, &reportOps, b, raw, sp)
 }
 
-// rawBatch is forwardBatch's zero-copy twin: same split/fan-out/merge
-// contract, but remote groups contribute their still-encoded item ranges to
-// the per-peer relay instead of re-encoding a fresh frame each. The bool
-// reports whether any item was planned onto a peer (the forwarded flag). A
-// sampled span's hop stage spans contribute-to-last-verdict — the local
-// slice is served while the hop frames are outstanding, so the mark is the
-// wall time the request genuinely spent waiting on peers.
-func rawBatch[Req, Res any](c *Cluster, items []Req, raw server.RawItems, sp *obs.Span,
-	deviceID func(Req) string, getRelay func(p *peer) *relay[Res],
-	local func([]Req) []Res, errItem func(msg string) Res) ([]Res, bool) {
-	plan := c.planBatch(len(items), func(i int) string { return deviceID(items[i]) })
-	if len(plan.remote) == 0 {
-		// Every item is local, in request order: serve the batch as-is, no
-		// gather copy, no merge. This is the steady state under ring-aware
-		// clients.
-		c.directRoutedBatches.Add(1)
-		return local(items), false
-	}
-	out := make([]Res, len(items))
-	type pending struct {
-		idxs []int
-		g    *relayGroup[Res]
-	}
-	var pend []pending
-	forwarded := false
-	for p, idxs := range plan.remote {
-		if !c.acquireForward() {
-			c.localFallbacks.Add(1)
-			plan.local = append(plan.local, idxs...)
-			continue
-		}
-		forwarded = true
-		pend = append(pend, pending{idxs: idxs, g: getRelay(p).contribute(raw, idxs, sp.TraceID())})
-	}
-	var t0 time.Time
-	if sp != nil && len(pend) > 0 {
-		sp.SetForwarded()
-		t0 = time.Now()
-	}
-	gather := func(idxs []int) []Req {
-		sub := make([]Req, len(idxs))
-		for j, i := range idxs {
-			sub[j] = items[i]
-		}
-		return sub
-	}
-	if len(plan.local) > 0 {
-		res := local(gather(plan.local))
-		for j, i := range plan.local {
-			out[i] = res[j]
-		}
-	}
-	for _, pg := range pend {
-		verdict := <-pg.g.ch
-		switch {
-		case verdict.typed != nil:
-			fill := errItem(verdict.typed.Error())
-			for _, i := range pg.idxs {
-				out[i] = fill
-			}
-		case verdict.fallback:
-			res := local(gather(pg.idxs))
-			for j, i := range pg.idxs {
-				out[i] = res[j]
-			}
-		default:
-			for j, i := range pg.idxs {
-				out[i] = verdict.res[j]
-			}
-		}
-		c.inflight.Done()
-	}
-	if sp != nil && len(pend) > 0 {
-		sp.Mark(obs.StageHop, time.Since(t0))
-	}
-	return out, forwarded
-}
-
-// CheckInBatchRaw implements server.RawRouter (see rawBatch).
+// CheckInBatchRaw is CheckInBatchBuf over a fresh BatchBuf, for callers that
+// hold no buffer to serve out of.
 func (c *Cluster) CheckInBatchRaw(cis []server.CheckIn, raw server.RawItems, sp *obs.Span) ([]server.CheckInResult, bool) {
-	if c.cfg.DisableRelay || raw.Data == nil || len(raw.Bounds) != len(cis)+1 {
-		return c.CheckInBatch(cis, sp)
-	}
-	return rawBatch(c, cis, raw, sp,
-		func(ci server.CheckIn) string { return ci.DeviceID },
-		func(p *peer) *relay[server.CheckInResult] { return p.ciRelay },
-		func(sub []server.CheckIn) []server.CheckInResult { return c.m.CheckInBatchSpan(sub, sp) },
-		func(msg string) server.CheckInResult { return server.CheckInResult{Error: msg} })
+	return c.CheckInBatchBuf(&server.BatchBuf{CheckIns: cis}, raw, sp)
 }
 
-// ReportBatchRaw implements server.RawRouter (see rawBatch).
+// ReportBatchRaw is ReportBatchBuf over a fresh BatchBuf (see CheckInBatchRaw).
 func (c *Cluster) ReportBatchRaw(rs []server.Report, raw server.RawItems, sp *obs.Span) ([]server.ReportResult, bool) {
-	if c.cfg.DisableRelay || raw.Data == nil || len(raw.Bounds) != len(rs)+1 {
-		return c.ReportBatch(rs, sp)
-	}
-	return rawBatch(c, rs, raw, sp,
-		func(r server.Report) string { return r.DeviceID },
-		func(p *peer) *relay[server.ReportResult] { return p.repRelay },
-		func(sub []server.Report) []server.ReportResult { return c.m.ReportBatchSpan(sub, sp) },
-		func(msg string) server.ReportResult { return server.ReportResult{Error: msg} })
+	return c.ReportBatchBuf(&server.BatchBuf{Reports: rs}, raw, sp)
 }
 
 var _ server.RawRouter = (*Cluster)(nil)
-
-// newPeerRelays wires a peer's two coalescers. The typed fallbacks decode
-// the relay buffer back into items via the canonical batch codec — the
-// bytes came off our own wire, so this cannot fail in practice, but a
-// failure is still surfaced as a forward error rather than guessed around.
-func newPeerRelays(c *Cluster, p *peer) {
-	p.ciRelay = newRelay(c, p,
-		func(pc PeerClient, items []byte, n int, trace uint64) ([]server.CheckInResult, error) {
-			return pc.CheckInBatchForwardRaw(items, n, trace)
-		},
-		func(pc PeerClient, items []byte, n int, trace uint64) ([]server.CheckInResult, error) {
-			var req server.CheckInBatchRequest
-			if err := req.UnmarshalBinary(decodeRawPayload(items, n)); err != nil {
-				return nil, fmt.Errorf("cluster: relay re-decode: %w", err)
-			}
-			return pc.CheckInBatchForward(req.CheckIns, trace)
-		})
-	p.repRelay = newRelay(c, p,
-		func(pc PeerClient, items []byte, n int, trace uint64) ([]server.ReportResult, error) {
-			return pc.ReportBatchForwardRaw(items, n, trace)
-		},
-		func(pc PeerClient, items []byte, n int, trace uint64) ([]server.ReportResult, error) {
-			var req server.ReportBatchRequest
-			if err := req.UnmarshalBinary(decodeRawPayload(items, n)); err != nil {
-				return nil, fmt.Errorf("cluster: relay re-decode: %w", err)
-			}
-			return pc.ReportBatchForward(req.Reports, trace)
-		})
-}

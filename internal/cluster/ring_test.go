@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -107,6 +108,28 @@ func TestRingEdgeCases(t *testing.T) {
 		if one.Owner(k) != "solo" {
 			t.Fatal("single-member ring must own everything")
 		}
+	}
+}
+
+// TestOwnerIndexAgreesWithOwner: the index the batch plan routes by names the
+// member Owner names, on every ring size a small federation has.
+func TestOwnerIndexAgreesWithOwner(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for n := 1; n <= 5; n++ {
+		var members []string
+		for i := 0; i < n; i++ {
+			members = append(members, fmt.Sprintf("10.0.0.%d:8081", n-i)) // unsorted on purpose
+		}
+		r := NewRing(members, 0)
+		for k := 0; k < 10000; k++ {
+			key := fmt.Sprintf("dev-%x", rng.Uint64())
+			if i := r.OwnerIndex(key); i < 0 || i >= n || r.Members()[i] != r.Owner(key) {
+				t.Fatalf("%d members, key %q: OwnerIndex %d, Owner %q, Members %q", n, key, i, r.Owner(key), r.Members())
+			}
+		}
+	}
+	if i := NewRing(nil, 0).OwnerIndex("x"); i != -1 {
+		t.Fatalf("empty ring OwnerIndex = %d, want -1", i)
 	}
 }
 

@@ -36,7 +36,7 @@ const bucketBits = 12
 type Ring struct {
 	vnodes  int
 	hashes  []uint32 // sorted point hashes
-	owners  []string // owners[i] owns the arc ending at hashes[i]
+	owners  []int32  // members[owners[i]] owns the arc ending at hashes[i]
 	members []string // sorted, deduplicated member IDs
 	bucket  []int32  // bucket[j] = first i with hashes[i] >= j<<(32-bucketBits)
 }
@@ -61,17 +61,18 @@ func New(members []string, vnodes int) *Ring {
 	r := &Ring{vnodes: vnodes, members: uniq}
 	type point struct {
 		hash  uint32
-		owner string
+		owner int32
 	}
 	points := make([]point, 0, len(uniq)*vnodes)
-	for _, m := range uniq {
+	for mi, m := range uniq {
 		base := m + "#"
 		for i := 0; i < vnodes; i++ {
-			points = append(points, point{hash: Hash(base + strconv.Itoa(i)), owner: m})
+			points = append(points, point{hash: Hash(base + strconv.Itoa(i)), owner: int32(mi)})
 		}
 	}
-	// Ties (two members hashing one point) are broken by owner order so the
-	// ring stays a pure function of the member set.
+	// Ties (two members hashing one point) are broken by owner order (members
+	// are sorted, so index order is ID order) so the ring stays a pure
+	// function of the member set.
 	sort.Slice(points, func(i, j int) bool {
 		if points[i].hash != points[j].hash {
 			return points[i].hash < points[j].hash
@@ -79,7 +80,7 @@ func New(members []string, vnodes int) *Ring {
 		return points[i].owner < points[j].owner
 	})
 	r.hashes = make([]uint32, len(points))
-	r.owners = make([]string, len(points))
+	r.owners = make([]int32, len(points))
 	for i, p := range points {
 		r.hashes[i] = p.hash
 		r.owners[i] = p.owner
@@ -96,12 +97,21 @@ func New(members []string, vnodes int) *Ring {
 	return r
 }
 
-// Owner returns the member owning key: the first ring point at or clockwise
-// after the key's hash (wrapping at the top). An empty ring owns nothing and
+// Owner returns the member owning key; an empty ring owns nothing and
 // returns "".
 func (r *Ring) Owner(key string) string {
+	if i := r.OwnerIndex(key); i >= 0 {
+		return r.members[i]
+	}
+	return ""
+}
+
+// OwnerIndex returns the owner of key as an index into Members(): the first
+// ring point at or clockwise after the key's hash (wrapping at the top). An
+// empty ring returns -1.
+func (r *Ring) OwnerIndex(key string) int {
 	if len(r.hashes) == 0 {
-		return ""
+		return -1
 	}
 	h := Hash(key)
 	// First point >= h: the bucket index lands at (or just before) it, and
@@ -113,7 +123,7 @@ func (r *Ring) Owner(key string) string {
 	if i == len(r.hashes) {
 		i = 0
 	}
-	return r.owners[i]
+	return int(r.owners[i])
 }
 
 // Members returns the deduplicated, sorted member IDs.

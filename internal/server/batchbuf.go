@@ -6,17 +6,24 @@ import (
 )
 
 // BatchBuf is the reusable storage of one batch request: the decoded items,
-// their byte boundaries, the results, and the combiner's item slices. A
-// stream connection owns one and serves every frame out of it, so a warm
-// batch allocates nothing; the allocating entry points run the same code over
-// a fresh zero BatchBuf. Everything in it, and every result slice a …Buf call
-// returns, is valid only until the owner's next use of it; after a Decode*
-// the device IDs are views of the payload, which must stay untouched until
-// the reply is encoded.
+// their byte boundaries, the results, the combiner's item slices, and the
+// scratch of a federation router that splits the batch by owner. A stream
+// connection owns one and serves every frame out of it, local or forwarded,
+// so a warm batch allocates nothing; the allocating entry points run the same
+// code over a fresh zero BatchBuf. Everything in it, and every result slice a
+// …Buf call returns, is valid only until the owner's next use of it; after a
+// Decode* the device IDs are views of the payload, which must stay untouched
+// until the reply is encoded.
 type BatchBuf struct {
 	CheckIns []CheckIn
 	Reports  []Report
 	Bounds   []uint32 // of the batch decoded last; see RawItems
+
+	// The router's flat owner plan (see RawRouter): Owner[i] is the group
+	// serving item i, Order the item indices counting-sorted by group, and
+	// group g is Order[Start[g]:Start[g+1]].
+	Owner, Order, Start []int32
+	sub                 *BatchBuf // see Sub
 
 	checkInResults []CheckInResult
 	reportResults  []ReportResult
@@ -40,6 +47,29 @@ func fill[T any](s []T, v T) {
 	for i := range s {
 		s[i] = v
 	}
+}
+
+// CheckInSlots returns b's check-in result storage as n zeroed slots: what
+// Manager.CheckInBatchBuf answers in, and what a router merges a split batch
+// into.
+func (b *BatchBuf) CheckInSlots(n int) []CheckInResult {
+	b.checkInResults = grow(b.checkInResults, n)
+	return b.checkInResults
+}
+
+// ReportSlots is CheckInSlots for report results.
+func (b *BatchBuf) ReportSlots(n int) []ReportResult {
+	b.reportResults = grow(b.reportResults, n)
+	return b.reportResults
+}
+
+// Sub returns the buffer a router gathers the locally served part of a split
+// batch into, and serves it from: b's slots hold the merged results meanwhile.
+func (b *BatchBuf) Sub() *BatchBuf {
+	if b.sub == nil {
+		b.sub = new(BatchBuf)
+	}
+	return b.sub
 }
 
 // DecodeCheckIns decodes a v2 check-in batch payload into b.CheckIns and
@@ -69,6 +99,12 @@ func (b *BatchBuf) Release() {
 	fill(b.CheckIns, CheckIn{DeviceID: gone, CPU: bad, Mem: bad})
 	fill(b.Reports, Report{DeviceID: gone, JobID: -0x5A5A5A5B, DurationSeconds: bad})
 	fill(b.Bounds, 0xA5A5A5A5)
+	fill(b.Owner, -0x5A5A5A5B)
+	fill(b.Order, -0x5A5A5A5B)
+	fill(b.Start, -0x5A5A5A5B)
+	if b.sub != nil {
+		b.sub.Release()
+	}
 	fill(b.checkInResults, CheckInResult{Error: gone})
 	fill(b.reportResults, ReportResult{Error: gone})
 	clear(b.assigns)

@@ -497,6 +497,36 @@ func (r *CheckInBatchResponse) UnmarshalBinary(data []byte) error {
 	return d.finish()
 }
 
+// ResultCursor walks a v2 batch-response payload one result at a time,
+// decoding each straight into a slot its caller owns: Count, then CheckIn (or
+// Report) once per result, then Finish. The federation relay scatters an
+// owner's reply over its contributors' result slots this way, with no
+// intermediate slice. Decoded strings are copies, so the slots outlive the
+// payload.
+type ResultCursor struct{ d bdec }
+
+// Count starts the walk over payload and returns its result count (0 when
+// malformed; Finish then says why).
+func (c *ResultCursor) Count(payload []byte) int {
+	c.d = bdec{b: payload}
+	return c.d.count()
+}
+
+// CheckIn decodes the next result of a check-in batch response into r.
+func (c *ResultCursor) CheckIn(r *CheckInResult) {
+	*r = CheckInResult{}
+	r.decodeBinary(&c.d)
+}
+
+// Report decodes the next result of a report batch response into r.
+func (c *ResultCursor) Report(r *ReportResult) {
+	*r = ReportResult{}
+	r.decodeBinary(&c.d)
+}
+
+// Finish ends the walk: the first decode error, or trailing bytes.
+func (c *ResultCursor) Finish() error { return c.d.finish() }
+
 // AppendBinary appends the v2 wire form to b (see CheckInBatchRequest).
 func (r *ReportBatchRequest) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(r.Reports)))
@@ -536,14 +566,6 @@ func (r *ReportBatchRequest) UnmarshalBinary(data []byte) (err error) {
 	d := bdec{b: data, shared: string(data)}
 	r.Reports, _, err = decodeReports(&d, nil, nil, false)
 	return err
-}
-
-// UnmarshalBinaryBounds is UnmarshalBinary plus item byte boundaries (see
-// CheckInBatchRequest.UnmarshalBinaryBounds).
-func (r *ReportBatchRequest) UnmarshalBinaryBounds(data []byte) (bounds []uint32, err error) {
-	d := bdec{b: data, shared: string(data)}
-	r.Reports, bounds, err = decodeReports(&d, nil, nil, true)
-	return bounds, err
 }
 
 // AppendBinary appends the v2 wire form to b (see CheckInBatchRequest).

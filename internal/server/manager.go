@@ -886,14 +886,14 @@ func (m *Manager) CheckInBatch(cis []CheckIn) []CheckInResult {
 // CheckInBatchSpan is CheckInBatch carrying the batch request's span (see
 // DeviceCheckInSpan).
 func (m *Manager) CheckInBatchSpan(cis []CheckIn, sp *obs.Span) []CheckInResult {
-	return m.checkInBatch(cis, sp, &BatchBuf{})
+	return m.CheckInBatchBuf(&BatchBuf{CheckIns: cis}, sp)
 }
 
-// checkInBatch is CheckInBatchSpan with the results and the combiner's items
-// in buf's storage (see BatchBuf for how long the results stay valid).
-func (m *Manager) checkInBatch(cis []CheckIn, sp *obs.Span, buf *BatchBuf) []CheckInResult {
-	buf.checkInResults = grow(buf.checkInResults, len(cis))
-	out := buf.checkInResults
+// CheckInBatchBuf is CheckInBatchSpan of buf.CheckIns, with the results and
+// the combiner's items in buf's storage (see BatchBuf for how long the
+// results stay valid).
+func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
+	cis, out := buf.CheckIns, buf.CheckInSlots(len(buf.CheckIns))
 	if len(cis) == 0 {
 		return out
 	}
@@ -1054,13 +1054,13 @@ func (m *Manager) ReportBatch(rs []Report) []ReportResult {
 // ReportBatchSpan is ReportBatch carrying the batch request's span (see
 // DeviceCheckInSpan).
 func (m *Manager) ReportBatchSpan(rs []Report, sp *obs.Span) []ReportResult {
-	return m.reportBatch(rs, sp, &BatchBuf{})
+	return m.ReportBatchBuf(&BatchBuf{Reports: rs}, sp)
 }
 
-// reportBatch is ReportBatchSpan over buf's storage (see checkInBatch).
-func (m *Manager) reportBatch(rs []Report, sp *obs.Span, buf *BatchBuf) []ReportResult {
-	buf.reportResults = grow(buf.reportResults, len(rs))
-	out := buf.reportResults
+// ReportBatchBuf is ReportBatchSpan of buf.Reports over buf's storage (see
+// CheckInBatchBuf).
+func (m *Manager) ReportBatchBuf(buf *BatchBuf, sp *obs.Span) []ReportResult {
+	rs, out := buf.Reports, buf.ReportSlots(len(buf.Reports))
 	if len(rs) == 0 {
 		return out
 	}

@@ -124,11 +124,14 @@ type RawItems struct {
 
 // RawRouter is the zero-copy fast path of Router, taken by the transport
 // layer for v2 batch frames when the attached router supports it. Semantics
-// match CheckInBatch/ReportBatch exactly; raw is advisory (an implementation
-// may ignore it).
+// match CheckInBatch/ReportBatch exactly, served out of the connection's
+// BatchBuf: the batch is b.CheckIns (b.Reports), the router plans and gathers
+// in b's router scratch, and the results it returns are b's slots, valid
+// until the connection's next frame. raw is advisory (an implementation may
+// ignore it).
 type RawRouter interface {
-	CheckInBatchRaw(cis []CheckIn, raw RawItems, sp *obs.Span) ([]CheckInResult, bool)
-	ReportBatchRaw(rs []Report, raw RawItems, sp *obs.Span) ([]ReportResult, bool)
+	CheckInBatchBuf(b *BatchBuf, raw RawItems, sp *obs.Span) ([]CheckInResult, bool)
+	ReportBatchBuf(b *BatchBuf, raw RawItems, sp *obs.Span) ([]ReportResult, bool)
 }
 
 // Service is the transport-neutral serving core. One Service is
@@ -255,7 +258,7 @@ func (s *Service) CheckInBatchLocal(req CheckInBatchRequest, sp *obs.Span) (Chec
 // CheckInBatchBuf serves the batch in b.CheckIns out of b's storage: it is
 // CheckInBatchLocal when local is set and CheckInBatchRouted otherwise, and
 // the one implementation of both. The results are b's to reuse (see
-// BatchBuf) unless a router produced them.
+// BatchBuf), whoever produced them: a RawRouter merges into b's slots too.
 func (s *Service) CheckInBatchBuf(b *BatchBuf, raw RawItems, local bool, sp *obs.Span) ([]CheckInResult, bool, error) {
 	if len(b.CheckIns) > MaxBatch {
 		return nil, false, svcErr(CodeInvalid, fmt.Errorf("server: batch exceeds %d items", MaxBatch))
@@ -263,9 +266,9 @@ func (s *Service) CheckInBatchBuf(b *BatchBuf, raw RawItems, local bool, sp *obs
 	var results []CheckInResult
 	forwarded := false
 	if r := s.m.router(); r == nil || local {
-		results = s.m.checkInBatch(b.CheckIns, sp, b)
+		results = s.m.CheckInBatchBuf(b, sp)
 	} else if rr, ok := r.(RawRouter); ok && raw.Data != nil {
-		results, forwarded = rr.CheckInBatchRaw(b.CheckIns, raw, sp)
+		results, forwarded = rr.CheckInBatchBuf(b, raw, sp)
 	} else {
 		results, forwarded = r.CheckInBatch(b.CheckIns, sp)
 	}
@@ -330,9 +333,9 @@ func (s *Service) ReportBatchBuf(b *BatchBuf, raw RawItems, local bool, sp *obs.
 	var results []ReportResult
 	forwarded := false
 	if r := s.m.router(); r == nil || local {
-		results = s.m.reportBatch(b.Reports, sp, b)
+		results = s.m.ReportBatchBuf(b, sp)
 	} else if rr, ok := r.(RawRouter); ok && raw.Data != nil {
-		results, forwarded = rr.ReportBatchRaw(b.Reports, raw, sp)
+		results, forwarded = rr.ReportBatchBuf(b, raw, sp)
 	} else {
 		results, forwarded = r.ReportBatch(b.Reports, sp)
 	}

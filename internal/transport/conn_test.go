@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"venn/internal/client"
+	"venn/internal/cluster"
 	"venn/internal/server"
 	"venn/internal/transport"
 )
@@ -375,5 +376,61 @@ func TestWarmBatchFramesAllocateNothing(t *testing.T) {
 	}
 	if st := m.StatsSnapshot(); st.CheckIns == 0 {
 		t.Error("the check-in frames did not reach the manager")
+	}
+}
+
+// TestWarmForwardedFrameAllocatesNothing is TestWarmBatchFramesAllocateNothing
+// with a federation attached: two daemons over loopback, and a warm 64-item
+// surplus frame of which the ring gives about half to the other one. The
+// origin's side — serveFrame, the owner plan, the relay, the merge — runs on
+// the test goroutine; the hop frame, the owner serving it and the reply
+// decoded into the origin's slots run behind it; AllocsPerRun counts them all.
+func TestWarmForwardedFrameAllocatesNothing(t *testing.T) {
+	var addrs []string
+	var lns []net.Listener
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns, addrs = append(lns, ln), append(addrs, ln.Addr().String())
+	}
+	var origin *transport.Server
+	var clus []*cluster.Cluster
+	for i := range addrs {
+		m := server.NewManager(server.Config{ObsSampleEvery: -1}) // a sampled span is an allocation
+		ts := transport.NewServer(m, transport.Options{})
+		go func(ln net.Listener) { _ = ts.Serve(ln) }(lns[i])
+		// No health pings during the count; one hop connection, so that it is
+		// the warm one every time.
+		clu, err := cluster.New(m, cluster.Config{SelfID: addrs[i], Peers: addrs, HealthInterval: time.Hour, StreamConns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = clu.Close(); _ = ts.Close() })
+		clus = append(clus, clu)
+		if i == 0 {
+			origin = ts
+		}
+	}
+
+	c := &replayConn{data: checkInFrame(t, nil, 1, "warm-fwd", 64)}
+	tc := origin.NewTestConn(c)
+	serve := func() {
+		c.Rewind()
+		if !tc.ServeFrame() {
+			t.Fatal("connection ended")
+		}
+	}
+	serve() // cold: dials the peer, registers the devices, sizes the buffers
+	_, before, _, _ := clus[0].Counters()
+	if allocs := testing.AllocsPerRun(200, serve); allocs != 0 && !raceEnabled {
+		t.Errorf("warm forwarded frame: %v allocations, want 0", allocs)
+	}
+	in, out, errs, fallbacks := clus[0].Counters()
+	peerIn, _, _, _ := clus[1].Counters()
+	if out-before != 201 || peerIn != 202 || in != 0 || errs != 0 || fallbacks != 0 {
+		t.Errorf("hop frames: %d out of the origin (%d into the peer), %d errors, %d fallbacks; want one per frame, clean",
+			out-before, peerIn, errs, fallbacks)
 	}
 }

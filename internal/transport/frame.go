@@ -331,11 +331,18 @@ func appendFrame(b []byte, ver, op byte, id uint32, payload []byte) []byte {
 }
 
 // WriteFrame writes one frame to w (typically a *bufio.Writer; the caller
-// owns flushing).
+// owns flushing). A *bufio.Writer with room gets the header built in its own
+// buffer; through the io.Writer interface a local header array escapes, one
+// heap object per frame.
 func WriteFrame(w io.Writer, ver, op byte, id uint32, payload []byte) error {
-	var hdr [HeaderSize]byte
-	PutHeader(hdr[:], ver, op, id, len(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok && bw.Available() >= HeaderSize {
+		hdr = bw.AvailableBuffer()[:HeaderSize]
+	} else {
+		hdr = make([]byte, HeaderSize)
+	}
+	PutHeader(hdr, ver, op, id, len(payload))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
