@@ -28,14 +28,11 @@
 // first arm's mean JCT is worse than the second's — CI runs -ab venn,fifo,
 // so this asserts Venn's scheduling beats FIFO on the replayed trace.
 //
-// Wire-protocol gates: -min-v2-speedup asserts the current report's stream
-// rung (wire v2, binary payloads) beats its stream-v1 rung (same transport,
-// JSON payloads) by at least the given ratio, and -multicore-min-scale
-// asserts the stream-mc rung (full GOMAXPROCS, per-core listener shards)
-// scales over the single-core stream rung by at least the given factor.
-// Both compare rungs inside one report, so they apply on any hardware; the
-// multi-core gate is skipped (with a note) on single-CPU hosts, where core
-// scaling is unmeasurable.
+// Core-scaling gate: -multicore-min-scale asserts the stream-mc rung (full
+// GOMAXPROCS, per-core listener shards) scales over the single-core stream
+// rung by at least the given factor. It compares rungs inside one report, so
+// it applies on any hardware; it is skipped (with a note) on single-CPU
+// hosts, where core scaling is unmeasurable.
 //
 // Federation fast-path gates: -min-cluster-direct-speedup asserts the
 // cluster-direct rung (ring-aware clients, near-zero forwards) reaches at
@@ -183,9 +180,9 @@ func rateByMode(r report, mode string) (float64, bool) {
 	return 0, false
 }
 
-// streamRate finds the single-daemon streaming-transport rung at the newest
-// wire version. The exact-mode match matters since the ladder grew stream-v1
-// and stream-mc rungs: "first stream run" would pick the capped v1 rung.
+// streamRate finds the single-daemon, single-core streaming-transport rung.
+// The exact-mode match matters since the ladder has other stream rungs
+// (stream-mc, stream-v2-contended) that "first stream run" could pick.
 // Reports predating the mode labels fall back to the first non-cluster
 // stream run.
 func streamRate(r report) (float64, bool) {
@@ -344,7 +341,6 @@ func main() {
 		shadowPath   = flag.String("shadow-smoke", "", "comma-separated shadow-mode smoke reports: shadow counters must be present with zero dropped events and panics (optional)")
 		shadowRef    = flag.String("shadow-ref", "", "comma-separated no-shadow reference reports; -shadow-smoke's best stream rung must stay within -max-shadow-overhead of theirs")
 		maxShadowOvh = flag.Float64("max-shadow-overhead", 0.10, "maximum fractional stream-throughput loss attributable to shadow policies")
-		minV2Speedup = flag.Float64("min-v2-speedup", 0, "minimum stream (wire v2) over stream-v1 throughput ratio within the -current report (0 disables)")
 		multicoreMin = flag.Float64("multicore-min-scale", 0, "minimum stream-mc over single-core stream throughput ratio within the -current report (0 disables; skipped on single-CPU hosts)")
 		minDirect    = flag.Float64("min-cluster-direct-speedup", 0, "minimum cluster-direct (ring-aware clients) over single-daemon stream throughput ratio within the -current report (0 disables; skipped when the report has no cluster-direct rung)")
 		minContended = flag.Float64("min-contended-frac", 0, "minimum stream-v2-contended (demand-heavy) over surplus stream throughput ratio within the -current report (0 disables; skipped when the report has no contended rung)")
@@ -388,7 +384,6 @@ func main() {
 				}
 			}
 			check("batched-http", batchedRate)
-			check("stream-v1", func(r report) (float64, bool) { return rateByMode(r, "stream-v1") })
 			check("stream", streamRate)
 			check("stream-v2-contended", func(r report) (float64, bool) { return rateByMode(r, "stream-v2-contended") })
 			check("cluster", clusterRate)
@@ -410,22 +405,6 @@ func main() {
 
 		// Within-report ratio gates: same process, same hardware, so they
 		// hold regardless of what machine recorded the committed baseline.
-		if *minV2Speedup > 0 {
-			v1Rate, ok1 := rateByMode(current, "stream-v1")
-			v2Rate, ok2 := rateByMode(current, "stream")
-			switch {
-			case !ok1 || !ok2:
-				fmt.Fprintln(os.Stderr, "benchguard: FAIL -min-v2-speedup needs both stream-v1 and stream rungs in the current report")
-				failed = true
-			case v2Rate < v1Rate**minV2Speedup:
-				fmt.Fprintf(os.Stderr, "benchguard: FAIL stream wire v2 %.0f/s is only %.2fx the v1 rung's %.0f/s (floor %.2fx)\n",
-					v2Rate, v2Rate/v1Rate, v1Rate, *minV2Speedup)
-				failed = true
-			default:
-				fmt.Printf("benchguard: stream wire v2 %.0f/s vs v1 %.0f/s (%.2fx >= %.2fx) — OK\n",
-					v2Rate, v1Rate, v2Rate/v1Rate, *minV2Speedup)
-			}
-		}
 		if *multicoreMin > 0 {
 			if current.NumCPU <= 1 {
 				fmt.Println("benchguard: single-CPU host; skipping the multi-core scaling gate")

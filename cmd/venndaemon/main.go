@@ -29,8 +29,7 @@
 // high-volume agents should prefer it (see the README's Transports
 // section). Both transports drive one scheduler core. The listener runs
 // -stream-shards SO_REUSEPORT accept loops (default GOMAXPROCS) so the
-// stream path scales across cores, and -max-wire-version pins the protocol
-// version ceiling (1 emulates a pre-v2 daemon: JSON payloads only; see the
+// stream path scales across cores. The protocol has one version (see the
 // README's Wire protocol section).
 //
 // Federation: -peers federates this daemon with others into one serving
@@ -56,11 +55,10 @@
 // -blockprofile capture lock-contention and goroutine-blocking profiles at
 // shutdown, the natural lenses on the core commit pipeline.
 //
-// Core commit: -core-commit selects how scheduler-core mutations commit
-// (auto: flat combining with an uncontended fast path, the default; direct:
-// the historical per-caller lock; combine: always through the op queue —
-// see the README's Core commit pipeline section). -daily-budget=false lifts
-// the one-task-per-day device budget for sustained-demand benchmarking.
+// Core commit: scheduler-core mutations commit by flat combining with an
+// uncontended fast path (see the README's Core commit pipeline section).
+// -daily-budget=false lifts the one-task-per-day device budget for
+// sustained-demand benchmarking.
 //
 // Observability: every request feeds always-on per-op latency histograms,
 // and -obs-sample (1 in N, default 64) attaches per-stage spans that land
@@ -160,12 +158,10 @@ func main() {
 		tiers        = flag.Int("tiers", 3, "device-tier granularity V")
 		epsilon      = flag.Float64("epsilon", 0, "fairness knob")
 		shards       = flag.Int("shards", 0, "device-state lock shards (0 = default)")
-		coreCommit   = flag.String("core-commit", "", "scheduler core commit mode: auto (flat combining), direct (per-caller lock), combine (always queue); empty = auto")
 		dailyBudget  = flag.Bool("daily-budget", true, "enforce the one-task-per-device-day budget (false lifts it, for sustained-demand benchmarking)")
 		deviceTTL    = flag.Duration("device-ttl", 24*time.Hour, "evict devices not seen for this long (0 disables)")
 		maxBody      = flag.Int64("max-body-bytes", 0, "HTTP single-item request body bound in bytes (0 = default 1MiB)")
 		streamShards = flag.Int("stream-shards", 0, "SO_REUSEPORT accept shards for the stream listener (0 = GOMAXPROCS, 1 = single listener)")
-		maxWireVer   = flag.Int("max-wire-version", 0, "cap the stream protocol version served and offered to peers (0 = newest, 1 = pre-v2 JSON only)")
 		peers        = flag.String("peers", "", "comma-separated stream addresses of every cluster member (enables federation; requires -stream-addr)")
 		nodeID       = flag.String("node-id", "", "this node's member ID in -peers (default: the -stream-addr value)")
 		vnodes       = flag.Int("vnodes", 0, "virtual nodes per member on the ownership ring (0 = default 128)")
@@ -235,11 +231,6 @@ func main() {
 		stopProfile()
 		os.Exit(1)
 	}
-	if !server.CoreCommitValid(*coreCommit) {
-		fmt.Fprintf(os.Stderr, "venndaemon: unknown -core-commit %q (want auto, direct, or combine)\n", *coreCommit)
-		stopProfile()
-		os.Exit(1)
-	}
 	var shadowList []string
 	if *shadowPols != "" {
 		for _, name := range strings.Split(*shadowPols, ",") {
@@ -263,17 +254,10 @@ func main() {
 		Seed:               *seed,
 		Shards:             *shards,
 		DeviceTTL:          *deviceTTL,
-		CoreCommit:         *coreCommit,
 		DisableDailyBudget: !*dailyBudget,
 		ObsSampleEvery:     *obsSample,
 	})
 	defer m.StopShadows()
-
-	if *maxWireVer < 0 || *maxWireVer > int(transport.MaxVersion) {
-		fmt.Fprintf(os.Stderr, "venndaemon: -max-wire-version %d out of range (1..%d)\n", *maxWireVer, transport.MaxVersion)
-		stopProfile()
-		os.Exit(1)
-	}
 
 	var streamFailed atomic.Bool
 	var streamSrv *transport.Server
@@ -282,7 +266,7 @@ func main() {
 		acceptShards = runtime.GOMAXPROCS(0)
 	}
 	if *streamAddr != "" {
-		streamSrv = transport.NewServer(m, transport.Options{MaxVersion: byte(*maxWireVer)})
+		streamSrv = transport.NewServer(m, transport.Options{})
 		go func() {
 			if err := streamSrv.ListenAndServeSharded(*streamAddr, acceptShards); err != nil && !errors.Is(err, transport.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "venndaemon: stream listener:", err)
@@ -305,10 +289,9 @@ func main() {
 		}
 		var err error
 		clu, err = cluster.New(m, cluster.Config{
-			SelfID:         self,
-			Peers:          strings.Split(*peers, ","),
-			VNodes:         *vnodes,
-			MaxWireVersion: *maxWireVer,
+			SelfID: self,
+			Peers:  strings.Split(*peers, ","),
+			VNodes: *vnodes,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "venndaemon:", err)
@@ -344,17 +327,11 @@ func main() {
 	if len(shadowList) > 0 {
 		fmt.Printf(" shadows=%s", strings.Join(m.ShadowPolicies(), ","))
 	}
-	if *coreCommit != "" {
-		fmt.Printf(" core-commit=%s", *coreCommit)
-	}
 	if !*dailyBudget {
 		fmt.Printf(" daily-budget=off")
 	}
 	if *streamAddr != "" {
 		fmt.Printf(" stream=%s shards=%d", *streamAddr, acceptShards)
-	}
-	if *maxWireVer != 0 {
-		fmt.Printf(" max-wire-version=%d", *maxWireVer)
 	}
 	if *obsSample != 0 {
 		fmt.Printf(" obs-sample=%d", *obsSample)

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"venn/internal/server"
-	"venn/internal/transport"
 )
 
 // Transport names accepted by WithTransport.
@@ -49,34 +48,27 @@ type API interface {
 // config collects every knob of both transports; each constructor reads the
 // subset that applies to it.
 type config struct {
-	transport      string
-	timeout        time.Duration
-	timeoutSet     bool
-	retries        int
-	retryDelay     time.Duration
-	httpClient     *http.Client
-	streamConns    int
-	maxWireVersion int
-	topology       bool
+	transport   string
+	timeout     time.Duration
+	timeoutSet  bool
+	retries     int
+	retryDelay  time.Duration
+	httpClient  *http.Client
+	streamConns int
+	topology    bool
 }
 
 func defaultClientConfig() config {
 	return config{
-		timeout:        DefaultTimeout,
-		retryDelay:     DefaultRetryDelay,
-		streamConns:    DefaultStreamConns,
-		maxWireVersion: int(transport.MaxVersion),
+		timeout:     DefaultTimeout,
+		retryDelay:  DefaultRetryDelay,
+		streamConns: DefaultStreamConns,
 	}
 }
 
 // Option customizes a client of either transport; options that do not
 // apply to the chosen transport are ignored.
 type Option func(*config)
-
-// StreamOption customizes a StreamClient.
-//
-// Deprecated: StreamOption is now an alias of Option; use Option.
-type StreamOption = Option
 
 // WithTransport forces the transport instead of inferring it from the
 // address (a URL scheme means HTTP, a bare host:port means stream).
@@ -135,33 +127,16 @@ func WithStreamConns(n int) Option {
 	}
 }
 
-// WithStreamTimeout bounds one request round trip, dial included.
-//
-// Deprecated: identical to WithTimeout; use WithTimeout.
-func WithStreamTimeout(d time.Duration) Option { return WithTimeout(d) }
-
 // WithTopology makes a stream client ring-aware: it fetches the federation
 // topology from its seed daemon, builds the daemons' consistent-hash ring
 // locally, and partitions every check-in/report by device owner onto pooled
 // per-member connections — eliminating server-side federation hops in a
-// healthy cluster. Against a daemon with no federation layer (or a v1-only
-// daemon) the mode disables itself and the client behaves exactly as
-// without it. Ignored by the HTTP transport. See StreamClient for the
-// staleness and failover contract.
+// healthy cluster. Against a daemon with no federation layer the mode
+// disables itself and the client behaves exactly as without it. Ignored by
+// the HTTP transport. See StreamClient for the staleness and failover
+// contract.
 func WithTopology(on bool) Option {
 	return func(c *config) { c.topology = on }
-}
-
-// WithMaxWireVersion caps the stream protocol version this client will
-// negotiate (default 2). Set 1 to force JSON payloads — useful for talking
-// to old daemons without paying the failed-negotiation round trip, and for
-// pinning mixed-version behavior in tests.
-func WithMaxWireVersion(v int) Option {
-	return func(c *config) {
-		if v >= 1 {
-			c.maxWireVersion = v
-		}
-	}
 }
 
 // New creates a client for the daemon at addr. The transport is inferred

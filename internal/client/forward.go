@@ -1,8 +1,6 @@
 package client
 
 import (
-	"errors"
-
 	"venn/internal/server"
 	"venn/internal/transport"
 )
@@ -46,13 +44,7 @@ func (s *StreamClient) ReportBatchForward(rs []server.Report, trace uint64) ([]s
 	return res, err
 }
 
-// ErrRawUnsupported reports that a raw (pre-encoded) forward cannot be sent
-// because the connection negotiated a pre-v2 protocol — the raw bytes are in
-// the v2 layout the peer does not speak. Callers fall back to the typed
-// forward, which re-encodes per the negotiated version.
-var ErrRawUnsupported = errors.New("client: raw forward requires wire protocol v2")
-
-// ForwardRaw relays an already-encoded v2 batch request — payload is the
+// ForwardRaw relays an already-encoded batch request — payload is the
 // canonical layout, uvarint item count then the items' wire bytes — to the
 // owning daemon in one hop frame of opcode op (OpCheckInBatch or
 // OpReportBatch), and hands the reply payload to dec. Unlike a reqEncoder's
@@ -60,11 +52,6 @@ var ErrRawUnsupported = errors.New("client: raw forward requires wire protocol v
 // returns and never recycled here. The reply is a pooled buffer recycled when
 // dec returns, so dec copies what it keeps.
 func (s *StreamClient) ForwardRaw(op byte, payload []byte, trace uint64, dec func(reply []byte) error) error {
-	_, err := s.pick().do(op|transport.HopFlag, trace, true, func(ver byte) ([]byte, byte, error) {
-		if ver < transport.Version2 {
-			return nil, 0, ErrRawUnsupported
-		}
-		return payload, transport.Version2, nil
-	}, func(_ byte, reply []byte) error { return dec(reply) })
+	_, err := s.pick().do(op|transport.HopFlag, trace, true, encoded(payload), dec)
 	return err
 }

@@ -46,9 +46,7 @@ const (
 
 // NewStream creates a stream client for the daemon's stream listener at
 // addr (e.g. "localhost:8081"). Connections are dialed lazily on first use
-// and redialed automatically after failures; each dial negotiates the wire
-// protocol version (v2 binary payloads against current daemons, v1 JSON
-// against old ones).
+// and redialed automatically after failures.
 //
 // Deprecated: use New — a bare host:port address (or
 // WithTransport(TransportStream)) selects this same transport. NewStream
@@ -64,7 +62,7 @@ func NewStream(addr string, opts ...Option) *StreamClient {
 func newStreamClient(addr string, cfg config) *StreamClient {
 	sc := &StreamClient{conns: make([]*streamConn, cfg.streamConns)}
 	for i := range sc.conns {
-		sc.conns[i] = &streamConn{addr: addr, timeout: cfg.timeout, maxVer: byte(min(cfg.maxWireVersion, int(transport.MaxVersion)))}
+		sc.conns[i] = &streamConn{addr: addr, timeout: cfg.timeout}
 	}
 	if cfg.topology {
 		sc.topo = newTopoState(sc, addr, cfg)
@@ -90,14 +88,13 @@ func (s *StreamClient) Close() error {
 // Ping round-trips an empty frame — a cheap reachability and liveness
 // probe.
 func (s *StreamClient) Ping() error {
-	_, err := s.do(transport.OpPing, 0, jsonPayload(nil), nil)
+	_, err := s.do(transport.OpPing, 0, encoded(nil), nil)
 	return err
 }
 
-// jsonPayload builds the encoder for the low-volume opcodes, which ride in
-// v1 (JSON) frames regardless of the negotiated version.
-func jsonPayload(buf []byte) reqEncoder {
-	return func(byte) ([]byte, byte, error) { return buf, transport.Version1, nil }
+// encoded is the encoder of a payload built beforehand (nil for an empty one).
+func encoded(buf []byte) reqEncoder {
+	return func() ([]byte, error) { return buf, nil }
 }
 
 // CheckIn announces device availability and returns the assignment.
@@ -111,19 +108,9 @@ func (s *StreamClient) CheckIn(ci server.CheckIn) (server.Assignment, error) {
 
 func (s *StreamClient) checkInOp(op byte, ci server.CheckIn, trace uint64) (server.Assignment, bool, error) {
 	var asg server.Assignment
-	fwd, err := s.do(op, trace, func(ver byte) ([]byte, byte, error) {
-		if ver >= transport.Version2 {
-			b, err := ci.AppendBinary(transport.GetBuf(64))
-			return b, transport.Version2, err
-		}
-		b, err := ci.MarshalJSON()
-		return b, transport.Version1, err
-	}, func(ver byte, resp []byte) error {
-		if ver >= transport.Version2 {
-			return asg.UnmarshalBinary(resp)
-		}
-		return asg.UnmarshalJSON(resp)
-	})
+	fwd, err := s.do(op, trace, func() ([]byte, error) {
+		return ci.AppendBinary(transport.GetBuf(64))
+	}, asg.UnmarshalBinary)
 	return asg, fwd, err
 }
 
@@ -141,19 +128,9 @@ func (s *StreamClient) CheckInBatch(cis []server.CheckIn) ([]server.CheckInResul
 func (s *StreamClient) checkInBatchOp(op byte, cis []server.CheckIn, trace uint64) ([]server.CheckInResult, bool, error) {
 	req := server.CheckInBatchRequest{CheckIns: cis}
 	var resp server.CheckInBatchResponse
-	fwd, err := s.do(op, trace, func(ver byte) ([]byte, byte, error) {
-		if ver >= transport.Version2 {
-			b, err := req.AppendBinary(transport.GetBuf(256))
-			return b, transport.Version2, err
-		}
-		b, err := req.MarshalJSON()
-		return b, transport.Version1, err
-	}, func(ver byte, buf []byte) error {
-		if ver >= transport.Version2 {
-			return resp.UnmarshalBinary(buf)
-		}
-		return resp.UnmarshalJSON(buf)
-	})
+	fwd, err := s.do(op, trace, func() ([]byte, error) {
+		return req.AppendBinary(transport.GetBuf(256))
+	}, resp.UnmarshalBinary)
 	if err != nil {
 		return nil, fwd, err
 	}
@@ -173,13 +150,8 @@ func (s *StreamClient) Report(r server.Report) error {
 }
 
 func (s *StreamClient) reportOp(op byte, r server.Report, trace uint64) (bool, error) {
-	return s.do(op, trace, func(ver byte) ([]byte, byte, error) {
-		if ver >= transport.Version2 {
-			b, err := r.AppendBinary(transport.GetBuf(64))
-			return b, transport.Version2, err
-		}
-		b, err := r.MarshalJSON()
-		return b, transport.Version1, err
+	return s.do(op, trace, func() ([]byte, error) {
+		return r.AppendBinary(transport.GetBuf(64))
 	}, nil)
 }
 
@@ -196,19 +168,9 @@ func (s *StreamClient) ReportBatch(rs []server.Report) ([]server.ReportResult, e
 func (s *StreamClient) reportBatchOp(op byte, rs []server.Report, trace uint64) ([]server.ReportResult, bool, error) {
 	req := server.ReportBatchRequest{Reports: rs}
 	var resp server.ReportBatchResponse
-	fwd, err := s.do(op, trace, func(ver byte) ([]byte, byte, error) {
-		if ver >= transport.Version2 {
-			b, err := req.AppendBinary(transport.GetBuf(256))
-			return b, transport.Version2, err
-		}
-		b, err := req.MarshalJSON()
-		return b, transport.Version1, err
-	}, func(ver byte, buf []byte) error {
-		if ver >= transport.Version2 {
-			return resp.UnmarshalBinary(buf)
-		}
-		return resp.UnmarshalJSON(buf)
-	})
+	fwd, err := s.do(op, trace, func() ([]byte, error) {
+		return req.AppendBinary(transport.GetBuf(256))
+	}, resp.UnmarshalBinary)
 	if err != nil {
 		return nil, fwd, err
 	}
@@ -271,9 +233,8 @@ func (s *StreamClient) WaitForJob(id int, poll, timeout time.Duration) (server.J
 	}
 }
 
-// doJSON is do for the low-volume ops: reflective encode of in (nil for an
-// empty payload), reflective decode into out. These opcodes have no binary
-// layout and always ride in v1 frames.
+// doJSON is do for the low-volume ops, whose payloads are JSON: reflective
+// encode of in (nil for an empty payload), reflective decode into out.
 func (s *StreamClient) doJSON(op byte, in, out any) error {
 	var payload []byte
 	if in != nil {
@@ -282,7 +243,7 @@ func (s *StreamClient) doJSON(op byte, in, out any) error {
 			return err
 		}
 	}
-	_, err := s.do(op, 0, jsonPayload(payload), func(_ byte, buf []byte) error {
+	_, err := s.do(op, 0, encoded(payload), func(buf []byte) error {
 		if out == nil {
 			return nil
 		}
@@ -291,19 +252,16 @@ func (s *StreamClient) doJSON(op byte, in, out any) error {
 	return err
 }
 
-// reqEncoder builds a request payload given the connection's negotiated
-// protocol version, returning the payload and the frame version that
-// matches its encoding. Ownership of the payload passes to the send path:
-// once the frame is written (or the write fails) the buffer is recycled
-// into the transport's frame pool, so encoders should build into
+// reqEncoder builds a request payload. Ownership of the payload passes to the
+// send path: once the frame is written (or the write fails) the buffer is
+// recycled into the transport's frame pool, so encoders should build into
 // transport.GetBuf and must not retain the slice.
-type reqEncoder func(negotiated byte) ([]byte, byte, error)
+type reqEncoder func() ([]byte, error)
 
-// respDecoder decodes a success response's payload, given the version of
-// the frame it arrived in. The payload is a pooled buffer recycled when the
-// decoder returns, so it must copy what it keeps (every codec does). A nil
-// decoder ignores the payload.
-type respDecoder func(ver byte, payload []byte) error
+// respDecoder decodes a success response's payload. The payload is a pooled
+// buffer recycled when the decoder returns, so it must copy what it keeps
+// (every codec does). A nil decoder ignores the payload.
+type respDecoder func(payload []byte) error
 
 // do sends one request frame over a pooled connection, waits for its
 // response, and hands the response payload to dec. It reports whether the
@@ -314,8 +272,7 @@ type respDecoder func(ver byte, payload []byte) error
 //
 // A nonzero trace (the forwarding daemon's sampled span ID) is prepended to
 // the payload and announced via TraceFlag on the opcode, so the receiving
-// daemon records the hop under the same trace ID. Silently dropped on v1
-// connections — the flag and prefix are v2 vocabulary.
+// daemon records the hop under the same trace ID.
 func (s *StreamClient) do(op byte, trace uint64, enc reqEncoder, dec respDecoder) (bool, error) {
 	return s.pick().do(op, trace, false, enc, dec)
 }
@@ -332,7 +289,6 @@ func (s *StreamClient) pick() *streamConn {
 type streamConn struct {
 	addr    string
 	timeout time.Duration
-	maxVer  byte // highest protocol version to negotiate
 	// onPush, when set, receives unsolicited OpTopology|RespFlag frames
 	// (request ID 0) — the server's topology-change notifications. Called on
 	// the read-loop goroutine; must not block.
@@ -341,7 +297,6 @@ type streamConn struct {
 	mu      sync.Mutex
 	c       net.Conn
 	bw      *bufio.Writer
-	ver     byte // negotiated protocol version of the live connection
 	pending map[uint32]chan streamResp
 	nextID  uint32
 	gen     uint64
@@ -351,7 +306,6 @@ type streamConn struct {
 // (payload in a pooled buffer, the receiver's to recycle) or the error that
 // ended the connection.
 type streamResp struct {
-	ver     byte
 	op      byte
 	payload []byte
 	err     error
@@ -374,8 +328,9 @@ var waiterPool = sync.Pool{New: func() any {
 	return &waiter{ch: make(chan streamResp, 1), timer: t}
 }}
 
-// connect dials under mu if needed, negotiates the protocol version, and
-// starts the reader for the new connection.
+// connectLocked dials under mu if needed and starts the reader for the new
+// connection. Nothing is exchanged before the caller's request: the first
+// frame on a connection is a request like any other.
 func (sc *streamConn) connectLocked() error {
 	if sc.c != nil {
 		return nil
@@ -387,67 +342,12 @@ func (sc *streamConn) connectLocked() error {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	ver, br, err := negotiate(c, sc.timeout, sc.maxVer)
-	if err != nil {
-		c.Close()
-		// The hello never became a caller-visible request, so this is a
-		// pre-send failure: safe to retry elsewhere.
-		return &NotSentError{Err: fmt.Errorf("client: stream hello %s: %w", sc.addr, err)}
-	}
 	sc.c = c
 	sc.bw = bufio.NewWriterSize(c, 64<<10)
-	sc.ver = ver
 	sc.pending = make(map[uint32]chan streamResp)
 	sc.gen++
-	go sc.readLoop(sc.gen, c, br)
+	go sc.readLoop(sc.gen, c, bufio.NewReaderSize(c, 64<<10))
 	return nil
-}
-
-// negotiate performs the synchronous OpHello exchange on a fresh
-// connection, before any pipelined traffic: it announces maxVer and returns
-// the version the server selected. A pre-v2 daemon answers OpError
-// ("unknown opcode"), which downgrades the connection to v1 — the JSON wire
-// format those daemons speak. When maxVer is 1 the exchange is skipped
-// entirely (old daemons would treat the hello as an error, and new ones
-// default to v1 per frame anyway). The returned reader carries any bytes
-// buffered past the hello response and must be handed to the read loop.
-func negotiate(c net.Conn, timeout time.Duration, maxVer byte) (byte, *bufio.Reader, error) {
-	br := bufio.NewReaderSize(c, 64<<10)
-	if maxVer < transport.Version2 {
-		return transport.Version1, br, nil
-	}
-	_ = c.SetDeadline(time.Now().Add(timeout))
-	defer func() { _ = c.SetDeadline(time.Time{}) }()
-	payload, err := json.Marshal(transport.HelloRequest{MaxVersion: int(maxVer)})
-	if err != nil {
-		return 0, nil, err
-	}
-	buf := make([]byte, transport.HeaderSize, transport.HeaderSize+len(payload))
-	transport.PutHeader(buf, transport.Version1, transport.OpHello, 0, len(payload))
-	if _, err := c.Write(append(buf, payload...)); err != nil {
-		return 0, nil, err
-	}
-	fr, err := transport.ReadFrame(br, defaultClientMaxPayload, transport.MaxVersion)
-	if err != nil {
-		return 0, nil, err
-	}
-	switch fr.Op {
-	case transport.OpHello | transport.RespFlag:
-		var hr transport.HelloResponse
-		if err := json.Unmarshal(fr.Payload, &hr); err != nil {
-			return 0, nil, fmt.Errorf("malformed hello response: %w", err)
-		}
-		v := byte(hr.Version)
-		if v < transport.Version1 || v > maxVer {
-			return 0, nil, fmt.Errorf("server selected unusable version %d", hr.Version)
-		}
-		return v, br, nil
-	case transport.OpError:
-		// Pre-v2 daemon: OpHello is an unknown opcode there. Fall back.
-		return transport.Version1, br, nil
-	default:
-		return 0, nil, fmt.Errorf("unexpected hello response opcode %#x", fr.Op)
-	}
 }
 
 // readLoop dispatches response frames to their waiters until the
@@ -480,7 +380,7 @@ func (sc *streamConn) readLoop(gen uint64, c net.Conn, br *bufio.Reader) {
 		}
 		sc.mu.Unlock()
 		if ch != nil {
-			ch <- streamResp{ver: fr.Ver, op: fr.Op, payload: fr.Payload}
+			ch <- streamResp{op: fr.Op, payload: fr.Payload}
 		} else {
 			// A response nobody waits for (timed-out request) is dropped.
 			transport.PutBuf(fr.Payload)
@@ -525,10 +425,10 @@ func (sc *streamConn) do(op byte, trace uint64, lent bool, enc reqEncoder, dec r
 		waiterPool.Put(w) // never registered: no send can be on its way
 		return false, err
 	}
-	// The payload encoding depends on the version this connection
-	// negotiated, so it is built under mu, after connect. The codecs are
-	// allocation-light appends; the write syscall below dominates.
-	payload, frameVer, err := enc(sc.ver)
+	// The payload is built under mu, after connect, so a failed dial encodes
+	// nothing. The codecs are allocation-light appends; the write syscall
+	// below dominates.
+	payload, err := enc()
 	if err != nil {
 		sc.mu.Unlock()
 		waiterPool.Put(w)
@@ -537,7 +437,7 @@ func (sc *streamConn) do(op byte, trace uint64, lent bool, enc reqEncoder, dec r
 	// TraceFlag rides only on the wire opcode: the server strips it before
 	// building the response, so response matching below uses the bare op.
 	wireOp := op
-	if trace != 0 && frameVer >= transport.Version2 {
+	if trace != 0 {
 		payload = transport.PrependTrace(payload, trace, true)
 		wireOp |= transport.TraceFlag
 	}
@@ -549,7 +449,7 @@ func (sc *streamConn) do(op byte, trace uint64, lent bool, enc reqEncoder, dec r
 	// the shared buffered writer coalesces them. The write deadline keeps a
 	// wedged peer from holding the lock forever.
 	_ = sc.c.SetWriteDeadline(time.Now().Add(sc.timeout))
-	err = transport.WriteFrame(sc.bw, frameVer, wireOp, id, payload)
+	err = transport.WriteFrame(sc.bw, transport.Version2, wireOp, id, payload)
 	if err == nil {
 		err = sc.bw.Flush()
 	}
@@ -574,7 +474,7 @@ func (sc *streamConn) do(op byte, trace uint64, lent bool, enc reqEncoder, dec r
 		}
 		defer transport.PutBuf(resp.payload)
 		if resp.op == transport.OpError {
-			return false, decodeStreamError(resp.ver, resp.payload)
+			return false, decodeStreamError(resp.payload)
 		}
 		// On a non-hop request, HopFlag on the response opcode is the
 		// forwarded flag: the daemon federation-hopped at least one item.
@@ -588,7 +488,7 @@ func (sc *streamConn) do(op byte, trace uint64, lent bool, enc reqEncoder, dec r
 		if dec == nil {
 			return forwarded, nil
 		}
-		return forwarded, dec(resp.ver, resp.payload)
+		return forwarded, dec(resp.payload)
 	case <-w.timer.C:
 		sc.mu.Lock()
 		if gen == sc.gen && sc.pending != nil {
@@ -599,15 +499,10 @@ func (sc *streamConn) do(op byte, trace uint64, lent bool, enc reqEncoder, dec r
 	}
 }
 
-// decodeStreamError parses an OpError payload per the frame version into
-// the typed StreamError.
-func decodeStreamError(ver byte, payload []byte) error {
+// decodeStreamError parses an OpError payload into the typed StreamError.
+func decodeStreamError(payload []byte) error {
 	var ep transport.ErrorPayload
-	if ver >= transport.Version2 {
-		if ep.UnmarshalBinary(payload) == nil && ep.Error != "" {
-			return &StreamError{Code: server.Code(ep.Code), Msg: ep.Error}
-		}
-	} else if json.Unmarshal(payload, &ep) == nil && ep.Error != "" {
+	if ep.UnmarshalBinary(payload) == nil && ep.Error != "" {
 		return &StreamError{Code: server.Code(ep.Code), Msg: ep.Error}
 	}
 	return errors.New("client: malformed stream error frame")

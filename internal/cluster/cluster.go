@@ -24,13 +24,11 @@ const (
 // *client.StreamClient implements it; tests inject fakes through
 // Config.Dial.
 //
-// ForwardRaw carries a pre-encoded v2 batch request of opcode op: payload is
+// ForwardRaw carries a pre-encoded batch request of opcode op: payload is
 // the count prefix followed by already-encoded items (exactly the bytes they
 // arrived as), relayed verbatim into the hop frame and still the caller's
 // afterwards; dec is handed the owner's reply payload, which is recycled when
-// it returns. ForwardRaw returns client.ErrRawUnsupported when the peer
-// connection negotiated a pre-v2 protocol, in which case the caller falls
-// back to the typed forward.
+// it returns.
 //
 // trace is the originating request's sampled span ID (0 when unsampled): a
 // nonzero trace rides in the hop frame's trace context so the owner records
@@ -74,15 +72,8 @@ type Config struct {
 	// StreamConns is the connection-pool size per peer (default
 	// client.DefaultStreamConns).
 	StreamConns int
-	// MaxWireVersion caps the stream protocol version negotiated with
-	// peers (default: the client's maximum, currently 2). Peers negotiate
-	// independently per connection, so a federation can mix v1-only and v2
-	// daemons — forwarding to an old peer simply downgrades that hop to
-	// JSON payloads.
-	MaxWireVersion int
 	// Dial overrides peer-client construction (tests). nil dials a real
-	// client.StreamClient with Timeout, StreamConns, and MaxWireVersion
-	// applied.
+	// client.StreamClient with Timeout and StreamConns applied.
 	Dial func(addr string) PeerClient
 }
 
@@ -206,14 +197,7 @@ func New(m *server.Manager, cfg Config) (*Cluster, error) {
 	dial := cfg.Dial
 	if dial == nil {
 		dial = func(addr string) PeerClient {
-			opts := []client.Option{
-				client.WithStreamConns(cfg.StreamConns),
-				client.WithTimeout(cfg.Timeout),
-			}
-			if cfg.MaxWireVersion > 0 {
-				opts = append(opts, client.WithMaxWireVersion(cfg.MaxWireVersion))
-			}
-			return client.NewStream(addr, opts...)
+			return client.NewStream(addr, client.WithStreamConns(cfg.StreamConns), client.WithTimeout(cfg.Timeout))
 		}
 	}
 	for i, id := range ring.Members() {
@@ -426,8 +410,7 @@ func (c *Cluster) route(deviceID string) *peer {
 }
 
 // ForwardedIn implements server.Router: the transport layer reports each
-// hop-flagged frame it serves, with its payload size (forward_bytes_in
-// counts every hop frame received, whatever its version).
+// hop-flagged frame it serves, with its payload size.
 func (c *Cluster) ForwardedIn(bytes int) {
 	c.forwardsIn.Add(1)
 	c.forwardBytesIn.Add(int64(bytes))
@@ -488,7 +471,7 @@ func (c *Cluster) Report(r server.Report, sp *obs.Span) error {
 }
 
 // CheckInBatch implements server.Router: the typed engine (see forwardBatch)
-// over a fresh BatchBuf, for callers without raw v2 bytes.
+// over a fresh BatchBuf, for callers without raw wire bytes.
 func (c *Cluster) CheckInBatch(cis []server.CheckIn, sp *obs.Span) ([]server.CheckInResult, bool) {
 	return forwardBatch(c, &checkInOps, &server.BatchBuf{CheckIns: cis}, server.RawItems{}, sp)
 }

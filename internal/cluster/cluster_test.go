@@ -272,7 +272,7 @@ func TestHopFlagRejectedOnNonServingOp(t *testing.T) {
 	}
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	if err := transport.WriteFrame(bw, transport.Version1, transport.OpStats|transport.HopFlag, 7, nil); err != nil {
+	if err := transport.WriteFrame(bw, transport.Version2, transport.OpStats|transport.HopFlag, 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {

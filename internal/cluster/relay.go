@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"time"
 
-	"venn/internal/client"
 	"venn/internal/obs"
 	"venn/internal/server"
 	"venn/internal/transport"
@@ -44,43 +42,32 @@ type batchOps[Req, Res any] struct {
 	slots   func(*server.BatchBuf, int) []Res                        // the merged result slots
 	serve   func(*server.Manager, *server.BatchBuf, *obs.Span) []Res // apply the buffer's items here, out of the buffer
 	relay   func(*peer) *relay[Req, Res]
-	next    func(*server.ResultCursor, *Res) // decode an owner's next result into a slot
-	decode  func(payload []byte) ([]Req, error)
-	typed   func(PeerClient, []Req, uint64) ([]Res, error) // the version-negotiated forward
+	next    func(*server.ResultCursor, *Res)               // decode an owner's next result into a slot
+	typed   func(PeerClient, []Req, uint64) ([]Res, error) // the forward of a batch with no raw bytes
 	errItem func(msg string) Res
 	waits   sync.Pool // of *batchWait[Res]
 }
 
 var checkInOps = batchOps[server.CheckIn, server.CheckInResult]{
-	op:    transport.OpCheckInBatch,
-	items: func(b *server.BatchBuf) *[]server.CheckIn { return &b.CheckIns },
-	id:    func(ci *server.CheckIn) string { return ci.DeviceID },
-	slots: (*server.BatchBuf).CheckInSlots,
-	serve: (*server.Manager).CheckInBatchBuf,
-	relay: func(p *peer) *relay[server.CheckIn, server.CheckInResult] { return p.ciRelay },
-	next:  (*server.ResultCursor).CheckIn,
-	decode: func(payload []byte) ([]server.CheckIn, error) {
-		var req server.CheckInBatchRequest
-		err := req.UnmarshalBinary(payload)
-		return req.CheckIns, err
-	},
+	op:      transport.OpCheckInBatch,
+	items:   func(b *server.BatchBuf) *[]server.CheckIn { return &b.CheckIns },
+	id:      func(ci *server.CheckIn) string { return ci.DeviceID },
+	slots:   (*server.BatchBuf).CheckInSlots,
+	serve:   (*server.Manager).CheckInBatchBuf,
+	relay:   func(p *peer) *relay[server.CheckIn, server.CheckInResult] { return p.ciRelay },
+	next:    (*server.ResultCursor).CheckIn,
 	typed:   PeerClient.CheckInBatchForward,
 	errItem: func(msg string) server.CheckInResult { return server.CheckInResult{Error: msg} },
 }
 
 var reportOps = batchOps[server.Report, server.ReportResult]{
-	op:    transport.OpReportBatch,
-	items: func(b *server.BatchBuf) *[]server.Report { return &b.Reports },
-	id:    func(r *server.Report) string { return r.DeviceID },
-	slots: (*server.BatchBuf).ReportSlots,
-	serve: (*server.Manager).ReportBatchBuf,
-	relay: func(p *peer) *relay[server.Report, server.ReportResult] { return p.repRelay },
-	next:  (*server.ResultCursor).Report,
-	decode: func(payload []byte) ([]server.Report, error) {
-		var req server.ReportBatchRequest
-		err := req.UnmarshalBinary(payload)
-		return req.Reports, err
-	},
+	op:      transport.OpReportBatch,
+	items:   func(b *server.BatchBuf) *[]server.Report { return &b.Reports },
+	id:      func(r *server.Report) string { return r.DeviceID },
+	slots:   (*server.BatchBuf).ReportSlots,
+	serve:   (*server.Manager).ReportBatchBuf,
+	relay:   func(p *peer) *relay[server.Report, server.ReportResult] { return p.repRelay },
+	next:    (*server.ResultCursor).Report,
 	typed:   PeerClient.ReportBatchForward,
 	errItem: func(msg string) server.ReportResult { return server.ReportResult{Error: msg} },
 }
@@ -165,7 +152,7 @@ type batchWait[Res any] struct {
 // while the hops are out, and merge everything into b's result slots in
 // request order with per-item errors preserved. With raw's still-encoded
 // items a remote group is contributed to the owner's relay, which splices the
-// byte ranges into a coalesced hop frame; without (HTTP JSON, v1 frames) it is
+// byte ranges into a coalesced hop frame; without (HTTP ingress) it is
 // gathered and sent typed, one frame per group. A remote group whose hop
 // provably never left this node is applied locally (degraded mode); a group
 // the owner rejected, or whose outcome is unknown, reports the failure on each
@@ -262,24 +249,18 @@ func serveLocal[Req, Res any](c *Cluster, o *batchOps[Req, Res], b *server.Batch
 }
 
 // forwardTyped sends one remote group as a frame of its own through the
-// version-negotiated typed forward, re-encoding the gathered items.
+// typed forward, encoding the gathered items.
 func forwardTyped[Req, Res any](c *Cluster, o *batchOps[Req, Res], pc PeerClient, items []Req, g *relayGroup[Res], trace uint64) {
 	sub := make([]Req, len(g.idxs))
 	for j, i := range g.idxs {
 		sub[j] = items[i]
 	}
 	c.forwardsOut.Add(1)
-	res, err := o.forward(pc, sub, trace)
-	deliver(c, []*relayGroup[Res]{g}, res, err)
-}
-
-// forward is o.typed with the reply's length checked.
-func (o *batchOps[Req, Res]) forward(pc PeerClient, items []Req, trace uint64) ([]Res, error) {
-	res, err := o.typed(pc, items, trace)
-	if err == nil && len(res) != len(items) {
-		err = shortReply(len(res), len(items))
+	res, err := o.typed(pc, sub, trace)
+	if err == nil && len(res) != len(sub) {
+		err = shortReply(len(res), len(sub))
 	}
-	return res, err
+	deliver(c, []*relayGroup[Res]{g}, res, err)
 }
 
 func shortReply(got, want int) error {
@@ -448,9 +429,9 @@ func (r *relay[Req, Res]) commitLoop() {
 }
 
 // flush sends one detached batch to the peer and delivers the verdict to
-// every contributing group. One flush is one hop frame (forwards_out counts
-// frames, exactly as the typed path does) and its payload size feeds
-// forward_bytes_out.
+// every contributing group, whose slots the reply was decoded into. One flush
+// is one hop frame (forwards_out counts frames, exactly as the typed path
+// does) and its payload size feeds forward_bytes_out.
 func (r *relay[Req, Res]) flush(b *relayBatch[Req, Res]) {
 	var count [relayHdr]byte
 	n := binary.PutUvarint(count[:], uint64(b.items))
@@ -458,21 +439,8 @@ func (r *relay[Req, Res]) flush(b *relayBatch[Req, Res]) {
 	copy(payload, count[:n])
 	r.c.forwardsOut.Add(1)
 	r.c.forwardBytesOut.Add(int64(len(payload)))
-	var res []Res
 	err := r.p.c.ForwardRaw(r.o.op, payload, b.trace, b.dec)
-	if errors.Is(err, client.ErrRawUnsupported) {
-		// v1 peer: decode our own buffer — the bytes came off our own wire, so
-		// this cannot fail in practice, but a failure is still surfaced as a
-		// forward error rather than guessed around — and take the negotiated
-		// typed path.
-		var items []Req
-		if items, err = r.o.decode(payload); err != nil {
-			err = fmt.Errorf("cluster: relay re-decode: %w", err)
-		} else {
-			res, err = r.o.forward(r.p.c, items, b.trace)
-		}
-	}
-	deliver(r.c, b.groups, res, err)
+	deliver(r.c, b.groups, nil, err)
 	transport.PutBuf(b.buf)
 	clear(b.groups)
 	b.buf, b.items, b.groups, b.trace = nil, 0, b.groups[:0], 0

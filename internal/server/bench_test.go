@@ -92,10 +92,10 @@ func BenchmarkManagerCheckInBatchSharded(b *testing.B) {
 // direct/auto pair isolates the flat-combining applier (combiner.go)
 // against the historical per-caller lock on identical traffic.
 func BenchmarkCheckInContended(b *testing.B) {
-	for _, mode := range []string{"direct", "auto"} {
-		b.Run(mode, func(b *testing.B) {
+	for _, mode := range []int{coreDirect, coreAuto} {
+		b.Run(coreCommitNames[mode], func(b *testing.B) {
 			const batch = 64
-			m := NewManager(Config{CoreCommit: mode, DisableDailyBudget: true})
+			m := NewManager(Config{coreCommit: mode, DisableDailyBudget: true})
 			if _, err := m.RegisterJob(JobSpec{Category: "General", DemandPerRound: 1 << 30, Rounds: 1}); err != nil {
 				b.Fatal(err)
 			}

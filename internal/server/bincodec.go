@@ -1,9 +1,8 @@
 // Wire protocol v2: fixed-layout binary codecs for the high-volume wire
 // types. The JSON codecs in codec.go removed reflection from the serving
-// path; these remove JSON itself. A v2 stream frame carries these layouts
-// for the four serving opcodes (check-in, report, and their batch forms),
-// negotiated per connection at hello time — see internal/transport and the
-// README "Wire protocol" spec.
+// path; these remove JSON itself. A stream frame carries these layouts for
+// the four serving opcodes (check-in, report, and their batch forms) — see
+// internal/transport and the README "Wire protocol" spec.
 //
 // Layout conventions (the spec; frozen once shipped):
 //
@@ -172,7 +171,7 @@ func (d *bdec) bool() bool {
 // the payload (every item is at least one byte, so a lying prefix cannot
 // balloon the allocation), and never above MaxBatch — the latter as the
 // service layer's typed too-large error, so an oversized batch classifies
-// identically over v1 JSON (where the service does the check) and v2
+// identically over HTTP JSON (where the service does the check) and stream
 // binary.
 func (d *bdec) count() int {
 	n := d.uvarint()

@@ -29,31 +29,12 @@ import (
 	"venn/internal/simtime"
 )
 
-// Core commit modes (Config.CoreCommit).
+// Core commit modes (Config.coreCommit).
 const (
 	coreAuto    = iota // flat combining with an uncontended direct fast path
-	coreDirect         // per-caller lock acquisition (pre-combining behavior)
+	coreDirect         // per-caller lock acquisition: the reference the tests compare against
 	coreCombine        // every op through the queue (forces the combining path; tests)
 )
-
-// parseCoreCommit maps a Config.CoreCommit string to its mode.
-func parseCoreCommit(s string) (int, bool) {
-	switch s {
-	case "", "auto":
-		return coreAuto, true
-	case "direct":
-		return coreDirect, true
-	case "combine":
-		return coreCombine, true
-	}
-	return 0, false
-}
-
-// CoreCommitValid reports whether s names a core commit mode ("auto",
-// "direct", "combine", or empty for the default). CLIs validate their
-// -core-commit flag with it before constructing a Manager, which panics on
-// unknown names.
-func CoreCommitValid(s string) bool { _, ok := parseCoreCommit(s); return ok }
 
 // coreOpKind discriminates the typed core operations.
 type coreOpKind uint8
@@ -169,10 +150,10 @@ func (m *Manager) drainOps() *coreOp {
 // once it has been applied. Callers hold their device shard mutexes (or none,
 // for opRegister/opRefresh); the op's results are readable on return.
 func (m *Manager) submit(op *coreOp) {
-	if m.coreMode != coreCombine {
-		if m.coreMode == coreDirect {
+	if m.cfg.coreCommit != coreCombine {
+		if m.cfg.coreCommit == coreDirect {
 			// Historical per-caller acquisition, kept as a determinism
-			// reference and an A/B lever (Config.CoreCommit "direct").
+			// reference and an A/B lever (Config.coreCommit coreDirect).
 			m.mu.Lock()
 			now := m.now()
 			m.drainSupplyLocked(now)
@@ -200,7 +181,7 @@ func (m *Manager) submit(op *coreOp) {
 	} else {
 		<-op.wake
 		wait := time.Since(t0)
-		m.coreWait.observe(float64(wait))
+		m.coreWait.Observe(int64(wait))
 		op.sp.Mark(obs.StageQueueWait, wait)
 	}
 }

@@ -81,6 +81,9 @@ func driveCorePipeline(t *testing.T, m *Manager, clk *fakeClock) []byte {
 	return buf.Bytes()
 }
 
+// coreCommitNames names the commit modes in subtests and messages.
+var coreCommitNames = [...]string{coreAuto: "auto", coreDirect: "direct", coreCombine: "combine"}
+
 // TestCoreCommitDeterminismPin pins the flat-combining applier to the
 // direct-lock path: for a fixed seed and clock, the full result transcript
 // (assignments, batch replies, report replies, final counters) must be
@@ -88,15 +91,15 @@ func driveCorePipeline(t *testing.T, m *Manager, clk *fakeClock) []byte {
 // queue; "auto" exercises the fast path (a sequential driver never
 // contends).
 func TestCoreCommitDeterminismPin(t *testing.T) {
-	run := func(mode string) []byte {
+	run := func(mode int) []byte {
 		clk := newFakeClock()
-		m := NewManager(Config{Clock: clk.now, Seed: 7, CoreCommit: mode})
+		m := NewManager(Config{Clock: clk.now, Seed: 7, coreCommit: mode})
 		return driveCorePipeline(t, m, clk)
 	}
-	want := run("direct")
-	for _, mode := range []string{"auto", "combine"} {
+	want := run(coreDirect)
+	for _, mode := range []int{coreAuto, coreCombine} {
 		if got := run(mode); !bytes.Equal(got, want) {
-			t.Errorf("core commit mode %q diverged from direct-lock transcript:\nbytes %d vs %d", mode, len(got), len(want))
+			t.Errorf("core commit mode %q diverged from direct-lock transcript:\nbytes %d vs %d", coreCommitNames[mode], len(got), len(want))
 		}
 	}
 }
@@ -110,9 +113,9 @@ func TestCoreCommitDeterminismPin(t *testing.T) {
 // updates; the forced-combine subtest additionally proves rounds actually
 // combined multiple ops.
 func TestCombinerConcurrentMixedLoad(t *testing.T) {
-	for _, mode := range []string{"auto", "combine"} {
-		t.Run(mode, func(t *testing.T) {
-			m := NewManager(Config{CoreCommit: mode, DisableDailyBudget: true})
+	for _, mode := range []int{coreAuto, coreCombine} {
+		t.Run(coreCommitNames[mode], func(t *testing.T) {
+			m := NewManager(Config{coreCommit: mode, DisableDailyBudget: true})
 			const (
 				workers        = 64
 				devicesPerWork = 32
@@ -212,7 +215,7 @@ func TestCombinerConcurrentMixedLoad(t *testing.T) {
 			if applied == 0 {
 				t.Errorf("no ops committed through the core pipeline: %+v", mt)
 			}
-			if mode == "combine" && mt.CoreRounds == 0 {
+			if mode == coreCombine && mt.CoreRounds == 0 {
 				t.Errorf("forced-combine run recorded no combining rounds")
 			}
 			busy := 0
@@ -255,23 +258,4 @@ func TestDisableDailyBudget(t *testing.T) {
 			t.Errorf("disabled=%v: same-day reassignment = %v, want %v", disabled, again.Assigned, disabled)
 		}
 	}
-}
-
-// TestCoreCommitValidation pins the mode names: the CLIs gate on
-// CoreCommitValid and NewManager panics on anything it rejects.
-func TestCoreCommitValidation(t *testing.T) {
-	for _, ok := range []string{"", "auto", "direct", "combine"} {
-		if !CoreCommitValid(ok) {
-			t.Errorf("CoreCommitValid(%q) = false", ok)
-		}
-	}
-	if CoreCommitValid("bogus") {
-		t.Error(`CoreCommitValid("bogus") = true`)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewManager accepted an unknown core commit mode")
-		}
-	}()
-	NewManager(Config{CoreCommit: "bogus"})
 }

@@ -210,12 +210,10 @@ type Config struct {
 	// it with a 24h default). Applies to busy devices too: a reservation
 	// a full TTL old belongs to a device that crashed mid-task.
 	DeviceTTL time.Duration
-	// CoreCommit selects how core ops commit (combiner.go): "" or "auto"
-	// for flat combining with an uncontended direct fast path, "direct"
-	// for the historical per-caller lock acquisition, "combine" to force
-	// every op through the queue (tests). Unknown names panic in
-	// NewManager — CLIs validate with CoreCommitValid first.
-	CoreCommit string
+	// coreCommit selects how core ops commit (combiner.go). The zero value,
+	// coreAuto, is what every daemon runs; in-package tests and benchmarks
+	// set coreDirect (the reference) and coreCombine.
+	coreCommit int
 	// DisableDailyBudget lifts the one-task-per-device-per-day realism
 	// constraint. Load benchmarks set it so a demand-heavy run exercises
 	// sustained assignment traffic instead of exhausting the fleet's
@@ -297,16 +295,15 @@ type Manager struct {
 	attempt     map[job.ID]uint64
 
 	// Flat-combining core commit pipeline (combiner.go). coreHead is the
-	// MPSC op queue, combining elects the single combiner, coreMode is the
-	// parsed Config.CoreCommit. The counters and the wait tracker feed
-	// /v1/metrics (core_rounds, core_ops_per_round, core_wait_ns).
-	coreMode        int
+	// MPSC op queue, combining elects the single combiner. The counters and
+	// the wait histogram feed /v1/metrics (core_rounds, core_ops_per_round,
+	// core_wait_ns).
 	coreHead        atomic.Pointer[coreOp]
 	combining       atomic.Bool
 	coreRounds      atomic.Int64
 	coreCombinedOps atomic.Int64
 	coreFastOps     atomic.Int64
-	coreWait        *latencyTrack
+	coreWait        obs.Hist
 	// coreHeldSince is the UnixNano at which the current combiner took the
 	// core mutex (0 when free); Health reads it to detect a wedged core.
 	coreHeldSince atomic.Int64
@@ -489,10 +486,9 @@ func (m *Manager) ClearClusterTelemetrySource(src ClusterTelemetrySource) {
 // StreamTelemetry is a snapshot of streaming-transport counters, supplied
 // by an attached stream server via SetStreamTelemetrySource.
 type StreamTelemetry struct {
-	Conns      int64 // currently open stream connections
-	FramesIn   int64 // request frames read, cumulative
-	FramesInV2 int64 // request frames read with protocol version 2, cumulative
-	FramesOut  int64 // response frames written, cumulative
+	Conns     int64 // currently open stream connections
+	FramesIn  int64 // request frames read, cumulative
+	FramesOut int64 // response frames written, cumulative
 }
 
 // StreamTelemetrySource supplies live stream-transport counters. It is
@@ -553,13 +549,7 @@ func NewManager(cfg Config) *Manager {
 	if seed == 0 {
 		seed = cfg.Clock().UnixNano()
 	}
-	coreMode, ok := parseCoreCommit(cfg.CoreCommit)
-	if !ok {
-		panic(fmt.Sprintf("server: unknown core commit mode %q", cfg.CoreCommit))
-	}
 	m := &Manager{
-		coreMode:   coreMode,
-		coreWait:   &latencyTrack{},
 		cfg:        cfg,
 		start:      cfg.Clock(),
 		categories: make(map[string]device.Requirement, len(cfg.Categories)),

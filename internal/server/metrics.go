@@ -1,20 +1,17 @@
 package server
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"venn/internal/job"
 	"venn/internal/obs"
-	"venn/internal/stats"
 )
 
 // Metrics is the GET /v1/metrics payload: serving throughput, queue depths,
 // and handler latency percentiles. Rates are averaged over the trailing
 // rateWindowSeconds full seconds, or over the daemon's whole life while that
-// is shorter; latency percentiles are computed over a sliding window of the
-// most recent latencyWindow requests per route.
+// is shorter; latency percentiles are estimated from the cumulative obs
+// histograms.
 type Metrics struct {
 	UptimeSeconds     float64 `json:"uptime_seconds"`
 	Shards            int     `json:"shards"`
@@ -78,10 +75,9 @@ type Metrics struct {
 	CheckInsPerSecByTransport map[string]float64 `json:"checkins_per_sec_by_transport,omitempty"`
 	// Streaming-transport telemetry; all zero when no stream listener is
 	// attached (SetStreamTelemetry).
-	StreamConns      int64 `json:"stream_conns"`
-	StreamFramesIn   int64 `json:"stream_frames_in_total"`
-	StreamFramesInV2 int64 `json:"stream_frames_in_v2_total"`
-	StreamFramesOut  int64 `json:"stream_frames_out_total"`
+	StreamConns     int64 `json:"stream_conns"`
+	StreamFramesIn  int64 `json:"stream_frames_in_total"`
+	StreamFramesOut int64 `json:"stream_frames_out_total"`
 
 	// Federation telemetry; all absent when no cluster layer is attached
 	// (SetClusterTelemetrySource). ForwardsIn counts peer-forwarded request
@@ -135,8 +131,9 @@ type Metrics struct {
 	FlightRecorded int64 `json:"flight_recorded_total"`
 }
 
-// LatencySummary describes one route's handler latency. Count is cumulative;
-// the percentiles cover the most recent latencyWindow observations.
+// LatencySummary condenses one latency histogram: Count is cumulative, and
+// the percentiles are estimated from the histogram's buckets (see
+// histSummary).
 type LatencySummary struct {
 	Count int64   `json:"count"`
 	P50   float64 `json:"p50"`
@@ -151,8 +148,6 @@ const (
 	rateRingSeconds = 32
 	// rateWindowSeconds is the averaging window for the */s rates.
 	rateWindowSeconds = 10
-	// latencyWindow is the per-route sliding window for percentiles.
-	latencyWindow = 2048
 )
 
 // rateCounter counts events into per-second buckets with atomics only, so
@@ -200,46 +195,6 @@ func (rc *rateCounter) PerSec(nowSec, startSec int64) float64 {
 		}
 	}
 	return float64(sum) / float64(window)
-}
-
-// latencyTrack keeps one route's cumulative count plus a ring of the most
-// recent observations for percentile estimation.
-type latencyTrack struct {
-	mu    sync.Mutex
-	count int64
-	ring  [latencyWindow]float64
-	n     int // filled entries
-	idx   int // next write position
-}
-
-func (t *latencyTrack) observe(ms float64) {
-	t.mu.Lock()
-	t.count++
-	t.ring[t.idx] = ms
-	t.idx = (t.idx + 1) % latencyWindow
-	if t.n < latencyWindow {
-		t.n++
-	}
-	t.mu.Unlock()
-}
-
-func (t *latencyTrack) summary() LatencySummary {
-	t.mu.Lock()
-	count := t.count
-	window := make([]float64, t.n)
-	copy(window, t.ring[:t.n])
-	t.mu.Unlock()
-	if count == 0 {
-		return LatencySummary{}
-	}
-	sort.Float64s(window)
-	return LatencySummary{
-		Count: count,
-		P50:   stats.PercentileSorted(window, 50),
-		P90:   stats.PercentileSorted(window, 90),
-		P99:   stats.PercentileSorted(window, 99),
-		Max:   window[len(window)-1],
-	}
 }
 
 // Route labels for the per-op latency maps of /v1/metrics. They are the
@@ -322,7 +277,7 @@ func (m *Manager) MetricsSnapshot() Metrics {
 		out.CoreOpsPerRound = float64(out.CoreCombinedOps) / float64(out.CoreRounds)
 	}
 	out.CoreFastPathOps = m.coreFastOps.Load()
-	out.CoreWaitNs = m.coreWait.summary()
+	out.CoreWaitNs = histSummary(m.coreWait.Snapshot(), 1)
 	for op := obs.Op(0); op < obs.NumOps; op++ {
 		if s := m.obs.TotalSnapshot(op); s.Count() > 0 {
 			out.HandlerLatencyMs[op.String()] = histSummary(s, 1e6)
@@ -356,7 +311,6 @@ func (m *Manager) MetricsSnapshot() Metrics {
 		st := m.streamSource.StreamTelemetry()
 		out.StreamConns = st.Conns
 		out.StreamFramesIn = st.FramesIn
-		out.StreamFramesInV2 = st.FramesInV2
 		out.StreamFramesOut = st.FramesOut
 	}
 	if m.clusterSource != nil {

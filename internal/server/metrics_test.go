@@ -71,35 +71,26 @@ func TestRatesOfAYoungDaemon(t *testing.T) {
 	}
 }
 
+// TestLatencyTrack pins the core-wait summary of /v1/metrics to the
+// manager's wait histogram: a cumulative count, and percentiles within the
+// factor of two that power-of-two buckets allow.
 func TestLatencyTrack(t *testing.T) {
-	var lt latencyTrack
-	if s := lt.summary(); s.Count != 0 {
+	m := newTestManager(newFakeClock())
+	if s := m.MetricsSnapshot().CoreWaitNs; s != (LatencySummary{}) {
 		t.Fatalf("empty summary: %+v", s)
 	}
-	for i := 1; i <= 100; i++ {
-		lt.observe(float64(i))
+	for i := int64(1); i <= 100; i++ {
+		m.coreWait.Observe(i * 1000)
 	}
-	s := lt.summary()
-	if s.Count != 100 || s.Max != 100 {
+	s := m.MetricsSnapshot().CoreWaitNs
+	if s.Count != 100 || s.Max < 100e3 || s.Max > 200e3 {
 		t.Fatalf("summary: %+v", s)
 	}
-	if s.P50 < 49 || s.P50 > 52 {
+	if s.P50 < 25e3 || s.P50 > 100e3 {
 		t.Errorf("p50 = %v", s.P50)
 	}
-	if s.P99 < 98 || s.P99 > 100 {
+	if s.P99 < 50e3 || s.P99 > 200e3 || s.P99 < s.P50 {
 		t.Errorf("p99 = %v", s.P99)
-	}
-	// Overflow the ring: the window keeps only the most recent
-	// latencyWindow samples, the count keeps everything.
-	for i := 0; i < latencyWindow+10; i++ {
-		lt.observe(1000)
-	}
-	s = lt.summary()
-	if s.Count != int64(100+latencyWindow+10) {
-		t.Errorf("cumulative count = %d", s.Count)
-	}
-	if s.P50 != 1000 {
-		t.Errorf("windowed p50 = %v, want 1000", s.P50)
 	}
 }
 

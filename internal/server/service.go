@@ -31,9 +31,8 @@ var transportLabels = []string{TransportHTTP, TransportStream}
 // without inspecting error strings.
 //
 // The numeric values are part of the wire protocol: they ride verbatim in
-// stream OpError frames (v1 JSON `code` field and v2 binary error payloads)
-// and in HTTP error bodies, and a v2 client classifies failures by them
-// alone. They are frozen — never renumber or reuse a value; add new codes
+// stream OpError frames and in HTTP error bodies (the `code` field), and a
+// client classifies failures by them alone. They are frozen — never renumber or reuse a value; add new codes
 // at the end. codes_test.go pins them.
 type Code int
 

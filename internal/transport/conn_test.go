@@ -244,7 +244,7 @@ func wedge(t *testing.T, m *server.Manager, addr string) net.Conn {
 	t.Cleanup(func() { c.Close() })
 	var w bytes.Buffer
 	for id := uint32(1); id <= 1000; id++ {
-		_ = transport.WriteFrame(&w, transport.Version1, transport.OpJobs, id, nil)
+		_ = transport.WriteFrame(&w, transport.Version2, transport.OpJobs, id, nil)
 	}
 	if _, err := c.Write(w.Bytes()); err != nil {
 		t.Fatal(err)

@@ -9,26 +9,19 @@
 //
 //	offset size  field
 //	0      2     magic 0x56 0x4E ("VN")
-//	2      1     protocol version (1 or 2)
+//	2      1     protocol version (always 2)
 //	3      1     opcode
 //	4      4     request ID (echoed verbatim in the response)
 //	8      4     payload length N
 //	12     N     payload
 //
-// The version byte declares the *payload encoding* of this frame: version 1
-// payloads are JSON (same wire structs + codecs as HTTP); version 2 carries
-// the fixed-layout binary codec for the four serving opcodes (check-in,
-// report, and their batch forms) and for OpError, while every other opcode
-// keeps JSON payloads even in v2 frames. A response frame echoes the
-// request frame's version, so frames of both versions may interleave on one
-// connection — that is what lets a mixed-version federation keep
-// forwarding.
-//
-// Version negotiation: after dialing, a client sends OpHello (always as a
-// v1/JSON frame) announcing its highest supported version; the server
-// replies with the version both sides will consider enabled. A pre-v2
-// server instead answers OpError ("unknown opcode"), which a client must
-// treat as "peer speaks v1 only". See README "Wire protocol" for the spec.
+// There is one dialect. A frame with any other version byte is a framing
+// violation, handled like bad magic: the connection is closed without a
+// reply. A payload's encoding is a function of its opcode alone: the four
+// serving opcodes (check-in, report, and their batch forms), OpError and
+// OpTopology carry the fixed binary layouts; OpRegisterJob, OpJobs,
+// OpJobStatus, OpStats and OpMetrics carry JSON; OpPing is empty. See README
+// "Wire protocol" for the spec.
 //
 // A response reuses the request's opcode with RespFlag set, or OpError with
 // an ErrorPayload body. Request IDs are chosen by the client and echoed; the
@@ -47,14 +40,10 @@ import (
 const (
 	Magic0 = 0x56 // 'V'
 	Magic1 = 0x4E // 'N'
-	// Version1 frames carry JSON payloads; Version2 frames carry the
-	// fixed-layout binary codec on the serving opcodes. MaxVersion is the
-	// highest version this build speaks.
-	Version1   byte = 1
+	// Version2 is the one protocol version: the version byte of every frame.
+	// MaxVersion is its other name, from when a connection negotiated one.
 	Version2   byte = 2
 	MaxVersion byte = Version2
-	// Version is the original protocol version. Deprecated: use Version1.
-	Version = Version1
 	// HeaderSize is the fixed frame-header length in bytes.
 	HeaderSize = 12
 )
@@ -72,18 +61,14 @@ const (
 	OpStats        byte = 0x08
 	OpMetrics      byte = 0x09
 	OpPing         byte = 0x0A
-	// OpHello is the version-negotiation opcode. The request payload is a
-	// HelloRequest, the response a HelloResponse; both ride in v1 (JSON)
-	// frames so that any peer can parse them. Servers predating v2 answer
-	// OpError instead, which clients treat as a v1-only peer.
-	OpHello byte = 0x0B
+	// 0x0B is retired (it was the version-negotiation opcode) and reserved:
+	// a server answers it like any unknown opcode.
+
 	// OpTopology requests the federation topology: the ring's member
 	// addresses, vnode count, and an epoch that advances whenever the live
 	// membership changes. The request payload is empty; the response is a
-	// TopologyPayload in the fixed binary layout. It is a v2-era opcode —
-	// requests must ride in v2 frames (a v1 frame is rejected as invalid),
-	// which a client guarantees by only asking after negotiating v2. The
-	// server additionally *pushes* an unsolicited OpTopology|RespFlag frame
+	// TopologyPayload in the fixed binary layout. The server additionally
+	// *pushes* an unsolicited OpTopology|RespFlag frame
 	// with request ID 0 to every connection that has fetched the topology
 	// whenever the epoch advances, so ring-aware clients re-partition
 	// without polling. A daemon with no federation layer attached answers
@@ -97,13 +82,12 @@ const (
 	// request between each other. Only the four serving opcodes (check-in,
 	// report, and their batch forms) may carry it. Responses echo the flag.
 	HopFlag byte = 0x40
-	// TraceFlag marks a v2 request frame as carrying a trace context: the
+	// TraceFlag marks a request frame as carrying a trace context: the
 	// payload begins with a TraceContextSize-byte prefix (see AppendTrace /
 	// PeelTrace) that the server strips before decoding. Only the four
-	// serving opcodes may carry it, and only in v2 frames — trace context
-	// never downgrades to v1 peers and never appears on responses (where the
-	// bit pattern would collide with nothing today, but responses carry their
-	// timing in the origin's span instead of on the wire). The federation
+	// serving opcodes may carry it (anything else is rejected as invalid),
+	// and it never appears on responses, which carry their timing in the
+	// origin's span instead of on the wire. The federation
 	// layer sets it on hop frames whose origin request was sampled, which is
 	// what lets the owning daemon attribute its time to the same trace ID the
 	// origin records for the hop stage.
@@ -111,40 +95,27 @@ const (
 	// RespFlag marks a frame as a response to the same opcode.
 	RespFlag byte = 0x80
 	// OpError is the error-response opcode; its payload is an ErrorPayload
-	// (JSON in v1 frames, binary in v2 frames).
+	// in its binary layout.
 	OpError byte = 0xFF
 )
 
-// HelloRequest is the OpHello request body (always JSON): the highest
-// protocol version the client can speak.
-type HelloRequest struct {
-	MaxVersion int `json:"max_version"`
-}
-
-// HelloResponse is the OpHello response body (always JSON): the version the
-// server selected, min(client max, server max). All subsequent frames from
-// the client must use a version ≤ this.
-type HelloResponse struct {
-	Version int `json:"version"`
-}
-
 // ErrorPayload is the body of an OpError response frame. Code carries the
 // service layer's error code (server.Code) so clients can classify without
-// string matching. In a v1 frame it is JSON; in a v2 frame it is
+// string matching. On the wire it is
 // `uvarint code | uvarint len | len bytes of message`.
 type ErrorPayload struct {
 	Code  int    `json:"code"`
 	Error string `json:"error"`
 }
 
-// MarshalBinary encodes the v2 wire form of the error payload.
+// MarshalBinary encodes the wire form of the error payload.
 func (e *ErrorPayload) MarshalBinary() ([]byte, error) {
 	b := binary.AppendUvarint(nil, uint64(uint(e.Code)))
 	b = binary.AppendUvarint(b, uint64(len(e.Error)))
 	return append(b, e.Error...), nil
 }
 
-// UnmarshalBinary decodes the v2 wire form of the error payload.
+// UnmarshalBinary decodes the wire form of the error payload.
 func (e *ErrorPayload) UnmarshalBinary(data []byte) error {
 	code, n := binary.Uvarint(data)
 	if n <= 0 {
@@ -168,7 +139,7 @@ func (e *ErrorPayload) UnmarshalBinary(data []byte) error {
 // needs to rebuild the federation's ownership ring locally (hashring.New
 // over Members with VNodes points each) plus the epoch it was published at.
 //
-// Binary layout (always; OpTopology never rides in v1 frames):
+// Binary layout:
 //
 //	uvarint epoch | uvarint vnodes | uvarint count | count × (uvarint len | bytes)
 //
@@ -198,7 +169,7 @@ func (t *TopologyPayload) MarshalBinary() ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. Like every v2
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Like every binary
 // decoder it rejects lying counts and trailing bytes, and an accepted
 // payload re-encodes byte-identically (pinned by FuzzTopologyRoundTrip).
 func (t *TopologyPayload) UnmarshalBinary(data []byte) error {
@@ -333,7 +304,8 @@ func appendFrame(b []byte, ver, op byte, id uint32, payload []byte) []byte {
 // WriteFrame writes one frame to w (typically a *bufio.Writer; the caller
 // owns flushing). A *bufio.Writer with room gets the header built in its own
 // buffer; through the io.Writer interface a local header array escapes, one
-// heap object per frame.
+// heap object per frame. ver has one legal value, Version2; like ReadFrame's
+// last parameter it stays because the benchmark compiles against it.
 func WriteFrame(w io.Writer, ver, op byte, id uint32, payload []byte) error {
 	var hdr []byte
 	if bw, ok := w.(*bufio.Writer); ok && bw.Available() >= HeaderSize {
@@ -350,12 +322,11 @@ func WriteFrame(w io.Writer, ver, op byte, id uint32, payload []byte) error {
 }
 
 // readHeader reads and validates one frame header, returning the frame
-// without its payload and the payload's length. Frames with a version above
-// maxVer are rejected — a v1-only server passes Version1 here, which is
-// exactly how a pre-v2 daemon behaves. Payloads above maxPayload are
-// rejected as a protocol violation — a correct peer never sends them, and
+// without its payload and the payload's length. A frame whose version byte
+// is not Version2 is rejected the way bad magic is. Payloads above maxPayload
+// are rejected as a protocol violation — a correct peer never sends them, and
 // honoring the prefix would let a malformed length balloon memory.
-func readHeader(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, int, error) {
+func readHeader(br *bufio.Reader, maxPayload int) (Frame, int, error) {
 	hdr, err := br.Peek(HeaderSize)
 	if err != nil {
 		return Frame{}, 0, err
@@ -363,7 +334,7 @@ func readHeader(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, int, erro
 	if hdr[0] != Magic0 || hdr[1] != Magic1 {
 		return Frame{}, 0, &ErrProtocol{msg: "bad magic"}
 	}
-	if hdr[2] < Version1 || hdr[2] > maxVer {
+	if hdr[2] != Version2 {
 		return Frame{}, 0, &ErrProtocol{msg: fmt.Sprintf("unsupported version %d", hdr[2])}
 	}
 	n := binary.BigEndian.Uint32(hdr[8:12])
@@ -377,9 +348,10 @@ func readHeader(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, int, erro
 
 // ReadFrame reads and validates one frame (see readHeader for what is
 // rejected). The returned payload is freshly allocated (it may outlive the
-// reader).
-func ReadFrame(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, error) {
-	fr, n, err := readHeader(br, maxPayload, maxVer)
+// reader). The last parameter was the highest version to accept; with one
+// version it is ignored, and stays because the benchmark compiles against it.
+func ReadFrame(br *bufio.Reader, maxPayload int, _ byte) (Frame, error) {
+	fr, n, err := readHeader(br, maxPayload)
 	if err != nil || n == 0 {
 		return fr, err
 	}
@@ -394,8 +366,8 @@ func ReadFrame(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, error) {
 // (GetBuf). The caller owns the payload and must return it with PutBuf once
 // the frame is fully handled — which also means the payload must not escape
 // the handler (decoders copy what they keep).
-func ReadFramePooled(br *bufio.Reader, maxPayload int, maxVer byte) (Frame, error) {
-	fr, n, err := readHeader(br, maxPayload, maxVer)
+func ReadFramePooled(br *bufio.Reader, maxPayload int, _ byte) (Frame, error) {
+	fr, n, err := readHeader(br, maxPayload)
 	if err != nil || n == 0 {
 		return fr, err
 	}

@@ -27,20 +27,11 @@ type Options struct {
 	// matching the HTTP adapter's batch body bound). A frame announcing
 	// more is a protocol violation and closes the connection.
 	MaxPayload int
-	// MaxVersion caps the protocol version this server speaks (default
-	// MaxVersion, currently 2). Setting 1 makes the server behave exactly
-	// like a pre-v2 daemon — v2 frames are framing violations and OpHello
-	// is an unknown opcode — which is how the mixed-version federation
-	// tests pin the fallback path.
-	MaxVersion byte
 }
 
 func (o *Options) fillDefaults() {
 	if o.MaxPayload <= 0 {
 		o.MaxPayload = server.MaxBatch * 1024
-	}
-	if o.MaxVersion == 0 {
-		o.MaxVersion = MaxVersion
 	}
 }
 
@@ -64,7 +55,6 @@ type Server struct {
 
 	connsActive atomic.Int64
 	framesIn    atomic.Int64
-	framesInV2  atomic.Int64
 	framesOut   atomic.Int64
 }
 
@@ -82,9 +72,7 @@ func NewServer(m *server.Manager, opts Options) *Server {
 		conns:        make(map[*srvConn]struct{}),
 	}
 	m.SetStreamTelemetrySource(s)
-	if opts.MaxVersion >= Version2 {
-		m.SetTopologyPusher(s)
-	}
+	m.SetTopologyPusher(s)
 	return s
 }
 
@@ -121,10 +109,9 @@ func (s *Server) PushTopology(info server.TopologyInfo) int {
 // requires).
 func (s *Server) StreamTelemetry() server.StreamTelemetry {
 	return server.StreamTelemetry{
-		Conns:      s.connsActive.Load(),
-		FramesIn:   s.framesIn.Load(),
-		FramesInV2: s.framesInV2.Load(),
-		FramesOut:  s.framesOut.Load(),
+		Conns:     s.connsActive.Load(),
+		FramesIn:  s.framesIn.Load(),
+		FramesOut: s.framesOut.Load(),
 	}
 }
 
@@ -294,8 +281,8 @@ func (sc *srvConn) beginDrain() {
 // the header completed — 0 when they were already buffered, which is also
 // when a clock read would cost more than the wait it times. The header wait
 // is excluded: between requests it measures client idle time.
-func (sc *srvConn) next(maxPayload int, maxVer byte) (fr Frame, wait time.Duration, err error) {
-	fr, n, err := readHeader(sc.br, maxPayload, maxVer)
+func (sc *srvConn) next(maxPayload int) (fr Frame, wait time.Duration, err error) {
+	fr, n, err := readHeader(sc.br, maxPayload)
 	if err != nil || n == 0 {
 		return fr, 0, err
 	}
@@ -372,19 +359,16 @@ func (s *Server) serveConn(sc *srvConn) {
 // connection is finished: EOF, a peer reset, a protocol violation, the drain
 // deadline, or a failed write.
 func (s *Server) serveFrame(sc *srvConn) bool {
-	fr, wait, err := sc.next(s.opts.MaxPayload, s.opts.MaxVersion)
+	fr, wait, err := sc.next(s.opts.MaxPayload)
 	if err != nil {
 		return false
 	}
 	s.framesIn.Add(1)
-	if fr.Ver >= Version2 {
-		s.framesInV2.Add(1)
-	}
 	t0 := time.Now()
 	sc.wbuf = append(sc.wbuf, make([]byte, HeaderSize)...)
 	start := len(sc.wbuf)
-	op, sp := s.handle(sc, fr.Ver, fr.Op, fr.Payload)
-	PutHeader(sc.wbuf[start-HeaderSize:], fr.Ver, op, fr.ID, len(sc.wbuf)-start)
+	op, sp := s.handle(sc, fr.Op, fr.Payload)
+	PutHeader(sc.wbuf[start-HeaderSize:], Version2, op, fr.ID, len(sc.wbuf)-start)
 	sc.release(fr.Payload)
 	s.svc.Obs().ObserveTotal(obsOpOf(fr.Op), time.Since(t0))
 	sc.pending++
@@ -478,25 +462,32 @@ func obsOpOf(op byte) obs.Op {
 	}
 }
 
+// serving reports whether op, flags stripped, is one of the four serving
+// opcodes: the only ones that may carry HopFlag or TraceFlag.
+func serving(op byte) bool {
+	return op >= OpCheckIn && op <= OpReportBatch
+}
+
 // handle peels the optional trace context off a request frame, starts the
 // request's observability span, and dispatches; the reply's payload lands in
 // the connection's write buffer and its opcode is returned. A TraceFlag-marked
-// frame (v2 only) carries a 9-byte trace prefix: when its sampled bit is set
-// the span is forced with the origin's trace ID — the receiving side of a
-// federation hop records the same trace the origin did, which is what lets
-// a slow hop in the origin's flight recorder be joined against the remote's
-// record. Unsampled requests get the regular 1-in-N sampler; hop requests
+// frame carries a 9-byte trace prefix: when its sampled bit is set the span is
+// forced with the origin's trace ID — the receiving side of a federation hop
+// records the same trace the origin did, which is what lets a slow hop in the
+// origin's flight recorder be joined against the remote's record. The flag is
+// only legal on the four serving opcodes, so no other request can plant a
+// forced span. Unsampled requests get the regular 1-in-N sampler; hop requests
 // whose origin did not sample never start a span of their own.
-func (s *Server) handle(sc *srvConn, ver, op byte, payload []byte) (byte, *obs.Span) {
+func (s *Server) handle(sc *srvConn, op byte, payload []byte) (byte, *obs.Span) {
 	var trace uint64
 	if op&TraceFlag != 0 {
 		op &^= TraceFlag
-		if ver < Version2 {
-			return sc.replyErr(ver, server.CodeInvalid, errors.New("transport: trace context requires protocol v2")), nil
+		if !serving(op &^ HopFlag) {
+			return sc.replyErr(server.CodeInvalid, errors.New("transport: trace flag on non-serving opcode")), nil
 		}
 		id, sampled, rest, err := PeelTrace(payload)
 		if err != nil {
-			return sc.replyErr(ver, server.CodeInvalid, err), nil
+			return sc.replyErr(server.CodeInvalid, err), nil
 		}
 		payload = rest
 		if sampled {
@@ -510,7 +501,7 @@ func (s *Server) handle(sc *srvConn, ver, op byte, payload []byte) (byte, *obs.S
 	} else if op&HopFlag == 0 {
 		sp = s.svc.Obs().Sample(obsOp)
 	}
-	ro := s.dispatch(sc, ver, op, payload, sp)
+	ro := s.dispatch(sc, op, payload, sp)
 	if ro == OpError {
 		sp.SetError()
 	}
@@ -542,33 +533,27 @@ func timed(sp *obs.Span, st obs.Stage, f func() error) error {
 // The flag is only legal on the four serving opcodes; anything else is
 // rejected as invalid.
 //
-// On a *non-hop* v2 batch request, HopFlag on the response opcode means
+// On a *non-hop* batch request, HopFlag on the response opcode means
 // something different: the router forwarded at least one item to a peer
 // ("forwarded flag"). Ring-aware clients treat it as a stale-topology signal
-// and re-fetch the ring. v1 responses never carry it, keeping this server
-// byte-identical to a pre-v2 daemon on v1 connections.
+// and re-fetch the ring.
 //
-// v2 batch frames are decoded into, and answered from, the connection's
+// Batch frames are decoded into, and answered from, the connection's
 // BatchBuf: the decoded device IDs are views of payload, which the caller
 // keeps intact until the reply is encoded.
-func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Span) byte {
+func (s *Server) dispatch(sc *srvConn, op byte, payload []byte, sp *obs.Span) byte {
 	forwarded := op&HopFlag != 0
 	if forwarded {
-		switch op &^ HopFlag {
-		case OpCheckIn, OpCheckInBatch, OpReport, OpReportBatch:
-			s.svc.NoteForwardedIn(len(payload))
-		default:
-			return sc.replyErr(ver, server.CodeInvalid, errors.New("transport: hop flag on non-forwardable opcode"))
+		if !serving(op &^ HopFlag) {
+			return sc.replyErr(server.CodeInvalid, errors.New("transport: hop flag on non-forwardable opcode"))
 		}
-	}
-	dec := func(v wireCodec) error {
-		return timed(sp, obs.StageDecode, func() error { return decodeReq(ver, payload, v) })
+		s.svc.NoteForwardedIn(len(payload))
 	}
 	switch op &^ HopFlag {
 	case OpCheckIn:
 		var ci server.CheckIn
-		if err := dec(&ci); err != nil {
-			return sc.replySvcErr(ver, err)
+		if err := timed(sp, obs.StageDecode, func() error { return ci.UnmarshalBinary(payload) }); err != nil {
+			return sc.replySvcErr(err)
 		}
 		var asg server.Assignment
 		var err error
@@ -578,37 +563,28 @@ func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Spa
 			asg, err = s.svc.CheckIn(ci, sp)
 		}
 		if err != nil {
-			return sc.replySvcErr(ver, err)
+			return sc.replySvcErr(err)
 		}
-		return sc.reply(ver, op, &asg, sp)
+		return sc.reply(op, &asg, sp)
 	case OpCheckInBatch:
 		b := &sc.batch
-		var raw server.RawItems
-		if ver >= Version2 {
-			if err := timed(sp, obs.StageDecode, func() error { return b.DecodeCheckIns(payload) }); err != nil {
-				return sc.replySvcErr(ver, err)
-			}
-			raw = server.RawItems{Data: payload, Bounds: b.Bounds}
-		} else {
-			var req server.CheckInBatchRequest
-			if err := dec(&req); err != nil {
-				return sc.replySvcErr(ver, err)
-			}
-			b.CheckIns = req.CheckIns
+		if err := timed(sp, obs.StageDecode, func() error { return b.DecodeCheckIns(payload) }); err != nil {
+			return sc.replySvcErr(err)
 		}
+		raw := server.RawItems{Data: payload, Bounds: b.Bounds}
 		results, fwd, err := s.svc.CheckInBatchBuf(b, raw, forwarded, sp)
 		if err != nil {
-			return sc.replySvcErr(ver, err)
+			return sc.replySvcErr(err)
 		}
-		if fwd && ver >= Version2 {
+		if fwd {
 			op |= HopFlag
 		}
 		sc.ciResp.Results = results
-		return sc.reply(ver, op, &sc.ciResp, sp)
+		return sc.reply(op, &sc.ciResp, sp)
 	case OpReport:
 		var rep server.Report
-		if err := dec(&rep); err != nil {
-			return sc.replySvcErr(ver, err)
+		if err := timed(sp, obs.StageDecode, func() error { return rep.UnmarshalBinary(payload) }); err != nil {
+			return sc.replySvcErr(err)
 		}
 		var err error
 		if forwarded {
@@ -617,135 +593,87 @@ func (s *Server) dispatch(sc *srvConn, ver, op byte, payload []byte, sp *obs.Spa
 			err = s.svc.Report(rep, sp)
 		}
 		if err != nil {
-			return sc.replySvcErr(ver, err)
+			return sc.replySvcErr(err)
 		}
 		return op | RespFlag
 	case OpReportBatch:
 		b := &sc.batch
-		var raw server.RawItems
-		if ver >= Version2 {
-			if err := timed(sp, obs.StageDecode, func() error { return b.DecodeReports(payload) }); err != nil {
-				return sc.replySvcErr(ver, err)
-			}
-			raw = server.RawItems{Data: payload, Bounds: b.Bounds}
-		} else {
-			var req server.ReportBatchRequest
-			if err := dec(&req); err != nil {
-				return sc.replySvcErr(ver, err)
-			}
-			b.Reports = req.Reports
+		if err := timed(sp, obs.StageDecode, func() error { return b.DecodeReports(payload) }); err != nil {
+			return sc.replySvcErr(err)
 		}
+		raw := server.RawItems{Data: payload, Bounds: b.Bounds}
 		results, fwd, err := s.svc.ReportBatchBuf(b, raw, forwarded, sp)
 		if err != nil {
-			return sc.replySvcErr(ver, err)
+			return sc.replySvcErr(err)
 		}
-		if fwd && ver >= Version2 {
+		if fwd {
 			op |= HopFlag
 		}
 		sc.repResp.Results = results
-		return sc.reply(ver, op, &sc.repResp, sp)
+		return sc.reply(op, &sc.repResp, sp)
 	case OpRegisterJob:
 		var spec server.JobSpec
 		if err := json.Unmarshal(payload, &spec); err != nil {
-			return sc.replyErr(ver, server.CodeInvalid, err)
+			return sc.replyErr(server.CodeInvalid, err)
 		}
 		st, err := s.svc.RegisterJob(spec)
 		if err != nil {
-			return sc.replySvcErr(ver, err)
+			return sc.replySvcErr(err)
 		}
-		return sc.reply(ver, op, st, nil)
+		return sc.reply(op, st, nil)
 	case OpJobs:
-		return sc.reply(ver, op, s.svc.Jobs(), nil)
+		return sc.reply(op, s.svc.Jobs(), nil)
 	case OpJobStatus:
 		var req JobIDRequest
 		if err := json.Unmarshal(payload, &req); err != nil {
-			return sc.replyErr(ver, server.CodeInvalid, err)
+			return sc.replyErr(server.CodeInvalid, err)
 		}
 		st, err := s.svc.JobStatusByID(req.ID)
 		if err != nil {
-			return sc.replySvcErr(ver, err)
+			return sc.replySvcErr(err)
 		}
-		return sc.reply(ver, op, st, nil)
+		return sc.reply(op, st, nil)
 	case OpStats:
-		return sc.reply(ver, op, s.svc.Stats(), nil)
+		return sc.reply(op, s.svc.Stats(), nil)
 	case OpMetrics:
-		return sc.reply(ver, op, s.svc.Metrics(), nil)
+		return sc.reply(op, s.svc.Metrics(), nil)
 	case OpPing:
 		return op | RespFlag
 	case OpTopology:
-		// v2-era opcode: requests must ride in v2 frames. Serving it flags
-		// the connection for topology pushes.
-		if ver < Version2 {
-			return sc.replyErr(ver, server.CodeInvalid, errors.New("transport: topology requires protocol v2"))
-		}
+		// Serving it flags the connection for topology pushes.
 		src := s.m.TopologySourceRef()
 		if src == nil {
-			return sc.replyErr(ver, server.CodeUnavailable, errors.New("transport: no federation topology attached"))
+			return sc.replyErr(server.CodeUnavailable, errors.New("transport: no federation topology attached"))
 		}
 		info := src.Topology()
 		sc.topoSub.Store(true)
 		tp := TopologyPayload{Epoch: info.Epoch, VNodes: info.VNodes, Members: info.Members}
-		return sc.reply(ver, op, &tp, nil)
-	case OpHello:
-		// Version negotiation. A server capped at v1 must be byte-for-byte
-		// indistinguishable from a pre-v2 daemon, so it falls through to
-		// the unknown-opcode error below — which is exactly the reply
-		// clients interpret as "peer speaks v1 only".
-		if s.opts.MaxVersion >= Version2 {
-			var req HelloRequest
-			if err := json.Unmarshal(payload, &req); err != nil {
-				return sc.replyErr(ver, server.CodeInvalid, err)
-			}
-			v := min(req.MaxVersion, int(s.opts.MaxVersion))
-			if v < int(Version1) {
-				v = int(Version1)
-			}
-			return sc.reply(Version1, op, HelloResponse{Version: v}, nil)
-		}
-		fallthrough
+		return sc.reply(op, &tp, nil)
 	default:
-		return sc.replyErr(ver, server.CodeInvalid, errors.New("transport: unknown opcode"))
+		return sc.replyErr(server.CodeInvalid, errors.New("transport: unknown opcode"))
 	}
-}
-
-// wireCodec is implemented by the serving wire types, which carry both a
-// hand-rolled JSON codec (v1) and the fixed-layout binary codec (v2).
-type wireCodec interface {
-	json.Unmarshaler
-	encoding.BinaryUnmarshaler
-}
-
-// decodeReq decodes a serving-opcode request payload per the frame version.
-func decodeReq(ver byte, payload []byte, v wireCodec) error {
-	if ver >= Version2 {
-		return v.UnmarshalBinary(payload)
-	}
-	return v.UnmarshalJSON(payload)
 }
 
 // binaryAppender is the in-place encode fast path: types that can append
-// their v2 wire form onto the write buffer.
+// their binary wire form onto the write buffer.
 type binaryAppender interface {
 	AppendBinary(b []byte) ([]byte, error)
 }
 
 // reply appends a success response's payload to the write buffer and returns
-// its opcode: the binary codec when the frame is v2 and the type has one
-// (appended in place when the type supports it), else the hand-rolled JSON
-// marshaler, else encoding/json. Non-serving opcodes keep JSON payloads in
-// every version — they have no binary codec, and they are off the hot path.
-// A sampled span gets the encode stage marked.
-func (sc *srvConn) reply(ver, op byte, v any, sp *obs.Span) byte {
+// its opcode. The encoding follows the opcode through the type answering it:
+// the serving replies and the topology have a binary codec (appended in place
+// when the type supports it), every other reply is JSON. A sampled span gets
+// the encode stage marked.
+func (sc *srvConn) reply(op byte, v any, sp *obs.Span) byte {
 	mark := len(sc.wbuf)
 	err := timed(sp, obs.StageEncode, func() (err error) {
 		var buf []byte
-		if m, ok := v.(binaryAppender); ok && ver >= Version2 {
+		if m, ok := v.(binaryAppender); ok {
 			sc.wbuf, err = m.AppendBinary(sc.wbuf)
 			return err
-		} else if m, ok := v.(encoding.BinaryMarshaler); ok && ver >= Version2 {
+		} else if m, ok := v.(encoding.BinaryMarshaler); ok {
 			buf, err = m.MarshalBinary()
-		} else if m, ok := v.(json.Marshaler); ok {
-			buf, err = m.MarshalJSON()
 		} else {
 			buf, err = json.Marshal(v)
 		}
@@ -754,24 +682,19 @@ func (sc *srvConn) reply(ver, op byte, v any, sp *obs.Span) byte {
 	})
 	if err != nil {
 		sc.wbuf = sc.wbuf[:mark]
-		return sc.replyErr(ver, server.CodeInvalid, err)
+		return sc.replyErr(server.CodeInvalid, err)
 	}
 	return op | RespFlag
 }
 
-func (sc *srvConn) replySvcErr(ver byte, err error) byte {
-	return sc.replyErr(ver, server.ErrCode(err), err)
+func (sc *srvConn) replySvcErr(err error) byte {
+	return sc.replyErr(server.ErrCode(err), err)
 }
 
 // replyErr appends an error response's payload to the write buffer.
-func (sc *srvConn) replyErr(ver byte, code server.Code, err error) byte {
+func (sc *srvConn) replyErr(code server.Code, err error) byte {
 	ep := ErrorPayload{Code: int(code), Error: err.Error()}
-	var buf []byte
-	if ver >= Version2 {
-		buf, _ = ep.MarshalBinary()
-	} else if buf, err = json.Marshal(ep); err != nil {
-		buf = []byte(`{"code":1,"error":"transport: unencodable error"}`)
-	}
+	buf, _ := ep.MarshalBinary() // cannot fail
 	sc.wbuf = append(sc.wbuf, buf...)
 	return OpError
 }

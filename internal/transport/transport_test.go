@@ -191,7 +191,7 @@ func TestStreamReconnect(t *testing.T) {
 	addr := ln.Addr().String()
 	go func() { _ = ts.Serve(ln) }()
 
-	c := client.NewStream(addr, client.WithStreamTimeout(2*time.Second))
+	c := client.NewStream(addr, client.WithTimeout(2*time.Second))
 	defer c.Close()
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestStreamShutdownMidStream(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < clients; i++ {
-		c := client.NewStream(addr, client.WithStreamTimeout(2*time.Second))
+		c := client.NewStream(addr, client.WithTimeout(2*time.Second))
 		defer c.Close()
 		wg.Add(1)
 		go func(c *client.StreamClient, i int) {
@@ -274,7 +274,7 @@ func TestStreamShutdownMidStream(t *testing.T) {
 		t.Errorf("shutdown under load must answer every frame it read: %d in, %d out", tel.FramesIn, tel.FramesOut)
 	}
 	// New connections must be refused.
-	c2 := client.NewStream(addr, client.WithStreamTimeout(500*time.Millisecond))
+	c2 := client.NewStream(addr, client.WithTimeout(500*time.Millisecond))
 	defer c2.Close()
 	if err := c2.Ping(); err == nil {
 		t.Error("ping succeeded after shutdown")
@@ -318,7 +318,7 @@ func TestStreamProtocolViolation(t *testing.T) {
 	}
 	defer raw2.Close()
 	bw := bufio.NewWriter(raw2)
-	if err := transport.WriteFrame(bw, transport.Version1, transport.OpCheckIn, 1, make([]byte, 4096)); err != nil {
+	if err := transport.WriteFrame(bw, transport.Version2, transport.OpCheckIn, 1, make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	_ = bw.Flush()
@@ -334,7 +334,7 @@ func TestStreamProtocolViolation(t *testing.T) {
 	}
 	defer raw3.Close()
 	bw3 := bufio.NewWriter(raw3)
-	if err := transport.WriteFrame(bw3, transport.Version1, 0x70, 7, nil); err != nil {
+	if err := transport.WriteFrame(bw3, transport.Version2, 0x70, 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = bw3.Flush()

@@ -29,200 +29,148 @@ func startShardedServer(t *testing.T, opts transport.Options, shards int) (*serv
 	return m, ts, lns[0].Addr().String()
 }
 
-// rawHello dials addr and performs a hand-rolled hello exchange, returning
-// the response frame.
-func rawHello(t *testing.T, addr string, maxVersion int) transport.Frame {
-	t.Helper()
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	payload, _ := json.Marshal(transport.HelloRequest{MaxVersion: maxVersion})
-	bw := bufio.NewWriter(raw)
-	if err := transport.WriteFrame(bw, transport.Version1, transport.OpHello, 9, payload); err != nil {
-		t.Fatal(err)
-	}
-	_ = bw.Flush()
-	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	fr, err := transport.ReadFrame(bufio.NewReader(raw), 1<<20, transport.MaxVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fr
-}
-
-// TestHelloNegotiation pins the negotiation matrix at the frame level: a v2
-// server grants min(client, server), and a v1-capped server answers the
-// hello with OpError exactly like a pre-v2 daemon.
-func TestHelloNegotiation(t *testing.T) {
-	_, _, addr := startServer(t, transport.Options{})
-	for _, tc := range []struct{ ask, want int }{{2, 2}, {1, 1}, {7, 2}, {0, 1}} {
-		fr := rawHello(t, addr, tc.ask)
-		if fr.Op != transport.OpHello|transport.RespFlag || fr.ID != 9 {
-			t.Fatalf("ask %d: got op %#x id %d", tc.ask, fr.Op, fr.ID)
-		}
-		var hr transport.HelloResponse
-		if err := json.Unmarshal(fr.Payload, &hr); err != nil {
-			t.Fatal(err)
-		}
-		if hr.Version != tc.want {
-			t.Errorf("ask %d: granted %d, want %d", tc.ask, hr.Version, tc.want)
-		}
-	}
-
-	_, _, v1addr := startServer(t, transport.Options{MaxVersion: transport.Version1})
-	if fr := rawHello(t, v1addr, 2); fr.Op != transport.OpError {
-		t.Errorf("v1-only server answered hello with %#x, want OpError", fr.Op)
-	}
-}
-
-// TestClientFallsBackToV1 drives a full client workload against a v1-capped
-// server: negotiation must downgrade transparently and every call must
-// still work over JSON payloads.
-func TestClientFallsBackToV1(t *testing.T) {
-	m, ts, addr := startServer(t, transport.Options{MaxVersion: transport.Version1})
-	c := client.NewStream(addr)
-	defer c.Close()
-
-	if _, err := c.RegisterJob(server.JobSpec{Name: "j0", Category: "General", DemandPerRound: 2, Rounds: 1}); err != nil {
-		t.Fatal(err)
-	}
-	cis := []server.CheckIn{{DeviceID: "a", CPU: 0.9, Mem: 0.9}, {DeviceID: "b", CPU: 0.9, Mem: 0.9}}
-	results, err := c.CheckInBatch(cis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, res := range results {
-		if res.Error != "" {
-			t.Fatalf("result %d: %s", i, res.Error)
-		}
-	}
-	// Typed errors still decode over the v1 error frame.
-	if _, err := c.JobStatus(999); err == nil {
-		t.Fatal("missing job did not error")
-	} else if client.ErrCode(err) != server.CodeNotFound {
-		t.Errorf("v1 error code = %d, want CodeNotFound", client.ErrCode(err))
-	}
-	// No v2 frames may have reached a v1-capped server.
-	if tel := ts.StreamTelemetry(); tel.FramesInV2 != 0 {
-		t.Errorf("v1-capped server counted %d v2 frames", tel.FramesInV2)
-	}
-	_ = m
-}
-
-// TestV2BinaryOnTheWire asserts a default client ↔ default server pair
-// actually negotiates v2 and moves the serving opcodes as binary frames
-// (counted by the server), while typed errors come back binary too.
+// TestV2BinaryOnTheWire asserts a client ↔ server pair moves the serving
+// opcodes as binary frames, typed errors come back binary too, and the first
+// frame a fresh client writes on a new connection is its request: the server
+// reads exactly one frame per call made, so nothing is exchanged at dial.
 func TestV2BinaryOnTheWire(t *testing.T) {
 	_, ts, addr := startServer(t, transport.Options{})
-	c := client.NewStream(addr)
+	c := client.NewStream(addr, client.WithStreamConns(1))
 	defer c.Close()
 
 	if _, err := c.CheckIn(server.CheckIn{DeviceID: "dev", CPU: 0.5, Mem: 0.5}); err != nil {
 		t.Fatal(err)
 	}
+	if tel := ts.StreamTelemetry(); tel.FramesIn != 1 || tel.FramesOut != 1 {
+		t.Errorf("after the first call: frames in %d out %d, want 1 and 1", tel.FramesIn, tel.FramesOut)
+	}
 	if _, err := c.CheckInBatch([]server.CheckIn{{DeviceID: "dev", CPU: 1, Mem: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if tel := ts.StreamTelemetry(); tel.FramesInV2 < 2 {
-		t.Errorf("server counted %d v2 frames, want >= 2", tel.FramesInV2)
-	}
-	// A service rejection over a v2 frame: binary error payload with the
-	// stable code, decoded into the same typed StreamError.
+	// A service rejection: binary error payload with the stable code, decoded
+	// into the typed StreamError. Control opcodes answer errors the same way.
 	if _, err := c.CheckInBatch(make([]server.CheckIn, server.MaxBatch+1)); err == nil {
 		t.Fatal("oversized batch accepted")
 	} else if client.ErrCode(err) != server.CodeTooLarge {
-		t.Errorf("v2 error code = %d, want CodeTooLarge", client.ErrCode(err))
+		t.Errorf("error code = %d, want CodeTooLarge", client.ErrCode(err))
 	}
-	// An explicitly v1-capped client against the same server keeps JSON.
-	c1 := client.NewStream(addr, client.WithMaxWireVersion(1))
-	defer c1.Close()
-	before := ts.StreamTelemetry().FramesInV2
-	if err := c1.Ping(); err != nil {
+	if _, err := c.JobStatus(999); client.ErrCode(err) != server.CodeNotFound {
+		t.Errorf("missing job: err %v, want CodeNotFound", err)
+	}
+	// A second client's first frame is its request too, whatever the opcode.
+	c2 := client.NewStream(addr, client.WithStreamConns(1))
+	defer c2.Close()
+	if _, err := c2.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.CheckIn(server.CheckIn{DeviceID: "dev2", CPU: 0.5, Mem: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if after := ts.StreamTelemetry().FramesInV2; after != before {
-		t.Errorf("v1-capped client produced %d v2 frames", after-before)
+	if tel := ts.StreamTelemetry(); tel.FramesIn != 5 || tel.FramesOut != 5 {
+		t.Errorf("after 5 calls: frames in %d out %d, want 5 and 5", tel.FramesIn, tel.FramesOut)
 	}
 }
 
-// TestMixedVersionFramesOneConn pins the per-frame versioning rule directly:
-// one raw connection interleaving v1-JSON and v2-binary check-ins gets each
-// answered in the version it asked with.
-func TestMixedVersionFramesOneConn(t *testing.T) {
-	_, _, addr := startServer(t, transport.Options{})
-	raw, err := net.Dial("tcp", addr)
+// rawConn is a hand-driven connection: whole frames out, one reply in.
+type rawConn struct {
+	t  *testing.T
+	c  net.Conn
+	br *bufio.Reader
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer raw.Close()
-	bw := bufio.NewWriter(raw)
+	t.Cleanup(func() { c.Close() })
+	return &rawConn{t: t, c: c, br: bufio.NewReader(c)}
+}
 
-	ci := server.CheckIn{DeviceID: "mixed", CPU: 0.5, Mem: 0.5}
-	jsonBody, _ := ci.MarshalJSON()
-	binBody, _ := ci.MarshalBinary()
-	if err := transport.WriteFrame(bw, transport.Version1, transport.OpCheckIn, 1, jsonBody); err != nil {
-		t.Fatal(err)
+// roundTrip writes one frame and reads the reply.
+func (rc *rawConn) roundTrip(op byte, id uint32, payload []byte) transport.Frame {
+	rc.t.Helper()
+	hdr := make([]byte, transport.HeaderSize)
+	transport.PutHeader(hdr, transport.Version2, op, id, len(payload))
+	if _, err := rc.c.Write(append(hdr, payload...)); err != nil {
+		rc.t.Fatal(err)
 	}
-	if err := transport.WriteFrame(bw, transport.Version2, transport.OpCheckIn, 2, binBody); err != nil {
-		t.Fatal(err)
+	_ = rc.c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	fr, err := transport.ReadFrame(rc.br, 1<<20, transport.MaxVersion)
+	if err != nil {
+		rc.t.Fatalf("op %#x: %v", op, err)
 	}
-	_ = bw.Flush()
-	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	br := bufio.NewReader(raw)
-	got := map[uint32]transport.Frame{}
-	for i := 0; i < 2; i++ {
-		fr, err := transport.ReadFrame(br, 1<<20, transport.MaxVersion)
-		if err != nil {
+	if fr.Ver != transport.Version2 || fr.ID != id {
+		rc.t.Errorf("op %#x: reply version %d id %d, want version 2 id %d", op, fr.Ver, fr.ID, id)
+	}
+	return fr
+}
+
+// TestOneDialect pins the protocol's single dialect at the frame level: any
+// version byte but 2 is a framing violation, a payload's encoding follows its
+// opcode, and every malformed-but-framed request gets a binary OpError on a
+// connection that stays usable.
+func TestOneDialect(t *testing.T) {
+	m, ts, addr := startServer(t, transport.Options{})
+
+	for _, ver := range []byte{0, 1, 3} {
+		rc := dialRaw(t, addr)
+		hdr := make([]byte, transport.HeaderSize)
+		transport.PutHeader(hdr, ver, transport.OpPing, 1, 0)
+		if _, err := rc.c.Write(hdr); err != nil {
 			t.Fatal(err)
 		}
-		got[fr.ID] = fr
-	}
-	if fr := got[1]; fr.Ver != transport.Version1 || fr.Op != transport.OpCheckIn|transport.RespFlag {
-		t.Errorf("v1 request answered ver %d op %#x", fr.Ver, fr.Op)
-	} else {
-		var asg server.Assignment
-		if err := asg.UnmarshalJSON(fr.Payload); err != nil {
-			t.Errorf("v1 response not JSON: %v", err)
+		if err := readDropped(rc.c); err != nil {
+			t.Errorf("version byte %d: %v", ver, err)
 		}
 	}
-	if fr := got[2]; fr.Ver != transport.Version2 || fr.Op != transport.OpCheckIn|transport.RespFlag {
-		t.Errorf("v2 request answered ver %d op %#x", fr.Ver, fr.Op)
-	} else {
-		var asg server.Assignment
-		if err := asg.UnmarshalBinary(fr.Payload); err != nil {
-			t.Errorf("v2 response not binary: %v", err)
-		}
+	if tel := ts.StreamTelemetry(); tel.FramesIn != 0 || tel.FramesOut != 0 {
+		t.Errorf("rejected versions counted: frames in %d out %d, want 0 and 0", tel.FramesIn, tel.FramesOut)
 	}
-}
 
-// TestV1ServerRejectsV2Frames: a v1-capped server treats a v2 frame as a
-// protocol violation and closes the connection, exactly like a pre-v2
-// daemon would.
-func TestV1ServerRejectsV2Frames(t *testing.T) {
-	_, _, addr := startServer(t, transport.Options{MaxVersion: transport.Version1})
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	rc := dialRaw(t, addr)
+	spec, _ := json.Marshal(server.JobSpec{Name: "j", Category: "General", DemandPerRound: 1, Rounds: 1})
+	for i, tc := range []struct {
+		op      byte
+		payload []byte
+	}{
+		{transport.OpRegisterJob, spec},
+		{transport.OpJobs, nil},
+		{transport.OpJobStatus, []byte(`{"id":0}`)},
+		{transport.OpStats, nil},
+		{transport.OpMetrics, nil},
+	} {
+		fr := rc.roundTrip(tc.op, uint32(i+1), tc.payload)
+		if fr.Op != tc.op|transport.RespFlag || !json.Valid(fr.Payload) {
+			t.Errorf("control op %#x: reply op %#x payload %q, want a JSON success reply", tc.op, fr.Op, fr.Payload)
+		}
 	}
-	defer raw.Close()
-	ci := server.CheckIn{DeviceID: "x", CPU: 1, Mem: 1}
-	binBody, _ := ci.MarshalBinary()
-	bw := bufio.NewWriter(raw)
-	if err := transport.WriteFrame(bw, transport.Version2, transport.OpCheckIn, 1, binBody); err != nil {
-		t.Fatal(err)
+
+	sampled := transport.AppendTrace(nil, 0xfeed, true)
+	for i, tc := range []struct {
+		name    string
+		op      byte
+		payload []byte
+	}{
+		{"unknown opcode", 0x70, nil},
+		{"retired negotiation opcode", 0x0B, []byte(`{"max_version":2}`)},
+		{"hop flag on a control opcode", transport.OpStats | transport.HopFlag, nil},
+		{"trace flag on a control opcode", transport.OpMetrics | transport.TraceFlag, sampled},
+		{"truncated trace prefix", transport.OpCheckIn | transport.TraceFlag, sampled[:4]},
+	} {
+		fr := rc.roundTrip(tc.op, uint32(100+i), tc.payload)
+		var ep transport.ErrorPayload
+		if fr.Op != transport.OpError {
+			t.Errorf("%s: reply op %#x, want OpError", tc.name, fr.Op)
+		} else if err := ep.UnmarshalBinary(fr.Payload); err != nil || ep.Code != int(server.CodeInvalid) {
+			t.Errorf("%s: error payload %q (decode err %v, code %d), want binary CodeInvalid", tc.name, fr.Payload, err, ep.Code)
+		}
 	}
-	_ = bw.Flush()
-	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := transport.ReadFrame(bufio.NewReader(raw), 1<<20, transport.MaxVersion); err == nil {
-		t.Error("v1-capped server answered a v2 frame instead of closing")
+	if fr := rc.roundTrip(transport.OpPing, 200, nil); fr.Op != transport.OpPing|transport.RespFlag {
+		t.Errorf("ping after the rejections: reply op %#x", fr.Op)
+	}
+	// Fewer requests than one sampling period were made, so any recorded span
+	// would be the forced one a trace-flagged control frame must not plant.
+	if n := m.MetricsSnapshot().FlightRecorded; n != 0 {
+		t.Errorf("flight recorder holds %d spans, want 0", n)
 	}
 }
 
