@@ -64,12 +64,15 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"venn/internal/server"
 )
 
 // report mirrors the subset of vennload's benchReport the guard reads. The
 // ladder shape labels each run with a transport; pre-stream reports lack
 // the field, which decodes as "" and classifies as HTTP. Cluster runs
-// additionally carry per-node federation counters.
+// additionally carry each node's federation counters, and single-daemon runs
+// the daemon's /v1/metrics, both in the server's own types.
 type report struct {
 	Schema string `json:"schema"`
 	NumCPU int    `json:"num_cpu"`
@@ -86,34 +89,10 @@ type run struct {
 	Policy         string  `json:"policy"`
 	JCTAvgSeconds  float64 `json:"jct_avg_seconds"`
 	Nodes          []struct {
-		Node                string `json:"node"`
-		CheckIns            int64  `json:"checkins"`
-		ForwardsIn          int64  `json:"forwards_in"`
-		ForwardsOut         int64  `json:"forwards_out"`
-		ForwardErrors       int64  `json:"forward_errors"`
-		PeersDown           int    `json:"peers_down"`
-		DirectRoutedBatches int64  `json:"direct_routed_batches"`
-		TopologyEpoch       uint64 `json:"topology_epoch"`
+		Node string `json:"node"`
+		server.ClusterTelemetry
 	} `json:"nodes"`
-	ServerMetrics *struct {
-		PlanRebuilds           int64                  `json:"plan_rebuilds"`
-		PlanPatches            int64                  `json:"plan_patches"`
-		PlanIncrementalHitRate float64                `json:"plan_incremental_hit_rate"`
-		PolicyPrimary          string                 `json:"policy_primary"`
-		PolicyShadows          map[string]shadowStats `json:"policy_shadows"`
-		ObsSampleEvery         int                    `json:"obs_sample_every"`
-		FlightRecorded         int64                  `json:"flight_recorded_total"`
-	} `json:"server_metrics"`
-}
-
-// shadowStats mirrors server.PolicyShadowStats: per-shadow divergence
-// counters plus the drop/panic health counters the smoke gate reads.
-type shadowStats struct {
-	AssignChecks  int64 `json:"assign_checks"`
-	Mismatches    int64 `json:"assign_mismatches"`
-	ShadowAssigns int64 `json:"shadow_assigns"`
-	DroppedEvents int64 `json:"dropped_events"`
-	Panics        int64 `json:"panics"`
+	ServerMetrics *server.Metrics `json:"server_metrics"`
 }
 
 func load(path string) (report, error) {
@@ -224,9 +203,9 @@ func checkClusterRun(r run, label string, floor float64) bool {
 		return true
 	}
 	for _, n := range r.Nodes {
-		if n.ForwardsOut == 0 || n.ForwardsIn == 0 {
+		if n.ClusterForwardsOut == 0 || n.ClusterForwardsIn == 0 {
 			fmt.Fprintf(os.Stderr, "benchguard: FAIL %s node %s did not forward (out=%d in=%d)\n",
-				label, n.Node, n.ForwardsOut, n.ForwardsIn)
+				label, n.Node, n.ClusterForwardsOut, n.ClusterForwardsIn)
 			failed = true
 		}
 	}
@@ -261,9 +240,9 @@ func checkClusterDirectRun(r run, label string) bool {
 	var direct, out int64
 	for _, n := range r.Nodes {
 		direct += n.DirectRoutedBatches
-		out += n.ForwardsOut
-		if n.ForwardErrors > 0 {
-			fmt.Fprintf(os.Stderr, "benchguard: FAIL %s node %s had %d forward errors\n", label, n.Node, n.ForwardErrors)
+		out += n.ClusterForwardsOut
+		if n.ClusterForwardErrors > 0 {
+			fmt.Fprintf(os.Stderr, "benchguard: FAIL %s node %s had %d forward errors\n", label, n.Node, n.ClusterForwardErrors)
 			failed = true
 		}
 		if n.DirectRoutedBatches == 0 {
@@ -303,12 +282,12 @@ func checkChaosRun(r run, label string) bool {
 	}
 	sawDown := false
 	for _, n := range r.Nodes {
-		if n.ForwardErrors > 0 {
+		if n.ClusterForwardErrors > 0 {
 			fmt.Fprintf(os.Stderr, "benchguard: FAIL %s node %s had %d forward errors during the kill\n",
-				label, n.Node, n.ForwardErrors)
+				label, n.Node, n.ClusterForwardErrors)
 			failed = true
 		}
-		if n.PeersDown > 0 {
+		if n.ClusterPeersDown > 0 {
 			sawDown = true
 		}
 	}

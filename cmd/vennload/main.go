@@ -474,26 +474,14 @@ type percentiles struct {
 
 // nodeResult is one federation member's slice of a cluster run: client-side
 // throughput of the lane that drove it plus the member's own federation
-// counters.
+// counters, as its /v1/metrics reports them.
 type nodeResult struct {
 	Node           string  `json:"node"`
 	CheckIns       int64   `json:"checkins"`
 	CheckInsPerSec float64 `json:"checkins_per_sec"`
 	Errors         int64   `json:"errors"`
 	JobsDone       int     `json:"jobs_done"`
-	ForwardsIn     int64   `json:"forwards_in"`
-	ForwardsOut    int64   `json:"forwards_out"`
-	ForwardErrors  int64   `json:"forward_errors"`
-	LocalFallbacks int64   `json:"local_fallbacks"`
-	PeersUp        int     `json:"peers_up"`
-	PeersDown      int     `json:"peers_down"`
-	// Direct-routing telemetry (ring-aware clients): batches served without
-	// any peer hop, the topology the member advertises, and forwarded bytes.
-	DirectRoutedBatches int64  `json:"direct_routed_batches,omitempty"`
-	TopologyEpoch       uint64 `json:"topology_epoch,omitempty"`
-	TopologyPushes      int64  `json:"topology_pushes,omitempty"`
-	ForwardBytesIn      int64  `json:"forward_bytes_in,omitempty"`
-	ForwardBytesOut     int64  `json:"forward_bytes_out,omitempty"`
+	server.ClusterTelemetry
 }
 
 type runResult struct {
@@ -528,8 +516,8 @@ type runResult struct {
 // forwards sums the run's federation counters across its nodes.
 func (r runResult) forwards() (in, out int64) {
 	for _, n := range r.Nodes {
-		in += n.ForwardsIn
-		out += n.ForwardsOut
+		in += n.ClusterForwardsIn
+		out += n.ClusterForwardsOut
 	}
 	return in, out
 }
@@ -604,7 +592,7 @@ func printSummary(report benchReport) {
 			out, in, run.directRouted(), run.Errors, run.JobsDone, run.JobsTotal)
 		for _, n := range run.Nodes {
 			fmt.Fprintf(&b, "  └ %-28s %14.0f %10d %10d %10d %8d %d (topo epoch %d, %d pushes, fwd bytes %d/%d)\n",
-				n.Node, n.CheckInsPerSec, n.ForwardsOut, n.ForwardsIn, n.DirectRoutedBatches,
+				n.Node, n.CheckInsPerSec, n.ClusterForwardsOut, n.ClusterForwardsIn, n.DirectRoutedBatches,
 				n.Errors, n.JobsDone, n.TopologyEpoch, n.TopologyPushes, n.ForwardBytesOut, n.ForwardBytesIn)
 		}
 	}
@@ -1337,22 +1325,12 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 			// its lane still reports client-side counts with zeroed
 			// federation counters.
 			if mt, err := l.c.Metrics(); err == nil {
-				nr.ForwardsIn = mt.ClusterForwardsIn
-				nr.ForwardsOut = mt.ClusterForwardsOut
-				nr.ForwardErrors = mt.ClusterForwardErrors
-				nr.LocalFallbacks = mt.ClusterLocalFallbacks
-				nr.PeersUp = mt.ClusterPeersUp
-				nr.PeersDown = mt.ClusterPeersDown
-				nr.DirectRoutedBatches = mt.DirectRoutedBatches
-				nr.TopologyEpoch = mt.TopologyEpoch
-				nr.TopologyPushes = mt.TopologyPushes
-				nr.ForwardBytesIn = mt.ForwardBytesIn
-				nr.ForwardBytesOut = mt.ForwardBytesOut
+				nr.ClusterTelemetry = mt.ClusterTelemetry
 			}
 			res.Nodes = append(res.Nodes, nr)
 			fmt.Fprintf(&b, "    node %s: %.0f checkins/s, fwd out %d / in %d (errors %d, fallbacks %d), direct %d, topo epoch %d (%d pushes), fwd bytes out %d / in %d, %d jobs done\n",
-				nr.Node, nr.CheckInsPerSec, nr.ForwardsOut, nr.ForwardsIn,
-				nr.ForwardErrors, nr.LocalFallbacks, nr.DirectRoutedBatches,
+				nr.Node, nr.CheckInsPerSec, nr.ClusterForwardsOut, nr.ClusterForwardsIn,
+				nr.ClusterForwardErrors, nr.ClusterLocalFallbacks, nr.DirectRoutedBatches,
 				nr.TopologyEpoch, nr.TopologyPushes, nr.ForwardBytesOut, nr.ForwardBytesIn, nr.JobsDone)
 		}
 	} else if mt, err := lanes[0].c.Metrics(); err == nil {

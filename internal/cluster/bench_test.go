@@ -43,7 +43,8 @@ func BenchmarkForwardPath(b *testing.B) {
 			send()
 		}
 		b.StopTimer()
-		_, out, errs, _ := nodes[0].clu.Counters()
+		tel := nodes[0].clu.ClusterTelemetry()
+		out, errs := tel.ClusterForwardsOut, tel.ClusterForwardErrors
 		if out == 0 || errs != 0 {
 			b.Fatalf("forward path not exercised: out=%d errs=%d", out, errs)
 		}

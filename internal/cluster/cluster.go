@@ -123,9 +123,10 @@ type snapshot struct {
 }
 
 // Cluster shards device ownership across the member daemons and forwards
-// misrouted requests to their owners. It implements server.Router (attach
-// via server.Manager.SetRouter) and server.ClusterTelemetrySource. All
-// methods are safe for concurrent use.
+// misrouted requests to their owners. It implements server.Router, which
+// New attaches with server.Manager.SetRouter: routing, the topology served to
+// ring-aware clients, and the federation counters. All methods are safe for
+// concurrent use.
 type Cluster struct {
 	cfg   Config
 	m     *server.Manager
@@ -163,9 +164,10 @@ type Cluster struct {
 }
 
 // New builds the federation layer over m and attaches it: the manager's
-// Service entry points route through the cluster from here on, and
-// /v1/metrics carries the federation counters. Call Close (after draining
-// the transports) to detach and tear down the peer pools.
+// Service entry points route through the cluster from here on, OpTopology
+// serves its topology, and /v1/metrics carries the federation counters. Call
+// Close (after draining the transports) to detach and tear down the peer
+// pools.
 //
 // Peer connections dial lazily on first use, so New succeeds even while
 // peers are still starting; the health loop governs up/down from then on.
@@ -213,8 +215,6 @@ func New(m *server.Manager, cfg Config) (*Cluster, error) {
 	c.healthWG.Add(1)
 	go c.healthLoop()
 	m.SetRouter(c)
-	m.SetClusterTelemetrySource(c)
-	m.SetTopologySource(c)
 	return c, nil
 }
 
@@ -255,7 +255,7 @@ func (c *Cluster) publish() {
 	}
 }
 
-// Topology implements server.TopologySource: the topology served to (and
+// Topology implements server.Router: the topology served to (and
 // pushed at) ring-aware clients. Members lists the *live* members — self
 // plus peers currently passing health probes — so clients stop routing at a
 // daemon this node considers dead.
@@ -347,8 +347,6 @@ func (c *Cluster) Close() error {
 		c.healthWG.Wait()
 		c.inflight.Wait()
 		c.m.ClearRouter(c)
-		c.m.ClearClusterTelemetrySource(c)
-		c.m.ClearTopologySource(c)
 		for _, p := range c.peers {
 			_ = p.c.Close()
 		}
@@ -481,44 +479,38 @@ func (c *Cluster) ReportBatch(rs []server.Report, sp *obs.Span) ([]server.Report
 	return forwardBatch(c, &reportOps, &server.BatchBuf{Reports: rs}, server.RawItems{}, sp)
 }
 
-// ClusterTelemetry implements server.ClusterTelemetrySource. It reads only
-// atomics and the immutable snapshot, per that interface's contract (the
-// manager polls it under its own mutex).
+// ClusterTelemetry implements server.Router. It reads only atomics and the
+// immutable snapshot.
 func (c *Cluster) ClusterTelemetry() server.ClusterTelemetry {
 	snap := c.snap.Load()
-	states := make(map[string]string, len(c.peers))
+	t := server.ClusterTelemetry{
+		ClusterNodeID:         c.cfg.SelfID,
+		ClusterRingSize:       c.ring.Size(),
+		ClusterVNodes:         c.ring.VNodes(),
+		ClusterPeerStates:     make(map[string]string, len(c.peers)),
+		ClusterForwardsIn:     c.forwardsIn.Load(),
+		ClusterForwardsOut:    c.forwardsOut.Load(),
+		ClusterForwardErrors:  c.forwardErrs.Load(),
+		ClusterLocalFallbacks: c.localFallbacks.Load(),
+		DirectRoutedBatches:   c.directRoutedBatches.Load(),
+		TopologyEpoch:         c.epoch.Load(),
+		TopologyPushes:        c.topologyPushes.Load(),
+		ForwardBytesIn:        c.forwardBytesIn.Load(),
+		ForwardBytesOut:       c.forwardBytesOut.Load(),
+	}
 	for _, p := range c.peers {
 		if snap.table[p.idx] != nil {
-			states[p.id] = "up"
+			t.ClusterPeerStates[p.id] = "up"
+			t.ClusterPeersUp++
 		} else {
-			states[p.id] = "down"
+			t.ClusterPeerStates[p.id] = "down"
+			t.ClusterPeersDown++
 		}
 	}
-	return server.ClusterTelemetry{
-		NodeID:              c.cfg.SelfID,
-		RingSize:            c.ring.Size(),
-		VNodes:              c.ring.VNodes(),
-		PeerStates:          states,
-		ForwardsIn:          c.forwardsIn.Load(),
-		ForwardsOut:         c.forwardsOut.Load(),
-		ForwardErrors:       c.forwardErrs.Load(),
-		LocalFallbacks:      c.localFallbacks.Load(),
-		DirectRoutedBatches: c.directRoutedBatches.Load(),
-		TopologyEpoch:       c.epoch.Load(),
-		TopologyPushes:      c.topologyPushes.Load(),
-		ForwardBytesIn:      c.forwardBytesIn.Load(),
-		ForwardBytesOut:     c.forwardBytesOut.Load(),
-	}
-}
-
-// Counters returns the raw federation counters (tests, harnesses).
-func (c *Cluster) Counters() (forwardsIn, forwardsOut, forwardErrs, localFallbacks int64) {
-	return c.forwardsIn.Load(), c.forwardsOut.Load(), c.forwardErrs.Load(), c.localFallbacks.Load()
+	return t
 }
 
 var _ server.Router = (*Cluster)(nil)
-var _ server.ClusterTelemetrySource = (*Cluster)(nil)
-var _ server.TopologySource = (*Cluster)(nil)
 
 // String identifies the member for logs.
 func (c *Cluster) String() string {

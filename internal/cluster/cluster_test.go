@@ -161,8 +161,8 @@ func TestFederationTwoDaemonForward(t *testing.T) {
 		}
 	}
 
-	_, outA, _, _ := a.clu.Counters()
-	inB, _, _, _ := b.clu.Counters()
+	outA := a.clu.ClusterTelemetry().ClusterForwardsOut
+	inB := b.clu.ClusterTelemetry().ClusterForwardsIn
 	if outA == 0 || inB == 0 {
 		t.Fatalf("no forwarding happened: A out=%d, B in=%d", outA, inB)
 	}
@@ -219,7 +219,7 @@ func TestFederationBatchSplitMergeErrors(t *testing.T) {
 	if results[3].Error != "" {
 		t.Fatalf("local devA item rejected: %s", results[3].Error)
 	}
-	_, outA, _, _ := a.clu.Counters()
+	outA := a.clu.ClusterTelemetry().ClusterForwardsOut
 	if outA != 1 {
 		t.Fatalf("batch should forward exactly one owner-group frame, forwarded %d", outA)
 	}
@@ -241,14 +241,15 @@ func TestHopGuard(t *testing.T) {
 	if _, err := cb.CheckInForward(server.CheckIn{DeviceID: devA, CPU: 0.5, Mem: 0.5}, 0); err != nil {
 		t.Fatalf("hop-flagged check-in not served locally: %v", err)
 	}
-	inB, outB, _, _ := b.clu.Counters()
+	tel := b.clu.ClusterTelemetry()
+	inB, outB := tel.ClusterForwardsIn, tel.ClusterForwardsOut
 	if inB != 1 {
 		t.Fatalf("B forwards_in = %d, want 1", inB)
 	}
 	if outB != 0 {
 		t.Fatalf("B re-forwarded a hop-flagged frame (forwards_out = %d)", outB)
 	}
-	inA, _, _, _ := a.clu.Counters()
+	inA := a.clu.ClusterTelemetry().ClusterForwardsIn
 	if inA != 0 {
 		t.Fatalf("A received a bounced frame (forwards_in = %d)", inA)
 	}
@@ -431,7 +432,7 @@ func TestDrainOrdering(t *testing.T) {
 	if got := fake.forwards.Load(); got != 1 {
 		t.Fatalf("a forward escaped after BeginDrain (%d)", got)
 	}
-	_, _, _, fallbacks := clu.Counters()
+	fallbacks := clu.ClusterTelemetry().ClusterLocalFallbacks
 	if fallbacks == 0 {
 		t.Fatal("drained forward not counted as local fallback")
 	}
@@ -494,7 +495,7 @@ func TestHealthLoopDownUp(t *testing.T) {
 	}
 
 	fake.pingErr.Store(true)
-	waitFor(t, func() bool { return clu.ClusterTelemetry().PeerStates["peer-1"] == "down" })
+	waitFor(t, func() bool { return clu.ClusterTelemetry().ClusterPeerStates["peer-1"] == "down" })
 	before := fake.forwards.Load()
 	if _, err := clu.CheckIn(server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}, nil); err != nil {
 		t.Fatalf("down-peer check-in must local-apply, got %v", err)
@@ -502,13 +503,13 @@ func TestHealthLoopDownUp(t *testing.T) {
 	if fake.forwards.Load() != before {
 		t.Fatal("forwarded to a down peer")
 	}
-	_, _, _, fallbacks := clu.Counters()
+	fallbacks := clu.ClusterTelemetry().ClusterLocalFallbacks
 	if fallbacks == 0 {
 		t.Fatal("down-peer fallback not counted")
 	}
 
 	fake.pingErr.Store(false)
-	waitFor(t, func() bool { return clu.ClusterTelemetry().PeerStates["peer-1"] == "up" })
+	waitFor(t, func() bool { return clu.ClusterTelemetry().ClusterPeerStates["peer-1"] == "up" })
 	if _, err := clu.CheckIn(server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +536,8 @@ func TestSingleMemberCluster(t *testing.T) {
 			t.Fatalf("item %d: %s", i, res.Error)
 		}
 	}
-	in, out, _, _ := nodes[0].clu.Counters()
+	tel := nodes[0].clu.ClusterTelemetry()
+	in, out := tel.ClusterForwardsIn, tel.ClusterForwardsOut
 	if in != 0 || out != 0 {
 		t.Fatalf("single-member cluster forwarded (in=%d out=%d)", in, out)
 	}
@@ -608,7 +610,8 @@ func TestForwardFailureSemantics(t *testing.T) {
 	if got := m.MetricsSnapshot().KnownDevices; got != 1 {
 		t.Fatalf("unsent forward not applied locally (%d devices)", got)
 	}
-	_, _, fwdErrs, fallbacks := clu.Counters()
+	tel := clu.ClusterTelemetry()
+	fwdErrs, fallbacks := tel.ClusterForwardErrors, tel.ClusterLocalFallbacks
 	if fwdErrs != 2 || fallbacks != 1 {
 		t.Fatalf("counters: %d forward errors (want 2), %d fallbacks (want 1)", fwdErrs, fallbacks)
 	}

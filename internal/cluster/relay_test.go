@@ -119,9 +119,9 @@ func TestRelayCoalescesIntoContributorsSlots(t *testing.T) {
 	for k := range batches {
 		check(fmt.Sprintf("batch %d", k), batches[k], results[k], echo)
 	}
-	if _, out, errs, fallbacks := clu.Counters(); out != 2 || errs != 0 || fallbacks != 0 || fake.forwards.Load() != 2 {
+	if tel := clu.ClusterTelemetry(); tel.ClusterForwardsOut != 2 || tel.ClusterForwardErrors != 0 || tel.ClusterLocalFallbacks != 0 || fake.forwards.Load() != 2 {
 		t.Fatalf("8 batches over a held reply: %d hop frames (%d reached the peer), %d errors, %d fallbacks; want 2 commit rounds, clean",
-			out, fake.forwards.Load(), errs, fallbacks)
+			tel.ClusterForwardsOut, fake.forwards.Load(), tel.ClusterForwardErrors, tel.ClusterLocalFallbacks)
 	}
 
 	// The failure verdicts, one batch each.
@@ -156,8 +156,8 @@ func TestRelayCoalescesIntoContributorsSlots(t *testing.T) {
 	if got := known(); got != base+per-remote {
 		t.Errorf("short reply: %d devices registered here, want only the %d local ones", got-base, per-remote)
 	}
-	if _, _, errs, fallbacks := clu.Counters(); errs != 1 || fallbacks != 1 {
-		t.Errorf("after the three verdicts: %d forward errors, %d fallbacks; want 1 (short reply) and 1 (unsent)", errs, fallbacks)
+	if tel := clu.ClusterTelemetry(); tel.ClusterForwardErrors != 1 || tel.ClusterLocalFallbacks != 1 {
+		t.Errorf("after the three verdicts: %d forward errors, %d fallbacks; want 1 (short reply) and 1 (unsent)", tel.ClusterForwardErrors, tel.ClusterLocalFallbacks)
 	}
 }
 
@@ -260,7 +260,7 @@ func TestDownOwnerFallsBackOncePerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clu.Close()
-	waitFor(t, func() bool { return clu.ClusterTelemetry().PeerStates["peer-2"] == "down" })
+	waitFor(t, func() bool { return clu.ClusterTelemetry().ClusterPeerStates["peer-2"] == "down" })
 
 	for round, tag := range []string{"down-raw", "down-typed"} {
 		cis, up := fleetOf(clu.Ring(), tag, 48, "peer-1")
@@ -284,8 +284,8 @@ func TestDownOwnerFallsBackOncePerBatch(t *testing.T) {
 		if got := int(m.MetricsSnapshot().KnownDevices) - known; got != len(cis)-up {
 			t.Errorf("%s: %d devices served here, want %d (own and the down member's)", tag, got, len(cis)-up)
 		}
-		if _, out, errs, fallbacks := clu.Counters(); out != int64(round+1) || errs != 0 || fallbacks != int64(round+1) {
-			t.Errorf("%s: %d hop frames, %d errors, %d fallbacks; want %d, 0, %d", tag, out, errs, fallbacks, round+1, round+1)
+		if tel := clu.ClusterTelemetry(); tel.ClusterForwardsOut != int64(round+1) || tel.ClusterForwardErrors != 0 || tel.ClusterLocalFallbacks != int64(round+1) {
+			t.Errorf("%s: %d hop frames, %d errors, %d fallbacks; want %d, 0, %d", tag, tel.ClusterForwardsOut, tel.ClusterForwardErrors, tel.ClusterLocalFallbacks, round+1, round+1)
 		}
 	}
 	if got := fakes["peer-2"].forwards.Load(); got != 0 {

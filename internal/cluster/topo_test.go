@@ -138,7 +138,7 @@ func TestStaleTopologyCorrection(t *testing.T) {
 	forwardsA := func() int64 {
 		var total int64
 		for _, nd := range fedA {
-			_, out, _, _ := nd.clu.Counters()
+			out := nd.clu.ClusterTelemetry().ClusterForwardsOut
 			total += out
 		}
 		return total
@@ -155,7 +155,7 @@ func TestStaleTopologyCorrection(t *testing.T) {
 	// caused a forward at all — and its direct sub-batches are counted.
 	var freshForwards, direct int64
 	for _, nd := range fedB {
-		_, out, _, _ := nd.clu.Counters()
+		out := nd.clu.ClusterTelemetry().ClusterForwardsOut
 		freshForwards += out
 		direct += nd.clu.ClusterTelemetry().DirectRoutedBatches
 	}

@@ -311,22 +311,12 @@ type Manager struct {
 	// Cumulative counters (guarded by mu; all mutated in core sections).
 	assignments, reports, failures, aborts int
 
-	// streamSource, when set, supplies the stream-transport counters
-	// surfaced by MetricsSnapshot; guarded by mu.
-	streamSource StreamTelemetrySource
-	// clusterSource, when set, supplies the federation counters surfaced by
-	// MetricsSnapshot; guarded by mu.
-	clusterSource ClusterTelemetrySource
-	// routerBox holds the attached federation Router (nil box or nil field
-	// when standalone). An atomic pointer because every serving-path request
-	// loads it.
-	routerBox atomic.Pointer[routerHolder]
-	// topoSourceBox / topoPusherBox hold the federation topology supplier
-	// (the cluster) and the push channel back out (the stream server);
-	// atomic pointers because OpTopology requests and health-loop pushes
-	// read them without the manager lock.
-	topoSourceBox atomic.Pointer[topologySourceHolder]
-	topoPusherBox atomic.Pointer[topologyPusherHolder]
+	// routerBox and streamBox hold the two attached layers: the federation
+	// (routing, topology, federation counters) and the stream server (topology
+	// pushes, stream counters). Atomic, because every serving-path request
+	// loads the router, and so that no telemetry read waits for the core.
+	routerBox attachment[Router]
+	streamBox attachment[StreamServer]
 
 	metrics *metricsRecorder
 	// obs is the request-path observability registry: per-op total
@@ -335,51 +325,58 @@ type Manager struct {
 	obs *obs.Registry
 }
 
-// routerHolder boxes the Router interface so it can sit behind an
-// atomic.Pointer.
-type routerHolder struct{ r Router }
+// attachment holds one attached layer behind an atomic pointer.
+type attachment[T comparable] struct{ p atomic.Pointer[T] }
 
-// SetRouter attaches a federation router: from then on the Service layer's
-// CheckIn/Report entry points (single and batch) route through it. Pass the
-// routing decision to the Local variants to bypass it.
-func (m *Manager) SetRouter(r Router) {
-	m.routerBox.Store(&routerHolder{r: r})
-}
+func (a *attachment[T]) set(v T) { a.p.Store(&v) }
 
-// ClearRouter detaches r if it is still the attached router (a newer
-// attachment is left in place), so a closed federation layer stops
-// intercepting requests.
-func (m *Manager) ClearRouter(r Router) {
-	if cur := m.routerBox.Load(); cur != nil && cur.r == r {
-		m.routerBox.CompareAndSwap(cur, nil)
+// clear detaches v if it is still the attached value; a newer attachment is
+// left in place.
+func (a *attachment[T]) clear(v T) {
+	if cur := a.p.Load(); cur != nil && *cur == v {
+		a.p.CompareAndSwap(cur, nil)
 	}
 }
+
+// load returns the attached value, or the zero T when none is attached.
+func (a *attachment[T]) load() (v T) {
+	if p := a.p.Load(); p != nil {
+		v = *p
+	}
+	return v
+}
+
+// SetRouter attaches a federation layer: from then on the Service layer's
+// CheckIn/Report entry points (single and batch) route through it, Topology
+// serves its topology, and /v1/metrics and Health carry its counters. Pass
+// the routing decision to the Local variants to bypass it.
+func (m *Manager) SetRouter(r Router) { m.routerBox.set(r) }
+
+// ClearRouter detaches r — routing, topology and telemetry together — if it
+// is still the attached router (a newer attachment is left in place).
+func (m *Manager) ClearRouter(r Router) { m.routerBox.clear(r) }
 
 // router returns the attached federation router, or nil.
-func (m *Manager) router() Router {
-	if b := m.routerBox.Load(); b != nil {
-		return b.r
-	}
-	return nil
+func (m *Manager) router() Router { return m.routerBox.load() }
+
+// StreamServer is the stream transport as the Manager sees it. Both methods
+// are called without the core mutex and must not call back into the Manager.
+type StreamServer interface {
+	// StreamTelemetry snapshots the transport's counters for /v1/metrics.
+	StreamTelemetry() StreamTelemetry
+	// PushTopology sends an unsolicited topology frame to every connection
+	// that has fetched the topology and returns how many it was handed to.
+	PushTopology(TopologyInfo) int
 }
 
-// ClusterTelemetry is a snapshot of federation counters, supplied by an
-// attached cluster via SetClusterTelemetrySource.
-type ClusterTelemetry struct {
-	NodeID              string            // this daemon's member ID
-	RingSize            int               // members on the ownership ring (self included)
-	VNodes              int               // virtual nodes per member
-	PeerStates          map[string]string // peer ID -> "up" | "down"
-	ForwardsIn          int64             // peer-forwarded request frames received
-	ForwardsOut         int64             // request frames forwarded to peers
-	ForwardErrors       int64             // forwards that failed in transit
-	LocalFallbacks      int64             // would-be forwards applied locally (peer down, drain, or provably-unsent forward)
-	DirectRoutedBatches int64             // non-forwarded batches that needed no peer hop at all (ring-aware clients landing every item on its owner)
-	TopologyEpoch       uint64            // current topology epoch (advances on live-membership change)
-	TopologyPushes      int64             // unsolicited topology frames pushed to subscribed connections
-	ForwardBytesIn      int64             // payload bytes of peer-forwarded frames received
-	ForwardBytesOut     int64             // payload bytes relayed to peers on the v2 zero-copy forward path
-}
+// SetStreamServer attaches the stream server whose counters /v1/metrics
+// reports and through which topology changes are pushed.
+func (m *Manager) SetStreamServer(s StreamServer) { m.streamBox.set(s) }
+
+// ClearStreamServer detaches s if it is still the attached server, so a
+// shut-down stream server neither pins its memory nor keeps reporting frozen
+// counters; a newer attachment is left in place.
+func (m *Manager) ClearStreamServer(s StreamServer) { m.streamBox.clear(s) }
 
 // TopologyInfo is the federation topology an attached cluster publishes for
 // ring-aware clients: the live member set, the vnode count, and the epoch
@@ -391,131 +388,24 @@ type TopologyInfo struct {
 	Members []string
 }
 
-// TopologySource supplies the current topology on demand (the transport
-// layer serves it for OpTopology requests). Implementations must be safe
-// for concurrent use and must not call back into the Manager.
-type TopologySource interface {
-	Topology() TopologyInfo
-}
-
-// topologySourceHolder boxes the interface for the atomic pointer.
-type topologySourceHolder struct{ src TopologySource }
-
-// SetTopologySource registers the federation topology an attached cluster
-// exposes to ring-aware clients; ClearTopologySource detaches it again.
-func (m *Manager) SetTopologySource(src TopologySource) {
-	m.topoSourceBox.Store(&topologySourceHolder{src: src})
-}
-
-// ClearTopologySource detaches src if it is still the registered source.
-func (m *Manager) ClearTopologySource(src TopologySource) {
-	if cur := m.topoSourceBox.Load(); cur != nil && cur.src == src {
-		m.topoSourceBox.CompareAndSwap(cur, nil)
+// Topology returns the attached federation's current topology, served to
+// ring-aware clients over OpTopology; ok is false when standalone.
+func (m *Manager) Topology() (info TopologyInfo, ok bool) {
+	if r := m.router(); r != nil {
+		return r.Topology(), true
 	}
-}
-
-// TopologySourceRef returns the attached topology source, or nil when no
-// federation layer is attached (standalone daemons have no topology).
-func (m *Manager) TopologySourceRef() TopologySource {
-	if b := m.topoSourceBox.Load(); b != nil {
-		return b.src
-	}
-	return nil
-}
-
-// TopologyPusher is implemented by a transport server that can push an
-// unsolicited topology frame to its subscribed connections. It returns how
-// many connections the frame was enqueued to.
-type TopologyPusher interface {
-	PushTopology(TopologyInfo) int
-}
-
-// topologyPusherHolder boxes the interface for the atomic pointer.
-type topologyPusherHolder struct{ p TopologyPusher }
-
-// SetTopologyPusher registers the transport server that delivers topology
-// pushes; ClearTopologyPusher detaches it.
-func (m *Manager) SetTopologyPusher(p TopologyPusher) {
-	m.topoPusherBox.Store(&topologyPusherHolder{p: p})
-}
-
-// ClearTopologyPusher detaches p if it is still the registered pusher.
-func (m *Manager) ClearTopologyPusher(p TopologyPusher) {
-	if cur := m.topoPusherBox.Load(); cur != nil && cur.p == p {
-		m.topoPusherBox.CompareAndSwap(cur, nil)
-	}
+	return info, false
 }
 
 // NotifyTopologyChanged fans a fresh topology out to subscribed stream
-// connections via the registered pusher (a no-op returning 0 without one).
-// The attached cluster calls it whenever its live membership — and thus the
-// epoch — changes.
+// connections through the attached stream server (a no-op returning 0
+// without one). The attached cluster calls it whenever its live membership —
+// and thus the epoch — changes.
 func (m *Manager) NotifyTopologyChanged(info TopologyInfo) int {
-	if b := m.topoPusherBox.Load(); b != nil && b.p != nil {
-		return b.p.PushTopology(info)
+	if s := m.streamBox.load(); s != nil {
+		return s.PushTopology(info)
 	}
 	return 0
-}
-
-// ClusterTelemetrySource supplies live federation counters. Like
-// StreamTelemetrySource it is polled with the manager's mutex held, so
-// implementations must read only their own atomics/snapshots — never call
-// back into the Manager.
-type ClusterTelemetrySource interface {
-	ClusterTelemetry() ClusterTelemetry
-}
-
-// SetClusterTelemetrySource registers the source MetricsSnapshot polls for
-// federation counters.
-func (m *Manager) SetClusterTelemetrySource(src ClusterTelemetrySource) {
-	m.mu.Lock()
-	m.clusterSource = src
-	m.mu.Unlock()
-}
-
-// ClearClusterTelemetrySource detaches src if it is still the registered
-// source; a newer registration is left in place.
-func (m *Manager) ClearClusterTelemetrySource(src ClusterTelemetrySource) {
-	m.mu.Lock()
-	if m.clusterSource == src {
-		m.clusterSource = nil
-	}
-	m.mu.Unlock()
-}
-
-// StreamTelemetry is a snapshot of streaming-transport counters, supplied
-// by an attached stream server via SetStreamTelemetrySource.
-type StreamTelemetry struct {
-	Conns     int64 // currently open stream connections
-	FramesIn  int64 // request frames read, cumulative
-	FramesOut int64 // response frames written, cumulative
-}
-
-// StreamTelemetrySource supplies live stream-transport counters. It is
-// polled with the manager's mutex held, so implementations must only read
-// their own counters — never call back into the Manager.
-type StreamTelemetrySource interface {
-	StreamTelemetry() StreamTelemetry
-}
-
-// SetStreamTelemetrySource registers the source MetricsSnapshot polls for
-// stream-transport counters. The stream server calls this when it attaches
-// to the manager.
-func (m *Manager) SetStreamTelemetrySource(src StreamTelemetrySource) {
-	m.mu.Lock()
-	m.streamSource = src
-	m.mu.Unlock()
-}
-
-// ClearStreamTelemetrySource detaches src if it is still the registered
-// source, so a shut-down stream server neither pins its memory nor keeps
-// reporting frozen counters; a newer registration is left in place.
-func (m *Manager) ClearStreamTelemetrySource(src StreamTelemetrySource) {
-	m.mu.Lock()
-	if m.streamSource == src {
-		m.streamSource = nil
-	}
-	m.mu.Unlock()
 }
 
 type managedJob struct {
@@ -623,7 +513,8 @@ type HealthStatus struct {
 // Health evaluates daemon liveness in one place: the core commit pipeline
 // must not be wedged (one mutex hold exceeding coreWedgeAfter), and
 // federation peer health is surfaced alongside. Every health surface —
-// /v1/healthz, the venndaemon -log-metrics line — derives from this.
+// /v1/healthz, the venndaemon -log-metrics line — derives from this. It takes
+// no manager lock, so it still answers while the core is wedged.
 func (m *Manager) Health() HealthStatus {
 	h := HealthStatus{OK: true, UptimeSeconds: float64(m.now()) / 1000}
 	if since := m.coreHeldSince.Load(); since != 0 {
@@ -636,18 +527,9 @@ func (m *Manager) Health() HealthStatus {
 			h.Detail = "core commit pipeline wedged"
 		}
 	}
-	m.mu.Lock()
-	src := m.clusterSource
-	m.mu.Unlock()
-	if src != nil {
-		ct := src.ClusterTelemetry()
-		for _, st := range ct.PeerStates {
-			if st == "up" {
-				h.PeersUp++
-			} else {
-				h.PeersDown++
-			}
-		}
+	if r := m.router(); r != nil {
+		ct := r.ClusterTelemetry()
+		h.PeersUp, h.PeersDown = ct.ClusterPeersUp, ct.ClusterPeersDown
 		if h.PeersDown > 0 && h.Detail == "" {
 			h.Detail = fmt.Sprintf("%d federation peer(s) down", h.PeersDown)
 		}

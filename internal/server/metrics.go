@@ -12,48 +12,56 @@ import (
 // rateWindowSeconds full seconds, or over the daemon's whole life while that
 // is shorter; latency percentiles are estimated from the cumulative obs
 // histograms.
+//
+// It is also the one listing of the daemon's telemetry: GET /metrics renders
+// every field tagged prom:"counter,<help>" or prom:"gauge,<help>" as the
+// family venn_<json key> (plus _total for a counter whose key lacks it), and
+// prom:"-" marks a field the exposition leaves out — rates and ratios, which
+// Prometheus derives itself, maps and summaries. Adding a counter is adding
+// a field.
 type Metrics struct {
-	UptimeSeconds     float64 `json:"uptime_seconds"`
-	Shards            int     `json:"shards"`
-	CheckIns          int64   `json:"checkins_total"`
-	Assignments       int64   `json:"assignments_total"`
-	Reports           int64   `json:"reports_total"`
-	CheckInsPerSec    float64 `json:"checkins_per_sec"`
-	AssignmentsPerSec float64 `json:"assignments_per_sec"`
-	ReportsPerSec     float64 `json:"reports_per_sec"`
+	UptimeSeconds     float64 `json:"uptime_seconds" prom:"gauge,Seconds since the daemon started."`
+	Shards            int     `json:"shards" prom:"-"`
+	CheckIns          int64   `json:"checkins_total" prom:"counter,Admitted device check-ins."`
+	Assignments       int64   `json:"assignments_total" prom:"counter,Task assignments handed out."`
+	Reports           int64   `json:"reports_total" prom:"counter,Task reports accepted."`
+	CheckInsPerSec    float64 `json:"checkins_per_sec" prom:"-"`
+	AssignmentsPerSec float64 `json:"assignments_per_sec" prom:"-"`
+	ReportsPerSec     float64 `json:"reports_per_sec" prom:"-"`
 
-	ActiveJobs     int   `json:"active_jobs"`
-	SchedulingJobs int   `json:"scheduling_jobs"` // queue depth: jobs with an open request
-	CollectingJobs int   `json:"collecting_jobs"`
-	KnownDevices   int64 `json:"known_devices"`
-	BusyDevices    int64 `json:"busy_devices"`
+	// The job counts are rendered as one labelled family, venn_jobs{state}.
+	ActiveJobs     int   `json:"active_jobs" prom:"-"`
+	SchedulingJobs int   `json:"scheduling_jobs" prom:"-"` // queue depth: jobs with an open request
+	CollectingJobs int   `json:"collecting_jobs" prom:"-"`
+	KnownDevices   int64 `json:"known_devices" prom:"gauge,Devices currently in the registry."`
+	BusyDevices    int64 `json:"busy_devices" prom:"gauge,Devices currently holding a task."`
 
 	// Scheduling-policy telemetry. PolicyPrimary names the policy serving
 	// assignments; PolicyShadows carries each shadow policy's divergence
 	// counters (assignment mismatches, queue-depth delta, drop/panic
 	// health), keyed by registry name. Absent when no shadows run.
-	PolicyPrimary string                       `json:"policy_primary"`
-	PolicyShadows map[string]PolicyShadowStats `json:"policy_shadows,omitempty"`
+	PolicyPrimary string                       `json:"policy_primary" prom:"-"`
+	PolicyShadows map[string]PolicyShadowStats `json:"policy_shadows,omitempty" prom:"-"`
 
 	// Plan-lifecycle telemetry: full Algorithm-1 rebuilds vs incremental
 	// patches, and the fraction of refreshes the incremental path served.
-	PlanRebuilds           int64   `json:"plan_rebuilds"`
-	PlanPatches            int64   `json:"plan_patches"`
-	PlanIncrementalHitRate float64 `json:"plan_incremental_hit_rate"`
+	PlanRebuilds           int64   `json:"plan_rebuilds" prom:"counter,Full scheduling-plan rebuilds."`
+	PlanPatches            int64   `json:"plan_patches" prom:"counter,Incremental scheduling-plan patches."`
+	PlanIncrementalHitRate float64 `json:"plan_incremental_hit_rate" prom:"-"`
 	// LockFreeCheckIns counts check-ins answered from a plan snapshot
 	// without entering the scheduler lock.
-	LockFreeCheckIns int64 `json:"lock_free_checkins_total"`
+	LockFreeCheckIns int64 `json:"lock_free_checkins_total" prom:"counter,Check-ins answered from a plan snapshot without the scheduler lock."`
 	// DevicesEvicted counts registry entries dropped by TTL sweeps.
-	DevicesEvicted int64 `json:"devices_evicted_total"`
+	DevicesEvicted int64 `json:"devices_evicted_total" prom:"counter,Device registry entries dropped by TTL sweeps."`
 	// The device registry's shape (registry.go), summed over its shards:
 	// table slots, slots holding a device (= KnownDevices) or a tombstone —
 	// (live+tombstones)/slots is the load factor — the ID arenas' bytes, IDs
 	// of evicted devices not yet compacted away included, and table rebuilds.
-	RegistrySlots      int64 `json:"registry_slots"`
-	RegistryLive       int64 `json:"registry_live"`
-	RegistryTombstones int64 `json:"registry_tombstones"`
-	RegistryIDBytes    int64 `json:"registry_id_bytes"`
-	RegistryRehashes   int64 `json:"registry_rehashes_total"`
+	RegistrySlots      int64 `json:"registry_slots" prom:"gauge,Device registry table slots, all shards."`
+	RegistryLive       int64 `json:"registry_live" prom:"gauge,Device registry slots holding a device."`
+	RegistryTombstones int64 `json:"registry_tombstones" prom:"gauge,Device registry slots holding an evicted device's tombstone."`
+	RegistryIDBytes    int64 `json:"registry_id_bytes" prom:"gauge,Bytes in the device registry's ID arenas, evicted IDs not yet compacted included."`
+	RegistryRehashes   int64 `json:"registry_rehashes_total" prom:"counter,Device registry table rebuilds (growth, tombstone purge, arena compaction)."`
 
 	// Core commit pipeline telemetry (combiner.go). CoreRounds counts
 	// combining rounds applied; CoreCombinedOps counts the queued ops they
@@ -61,74 +69,83 @@ type Metrics struct {
 	// CoreFastPathOps counts ops applied directly on the uncontended fast
 	// path, no queue hop. CoreWaitNs gives the wait-time percentiles, in
 	// nanoseconds, of submitters that parked while a combiner worked.
-	CoreRounds      int64          `json:"core_rounds"`
-	CoreCombinedOps int64          `json:"core_combined_ops"`
-	CoreOpsPerRound float64        `json:"core_ops_per_round"`
-	CoreFastPathOps int64          `json:"core_fastpath_ops"`
-	CoreWaitNs      LatencySummary `json:"core_wait_ns"`
+	CoreRounds      int64          `json:"core_rounds" prom:"counter,Flat-combining rounds applied by the core commit pipeline."`
+	CoreCombinedOps int64          `json:"core_combined_ops" prom:"counter,Queued core ops applied by combining rounds."`
+	CoreOpsPerRound float64        `json:"core_ops_per_round" prom:"-"`
+	CoreFastPathOps int64          `json:"core_fastpath_ops" prom:"counter,Core ops applied on the uncontended fast path."`
+	CoreWaitNs      LatencySummary `json:"core_wait_ns" prom:"-"`
 
 	// CheckInsPerSecByTransport splits the served check-in rate by the
 	// transport that carried it ("http", "stream"); transports with no
 	// traffic in the window are omitted. "Served" counts items not rejected
 	// per-item, so it can slightly exceed the admitted checkins_per_sec
 	// (daily-budget refusals are served but not admitted).
-	CheckInsPerSecByTransport map[string]float64 `json:"checkins_per_sec_by_transport,omitempty"`
-	// Streaming-transport telemetry; all zero when no stream listener is
-	// attached (SetStreamTelemetry).
-	StreamConns     int64 `json:"stream_conns"`
-	StreamFramesIn  int64 `json:"stream_frames_in_total"`
-	StreamFramesOut int64 `json:"stream_frames_out_total"`
-
-	// Federation telemetry; all absent when no cluster layer is attached
-	// (SetClusterTelemetrySource). ForwardsIn counts peer-forwarded request
-	// frames this node served; ForwardsOut counts request frames this node
-	// forwarded to owning peers; LocalFallbacks counts would-be forwards
-	// applied locally instead (owner down, drain, or a forward that
-	// provably never left this node) — the degraded mode that trades
-	// ownership locality for availability. Forwards that fail ambiguously
-	// (timeout mid-flight) are never re-applied locally; they surface to
-	// the caller as unavailable and count only in ForwardErrors.
-	ClusterNodeID         string            `json:"cluster_node_id,omitempty"`
-	ClusterRingSize       int               `json:"cluster_ring_size,omitempty"`
-	ClusterVNodes         int               `json:"cluster_vnodes,omitempty"`
-	ClusterPeersUp        int               `json:"cluster_peers_up,omitempty"`
-	ClusterPeersDown      int               `json:"cluster_peers_down,omitempty"`
-	ClusterPeerStates     map[string]string `json:"cluster_peer_states,omitempty"`
-	ClusterForwardsIn     int64             `json:"cluster_forwards_in,omitempty"`
-	ClusterForwardsOut    int64             `json:"cluster_forwards_out,omitempty"`
-	ClusterForwardErrors  int64             `json:"cluster_forward_errors,omitempty"`
-	ClusterLocalFallbacks int64             `json:"cluster_local_fallbacks,omitempty"`
-	// Direct-routing observability: DirectRoutedBatches counts ingress
-	// batches that needed no peer hop at all (a ring-aware client landed
-	// every item on its owner), TopologyEpoch/TopologyPushes track the
-	// topology the daemon advertises over OpTopology, and the byte pair
-	// makes the direct-vs-forwarded traffic ratio observable (bytes_out
-	// counts the v2 zero-copy relay path; bytes_in counts every hop frame
-	// received, any version).
-	DirectRoutedBatches int64  `json:"direct_routed_batches,omitempty"`
-	TopologyEpoch       uint64 `json:"topology_epoch,omitempty"`
-	TopologyPushes      int64  `json:"topology_pushes,omitempty"`
-	ForwardBytesIn      int64  `json:"forward_bytes_in,omitempty"`
-	ForwardBytesOut     int64  `json:"forward_bytes_out,omitempty"`
+	CheckInsPerSecByTransport map[string]float64 `json:"checkins_per_sec_by_transport,omitempty" prom:"-"`
+	StreamTelemetry
+	ClusterTelemetry
 
 	// HandlerLatencyMs gives per-op end-to-end handler latency percentiles
 	// in milliseconds, derived from the always-on obs total histograms
 	// (every transport feeds them); ops with no traffic are omitted. The
 	// percentile resolution is the histograms' power-of-two bucketing (2x).
-	HandlerLatencyMs map[string]LatencySummary `json:"handler_latency_ms"`
+	HandlerLatencyMs map[string]LatencySummary `json:"handler_latency_ms" prom:"-"`
 
 	// RequestStageNs breaks sampled request time down per op and stage
 	// ("read", "decode", "queue_wait", "apply", "hop", "encode", "write"),
 	// in nanoseconds. Populated from 1-in-ObsSampleEvery sampled spans;
 	// empty stages are omitted, and the whole map is absent with sampling
 	// disabled.
-	RequestStageNs map[string]map[string]LatencySummary `json:"request_stage_ns,omitempty"`
+	RequestStageNs map[string]map[string]LatencySummary `json:"request_stage_ns,omitempty" prom:"-"`
 	// ObsSampleEvery is the active span sampling rate (0 = spans off).
-	ObsSampleEvery int `json:"obs_sample_every"`
+	ObsSampleEvery int `json:"obs_sample_every" prom:"gauge,Active span sampling rate (0 = spans off)."`
 	// FlightRecorded counts requests retained by the flight recorder since
 	// start (the ring keeps the slowest obs.FlightSize of them; see
 	// /v1/debug/flight).
-	FlightRecorded int64 `json:"flight_recorded_total"`
+	FlightRecorded int64 `json:"flight_recorded_total" prom:"counter,Requests retained by the flight recorder since start."`
+}
+
+// StreamTelemetry is the stream transport's part of Metrics, read from the
+// attached StreamServer; all zero when none is attached.
+type StreamTelemetry struct {
+	StreamConns     int64 `json:"stream_conns" prom:"gauge,Open stream-transport connections."`
+	StreamFramesIn  int64 `json:"stream_frames_in_total" prom:"counter,Stream request frames received."`
+	StreamFramesOut int64 `json:"stream_frames_out_total" prom:"counter,Stream response frames written."`
+}
+
+// ClusterTelemetry is the federation's part of Metrics, read from the
+// attached Router; all absent when standalone. ClusterForwardsIn counts
+// peer-forwarded request frames this node served; ClusterForwardsOut counts
+// request frames this node forwarded to owning peers; ClusterLocalFallbacks
+// counts would-be forwards applied locally instead (owner down, drain, or a
+// forward that provably never left this node) — the degraded mode that
+// trades ownership locality for availability. Forwards that fail ambiguously
+// (timeout mid-flight) are never re-applied locally; they surface to the
+// caller as unavailable and count only in ClusterForwardErrors. The peer
+// counts are rendered as one labelled family, venn_cluster_peers{state}.
+//
+// Direct-routing observability: DirectRoutedBatches counts ingress batches
+// that needed no peer hop at all (a ring-aware client landed every item on
+// its owner), TopologyEpoch/TopologyPushes track the topology the daemon
+// advertises over OpTopology, and the byte pair makes the direct-vs-forwarded
+// traffic ratio observable (bytes_out counts the payloads of the zero-copy
+// relay's hop frames; bytes_in counts the payload of every hop frame
+// received).
+type ClusterTelemetry struct {
+	ClusterNodeID         string            `json:"cluster_node_id,omitempty" prom:"-"`
+	ClusterRingSize       int               `json:"cluster_ring_size,omitempty" prom:"-"`
+	ClusterVNodes         int               `json:"cluster_vnodes,omitempty" prom:"-"`
+	ClusterPeersUp        int               `json:"cluster_peers_up,omitempty" prom:"-"`
+	ClusterPeersDown      int               `json:"cluster_peers_down,omitempty" prom:"-"`
+	ClusterPeerStates     map[string]string `json:"cluster_peer_states,omitempty" prom:"-"` // peer ID -> "up" | "down"
+	ClusterForwardsIn     int64             `json:"cluster_forwards_in,omitempty" prom:"counter,Peer-forwarded request frames served."`
+	ClusterForwardsOut    int64             `json:"cluster_forwards_out,omitempty" prom:"counter,Request frames forwarded to owning peers."`
+	ClusterForwardErrors  int64             `json:"cluster_forward_errors,omitempty" prom:"counter,Federation forwards that failed."`
+	ClusterLocalFallbacks int64             `json:"cluster_local_fallbacks,omitempty" prom:"counter,Would-be forwards applied locally instead."`
+	DirectRoutedBatches   int64             `json:"direct_routed_batches,omitempty" prom:"counter,Ingress batches whose every item was already on its owner."`
+	TopologyEpoch         uint64            `json:"topology_epoch,omitempty" prom:"gauge,Epoch of the federation topology served to ring-aware clients."`
+	TopologyPushes        int64             `json:"topology_pushes,omitempty" prom:"counter,Topology frames pushed to subscribed stream connections."`
+	ForwardBytesIn        int64             `json:"forward_bytes_in,omitempty" prom:"counter,Bytes of hop request frames received."`
+	ForwardBytesOut       int64             `json:"forward_bytes_out,omitempty" prom:"counter,Bytes relayed out over the zero-copy forward path."`
 }
 
 // LatencySummary condenses one latency histogram: Count is cumulative, and
@@ -306,36 +323,13 @@ func (m *Manager) MetricsSnapshot() Metrics {
 			out.CheckInsPerSecByTransport[tr] = rate
 		}
 	}
+	if s := m.streamBox.load(); s != nil {
+		out.StreamTelemetry = s.StreamTelemetry()
+	}
+	if r := m.router(); r != nil {
+		out.ClusterTelemetry = r.ClusterTelemetry()
+	}
 	m.mu.Lock()
-	if m.streamSource != nil {
-		st := m.streamSource.StreamTelemetry()
-		out.StreamConns = st.Conns
-		out.StreamFramesIn = st.FramesIn
-		out.StreamFramesOut = st.FramesOut
-	}
-	if m.clusterSource != nil {
-		ct := m.clusterSource.ClusterTelemetry()
-		out.ClusterNodeID = ct.NodeID
-		out.ClusterRingSize = ct.RingSize
-		out.ClusterVNodes = ct.VNodes
-		out.ClusterPeerStates = ct.PeerStates
-		for _, st := range ct.PeerStates {
-			if st == "up" {
-				out.ClusterPeersUp++
-			} else {
-				out.ClusterPeersDown++
-			}
-		}
-		out.ClusterForwardsIn = ct.ForwardsIn
-		out.ClusterForwardsOut = ct.ForwardsOut
-		out.ClusterForwardErrors = ct.ForwardErrors
-		out.ClusterLocalFallbacks = ct.LocalFallbacks
-		out.DirectRoutedBatches = ct.DirectRoutedBatches
-		out.TopologyEpoch = ct.TopologyEpoch
-		out.TopologyPushes = ct.TopologyPushes
-		out.ForwardBytesIn = ct.ForwardBytesIn
-		out.ForwardBytesOut = ct.ForwardBytesOut
-	}
 	out.UptimeSeconds = float64(m.now()) / 1000
 	out.Assignments = int64(m.assignments)
 	out.Reports = int64(m.reports)

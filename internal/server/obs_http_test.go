@@ -5,8 +5,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"venn/internal/obs"
 )
@@ -32,6 +35,107 @@ func TestHealthz(t *testing.T) {
 	}
 	if !h.OK {
 		t.Fatalf("healthy daemon reports unhealthy: %+v", h)
+	}
+}
+
+// peersRouter is a federation Router that reports fixed peer counts and
+// routes nothing: the embedded nil Router's methods are never called.
+type peersRouter struct {
+	Router
+	up, down int
+}
+
+func (r *peersRouter) ClusterTelemetry() ClusterTelemetry {
+	return ClusterTelemetry{ClusterNodeID: "self", ClusterPeersUp: r.up, ClusterPeersDown: r.down}
+}
+
+// TestHealthReportsWedgedCore holds the core mutex past coreWedgeAfter, as a
+// stuck combiner round would: Health and GET /v1/healthz must still answer,
+// within a second, unhealthy with 503 — standalone, and federated with the
+// peer counts still reported.
+func TestHealthReportsWedgedCore(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		router   *peersRouter
+		up, down int
+	}{
+		{"standalone", nil, 0, 0},
+		{"federated", &peersRouter{up: 2, down: 1}, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewManager(Config{})
+			if tc.router != nil {
+				m.SetRouter(tc.router)
+			}
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			m.coreHeldSince.Store(time.Now().Add(-2 * coreWedgeAfter).UnixNano())
+
+			within := func(what string, f func()) {
+				done := make(chan struct{})
+				go func() { f(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(time.Second):
+					t.Fatalf("%s blocked on the wedged core", what)
+				}
+			}
+			var h HealthStatus
+			within("Health", func() { h = m.Health() })
+			if h.OK || h.Detail != "core commit pipeline wedged" || h.PeersUp != tc.up || h.PeersDown != tc.down {
+				t.Errorf("Health() = %+v, want unhealthy, wedged, peers %d up %d down", h, tc.up, tc.down)
+			}
+			rec := httptest.NewRecorder()
+			within("GET /v1/healthz", func() {
+				Handler(m).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+			})
+			var body HealthStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatal(err)
+			}
+			if body.CoreHeldSeconds = h.CoreHeldSeconds; rec.Code != http.StatusServiceUnavailable || body != h {
+				t.Errorf("GET /v1/healthz = %d %+v, want 503 %+v", rec.Code, body, h)
+			}
+		})
+	}
+}
+
+// TestEveryMetricTagged keeps Metrics the one listing of the exposition:
+// every exported numeric field, embedded ones included, says how /metrics
+// renders it (prom:"counter,<help>", prom:"gauge,<help>") or that it does not
+// (prom:"-"), and the derived family names are distinct and well-formed.
+func TestEveryMetricTagged(t *testing.T) {
+	names := map[string]string{}
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[Metrics]()) {
+		if f.Anonymous || !f.IsExported() {
+			continue
+		}
+		tag, ok := f.Tag.Lookup("prom")
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64:
+			if !ok {
+				t.Errorf("Metrics.%s has no prom tag", f.Name)
+			}
+		}
+		if kind, help, _ := strings.Cut(tag, ","); tag != "-" && (kind != "counter" && kind != "gauge" || help == "") {
+			t.Errorf("Metrics.%s: prom tag %q, want \"counter,<help>\", \"gauge,<help>\" or \"-\"", f.Name, tag)
+		}
+	}
+	valid := regexp.MustCompile(`^venn_[a-z0-9_]+$`)
+	for _, s := range promScalars() {
+		if !valid.MatchString(s.name) {
+			t.Errorf("family name %q is not a valid metric name", s.name)
+		}
+		if s.kind == "counter" && !strings.HasSuffix(s.name, "_total") {
+			t.Errorf("counter %q lacks the _total suffix", s.name)
+		}
+		if prev, dup := names[s.name]; dup {
+			t.Errorf("family %s rendered from both %s and %s", s.name, prev, s.help)
+		}
+		names[s.name] = s.help
+	}
+	if len(names) == 0 {
+		t.Fatal("no tagged fields")
 	}
 }
 

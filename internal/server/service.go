@@ -105,6 +105,11 @@ type Router interface {
 	// forwards_in and forward_bytes_in without the transport layer knowing
 	// any federation internals.
 	ForwardedIn(bytes int)
+	// Topology and ClusterTelemetry are read without the core mutex and must
+	// not call back into the Manager: the topology served over OpTopology,
+	// and the federation's part of /v1/metrics and Health.
+	Topology() TopologyInfo
+	ClusterTelemetry() ClusterTelemetry
 }
 
 // RawItems carries the still-encoded form of a v2 batch alongside its

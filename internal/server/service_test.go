@@ -118,33 +118,36 @@ func TestServicePerTransportRates(t *testing.T) {
 	}
 }
 
-type fakeStreamSource struct{ tel StreamTelemetry }
+// fakeStreamServer is a StreamServer reporting fixed counters and pushing
+// nowhere.
+type fakeStreamServer struct{ tel StreamTelemetry }
 
-func (f *fakeStreamSource) StreamTelemetry() StreamTelemetry { return f.tel }
+func (f *fakeStreamServer) StreamTelemetry() StreamTelemetry { return f.tel }
+func (f *fakeStreamServer) PushTopology(TopologyInfo) int    { return 0 }
 
-// TestStreamTelemetryHook checks the telemetry-source pass-through into
-// MetricsSnapshot, including the compare-on-clear semantics a restarted
+// TestStreamTelemetryHook checks the stream server's counters pass through
+// into MetricsSnapshot, including the compare-on-clear semantics a restarted
 // stream listener relies on.
 func TestStreamTelemetryHook(t *testing.T) {
 	m := NewManager(Config{})
 	if mt := m.MetricsSnapshot(); mt.StreamConns != 0 || mt.StreamFramesIn != 0 {
 		t.Fatalf("unattached stream telemetry must be zero, got %+v", mt)
 	}
-	src := &fakeStreamSource{tel: StreamTelemetry{Conns: 3, FramesIn: 70, FramesOut: 68}}
-	m.SetStreamTelemetrySource(src)
+	src := &fakeStreamServer{tel: StreamTelemetry{StreamConns: 3, StreamFramesIn: 70, StreamFramesOut: 68}}
+	m.SetStreamServer(src)
 	mt := m.MetricsSnapshot()
 	if mt.StreamConns != 3 || mt.StreamFramesIn != 70 || mt.StreamFramesOut != 68 {
 		t.Errorf("stream telemetry not surfaced: %+v", mt)
 	}
 	// A stale clear (old listener shutting down after a new one attached)
-	// must not detach the new source.
-	src2 := &fakeStreamSource{tel: StreamTelemetry{Conns: 1}}
-	m.SetStreamTelemetrySource(src2)
-	m.ClearStreamTelemetrySource(src)
+	// must not detach the new server.
+	src2 := &fakeStreamServer{tel: StreamTelemetry{StreamConns: 1}}
+	m.SetStreamServer(src2)
+	m.ClearStreamServer(src)
 	if mt := m.MetricsSnapshot(); mt.StreamConns != 1 {
-		t.Errorf("stale clear clobbered the live source: %+v", mt)
+		t.Errorf("stale clear clobbered the live server: %+v", mt)
 	}
-	m.ClearStreamTelemetrySource(src2)
+	m.ClearStreamServer(src2)
 	if mt := m.MetricsSnapshot(); mt.StreamConns != 0 {
 		t.Errorf("detached stream telemetry must read zero, got %d conns", mt.StreamConns)
 	}

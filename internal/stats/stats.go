@@ -1,7 +1,7 @@
 // Package stats provides the small statistics toolkit used across the Venn
 // reproduction: summary statistics, percentiles, online moment accumulators,
-// histograms, and the random samplers (log-normal, exponential, beta mixture,
-// Dirichlet) that the trace generators and the response-time model rely on.
+// and the random samplers (log-normal, exponential, beta mixture, Dirichlet)
+// that the trace generators and the response-time model rely on.
 //
 // Everything is deterministic given a seed; no global random state is used.
 package stats

@@ -135,8 +135,13 @@ func TestFrameLargerThanReadBuffer(t *testing.T) {
 	}
 }
 
-// fixedTopology is a TopologySource with one unchanging answer.
-type fixedTopology struct{ info server.TopologyInfo }
+// fixedTopology is a federation Router serving one unchanging topology. It
+// routes nothing: the tests that attach it send only pings and OpTopology,
+// so the embedded nil Router's methods are never called.
+type fixedTopology struct {
+	server.Router
+	info server.TopologyInfo
+}
 
 func (f *fixedTopology) Topology() server.TopologyInfo { return f.info }
 
@@ -147,9 +152,9 @@ func (f *fixedTopology) Topology() server.TopologyInfo { return f.info }
 func TestTopologyPushReachesIdleAndBusyConns(t *testing.T) {
 	m, ts, addr := startServer(t, transport.Options{})
 	info := server.TopologyInfo{Epoch: 1, VNodes: 8, Members: []string{addr}}
-	src := &fixedTopology{info}
-	m.SetTopologySource(src)
-	defer m.ClearTopologySource(src)
+	src := &fixedTopology{info: info}
+	m.SetRouter(src)
+	defer m.ClearRouter(src)
 
 	subscribe := func() (net.Conn, *bufio.Reader) {
 		t.Helper()
@@ -278,10 +283,10 @@ func TestSlowReaderIsDropped(t *testing.T) {
 	go func() { _ = ts.Serve(ln) }()
 	defer ts.Close()
 	wedge(t, m, ln.Addr().String())
-	waitFor(t, ts, "the first frames", func(tel server.StreamTelemetry) bool { return tel.FramesIn > 0 })
-	waitFor(t, ts, "the drop", func(tel server.StreamTelemetry) bool { return tel.Conns == 0 })
-	if tel := ts.StreamTelemetry(); tel.FramesOut >= tel.FramesIn {
-		t.Errorf("dropped connection: %d frames in, %d out; the unwritten replies must not count", tel.FramesIn, tel.FramesOut)
+	waitFor(t, ts, "the first frames", func(tel server.StreamTelemetry) bool { return tel.StreamFramesIn > 0 })
+	waitFor(t, ts, "the drop", func(tel server.StreamTelemetry) bool { return tel.StreamConns == 0 })
+	if tel := ts.StreamTelemetry(); tel.StreamFramesOut >= tel.StreamFramesIn {
+		t.Errorf("dropped connection: %d frames in, %d out; the unwritten replies must not count", tel.StreamFramesIn, tel.StreamFramesOut)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -298,8 +303,8 @@ func TestShutdownWithWedgedWriter(t *testing.T) {
 	// Blocked means: frames were read, and the out counter stopped moving.
 	out := int64(-1)
 	waitFor(t, ts, "the writer to block", func(tel server.StreamTelemetry) bool {
-		stuck := tel.FramesIn > 0 && tel.FramesOut == out
-		out = tel.FramesOut
+		stuck := tel.StreamFramesIn > 0 && tel.StreamFramesOut == out
+		out = tel.StreamFramesOut
 		time.Sleep(50 * time.Millisecond)
 		return stuck
 	})
@@ -312,7 +317,7 @@ func TestShutdownWithWedgedWriter(t *testing.T) {
 	if d := time.Since(t0); d > 3*time.Second {
 		t.Errorf("shutdown took %v, well past its 300ms context", d)
 	}
-	if n := ts.StreamTelemetry().Conns; n != 0 {
+	if n := ts.StreamTelemetry().StreamConns; n != 0 {
 		t.Errorf("%d connections survived shutdown", n)
 	}
 }
@@ -370,7 +375,7 @@ func TestWarmBatchFramesAllocateNothing(t *testing.T) {
 			t.Errorf("warm %s frame: %v allocations, want 0", name, allocs)
 		}
 		after := ts.StreamTelemetry()
-		if in, out := after.FramesIn-before.FramesIn, after.FramesOut-before.FramesOut; in != 201 || out != 201 {
+		if in, out := after.StreamFramesIn-before.StreamFramesIn, after.StreamFramesOut-before.StreamFramesOut; in != 201 || out != 201 {
 			t.Errorf("%s frames: %d in, %d out, want 201 each", name, in, out)
 		}
 	}
@@ -423,12 +428,13 @@ func TestWarmForwardedFrameAllocatesNothing(t *testing.T) {
 		}
 	}
 	serve() // cold: dials the peer, registers the devices, sizes the buffers
-	_, before, _, _ := clus[0].Counters()
+	before := clus[0].ClusterTelemetry().ClusterForwardsOut
 	if allocs := testing.AllocsPerRun(200, serve); allocs != 0 && !raceEnabled {
 		t.Errorf("warm forwarded frame: %v allocations, want 0", allocs)
 	}
-	in, out, errs, fallbacks := clus[0].Counters()
-	peerIn, _, _, _ := clus[1].Counters()
+	tel := clus[0].ClusterTelemetry()
+	in, out, errs, fallbacks := tel.ClusterForwardsIn, tel.ClusterForwardsOut, tel.ClusterForwardErrors, tel.ClusterLocalFallbacks
+	peerIn := clus[1].ClusterTelemetry().ClusterForwardsIn
 	if out-before != 201 || peerIn != 202 || in != 0 || errs != 0 || fallbacks != 0 {
 		t.Errorf("hop frames: %d out of the origin (%d into the peer), %d errors, %d fallbacks; want one per frame, clean",
 			out-before, peerIn, errs, fallbacks)

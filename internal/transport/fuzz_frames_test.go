@@ -128,8 +128,8 @@ func FuzzServeFrames(f *testing.F) {
 		s.serveConn(sc) // the input is finite and reads never block: a stall is a hang the fuzzer reports
 
 		want := requestIDs(data)
-		if tel := s.StreamTelemetry(); tel.FramesIn != int64(len(want)) || tel.FramesOut != int64(len(want)) {
-			t.Fatalf("%d request frames, but frames in %d out %d", len(want), tel.FramesIn, tel.FramesOut)
+		if tel := s.StreamTelemetry(); tel.StreamFramesIn != int64(len(want)) || tel.StreamFramesOut != int64(len(want)) {
+			t.Fatalf("%d request frames, but frames in %d out %d", len(want), tel.StreamFramesIn, tel.StreamFramesOut)
 		}
 		br := bufio.NewReader(&conn.out)
 		for i, id := range want {

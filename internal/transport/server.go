@@ -58,9 +58,10 @@ type Server struct {
 	framesOut   atomic.Int64
 }
 
-// NewServer builds a stream server over m and registers its telemetry
-// (stream_conns, stream_frames_*) with the manager's /v1/metrics; Shutdown
-// and Close detach it again.
+// NewServer builds a stream server over m and attaches it to the manager
+// (SetStreamServer): /v1/metrics reports its counters (stream_conns,
+// stream_frames_*) and topology changes are pushed through it. Shutdown and
+// Close detach it again.
 func NewServer(m *server.Manager, opts Options) *Server {
 	opts.fillDefaults()
 	s := &Server{
@@ -71,12 +72,11 @@ func NewServer(m *server.Manager, opts Options) *Server {
 		lns:          make(map[net.Listener]struct{}),
 		conns:        make(map[*srvConn]struct{}),
 	}
-	m.SetStreamTelemetrySource(s)
-	m.SetTopologyPusher(s)
+	m.SetStreamServer(s)
 	return s
 }
 
-// PushTopology implements server.TopologyPusher: it sends an unsolicited
+// PushTopology implements server.StreamServer: it sends an unsolicited
 // OpTopology|RespFlag frame (request ID 0) to every connection that has
 // fetched the topology, so ring-aware clients learn of membership changes
 // without polling. It never waits for a connection: the payload is parked on
@@ -104,14 +104,13 @@ func (s *Server) PushTopology(info server.TopologyInfo) int {
 	return len(conns)
 }
 
-// StreamTelemetry snapshots the live stream counters (implements
-// server.StreamTelemetrySource; reads only atomics, as that contract
-// requires).
+// StreamTelemetry implements server.StreamServer: the live stream counters,
+// read from atomics only.
 func (s *Server) StreamTelemetry() server.StreamTelemetry {
 	return server.StreamTelemetry{
-		Conns:     s.connsActive.Load(),
-		FramesIn:  s.framesIn.Load(),
-		FramesOut: s.framesOut.Load(),
+		StreamConns:     s.connsActive.Load(),
+		StreamFramesIn:  s.framesIn.Load(),
+		StreamFramesOut: s.framesOut.Load(),
 	}
 }
 
@@ -186,8 +185,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
-	defer s.m.ClearStreamTelemetrySource(s)
-	defer s.m.ClearTopologyPusher(s)
+	defer s.m.ClearStreamServer(s)
 	select {
 	case <-done:
 		return nil
@@ -214,8 +212,7 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	s.m.ClearStreamTelemetrySource(s)
-	s.m.ClearTopologyPusher(s)
+	s.m.ClearStreamServer(s)
 	return nil
 }
 
@@ -641,11 +638,10 @@ func (s *Server) dispatch(sc *srvConn, op byte, payload []byte, sp *obs.Span) by
 		return op | RespFlag
 	case OpTopology:
 		// Serving it flags the connection for topology pushes.
-		src := s.m.TopologySourceRef()
-		if src == nil {
+		info, ok := s.m.Topology()
+		if !ok {
 			return sc.replyErr(server.CodeUnavailable, errors.New("transport: no federation topology attached"))
 		}
-		info := src.Topology()
 		sc.topoSub.Store(true)
 		tp := TopologyPayload{Epoch: info.Epoch, VNodes: info.VNodes, Members: info.Members}
 		return sc.reply(op, &tp, nil)

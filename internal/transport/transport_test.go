@@ -102,8 +102,8 @@ func TestStreamEndToEnd(t *testing.T) {
 		}
 	}
 	tel := ts.StreamTelemetry()
-	if tel.FramesIn != tel.FramesOut {
-		t.Errorf("every request frame must be answered: in=%d out=%d", tel.FramesIn, tel.FramesOut)
+	if tel.StreamFramesIn != tel.StreamFramesOut {
+		t.Errorf("every request frame must be answered: in=%d out=%d", tel.StreamFramesIn, tel.StreamFramesOut)
 	}
 	// Check-ins served over the stream share the manager with every other
 	// transport.
@@ -267,11 +267,11 @@ func TestStreamShutdownMidStream(t *testing.T) {
 	wg.Wait()
 
 	tel := ts.StreamTelemetry()
-	if tel.Conns != 0 {
-		t.Errorf("%d connections survived shutdown", tel.Conns)
+	if tel.StreamConns != 0 {
+		t.Errorf("%d connections survived shutdown", tel.StreamConns)
 	}
-	if tel.FramesIn == 0 || tel.FramesIn != tel.FramesOut {
-		t.Errorf("shutdown under load must answer every frame it read: %d in, %d out", tel.FramesIn, tel.FramesOut)
+	if tel.StreamFramesIn == 0 || tel.StreamFramesIn != tel.StreamFramesOut {
+		t.Errorf("shutdown under load must answer every frame it read: %d in, %d out", tel.StreamFramesIn, tel.StreamFramesOut)
 	}
 	// New connections must be refused.
 	c2 := client.NewStream(addr, client.WithTimeout(500*time.Millisecond))

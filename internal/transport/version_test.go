@@ -41,8 +41,8 @@ func TestV2BinaryOnTheWire(t *testing.T) {
 	if _, err := c.CheckIn(server.CheckIn{DeviceID: "dev", CPU: 0.5, Mem: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if tel := ts.StreamTelemetry(); tel.FramesIn != 1 || tel.FramesOut != 1 {
-		t.Errorf("after the first call: frames in %d out %d, want 1 and 1", tel.FramesIn, tel.FramesOut)
+	if tel := ts.StreamTelemetry(); tel.StreamFramesIn != 1 || tel.StreamFramesOut != 1 {
+		t.Errorf("after the first call: frames in %d out %d, want 1 and 1", tel.StreamFramesIn, tel.StreamFramesOut)
 	}
 	if _, err := c.CheckInBatch([]server.CheckIn{{DeviceID: "dev", CPU: 1, Mem: 1}}); err != nil {
 		t.Fatal(err)
@@ -63,8 +63,8 @@ func TestV2BinaryOnTheWire(t *testing.T) {
 	if _, err := c2.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	if tel := ts.StreamTelemetry(); tel.FramesIn != 5 || tel.FramesOut != 5 {
-		t.Errorf("after 5 calls: frames in %d out %d, want 5 and 5", tel.FramesIn, tel.FramesOut)
+	if tel := ts.StreamTelemetry(); tel.StreamFramesIn != 5 || tel.StreamFramesOut != 5 {
+		t.Errorf("after 5 calls: frames in %d out %d, want 5 and 5", tel.StreamFramesIn, tel.StreamFramesOut)
 	}
 }
 
@@ -122,8 +122,8 @@ func TestOneDialect(t *testing.T) {
 			t.Errorf("version byte %d: %v", ver, err)
 		}
 	}
-	if tel := ts.StreamTelemetry(); tel.FramesIn != 0 || tel.FramesOut != 0 {
-		t.Errorf("rejected versions counted: frames in %d out %d, want 0 and 0", tel.FramesIn, tel.FramesOut)
+	if tel := ts.StreamTelemetry(); tel.StreamFramesIn != 0 || tel.StreamFramesOut != 0 {
+		t.Errorf("rejected versions counted: frames in %d out %d, want 0 and 0", tel.StreamFramesIn, tel.StreamFramesOut)
 	}
 
 	rc := dialRaw(t, addr)
@@ -211,8 +211,8 @@ func TestShardedListeners(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if tel := ts.StreamTelemetry(); tel.FramesIn < clients*20 {
-		t.Errorf("frames_in = %d, want >= %d", tel.FramesIn, clients*20)
+	if tel := ts.StreamTelemetry(); tel.StreamFramesIn < clients*20 {
+		t.Errorf("frames_in = %d, want >= %d", tel.StreamFramesIn, clients*20)
 	}
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
