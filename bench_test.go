@@ -1,9 +1,7 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§5), plus ablation benchmarks on the scheduler's hot paths.
-// Benchmarks run the quick-scale configurations; `cmd/vennbench -scale
-// default|full` regenerates the full experiments with paper-sized sweeps.
-// Speed-up factors are attached to benchmark output as custom metrics
-// (x_over_random), so `go test -bench` output doubles as a results table.
+// Micro-benchmarks on the scheduler's hot paths. The paper's tables and
+// figures are regenerated by `go run ./cmd/vennbench`, which runs every
+// scheduler arm on identical inputs; these benchmarks time the pieces those
+// runs spend their time in.
 package venn
 
 import (
@@ -20,140 +18,6 @@ import (
 	"venn/internal/trace"
 	"venn/internal/workload"
 )
-
-// --- Table 1: avg JCT improvement per workload scenario ---
-
-func benchTable1(b *testing.B, sc workload.Scenario) {
-	b.ReportAllocs()
-	var speed float64
-	for i := 0; i < b.N; i++ {
-		setup := eval.NewSetup(eval.ScaleQuick, int64(100+i))
-		setup.Jobs.Scenario = sc
-		cmp, err := eval.Compare(setup, eval.StandardSchedulers())
-		if err != nil {
-			b.Fatal(err)
-		}
-		speed += cmp.Speedup("Venn", "Random")
-	}
-	b.ReportMetric(speed/float64(b.N), "x_over_random")
-}
-
-func BenchmarkTable1Even(b *testing.B)  { benchTable1(b, workload.Even) }
-func BenchmarkTable1Small(b *testing.B) { benchTable1(b, workload.Small) }
-func BenchmarkTable1Large(b *testing.B) { benchTable1(b, workload.Large) }
-func BenchmarkTable1Low(b *testing.B)   { benchTable1(b, workload.Low) }
-func BenchmarkTable1High(b *testing.B)  { benchTable1(b, workload.High) }
-
-// --- Table 2: improvement by total-demand percentile ---
-
-func BenchmarkTable2DemandPercentiles(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Table2(eval.ScaleQuick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Table 3: improvement by eligibility category ---
-
-func BenchmarkTable3Categories(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Table3(eval.ScaleQuick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Table 4: biased workloads ---
-
-func BenchmarkTable4BiasedWorkloads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Table4(eval.ScaleQuick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figure 2a: diurnal availability trace ---
-
-func BenchmarkFigure2aAvailability(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r := eval.Figure2a(1000, int64(i))
-		ratio += r.PeakTroughRatio()
-	}
-	b.ReportMetric(ratio/float64(b.N), "peak_trough_ratio")
-}
-
-// --- Figure 3: toy example ---
-
-func BenchmarkFigure3Toy(b *testing.B) {
-	var vennJCT, randomJCT float64
-	for i := 0; i < b.N; i++ {
-		r, err := eval.Figure3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		vennJCT += r.AvgJCT["Venn"]
-		randomJCT += r.AvgJCT["Random"]
-	}
-	b.ReportMetric(vennJCT/float64(b.N), "venn_jct_units")
-	b.ReportMetric(randomJCT/float64(b.N), "random_jct_units")
-}
-
-// --- Figure 4: contention vs round-to-accuracy ---
-
-func BenchmarkFigure4Contention(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		r, err := eval.Figure4(eval.ScaleQuick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := r.JobCounts[len(r.JobCounts)-1]
-		gap += r.FinalAccuracy(1) - r.FinalAccuracy(last)
-	}
-	b.ReportMetric(gap/float64(b.N), "accuracy_gap_1_vs_20_jobs")
-}
-
-// --- Figure 5: JCT breakdown under random matching ---
-
-func BenchmarkFigure5Breakdown(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r, err := eval.Figure5(eval.ScaleQuick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio += r.SchedDelaySec[20] / (r.RespTimeSec[20] + 1)
-	}
-	b.ReportMetric(ratio/float64(b.N), "sched_over_resp_at_20_jobs")
-}
-
-// --- Figure 8a: eligibility strata ---
-
-func BenchmarkFigure8aStrata(b *testing.B) {
-	var hp float64
-	for i := 0; i < b.N; i++ {
-		r := eval.Figure8a(2000, int64(i))
-		hp += r.Fractions["High-Perf"]
-	}
-	b.ReportMetric(hp/float64(b.N), "highperf_fraction")
-}
-
-// --- Figure 9: accuracy over time per scheduler ---
-
-func BenchmarkFigure9AccuracyOverTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := eval.Figure9(eval.ScaleQuick, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Final["Venn"] <= 0 {
-			b.Fatal("no accuracy")
-		}
-	}
-}
 
 // --- Figure 10: scheduler overhead (the paper's scalability claim) ---
 
@@ -184,54 +48,6 @@ func benchPlan(b *testing.B, jobs, groups int) {
 	for i := 0; i < b.N; i++ {
 		core.ComputeAllocation(states, rates)
 		core.BuildCellPlan(states, grid.NumCells())
-	}
-}
-
-// --- Figure 11: component ablation ---
-
-func BenchmarkFigure11Ablation(b *testing.B) {
-	var full, noMatch float64
-	for i := 0; i < b.N; i++ {
-		setup := eval.NewSetup(eval.ScaleQuick, int64(300+i))
-		setup.Jobs.Scenario = workload.Low
-		cmp, err := eval.Compare(setup, eval.AblationSchedulers())
-		if err != nil {
-			b.Fatal(err)
-		}
-		full += cmp.Speedup("Venn", "Random")
-		noMatch += cmp.Speedup("Venn-w/o-match", "Random")
-	}
-	b.ReportMetric(full/float64(b.N), "venn_x")
-	b.ReportMetric(noMatch/float64(b.N), "venn_wo_match_x")
-}
-
-// --- Figure 12: number of jobs sweep ---
-
-func BenchmarkFigure12JobSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Figure12(eval.ScaleQuick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figure 13: tier sweep ---
-
-func BenchmarkFigure13TierSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Figure13(eval.ScaleQuick, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figure 14: fairness knob sweep ---
-
-func BenchmarkFigure14FairnessSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Figure14(eval.ScaleQuick, 1); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -8,25 +8,14 @@
 //	benchguard -baseline BENCH_serve.json -current BENCH_serve_fresh.json \
 //	    -max-regress 0.20 -live BENCH_serve_live.json -min-hit-rate 0.90
 //
-// Shadow-mode gates: -shadow-smoke asserts a report's shadow-policy counters
-// are present and healthy (observing traffic, zero dropped events, zero
-// recovered panics), and -shadow-ref bounds the stream-rung throughput cost
-// of running shadows at -max-shadow-overhead (default 10%). Both flags take
-// comma-separated report lists: counters are checked in every smoke report,
-// while the overhead comparison uses the best stream rate on each side —
-// single 5s runs swing ±15% on small CI runners, so best-of-N against
-// best-of-N is the noise-robust estimate of the real cost.
-//
 // Observability gate: -obs-smoke takes reports measured with request-span
 // sampling at its default rate and asserts sampling was live (spans reached
 // the flight recorder); with -obs-ref (sampling-off reports of the same
 // rungs) it bounds the stream-rung throughput cost of observability at
-// -max-obs-overhead (default 3%), best-of-N against best-of-N like the
-// shadow gate.
-//
-// Policy A/B gate: -ab-smoke takes a vennload -ab report and fails when the
-// first arm's mean JCT is worse than the second's — CI runs -ab venn,fifo,
-// so this asserts Venn's scheduling beats FIFO on the replayed trace.
+// -max-obs-overhead (default 3%). Both flags take comma-separated report
+// lists, and the overhead comparison uses the best stream rate on each side:
+// single 5s runs swing ±15% on small CI runners, so best-of-N against
+// best-of-N is the noise-robust estimate of the real cost.
 //
 // Core-scaling gate: -multicore-min-scale asserts the stream-mc rung (full
 // GOMAXPROCS, per-core listener shards) scales over the single-core stream
@@ -86,8 +75,6 @@ type run struct {
 	CheckIns       int64   `json:"checkins"`
 	CheckInsPerSec float64 `json:"checkins_per_sec"`
 	Errors         int64   `json:"errors"`
-	Policy         string  `json:"policy"`
-	JCTAvgSeconds  float64 `json:"jct_avg_seconds"`
 	Nodes          []struct {
 		Node string `json:"node"`
 		server.ClusterTelemetry
@@ -313,13 +300,9 @@ func main() {
 		clusterFloor = flag.Float64("cluster-floor", 0, "absolute aggregate-throughput floor for -cluster-smoke (0 disables)")
 		floorFrom    = flag.String("cluster-floor-from", "", "derive the -cluster-smoke floor from this single-daemon report's stream rate")
 		floorFrac    = flag.Float64("cluster-floor-frac", 0.25, "fraction of -cluster-floor-from's rate the federation aggregate must reach")
-		abPath       = flag.String("ab-smoke", "", "vennload -ab report: the first ab run's mean JCT must be no worse than the second's (optional)")
 		obsSmoke     = flag.String("obs-smoke", "", "comma-separated reports measured with span sampling at the default rate; sampling must be live (spans recorded) and the best stream rung must stay within -max-obs-overhead of -obs-ref's")
 		obsRef       = flag.String("obs-ref", "", "comma-separated sampling-off reference reports for the observability overhead gate")
 		maxObsOvh    = flag.Float64("max-obs-overhead", 0.03, "maximum fractional stream-throughput loss attributable to request-span sampling")
-		shadowPath   = flag.String("shadow-smoke", "", "comma-separated shadow-mode smoke reports: shadow counters must be present with zero dropped events and panics (optional)")
-		shadowRef    = flag.String("shadow-ref", "", "comma-separated no-shadow reference reports; -shadow-smoke's best stream rung must stay within -max-shadow-overhead of theirs")
-		maxShadowOvh = flag.Float64("max-shadow-overhead", 0.10, "maximum fractional stream-throughput loss attributable to shadow policies")
 		multicoreMin = flag.Float64("multicore-min-scale", 0, "minimum stream-mc over single-core stream throughput ratio within the -current report (0 disables; skipped on single-CPU hosts)")
 		minDirect    = flag.Float64("min-cluster-direct-speedup", 0, "minimum cluster-direct (ring-aware clients) over single-daemon stream throughput ratio within the -current report (0 disables; skipped when the report has no cluster-direct rung)")
 		minContended = flag.Float64("min-contended-frac", 0, "minimum stream-v2-contended (demand-heavy) over surplus stream throughput ratio within the -current report (0 disables; skipped when the report has no contended rung)")
@@ -529,34 +512,6 @@ func main() {
 		}
 	}
 
-	if *abPath != "" {
-		ab, err := load(*abPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchguard:", err)
-			os.Exit(1)
-		}
-		var abRuns []run
-		for _, r := range ab.Runs {
-			if strings.HasPrefix(r.Mode, "ab:") {
-				abRuns = append(abRuns, r)
-			}
-		}
-		if len(abRuns) != 2 {
-			fmt.Fprintf(os.Stderr, "benchguard: FAIL ab-smoke report has %d ab runs, want 2\n", len(abRuns))
-			failed = true
-		} else {
-			a, b := abRuns[0], abRuns[1]
-			if a.JCTAvgSeconds > b.JCTAvgSeconds {
-				fmt.Fprintf(os.Stderr, "benchguard: FAIL A/B smoke: %s mean JCT %.2fs is worse than %s's %.2fs\n",
-					a.Policy, a.JCTAvgSeconds, b.Policy, b.JCTAvgSeconds)
-				failed = true
-			} else {
-				fmt.Printf("benchguard: A/B smoke OK (%s mean JCT %.2fs <= %s %.2fs)\n",
-					a.Policy, a.JCTAvgSeconds, b.Policy, b.JCTAvgSeconds)
-			}
-		}
-	}
-
 	if *obsSmoke != "" {
 		smokes, err := loadAll(*obsSmoke)
 		if err != nil {
@@ -597,65 +552,6 @@ func main() {
 				failed = true
 			default:
 				fmt.Printf("benchguard: observability overhead %.1f%% of stream throughput (%.0f/s sampled vs %.0f/s off, best of %d vs %d runs) — OK\n",
-					100*(1-curRate/refRate), curRate, refRate, len(smokes), len(refs))
-			}
-		}
-	}
-
-	if *shadowPath != "" {
-		smokes, err := loadAll(*shadowPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchguard:", err)
-			os.Exit(1)
-		}
-		checkedShadow := false
-		for _, smoke := range smokes {
-			for _, r := range smoke.Runs {
-				mt := r.ServerMetrics
-				if mt == nil || len(mt.PolicyShadows) == 0 {
-					continue
-				}
-				checkedShadow = true
-				for name, s := range mt.PolicyShadows {
-					switch {
-					case s.Panics > 0 || s.DroppedEvents > 0:
-						fmt.Fprintf(os.Stderr, "benchguard: FAIL shadow %s unhealthy: %d panics, %d dropped events\n",
-							name, s.Panics, s.DroppedEvents)
-						failed = true
-					case s.AssignChecks == 0:
-						fmt.Fprintf(os.Stderr, "benchguard: FAIL shadow %s scored no check-ins (not observing the event stream)\n", name)
-						failed = true
-					default:
-						fmt.Printf("benchguard: shadow %s OK (%d checks, %d would-assign, %d mismatches vs primary %s)\n",
-							name, s.AssignChecks, s.ShadowAssigns, s.Mismatches, mt.PolicyPrimary)
-					}
-				}
-			}
-		}
-		if !checkedShadow {
-			fmt.Fprintln(os.Stderr, "benchguard: FAIL no shadow-smoke report has shadow telemetry")
-			failed = true
-		}
-		if *shadowRef != "" {
-			refs, err := loadAll(*shadowRef)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchguard:", err)
-				os.Exit(1)
-			}
-			refRate, okR := bestStreamRate(refs)
-			curRate, okC := bestStreamRate(smokes)
-			switch {
-			case refs[0].NumCPU != smokes[0].NumCPU:
-				fmt.Printf("benchguard: num_cpu differs (%d ref vs %d shadow smoke); skipping the shadow overhead check\n",
-					refs[0].NumCPU, smokes[0].NumCPU)
-			case !okR || !okC:
-				fmt.Println("benchguard: shadow overhead check needs a stream run on both sides; skipping")
-			case curRate < refRate*(1-*maxShadowOvh):
-				fmt.Fprintf(os.Stderr, "benchguard: FAIL shadowed stream throughput %.0f/s is more than %.0f%% below the no-shadow %.0f/s (best of %d vs %d runs)\n",
-					curRate, *maxShadowOvh*100, refRate, len(smokes), len(refs))
-				failed = true
-			default:
-				fmt.Printf("benchguard: shadow overhead %.1f%% of stream throughput (%.0f/s shadowed vs %.0f/s clean, best of %d vs %d runs) — OK\n",
 					100*(1-curRate/refRate), curRate, refRate, len(smokes), len(refs))
 			}
 		}

@@ -18,11 +18,8 @@
 //	GET  /v1/jobs, /v1/jobs/{id}, /v1/stats, /v1/metrics
 //
 // Policies: -policy selects the primary scheduler by registry name (venn,
-// fifo, srsf, random; see the README's Policies section) and
-// -shadow-policies attaches observers that score the same event stream
-// without ever assigning — their divergence counters surface under
-// policy_shadows in /v1/metrics. -seed fixes the scheduling RNG for
-// reproducible replays.
+// fifo, srsf, random; see the README's Policies section). -seed fixes the
+// scheduling RNG for reproducible replays.
 //
 // Stream API: -stream-addr opens a persistent binary framed listener
 // (internal/transport) carrying the same operations over pipelined frames;
@@ -153,7 +150,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "HTTP listen address")
 		streamAddr   = flag.String("stream-addr", "", "binary stream listen address (empty disables)")
 		polName      = flag.String("policy", policy.Default, "primary scheduling policy: "+strings.Join(policy.Names(), ", "))
-		shadowPols   = flag.String("shadow-policies", "", "comma-separated policies that shadow the primary (assignments observed, never applied)")
 		seed         = flag.Int64("seed", 0, "scheduling RNG seed (0 = clock-derived; fix it for reproducible replays)")
 		tiers        = flag.Int("tiers", 3, "device-tier granularity V")
 		epsilon      = flag.Float64("epsilon", 0, "fairness knob")
@@ -231,18 +227,6 @@ func main() {
 		stopProfile()
 		os.Exit(1)
 	}
-	var shadowList []string
-	if *shadowPols != "" {
-		for _, name := range strings.Split(*shadowPols, ",") {
-			name = strings.TrimSpace(name)
-			if !policy.Valid(name) {
-				fmt.Fprintf(os.Stderr, "venndaemon: unknown shadow policy %q (have: %s)\n", name, strings.Join(policy.Names(), ", "))
-				stopProfile()
-				os.Exit(1)
-			}
-			shadowList = append(shadowList, name)
-		}
-	}
 
 	opts := core.DefaultOptions()
 	opts.Tiers = *tiers
@@ -250,14 +234,12 @@ func main() {
 	m := server.NewManager(server.Config{
 		Options:            opts,
 		Policy:             *polName,
-		ShadowPolicies:     shadowList,
 		Seed:               *seed,
 		Shards:             *shards,
 		DeviceTTL:          *deviceTTL,
 		DisableDailyBudget: !*dailyBudget,
 		ObsSampleEvery:     *obsSample,
 	})
-	defer m.StopShadows()
 
 	var streamFailed atomic.Bool
 	var streamSrv *transport.Server
@@ -324,9 +306,6 @@ func main() {
 
 	fmt.Printf("venndaemon listening on %s (policy=%s tiers=%d epsilon=%.1f shards=%d device-ttl=%v", *addr,
 		m.PolicyName(), *tiers, *epsilon, m.MetricsSnapshot().Shards, *deviceTTL)
-	if len(shadowList) > 0 {
-		fmt.Printf(" shadows=%s", strings.Join(m.ShadowPolicies(), ","))
-	}
 	if !*dailyBudget {
 		fmt.Printf(" daily-budget=off")
 	}

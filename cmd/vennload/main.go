@@ -91,8 +91,6 @@ func main() {
 		category    = flag.String("category", "", "pin every job to one requirement category (default: cycle the standard strata)")
 		shards      = flag.Int("shards", 0, "manager lock shards for self-hosted runs (0 = server default)")
 		polName     = flag.String("policy", "", "scheduling policy for self-hosted daemons (empty = server default: "+policy.Default+")")
-		shadowPols  = flag.String("shadow-policies", "", "comma-separated shadow policies for self-hosted daemons (observed, never applied)")
-		abFlag      = flag.String("ab", "", "policyA,policyB: sequential self-hosted A/B replay of identical seeded traffic with a JCT/throughput/fairness delta table")
 		seed        = flag.Int64("seed", 1, "random seed for the synthetic fleet")
 		out         = flag.String("out", "", "write a JSON benchmark report to this file")
 		compare     = flag.Bool("compare", false, "self-host and record the ladder: single-lock HTTP, batched+sharded HTTP, the stream transport, 2-daemon federation (all at GOMAXPROCS=1), plus a multi-core stream rung on multi-core hosts")
@@ -123,17 +121,6 @@ func main() {
 	if *demandFrac < 0 || *demandFrac > 1 {
 		fmt.Fprintf(os.Stderr, "vennload: -demand-frac %v out of range [0,1]\n", *demandFrac)
 		os.Exit(2)
-	}
-	var shadowList []string
-	if *shadowPols != "" {
-		for _, name := range strings.Split(*shadowPols, ",") {
-			name = strings.TrimSpace(name)
-			if !policy.Valid(name) {
-				fmt.Fprintf(os.Stderr, "vennload: unknown shadow policy %q (have: %s)\n", name, strings.Join(policy.Names(), ", "))
-				os.Exit(2)
-			}
-			shadowList = append(shadowList, name)
-		}
 	}
 	if *conns <= 0 {
 		*conns = 4 * runtime.NumCPU()
@@ -185,39 +172,9 @@ func main() {
 		Agents: *agents, Conns: *conns, StreamConns: *streamCns, Duration: *duration,
 		Jobs: *jobs, Demand: *demand, DemandFrac: *demandFrac, Rounds: *rounds,
 		Category: *category, Seed: *seed,
-		Policy: *polName, Shadow: shadowList,
-		StreamShards: *streamShrds, ObsSample: *obsSample,
+		Policy: *polName, StreamShards: *streamShrds, ObsSample: *obsSample,
 	}
 	switch {
-	case *abFlag != "":
-		names := strings.Split(*abFlag, ",")
-		if len(names) != 2 {
-			fmt.Fprintln(os.Stderr, "vennload: -ab wants exactly two policies, e.g. -ab venn,fifo")
-			os.Exit(2)
-		}
-		for i, name := range names {
-			names[i] = strings.TrimSpace(name)
-			if !policy.Valid(names[i]) {
-				fmt.Fprintf(os.Stderr, "vennload: unknown -ab policy %q (have: %s)\n", names[i], strings.Join(policy.Names(), ", "))
-				os.Exit(2)
-			}
-		}
-		// Both arms replay the same seeded fleet against the same scripted
-		// job set: demands descend steeply across the registration order, so
-		// an arrival-ordered policy head-of-line blocks the small jobs that a
-		// demand-aware one retires first; supply trickles in (each device
-		// checks in once, paced across the duration) so that blocking costs
-		// wall-clock JCT. Only the policy differs between the arms.
-		for _, name := range names {
-			cfg := base
-			cfg.Mode, cfg.Transport, cfg.Shards, cfg.Batch = "ab:"+name, *transp, *shards, 1
-			cfg.Policy, cfg.DemandSpread, cfg.Trickle = name, true, true
-			if cfg.Category == "" {
-				cfg.Category = "General"
-			}
-			report.Runs = append(report.Runs, runSelfHosted(cfg))
-		}
-		printABDelta(report.Runs[len(report.Runs)-2], report.Runs[len(report.Runs)-1])
 	case *compare:
 		if *daemon != "" {
 			fmt.Fprintln(os.Stderr, "vennload: -compare self-hosts all runs; -daemon is ignored")
@@ -410,10 +367,9 @@ func writeProfile(name, path string) {
 
 type loadConfig struct {
 	Mode          string
-	Transport     string   // "http" | "stream"
-	Shards        int      // self-hosted runs only; 0 = server default
-	Policy        string   // self-hosted runs only; "" = server default
-	Shadow        []string // self-hosted runs only; shadow policies to attach
+	Transport     string // "http" | "stream"
+	Shards        int    // self-hosted runs only; 0 = server default
+	Policy        string // self-hosted runs only; "" = server default
 	Batch         int
 	Agents        int
 	Conns         int
@@ -431,19 +387,16 @@ type loadConfig struct {
 	Rounds        int
 	Category      string // "" cycles the standard strata
 	Seed          int64
-	DemandSpread  bool // -ab: job demands descend across registration order
-	Trickle       bool // -ab: each device checks in once, paced across Duration
 }
 
 // managerConfig maps a self-hosted run's knobs onto the server config. The
-// fleet seed doubles as the scheduling seed so an A/B replay's two arms see
-// identical randomness end to end.
+// fleet seed doubles as the scheduling seed, so -seed fixes the scheduler's
+// randomness too.
 func managerConfig(cfg loadConfig) server.Config {
 	return server.Config{
-		Shards:         cfg.Shards,
-		Policy:         cfg.Policy,
-		ShadowPolicies: cfg.Shadow,
-		Seed:           cfg.Seed,
+		Shards: cfg.Shards,
+		Policy: cfg.Policy,
+		Seed:   cfg.Seed,
 		// Demand-heavy runs lift the one-task-per-day budget: sustained
 		// contention needs the same fleet to stay assignable, or the budget
 		// drains the eligible pool within seconds and the run degenerates
@@ -599,28 +552,6 @@ func printSummary(report benchReport) {
 	printBlock(&b)
 }
 
-// printABDelta renders the -ab verdict: both arms side by side plus A's
-// JCT/throughput/fairness deltas relative to B.
-func printABDelta(a, b runResult) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "\nA/B replay, identical seeded traffic (%s vs %s):\n", a.Policy, b.Policy)
-	fmt.Fprintf(&sb, "%-8s %14s %9s %11s %11s %8s\n",
-		"policy", "checkins/s", "jobs", "jct_avg_s", "jct_p90_s", "jain")
-	for _, r := range []runResult{a, b} {
-		fmt.Fprintf(&sb, "%-8s %14.0f %6d/%-2d %11.2f %11.2f %8.3f\n",
-			r.Policy, r.CheckInsPerSec, r.JobsDone, r.JobsTotal,
-			r.JCTAvgSeconds, r.JCTP90Seconds, r.JCTJainFairness)
-	}
-	if a.JCTAvgSeconds > 0 && b.JCTAvgSeconds > 0 && b.CheckInsPerSec > 0 {
-		fmt.Fprintf(&sb, "delta (%s relative to %s): jct_avg %+.1f%%, throughput %+.1f%%, fairness %+.3f\n",
-			a.Policy, b.Policy,
-			100*(a.JCTAvgSeconds-b.JCTAvgSeconds)/b.JCTAvgSeconds,
-			100*(a.CheckInsPerSec-b.CheckInsPerSec)/b.CheckInsPerSec,
-			a.JCTJainFairness-b.JCTJainFairness)
-	}
-	printBlock(&sb)
-}
-
 // jainIndex is Jain's fairness index (Σx)²/(n·Σx²) over per-job JCTs: 1.0
 // when every job waits equally, approaching 1/n as one job absorbs all the
 // delay.
@@ -708,7 +639,6 @@ func startTicker(m *server.Manager) (stop func()) {
 func runSelfHosted(cfg loadConfig) runResult {
 	defer pinGomaxprocs(cfg)()
 	m := server.NewManager(managerConfig(cfg))
-	defer m.StopShadows()
 	var c apiClient
 	var teardown func()
 	if cfg.Transport == "stream" {
@@ -787,7 +717,6 @@ func runSelfHostedCluster(cfg loadConfig) runResult {
 			stopTick()
 			_ = clu.Close()
 			_ = ts.Close()
-			m.StopShadows()
 		}}
 		lanes[i] = lane{name: addrs[i], c: newStreamClient(addrs[i], cfg)}
 	}
@@ -913,24 +842,9 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 	demand := cfg.Demand
 	if demand <= 0 {
 		demand = cfg.Agents / (4 * cfg.Jobs * cfg.Rounds * len(lanes))
-		if cfg.DemandSpread {
-			// Spread demands sum to demand*Jobs*(Jobs+1)/2; size that total
-			// to about half the fleet so supply stays scarce enough for the
-			// scheduling order to matter, yet every job can finish.
-			demand = cfg.Agents / (cfg.Jobs * (cfg.Jobs + 1) * cfg.Rounds * len(lanes))
-		}
 		if demand < 1 {
 			demand = 1
 		}
-	}
-	// demandFor spreads per-job demand when requested: registration order
-	// descends from Jobs*demand down to demand, so FIFO-style policies pay a
-	// head-of-line price that demand-aware ones avoid.
-	demandFor := func(i int) int {
-		if cfg.DemandSpread {
-			return demand * (cfg.Jobs - i)
-		}
-		return demand
 	}
 	categories := []string{"General", "General", "Compute-Rich", "Memory-Rich", "High-Perf"}
 	if cfg.Category != "" {
@@ -942,7 +856,7 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 			st, err := l.c.RegisterJob(server.JobSpec{
 				Name:           fmt.Sprintf("load-job-%d-%d", li, i),
 				Category:       categories[i%len(categories)],
-				DemandPerRound: demandFor(i),
+				DemandPerRound: demand,
 				Rounds:         cfg.Rounds,
 			})
 			if err != nil {
@@ -1054,51 +968,6 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 				if len(local) < maxLatSamplesPerWorker {
 					local = append(local, float64(d)/float64(time.Millisecond))
 				}
-			}
-			if cfg.Trickle {
-				// A/B replay supply model: every device checks in exactly
-				// once, paced so the worker's slice spreads evenly across
-				// the run. Reports always succeed — failure noise would
-				// differ between the arms of a replay.
-				interval := cfg.Duration / time.Duration(len(mine))
-				for _, d := range mine {
-					t0 := time.Now()
-					asg, err := c.CheckIn(server.CheckIn{DeviceID: d.id, CPU: d.cpu, Mem: d.mem})
-					record(time.Since(t0))
-					if err != nil {
-						errs.Add(1)
-						ls.errs.Add(1)
-					} else {
-						checkIns.Add(1)
-						ls.checkIns.Add(1)
-						if asg.Assigned {
-							assignments.Add(1)
-							ls.assigns.Add(1)
-							localServed[asg.Policy]++
-							if err := c.Report(server.Report{
-								DeviceID:        d.id,
-								JobID:           asg.JobID,
-								OK:              true,
-								DurationSeconds: 10 + 50*taskRNG.Float64(),
-							}); err != nil {
-								errs.Add(1)
-								ls.errs.Add(1)
-							} else {
-								reports.Add(1)
-							}
-						}
-					}
-					if rest := interval - time.Since(t0); rest > 0 {
-						time.Sleep(rest)
-					}
-				}
-				latMu.Lock()
-				latencies = append(latencies, local...)
-				for p, n := range localServed {
-					servedBy[p] += n
-				}
-				latMu.Unlock()
-				return
 			}
 			// A batch larger than this worker's fleet slice would carry
 			// duplicate devices whose reservations reject each other.

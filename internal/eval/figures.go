@@ -512,7 +512,7 @@ func (r *Figure13Result) Render() string {
 type Figure14Result struct {
 	Epsilons  []float64
 	Speedup   map[float64]float64
-	FairShare map[float64]float64 // fraction of jobs with JCT <= M*sd
+	FairShare map[float64]float64 // fraction of submitted jobs completing with JCT <= M*sd
 }
 
 // Figure14 sweeps the fairness knob.
@@ -564,11 +564,12 @@ func Figure14(scale Scale, seeds int) (*Figure14Result, error) {
 	return res, nil
 }
 
-// fairShareFraction computes the share of completed jobs whose JCT is within
-// the fair-share bound T = M * sd, with sd the analytic no-contention JCT
-// (per-round supply-limited acquisition plus tail response time).
+// fairShareFraction computes the share of the m submitted jobs that completed
+// with a JCT within the fair-share bound T = M * sd, with sd the analytic
+// no-contention JCT (per-round supply-limited acquisition plus tail response
+// time). A job that never completed counts as a miss.
 func fairShareFraction(r *sim.Result, fleet *trace.Fleet, m int) float64 {
-	if len(r.Completed) == 0 {
+	if m <= 0 {
 		return 0
 	}
 	// Eligible check-in rate per category from the fleet trace.
@@ -596,7 +597,7 @@ func fairShareFraction(r *sim.Result, fleet *trace.Fleet, m int) float64 {
 			met++
 		}
 	}
-	return float64(met) / float64(len(r.Completed))
+	return float64(met) / float64(m)
 }
 
 // Render prints the sweep.

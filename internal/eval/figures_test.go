@@ -3,6 +3,11 @@ package eval
 import (
 	"testing"
 
+	"venn/internal/device"
+	"venn/internal/job"
+	"venn/internal/sim"
+	"venn/internal/simtime"
+	"venn/internal/trace"
 	"venn/internal/workload"
 )
 
@@ -77,8 +82,14 @@ func TestFigure11Ablation(t *testing.T) {
 	}
 	t.Log("\n" + res.Render())
 	for _, sc := range res.Workloads {
-		if res.Speedup[sc]["Venn"] <= 0 {
+		venn, noSched := res.Speedup[sc]["Venn"], res.Speedup[sc]["Venn-w/o-sched"]
+		if venn <= 0 {
 			t.Errorf("%v: Venn speedup missing", sc)
+		}
+		// Venn-w/o-sched is the registry's "fifo" policy: IRS ordering must
+		// beat FIFO request order on mean JCT, matching intact.
+		if venn <= noSched {
+			t.Errorf("%v: Venn %.2fx does not beat Venn-w/o-sched %.2fx", sc, venn, noSched)
 		}
 	}
 }
@@ -113,6 +124,35 @@ func TestFigure14Fairness(t *testing.T) {
 		if res.FairShare[eps] < 0 || res.FairShare[eps] > 1 {
 			t.Errorf("eps=%.0f: fair-share fraction %.2f out of range", eps, res.FairShare[eps])
 		}
+	}
+}
+
+// TestFairShareCountsUnfinishedJobs pins that a job which never completes is
+// a miss, not absent from the denominator: of two submitted jobs, one meets
+// its bound and one starves, so attainment is one half.
+func TestFairShareCountsUnfinishedJobs(t *testing.T) {
+	// One device eligible everywhere, available once an hour over 10 h: a
+	// supply rate of 1/h in every category, so a one-round, demand-1 job has
+	// sd = 3600 s + 300 s and, with m = 2, a bound of 7800 s.
+	fleet := &trace.Fleet{
+		Devices:   []*device.Device{device.New(0, 1, 1)},
+		Intervals: [][]trace.Interval{make([]trace.Interval, 10)},
+		Horizon:   10 * simtime.Hour,
+	}
+	req := device.Categories()[0]
+	met := job.New(0, req, 1, 1, 0)
+	met.Start(0)
+	met.AddAssignment(0)
+	for !met.CanComplete() {
+		met.AddResponse(0)
+	}
+	met.CompleteRound(simtime.Time(0).Add(1000 * simtime.Second))
+	starved := job.New(1, req, 1, 1, 0)
+	starved.Start(0)
+	r := &sim.Result{Completed: []*job.Job{met}, Unfinished: []*job.Job{starved}}
+
+	if got := fairShareFraction(r, fleet, 2); got != 0.5 {
+		t.Fatalf("fair-share attainment = %v, want 0.5 (the starved job is a miss)", got)
 	}
 }
 

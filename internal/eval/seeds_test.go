@@ -7,7 +7,7 @@ import (
 )
 
 // TestMultiSeedDirection checks the headline comparison across several seeds:
-// on average Venn must beat Random and match or beat SRSF.
+// on average Venn must beat Random and FIFO and match or beat SRSF.
 func TestMultiSeedDirection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed sweep")
@@ -29,6 +29,9 @@ func TestMultiSeedDirection(t *testing.T) {
 	t.Logf("means: Venn %.2fx SRSF %.2fx FIFO %.2fx", vm, sm, fm)
 	if vm <= 1.0 {
 		t.Errorf("Venn mean speedup over Random = %.2f, want > 1.0", vm)
+	}
+	if vm <= fm {
+		t.Errorf("Venn mean speedup %.2f does not beat FIFO's %.2f", vm, fm)
 	}
 	if vm < sm*0.95 {
 		t.Errorf("Venn (%.2f) should not trail SRSF (%.2f) materially", vm, sm)

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"venn/internal/core"
 	"venn/internal/sched"
@@ -46,25 +45,18 @@ type Config struct {
 // driven under whatever lock serializes the caller's lifecycle events.
 type Factory func(cfg Config) Policy
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Factory)
-)
-
-// Register adds a policy factory under name (case-insensitive). Registering
-// an existing name replaces it — tests use this to inject instrumented
-// policies.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	registry[strings.ToLower(name)] = f
-	regMu.Unlock()
+// registry is the fixed table of built-in policies, keyed by lower-case name.
+var registry = map[string]Factory{
+	"venn":   func(cfg Config) Policy { return core.New(cfg.Core) },
+	"fifo":   func(cfg Config) Policy { return NewFIFOMatch(cfg.Core) },
+	"srsf":   func(Config) Policy { return sched.NewSRSF() },
+	"random": func(Config) Policy { return sched.NewRandom() },
 }
 
-// New builds the named policy, or an error naming the valid choices.
+// New builds the named policy (case-insensitive), or an error naming the
+// valid choices.
 func New(name string, cfg Config) (Policy, error) {
-	regMu.RLock()
 	f, ok := registry[strings.ToLower(name)]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("policy: unknown policy %q (have %s)", name, strings.Join(Names(), ", "))
 	}
@@ -82,30 +74,19 @@ func MustNew(name string, cfg Config) Policy {
 
 // Valid reports whether name resolves in the registry.
 func Valid(name string) bool {
-	regMu.RLock()
 	_, ok := registry[strings.ToLower(name)]
-	regMu.RUnlock()
 	return ok
 }
 
-// Names lists the registered policy names, sorted.
+// Names lists the built-in policy names, sorted.
 func Names() []string {
-	regMu.RLock()
 	out := make([]string, 0, len(registry))
 	for name := range registry {
 		out = append(out, name)
 	}
-	regMu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
 // Default is the policy venndaemon serves when none is requested.
 const Default = "venn"
-
-func init() {
-	Register("venn", func(cfg Config) Policy { return core.New(cfg.Core) })
-	Register("fifo", func(cfg Config) Policy { return NewFIFOMatch(cfg.Core) })
-	Register("srsf", func(Config) Policy { return sched.NewSRSF() })
-	Register("random", func(Config) Policy { return sched.NewRandom() })
-}

@@ -73,7 +73,7 @@ func appendBinBool(b []byte, v bool) []byte {
 // itself, so the IDs they decode ARE the frame's bytes, valid until the
 // transport has encoded the frame's reply. Either way a site that RETAINS a
 // decoded string beyond the request (the device registry, in-flight maps,
-// shadow events, the relay) must copy it; transient uses (map lookups,
+// the relay) must copy it; transient uses (map lookups,
 // comparisons, re-encoding) need nothing.
 type bdec struct {
 	b      []byte

@@ -16,26 +16,3 @@ func (m *Manager) RetainedIDs() (registry, inFlight []string) {
 	}
 	return registry, inFlight
 }
-
-// ShadowDeviceIDs lists the device IDs in the named shadow's mirror, once the
-// runner has applied every event offered before the call. The mirror belongs
-// to the runner's goroutine: filling its queue with one empty batch more than
-// it holds means the first of them was received, so everything ahead of it
-// was applied, and nothing writes the mirror afterwards unless traffic
-// continues.
-func (m *Manager) ShadowDeviceIDs(name string) []string {
-	for _, sr := range m.shadows {
-		if sr.name != name {
-			continue
-		}
-		for i := 0; i <= cap(sr.events); i++ {
-			sr.events <- nil
-		}
-		ids := make([]string, 0, len(sr.devs))
-		for id := range sr.devs {
-			ids = append(ids, id)
-		}
-		return ids
-	}
-	return nil
-}

@@ -184,18 +184,11 @@ type Config struct {
 	// policy.Default. Unknown names panic in NewManager — the CLIs
 	// validate with policy.Valid before constructing.
 	Policy string
-	// ShadowPolicies lists policies that observe the primary's event
-	// stream and record would-be assignments without applying them (see
-	// shadow.go). Each shadow runs on its own goroutine behind a bounded
-	// queue, off every serving path.
-	ShadowPolicies []string
 	// Seed seeds the scheduling environment's RNG (the Random policy's
-	// priority stream) and the shadow mirrors; 0 derives a seed from the
-	// clock. Fixing it makes seeded-traffic replays (vennload -ab)
-	// reproducible.
+	// priority stream); 0 derives a seed from the clock. Fixing it makes
+	// seeded-traffic replays reproducible.
 	Seed int64
-	// Options are scheduler options for the Venn policy family (primary
-	// and shadows alike).
+	// Options are scheduler options for the Venn policy family.
 	Options core.Options
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
@@ -246,14 +239,6 @@ type Manager struct {
 	pol        policy.Policy
 	venn       *core.Venn
 	env        *sim.Env
-	// shadows host the shadow policies (shadow.go); shadowsOn caches
-	// len(shadows) > 0 so the no-shadow serving paths pay one branch. Both
-	// are immutable after NewManager. shadowSkip round-robins the
-	// surplus-path sampling (one scoring event per shadowSampleStride
-	// lock-free check-ins).
-	shadows    []*shadowRunner
-	shadowsOn  bool
-	shadowSkip atomic.Uint64
 
 	jobs      map[job.ID]*managedJob
 	nextJob   job.ID
@@ -468,14 +453,6 @@ func NewManager(cfg Config) *Manager {
 	m.pol.Bind(m.env)
 	m.pendingSupply = make([]atomic.Int64, grid.NumCells())
 	m.lockFreeOK = m.venn != nil
-	for i, name := range cfg.ShadowPolicies {
-		// Distinct derived seeds keep each shadow's RNG stream independent
-		// of the primary's and of each other's.
-		sp := policy.MustNew(name, policy.Config{Core: cfg.Options})
-		sr := newShadowRunner(strings.ToLower(name), sp, cfg.Categories, cfg.TSDBWindow, seed+int64(i)+1)
-		m.shadows = append(m.shadows, sr)
-	}
-	m.shadowsOn = len(m.shadows) > 0
 	return m
 }
 
@@ -580,13 +557,6 @@ func (m *Manager) registerJobLocked(spec JobSpec, now simtime.Time) JobStatus {
 	j.Start(now)
 	m.pol.OnJobArrival(j, now)
 	m.pol.OnRequest(j, now)
-	if m.shadowsOn {
-		m.emitShadow(shadowEvent{
-			kind: shadowArrival, now: now, jobID: id,
-			name: j.Name, category: spec.Category,
-			demand: spec.DemandPerRound, rounds: spec.Rounds, taskScale: spec.TaskScale,
-		})
-	}
 	return m.statusLocked(mj)
 }
 
@@ -658,17 +628,6 @@ func (m *Manager) snapshotSaysIdle(s *slot, now simtime.Time) bool {
 func (m *Manager) assignCoreLocked(s *slot, deviceID string, now simtime.Time) Assignment {
 	m.coreDev = s.device()
 	j := m.pol.Assign(&m.coreDev, now)
-	if m.shadowsOn {
-		pick := job.ID(-1)
-		if j != nil {
-			pick = j.ID
-		}
-		m.emitShadow(shadowEvent{
-			kind: shadowAssign, now: now, devID: deviceID,
-			cpu: s.cpu, mem: s.mem, cell: device.CellID(s.cell),
-			primaryJob: pick,
-		})
-	}
 	if j == nil {
 		return Assignment{Assigned: false}
 	}
@@ -681,9 +640,6 @@ func (m *Manager) assignCoreLocked(s *slot, deviceID string, now simtime.Time) A
 
 	if full := j.AddAssignment(now); full {
 		m.pol.OnRequestFulfilled(j, now)
-		if m.shadowsOn {
-			m.emitShadow(shadowEvent{kind: shadowFulfilled, now: now, jobID: j.ID})
-		}
 		m.setDeadlineLocked(j.ID, now.Add(j.Deadline()))
 		m.maybeCompleteLocked(mj, now)
 	}
@@ -722,16 +678,6 @@ func (m *Manager) DeviceCheckInSpan(ci CheckIn, sp *obs.Span) (Assignment, error
 	var asg Assignment
 	if m.snapshotSaysIdle(s, now) {
 		m.lockFreeCheckIns.Add(1)
-		// Shadow planning stays off the lock-free surplus path: sampled
-		// scoring events leave via one non-blocking send; the shadow
-		// scores them on its own goroutine.
-		if m.shadowsOn && m.shadowSkip.Add(1)%shadowSampleStride == 0 {
-			m.emitShadow(shadowEvent{
-				kind: shadowAssign, now: now, devID: ci.DeviceID,
-				cpu: s.cpu, mem: s.mem, cell: device.CellID(s.cell),
-				primaryJob: -1, weight: shadowSampleStride,
-			})
-		}
 	} else {
 		asg = m.submitAssign(s, ci.DeviceID, sp)
 	}
@@ -789,7 +735,6 @@ func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 	}
 	m.reg.touch(sc)
 	day := now.DayIndex()
-	var shadowBuf []shadowEvent // lock-free scoring events, one send per batch
 	admitted, lockFree := 0, 0
 	for i := range cis {
 		ci := &cis[i]
@@ -813,21 +758,11 @@ func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 		// fulfil a request (or a job may register) mid-loop.
 		if m.snapshotSaysIdle(s, now) {
 			lockFree++
-			if m.shadowsOn && m.shadowSkip.Add(1)%shadowSampleStride == 0 {
-				shadowBuf = append(shadowBuf, shadowEvent{
-					kind: shadowAssign, now: now, devID: ci.DeviceID,
-					cpu: s.cpu, mem: s.mem, cell: device.CellID(s.cell),
-					primaryJob: -1, weight: shadowSampleStride,
-				})
-			}
 			continue
 		}
 		sc.core = append(sc.core, i)
 	}
 	m.countCheckIns(admitted, lockFree, sc.supply)
-	// Shadow planning stays off the lock-free surplus path: the whole
-	// batch's scoring events leave in one non-blocking send per shadow.
-	m.emitShadowBatch(shadowBuf)
 
 	assigned := 0
 	if len(sc.core) > 0 {
@@ -871,12 +806,6 @@ func (m *Manager) reportCoreLocked(r Report, s *slot, now simtime.Time) {
 		m.reports++
 		m.coreDev = s.device()
 		m.pol.ObserveResponse(mj.j, &m.coreDev, simtime.FromSeconds(r.DurationSeconds), now)
-		if m.shadowsOn {
-			m.emitShadow(shadowEvent{
-				kind: shadowResponse, now: now, jobID: mj.j.ID,
-				devID: r.DeviceID, durSec: r.DurationSeconds,
-			})
-		}
 		mj.j.AddResponse(now)
 		m.maybeCompleteLocked(mj, now)
 		return
@@ -988,11 +917,7 @@ func (m *Manager) maybeCompleteLocked(mj *managedJob, now simtime.Time) {
 	delete(m.deadlines, mj.j.ID)
 	m.attempt[mj.j.ID]++
 	mj.inFlight = map[string]uint64{}
-	done := mj.j.CompleteRound(now)
-	if m.shadowsOn {
-		m.emitShadow(shadowEvent{kind: shadowRoundDone, now: now, jobID: mj.j.ID, done: done})
-	}
-	if done {
+	if mj.j.CompleteRound(now) {
 		m.pol.OnJobDone(mj.j, now)
 		m.completed = append(m.completed, mj)
 		delete(m.jobs, mj.j.ID)
@@ -1010,9 +935,6 @@ func (m *Manager) abortLocked(mj *managedJob, now simtime.Time) {
 	mj.inFlight = map[string]uint64{}
 	delete(m.deadlines, mj.j.ID)
 	m.pol.OnRequest(mj.j, now)
-	if m.shadowsOn {
-		m.emitShadow(shadowEvent{kind: shadowAbort, now: now, jobID: mj.j.ID})
-	}
 }
 
 // setDeadlineLocked records a collecting job's response deadline and keeps

@@ -36,12 +36,8 @@ type Metrics struct {
 	KnownDevices   int64 `json:"known_devices" prom:"gauge,Devices currently in the registry."`
 	BusyDevices    int64 `json:"busy_devices" prom:"gauge,Devices currently holding a task."`
 
-	// Scheduling-policy telemetry. PolicyPrimary names the policy serving
-	// assignments; PolicyShadows carries each shadow policy's divergence
-	// counters (assignment mismatches, queue-depth delta, drop/panic
-	// health), keyed by registry name. Absent when no shadows run.
-	PolicyPrimary string                       `json:"policy_primary" prom:"-"`
-	PolicyShadows map[string]PolicyShadowStats `json:"policy_shadows,omitempty" prom:"-"`
+	// PolicyPrimary names the scheduling policy serving assignments.
+	PolicyPrimary string `json:"policy_primary" prom:"-"`
 
 	// Plan-lifecycle telemetry: full Algorithm-1 rebuilds vs incremental
 	// patches, and the fraction of refreshes the incremental path served.
@@ -351,11 +347,5 @@ func (m *Manager) MetricsSnapshot() Metrics {
 	}
 	m.mu.Unlock()
 	out.PolicyPrimary = m.policyName
-	if m.shadowsOn {
-		out.PolicyShadows = make(map[string]PolicyShadowStats, len(m.shadows))
-		for _, sr := range m.shadows {
-			out.PolicyShadows[sr.name] = sr.statsSnapshot(int64(out.SchedulingJobs))
-		}
-	}
 	return out
 }

@@ -63,7 +63,10 @@ func TestHealthReportsWedgedCore(t *testing.T) {
 		{"federated", &peersRouter{up: 2, down: 1}, 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewManager(Config{})
+			// A frozen clock keeps UptimeSeconds equal between the two reads
+			// below; the wedge itself is measured on the wall clock.
+			start := time.Now()
+			m := NewManager(Config{Clock: func() time.Time { return start }})
 			if tc.router != nil {
 				m.SetRouter(tc.router)
 			}
