@@ -1,43 +1,31 @@
-// Command vennload is the serving-path load generator: it spins up N
-// thousand synthetic device agents against a live venndaemon (or a whole
-// federation of them), drives registered jobs to completion, and writes
-// throughput and latency percentiles to a BENCH_serve.json artifact. It is
-// the repo's continuous measurement of the wall-clock serving path — CI runs
-// a short smoke pass on every PR, and the -compare mode records the ladder:
-// the single-lock one-request-per-check-in baseline, the batched+sharded
-// HTTP path, the stream transport (binary payloads), the same
-// stream under demand-heavy traffic (stream-v2-contended: a feeder keeps a
-// target fraction of check-ins winning assignments, so the run measures the
-// contended core commit pipeline instead of the lock-free surplus path), a
-// two-daemon federation over that stream transport — all pinned to
-// GOMAXPROCS=1 so the rungs measure protocol cost, not core count — plus,
-// on multi-core hosts, a stream-mc rung at full GOMAXPROCS with per-core
-// SO_REUSEPORT listener shards that measures how the stream path scales
-// with cores.
+// Command vennload is the serving-path load generator for live daemons: it
+// spins up N thousand synthetic device agents against a running venndaemon
+// (or a whole federation of them), drives registered jobs to completion, and
+// writes throughput, latency percentiles and the daemons' own counters to a
+// JSON report. CI's bench job drives its smoke daemons with it and checks
+// the reports with cmd/benchguard. The in-process throughput harness is
+// bench/.
 //
-// Against a running daemon:
+// -addr names the daemons, and client.New picks each one's transport from
+// its address: a URL means HTTP, a bare host:port the stream protocol.
 //
 //	venndaemon -addr :8080 -stream-addr :8081 &
-//	vennload -daemon http://localhost:8080 -agents 2000 -duration 10s
-//	vennload -transport stream -stream-daemon localhost:8081 -agents 2000 -duration 10s
+//	vennload -addr http://localhost:8080 -agents 2000 -duration 10s
+//	vennload -addr localhost:8081 -agents 2000 -duration 10s
 //
-// Against a running federation (one lane of agents per member; agents land
-// on an arbitrary member, exercising the forwarding path):
+// More than one address is a federation run over the stream protocol, one
+// lane of agents per member. Ring-aware clients (-topology, the default)
+// send each item straight to its owner and label the run cluster-direct;
+// seed-only clients (-topology=false) leave misrouted items to the daemons'
+// forward path and label it cluster:
 //
-//	vennload -cluster-daemons 10.0.0.1:8081,10.0.0.2:8081 -agents 2000 -duration 10s
-//
-// Self-hosted (spins in-process daemons; no external setup):
-//
-//	vennload -agents 2000 -duration 10s -out BENCH_serve.json
-//	vennload -cluster 2 -agents 2000 -duration 10s
-//	vennload -compare -agents 2000 -duration 5s -out BENCH_serve.json
+//	vennload -addr 10.0.0.1:8081,10.0.0.2:8081 -agents 2000 -duration 10s
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -49,73 +37,36 @@ import (
 	"sync/atomic"
 	"time"
 
+	"venn/cmd/internal/loadreport"
 	"venn/internal/client"
-	"venn/internal/cluster"
-	"venn/internal/policy"
+	"venn/internal/hashring"
 	"venn/internal/server"
 	"venn/internal/stats"
-	"venn/internal/transport"
 )
-
-// apiClient is the client surface one load lane drives; both the HTTP
-// client and the stream client satisfy it.
-type apiClient interface {
-	RegisterJob(server.JobSpec) (server.JobStatus, error)
-	JobStatus(int) (server.JobStatus, error)
-	CheckIn(server.CheckIn) (server.Assignment, error)
-	CheckInBatch([]server.CheckIn) ([]server.CheckInResult, error)
-	Report(server.Report) error
-	ReportBatch([]server.Report) ([]server.ReportResult, error)
-	Stats() (server.Stats, error)
-	Metrics() (server.Metrics, error)
-}
 
 func main() {
 	var (
-		daemon      = flag.String("daemon", "", "venndaemon base URL; empty self-hosts an in-process daemon")
-		streamDmn   = flag.String("stream-daemon", "", "venndaemon stream address (host:port) for -transport stream against a live daemon")
-		clusterDmns = flag.String("cluster-daemons", "", "comma-separated stream addresses of live federated daemons to drive (one agent lane per member)")
-		clusterN    = flag.Int("cluster", 0, "self-host a federation of N daemons (stream transport) and drive all of them")
-		transp      = flag.String("transport", "http", "transport to drive: http | stream")
-		agents      = flag.Int("agents", 2000, "number of synthetic device agents")
-		duration    = flag.Duration("duration", 10*time.Second, "load duration per run")
-		batch       = flag.Int("batch", 64, "check-ins per batch request (1 = unbatched single endpoint)")
-		conns       = flag.Int("conns", 0, "concurrent load workers (0 = 4x CPUs, capped at 64)")
-		streamCns   = flag.Int("stream-conns", 0, "stream connections to multiplex workers over (0 = workers/2, min 1)")
-		streamShrds = flag.Int("stream-shards", 0, "SO_REUSEPORT accept shards for self-hosted stream listeners (0 = 1 listener)")
-		topology    = flag.Bool("topology", true, "ring-aware clients in cluster modes: fetch the daemons' topology and send each batch item straight to its owner (false = seed-only clients, exercising the server-side forward path)")
-		jobs        = flag.Int("jobs", 8, "CL jobs to register (per federation member in cluster mode)")
-		demand      = flag.Int("demand", 0, "demand per round (0 = auto-size to the fleet)")
-		demandFrac  = flag.Float64("demand-frac", 0, "demand-heavy mode: keep job arrivals flowing so roughly this fraction of check-ins wins an assignment (0 disables; self-hosted runs also lift the daily task budget so the contention is sustained)")
-		rounds      = flag.Int("rounds", 1, "rounds per job")
-		category    = flag.String("category", "", "pin every job to one requirement category (default: cycle the standard strata)")
-		shards      = flag.Int("shards", 0, "manager lock shards for self-hosted runs (0 = server default)")
-		polName     = flag.String("policy", "", "scheduling policy for self-hosted daemons (empty = server default: "+policy.Default+")")
-		seed        = flag.Int64("seed", 1, "random seed for the synthetic fleet")
-		out         = flag.String("out", "", "write a JSON benchmark report to this file")
-		compare     = flag.Bool("compare", false, "self-host and record the ladder: single-lock HTTP, batched+sharded HTTP, the stream transport, 2-daemon federation (all at GOMAXPROCS=1), plus a multi-core stream rung on multi-core hosts")
-		obsSample   = flag.Int("obs-sample", 0, "request-span sampling for self-hosted daemons: 1 in N requests (0 = server default 64, negative disables spans)")
-		pprofSrv    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile of the load run(s) to this file")
-		mutexProf   = flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit")
-		blockProf   = flag.String("blockprofile", "", "write a goroutine blocking profile to this file at exit")
+		addrs      = flag.String("addr", "", "comma-separated daemon addresses: a URL (http://host:8080) drives HTTP, a bare host:port the stream protocol; more than one is a federation run (stream only, one agent lane per member)")
+		agents     = flag.Int("agents", 2000, "number of synthetic device agents")
+		duration   = flag.Duration("duration", 10*time.Second, "load duration")
+		batch      = flag.Int("batch", 64, "check-ins per batch request (1 = unbatched single endpoint)")
+		conns      = flag.Int("conns", 0, "concurrent load workers (0 = 4x CPUs, capped at 64)")
+		streamCns  = flag.Int("stream-conns", 0, "stream connections to multiplex workers over (0 = workers/2, min 1)")
+		topology   = flag.Bool("topology", true, "ring-aware clients in federation runs: fetch the daemons' topology and send each batch item straight to its owner (false = seed-only clients, exercising the server-side forward path)")
+		jobs       = flag.Int("jobs", 8, "CL jobs to register (per member in a federation run)")
+		demand     = flag.Int("demand", 0, "demand per round (0 = auto-size to the fleet)")
+		demandFrac = flag.Float64("demand-frac", 0, "demand-heavy mode: keep job arrivals flowing so roughly this fraction of check-ins wins an assignment (0 disables; run the daemons with -daily-budget=false so the contention is sustained)")
+		rounds     = flag.Int("rounds", 1, "rounds per job")
+		category   = flag.String("category", "", "pin every job to one requirement category (default: cycle the standard strata)")
+		seed       = flag.Int64("seed", 1, "random seed for the synthetic fleet")
+		out        = flag.String("out", "", "write a JSON report to this file")
+		pprofSrv   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the load run to this file")
 	)
 	flag.Parse()
 
-	if *transp != "http" && *transp != "stream" {
-		fmt.Fprintf(os.Stderr, "vennload: unknown -transport %q (want http or stream)\n", *transp)
-		os.Exit(2)
-	}
-	if *streamDmn != "" && *transp != "stream" {
-		fmt.Fprintln(os.Stderr, "vennload: -stream-daemon requires -transport stream")
-		os.Exit(2)
-	}
-	if *clusterDmns != "" && *clusterN > 0 {
-		fmt.Fprintln(os.Stderr, "vennload: -cluster (self-hosted) and -cluster-daemons (live) are mutually exclusive")
-		os.Exit(2)
-	}
-	if *polName != "" && !policy.Valid(*polName) {
-		fmt.Fprintf(os.Stderr, "vennload: unknown -policy %q (have: %s)\n", *polName, strings.Join(policy.Names(), ", "))
+	if *addrs == "" {
+		fmt.Fprintln(os.Stderr, "vennload: -addr is required (a daemon URL or stream host:port; several stream addresses for a federation)")
 		os.Exit(2)
 	}
 	if *demandFrac < 0 || *demandFrac > 1 {
@@ -150,169 +101,42 @@ func main() {
 			_ = f.Close()
 		}()
 	}
-	if *mutexProf != "" {
-		runtime.SetMutexProfileFraction(mutexProfileFraction)
-		defer writeProfile("mutex", *mutexProf)
+
+	members := strings.Split(*addrs, ",")
+	cfg := loadConfig{
+		Batch: *batch, Agents: *agents, Conns: *conns, StreamConns: *streamCns,
+		Duration: *duration, Jobs: *jobs, Demand: *demand, DemandFrac: *demandFrac,
+		Rounds: *rounds, Category: *category, Seed: *seed,
+		Topology: *topology && len(members) > 1,
 	}
-	if *blockProf != "" {
-		runtime.SetBlockProfileRate(blockProfileRateNs)
-		defer writeProfile("block", *blockProf)
+	lanes := make([]lane, len(members))
+	for i, addr := range members {
+		lanes[i] = lane{name: addr, c: newClient(addr, cfg)}
+	}
+	cfg.Transport = transportOf(lanes[0].c)
+	cfg.Mode = modeName(cfg.Batch, cfg.Transport)
+	if len(lanes) > 1 {
+		for _, l := range lanes {
+			if transportOf(l.c) != client.TransportStream {
+				fmt.Fprintf(os.Stderr, "vennload: a federation run drives stream addresses (host:port), not %s\n", l.name)
+				os.Exit(2)
+			}
+		}
+		cfg.Mode = "cluster"
+		if cfg.Topology {
+			cfg.Mode = "cluster-direct"
+		}
 	}
 
-	report := benchReport{
-		Schema:    "venn/bench_serve/v1",
+	report := loadreport.Report{
+		Schema:    loadreport.Schema,
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 		UnixTime:  time.Now().Unix(),
+		Runs:      []loadreport.Run{runLoad(lanes, cfg)},
 	}
-
-	base := loadConfig{
-		Agents: *agents, Conns: *conns, StreamConns: *streamCns, Duration: *duration,
-		Jobs: *jobs, Demand: *demand, DemandFrac: *demandFrac, Rounds: *rounds,
-		Category: *category, Seed: *seed,
-		Policy: *polName, StreamShards: *streamShrds, ObsSample: *obsSample,
-	}
-	switch {
-	case *compare:
-		if *daemon != "" {
-			fmt.Fprintln(os.Stderr, "vennload: -compare self-hosts all runs; -daemon is ignored")
-		}
-		// The protocol rungs all pin GOMAXPROCS=1 so they measure per-core
-		// protocol cost; only the final stream-mc rung opens the core count
-		// back up. Only the contended rung runs demand-heavy — a global
-		// -demand-frac must not corrupt the surplus rungs' lock-free
-		// measurements.
-		base.DemandFrac = 0
-		// Rung 1: one lock stripe and one HTTP request per check-in — the
-		// seed serving path.
-		single := base
-		single.Mode, single.Transport, single.Shards, single.Batch, single.Gomaxprocs = "single", "http", 1, 1, 1
-		report.Runs = append(report.Runs, runSelfHosted(single))
-		// Rung 2: sharded manager, batched HTTP API.
-		batched := base
-		batched.Mode, batched.Transport, batched.Shards, batched.Batch, batched.Gomaxprocs = "batched", "http", *shards, max(*batch, 2), 1
-		report.Runs = append(report.Runs, runSelfHosted(batched))
-		// Rung 3: same batching over the persistent stream (binary payloads).
-		stream := base
-		stream.Mode, stream.Transport, stream.Shards, stream.Batch, stream.Gomaxprocs = "stream", "stream", *shards, max(*batch, 2), 1
-		report.Runs = append(report.Runs, runSelfHosted(stream))
-		// Rung 3b: the same stream under demand-heavy traffic. A feeder
-		// keeps fresh job arrivals flowing (daily budget lifted) so a target
-		// fraction of check-ins wins an assignment and reports back; while
-		// demand is open every check-in commits through the scheduler core,
-		// so this rung measures the flat-combining commit pipeline where the
-		// surplus rungs measure the lock-free snapshot path.
-		contended := base
-		contended.Mode, contended.Transport, contended.Shards, contended.Batch, contended.Gomaxprocs = "stream-v2-contended", "stream", *shards, max(*batch, 2), 1
-		contended.DemandFrac = *demandFrac
-		if contended.DemandFrac <= 0 {
-			contended.DemandFrac = defaultContendedFrac
-		}
-		report.Runs = append(report.Runs, runSelfHosted(contended))
-		// Rung 4: a federation of stream daemons sharing the fleet by
-		// consistent-hash ownership, agents spread across all members.
-		// Seed-only clients, so roughly half of all traffic crosses the
-		// server-side forward path — this rung keeps the forwarded number
-		// visible now that direct routing exists.
-		nodes := *clusterN
-		if nodes <= 0 {
-			nodes = 2
-		}
-		clus := base
-		clus.Mode, clus.Transport, clus.Shards, clus.Batch, clus.ClusterNodes = "cluster", "stream", *shards, max(*batch, 2), nodes
-		clus.Gomaxprocs = 1
-		report.Runs = append(report.Runs, runSelfHostedCluster(clus))
-		// Rung 4b: the same federation driven by ring-aware clients
-		// (OpTopology): items go straight to their owners and the forward
-		// path idles. This is the headline cluster number.
-		direct := clus
-		direct.Mode, direct.Topology = "cluster-direct", true
-		report.Runs = append(report.Runs, runSelfHostedCluster(direct))
-		// Rung 5 (multi-core hosts only): the stream again at full
-		// GOMAXPROCS with one SO_REUSEPORT accept shard per core.
-		if runtime.NumCPU() > 1 {
-			mc := base
-			mc.Mode, mc.Transport, mc.Shards, mc.Batch = "stream-mc", "stream", *shards, max(*batch, 2)
-			mc.Gomaxprocs, mc.StreamShards = runtime.NumCPU(), runtime.NumCPU()
-			report.Runs = append(report.Runs, runSelfHosted(mc))
-		} else {
-			fmt.Println("\nskipping stream-mc rung: single-CPU host (core scaling is unmeasurable here)")
-		}
-
-		rate := func(mode string) float64 {
-			for _, r := range report.Runs {
-				if r.Mode == mode {
-					return r.CheckInsPerSec
-				}
-			}
-			return 0
-		}
-		singleRate, batchedRate := rate("single"), rate("batched")
-		streamRate := rate("stream")
-		contendedRate := rate("stream-v2-contended")
-		clusterRate, directRate, mcRate := rate("cluster"), rate("cluster-direct"), rate("stream-mc")
-		if singleRate > 0 {
-			report.SpeedupBatchedVsSingle = batchedRate / singleRate
-			report.SpeedupStreamVsSingle = streamRate / singleRate
-			fmt.Printf("\nspeedup (batched+sharded HTTP vs single-lock): %.2fx\n", report.SpeedupBatchedVsSingle)
-			fmt.Printf("speedup (stream vs single-lock):               %.2fx\n", report.SpeedupStreamVsSingle)
-		}
-		if batchedRate > 0 {
-			report.SpeedupStreamVsBatched = streamRate / batchedRate
-			fmt.Printf("speedup (stream vs batched HTTP):              %.2fx\n", report.SpeedupStreamVsBatched)
-		}
-		if streamRate > 0 && contendedRate > 0 {
-			report.ContendedVsStream = contendedRate / streamRate
-			fmt.Printf("demand-heavy contended rung vs surplus stream: %.2fx\n", report.ContendedVsStream)
-		}
-		if streamRate > 0 {
-			report.SpeedupClusterVsStream = directRate / streamRate
-			report.SpeedupClusterFwdVsStream = clusterRate / streamRate
-			fmt.Printf("speedup (%d-daemon cluster, ring-aware clients, vs one stream daemon): %.2fx\n", nodes, report.SpeedupClusterVsStream)
-			fmt.Printf("speedup (%d-daemon cluster, seed-only clients, vs one stream daemon):  %.2fx\n", nodes, report.SpeedupClusterFwdVsStream)
-			if mcRate > 0 {
-				report.SpeedupStreamMCVsSingleCore = mcRate / streamRate
-				fmt.Printf("speedup (stream at %d cores vs 1 core):         %.2fx\n", runtime.NumCPU(), report.SpeedupStreamMCVsSingleCore)
-			}
-		}
-	case *clusterDmns != "":
-		cfg := base
-		cfg.Mode, cfg.Transport, cfg.Batch, cfg.Topology = "cluster", "stream", *batch, *topology
-		addrs := strings.Split(*clusterDmns, ",")
-		cfg.ClusterNodes = len(addrs)
-		lanes := make([]lane, len(addrs))
-		for i, addr := range addrs {
-			lanes[i] = lane{name: addr, c: newStreamClient(addr, cfg)}
-		}
-		report.Runs = append(report.Runs, runLoad(lanes, cfg))
-	case *clusterN > 0:
-		cfg := base
-		cfg.Mode, cfg.Transport, cfg.Shards, cfg.Batch, cfg.ClusterNodes = "cluster", "stream", *shards, *batch, *clusterN
-		cfg.Topology = *topology
-		report.Runs = append(report.Runs, runSelfHostedCluster(cfg))
-	case *daemon != "" || *streamDmn != "":
-		cfg := base
-		cfg.Mode, cfg.Transport, cfg.Batch = modeName(*batch, *transp), *transp, *batch
-		var c apiClient
-		if *transp == "stream" {
-			if *streamDmn == "" {
-				fmt.Fprintln(os.Stderr, "vennload: -transport stream against a live daemon needs -stream-daemon host:port")
-				os.Exit(2)
-			}
-			c = newStreamClient(*streamDmn, cfg)
-		} else {
-			c = newHTTPClient(*daemon, cfg)
-		}
-		report.Runs = append(report.Runs, runLoad([]lane{{name: "daemon", c: c}}, cfg))
-	default:
-		cfg := base
-		cfg.Mode, cfg.Transport, cfg.Shards, cfg.Batch = modeName(*batch, *transp), *transp, *shards, *batch
-		report.Runs = append(report.Runs, runSelfHosted(cfg))
-	}
-
-	printSummary(report)
 
 	if *out != "" {
 		buf, err := json.MarshalIndent(report, "", "  ")
@@ -328,7 +152,7 @@ func main() {
 }
 
 func modeName(batch int, transport string) string {
-	if transport == "stream" {
+	if transport == client.TransportStream {
 		return "stream"
 	}
 	if batch > 1 {
@@ -337,73 +161,25 @@ func modeName(batch int, transport string) string {
 	return "single"
 }
 
-// Demand-feeder and profiling knobs.
-const (
-	// defaultContendedFrac is the stream-v2-contended rung's target
-	// assignment fraction when -demand-frac is unset.
-	defaultContendedFrac = 0.4
-	// feedInterval is how often a lane's demand feeder re-sizes open demand
-	// against the observed check-in rate.
-	feedInterval = 100 * time.Millisecond
-	// mutexProfileFraction samples 1 in N mutex contention events for
-	// -mutexprofile; blockProfileRateNs records one sample per N ns of
-	// goroutine blocking for -blockprofile.
-	mutexProfileFraction = 100
-	blockProfileRateNs   = 10_000
-)
-
-// writeProfile dumps a named runtime profile ("mutex", "block") to path.
-func writeProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vennload: "+name+" profile:", err)
-		return
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintln(os.Stderr, "vennload: "+name+" profile:", err)
-	}
-}
+// feedInterval is how often a lane's demand feeder re-sizes open demand
+// against the observed check-in rate.
+const feedInterval = 100 * time.Millisecond
 
 type loadConfig struct {
-	Mode          string
-	Transport     string // "http" | "stream"
-	Shards        int    // self-hosted runs only; 0 = server default
-	Policy        string // self-hosted runs only; "" = server default
-	Batch         int
-	Agents        int
-	Conns         int
-	StreamConns   int  // 0 = Conns/2, min 1
-	StreamShards  int  // self-hosted stream listener accept shards; 0 = 1
-	Gomaxprocs    int  // pin runtime.GOMAXPROCS for the run; 0 = leave as is
-	ClusterNodes  int  // federation member count (cluster mode only)
-	Topology      bool // ring-aware clients (cluster modes): route items to owners directly
-	Duration      time.Duration
-	Jobs          int
-	Demand        int
-	DemandFrac    float64 // demand-heavy mode: target assignment fraction of check-ins (0 = surplus traffic)
-	NoDailyBudget bool    // self-hosted runs: lift the one-task-per-day budget (implied by DemandFrac > 0)
-	ObsSample     int     // self-hosted runs: span sampling 1 in N (0 = server default, negative disables)
-	Rounds        int
-	Category      string // "" cycles the standard strata
-	Seed          int64
-}
-
-// managerConfig maps a self-hosted run's knobs onto the server config. The
-// fleet seed doubles as the scheduling seed, so -seed fixes the scheduler's
-// randomness too.
-func managerConfig(cfg loadConfig) server.Config {
-	return server.Config{
-		Shards: cfg.Shards,
-		Policy: cfg.Policy,
-		Seed:   cfg.Seed,
-		// Demand-heavy runs lift the one-task-per-day budget: sustained
-		// contention needs the same fleet to stay assignable, or the budget
-		// drains the eligible pool within seconds and the run degenerates
-		// back to surplus traffic.
-		DisableDailyBudget: cfg.NoDailyBudget || cfg.DemandFrac > 0,
-		ObsSampleEvery:     cfg.ObsSample,
-	}
+	Mode        string
+	Transport   string // client.TransportHTTP | client.TransportStream, as client.New inferred it
+	Batch       int
+	Agents      int
+	Conns       int
+	StreamConns int  // 0 = Conns/2, min 1
+	Topology    bool // ring-aware clients (federation runs): route items to owners directly
+	Duration    time.Duration
+	Jobs        int
+	Demand      int
+	DemandFrac  float64 // demand-heavy mode: target assignment fraction of check-ins (0 = surplus traffic)
+	Rounds      int
+	Category    string // "" cycles the standard strata
+	Seed        int64
 }
 
 func (cfg loadConfig) streamPool() int {
@@ -415,141 +191,6 @@ func (cfg loadConfig) streamPool() int {
 		n = 1
 	}
 	return n
-}
-
-type percentiles struct {
-	Mean float64 `json:"mean"`
-	P50  float64 `json:"p50"`
-	P90  float64 `json:"p90"`
-	P99  float64 `json:"p99"`
-	Max  float64 `json:"max"`
-}
-
-// nodeResult is one federation member's slice of a cluster run: client-side
-// throughput of the lane that drove it plus the member's own federation
-// counters, as its /v1/metrics reports them.
-type nodeResult struct {
-	Node           string  `json:"node"`
-	CheckIns       int64   `json:"checkins"`
-	CheckInsPerSec float64 `json:"checkins_per_sec"`
-	Errors         int64   `json:"errors"`
-	JobsDone       int     `json:"jobs_done"`
-	server.ClusterTelemetry
-}
-
-type runResult struct {
-	Mode             string           `json:"mode"`
-	Transport        string           `json:"transport"`
-	Shards           int              `json:"shards,omitempty"`
-	Policy           string           `json:"policy,omitempty"`
-	DemandFrac       float64          `json:"demand_frac,omitempty"`
-	ServedByPolicy   map[string]int64 `json:"served_by_policy,omitempty"`
-	JCTAvgSeconds    float64          `json:"jct_avg_seconds,omitempty"`
-	JCTP90Seconds    float64          `json:"jct_p90_seconds,omitempty"`
-	JCTJainFairness  float64          `json:"jct_jain_fairness,omitempty"`
-	Agents           int              `json:"agents"`
-	Conns            int              `json:"conns"`
-	StreamConns      int              `json:"stream_conns,omitempty"`
-	StreamShards     int              `json:"stream_shards,omitempty"`
-	GOMAXPROCS       int              `json:"gomaxprocs,omitempty"`
-	Batch            int              `json:"batch"`
-	DurationSeconds  float64          `json:"duration_seconds"`
-	CheckIns         int64            `json:"checkins"`
-	CheckInsPerSec   float64          `json:"checkins_per_sec"`
-	Assignments      int64            `json:"assignments"`
-	Reports          int64            `json:"reports"`
-	Errors           int64            `json:"errors"`
-	JobsTotal        int              `json:"jobs_total"`
-	JobsDone         int              `json:"jobs_done"`
-	RequestLatencyMs percentiles      `json:"request_latency_ms"`
-	Nodes            []nodeResult     `json:"nodes,omitempty"`
-	ServerMetrics    *server.Metrics  `json:"server_metrics,omitempty"`
-}
-
-// forwards sums the run's federation counters across its nodes.
-func (r runResult) forwards() (in, out int64) {
-	for _, n := range r.Nodes {
-		in += n.ClusterForwardsIn
-		out += n.ClusterForwardsOut
-	}
-	return in, out
-}
-
-// directRouted sums the run's direct-routed batch counts across its nodes.
-func (r runResult) directRouted() int64 {
-	var total int64
-	for _, n := range r.Nodes {
-		total += n.DirectRoutedBatches
-	}
-	return total
-}
-
-type benchReport struct {
-	Schema                 string      `json:"schema"`
-	GoVersion              string      `json:"go_version"`
-	GOOS                   string      `json:"goos"`
-	GOARCH                 string      `json:"goarch"`
-	NumCPU                 int         `json:"num_cpu"`
-	UnixTime               int64       `json:"unix_time"`
-	Runs                   []runResult `json:"runs"`
-	SpeedupBatchedVsSingle float64     `json:"speedup_batched_vs_single,omitempty"`
-	SpeedupStreamVsSingle  float64     `json:"speedup_stream_vs_single,omitempty"`
-	SpeedupStreamVsBatched float64     `json:"speedup_stream_vs_batched,omitempty"`
-	// SpeedupClusterVsStream compares the cluster-direct rung (ring-aware
-	// clients, OpTopology routing) to the single-daemon v2 stream rung — the
-	// headline federation number. SpeedupClusterFwdVsStream keeps the
-	// seed-only clients' ratio (every misrouted item crossing the forward
-	// path) that this field used to hold.
-	SpeedupClusterVsStream    float64 `json:"speedup_cluster_vs_stream,omitempty"`
-	SpeedupClusterFwdVsStream float64 `json:"speedup_cluster_fwd_vs_stream,omitempty"`
-	// SpeedupStreamMCVsSingleCore compares the stream-mc rung (full
-	// GOMAXPROCS, per-core listener shards) to the single-core stream rung.
-	SpeedupStreamMCVsSingleCore float64 `json:"speedup_stream_mc_vs_single_core,omitempty"`
-	// ContendedVsStream compares the stream-v2-contended rung (demand-heavy
-	// traffic committing through the core pipeline) to the surplus stream
-	// rung (lock-free snapshot path). Expected well below 1.0 — it prices
-	// the core commit, not the protocol.
-	ContendedVsStream float64 `json:"contended_vs_stream,omitempty"`
-}
-
-// printMu serializes all human-readable run output: each run's block is
-// assembled off to the side and printed atomically, so per-node (or any
-// future concurrent) runs can never interleave lines mid-block.
-var printMu sync.Mutex
-
-func printBlock(b *strings.Builder) {
-	printMu.Lock()
-	fmt.Print(b.String())
-	printMu.Unlock()
-}
-
-// printSummary renders the end-of-run table: one row per run with its
-// policy, throughput, and federation forward counts, plus per-node rows for
-// cluster runs.
-func printSummary(report benchReport) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "\n%-14s %-9s %-8s %5s %5s %14s %10s %10s %10s %8s %8s\n",
-		"mode", "transport", "policy", "nodes", "batch", "checkins/s", "fwd_out", "fwd_in", "direct", "errors", "jobs")
-	for _, run := range report.Runs {
-		nodes := 1
-		if len(run.Nodes) > 0 {
-			nodes = len(run.Nodes)
-		}
-		pol := run.Policy
-		if pol == "" {
-			pol = "-"
-		}
-		in, out := run.forwards()
-		fmt.Fprintf(&b, "%-14s %-9s %-8s %5d %5d %14.0f %10d %10d %10d %8d %d/%d\n",
-			run.Mode, run.Transport, pol, nodes, run.Batch, run.CheckInsPerSec,
-			out, in, run.directRouted(), run.Errors, run.JobsDone, run.JobsTotal)
-		for _, n := range run.Nodes {
-			fmt.Fprintf(&b, "  └ %-28s %14.0f %10d %10d %10d %8d %d (topo epoch %d, %d pushes, fwd bytes %d/%d)\n",
-				n.Node, n.CheckInsPerSec, n.ClusterForwardsOut, n.ClusterForwardsIn, n.DirectRoutedBatches,
-				n.Errors, n.JobsDone, n.TopologyEpoch, n.TopologyPushes, n.ForwardBytesOut, n.ForwardBytesIn)
-		}
-	}
-	printBlock(&b)
 }
 
 // jainIndex is Jain's fairness index (Σx)²/(n·Σx²) over per-job JCTs: 1.0
@@ -576,167 +217,35 @@ func sortedKeys(m map[string]int64) []string {
 	return keys
 }
 
-func newHTTPClient(baseURL string, cfg loadConfig) apiClient {
+// newClient builds the client for one daemon address. client.New infers the
+// transport from the address; the options that do not apply to it are
+// ignored.
+func newClient(addr string, cfg loadConfig) client.API {
 	tr := &http.Transport{
 		MaxIdleConns:        2 * cfg.Conns,
 		MaxIdleConnsPerHost: 2 * cfg.Conns,
 	}
-	return client.New(baseURL,
-		client.WithHTTPClient(&http.Client{Timeout: 30 * time.Second, Transport: tr}),
-		client.WithRetries(2))
-}
-
-func newStreamClient(addr string, cfg loadConfig) apiClient {
-	opts := []client.Option{
+	return client.New(addr,
+		client.WithHTTPClient(&http.Client{Transport: tr}),
+		client.WithRetries(2),
 		client.WithStreamConns(cfg.streamPool()),
-		client.WithTimeout(30 * time.Second),
-	}
-	if cfg.Topology {
-		opts = append(opts, client.WithTopology(true))
-	}
-	return client.NewStream(addr, opts...)
+		client.WithTimeout(30*time.Second),
+		client.WithTopology(cfg.Topology))
 }
 
-// pinGomaxprocs applies cfg.Gomaxprocs for the duration of a run; the
-// returned func restores the previous value. Runs are sequential, so the
-// global knob cannot race another run.
-func pinGomaxprocs(cfg loadConfig) (restore func()) {
-	if cfg.Gomaxprocs <= 0 {
-		return func() {}
+// transportOf names the transport client.New picked for c.
+func transportOf(c client.API) string {
+	if _, ok := c.(*client.StreamClient); ok {
+		return client.TransportStream
 	}
-	prev := runtime.GOMAXPROCS(cfg.Gomaxprocs)
-	return func() { runtime.GOMAXPROCS(prev) }
-}
-
-// selfHostedNode is one in-process daemon: manager, listener, transport
-// server, optional federation layer, and its tick loop.
-type selfHostedNode struct {
-	m        *server.Manager
-	clu      *cluster.Cluster
-	teardown func()
-}
-
-// startTicker runs the manager's once-a-second maintenance until stop.
-func startTicker(m *server.Manager) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(time.Second)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				m.Tick()
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { close(done) }
-}
-
-// runSelfHosted spins one in-process daemon on the requested transport,
-// drives the load against it over real loopback sockets, and tears it down.
-func runSelfHosted(cfg loadConfig) runResult {
-	defer pinGomaxprocs(cfg)()
-	m := server.NewManager(managerConfig(cfg))
-	var c apiClient
-	var teardown func()
-	if cfg.Transport == "stream" {
-		ts := transport.NewServer(m, transport.Options{})
-		lns, err := transport.ListenSharded("127.0.0.1:0", max(cfg.StreamShards, 1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vennload: listen:", err)
-			os.Exit(1)
-		}
-		go func() { _ = ts.ServeListeners(lns) }()
-		c = newStreamClient(lns[0].Addr().String(), cfg)
-		teardown = func() { _ = ts.Close() }
-	} else {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vennload: listen:", err)
-			os.Exit(1)
-		}
-		srv := &http.Server{Handler: server.Handler(m)}
-		go func() { _ = srv.Serve(ln) }()
-		c = newHTTPClient("http://"+ln.Addr().String(), cfg)
-		teardown = func() { _ = srv.Close() }
-	}
-	stopTick := startTicker(m)
-	defer func() {
-		stopTick()
-		teardown()
-	}()
-	res := runLoad([]lane{{name: "daemon", c: c}}, cfg)
-	if cfg.Shards > 0 {
-		res.Shards = cfg.Shards
-	} else if res.ServerMetrics != nil {
-		res.Shards = res.ServerMetrics.Shards
-	}
-	if cfg.Transport == "stream" {
-		res.StreamShards = max(cfg.StreamShards, 1)
-	}
-	return res
-}
-
-// runSelfHostedCluster spins cfg.ClusterNodes federated in-process daemons
-// (stream transport, consistent-hash ownership over all members) and drives
-// one agent lane per member — each lane's fleet slice lands on an arbitrary
-// owner, so roughly (N-1)/N of all traffic exercises the forwarding path.
-func runSelfHostedCluster(cfg loadConfig) runResult {
-	defer pinGomaxprocs(cfg)()
-	n := cfg.ClusterNodes
-	if n < 2 {
-		n = 2
-		cfg.ClusterNodes = n
-	}
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vennload: listen:", err)
-			os.Exit(1)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]selfHostedNode, n)
-	lanes := make([]lane, n)
-	for i := range nodes {
-		m := server.NewManager(managerConfig(cfg))
-		ts := transport.NewServer(m, transport.Options{})
-		go func(ln net.Listener) { _ = ts.Serve(ln) }(lns[i])
-		clu, err := cluster.New(m, cluster.Config{SelfID: addrs[i], Peers: addrs})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vennload: cluster:", err)
-			os.Exit(1)
-		}
-		stopTick := startTicker(m)
-		nodes[i] = selfHostedNode{m: m, clu: clu, teardown: func() {
-			stopTick()
-			_ = clu.Close()
-			_ = ts.Close()
-		}}
-		lanes[i] = lane{name: addrs[i], c: newStreamClient(addrs[i], cfg)}
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.teardown()
-		}
-	}()
-	res := runLoad(lanes, cfg)
-	if cfg.Shards > 0 {
-		res.Shards = cfg.Shards
-	}
-	return res
+	return client.TransportHTTP
 }
 
 // lane is one load target: a named client (a single daemon, or one member
 // of a federation) that a share of the workers drives.
 type lane struct {
 	name string
-	c    apiClient
+	c    client.API
 }
 
 // laneStat is one lane's live counters, shared between its workers and (in
@@ -757,7 +266,7 @@ type laneStat struct {
 // assignment (and report) volume, not which path check-ins take. Filler
 // jobs are not part of the scripted job set, so the end-of-run completion
 // poll ignores them.
-func demandFeeder(c apiClient, ls *laneStat, cfg loadConfig, li int, stop <-chan struct{}) {
+func demandFeeder(c client.API, ls *laneStat, cfg loadConfig, li int, stop <-chan struct{}) {
 	cat := cfg.Category
 	if cat == "" {
 		cat = "General"
@@ -803,7 +312,7 @@ func demandFeeder(c apiClient, ls *laneStat, cfg loadConfig, li int, stop <-chan
 // across lanes round-robin; each worker drives a disjoint slice of the
 // fleet through its lane's client, so a device always checks in via the
 // same member (its reports then chase its assignments to the same owner).
-func runLoad(lanes []lane, cfg loadConfig) runResult {
+func runLoad(lanes []lane, cfg loadConfig) loadreport.Run {
 	// Every lane needs at least one worker driving a non-empty fleet slice,
 	// or an undriven member's jobs never complete and its forward counters
 	// stay zero (which the CI federation gate would read as a broken
@@ -821,9 +330,8 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 	if cfg.Conns < len(lanes) {
 		cfg.Conns = len(lanes)
 	}
-	// Reachability probe; the stats reply also names the serving policy
-	// (authoritative for live daemons, where cfg.Policy is unset).
-	activePolicy := cfg.Policy
+	// Reachability probe; the stats reply also names the serving policy.
+	var activePolicy string
 	for _, l := range lanes {
 		st, err := l.c.Stats()
 		if err != nil {
@@ -893,14 +401,14 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 	// daemon running custom -node-id or -vnodes only costs the affinity,
 	// not correctness.
 	var laneFleet [][]dev
-	if cfg.Topology && len(lanes) > 1 {
+	if cfg.Topology {
 		members := make([]string, len(lanes))
 		laneIdx := make(map[string]int, len(lanes))
 		for i, l := range lanes {
 			members[i] = l.name
 			laneIdx[l.name] = i
 		}
-		ring := cluster.NewRing(members, 0)
+		ring := hashring.New(members, 0)
 		byLane := make([][]dev, len(lanes))
 		for _, d := range fleet {
 			li := laneIdx[ring.Owner(d.id)]
@@ -930,14 +438,8 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 	)
 	const maxLatSamplesPerWorker = 100_000
 
-	var head strings.Builder
-	fmt.Fprintf(&head, "run %q: %s transport, %d agents, %d conns, batch %d, %v",
-		cfg.Mode, cfg.Transport, cfg.Agents, cfg.Conns, cfg.Batch, cfg.Duration)
-	if len(lanes) > 1 {
-		fmt.Fprintf(&head, ", %d federation members", len(lanes))
-	}
-	head.WriteByte('\n')
-	printBlock(&head)
+	fmt.Printf("run %q: %s transport, %d agents, %d conns, batch %d, %v, %d daemon(s)\n",
+		cfg.Mode, cfg.Transport, cfg.Agents, cfg.Conns, cfg.Batch, cfg.Duration, len(lanes))
 
 	deadline := time.Now().Add(cfg.Duration)
 	start := time.Now()
@@ -960,7 +462,7 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 			continue
 		}
 		wg.Add(1)
-		go func(c apiClient, ls *laneStat, mine []dev, taskRNG *stats.RNG) {
+		go func(c client.API, ls *laneStat, mine []dev, taskRNG *stats.RNG) {
 			defer wg.Done()
 			local := make([]float64, 0, 4096)
 			localServed := make(map[string]int64)
@@ -1116,12 +618,7 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 		time.Sleep(200 * time.Millisecond)
 	}
 
-	if n, ok := servedBy[""]; ok {
-		// Assignments from daemons predating wire attribution.
-		delete(servedBy, "")
-		servedBy["(unattributed)"] = n
-	}
-	res := runResult{
+	res := loadreport.Run{
 		Mode:            cfg.Mode,
 		Transport:       cfg.Transport,
 		Policy:          activePolicy,
@@ -1139,13 +636,12 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 		JobsTotal:       jobsTotal,
 		JobsDone:        jobsDone,
 	}
-	if cfg.Transport == "stream" {
+	if cfg.Transport == client.TransportStream {
 		res.StreamConns = cfg.streamPool()
 	}
-	res.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	if len(latencies) > 0 {
 		sort.Float64s(latencies)
-		res.RequestLatencyMs = percentiles{
+		res.RequestLatencyMs = loadreport.Percentiles{
 			Mean: stats.Mean(latencies),
 			P50:  stats.PercentileSorted(latencies, 50),
 			P90:  stats.PercentileSorted(latencies, 90),
@@ -1183,7 +679,7 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 		// Per-member rows: lane-side throughput plus the member's own
 		// federation counters from /v1/metrics.
 		for li, l := range lanes {
-			nr := nodeResult{
+			nr := loadreport.Node{
 				Node:           l.name,
 				CheckIns:       laneStats[li].checkIns.Load(),
 				CheckInsPerSec: float64(laneStats[li].checkIns.Load()) / elapsed.Seconds(),
@@ -1231,6 +727,6 @@ func runLoad(lanes []lane, cfg loadConfig) runResult {
 			break
 		}
 	}
-	printBlock(&b)
+	fmt.Print(b.String())
 	return res
 }

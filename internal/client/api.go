@@ -7,8 +7,8 @@
 //	c := client.New("host:8081", client.WithTransport(client.TransportStream),
 //	        client.WithTimeout(2*time.Second))
 //
-// Both transports implement API. NewHTTP and NewStream remain as thin
-// deprecated shims returning the concrete types.
+// Both transports implement API. NewStream remains as a thin deprecated
+// shim returning the concrete *StreamClient.
 package client
 
 import (

@@ -31,18 +31,6 @@ type Client struct {
 	retryDelay time.Duration // backoff base, doubled per attempt, jittered
 }
 
-// NewHTTP creates an HTTP client for the daemon at baseURL (e.g.
-// "http://host:8080"). Most callers should use New, which picks the
-// transport from the address; NewHTTP exists for code that needs the
-// concrete *Client.
-func NewHTTP(baseURL string, opts ...Option) *Client {
-	cfg := defaultClientConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return newHTTPClient(baseURL, cfg)
-}
-
 func newHTTPClient(baseURL string, cfg config) *Client {
 	h := cfg.httpClient
 	if h == nil {

@@ -13,7 +13,7 @@ func newTestPair(t *testing.T) (*Client, *httptest.Server) {
 	m := server.NewManager(server.Config{})
 	srv := httptest.NewServer(server.Handler(m))
 	t.Cleanup(srv.Close)
-	return NewHTTP(srv.URL), srv
+	return New(srv.URL).(*Client), srv
 }
 
 func TestClientJobLifecycle(t *testing.T) {

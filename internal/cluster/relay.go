@@ -463,9 +463,4 @@ func (c *Cluster) CheckInBatchRaw(cis []server.CheckIn, raw server.RawItems, sp 
 	return c.CheckInBatchBuf(&server.BatchBuf{CheckIns: cis}, raw, sp)
 }
 
-// ReportBatchRaw is ReportBatchBuf over a fresh BatchBuf (see CheckInBatchRaw).
-func (c *Cluster) ReportBatchRaw(rs []server.Report, raw server.RawItems, sp *obs.Span) ([]server.ReportResult, bool) {
-	return c.ReportBatchBuf(&server.BatchBuf{Reports: rs}, raw, sp)
-}
-
 var _ server.RawRouter = (*Cluster)(nil)
