@@ -88,7 +88,7 @@ func (s *StreamClient) Close() error {
 // Ping round-trips an empty frame — a cheap reachability and liveness
 // probe.
 func (s *StreamClient) Ping() error {
-	_, err := s.do(transport.OpPing, 0, encoded(nil), nil)
+	_, err := s.do(transport.OpPing, encoded(nil), nil)
 	return err
 }
 
@@ -102,13 +102,13 @@ func (s *StreamClient) CheckIn(ci server.CheckIn) (server.Assignment, error) {
 	if s.topo != nil {
 		return s.topo.checkIn(ci)
 	}
-	asg, _, err := s.checkInOp(transport.OpCheckIn, ci, 0)
+	asg, _, err := s.checkInOp(ci)
 	return asg, err
 }
 
-func (s *StreamClient) checkInOp(op byte, ci server.CheckIn, trace uint64) (server.Assignment, bool, error) {
+func (s *StreamClient) checkInOp(ci server.CheckIn) (server.Assignment, bool, error) {
 	var asg server.Assignment
-	fwd, err := s.do(op, trace, func() ([]byte, error) {
+	fwd, err := s.do(transport.OpCheckIn, func() ([]byte, error) {
 		return ci.AppendBinary(transport.GetBuf(64))
 	}, asg.UnmarshalBinary)
 	return asg, fwd, err
@@ -121,14 +121,14 @@ func (s *StreamClient) CheckInBatch(cis []server.CheckIn) ([]server.CheckInResul
 	if s.topo != nil {
 		return s.topo.checkInBatch(cis)
 	}
-	res, _, err := s.checkInBatchOp(transport.OpCheckInBatch, cis, 0)
+	res, _, err := s.checkInBatchOp(cis)
 	return res, err
 }
 
-func (s *StreamClient) checkInBatchOp(op byte, cis []server.CheckIn, trace uint64) ([]server.CheckInResult, bool, error) {
+func (s *StreamClient) checkInBatchOp(cis []server.CheckIn) ([]server.CheckInResult, bool, error) {
 	req := server.CheckInBatchRequest{CheckIns: cis}
 	var resp server.CheckInBatchResponse
-	fwd, err := s.do(op, trace, func() ([]byte, error) {
+	fwd, err := s.do(transport.OpCheckInBatch, func() ([]byte, error) {
 		return req.AppendBinary(transport.GetBuf(256))
 	}, resp.UnmarshalBinary)
 	if err != nil {
@@ -145,12 +145,12 @@ func (s *StreamClient) Report(r server.Report) error {
 	if s.topo != nil {
 		return s.topo.report(r)
 	}
-	_, err := s.reportOp(transport.OpReport, r, 0)
+	_, err := s.reportOp(r)
 	return err
 }
 
-func (s *StreamClient) reportOp(op byte, r server.Report, trace uint64) (bool, error) {
-	return s.do(op, trace, func() ([]byte, error) {
+func (s *StreamClient) reportOp(r server.Report) (bool, error) {
+	return s.do(transport.OpReport, func() ([]byte, error) {
 		return r.AppendBinary(transport.GetBuf(64))
 	}, nil)
 }
@@ -161,14 +161,14 @@ func (s *StreamClient) ReportBatch(rs []server.Report) ([]server.ReportResult, e
 	if s.topo != nil {
 		return s.topo.reportBatch(rs)
 	}
-	res, _, err := s.reportBatchOp(transport.OpReportBatch, rs, 0)
+	res, _, err := s.reportBatchOp(rs)
 	return res, err
 }
 
-func (s *StreamClient) reportBatchOp(op byte, rs []server.Report, trace uint64) ([]server.ReportResult, bool, error) {
+func (s *StreamClient) reportBatchOp(rs []server.Report) ([]server.ReportResult, bool, error) {
 	req := server.ReportBatchRequest{Reports: rs}
 	var resp server.ReportBatchResponse
-	fwd, err := s.do(op, trace, func() ([]byte, error) {
+	fwd, err := s.do(transport.OpReportBatch, func() ([]byte, error) {
 		return req.AppendBinary(transport.GetBuf(256))
 	}, resp.UnmarshalBinary)
 	if err != nil {
@@ -243,7 +243,7 @@ func (s *StreamClient) doJSON(op byte, in, out any) error {
 			return err
 		}
 	}
-	_, err := s.do(op, 0, encoded(payload), func(buf []byte) error {
+	_, err := s.do(op, encoded(payload), func(buf []byte) error {
 		if out == nil {
 			return nil
 		}
@@ -269,12 +269,8 @@ type respDecoder func(payload []byte) error
 // response: the daemon federation-hopped at least one item, i.e. a
 // ring-aware caller's topology is stale), and the decoded error frame or
 // dec's error.
-//
-// A nonzero trace (the forwarding daemon's sampled span ID) is prepended to
-// the payload and announced via TraceFlag on the opcode, so the receiving
-// daemon records the hop under the same trace ID.
-func (s *StreamClient) do(op byte, trace uint64, enc reqEncoder, dec respDecoder) (bool, error) {
-	return s.pick().do(op, trace, false, enc, dec)
+func (s *StreamClient) do(op byte, enc reqEncoder, dec respDecoder) (bool, error) {
+	return s.pick().do(op, 0, false, enc, dec)
 }
 
 // pick takes the pool's connections in turn.
@@ -414,8 +410,11 @@ func (sc *streamConn) close(err error) {
 	sc.teardown(gen, err)
 }
 
-// do is StreamClient.do on this connection. lent marks a payload the encoder
-// does not own (ForwardRaw): it is sent like any other and left alone after.
+// do is StreamClient.do on this connection. A nonzero trace (the forwarding
+// daemon's sampled span ID, see ForwardRaw) is prepended to the payload and
+// announced via TraceFlag on the opcode, so the receiving daemon records the
+// hop under the same trace ID. lent marks a payload the encoder does not own
+// (ForwardRaw): it is sent like any other and left alone after.
 func (sc *streamConn) do(op byte, trace uint64, lent bool, enc reqEncoder, dec respDecoder) (bool, error) {
 	w := waiterPool.Get().(*waiter)
 

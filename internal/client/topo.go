@@ -138,7 +138,7 @@ func (t *topoState) ensureView() *topoView {
 // caller must have set t.fetching; fetch clears it.
 func (t *topoState) fetch() {
 	var view *topoView
-	_, err := t.root.do(transport.OpTopology, 0, encoded(nil), func(payload []byte) error {
+	_, err := t.root.do(transport.OpTopology, encoded(nil), func(payload []byte) error {
 		var tp transport.TopologyPayload
 		if tp.UnmarshalBinary(payload) == nil {
 			view = t.buildView(tp)
@@ -252,11 +252,11 @@ func sendGroup[Res any](t *topoState, v *topoView, member string,
 func (t *topoState) checkIn(ci server.CheckIn) (server.Assignment, error) {
 	v := t.ensureView()
 	if v == nil {
-		asg, _, err := t.root.checkInOp(transport.OpCheckIn, ci, 0)
+		asg, _, err := t.root.checkInOp(ci)
 		return asg, err
 	}
 	return sendGroup(t, v, v.owner(ci.DeviceID), func(cl *StreamClient) (server.Assignment, bool, error) {
-		return cl.checkInOp(transport.OpCheckIn, ci, 0)
+		return cl.checkInOp(ci)
 	})
 }
 
@@ -264,11 +264,11 @@ func (t *topoState) checkIn(ci server.CheckIn) (server.Assignment, error) {
 func (t *topoState) report(r server.Report) error {
 	v := t.ensureView()
 	if v == nil {
-		_, err := t.root.reportOp(transport.OpReport, r, 0)
+		_, err := t.root.reportOp(r)
 		return err
 	}
 	_, err := sendGroup(t, v, v.owner(r.DeviceID), func(cl *StreamClient) (struct{}, bool, error) {
-		fwd, err := cl.reportOp(transport.OpReport, r, 0)
+		fwd, err := cl.reportOp(r)
 		return struct{}{}, fwd, err
 	})
 	return err
@@ -348,19 +348,11 @@ func partitioned[Req, Res any](t *topoState, items []Req, deviceID func(Req) str
 }
 
 func (t *topoState) checkInBatch(cis []server.CheckIn) ([]server.CheckInResult, error) {
-	return partitioned(t, cis,
-		func(ci server.CheckIn) string { return ci.DeviceID },
-		func(cl *StreamClient, sub []server.CheckIn) ([]server.CheckInResult, bool, error) {
-			return cl.checkInBatchOp(transport.OpCheckInBatch, sub, 0)
-		})
+	return partitioned(t, cis, func(ci server.CheckIn) string { return ci.DeviceID }, (*StreamClient).checkInBatchOp)
 }
 
 func (t *topoState) reportBatch(rs []server.Report) ([]server.ReportResult, error) {
-	return partitioned(t, rs,
-		func(r server.Report) string { return r.DeviceID },
-		func(cl *StreamClient, sub []server.Report) ([]server.ReportResult, bool, error) {
-			return cl.reportBatchOp(transport.OpReportBatch, sub, 0)
-		})
+	return partitioned(t, rs, func(r server.Report) string { return r.DeviceID }, (*StreamClient).reportBatchOp)
 }
 
 // TopologyEpoch reports the epoch of the client's current topology view (0

@@ -11,6 +11,7 @@ import (
 	"venn/internal/client"
 	"venn/internal/obs"
 	"venn/internal/server"
+	"venn/internal/transport"
 )
 
 // Defaults for Config.
@@ -20,25 +21,22 @@ const (
 	DefaultTimeout        = 5 * time.Second
 )
 
-// PeerClient is the slice of the stream-client surface forwarding needs.
-// *client.StreamClient implements it; tests inject fakes through
-// Config.Dial.
+// PeerClient is the slice of the stream-client surface forwarding needs: a
+// health probe and one hop sender. *client.StreamClient implements it; tests
+// inject fakes through Config.Dial.
 //
-// ForwardRaw carries a pre-encoded batch request of opcode op: payload is
-// the count prefix followed by already-encoded items (exactly the bytes they
-// arrived as), relayed verbatim into the hop frame and still the caller's
-// afterwards; dec is handed the owner's reply payload, which is recycled when
-// it returns.
+// ForwardRaw sends one hop frame of serving opcode op (check-in, report, or
+// their batch forms) carrying payload, the request's v2 encoding — for a
+// batch, the count prefix followed by the items' wire bytes. payload is
+// written out and still the caller's afterwards; dec is handed the owner's
+// reply payload, which is recycled when it returns. An owner's rejection
+// comes back as a *client.StreamError.
 //
 // trace is the originating request's sampled span ID (0 when unsampled): a
 // nonzero trace rides in the hop frame's trace context so the owner records
 // the hop under the same trace ID (see internal/obs).
 type PeerClient interface {
 	Ping() error
-	CheckInForward(ci server.CheckIn, trace uint64) (server.Assignment, error)
-	CheckInBatchForward(cis []server.CheckIn, trace uint64) ([]server.CheckInResult, error)
-	ReportForward(r server.Report, trace uint64) error
-	ReportBatchForward(rs []server.Report, trace uint64) ([]server.ReportResult, error)
 	ForwardRaw(op byte, payload []byte, trace uint64, dec func(reply []byte) error) error
 	Close() error
 }
@@ -104,7 +102,8 @@ type peer struct {
 	c     PeerClient
 	fails int
 	down  atomic.Bool
-	// Per-peer forward coalescers for the zero-copy relay (see relay.go).
+	// Per-peer forward coalescers: every batch hop goes through one (see
+	// relay.go).
 	ciRelay  *relay[server.CheckIn, server.CheckInResult]
 	repRelay *relay[server.Report, server.ReportResult]
 }
@@ -414,16 +413,17 @@ func (c *Cluster) ForwardedIn(bytes int) {
 	c.forwardBytesIn.Add(int64(bytes))
 }
 
-// forwardOne serves one request on the owner of deviceID: forwarded when
-// the owner is a live peer, applied locally (via local) when this node owns
-// it, the owner is down, the cluster is draining, or the forward provably
-// never left this node. A typed rejection from the owner (busy, invalid,
-// not-found) is authoritative and returned as-is; an ambiguous transport
-// failure surfaces as CodeUnavailable (see forwardFailed). A sampled span
-// gets the forward round trip attributed to its hop stage (clock reads
-// span-gated).
-func forwardOne[Res any](c *Cluster, deviceID string, sp *obs.Span,
-	forward func(PeerClient) (Res, error), local func() (Res, error)) (Res, error) {
+// forwardOne serves one request on the owner of deviceID: forwarded as a hop
+// frame of opcode op when the owner is a live peer, applied locally (via
+// local) when this node owns it, the owner is down, the cluster is draining,
+// or the forward provably never left this node. enc appends the request's
+// wire form and dec decodes the owner's reply. A typed rejection from the
+// owner (busy, invalid, not-found) is authoritative and returned as-is; an
+// ambiguous transport failure surfaces as CodeUnavailable (see
+// forwardFailed). A sampled span gets the forward round trip attributed to
+// its hop stage (clock reads span-gated).
+func (c *Cluster) forwardOne(deviceID string, op byte, sp *obs.Span,
+	enc func([]byte) ([]byte, error), dec func([]byte) error, local func() error) error {
 	p := c.route(deviceID)
 	if p == nil {
 		return local()
@@ -439,44 +439,35 @@ func forwardOne[Res any](c *Cluster, deviceID string, sp *obs.Span,
 	if sp != nil {
 		t0 = time.Now()
 	}
-	res, err := forward(p.c)
+	payload, _ := enc(transport.GetBuf(64)) // the single-item encoders cannot fail
+	err := p.c.ForwardRaw(op, payload, sp.TraceID(), dec)
+	transport.PutBuf(payload)
 	if sp != nil {
 		sp.Mark(obs.StageHop, time.Since(t0))
 	}
 	if err == nil {
-		return res, nil
+		return nil
 	}
 	if fallback, typed := c.forwardFailed(err); !fallback {
-		var zero Res
-		return zero, typed
+		return typed
 	}
 	return local()
 }
 
 // CheckIn implements server.Router.
-func (c *Cluster) CheckIn(ci server.CheckIn, sp *obs.Span) (server.Assignment, error) {
-	return forwardOne(c, ci.DeviceID, sp,
-		func(pc PeerClient) (server.Assignment, error) { return pc.CheckInForward(ci, sp.TraceID()) },
-		func() (server.Assignment, error) { return c.m.DeviceCheckInSpan(ci, sp) })
+func (c *Cluster) CheckIn(ci server.CheckIn, sp *obs.Span) (asg server.Assignment, err error) {
+	err = c.forwardOne(ci.DeviceID, transport.OpCheckIn, sp, ci.AppendBinary, asg.UnmarshalBinary,
+		func() (err error) {
+			asg, err = c.m.DeviceCheckInSpan(ci, sp)
+			return err
+		})
+	return asg, err
 }
 
 // Report implements server.Router.
 func (c *Cluster) Report(r server.Report, sp *obs.Span) error {
-	_, err := forwardOne(c, r.DeviceID, sp,
-		func(pc PeerClient) (struct{}, error) { return struct{}{}, pc.ReportForward(r, sp.TraceID()) },
-		func() (struct{}, error) { return struct{}{}, c.m.DeviceReportSpan(r, sp) })
-	return err
-}
-
-// CheckInBatch implements server.Router: the typed engine (see forwardBatch)
-// over a fresh BatchBuf, for callers without raw wire bytes.
-func (c *Cluster) CheckInBatch(cis []server.CheckIn, sp *obs.Span) ([]server.CheckInResult, bool) {
-	return forwardBatch(c, &checkInOps, &server.BatchBuf{CheckIns: cis}, server.RawItems{}, sp)
-}
-
-// ReportBatch implements server.Router (see CheckInBatch).
-func (c *Cluster) ReportBatch(rs []server.Report, sp *obs.Span) ([]server.ReportResult, bool) {
-	return forwardBatch(c, &reportOps, &server.BatchBuf{Reports: rs}, server.RawItems{}, sp)
+	return c.forwardOne(r.DeviceID, transport.OpReport, sp, r.AppendBinary, nil,
+		func() error { return c.m.DeviceReportSpan(r, sp) })
 }
 
 // ClusterTelemetry implements server.Router. It reads only atomics and the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -238,7 +239,8 @@ func TestHopGuard(t *testing.T) {
 	devA := deviceOwnedBy(t, a.clu.Ring(), a.addr, "hop")
 	cb := client.NewStream(b.addr)
 	defer cb.Close()
-	if _, err := cb.CheckInForward(server.CheckIn{DeviceID: devA, CPU: 0.5, Mem: 0.5}, 0); err != nil {
+	payload, _ := (&server.CheckIn{DeviceID: devA, CPU: 0.5, Mem: 0.5}).MarshalBinary()
+	if err := cb.ForwardRaw(transport.OpCheckIn, payload, 0, nil); err != nil {
 		t.Fatalf("hop-flagged check-in not served locally: %v", err)
 	}
 	tel := b.clu.ClusterTelemetry()
@@ -300,8 +302,11 @@ type fakePeer struct {
 	forwards atomic.Int64
 	closed   atomic.Bool
 	fwdErr   atomic.Value // error returned by forwards (nil = success)
-	echo     atomic.Bool  // raw check-in replies carry "echo:<device>" in Error
-	short    atomic.Bool  // raw check-in replies are one result short
+	echo     atomic.Bool  // batch check-in replies carry "echo:<device>" in Error
+	short    atomic.Bool  // batch check-in replies are one result short
+
+	mu    sync.Mutex
+	sizes []int // payload size of every forward that reached the peer
 }
 
 func newFakePeer() *fakePeer { return &fakePeer{block: make(chan struct{})} }
@@ -322,48 +327,31 @@ func (f *fakePeer) Ping() error {
 	return nil
 }
 
-func (f *fakePeer) CheckInForward(ci server.CheckIn, trace uint64) (server.Assignment, error) {
-	f.forwards.Add(1)
-	<-f.block
-	return server.Assignment{}, f.forwardErr()
-}
-
-func (f *fakePeer) CheckInBatchForward(cis []server.CheckIn, trace uint64) ([]server.CheckInResult, error) {
-	f.forwards.Add(1)
-	<-f.block
-	if err := f.forwardErr(); err != nil {
-		return nil, err
-	}
-	return make([]server.CheckInResult, len(cis)), nil
-}
-
-func (f *fakePeer) ReportForward(r server.Report, trace uint64) error {
-	f.forwards.Add(1)
-	<-f.block
-	return f.forwardErr()
-}
-
-func (f *fakePeer) ReportBatchForward(rs []server.Report, trace uint64) ([]server.ReportResult, error) {
-	f.forwards.Add(1)
-	<-f.block
-	if err := f.forwardErr(); err != nil {
-		return nil, err
-	}
-	return make([]server.ReportResult, len(rs)), nil
-}
-
-// ForwardRaw answers a raw hop the way an owner would: it decodes the hop
-// payload and replies one result per item, encoded as on the wire — zero
-// results by default, an echo of the device ID in Error when echo is set, one
-// result too few when short is set.
+// ForwardRaw answers a hop the way an owner would: it decodes the hop payload,
+// records its size, and replies as on the wire — an unassigned check-in or an
+// accepted report for a single item, and for a batch one result per item:
+// zero results by default, an echo of the device ID in Error when echo is
+// set, one result too few when short is set.
 func (f *fakePeer) ForwardRaw(op byte, payload []byte, trace uint64, dec func(reply []byte) error) error {
 	f.forwards.Add(1)
 	<-f.block
 	if err := f.forwardErr(); err != nil {
 		return err
 	}
+	f.mu.Lock()
+	f.sizes = append(f.sizes, len(payload))
+	f.mu.Unlock()
 	var reply []byte
 	switch op {
+	case transport.OpCheckIn:
+		var ci server.CheckIn
+		if err := ci.UnmarshalBinary(payload); err != nil {
+			return err
+		}
+		reply, _ = (&server.Assignment{}).MarshalBinary()
+	case transport.OpReport:
+		var r server.Report
+		return r.UnmarshalBinary(payload) // no reply payload
 	case transport.OpCheckInBatch:
 		var req server.CheckInBatchRequest
 		if err := req.UnmarshalBinary(payload); err != nil {
@@ -387,7 +375,10 @@ func (f *fakePeer) ForwardRaw(op byte, payload []byte, trace uint64, dec func(re
 		resp := server.ReportBatchResponse{Results: make([]server.ReportResult, len(req.Reports))}
 		reply, _ = resp.MarshalBinary()
 	default:
-		return fmt.Errorf("fake: raw forward of opcode %#x", op)
+		return fmt.Errorf("fake: forward of opcode %#x", op)
+	}
+	if dec == nil {
+		return nil
 	}
 	return dec(reply)
 }
@@ -592,7 +583,7 @@ func TestForwardFailureSemantics(t *testing.T) {
 	if got := m.MetricsSnapshot().KnownDevices; got != 0 {
 		t.Fatalf("ambiguous failure applied locally (%d devices registered)", got)
 	}
-	results, _ := clu.CheckInBatch([]server.CheckIn{{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}}, nil)
+	results, _ := clu.CheckInBatchRaw([]server.CheckIn{{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}}, server.RawItems{}, nil)
 	if !strings.Contains(results[0].Error, "forward to owner failed") {
 		t.Fatalf("ambiguous batch failure item error = %q", results[0].Error)
 	}

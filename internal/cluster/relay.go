@@ -30,20 +30,26 @@ const (
 	// the count prefix, written once the count is final: the hop payload is
 	// built in place, once.
 	relayHdr = binary.MaxVarintLen16
+	// relayMaxBytes bounds a coalescing buffer, relayHdr included, so that the
+	// hop payload it becomes, a trace context in front, stays within the
+	// owner's frame limit: the transport's default MaxPayload, which every
+	// daemon runs. A frame past it is a protocol violation, and the owner
+	// drops the connection with every frame in flight on it.
+	relayMaxBytes = server.MaxBatch*1024 - transport.TraceContextSize
 )
 
 // batchOps is what differs between the check-in and the report batch paths;
 // everything else in this file is generic over it. The two instances are
 // package-level, so the hot path passes no closures.
 type batchOps[Req, Res any] struct {
-	op      byte // the batch opcode a raw hop frame carries
+	op      byte // the batch opcode a hop frame carries
 	items   func(*server.BatchBuf) *[]Req
 	id      func(*Req) string
+	enc     func(*Req, []byte) ([]byte, error)                       // append an item's wire form (a batch without raw bytes)
 	slots   func(*server.BatchBuf, int) []Res                        // the merged result slots
 	serve   func(*server.Manager, *server.BatchBuf, *obs.Span) []Res // apply the buffer's items here, out of the buffer
 	relay   func(*peer) *relay[Req, Res]
-	next    func(*server.ResultCursor, *Res)               // decode an owner's next result into a slot
-	typed   func(PeerClient, []Req, uint64) ([]Res, error) // the forward of a batch with no raw bytes
+	next    func(*server.ResultCursor, *Res) // decode an owner's next result into a slot
 	errItem func(msg string) Res
 	waits   sync.Pool // of *batchWait[Res]
 }
@@ -52,11 +58,11 @@ var checkInOps = batchOps[server.CheckIn, server.CheckInResult]{
 	op:      transport.OpCheckInBatch,
 	items:   func(b *server.BatchBuf) *[]server.CheckIn { return &b.CheckIns },
 	id:      func(ci *server.CheckIn) string { return ci.DeviceID },
+	enc:     (*server.CheckIn).AppendBinary,
 	slots:   (*server.BatchBuf).CheckInSlots,
 	serve:   (*server.Manager).CheckInBatchBuf,
 	relay:   func(p *peer) *relay[server.CheckIn, server.CheckInResult] { return p.ciRelay },
 	next:    (*server.ResultCursor).CheckIn,
-	typed:   PeerClient.CheckInBatchForward,
 	errItem: func(msg string) server.CheckInResult { return server.CheckInResult{Error: msg} },
 }
 
@@ -64,11 +70,11 @@ var reportOps = batchOps[server.Report, server.ReportResult]{
 	op:      transport.OpReportBatch,
 	items:   func(b *server.BatchBuf) *[]server.Report { return &b.Reports },
 	id:      func(r *server.Report) string { return r.DeviceID },
+	enc:     (*server.Report).AppendBinary,
 	slots:   (*server.BatchBuf).ReportSlots,
 	serve:   (*server.Manager).ReportBatchBuf,
 	relay:   func(p *peer) *relay[server.Report, server.ReportResult] { return p.repRelay },
 	next:    (*server.ResultCursor).Report,
-	typed:   PeerClient.ReportBatchForward,
 	errItem: func(msg string) server.ReportResult { return server.ReportResult{Error: msg} },
 }
 
@@ -130,8 +136,9 @@ func plan[Req any](c *Cluster, snap *snapshot, b *server.BatchBuf, items []Req, 
 // sends the hop fills at those indices before releasing the batch through
 // wait. Otherwise exactly one of two verdicts is set: fallback asks the batch
 // to apply the items locally (the hop provably never left this node), typed
-// carries the error to report on each (authoritative rejection or ambiguous
-// outcome; see forwardFailed).
+// carries the error to report on each (authoritative rejection, ambiguous
+// outcome, or a group the owner's frame limit cannot take; see forwardFailed
+// and relay.contribute).
 type relayGroup[Res any] struct {
 	idxs     []int32
 	out      []Res
@@ -150,14 +157,15 @@ type batchWait[Res any] struct {
 // forwardBatch is the engine behind every batch entry point: split by owner
 // (plan), hand each remote group to its owner, apply the local group inline
 // while the hops are out, and merge everything into b's result slots in
-// request order with per-item errors preserved. With raw's still-encoded
-// items a remote group is contributed to the owner's relay, which splices the
-// byte ranges into a coalesced hop frame; without (HTTP ingress) it is
-// gathered and sent typed, one frame per group. A remote group whose hop
+// request order with per-item errors preserved. Each remote group is
+// contributed to its owner's relay, which coalesces it into a hop frame:
+// raw's still-encoded byte ranges are spliced in, and a batch without them
+// (HTTP ingress) is encoded item by item. A remote group whose hop
 // provably never left this node is applied locally (degraded mode); a group
-// the owner rejected, or whose outcome is unknown, reports the failure on each
-// of its items via errItem — items are never dropped, and never guess-applied
-// on the wrong node. One in-flight permit covers the whole batch's hops. The
+// the owner rejected, whose outcome is unknown, or that no hop frame can
+// carry reports the failure on each of its items via errItem — items are
+// never dropped, and never guess-applied on the wrong node. One in-flight
+// permit covers the whole batch's hops. The
 // returned bool reports whether any item was planned onto a peer (the
 // forwarded flag a ring-aware client reads as "your topology is stale"). A
 // sampled span's hop stage spans first-send-to-last-verdict — the local
@@ -203,12 +211,7 @@ func forwardBatch[Req, Res any](c *Cluster, o *batchOps[Req, Res], b *server.Bat
 			continue
 		}
 		w.groups = append(w.groups, relayGroup[Res]{idxs: idxs, out: out, wait: &w.wg})
-		g := &w.groups[len(w.groups)-1]
-		if raw.Data != nil {
-			o.relay(p).contribute(raw, g, sp.TraceID())
-		} else {
-			go forwardTyped(c, o, p.c, items, g, sp.TraceID())
-		}
+		o.relay(p).contribute(items, raw, &w.groups[len(w.groups)-1], sp.TraceID())
 	}
 	serveLocal(c, o, b, b.Order[b.Start[local]:], out, sp)
 	w.wg.Wait()
@@ -248,43 +251,21 @@ func serveLocal[Req, Res any](c *Cluster, o *batchOps[Req, Res], b *server.Batch
 	}
 }
 
-// forwardTyped sends one remote group as a frame of its own through the
-// typed forward, encoding the gathered items.
-func forwardTyped[Req, Res any](c *Cluster, o *batchOps[Req, Res], pc PeerClient, items []Req, g *relayGroup[Res], trace uint64) {
-	sub := make([]Req, len(g.idxs))
-	for j, i := range g.idxs {
-		sub[j] = items[i]
-	}
-	c.forwardsOut.Add(1)
-	res, err := o.typed(pc, sub, trace)
-	if err == nil && len(res) != len(sub) {
-		err = shortReply(len(res), len(sub))
-	}
-	deliver(c, []*relayGroup[Res]{g}, res, err)
-}
-
 func shortReply(got, want int) error {
 	return fmt.Errorf("cluster: owner answered %d results for %d forwarded items", got, want)
 }
 
-// deliver ends one hop for the groups it carried, in contribution order: a
-// typed reply res is scattered over their slots (nil when the slots were
-// filled during decode), an error becomes every group's verdict (see
-// forwardFailed), and each group's batch is released. A group is not touched
-// after its release.
-func deliver[Res any](c *Cluster, groups []*relayGroup[Res], res []Res, err error) {
+// deliver ends one hop for the groups it carried, in contribution order: an
+// error becomes every group's verdict (see forwardFailed), and each group's
+// batch is released. The reply has been decoded into the groups' slots
+// already. A group is not touched after its release.
+func deliver[Res any](c *Cluster, groups []*relayGroup[Res], err error) {
 	var fallback bool
 	var typed error
 	if err != nil {
 		fallback, typed = c.forwardFailed(err)
 	}
 	for _, g := range groups {
-		if err == nil && res != nil {
-			for j, i := range g.idxs {
-				g.out[i] = res[j]
-			}
-			res = res[len(g.idxs):]
-		}
 		g.fallback, g.typed = fallback, typed
 		g.wait.Done()
 	}
@@ -355,12 +336,13 @@ func newRelay[Req, Res any](c *Cluster, p *peer, o *batchOps[Req, Res]) *relay[R
 	return r
 }
 
-// contribute splices the g.idxs item ranges of raw into the coalescing
-// buffer; g's batch is released once the hop carrying them has a verdict. The
-// copy happens before contribute returns, which is what lets the transport
-// recycle raw.Data when its handler finishes. The caller must hold an
-// inflight permit (acquireForward) until then.
-func (r *relay[Req, Res]) contribute(raw server.RawItems, g *relayGroup[Res], trace uint64) {
+// contribute appends the g.idxs items of a batch to the coalescing buffer:
+// raw's byte ranges spliced in when the batch arrived encoded, each item
+// encoded otherwise. g's batch is released once the hop carrying them has a
+// verdict. The bytes are in the buffer before contribute returns, which is
+// what lets the transport recycle raw.Data when its handler finishes. The
+// caller must hold an inflight permit (acquireForward) until then.
+func (r *relay[Req, Res]) contribute(items []Req, raw server.RawItems, g *relayGroup[Res], trace uint64) {
 	var full, sized *relayBatch[Req, Res]
 	start := false
 	r.mu.Lock()
@@ -371,16 +353,39 @@ func (r *relay[Req, Res]) contribute(raw server.RawItems, g *relayGroup[Res], tr
 	}
 	b := r.cur
 	if b == nil {
-		if b, _ = r.free.Get().(*relayBatch[Req, Res]); b == nil {
-			b = &relayBatch[Req, Res]{o: r.o}
-			b.dec = b.decode
-		}
-		b.buf = transport.GetBuf(4096)[:relayHdr]
-		r.cur = b
+		b = r.batch()
 	}
+	mark := len(b.buf)
 	for _, i := range g.idxs {
-		b.buf = append(b.buf, raw.Data[raw.Bounds[i]:raw.Bounds[i+1]]...)
+		if raw.Data != nil {
+			b.buf = append(b.buf, raw.Data[raw.Bounds[i]:raw.Bounds[i+1]]...)
+		} else {
+			b.buf, _ = r.o.enc(&items[i], b.buf) // the item encoders cannot fail
+		}
 	}
+	if len(b.buf) > relayMaxBytes && b.items > 0 {
+		// Nor may it cross the owner's frame limit: what was pending leaves
+		// without the group, which starts a batch of its own.
+		nb := r.batch()
+		nb.buf = append(nb.buf, b.buf[mark:]...)
+		b.buf = b.buf[:mark]
+		full, b = b, nb
+	}
+	if size := len(b.buf) - relayHdr; len(b.buf) > relayMaxBytes {
+		// The group alone is past the limit (an HTTP batch at its body bound
+		// can encode that large), so it is never sent.
+		r.cur = nil
+		r.mu.Unlock()
+		r.recycle(b)
+		if full != nil {
+			go r.flush(full)
+		}
+		g.typed = &server.Error{Code: server.CodeTooLarge, Err: fmt.Errorf(
+			"cluster: %d forwarded items encode to %d bytes, past the owner's frame limit", len(g.idxs), size)}
+		g.wait.Done()
+		return
+	}
+	r.cur = b
 	b.items += len(g.idxs)
 	b.groups = append(b.groups, g)
 	if b.trace == 0 {
@@ -410,6 +415,26 @@ func (r *relay[Req, Res]) contribute(raw server.RawItems, g *relayGroup[Res], tr
 	}
 }
 
+// batch returns an empty coalescing batch, its buffer holding the relayHdr
+// spare.
+func (r *relay[Req, Res]) batch() *relayBatch[Req, Res] {
+	b, _ := r.free.Get().(*relayBatch[Req, Res])
+	if b == nil {
+		b = &relayBatch[Req, Res]{o: r.o}
+		b.dec = b.decode
+	}
+	b.buf = transport.GetBuf(4096)[:relayHdr]
+	return b
+}
+
+// recycle returns a batch that is done with to the free list.
+func (r *relay[Req, Res]) recycle(b *relayBatch[Req, Res]) {
+	transport.PutBuf(b.buf)
+	clear(b.groups)
+	b.buf, b.items, b.groups, b.trace = nil, 0, b.groups[:0], 0
+	r.free.Put(b)
+}
+
 // commitLoop is the group-commit driver: flush the detached batch, then keep
 // flushing whatever accumulated while the previous flush was on the wire,
 // until a round ends with nothing pending. Exactly one commitLoop runs per
@@ -430,7 +455,7 @@ func (r *relay[Req, Res]) commitLoop() {
 
 // flush sends one detached batch to the peer and delivers the verdict to
 // every contributing group, whose slots the reply was decoded into. One flush
-// is one hop frame (forwards_out counts frames, exactly as the typed path
+// is one hop frame (forwards_out counts frames, as the single-item forward
 // does) and its payload size feeds forward_bytes_out.
 func (r *relay[Req, Res]) flush(b *relayBatch[Req, Res]) {
 	var count [relayHdr]byte
@@ -440,27 +465,27 @@ func (r *relay[Req, Res]) flush(b *relayBatch[Req, Res]) {
 	r.c.forwardsOut.Add(1)
 	r.c.forwardBytesOut.Add(int64(len(payload)))
 	err := r.p.c.ForwardRaw(r.o.op, payload, b.trace, b.dec)
-	deliver(r.c, b.groups, nil, err)
-	transport.PutBuf(b.buf)
-	clear(b.groups)
-	b.buf, b.items, b.groups, b.trace = nil, 0, b.groups[:0], 0
-	r.free.Put(b)
+	deliver(r.c, b.groups, err)
+	r.recycle(b)
 }
 
-// CheckInBatchBuf implements server.RawRouter (see forwardBatch).
+// CheckInBatchBuf implements server.Router (see forwardBatch).
 func (c *Cluster) CheckInBatchBuf(b *server.BatchBuf, raw server.RawItems, sp *obs.Span) ([]server.CheckInResult, bool) {
 	return forwardBatch(c, &checkInOps, b, raw, sp)
 }
 
-// ReportBatchBuf implements server.RawRouter (see forwardBatch).
+// ReportBatchBuf implements server.Router (see forwardBatch).
 func (c *Cluster) ReportBatchBuf(b *server.BatchBuf, raw server.RawItems, sp *obs.Span) ([]server.ReportResult, bool) {
 	return forwardBatch(c, &reportOps, b, raw, sp)
 }
 
 // CheckInBatchRaw is CheckInBatchBuf over a fresh BatchBuf, for callers that
-// hold no buffer to serve out of.
+// hold no buffer to serve out of (the benchmark's layer walk).
 func (c *Cluster) CheckInBatchRaw(cis []server.CheckIn, raw server.RawItems, sp *obs.Span) ([]server.CheckInResult, bool) {
 	return c.CheckInBatchBuf(&server.BatchBuf{CheckIns: cis}, raw, sp)
 }
 
-var _ server.RawRouter = (*Cluster)(nil)
+// ReportBatch is ReportBatchBuf over a fresh BatchBuf, without raw bytes.
+func (c *Cluster) ReportBatch(rs []server.Report, sp *obs.Span) ([]server.ReportResult, bool) {
+	return c.ReportBatchBuf(&server.BatchBuf{Reports: rs}, server.RawItems{}, sp)
+}

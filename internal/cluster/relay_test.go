@@ -1,8 +1,12 @@
 package cluster_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +15,7 @@ import (
 	"venn/internal/client"
 	"venn/internal/cluster"
 	"venn/internal/server"
+	"venn/internal/transport"
 )
 
 // decodedBatch encodes cis as a v2 batch payload and decodes it into a fresh
@@ -241,7 +246,8 @@ func TestForwardedResultsOutliveReplyBuffer(t *testing.T) {
 // TestDownOwnerFallsBackOncePerBatch: in a three-member ring with one member
 // down, a batch spanning all three forwards one group, serves the down
 // member's items here with its own, and counts one local fallback — per
-// batch, not per item — on the raw and on the typed path alike.
+// batch, not per item — whether the batch arrived encoded (stream) or not
+// (HTTP ingress, encoded into the relay).
 func TestDownOwnerFallsBackOncePerBatch(t *testing.T) {
 	m := server.NewManager(server.Config{})
 	fakes := map[string]*fakePeer{"peer-1": newFakePeer(), "peer-2": newFakePeer()}
@@ -262,7 +268,7 @@ func TestDownOwnerFallsBackOncePerBatch(t *testing.T) {
 	defer clu.Close()
 	waitFor(t, func() bool { return clu.ClusterTelemetry().ClusterPeerStates["peer-2"] == "down" })
 
-	for round, tag := range []string{"down-raw", "down-typed"} {
+	for round, tag := range []string{"down-raw", "down-encoded"} {
 		cis, up := fleetOf(clu.Ring(), tag, 48, "peer-1")
 		_, down := fleetOf(clu.Ring(), tag, 48, "peer-2")
 		if up == 0 || down < 2 || up+down == len(cis) {
@@ -274,7 +280,7 @@ func TestDownOwnerFallsBackOncePerBatch(t *testing.T) {
 			b, raw := decodedBatch(t, cis)
 			res, _ = clu.CheckInBatchBuf(b, raw, nil)
 		} else {
-			res, _ = clu.CheckInBatch(cis, nil)
+			res, _ = clu.CheckInBatchRaw(cis, server.RawItems{}, nil)
 		}
 		for i := range res {
 			if res[i].Error != "" {
@@ -290,5 +296,207 @@ func TestDownOwnerFallsBackOncePerBatch(t *testing.T) {
 	}
 	if got := fakes["peer-2"].forwards.Load(); got != 0 {
 		t.Errorf("%d forwards reached the down peer", got)
+	}
+}
+
+// TestRelayKeepsHopsWithinFrameLimit: the owner's frame limit (the transport
+// default, server.MaxBatch KiB, a trace context included) bounds every hop.
+// A group that would push a pending batch past it makes the pending batch
+// leave first and travels in a frame of its own; a group past the limit on
+// its own is answered too large on every item and never sent.
+func TestRelayKeepsHopsWithinFrameLimit(t *testing.T) {
+	m := server.NewManager(server.Config{})
+	fake := newFakePeer()
+	clu, err := cluster.New(m, cluster.Config{
+		SelfID:         "self",
+		Peers:          []string{"self", "peer-1"},
+		HealthInterval: time.Hour,
+		Dial:           func(string) cluster.PeerClient { return fake },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clu.Close()
+	known := func() int { return int(m.MetricsSnapshot().KnownDevices) }
+
+	// wide returns n peer-owned check-ins whose IDs make each item 1,125 wire
+	// bytes, then one local check-in: it registers here once the batch has
+	// contributed its remote group.
+	pad, seq := strings.Repeat("x", 1100), 0
+	wide := func(n int) []server.CheckIn {
+		var cis []server.CheckIn
+		for ; len(cis) < n; seq++ {
+			if id := fmt.Sprintf("%s-%06d", pad, seq); clu.Ring().Owner(id) == "peer-1" {
+				cis = append(cis, server.CheckIn{DeviceID: id, CPU: 0.5, Mem: 0.5})
+			}
+		}
+		seq++
+		return append(cis, server.CheckIn{DeviceID: deviceOwnedBy(t, clu.Ring(), "self", fmt.Sprintf("limit-%d", seq)), CPU: 0.5, Mem: 0.5})
+	}
+
+	// Round 1 parks in the fake; 100 items (112 KB) then wait behind it, and
+	// a 7,400-item group (8.3 MB) arrives: together they would be 8.4 MB.
+	small, remote := fleetOf(clu.Ring(), "limit-small", 16, "peer-1")
+	batches := [][]server.CheckIn{small, wide(100), wide(7400)}
+	local := []int{len(small) - remote, 1, 1}
+	results := make([][]server.CheckInResult, len(batches))
+	var wg sync.WaitGroup
+	want := 0
+	for k, cis := range batches {
+		b, raw := decodedBatch(t, cis)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[k], _ = clu.CheckInBatchBuf(b, raw, nil)
+		}()
+		want += local[k]
+		if k == 0 {
+			waitFor(t, func() bool { return fake.forwards.Load() == 1 })
+		}
+		waitFor(t, func() bool { return known() == want })
+	}
+	close(fake.block)
+	wg.Wait()
+	for k := range batches {
+		for i, res := range results[k] {
+			if res.Error != "" {
+				t.Fatalf("batch %d item %d: %s", k, i, res.Error)
+			}
+		}
+	}
+	fake.mu.Lock()
+	sizes := slices.Clone(fake.sizes)
+	fake.mu.Unlock()
+	if len(sizes) != 3 {
+		t.Errorf("%d hop frames, want 3 (round 1, the pending batch, the big group)", len(sizes))
+	}
+	for _, n := range sizes {
+		if n+transport.TraceContextSize > server.MaxBatch*1024 {
+			t.Errorf("hop payload of %d bytes: with a trace context it is past the owner's frame limit of %d", n, server.MaxBatch*1024)
+		}
+	}
+
+	// A group the limit cannot take at all, as HTTP ingress can produce it:
+	// no raw bytes, each item encoded into the relay.
+	cis := wide(7460)
+	res, _ := clu.CheckInBatchRaw(cis, server.RawItems{}, nil)
+	for i, r := range res[:len(res)-1] {
+		if !strings.Contains(r.Error, "frame limit") {
+			t.Fatalf("item %d of an oversized group: error %q, want the frame limit", i, r.Error)
+		}
+	}
+	if r := res[len(res)-1]; r.Error != "" {
+		t.Errorf("the local item of an oversized batch: %s", r.Error)
+	}
+	if got := fake.forwards.Load(); got != 3 {
+		t.Errorf("the oversized group reached the peer (%d forwards, want 3)", got)
+	}
+	if tel := clu.ClusterTelemetry(); tel.ClusterForwardErrors != 0 || tel.ClusterLocalFallbacks != 0 {
+		t.Errorf("%d forward errors, %d fallbacks; want none", tel.ClusterForwardErrors, tel.ClusterLocalFallbacks)
+	}
+}
+
+// postCheckIns POSTs cis to h's JSON batch route and decodes the results.
+func postCheckIns(h http.Handler, cis []server.CheckIn) ([]server.CheckInResult, error) {
+	body, err := server.CheckInBatchRequest{CheckIns: cis}.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/checkin/batch", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		return nil, fmt.Errorf("POST /v1/checkin/batch: %d %s", rec.Code, rec.Body)
+	}
+	var resp server.CheckInBatchResponse
+	if err := resp.UnmarshalJSON(rec.Body.Bytes()); err != nil {
+		return nil, err
+	}
+	return resp.Results, nil
+}
+
+// TestHTTPIngressRidesTheRelay: a JSON batch has no wire bytes to splice, so
+// its remote groups are encoded into the owner's relay. Through a real
+// two-member federation the results equal a direct run on one daemon and the
+// hop bytes are counted; behind a held hop, eight concurrent HTTP batches
+// coalesce the way stream batches do.
+func TestHTTPIngressRidesTheRelay(t *testing.T) {
+	nodes := startFederation(t, 2, func(cfg *cluster.Config) { cfg.HealthInterval = time.Hour })
+	a, b := nodes[0], nodes[1]
+	job := server.JobSpec{Name: "http", Category: "General", DemandPerRound: 6, Rounds: 1}
+	direct := server.NewManager(server.Config{})
+	for _, m := range []*server.Manager{b.m, direct} {
+		if _, err := m.RegisterJob(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fleet := make([]server.CheckIn, 24)
+	for i := range fleet {
+		fleet[i] = server.CheckIn{DeviceID: deviceOwnedBy(t, a.clu.Ring(), b.addr, fmt.Sprintf("http-%d", i)), CPU: 0.9, Mem: 0.9}
+	}
+	got, err := postCheckIns(server.Handler(a.m), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := postCheckIns(server.Handler(direct), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("through the federation:\n%+v\ndirect:\n%+v", got, want)
+	}
+	if tel := a.clu.ClusterTelemetry(); tel.ClusterForwardsOut != 1 || tel.ForwardBytesOut == 0 || tel.ClusterForwardErrors != 0 {
+		t.Errorf("ingress: %d hop frames, %d hop bytes, %d errors; want 1, > 0, 0", tel.ClusterForwardsOut, tel.ForwardBytesOut, tel.ClusterForwardErrors)
+	}
+
+	m := server.NewManager(server.Config{})
+	fake := newFakePeer()
+	clu, err := cluster.New(m, cluster.Config{
+		SelfID:         "self",
+		Peers:          []string{"self", "peer-1"},
+		HealthInterval: time.Hour,
+		Dial:           func(string) cluster.PeerClient { return fake },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clu.Close()
+	h := server.Handler(m)
+	const posts, per = 9, 16
+	var wg sync.WaitGroup
+	local := 0
+	for k := 0; k < posts; k++ {
+		cis, remote := fleetOf(clu.Ring(), fmt.Sprintf("hc%d", k), per, "peer-1")
+		if remote == 0 || remote == per {
+			t.Fatalf("batch %d does not span both owners (%d of %d on the peer)", k, remote, per)
+		}
+		local += per - remote
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := postCheckIns(h, cis)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, r := range res {
+				if r.Error != "" {
+					t.Errorf("batch %d item %d: %s", k, i, r.Error)
+				}
+			}
+		}()
+		if k == 0 {
+			waitFor(t, func() bool { return fake.forwards.Load() == 1 }) // the held hop
+		}
+	}
+	// Every batch serves its local half after contributing: once all local
+	// devices are known, every remote group is in the relay.
+	waitFor(t, func() bool { return int(m.MetricsSnapshot().KnownDevices) == local })
+	close(fake.block)
+	wg.Wait()
+	if frames := fake.forwards.Load() - 1; frames > 2 {
+		t.Errorf("8 HTTP batches behind a held hop left in %d hop frames, want at most 2", frames)
+	}
+	if tel := clu.ClusterTelemetry(); tel.ClusterForwardErrors != 0 || tel.ClusterForwardsOut != fake.forwards.Load() {
+		t.Errorf("%d hop frames counted for %d sent, %d errors", tel.ClusterForwardsOut, fake.forwards.Load(), tel.ClusterForwardErrors)
 	}
 }

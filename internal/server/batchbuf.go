@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"sync"
 	"unsafe"
 )
 
@@ -9,17 +10,18 @@ import (
 // their byte boundaries, the results, the combiner's item slices, and the
 // scratch of a federation router that splits the batch by owner. A stream
 // connection owns one and serves every frame out of it, local or forwarded,
-// so a warm batch allocates nothing; the allocating entry points run the same
-// code over a fresh zero BatchBuf. Everything in it, and every result slice a
-// …Buf call returns, is valid only until the owner's next use of it; after a
-// Decode* the device IDs are views of the payload, which must stay untouched
-// until the reply is encoded.
+// so a warm batch allocates nothing; the HTTP batch routes and the single-item
+// entry points serve out of a pooled one (getBatchBuf), and the allocating
+// entry points run the same code over a fresh zero BatchBuf. Everything in
+// it, and every result slice a …Buf call returns, is valid only until the
+// owner's next use of it; after a Decode* the device IDs are views of the
+// payload, which must stay untouched until the reply is encoded.
 type BatchBuf struct {
 	CheckIns []CheckIn
 	Reports  []Report
 	Bounds   []uint32 // of the batch decoded last; see RawItems
 
-	// The router's flat owner plan (see RawRouter): Owner[i] is the group
+	// The router's flat owner plan (see Router): Owner[i] is the group
 	// serving item i, Order the item indices counting-sorted by group, and
 	// group g is Order[Start[g]:Start[g+1]].
 	Owner, Order, Start []int32
@@ -29,6 +31,18 @@ type BatchBuf struct {
 	reportResults  []ReportResult
 	assigns        []assignItem
 	reports        []reportItem
+}
+
+// batchBufs holds the BatchBufs of the callers that bring none of their own.
+var batchBufs = sync.Pool{New: func() any { return new(BatchBuf) }}
+
+func getBatchBuf() *BatchBuf { return batchBufs.Get().(*BatchBuf) }
+
+// putBatchBuf releases b and returns it to the pool; nothing b held, results
+// included, may be read afterwards.
+func putBatchBuf(b *BatchBuf) {
+	b.Release()
+	batchBufs.Put(b)
 }
 
 // grow returns s with length n and every element zero, reusing its backing

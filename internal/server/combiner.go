@@ -40,9 +40,7 @@ const (
 type coreOpKind uint8
 
 const (
-	opAssign coreOpKind = iota
-	opAssignBatch
-	opReport
+	opAssignBatch coreOpKind = iota
 	opReportBatch
 	opRegister
 	opRefresh
@@ -70,12 +68,7 @@ type coreOp struct {
 	qnext *coreOp // queue link; owned by the queue until the op is woken
 	kind  coreOpKind
 
-	s   *slot      // opAssign device / opReport device
-	id  string     // opAssign device ID
-	asg Assignment // opAssign result
-
 	assigns []assignItem // opAssignBatch payload
-	rep     Report       // opReport payload
 	reports []reportItem // opReportBatch payload
 
 	spec   JobSpec   // opRegister payload
@@ -103,11 +96,7 @@ func getCoreOp(kind coreOpKind) *coreOp {
 // ops don't pin devices, slices, or request-backed strings.
 func putCoreOp(op *coreOp) {
 	op.qnext = nil
-	op.s = nil
-	op.id = ""
-	op.asg = Assignment{}
 	op.assigns = nil
-	op.rep = Report{}
 	op.reports = nil
 	op.spec = JobSpec{}
 	op.status = JobStatus{}
@@ -259,15 +248,11 @@ func (m *Manager) applyOpLocked(op *coreOp, now simtime.Time) {
 		t0 = time.Now()
 	}
 	switch op.kind {
-	case opAssign:
-		op.asg = m.assignCoreLocked(op.s, op.id, now)
 	case opAssignBatch:
 		for i := range op.assigns {
 			it := &op.assigns[i]
 			*it.out = m.assignCoreLocked(it.s, it.id, now)
 		}
-	case opReport:
-		m.reportCoreLocked(op.rep, op.s, now)
 	case opReportBatch:
 		for i := range op.reports {
 			m.reportCoreLocked(op.reports[i].r, op.reports[i].s, now)
@@ -284,33 +269,12 @@ func (m *Manager) applyOpLocked(op *coreOp, now simtime.Time) {
 	}
 }
 
-// submitAssign runs the core section for one admitted check-in. The caller
-// holds the device's shard mutex and releases the reservation itself when no
-// assignment comes back.
-func (m *Manager) submitAssign(s *slot, deviceID string, sp *obs.Span) Assignment {
-	op := getCoreOp(opAssign)
-	op.s, op.id = s, deviceID
-	op.sp = sp
-	m.submit(op)
-	asg := op.asg
-	putCoreOp(op)
-	return asg
-}
-
 // submitAssignBatch runs the core section for a batch's assignment-eligible
-// check-ins in one op; results land through the items' out pointers.
+// check-ins in one op; results land through the items' out pointers. A single
+// check-in is a batch of one.
 func (m *Manager) submitAssignBatch(items []assignItem, sp *obs.Span) {
 	op := getCoreOp(opAssignBatch)
 	op.assigns = items
-	op.sp = sp
-	m.submit(op)
-	putCoreOp(op)
-}
-
-// submitReport applies one accepted report to the scheduler core.
-func (m *Manager) submitReport(r Report, s *slot, sp *obs.Span) {
-	op := getCoreOp(opReport)
-	op.rep, op.s = r, s
 	op.sp = sp
 	m.submit(op)
 	putCoreOp(op)

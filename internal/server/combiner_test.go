@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -101,6 +102,26 @@ func TestCoreCommitDeterminismPin(t *testing.T) {
 		if got := run(mode); !bytes.Equal(got, want) {
 			t.Errorf("core commit mode %q diverged from direct-lock transcript:\nbytes %d vs %d", coreCommitNames[mode], len(got), len(want))
 		}
+	}
+}
+
+// coreTranscriptFile is driveCorePipeline's transcript for seed 7, captured
+// when single check-ins and reports had a commit path of their own. A change
+// that moves a decision on purpose (a scheduler change) re-captures it.
+const coreTranscriptFile = "testdata/core_transcript.json"
+
+// TestCoreTranscriptGolden pins the transcript byte for byte across changes
+// to the serving path: how an item reaches the core may change, what the core
+// answers and counts may not.
+func TestCoreTranscriptGolden(t *testing.T) {
+	want, err := os.ReadFile(coreTranscriptFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	got := driveCorePipeline(t, NewManager(Config{Clock: clk.now, Seed: 7}), clk)
+	if !bytes.Equal(got, want) {
+		t.Errorf("core transcript differs from %s:\ngot:\n%s\nwant:\n%s", coreTranscriptFile, got, want)
 	}
 }
 

@@ -143,17 +143,20 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		var req CheckInBatchRequest
+		b := getBatchBuf()
+		defer putBatchBuf(b)
+		req := CheckInBatchRequest{CheckIns: b.CheckIns[:0]}
 		if !decodeTimed(w, r, cfg.MaxBatchBodyBytes, &req, sp) {
 			return
 		}
-		resp, _, err := svc.CheckInBatchRouted(req, RawItems{}, sp)
+		b.CheckIns = req.CheckIns
+		results, _, err := svc.CheckInBatchBuf(b, RawItems{}, false, sp)
 		if err != nil {
 			sp.SetError()
 			writeErr(w, err)
 			return
 		}
-		writeJSONSpan(w, resp, http.StatusOK, sp)
+		writeJSONSpan(w, CheckInBatchResponse{Results: results}, http.StatusOK, sp)
 	})
 	handle("/v1/report", obs.OpReport, func(w http.ResponseWriter, r *http.Request, sp *obs.Span) {
 		if r.Method != http.MethodPost {
@@ -176,17 +179,20 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		var req ReportBatchRequest
+		b := getBatchBuf()
+		defer putBatchBuf(b)
+		req := ReportBatchRequest{Reports: b.Reports[:0]}
 		if !decodeTimed(w, r, cfg.MaxBatchBodyBytes, &req, sp) {
 			return
 		}
-		resp, _, err := svc.ReportBatchRouted(req, RawItems{}, sp)
+		b.Reports = req.Reports
+		results, _, err := svc.ReportBatchBuf(b, RawItems{}, false, sp)
 		if err != nil {
 			sp.SetError()
 			writeErr(w, err)
 			return
 		}
-		writeJSONSpan(w, resp, http.StatusOK, sp)
+		writeJSONSpan(w, ReportBatchResponse{Results: results}, http.StatusOK, sp)
 	})
 	handle("/v1/stats", obs.OpOther, func(w http.ResponseWriter, r *http.Request, sp *obs.Span) {
 		if r.Method != http.MethodGet {

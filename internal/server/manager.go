@@ -653,42 +653,21 @@ func (m *Manager) DeviceCheckIn(ci CheckIn) (Assignment, error) {
 
 // DeviceCheckInSpan is DeviceCheckIn carrying the request's observability
 // span (nil when unsampled): ops that enter the core commit pipeline
-// attribute their queue wait and apply time to it.
+// attribute their queue wait and apply time to it. It serves ci as a batch of
+// one (CheckInBatchBuf).
 func (m *Manager) DeviceCheckInSpan(ci CheckIn, sp *obs.Span) (Assignment, error) {
 	if ci.DeviceID == "" {
 		return Assignment{}, errDeviceIDMissing
 	}
-	h := m.reg.hash(ci.DeviceID)
-	sh := m.reg.shardOf(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.reserve(1)
-	now := m.now()
-	sec := m.nowSec()
-	s, err := m.reg.admit(sh, h, &ci, now.DayIndex(), sec)
-	if err != nil {
-		return Assignment{}, err
+	b := getBatchBuf()
+	b.CheckIns = append(b.CheckIns[:0], ci)
+	res := m.CheckInBatchBuf(b, sp)[0]
+	putBatchBuf(b)
+	if res.Error != "" {
+		// With an ID, the registry's busy refusal is the one per-item error.
+		return Assignment{}, ErrDeviceBusy
 	}
-	if s == nil {
-		return Assignment{Assigned: false}, nil
-	}
-	m.checkIns.Add(1)
-	m.pendingSupply[s.cell].Add(1)
-	m.supplyDirty.Store(true) // after the add; see countCheckIns
-	var asg Assignment
-	if m.snapshotSaysIdle(s, now) {
-		m.lockFreeCheckIns.Add(1)
-	} else {
-		asg = m.submitAssign(s, ci.DeviceID, sp)
-	}
-	m.metrics.checkins.Add(sec, 1)
-	if asg.Assigned {
-		m.reg.busy.Add(1)
-		m.metrics.assignRate.Add(sec, 1)
-	} else {
-		s.flags &^= slotBusy
-	}
-	return asg, nil
+	return res.Assignment, nil
 }
 
 // CheckInBatch processes a batch of check-ins; Results[i] answers
@@ -698,18 +677,13 @@ func (m *Manager) DeviceCheckInSpan(ci CheckIn, sp *obs.Span) (Assignment, error
 // section. In a surplus fleet (no open requests the device could serve) a
 // whole batch completes without ever touching the scheduler lock.
 func (m *Manager) CheckInBatch(cis []CheckIn) []CheckInResult {
-	return m.CheckInBatchSpan(cis, nil)
+	return m.CheckInBatchBuf(&BatchBuf{CheckIns: cis}, nil)
 }
 
-// CheckInBatchSpan is CheckInBatch carrying the batch request's span (see
-// DeviceCheckInSpan).
-func (m *Manager) CheckInBatchSpan(cis []CheckIn, sp *obs.Span) []CheckInResult {
-	return m.CheckInBatchBuf(&BatchBuf{CheckIns: cis}, sp)
-}
-
-// CheckInBatchBuf is CheckInBatchSpan of buf.CheckIns, with the results and
-// the combiner's items in buf's storage (see BatchBuf for how long the
-// results stay valid).
+// CheckInBatchBuf is CheckInBatch of buf.CheckIns carrying the request's span
+// (see DeviceCheckInSpan), with the results and the combiner's items in buf's
+// storage (see BatchBuf for how long the results stay valid). Every check-in
+// this node applies, single or batch, commits here.
 func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 	cis, out := buf.CheckIns, buf.CheckInSlots(len(buf.CheckIns))
 	if len(cis) == 0 {
@@ -824,42 +798,31 @@ func (m *Manager) DeviceReport(r Report) error {
 }
 
 // DeviceReportSpan is DeviceReport carrying the request's span (see
-// DeviceCheckInSpan).
+// DeviceCheckInSpan), served as a batch of one (ReportBatchBuf).
 func (m *Manager) DeviceReportSpan(r Report, sp *obs.Span) error {
 	if r.DeviceID == "" {
 		return errDeviceIDMissing
 	}
-	h := m.reg.hash(r.DeviceID)
-	sh := m.reg.shardOf(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, _ := sh.find(h, r.DeviceID)
-	if s == nil {
+	b := getBatchBuf()
+	b.Reports = append(b.Reports[:0], r)
+	failed := m.ReportBatchBuf(b, sp)[0].Error != ""
+	putBatchBuf(b)
+	if failed {
+		// With an ID, an unknown device is the one per-item error.
 		return ErrUnknownDevice
 	}
-	if s.flags&slotBusy != 0 {
-		s.flags &^= slotBusy
-		m.reg.busy.Add(-1)
-	}
-	m.submitReport(r, s, sp)
-	m.metrics.reportRate.Add(m.nowSec(), 1)
 	return nil
 }
 
 // ReportBatch processes a batch of reports with a single scheduler-lock
 // acquisition; Results[i] answers Reports[i].
 func (m *Manager) ReportBatch(rs []Report) []ReportResult {
-	return m.ReportBatchSpan(rs, nil)
+	return m.ReportBatchBuf(&BatchBuf{Reports: rs}, nil)
 }
 
-// ReportBatchSpan is ReportBatch carrying the batch request's span (see
-// DeviceCheckInSpan).
-func (m *Manager) ReportBatchSpan(rs []Report, sp *obs.Span) []ReportResult {
-	return m.ReportBatchBuf(&BatchBuf{Reports: rs}, sp)
-}
-
-// ReportBatchBuf is ReportBatchSpan of buf.Reports over buf's storage (see
-// CheckInBatchBuf).
+// ReportBatchBuf is ReportBatch of buf.Reports carrying the request's span,
+// over buf's storage (see CheckInBatchBuf). Every report this node applies
+// commits here.
 func (m *Manager) ReportBatchBuf(buf *BatchBuf, sp *obs.Span) []ReportResult {
 	rs, out := buf.Reports, buf.ReportSlots(len(buf.Reports))
 	if len(rs) == 0 {

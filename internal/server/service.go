@@ -92,14 +92,14 @@ func svcErr(code Code, err error) error { return &Error{Code: code, Err: err} }
 // and propagates its trace ID across the wire.
 type Router interface {
 	CheckIn(ci CheckIn, sp *obs.Span) (Assignment, error)
-	// The batch entry points additionally report whether any item was
-	// forwarded to a peer. The transport layer reflects that bit back to
-	// the client on the response opcode (the `forwarded` flag), which is
-	// what tells a ring-aware client its topology is stale and it should
-	// re-fetch before the next batch.
-	CheckInBatch(cis []CheckIn, sp *obs.Span) ([]CheckInResult, bool)
 	Report(r Report, sp *obs.Span) error
-	ReportBatch(rs []Report, sp *obs.Span) ([]ReportResult, bool)
+	// The batch entry points serve b's batch out of b, results included
+	// (see BatchBuf); raw is its still-encoded form, zero for HTTP ingress.
+	// The bool reports whether any item was forwarded to a peer: the
+	// transport reflects it on the response opcode (the `forwarded` flag),
+	// which tells a ring-aware client its topology is stale.
+	CheckInBatchBuf(b *BatchBuf, raw RawItems, sp *obs.Span) ([]CheckInResult, bool)
+	ReportBatchBuf(b *BatchBuf, raw RawItems, sp *obs.Span) ([]ReportResult, bool)
 	// ForwardedIn records receipt of one peer-forwarded request frame of
 	// the given payload size, so the receiving node's metrics count
 	// forwards_in and forward_bytes_in without the transport layer knowing
@@ -114,28 +114,15 @@ type Router interface {
 
 // RawItems carries the still-encoded form of a v2 batch alongside its
 // decoded items: Data is the request payload and item i occupies
-// Data[Bounds[i]:Bounds[i+1]] (Bounds has len(items)+1 entries). A router
-// that also implements RawRouter splices those byte ranges directly into
-// outgoing forward frames — the v2 fixed layout makes the boundaries known
-// at decode time, so misrouted items are relayed without a decode→re-encode
-// round trip. Data is only valid for the duration of the call: the
-// transport recycles the buffer when the handler returns, so implementations
-// must copy any ranges they keep.
+// Data[Bounds[i]:Bounds[i+1]] (Bounds has len(items)+1 entries). The router
+// splices those byte ranges directly into outgoing forward frames — the v2
+// fixed layout makes the boundaries known at decode time, so misrouted items
+// are relayed without a decode→re-encode round trip. Data is only valid for
+// the duration of the call: the transport recycles the buffer when the
+// handler returns, so implementations must copy any ranges they keep.
 type RawItems struct {
 	Data   []byte
 	Bounds []uint32
-}
-
-// RawRouter is the zero-copy fast path of Router, taken by the transport
-// layer for v2 batch frames when the attached router supports it. Semantics
-// match CheckInBatch/ReportBatch exactly, served out of the connection's
-// BatchBuf: the batch is b.CheckIns (b.Reports), the router plans and gathers
-// in b's router scratch, and the results it returns are b's slots, valid
-// until the connection's next frame. raw is advisory (an implementation may
-// ignore it).
-type RawRouter interface {
-	CheckInBatchBuf(b *BatchBuf, raw RawItems, sp *obs.Span) ([]CheckInResult, bool)
-	ReportBatchBuf(b *BatchBuf, raw RawItems, sp *obs.Span) ([]ReportResult, bool)
 }
 
 // Service is the transport-neutral serving core. One Service is
@@ -184,9 +171,10 @@ func (s *Service) JobStatusByID(id int) (JobStatus, error) {
 	return st, nil
 }
 
-// checkInErr types a check-in failure. Errors already carrying a service
-// code (remote rejections relayed by a federation router) pass through.
-func checkInErr(err error) error {
+// itemErr types a check-in or report failure. Errors already carrying a
+// service code (remote rejections relayed by a federation router) pass
+// through.
+func itemErr(err error) error {
 	var se *Error
 	if errors.As(err, &se) {
 		return se
@@ -194,18 +182,7 @@ func checkInErr(err error) error {
 	code := CodeInvalid
 	if errors.Is(err, ErrDeviceBusy) {
 		code = CodeBusy
-	}
-	return svcErr(code, err)
-}
-
-// reportErr types a report failure (see checkInErr).
-func reportErr(err error) error {
-	var se *Error
-	if errors.As(err, &se) {
-		return se
-	}
-	code := CodeInvalid
-	if errors.Is(err, ErrUnknownDevice) {
+	} else if errors.Is(err, ErrUnknownDevice) {
 		code = CodeNotFound
 	}
 	return svcErr(code, err)
@@ -219,7 +196,7 @@ func (s *Service) CheckIn(ci CheckIn, sp *obs.Span) (Assignment, error) {
 	if r := s.m.router(); r != nil {
 		asg, err := r.CheckIn(ci, sp)
 		if err != nil {
-			return Assignment{}, checkInErr(err)
+			return Assignment{}, itemErr(err)
 		}
 		s.rate.Add(s.m.nowSec(), 1)
 		return asg, nil
@@ -234,35 +211,25 @@ func (s *Service) CheckIn(ci CheckIn, sp *obs.Span) (Assignment, error) {
 func (s *Service) CheckInLocal(ci CheckIn, sp *obs.Span) (Assignment, error) {
 	asg, err := s.m.DeviceCheckInSpan(ci, sp)
 	if err != nil {
-		return Assignment{}, checkInErr(err)
+		return Assignment{}, itemErr(err)
 	}
 	s.rate.Add(s.m.nowSec(), 1)
 	return asg, nil
 }
 
-// CheckInBatchRouted processes a batch of check-ins; Results[i] answers
-// CheckIns[i], with per-item rejections in each result's Error field. With a
-// federation router attached the batch is split by device owner, forwarded
-// per owner concurrently, and merged back in order; the bool is true when any
-// item took such a hop. raw optionally carries the batch's still-encoded v2
-// payload for the router's zero-copy relay (see RawItems); pass the zero
-// value when unavailable.
-func (s *Service) CheckInBatchRouted(req CheckInBatchRequest, raw RawItems, sp *obs.Span) (CheckInBatchResponse, bool, error) {
-	results, forwarded, err := s.CheckInBatchBuf(&BatchBuf{CheckIns: req.CheckIns}, raw, false, sp)
-	return CheckInBatchResponse{Results: results}, forwarded, err
-}
-
 // CheckInBatchLocal applies the batch to this node's manager, bypassing any
-// federation router (see CheckInLocal).
+// federation router (see CheckInLocal), over a fresh BatchBuf whose results
+// the caller keeps. The serving paths do not use it; the benchmark's layer
+// walk compiles against it.
 func (s *Service) CheckInBatchLocal(req CheckInBatchRequest, sp *obs.Span) (CheckInBatchResponse, error) {
 	results, _, err := s.CheckInBatchBuf(&BatchBuf{CheckIns: req.CheckIns}, RawItems{}, true, sp)
 	return CheckInBatchResponse{Results: results}, err
 }
 
-// CheckInBatchBuf serves the batch in b.CheckIns out of b's storage: it is
-// CheckInBatchLocal when local is set and CheckInBatchRouted otherwise, and
-// the one implementation of both. The results are b's to reuse (see
-// BatchBuf), whoever produced them: a RawRouter merges into b's slots too.
+// CheckInBatchBuf processes b.CheckIns out of b's storage; Results[i]
+// answers CheckIns[i], with a per-item rejection in its Error. Unless local is
+// set (see CheckInLocal), an attached router serves each item on its owner;
+// the bool reports whether any item took a hop. raw is optional (RawItems).
 func (s *Service) CheckInBatchBuf(b *BatchBuf, raw RawItems, local bool, sp *obs.Span) ([]CheckInResult, bool, error) {
 	if len(b.CheckIns) > MaxBatch {
 		return nil, false, svcErr(CodeInvalid, fmt.Errorf("server: batch exceeds %d items", MaxBatch))
@@ -271,10 +238,8 @@ func (s *Service) CheckInBatchBuf(b *BatchBuf, raw RawItems, local bool, sp *obs
 	forwarded := false
 	if r := s.m.router(); r == nil || local {
 		results = s.m.CheckInBatchBuf(b, sp)
-	} else if rr, ok := r.(RawRouter); ok && raw.Data != nil {
-		results, forwarded = rr.CheckInBatchBuf(b, raw, sp)
 	} else {
-		results, forwarded = r.CheckInBatch(b.CheckIns, sp)
+		results, forwarded = r.CheckInBatchBuf(b, raw, sp)
 	}
 	s.countServed(results)
 	return results, forwarded, nil
@@ -297,7 +262,7 @@ func (s *Service) countServed(results []CheckInResult) {
 func (s *Service) Report(r Report, sp *obs.Span) error {
 	if rt := s.m.router(); rt != nil {
 		if err := rt.Report(r, sp); err != nil {
-			return reportErr(err)
+			return itemErr(err)
 		}
 		return nil
 	}
@@ -308,28 +273,18 @@ func (s *Service) Report(r Report, sp *obs.Span) error {
 // CheckInLocal).
 func (s *Service) ReportLocal(r Report, sp *obs.Span) error {
 	if err := s.m.DeviceReportSpan(r, sp); err != nil {
-		return reportErr(err)
+		return itemErr(err)
 	}
 	return nil
 }
 
-// ReportBatchRouted records a batch of task results; Results[i] answers
-// Reports[i]. Routed per device owner when a federation router is attached,
-// with the forwarded bit and optional raw relay payload of CheckInBatchRouted.
-func (s *Service) ReportBatchRouted(req ReportBatchRequest, raw RawItems, sp *obs.Span) (ReportBatchResponse, bool, error) {
-	results, forwarded, err := s.ReportBatchBuf(&BatchBuf{Reports: req.Reports}, raw, false, sp)
-	return ReportBatchResponse{Results: results}, forwarded, err
-}
-
-// ReportBatchLocal applies the batch to this node's manager, bypassing any
-// federation router (see CheckInLocal).
+// ReportBatchLocal is CheckInBatchLocal for reports.
 func (s *Service) ReportBatchLocal(req ReportBatchRequest, sp *obs.Span) (ReportBatchResponse, error) {
 	results, _, err := s.ReportBatchBuf(&BatchBuf{Reports: req.Reports}, RawItems{}, true, sp)
 	return ReportBatchResponse{Results: results}, err
 }
 
-// ReportBatchBuf serves the batch in b.Reports out of b's storage (see
-// CheckInBatchBuf).
+// ReportBatchBuf is CheckInBatchBuf for the reports in b.Reports.
 func (s *Service) ReportBatchBuf(b *BatchBuf, raw RawItems, local bool, sp *obs.Span) ([]ReportResult, bool, error) {
 	if len(b.Reports) > MaxBatch {
 		return nil, false, svcErr(CodeInvalid, fmt.Errorf("server: batch exceeds %d items", MaxBatch))
@@ -338,10 +293,8 @@ func (s *Service) ReportBatchBuf(b *BatchBuf, raw RawItems, local bool, sp *obs.
 	forwarded := false
 	if r := s.m.router(); r == nil || local {
 		results = s.m.ReportBatchBuf(b, sp)
-	} else if rr, ok := r.(RawRouter); ok && raw.Data != nil {
-		results, forwarded = rr.ReportBatchBuf(b, raw, sp)
 	} else {
-		results, forwarded = r.ReportBatch(b.Reports, sp)
+		results, forwarded = r.ReportBatchBuf(b, raw, sp)
 	}
 	return results, forwarded, nil
 }
