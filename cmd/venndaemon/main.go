@@ -156,7 +156,6 @@ func main() {
 		shards       = flag.Int("shards", 0, "device-state lock shards (0 = default)")
 		dailyBudget  = flag.Bool("daily-budget", true, "enforce the one-task-per-device-day budget (false lifts it, for sustained-demand benchmarking)")
 		deviceTTL    = flag.Duration("device-ttl", 24*time.Hour, "evict devices not seen for this long (0 disables)")
-		maxBody      = flag.Int64("max-body-bytes", 0, "HTTP single-item request body bound in bytes (0 = default 1MiB)")
 		streamShards = flag.Int("stream-shards", 0, "SO_REUSEPORT accept shards for the stream listener (0 = GOMAXPROCS, 1 = single listener)")
 		peers        = flag.String("peers", "", "comma-separated stream addresses of every cluster member (enables federation; requires -stream-addr)")
 		nodeID       = flag.String("node-id", "", "this node's member ID in -peers (default: the -stream-addr value)")
@@ -320,7 +319,7 @@ func main() {
 	}
 	fmt.Println(")")
 
-	err := server.Serve(ctx, *addr, m, server.HandlerConfig{MaxBodyBytes: *maxBody})
+	err := server.Serve(ctx, *addr, m, server.HandlerConfig{})
 	// Step 2: drain the stream listener — in-flight frames, forwarded ones
 	// included, are answered before their connections close.
 	if streamSrv != nil {

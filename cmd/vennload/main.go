@@ -49,7 +49,7 @@ func main() {
 		addrs      = flag.String("addr", "", "comma-separated daemon addresses: a URL (http://host:8080) drives HTTP, a bare host:port the stream protocol; more than one is a federation run (stream only, one agent lane per member)")
 		agents     = flag.Int("agents", 2000, "number of synthetic device agents")
 		duration   = flag.Duration("duration", 10*time.Second, "load duration")
-		batch      = flag.Int("batch", 64, "check-ins per batch request (1 = unbatched single endpoint)")
+		batch      = flag.Int("batch", 64, "check-ins per batch request (1 sends batches of one)")
 		conns      = flag.Int("conns", 0, "concurrent load workers (0 = 4x CPUs, capped at 64)")
 		streamCns  = flag.Int("stream-conns", 0, "stream connections to multiplex workers over (0 = workers/2, min 1)")
 		topology   = flag.Bool("topology", true, "ring-aware clients in federation runs: fetch the daemons' topology and send each batch item straight to its owner (false = seed-only clients, exercising the server-side forward path)")
@@ -67,6 +67,10 @@ func main() {
 
 	if *addrs == "" {
 		fmt.Fprintln(os.Stderr, "vennload: -addr is required (a daemon URL or stream host:port; several stream addresses for a federation)")
+		os.Exit(2)
+	}
+	if *batch < 1 {
+		fmt.Fprintf(os.Stderr, "vennload: -batch %d must be at least 1\n", *batch)
 		os.Exit(2)
 	}
 	if *demandFrac < 0 || *demandFrac > 1 {
@@ -114,7 +118,7 @@ func main() {
 		lanes[i] = lane{name: addr, c: newClient(addr, cfg)}
 	}
 	cfg.Transport = transportOf(lanes[0].c)
-	cfg.Mode = modeName(cfg.Batch, cfg.Transport)
+	cfg.Mode = modeName(cfg.Transport)
 	if len(lanes) > 1 {
 		for _, l := range lanes {
 			if transportOf(l.c) != client.TransportStream {
@@ -151,14 +155,13 @@ func main() {
 	}
 }
 
-func modeName(batch int, transport string) string {
+// modeName labels a single-daemon run by its transport: every run sends
+// batches, so HTTP is "batched" whatever -batch is.
+func modeName(transport string) string {
 	if transport == client.TransportStream {
 		return "stream"
 	}
-	if batch > 1 {
-		return "batched"
-	}
-	return "single"
+	return "batched"
 }
 
 // feedInterval is how often a lane's demand feeder re-sizes open demand
@@ -477,88 +480,54 @@ func runLoad(lanes []lane, cfg loadConfig) loadreport.Run {
 			next := 0
 			pendingReports := make([]server.Report, 0, batchSize)
 			for time.Now().Before(deadline) {
-				if cfg.Batch > 1 {
-					cis := make([]server.CheckIn, 0, batchSize)
-					for len(cis) < batchSize {
-						d := mine[next%len(mine)]
-						next++
-						cis = append(cis, server.CheckIn{DeviceID: d.id, CPU: d.cpu, Mem: d.mem})
-					}
-					t0 := time.Now()
-					results, err := c.CheckInBatch(cis)
-					record(time.Since(t0))
-					if err != nil {
-						errs.Add(1)
-						ls.errs.Add(1)
-						continue
-					}
-					pendingReports = pendingReports[:0]
-					served := 0
-					for i, res := range results {
-						if res.Error != "" {
-							// Per-item rejection (e.g. a still-busy
-							// device): not a served check-in — counting
-							// it would flatter the batched throughput.
-							errs.Add(1)
-							ls.errs.Add(1)
-							continue
-						}
-						served++
-						if !res.Assigned {
-							continue
-						}
-						assignments.Add(1)
-						ls.assigns.Add(1)
-						localServed[res.Policy]++
-						pendingReports = append(pendingReports, server.Report{
-							DeviceID:        cis[i].DeviceID,
-							JobID:           res.JobID,
-							OK:              !taskRNG.Bool(0.05),
-							DurationSeconds: 10 + 50*taskRNG.Float64(),
-						})
-					}
-					checkIns.Add(int64(served))
-					ls.checkIns.Add(int64(served))
-					if len(pendingReports) > 0 {
-						if _, err := c.ReportBatch(pendingReports); err != nil {
-							errs.Add(1)
-							ls.errs.Add(1)
-						} else {
-							reports.Add(int64(len(pendingReports)))
-						}
-					}
-					continue
+				cis := make([]server.CheckIn, 0, batchSize)
+				for len(cis) < batchSize {
+					d := mine[next%len(mine)]
+					next++
+					cis = append(cis, server.CheckIn{DeviceID: d.id, CPU: d.cpu, Mem: d.mem})
 				}
-				// Unbatched path: one request per check-in.
-				d := mine[next%len(mine)]
-				next++
 				t0 := time.Now()
-				asg, err := c.CheckIn(server.CheckIn{DeviceID: d.id, CPU: d.cpu, Mem: d.mem})
+				results, err := c.CheckInBatch(cis)
 				record(time.Since(t0))
 				if err != nil {
 					errs.Add(1)
 					ls.errs.Add(1)
 					continue
 				}
-				checkIns.Add(1)
-				ls.checkIns.Add(1)
-				if !asg.Assigned {
-					continue
+				pendingReports = pendingReports[:0]
+				served := 0
+				for i, res := range results {
+					if res.Error != "" {
+						// Per-item rejection (e.g. a still-busy
+						// device): not a served check-in — counting
+						// it would flatter the batched throughput.
+						errs.Add(1)
+						ls.errs.Add(1)
+						continue
+					}
+					served++
+					if !res.Assigned {
+						continue
+					}
+					assignments.Add(1)
+					ls.assigns.Add(1)
+					localServed[res.Policy]++
+					pendingReports = append(pendingReports, server.Report{
+						DeviceID:        cis[i].DeviceID,
+						JobID:           res.JobID,
+						OK:              !taskRNG.Bool(0.05),
+						DurationSeconds: 10 + 50*taskRNG.Float64(),
+					})
 				}
-				assignments.Add(1)
-				ls.assigns.Add(1)
-				localServed[asg.Policy]++
-				err = c.Report(server.Report{
-					DeviceID:        d.id,
-					JobID:           asg.JobID,
-					OK:              !taskRNG.Bool(0.05),
-					DurationSeconds: 10 + 50*taskRNG.Float64(),
-				})
-				if err != nil {
-					errs.Add(1)
-					ls.errs.Add(1)
-				} else {
-					reports.Add(1)
+				checkIns.Add(int64(served))
+				ls.checkIns.Add(int64(served))
+				if len(pendingReports) > 0 {
+					if _, err := c.ReportBatch(pendingReports); err != nil {
+						errs.Add(1)
+						ls.errs.Add(1)
+					} else {
+						reports.Add(int64(len(pendingReports)))
+					}
 				}
 			}
 			latMu.Lock()
@@ -710,21 +679,16 @@ func runLoad(lanes []lane, cfg loadConfig) loadreport.Run {
 			fmt.Fprintf(&b, "  stream: %d conns, %d frames in, %d frames out; per-transport rates %v\n",
 				mt.StreamConns, mt.StreamFramesIn, mt.StreamFramesOut, mt.CheckInsPerSecByTransport)
 		}
-		// Per-stage p99 of the dominant op's sampled spans (1 in
+		// Per-stage p99 of the check-in batches' sampled spans (1 in
 		// obs_sample_every requests), in canonical stage order.
-		for _, op := range []string{"checkin_batch", "checkin"} {
-			stages := mt.RequestStageNs[op]
-			if len(stages) == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "  stages (%s p99, 1/%d sampled):", op, mt.ObsSampleEvery)
+		if stages := mt.RequestStageNs[server.RouteCheckInBatch]; len(stages) > 0 {
+			fmt.Fprintf(&b, "  stages (%s p99, 1/%d sampled):", server.RouteCheckInBatch, mt.ObsSampleEvery)
 			for _, st := range []string{"read", "decode", "queue_wait", "apply", "hop", "encode", "write"} {
 				if s, ok := stages[st]; ok && s.Count > 0 {
 					fmt.Fprintf(&b, " %s=%s", st, time.Duration(s.P99).Round(100*time.Nanosecond))
 				}
 			}
 			b.WriteByte('\n')
-			break
 		}
 	}
 	fmt.Print(b.String())

@@ -38,17 +38,19 @@ func main() {
 			CPU:      rng.Float64(),
 			Mem:      rng.Float64(),
 		}
-		var asg server.Assignment
-		post(srv.URL+"/v1/checkin", ci, &asg)
+		// A lone device checks in as a batch of one.
+		var resp server.CheckInBatchResponse
+		post(srv.URL+"/v1/checkin/batch", server.CheckInBatchRequest{CheckIns: []server.CheckIn{ci}}, &resp)
+		asg := resp.Results[0]
 		if !asg.Assigned {
 			continue
 		}
 		assigned++
 		// The device runs its task and reports (always succeeds here).
-		post(srv.URL+"/v1/report", server.Report{
+		post(srv.URL+"/v1/report/batch", server.ReportBatchRequest{Reports: []server.Report{{
 			DeviceID: ci.DeviceID, JobID: asg.JobID, OK: true,
 			DurationSeconds: 30 + 60*rng.Float64(),
-		}, &struct{}{})
+		}}}, &server.ReportBatchResponse{})
 	}
 
 	var st server.Stats

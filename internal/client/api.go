@@ -29,15 +29,14 @@ const (
 
 // API is the transport-neutral client surface: everything a job owner or a
 // device agent calls, implemented by both the HTTP *Client and the
-// *StreamClient.
+// *StreamClient. A device checks in and reports in batches; a single device
+// sends a batch of one.
 type API interface {
 	RegisterJob(spec server.JobSpec) (server.JobStatus, error)
 	JobStatus(id int) (server.JobStatus, error)
 	Jobs() ([]server.JobStatus, error)
 	WaitForJob(id int, poll, timeout time.Duration) (server.JobStatus, error)
-	CheckIn(ci server.CheckIn) (server.Assignment, error)
 	CheckInBatch(cis []server.CheckIn) ([]server.CheckInResult, error)
-	Report(r server.Report) error
 	ReportBatch(rs []server.Report) ([]server.ReportResult, error)
 	Stats() (server.Stats, error)
 	Metrics() (server.Metrics, error)

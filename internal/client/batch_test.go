@@ -112,7 +112,7 @@ func TestClientPostNotRetried(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := New(srv.URL, WithRetries(5), WithRetryDelay(time.Millisecond))
-	if err := c.Report(server.Report{DeviceID: "d0"}); err == nil {
+	if _, err := c.ReportBatch([]server.Report{{DeviceID: "d0"}}); err == nil {
 		t.Fatal("expected error")
 	}
 	if calls.Load() != 1 {

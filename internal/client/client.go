@@ -1,8 +1,8 @@
 // Package client is the Go SDK for the venndaemon HTTP API: CL job owners
 // use it to register jobs and poll status; device agents use it to check in
-// and report task results. High-volume callers (fleets, load generators)
-// should prefer the batch methods, which amortize one HTTP round trip and
-// one scheduler-lock acquisition over many devices.
+// and report task results. Check-ins and reports travel in batches, which
+// amortize one round trip and one scheduler-lock acquisition over many
+// devices; a lone device sends a batch of one.
 package client
 
 import (
@@ -67,13 +67,6 @@ func (c *Client) Jobs() ([]server.JobStatus, error) {
 	return out, err
 }
 
-// CheckIn announces device availability and returns the assignment.
-func (c *Client) CheckIn(ci server.CheckIn) (server.Assignment, error) {
-	var asg server.Assignment
-	err := c.post("/v1/checkin", ci, &asg)
-	return asg, err
-}
-
 // CheckInBatch announces availability for a whole batch of devices in one
 // request. Results[i] answers cis[i]; per-item rejections surface in each
 // result's Error field, not as a Go error.
@@ -86,11 +79,6 @@ func (c *Client) CheckInBatch(cis []server.CheckIn) ([]server.CheckInResult, err
 		return nil, fmt.Errorf("client: batch reply has %d results for %d check-ins", len(resp.Results), len(cis))
 	}
 	return resp.Results, nil
-}
-
-// Report submits a task result.
-func (c *Client) Report(r server.Report) error {
-	return c.post("/v1/report", r, &struct{}{})
 }
 
 // ReportBatch submits a batch of task results in one request. Results[i]

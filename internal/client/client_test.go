@@ -26,15 +26,16 @@ func TestClientJobLifecycle(t *testing.T) {
 		t.Fatalf("status: %+v", st)
 	}
 
-	asg, err := c.CheckIn(server.CheckIn{DeviceID: "d0", CPU: 0.7, Mem: 0.7})
+	res, err := c.CheckInBatch([]server.CheckIn{{DeviceID: "d0", CPU: 0.7, Mem: 0.7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !asg.Assigned || asg.JobID != st.ID {
+	if asg := res[0]; !asg.Assigned || asg.JobID != st.ID {
 		t.Fatalf("assignment: %+v", asg)
 	}
-	if err := c.Report(server.Report{DeviceID: "d0", JobID: asg.JobID, OK: true, DurationSeconds: 15}); err != nil {
-		t.Fatal(err)
+	rres, err := c.ReportBatch([]server.Report{{DeviceID: "d0", JobID: res[0].JobID, OK: true, DurationSeconds: 15}})
+	if err != nil || rres[0].Error != "" {
+		t.Fatalf("report: %+v, %v", rres, err)
 	}
 
 	done, err := c.WaitForJob(st.ID, 10*time.Millisecond, time.Second)
@@ -63,8 +64,8 @@ func TestClientErrorSurfacing(t *testing.T) {
 	if _, err := c.JobStatus(77); err == nil {
 		t.Error("unknown job must surface an error")
 	}
-	if _, err := c.CheckIn(server.CheckIn{}); err == nil {
-		t.Error("missing device_id must surface an error")
+	if res, err := c.CheckInBatch([]server.CheckIn{{}}); err != nil || res[0].Error == "" {
+		t.Errorf("missing device_id must surface as the item's error: %+v, %v", res, err)
 	}
 }
 

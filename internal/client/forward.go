@@ -3,11 +3,10 @@ package client
 import "venn/internal/transport"
 
 // ForwardRaw is the federation layer's one hop sender (internal/cluster):
-// it relays an already-encoded request of serving opcode op — OpCheckIn,
-// OpReport, or their batch forms — to the daemon that owns its devices, and
-// hands the reply payload to dec (nil ignores it). payload is the request's
-// v2 wire form: one item, or for a batch the uvarint item count then the
-// items' wire bytes.
+// it relays an already-encoded request of serving opcode op — OpCheckInBatch
+// or OpReportBatch — to the daemon that owns its devices, and hands the reply
+// payload to dec (nil ignores it). payload is the request's v2 wire form: the
+// uvarint item count then the items' wire bytes.
 //
 // The frame carries transport.HopFlag, which tells the receiving daemon to
 // serve the request itself and never forward it again (the hop guard against

@@ -16,8 +16,8 @@ import (
 
 // StreamClient talks to a venndaemon stream listener (venndaemon
 // -stream-addr) over the persistent framed protocol of internal/transport.
-// It exposes the same surface as the HTTP Client — CheckIn/CheckInBatch,
-// Report/ReportBatch, job registration and lookup, Stats, Metrics — but
+// It exposes the same surface as the HTTP Client — CheckInBatch, ReportBatch,
+// job registration and lookup, Stats, Metrics — but
 // amortizes connection setup and HTTP framing away entirely: requests from
 // any number of goroutines are multiplexed over a small pool of persistent
 // connections, correlated by pipelined request IDs, and a connection that
@@ -97,23 +97,6 @@ func encoded(buf []byte) reqEncoder {
 	return func() ([]byte, error) { return buf, nil }
 }
 
-// CheckIn announces device availability and returns the assignment.
-func (s *StreamClient) CheckIn(ci server.CheckIn) (server.Assignment, error) {
-	if s.topo != nil {
-		return s.topo.checkIn(ci)
-	}
-	asg, _, err := s.checkInOp(ci)
-	return asg, err
-}
-
-func (s *StreamClient) checkInOp(ci server.CheckIn) (server.Assignment, bool, error) {
-	var asg server.Assignment
-	fwd, err := s.do(transport.OpCheckIn, func() ([]byte, error) {
-		return ci.AppendBinary(transport.GetBuf(64))
-	}, asg.UnmarshalBinary)
-	return asg, fwd, err
-}
-
 // CheckInBatch announces availability for a whole batch of devices in one
 // frame. Results[i] answers cis[i]; per-item rejections surface in each
 // result's Error field, not as a Go error.
@@ -138,21 +121,6 @@ func (s *StreamClient) checkInBatchOp(cis []server.CheckIn) ([]server.CheckInRes
 		return nil, fwd, fmt.Errorf("client: batch reply has %d results for %d check-ins", len(resp.Results), len(cis))
 	}
 	return resp.Results, fwd, nil
-}
-
-// Report submits a task result.
-func (s *StreamClient) Report(r server.Report) error {
-	if s.topo != nil {
-		return s.topo.report(r)
-	}
-	_, err := s.reportOp(r)
-	return err
-}
-
-func (s *StreamClient) reportOp(r server.Report) (bool, error) {
-	return s.do(transport.OpReport, func() ([]byte, error) {
-		return r.AppendBinary(transport.GetBuf(64))
-	}, nil)
 }
 
 // ReportBatch submits a batch of task results in one frame. Results[i]

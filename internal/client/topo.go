@@ -18,9 +18,15 @@
 // Failover: a transport failure on a member connection (dial refused,
 // connection lost, timeout) retries the sub-batch ONCE on a different live
 // member, which serves or forwards it authoritatively. That makes routed
-// calls at-least-once under member failure — a check-in may be applied twice
-// (harmless: check-ins and reports are idempotent per device+task), but is
-// never lost, which is exactly the guarantee the chaos smoke pins. Typed
+// calls at-least-once under member failure: a sub-batch is never silently
+// dropped, which is the guarantee the chaos smoke pins. It is not
+// exactly-once. When the failed attempt did commit (a timeout or a
+// connection lost after the owner applied it), the retry is applied a
+// second time, and check-ins are not idempotent: a device the first attempt
+// assigned is answered with ErrDeviceBusy's per-item error, and the first
+// assignment, whose reply was lost, stays held until its deadline expires
+// it. So failover can lose an assignment, never a device. Making a retry
+// return the first answer is the idempotency item in ROADMAP.md. Typed
 // rejections (StreamError) are authoritative answers and are never retried.
 //
 // Degradation: a seed daemon that answers OpTopology with CodeUnavailable
@@ -246,32 +252,6 @@ func sendGroup[Res any](t *topoState, v *topoView, member string,
 		return res, err2
 	}
 	return res, nil
-}
-
-// checkIn routes one check-in to its owner.
-func (t *topoState) checkIn(ci server.CheckIn) (server.Assignment, error) {
-	v := t.ensureView()
-	if v == nil {
-		asg, _, err := t.root.checkInOp(ci)
-		return asg, err
-	}
-	return sendGroup(t, v, v.owner(ci.DeviceID), func(cl *StreamClient) (server.Assignment, bool, error) {
-		return cl.checkInOp(ci)
-	})
-}
-
-// report routes one report to its owner.
-func (t *topoState) report(r server.Report) error {
-	v := t.ensureView()
-	if v == nil {
-		_, err := t.root.reportOp(r)
-		return err
-	}
-	_, err := sendGroup(t, v, v.owner(r.DeviceID), func(cl *StreamClient) (struct{}, bool, error) {
-		fwd, err := cl.reportOp(r)
-		return struct{}{}, fwd, err
-	})
-	return err
 }
 
 // partitioned is the shared batch engine: split items by owner under one

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"venn/internal/client"
-	"venn/internal/obs"
 	"venn/internal/server"
-	"venn/internal/transport"
 )
 
 // Defaults for Config.
@@ -386,88 +384,11 @@ func (c *Cluster) forwardFailed(err error) (fallbackLocal bool, typed error) {
 	return false, &server.Error{Code: server.CodeUnavailable, Err: fmt.Errorf("cluster: forward to owner failed: %w", err)}
 }
 
-// route resolves the owner of deviceID under the current snapshot. It
-// returns nil when the request should be applied locally — because this
-// node owns it, the ID is unroutable, or the owner is down (counted as a
-// fallback) — and the owning live peer otherwise.
-func (c *Cluster) route(deviceID string) *peer {
-	if deviceID == "" {
-		return nil
-	}
-	snap := c.snap.Load()
-	owner := snap.ring.OwnerIndex(deviceID)
-	if owner == c.self {
-		return nil
-	}
-	p := snap.table[owner]
-	if p == nil {
-		c.localFallbacks.Add(1)
-	}
-	return p
-}
-
 // ForwardedIn implements server.Router: the transport layer reports each
 // hop-flagged frame it serves, with its payload size.
 func (c *Cluster) ForwardedIn(bytes int) {
 	c.forwardsIn.Add(1)
 	c.forwardBytesIn.Add(int64(bytes))
-}
-
-// forwardOne serves one request on the owner of deviceID: forwarded as a hop
-// frame of opcode op when the owner is a live peer, applied locally (via
-// local) when this node owns it, the owner is down, the cluster is draining,
-// or the forward provably never left this node. enc appends the request's
-// wire form and dec decodes the owner's reply. A typed rejection from the
-// owner (busy, invalid, not-found) is authoritative and returned as-is; an
-// ambiguous transport failure surfaces as CodeUnavailable (see
-// forwardFailed). A sampled span gets the forward round trip attributed to
-// its hop stage (clock reads span-gated).
-func (c *Cluster) forwardOne(deviceID string, op byte, sp *obs.Span,
-	enc func([]byte) ([]byte, error), dec func([]byte) error, local func() error) error {
-	p := c.route(deviceID)
-	if p == nil {
-		return local()
-	}
-	if !c.acquireForward() {
-		c.localFallbacks.Add(1)
-		return local()
-	}
-	defer c.inflight.Done()
-	c.forwardsOut.Add(1)
-	sp.SetForwarded()
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
-	payload, _ := enc(transport.GetBuf(64)) // the single-item encoders cannot fail
-	err := p.c.ForwardRaw(op, payload, sp.TraceID(), dec)
-	transport.PutBuf(payload)
-	if sp != nil {
-		sp.Mark(obs.StageHop, time.Since(t0))
-	}
-	if err == nil {
-		return nil
-	}
-	if fallback, typed := c.forwardFailed(err); !fallback {
-		return typed
-	}
-	return local()
-}
-
-// CheckIn implements server.Router.
-func (c *Cluster) CheckIn(ci server.CheckIn, sp *obs.Span) (asg server.Assignment, err error) {
-	err = c.forwardOne(ci.DeviceID, transport.OpCheckIn, sp, ci.AppendBinary, asg.UnmarshalBinary,
-		func() (err error) {
-			asg, err = c.m.DeviceCheckInSpan(ci, sp)
-			return err
-		})
-	return asg, err
-}
-
-// Report implements server.Router.
-func (c *Cluster) Report(r server.Report, sp *obs.Span) error {
-	return c.forwardOne(r.DeviceID, transport.OpReport, sp, r.AppendBinary, nil,
-		func() error { return c.m.DeviceReportSpan(r, sp) })
 }
 
 // ClusterTelemetry implements server.Router. It reads only atomics and the

@@ -66,6 +66,13 @@ func startFederation(t testing.TB, n int, tweak func(*cluster.Config)) []*node {
 	return nodes
 }
 
+// checkInOne serves ci through clu as a batch of one, the only way a check-in
+// is served, and returns the item's result.
+func checkInOne(clu *cluster.Cluster, ci server.CheckIn) server.CheckInResult {
+	res, _ := clu.CheckInBatchBuf(&server.BatchBuf{CheckIns: []server.CheckIn{ci}}, server.RawItems{}, nil)
+	return res[0]
+}
+
 // deviceOwnedBy finds a device ID the ring assigns to the wanted member.
 func deviceOwnedBy(t *testing.T, r *cluster.Ring, owner string, tag string) string {
 	t.Helper()
@@ -133,17 +140,16 @@ func TestFederationTwoDaemonForward(t *testing.T) {
 		t.Fatalf("%d assignments, want 16 (8 per node)", len(reports))
 	}
 	// Before the reports land (which free the devices), a busy rejection
-	// must cross the forward chain typed: re-checking an assigned, B-owned
-	// device through A answers CodeBusy.
+	// must cross the forward chain as the item's error: re-checking an
+	// assigned, B-owned device through A answers ErrDeviceBusy's message.
 	busyProbed := false
 	for _, rep := range reports {
 		if a.clu.Ring().Owner(rep.DeviceID) != b.addr {
 			continue
 		}
-		_, err := ca.CheckIn(server.CheckIn{DeviceID: rep.DeviceID, CPU: 0.9, Mem: 0.9})
-		var se *client.StreamError
-		if !errors.As(err, &se) || se.Code != server.CodeBusy {
-			t.Fatalf("re-check-in of busy forwarded device: got %v, want typed busy", err)
+		res, err := ca.CheckInBatch([]server.CheckIn{{DeviceID: rep.DeviceID, CPU: 0.9, Mem: 0.9}})
+		if err != nil || res[0].Error != server.ErrDeviceBusy.Error() {
+			t.Fatalf("re-check-in of busy forwarded device: got %+v, %v; want item error %q", res, err, server.ErrDeviceBusy)
 		}
 		busyProbed = true
 		break
@@ -239,8 +245,8 @@ func TestHopGuard(t *testing.T) {
 	devA := deviceOwnedBy(t, a.clu.Ring(), a.addr, "hop")
 	cb := client.NewStream(b.addr)
 	defer cb.Close()
-	payload, _ := (&server.CheckIn{DeviceID: devA, CPU: 0.5, Mem: 0.5}).MarshalBinary()
-	if err := cb.ForwardRaw(transport.OpCheckIn, payload, 0, nil); err != nil {
+	payload, _ := (&server.CheckInBatchRequest{CheckIns: []server.CheckIn{{DeviceID: devA, CPU: 0.5, Mem: 0.5}}}).MarshalBinary()
+	if err := cb.ForwardRaw(transport.OpCheckInBatch, payload, 0, nil); err != nil {
 		t.Fatalf("hop-flagged check-in not served locally: %v", err)
 	}
 	tel := b.clu.ClusterTelemetry()
@@ -265,7 +271,7 @@ func TestHopGuard(t *testing.T) {
 }
 
 // TestHopFlagRejectedOnNonServingOp pins the frame-level contract: the hop
-// flag is only legal on the four serving opcodes; anything else is a typed
+// flag is only legal on the two serving opcodes; anything else is a typed
 // invalid rejection, not a crash or a hang.
 func TestHopFlagRejectedOnNonServingOp(t *testing.T) {
 	nodes := startFederation(t, 1, nil)
@@ -328,8 +334,7 @@ func (f *fakePeer) Ping() error {
 }
 
 // ForwardRaw answers a hop the way an owner would: it decodes the hop payload,
-// records its size, and replies as on the wire — an unassigned check-in or an
-// accepted report for a single item, and for a batch one result per item:
+// records its size, and replies as on the wire with one result per item:
 // zero results by default, an echo of the device ID in Error when echo is
 // set, one result too few when short is set.
 func (f *fakePeer) ForwardRaw(op byte, payload []byte, trace uint64, dec func(reply []byte) error) error {
@@ -343,15 +348,6 @@ func (f *fakePeer) ForwardRaw(op byte, payload []byte, trace uint64, dec func(re
 	f.mu.Unlock()
 	var reply []byte
 	switch op {
-	case transport.OpCheckIn:
-		var ci server.CheckIn
-		if err := ci.UnmarshalBinary(payload); err != nil {
-			return err
-		}
-		reply, _ = (&server.Assignment{}).MarshalBinary()
-	case transport.OpReport:
-		var r server.Report
-		return r.UnmarshalBinary(payload) // no reply payload
 	case transport.OpCheckInBatch:
 		var req server.CheckInBatchRequest
 		if err := req.UnmarshalBinary(payload); err != nil {
@@ -409,7 +405,7 @@ func TestDrainOrdering(t *testing.T) {
 	fwdDone := make(chan struct{})
 	go func() {
 		defer close(fwdDone)
-		_, _ = clu.CheckIn(server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}, nil)
+		_ = checkInOne(clu, server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5})
 	}()
 	waitFor(t, func() bool { return fake.forwards.Load() == 1 })
 
@@ -417,8 +413,8 @@ func TestDrainOrdering(t *testing.T) {
 	// New requests for peer-owned devices no longer forward: applied
 	// locally, counted as fallbacks.
 	devPeer2 := deviceOwnedBy(t, clu.Ring(), "peer-1", "drain2")
-	if _, err := clu.CheckIn(server.CheckIn{DeviceID: devPeer2, CPU: 0.5, Mem: 0.5}, nil); err != nil {
-		t.Fatalf("drained check-in must local-apply, got %v", err)
+	if res := checkInOne(clu, server.CheckIn{DeviceID: devPeer2, CPU: 0.5, Mem: 0.5}); res.Error != "" {
+		t.Fatalf("drained check-in must local-apply, got %q", res.Error)
 	}
 	if got := fake.forwards.Load(); got != 1 {
 		t.Fatalf("a forward escaped after BeginDrain (%d)", got)
@@ -478,8 +474,8 @@ func TestHealthLoopDownUp(t *testing.T) {
 	defer clu.Close()
 	devPeer := deviceOwnedBy(t, clu.Ring(), "peer-1", "health")
 
-	if _, err := clu.CheckIn(server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}, nil); err != nil {
-		t.Fatal(err)
+	if res := checkInOne(clu, server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}); res.Error != "" {
+		t.Fatal(res.Error)
 	}
 	if fake.forwards.Load() != 1 {
 		t.Fatal("healthy peer must receive the forward")
@@ -488,8 +484,8 @@ func TestHealthLoopDownUp(t *testing.T) {
 	fake.pingErr.Store(true)
 	waitFor(t, func() bool { return clu.ClusterTelemetry().ClusterPeerStates["peer-1"] == "down" })
 	before := fake.forwards.Load()
-	if _, err := clu.CheckIn(server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}, nil); err != nil {
-		t.Fatalf("down-peer check-in must local-apply, got %v", err)
+	if res := checkInOne(clu, server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}); res.Error != "" {
+		t.Fatalf("down-peer check-in must local-apply, got %q", res.Error)
 	}
 	if fake.forwards.Load() != before {
 		t.Fatal("forwarded to a down peer")
@@ -501,8 +497,8 @@ func TestHealthLoopDownUp(t *testing.T) {
 
 	fake.pingErr.Store(false)
 	waitFor(t, func() bool { return clu.ClusterTelemetry().ClusterPeerStates["peer-1"] == "up" })
-	if _, err := clu.CheckIn(server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}, nil); err != nil {
-		t.Fatal(err)
+	if res := checkInOne(clu, server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}); res.Error != "" {
+		t.Fatal(res.Error)
 	}
 	if fake.forwards.Load() != before+1 {
 		t.Fatal("recovered peer must receive forwards again")
@@ -555,8 +551,8 @@ func TestSelfIDMustBeInPeers(t *testing.T) {
 
 // TestForwardFailureSemantics pins the double-apply guard: only a forward
 // that provably never left this node (client.NotSentError) falls back to
-// local apply; an ambiguous failure surfaces as typed CodeUnavailable with
-// no local side effects, and the batch path reports it per item.
+// local apply; an ambiguous failure surfaces as the item's error with no
+// local side effects.
 func TestForwardFailureSemantics(t *testing.T) {
 	m := server.NewManager(server.Config{})
 	fake := newFakePeer()
@@ -573,38 +569,30 @@ func TestForwardFailureSemantics(t *testing.T) {
 	defer clu.Close()
 	devPeer := deviceOwnedBy(t, clu.Ring(), "peer-1", "fail")
 
-	// Ambiguous failure (e.g. timeout): typed unavailable, NOT applied
-	// locally — the owner may have already applied it.
+	// Ambiguous failure (e.g. timeout): an item error, NOT applied locally —
+	// the owner may have already applied it.
 	fake.failForwardsWith(errors.New("fake: request timed out"))
-	_, err = clu.CheckIn(server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}, nil)
-	if server.ErrCode(err) != server.CodeUnavailable {
-		t.Fatalf("ambiguous forward failure: got %v, want CodeUnavailable", err)
+	if res := checkInOne(clu, server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}); !strings.Contains(res.Error, "forward to owner failed") {
+		t.Fatalf("ambiguous forward failure item error = %q", res.Error)
 	}
 	if got := m.MetricsSnapshot().KnownDevices; got != 0 {
 		t.Fatalf("ambiguous failure applied locally (%d devices registered)", got)
-	}
-	results, _ := clu.CheckInBatchRaw([]server.CheckIn{{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}}, server.RawItems{}, nil)
-	if !strings.Contains(results[0].Error, "forward to owner failed") {
-		t.Fatalf("ambiguous batch failure item error = %q", results[0].Error)
-	}
-	if got := m.MetricsSnapshot().KnownDevices; got != 0 {
-		t.Fatal("ambiguous batch failure applied locally")
 	}
 
 	// Provably-unsent failure: safe to apply locally. It is a clean,
 	// caller-invisible fallback, so it counts in local_fallbacks but NOT in
 	// forward_errors (only ambiguous outcomes do).
 	fake.failForwardsWith(&client.NotSentError{Err: errors.New("fake: dial refused")})
-	if _, err := clu.CheckIn(server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}, nil); err != nil {
-		t.Fatalf("unsent forward must local-apply, got %v", err)
+	if res := checkInOne(clu, server.CheckIn{DeviceID: devPeer, CPU: 0.5, Mem: 0.5}); res.Error != "" {
+		t.Fatalf("unsent forward must local-apply, got %q", res.Error)
 	}
 	if got := m.MetricsSnapshot().KnownDevices; got != 1 {
 		t.Fatalf("unsent forward not applied locally (%d devices)", got)
 	}
 	tel := clu.ClusterTelemetry()
 	fwdErrs, fallbacks := tel.ClusterForwardErrors, tel.ClusterLocalFallbacks
-	if fwdErrs != 2 || fallbacks != 1 {
-		t.Fatalf("counters: %d forward errors (want 2), %d fallbacks (want 1)", fwdErrs, fallbacks)
+	if fwdErrs != 1 || fallbacks != 1 {
+		t.Fatalf("counters: %d forward errors (want 1), %d fallbacks (want 1)", fwdErrs, fallbacks)
 	}
 }
 

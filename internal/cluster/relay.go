@@ -455,8 +455,8 @@ func (r *relay[Req, Res]) commitLoop() {
 
 // flush sends one detached batch to the peer and delivers the verdict to
 // every contributing group, whose slots the reply was decoded into. One flush
-// is one hop frame (forwards_out counts frames, as the single-item forward
-// does) and its payload size feeds forward_bytes_out.
+// is one hop frame (forwards_out counts frames) and its payload size feeds
+// forward_bytes_out.
 func (r *relay[Req, Res]) flush(b *relayBatch[Req, Res]) {
 	var count [relayHdr]byte
 	n := binary.PutUvarint(count[:], uint64(b.items))

@@ -51,7 +51,7 @@ func telemetryViews(t *testing.T) map[string][]string {
 	fleet := viewsFleet("standalone", 16)
 	call(t, h, "/v1/checkin/batch", server.CheckInBatchRequest{CheckIns: fleet}, &batch)
 	call(t, h, "/v1/report/batch", server.ReportBatchRequest{Reports: reportsFor(fleet, batch.Results)}, nil)
-	call(t, h, "/v1/checkin", server.CheckIn{DeviceID: "standalone-single", CPU: 0.9, Mem: 0.9}, nil)
+	call(t, h, "/v1/checkin/batch", server.CheckInBatchRequest{CheckIns: []server.CheckIn{{DeviceID: "standalone-single", CPU: 0.9, Mem: 0.9}}}, nil)
 	out["standalone"] = views(t, m)
 
 	// A manager with a stream server, driven over a real connection.
@@ -344,8 +344,8 @@ func TestFederatedExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := deviceOwnedBy(t, clu.Ring(), "peer-1", "expo")
-	if _, err := clu.CheckIn(server.CheckIn{DeviceID: dev, CPU: 0.5, Mem: 0.5}, nil); err != nil {
-		t.Fatal(err)
+	if res := checkInOne(clu, server.CheckIn{DeviceID: dev, CPU: 0.5, Mem: 0.5}); res.Error != "" {
+		t.Fatal(res.Error)
 	}
 	render := func() string {
 		var b strings.Builder

@@ -106,7 +106,7 @@ func TestStaleTopologyCorrection(t *testing.T) {
 	// Warm the fresh client's view with one routed call: the first topology
 	// fetch is single-flight, and concurrent callers that lose the race fall
 	// back to plain seed routing (allowed to forward) by design.
-	if _, err := fresh.CheckIn(server.CheckIn{DeviceID: "warmup", CPU: 0.1, Mem: 0.1}); err != nil {
+	if _, err := fresh.CheckInBatch([]server.CheckIn{{DeviceID: "warmup", CPU: 0.1, Mem: 0.1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := fresh.TopologyEpoch(); !ok {

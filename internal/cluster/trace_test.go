@@ -55,24 +55,24 @@ func TestForwardTraceJoinsFlightRecords(t *testing.T) {
 
 	ca := client.NewStream(addrs[0])
 	defer ca.Close()
-	if _, err := ca.CheckIn(server.CheckIn{DeviceID: devB, CPU: 0.5, Mem: 0.5}); err != nil {
+	if _, err := ca.CheckInBatch([]server.CheckIn{{DeviceID: devB, CPU: 0.5, Mem: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Spans finish on the connection's goroutine after the flush that carried
-	// the response, so the flight records can land an instant after CheckIn
-	// returns.
+	// the response, so the flight records can land an instant after
+	// CheckInBatch returns.
 	var arec, brec obs.Record
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		arec, brec = obs.Record{}, obs.Record{}
 		for _, r := range a.Obs().Flight().Snapshot() {
-			if r.Forwarded && r.Op == "checkin" {
+			if r.Forwarded && r.Op == "checkin_batch" {
 				arec = r
 			}
 		}
 		for _, r := range b.Obs().Flight().Snapshot() {
-			if r.Hop && r.Op == "checkin" {
+			if r.Hop && r.Op == "checkin_batch" {
 				brec = r
 			}
 		}

@@ -33,16 +33,14 @@ func (st Stage) String() string {
 type Op uint8
 
 const (
-	OpCheckIn Op = iota
-	OpCheckInBatch
-	OpReport
+	OpCheckInBatch Op = iota
 	OpReportBatch
 	OpJobs
 	OpOther
 	NumOps
 )
 
-var opNames = [NumOps]string{"checkin", "checkin_batch", "report", "report_batch", "jobs", "other"}
+var opNames = [NumOps]string{"checkin_batch", "report_batch", "jobs", "other"}
 
 func (op Op) String() string {
 	if op < NumOps {

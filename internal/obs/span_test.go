@@ -22,7 +22,7 @@ func TestSamplingRate(t *testing.T) {
 	r := NewRegistry(4)
 	sampled := 0
 	for i := 0; i < 400; i++ {
-		if sp := r.Sample(OpCheckIn); sp != nil {
+		if sp := r.Sample(OpCheckInBatch); sp != nil {
 			sampled++
 			sp.Finish()
 		}
@@ -41,16 +41,16 @@ func TestSamplingDisabled(t *testing.T) {
 		t.Fatalf("SampleEvery() = %d, want 0 when disabled", r.SampleEvery())
 	}
 	for i := 0; i < 100; i++ {
-		if sp := r.Sample(OpCheckIn); sp != nil {
+		if sp := r.Sample(OpCheckInBatch); sp != nil {
 			t.Fatal("disabled registry sampled a span")
 		}
 	}
-	if sp := r.StartTraced(OpCheckIn, 42); sp != nil {
+	if sp := r.StartTraced(OpCheckInBatch, 42); sp != nil {
 		t.Fatal("disabled registry started a traced span")
 	}
 	// The always-on total path keeps working regardless.
-	r.ObserveTotal(OpCheckIn, time.Millisecond)
-	if got := r.TotalSnapshot(OpCheckIn).Count(); got != 1 {
+	r.ObserveTotal(OpCheckInBatch, time.Millisecond)
+	if got := r.TotalSnapshot(OpCheckInBatch).Count(); got != 1 {
 		t.Fatalf("total count = %d, want 1", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestSpanFinishRecordsStages(t *testing.T) {
 
 func TestStartTracedInheritsID(t *testing.T) {
 	r := NewRegistry(64)
-	sp := r.StartTraced(OpCheckIn, 0xdeadbeef)
+	sp := r.StartTraced(OpCheckInBatch, 0xdeadbeef)
 	if sp == nil {
 		t.Fatal("StartTraced returned nil with sampling on")
 	}
@@ -106,7 +106,7 @@ func TestStartTracedInheritsID(t *testing.T) {
 	if len(recs) != 1 || !recs[0].Hop || recs[0].TraceID != 0xdeadbeef {
 		t.Fatalf("unexpected hop record %+v", recs)
 	}
-	if r.StartTraced(OpCheckIn, 0) != nil {
+	if r.StartTraced(OpCheckInBatch, 0) != nil {
 		t.Fatal("StartTraced with zero trace ID must return nil")
 	}
 }
@@ -124,7 +124,7 @@ func TestTraceIDsUnique(t *testing.T) {
 }
 
 func TestRecordJSON(t *testing.T) {
-	rec := Record{TraceID: 0xabc, Op: "checkin", TotalNs: 123}
+	rec := Record{TraceID: 0xabc, Op: "checkin_batch", TotalNs: 123}
 	rec.StageNs[StageHop] = 77
 	buf, err := json.Marshal(rec)
 	if err != nil {
@@ -171,7 +171,7 @@ func TestFlightConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				sp := r.Sample(OpReport)
+				sp := r.Sample(OpReportBatch)
 				sp.Mark(StageApply, time.Duration(i+1))
 				sp.Finish()
 			}

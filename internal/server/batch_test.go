@@ -105,8 +105,8 @@ func TestCheckInBatchDailyBudget(t *testing.T) {
 }
 
 func TestBatchMatchesSingleSemantics(t *testing.T) {
-	// The same sequence of check-ins must yield identical assignments
-	// through the batch and the single entry points.
+	// The same sequence of check-ins must yield identical assignments as one
+	// batch and as batches of one.
 	run := func(batched bool) []Assignment {
 		clk := newFakeClock()
 		m := newTestManager(clk)
@@ -133,7 +133,7 @@ func TestBatchMatchesSingleSemantics(t *testing.T) {
 			return out
 		}
 		for i, ci := range cis {
-			asg, err := m.DeviceCheckIn(ci)
+			asg, err := checkInOne(m, ci)
 			if err != nil {
 				t.Fatal(err)
 			}

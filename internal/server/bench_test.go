@@ -22,7 +22,8 @@ func newBenchManager(b *testing.B, shards int) *Manager {
 }
 
 // BenchmarkManagerCheckInSingleLock is the seed-equivalent serving path:
-// one lock stripe, one check-in per call, concurrent callers.
+// one lock stripe, one check-in (a batch of one) per call, concurrent
+// callers.
 func BenchmarkManagerCheckInSingleLock(b *testing.B) {
 	benchmarkCheckInSingle(b, 1)
 }
@@ -40,7 +41,7 @@ func benchmarkCheckInSingle(b *testing.B, shards int) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			n := seq.Add(1)
-			_, err := m.DeviceCheckIn(CheckIn{
+			_, err := checkInOne(m, CheckIn{
 				DeviceID: fmt.Sprintf("bench-%d", n),
 				CPU:      float64(n%10) / 10,
 				Mem:      float64(n%7) / 7,

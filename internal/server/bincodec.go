@@ -1,8 +1,9 @@
 // Wire protocol v2: fixed-layout binary codecs for the high-volume wire
 // types. The JSON codecs in codec.go removed reflection from the serving
 // path; these remove JSON itself. A stream frame carries these layouts for
-// the four serving opcodes (check-in, report, and their batch forms) — see
-// internal/transport and the README "Wire protocol" spec.
+// the two serving opcodes (the check-in and report batches) — see
+// internal/transport and the README "Wire protocol" spec. The item layouts
+// (CheckIn through ReportResult) appear only inside a batch.
 //
 // Layout conventions (the spec; frozen once shipped):
 //
@@ -210,27 +211,14 @@ func (c *CheckIn) appendBinary(b []byte) []byte {
 	return appendBinF64(b, c.Mem)
 }
 
-// AppendBinary appends the v2 wire form to b (pooled-scratch variant of
-// MarshalBinary).
+// AppendBinary appends the item's v2 wire form to b: the bytes one check-in
+// occupies inside a batch.
 func (c *CheckIn) AppendBinary(b []byte) ([]byte, error) { return c.appendBinary(b), nil }
-
-// MarshalBinary implements encoding.BinaryMarshaler (wire protocol v2).
-func (c *CheckIn) MarshalBinary() ([]byte, error) {
-	return c.appendBinary(make([]byte, 0, 2+len(c.DeviceID)+16)), nil
-}
 
 func (c *CheckIn) decodeBinary(d *bdec) {
 	c.DeviceID = d.str()
 	c.CPU = d.f64()
 	c.Mem = d.f64()
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler (wire protocol v2).
-func (c *CheckIn) UnmarshalBinary(data []byte) error {
-	d := bdec{b: data}
-	*c = CheckIn{}
-	c.decodeBinary(&d)
-	return d.finish()
 }
 
 // --- Assignment ---
@@ -262,22 +250,6 @@ func (a *Assignment) appendTail(b []byte) []byte {
 	return appendBinString(b, a.Policy)
 }
 
-// AppendBinary appends the v2 wire form to b (pooled-scratch variant of
-// MarshalBinary).
-func (a *Assignment) AppendBinary(b []byte) ([]byte, error) {
-	fl := a.assignmentFlags()
-	b = append(b, fl)
-	if fl&binFlagTail != 0 {
-		b = a.appendTail(b)
-	}
-	return b, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler (wire protocol v2).
-func (a *Assignment) MarshalBinary() ([]byte, error) {
-	return a.AppendBinary(make([]byte, 0, 16+len(a.JobName)+len(a.Policy)))
-}
-
 func (a *Assignment) decodeTail(d *bdec) {
 	a.JobID = int(d.varint())
 	a.Round = int(d.varint())
@@ -298,14 +270,6 @@ func (a *Assignment) decodeBinary(d *bdec, allowedFlags byte) byte {
 	return fl
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler (wire protocol v2).
-func (a *Assignment) UnmarshalBinary(data []byte) error {
-	d := bdec{b: data}
-	*a = Assignment{}
-	a.decodeBinary(&d, binFlagAssigned|binFlagTail)
-	return d.finish()
-}
-
 // --- CheckInResult ---
 
 func (r *CheckInResult) appendBinary(b []byte) []byte {
@@ -323,24 +287,11 @@ func (r *CheckInResult) appendBinary(b []byte) []byte {
 	return b
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler (wire protocol v2).
-func (r *CheckInResult) MarshalBinary() ([]byte, error) {
-	return r.appendBinary(make([]byte, 0, 16+len(r.JobName)+len(r.Policy)+len(r.Error))), nil
-}
-
 func (r *CheckInResult) decodeBinary(d *bdec) {
 	fl := r.Assignment.decodeBinary(d, binFlagAssigned|binFlagTail|binFlagError)
 	if fl&binFlagError != 0 {
 		r.Error = d.str()
 	}
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler (wire protocol v2).
-func (r *CheckInResult) UnmarshalBinary(data []byte) error {
-	d := bdec{b: data}
-	*r = CheckInResult{}
-	r.decodeBinary(&d)
-	return d.finish()
 }
 
 // --- Report ---
@@ -352,28 +303,14 @@ func (r *Report) appendBinary(b []byte) []byte {
 	return appendBinF64(b, r.DurationSeconds)
 }
 
-// AppendBinary appends the v2 wire form to b (pooled-scratch variant of
-// MarshalBinary).
+// AppendBinary appends the item's v2 wire form to b (see CheckIn).
 func (r *Report) AppendBinary(b []byte) ([]byte, error) { return r.appendBinary(b), nil }
-
-// MarshalBinary implements encoding.BinaryMarshaler (wire protocol v2).
-func (r *Report) MarshalBinary() ([]byte, error) {
-	return r.appendBinary(make([]byte, 0, 2+len(r.DeviceID)+19)), nil
-}
 
 func (r *Report) decodeBinary(d *bdec) {
 	r.DeviceID = d.str()
 	r.JobID = int(d.varint())
 	r.OK = d.bool()
 	r.DurationSeconds = d.f64()
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler (wire protocol v2).
-func (r *Report) UnmarshalBinary(data []byte) error {
-	d := bdec{b: data}
-	*r = Report{}
-	r.decodeBinary(&d)
-	return d.finish()
 }
 
 // --- ReportResult ---
@@ -386,11 +323,6 @@ func (r *ReportResult) appendBinary(b []byte) []byte {
 	return appendBinString(b, r.Error)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler (wire protocol v2).
-func (r *ReportResult) MarshalBinary() ([]byte, error) {
-	return r.appendBinary(make([]byte, 0, 2+len(r.Error))), nil
-}
-
 func (r *ReportResult) decodeBinary(d *bdec) {
 	fl := d.u8()
 	switch fl {
@@ -400,14 +332,6 @@ func (r *ReportResult) decodeBinary(d *bdec) {
 	default:
 		d.fail("unknown flag bits")
 	}
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler (wire protocol v2).
-func (r *ReportResult) UnmarshalBinary(data []byte) error {
-	d := bdec{b: data}
-	*r = ReportResult{}
-	r.decodeBinary(&d)
-	return d.finish()
 }
 
 // --- batch types ---

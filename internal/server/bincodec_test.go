@@ -8,29 +8,34 @@ import (
 )
 
 // TestBinCodecRoundTrip pins value-level round trips through the v2 binary
-// codec for representative shapes of every wire type, including the ones
-// the manager never emits (lossless encoding is what makes the codec safe
-// to extend).
+// codec for representative shapes of every item type, each carried in a
+// batch of one, beside batches of zero and many — including shapes the
+// manager never emits (lossless encoding is what makes the codec safe to
+// extend).
 func TestBinCodecRoundTrip(t *testing.T) {
+	ciOne := func(ci CheckIn) binCodec { return &CheckInBatchRequest{CheckIns: []CheckIn{ci}} }
+	resOne := func(r CheckInResult) binCodec { return &CheckInBatchResponse{Results: []CheckInResult{r}} }
 	vals := []binCodec{
-		&CheckIn{},
-		&CheckIn{DeviceID: "dev-0042", CPU: 0.75, Mem: 0.5},
-		&CheckIn{DeviceID: strings.Repeat("x", 300), CPU: math.Inf(1), Mem: -0},
-		&Assignment{},
-		&Assignment{Assigned: true, JobID: 12, Round: 3, JobName: "resnet", Policy: "venn"},
-		&Assignment{Assigned: true}, // assigned with zero tail: flags-only
-		&Assignment{JobID: -5},      // tail without assigned
-		&CheckInResult{},
-		&CheckInResult{Assignment: Assignment{Assigned: true, JobID: 1, JobName: "j", Policy: "fifo"}},
-		&CheckInResult{Error: "device busy"},
-		&Report{DeviceID: "d", JobID: -1, OK: false, DurationSeconds: 0.001},
-		&Report{DeviceID: "", JobID: 1 << 40, OK: true},
-		&ReportResult{},
-		&ReportResult{Error: "unknown job 9"},
+		ciOne(CheckIn{}),
+		ciOne(CheckIn{DeviceID: "dev-0042", CPU: 0.75, Mem: 0.5}),
+		ciOne(CheckIn{DeviceID: strings.Repeat("x", 300), CPU: math.Inf(1), Mem: -0}),
+		resOne(CheckInResult{}),
+		resOne(CheckInResult{Assignment: Assignment{Assigned: true, JobID: 12, Round: 3, JobName: "resnet", Policy: "venn"}}),
+		resOne(CheckInResult{Assignment: Assignment{Assigned: true}}), // assigned with zero tail: flags-only
+		resOne(CheckInResult{Assignment: Assignment{JobID: -5}}),      // tail without assigned
+		resOne(CheckInResult{Assignment: Assignment{Assigned: true, JobID: 1, JobName: "j", Policy: "fifo"}}),
+		resOne(CheckInResult{Error: "device busy"}),
+		&ReportBatchRequest{Reports: []Report{{DeviceID: "d", JobID: -1, OK: false, DurationSeconds: 0.001}}},
+		&ReportBatchRequest{Reports: []Report{{DeviceID: "", JobID: 1 << 40, OK: true}}},
+		&ReportBatchResponse{Results: []ReportResult{{}}},
+		&ReportBatchResponse{Results: []ReportResult{{Error: "unknown job 9"}}},
 		&CheckInBatchRequest{},
 		&CheckInBatchRequest{CheckIns: []CheckIn{{DeviceID: "a", CPU: 1}, {DeviceID: "b", Mem: 1}}},
+		&CheckInBatchResponse{},
 		&CheckInBatchResponse{Results: []CheckInResult{{}, {Error: "busy"}, {Assignment: Assignment{Assigned: true, JobID: 2}}}},
-		&ReportBatchRequest{Reports: []Report{{DeviceID: "d", JobID: 7, OK: true, DurationSeconds: 3.5}}},
+		&ReportBatchRequest{},
+		&ReportBatchRequest{Reports: []Report{{DeviceID: "d", JobID: 7, OK: true, DurationSeconds: 3.5}, {}}},
+		&ReportBatchResponse{},
 		&ReportBatchResponse{Results: []ReportResult{{}, {Error: "x"}}},
 	}
 	for _, v := range vals {
@@ -104,24 +109,20 @@ func TestBinCodecCompactUnassigned(t *testing.T) {
 // batch counts, oversized strings, truncation, unknown flag bits, and
 // non-boolean bools are all errors, never panics or huge allocations.
 func TestBinCodecRejects(t *testing.T) {
-	ci := CheckIn{DeviceID: "a", CPU: 1, Mem: 1}
-	good, err := ci.MarshalBinary()
+	one := CheckInBatchRequest{CheckIns: []CheckIn{{DeviceID: "a", CPU: 1, Mem: 1}}}
+	good, err := one.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
 		"trailing bytes":  append(append([]byte{}, good...), 0),
 		"truncated":       good[:len(good)-1],
-		"oversized str":   {0xFF, 0xFF, 0x03, 'a'},
+		"oversized str":   {0x01, 0xFF, 0xFF, 0x03, 'a'},
 		"empty":           {},
 		"bad count":       {0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
 		"overflow varint": {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
 	}
 	for name, data := range cases {
-		var v CheckIn
-		if err := v.UnmarshalBinary(data); err == nil && name != "empty" {
-			t.Errorf("CheckIn accepted %s input %x", name, data)
-		}
 		var b CheckInBatchRequest
 		if err := b.UnmarshalBinary(data); err == nil {
 			t.Errorf("CheckInBatchRequest accepted %s input %x", name, data)
@@ -136,39 +137,39 @@ func TestBinCodecRejects(t *testing.T) {
 		t.Error("batch count above MaxBatch accepted")
 	}
 	// Unknown flag bits must be rejected (forward-compatibility guard).
-	var a Assignment
-	if err := a.UnmarshalBinary([]byte{0x80}); err == nil {
-		t.Error("Assignment accepted unknown flag bit")
+	var cr CheckInBatchResponse
+	if err := cr.UnmarshalBinary([]byte{0x01, 0x80}); err == nil {
+		t.Error("CheckInResult accepted unknown flag bit")
 	}
-	var rr ReportResult
-	if err := rr.UnmarshalBinary([]byte{0x02}); err == nil {
+	var rr ReportBatchResponse
+	if err := rr.UnmarshalBinary([]byte{0x01, 0x02}); err == nil {
 		t.Error("ReportResult accepted unknown flag bit")
 	}
 	// Report.OK must be exactly 0 or 1.
-	rep := Report{DeviceID: "d", OK: true}
+	rep := ReportBatchRequest{Reports: []Report{{DeviceID: "d", OK: true}}}
 	buf, _ := rep.MarshalBinary()
 	okOff := len(buf) - 9 // bool sits 9 bytes from the end (1 + 8-byte f64)
 	buf[okOff] = 2
-	var r2 Report
+	var r2 ReportBatchRequest
 	if err := r2.UnmarshalBinary(buf); err == nil {
 		t.Error("Report accepted bool byte 2")
 	}
 }
 
 // TestBinCodecEmptyCheckIn: a CheckIn with all-zero fields must still parse
-// (the service layer, not the codec, decides whether an empty device_id is
+// (the manager, not the codec, decides whether an empty device_id is
 // acceptable — exactly like the JSON codec).
 func TestBinCodecEmptyCheckIn(t *testing.T) {
-	var ci CheckIn
-	buf, err := ci.MarshalBinary()
+	req := CheckInBatchRequest{CheckIns: []CheckIn{{}}}
+	buf, err := req.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got CheckIn
+	var got CheckInBatchRequest
 	if err := got.UnmarshalBinary(buf); err != nil {
 		t.Fatal(err)
 	}
-	if got != ci {
-		t.Fatalf("empty CheckIn round trip: %+v", got)
+	if len(got.CheckIns) != 1 || got.CheckIns[0] != (CheckIn{}) {
+		t.Fatalf("empty CheckIn round trip: %+v", got.CheckIns)
 	}
 }

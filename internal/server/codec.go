@@ -1,10 +1,10 @@
 // Hand-rolled JSON codecs for the high-volume wire types. At hundreds of
 // thousands of check-ins per second the reflection-based encoding/json
 // round trip dominates the serving path's CPU profile (the scheduler core
-// itself is a sub-microsecond slice), so the batch request/response types —
-// and the single-item check-in types they embed — implement
-// json.Marshaler/json.Unmarshaler with a small scanner specialized to their
-// fixed shapes. The wire format is unchanged and order-insensitive:
+// itself is a sub-microsecond slice), so the batch request/response types
+// implement json.Marshaler/json.Unmarshaler with a small scanner specialized
+// to their fixed shapes; the items inside a batch encode through unexported
+// helpers. The wire format is unchanged and order-insensitive:
 // arbitrary whitespace, any field order, escaped strings, and null values
 // all parse; unknown fields are rejected exactly like the former
 // DisallowUnknownFields decoder. Round-trip equivalence with encoding/json
@@ -315,9 +315,6 @@ func (ci CheckIn) appendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// MarshalJSON implements json.Marshaler.
-func (ci CheckIn) MarshalJSON() ([]byte, error) { return ci.appendJSON(nil), nil }
-
 func (ci *CheckIn) scanFrom(s *jscan) error {
 	return s.object(func(key []byte) error {
 		var err error
@@ -333,12 +330,6 @@ func (ci *CheckIn) scanFrom(s *jscan) error {
 		}
 		return err
 	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (ci *CheckIn) UnmarshalJSON(b []byte) error {
-	s := jscan{b: b}
-	return ci.scanFrom(&s)
 }
 
 // --- CheckInBatchRequest ---
@@ -397,9 +388,6 @@ func (a Assignment) appendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// MarshalJSON implements json.Marshaler.
-func (a Assignment) MarshalJSON() ([]byte, error) { return a.appendJSON(nil), nil }
-
 func (a *Assignment) scanField(s *jscan, key []byte) (bool, error) {
 	var err error
 	switch string(key) {
@@ -417,18 +405,6 @@ func (a *Assignment) scanField(s *jscan, key []byte) (bool, error) {
 		return false, nil
 	}
 	return true, err
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (a *Assignment) UnmarshalJSON(b []byte) error {
-	s := jscan{b: b}
-	return s.object(func(key []byte) error {
-		ok, err := a.scanField(&s, key)
-		if err == nil && !ok {
-			err = errUnknownField(string(key))
-		}
-		return err
-	})
 }
 
 func (r CheckInResult) appendJSON(b []byte) []byte {
@@ -455,12 +431,12 @@ func (r *CheckInResult) scanFrom(s *jscan) error {
 	})
 }
 
-// MarshalJSON implements json.Marshaler. It must exist explicitly: the
-// embedded Assignment's method would otherwise be promoted and silently drop
-// the Error field on any encoding/json path.
+// MarshalJSON implements json.Marshaler, so that a result encodes the same
+// alone (encoding/json) as inside a CheckInBatchResponse; without it the
+// embedded Assignment's reflective encoding would drop a zero job_id.
 func (r CheckInResult) MarshalJSON() ([]byte, error) { return r.appendJSON(nil), nil }
 
-// UnmarshalJSON implements json.Unmarshaler (see MarshalJSON for why).
+// UnmarshalJSON implements json.Unmarshaler (see MarshalJSON).
 func (r *CheckInResult) UnmarshalJSON(b []byte) error {
 	s := jscan{b: b}
 	return r.scanFrom(&s)
@@ -516,9 +492,6 @@ func (r Report) appendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// MarshalJSON implements json.Marshaler.
-func (r Report) MarshalJSON() ([]byte, error) { return r.appendJSON(nil), nil }
-
 func (r *Report) scanFrom(s *jscan) error {
 	return s.object(func(key []byte) error {
 		var err error
@@ -536,12 +509,6 @@ func (r *Report) scanFrom(s *jscan) error {
 		}
 		return err
 	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *Report) UnmarshalJSON(b []byte) error {
-	s := jscan{b: b}
-	return r.scanFrom(&s)
 }
 
 // --- ReportBatchRequest / ReportBatchResponse ---

@@ -89,6 +89,8 @@ func TestCheckInBatchRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckInUnmarshalFlexibleSyntax feeds each item shape through the batch
+// decoder, the one that serves check-ins.
 func TestCheckInUnmarshalFlexibleSyntax(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -104,20 +106,19 @@ func TestCheckInUnmarshalFlexibleSyntax(t *testing.T) {
 		{`{"device_id":"é\"\\\n","cpu":0,"mem":0}`, CheckIn{DeviceID: "é\"\\\n"}},
 	}
 	for _, c := range cases {
-		var got CheckIn
-		if err := json.Unmarshal([]byte(c.in), &got); err != nil {
+		var got CheckInBatchRequest
+		if err := got.UnmarshalJSON([]byte(`{"checkins":[` + c.in + `]}`)); err != nil {
 			t.Errorf("%s: %v", c.in, err)
 			continue
 		}
-		if got != c.want {
-			t.Errorf("%s: got %+v, want %+v", c.in, got, c.want)
+		if len(got.CheckIns) != 1 || got.CheckIns[0] != c.want {
+			t.Errorf("%s: got %+v, want %+v", c.in, got.CheckIns, c.want)
 		}
 	}
 }
 
 func TestCheckInUnmarshalRejectsGarbage(t *testing.T) {
 	bad := []string{
-		``,
 		`{`,
 		`[]`,
 		`{"device_id":}`,
@@ -129,19 +130,18 @@ func TestCheckInUnmarshalRejectsGarbage(t *testing.T) {
 		"{\"device_id\":\"\x01raw-control\"}",
 	}
 	for _, in := range bad {
-		var ci CheckIn
-		if err := json.Unmarshal([]byte(in), &ci); err == nil {
-			t.Errorf("%q: expected error, got %+v", in, ci)
+		var req CheckInBatchRequest
+		if err := req.UnmarshalJSON([]byte(`{"checkins":[` + in + `]}`)); err == nil {
+			t.Errorf("%q: expected error, got %+v", in, req.CheckIns)
 		}
 	}
-	// Unknown fields must be rejected batch-deep, matching the former
-	// DisallowUnknownFields decoder.
-	var req CheckInBatchRequest
-	if err := req.UnmarshalJSON([]byte(`{"checkins":[{"device_id":"a","bogus":1}]}`)); err == nil {
-		t.Error("nested unknown field must be rejected")
-	}
-	if err := req.UnmarshalJSON([]byte(`{"bogus":[]}`)); err == nil {
-		t.Error("top-level unknown field must be rejected")
+	// Unknown fields must be rejected batch-deep and at the top, matching the
+	// former DisallowUnknownFields decoder; an empty body is malformed.
+	for _, in := range []string{``, `{"checkins":[{"device_id":"a","bogus":1}]}`, `{"bogus":[]}`} {
+		var req CheckInBatchRequest
+		if err := req.UnmarshalJSON([]byte(in)); err == nil {
+			t.Errorf("%q: expected error", in)
+		}
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 )
 
 // driveCorePipeline replays a fixed traffic script — staggered job
-// registrations, mixed eligible/surplus check-in batches, single check-ins,
-// and reports — and returns every result the manager handed back, JSON
-// encoded in arrival order. Two managers with the same seed and clock must
+// registrations, mixed eligible/surplus check-in batches, lone check-ins
+// (batches of one), and reports — and returns every result the manager
+// handed back, JSON encoded in arrival order. Two managers with the same seed and clock must
 // produce byte-identical transcripts regardless of the core commit mode.
 func driveCorePipeline(t *testing.T, m *Manager, clk *fakeClock) []byte {
 	t.Helper()
@@ -65,14 +65,16 @@ func driveCorePipeline(t *testing.T, m *Manager, clk *fakeClock) []byte {
 		if len(reps) > 0 {
 			record(m.ReportBatch(reps))
 		}
+		// A lone check-in. Its result carries no error, so it encodes exactly
+		// as its Assignment: the golden transcript holds those bytes.
 		sid := fmt.Sprintf("s%d", step%10)
-		asg, err := m.DeviceCheckIn(CheckIn{DeviceID: sid, CPU: 0.95, Mem: 0.95})
-		if err != nil {
-			t.Fatal(err)
+		asg := m.CheckInBatch([]CheckIn{{DeviceID: sid, CPU: 0.95, Mem: 0.95}})[0]
+		if asg.Error != "" {
+			t.Fatal(asg.Error)
 		}
 		record(asg)
 		if asg.Assigned {
-			if err := m.DeviceReport(Report{DeviceID: sid, JobID: asg.JobID, OK: true, DurationSeconds: 4}); err != nil {
+			if err := reportOne(m, Report{DeviceID: sid, JobID: asg.JobID, OK: true, DurationSeconds: 4}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -263,15 +265,15 @@ func TestDisableDailyBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		ci := CheckIn{DeviceID: "dev", CPU: 0.9, Mem: 0.9}
-		asg, err := m.DeviceCheckIn(ci)
+		asg, err := checkInOne(m, ci)
 		if err != nil || !asg.Assigned {
 			t.Fatalf("disabled=%v: first check-in not assigned: %+v, %v", disabled, asg, err)
 		}
-		if err := m.DeviceReport(Report{DeviceID: "dev", JobID: asg.JobID, OK: true, DurationSeconds: 1}); err != nil {
+		if err := reportOne(m, Report{DeviceID: "dev", JobID: asg.JobID, OK: true, DurationSeconds: 1}); err != nil {
 			t.Fatal(err)
 		}
 		clk.advance(time.Minute)
-		again, err := m.DeviceCheckIn(ci)
+		again, err := checkInOne(m, ci)
 		if err != nil {
 			t.Fatal(err)
 		}

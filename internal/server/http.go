@@ -23,24 +23,20 @@ import (
 
 // HandlerConfig bounds the HTTP adapter. The zero value takes the defaults.
 type HandlerConfig struct {
-	// MaxBodyBytes caps single-item request bodies (default 1 MiB). A
-	// malformed giant payload is rejected with 413 before it can balloon
-	// memory.
-	MaxBodyBytes int64
 	// MaxBatchBodyBytes caps batch request bodies (default MaxBatch KiB,
 	// ~1KB of headroom per allowed item).
 	MaxBatchBodyBytes int64
 }
 
 const (
+	// defaultMaxBodyBytes caps every other request body (a JobSpec): a
+	// malformed giant payload is rejected with 413 before it can balloon
+	// memory.
 	defaultMaxBodyBytes      = 1 << 20
 	defaultMaxBatchBodyBytes = MaxBatch * 1024
 )
 
 func (c *HandlerConfig) fillDefaults() {
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = defaultMaxBodyBytes
-	}
 	if c.MaxBatchBodyBytes <= 0 {
 		c.MaxBatchBodyBytes = defaultMaxBatchBodyBytes
 	}
@@ -51,9 +47,7 @@ func (c *HandlerConfig) fillDefaults() {
 //	POST /v1/jobs            {JobSpec}              -> JobStatus
 //	GET  /v1/jobs            -> []JobStatus
 //	GET  /v1/jobs/{id}       -> JobStatus
-//	POST /v1/checkin         {CheckIn}              -> Assignment
 //	POST /v1/checkin/batch   {CheckInBatchRequest}  -> CheckInBatchResponse
-//	POST /v1/report          {Report}               -> {}
 //	POST /v1/report/batch    {ReportBatchRequest}   -> ReportBatchResponse
 //	GET  /v1/stats           -> Stats
 //	GET  /v1/metrics         -> Metrics (JSON)
@@ -67,7 +61,7 @@ func (c *HandlerConfig) fillDefaults() {
 // request_stage_ns and the flight recorder.
 func Handler(m *Manager) http.Handler { return NewHandler(m, HandlerConfig{}) }
 
-// NewHandler is Handler with explicit body bounds.
+// NewHandler is Handler with an explicit batch body bound.
 func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 	cfg.fillDefaults()
 	svc := NewService(m, TransportHTTP)
@@ -85,7 +79,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 		switch r.Method {
 		case http.MethodPost:
 			var spec JobSpec
-			if !decodeTimed(w, r, cfg.MaxBodyBytes, &spec, sp) {
+			if !decodeTimed(w, r, defaultMaxBodyBytes, &spec, sp) {
 				return
 			}
 			st, err := svc.RegisterJob(spec)
@@ -121,23 +115,6 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 		}
 		writeJSONSpan(w, st, http.StatusOK, sp)
 	})
-	handle("/v1/checkin", obs.OpCheckIn, func(w http.ResponseWriter, r *http.Request, sp *obs.Span) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var ci CheckIn
-		if !decodeTimed(w, r, cfg.MaxBodyBytes, &ci, sp) {
-			return
-		}
-		asg, err := svc.CheckIn(ci, sp)
-		if err != nil {
-			sp.SetError()
-			writeErr(w, err)
-			return
-		}
-		writeJSONSpan(w, asg, http.StatusOK, sp)
-	})
 	handle("/v1/checkin/batch", obs.OpCheckInBatch, func(w http.ResponseWriter, r *http.Request, sp *obs.Span) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -157,22 +134,6 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			return
 		}
 		writeJSONSpan(w, CheckInBatchResponse{Results: results}, http.StatusOK, sp)
-	})
-	handle("/v1/report", obs.OpReport, func(w http.ResponseWriter, r *http.Request, sp *obs.Span) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var rep Report
-		if !decodeTimed(w, r, cfg.MaxBodyBytes, &rep, sp) {
-			return
-		}
-		if err := svc.Report(rep, sp); err != nil {
-			sp.SetError()
-			writeErr(w, err)
-			return
-		}
-		writeJSONSpan(w, struct{}{}, http.StatusOK, sp)
 	})
 	handle("/v1/report/batch", obs.OpReportBatch, func(w http.ResponseWriter, r *http.Request, sp *obs.Span) {
 		if r.Method != http.MethodPost {
@@ -249,8 +210,8 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 // Serve runs the HTTP API plus the deadline ticker until the listener fails
 // or ctx is canceled; cancellation drains in-flight requests (up to
 // shutdownGrace) before returning, so a SIGTERM never drops accepted work.
-// A clean drain returns nil. cfg's zero value takes the default body
-// bounds.
+// A clean drain returns nil. cfg's zero value takes the default batch body
+// bound.
 func Serve(ctx context.Context, addr string, m *Manager, cfg HandlerConfig) error {
 	stop := make(chan struct{})
 	defer close(stop)
@@ -344,17 +305,14 @@ func bodyErr(err error) error {
 	return svcErr(CodeInvalid, err)
 }
 
-// httpStatus maps service error codes to HTTP statuses.
+// httpStatus maps service error codes to HTTP statuses. Busy and
+// unavailable never reach it: they are per-item errors of a batch.
 func httpStatus(code Code) int {
 	switch code {
 	case CodeNotFound:
 		return http.StatusNotFound
-	case CodeBusy:
-		return http.StatusConflict
 	case CodeTooLarge:
 		return http.StatusRequestEntityTooLarge
-	case CodeUnavailable:
-		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest
 	}

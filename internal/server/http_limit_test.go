@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,11 +11,12 @@ import (
 )
 
 // TestBodyLimits pins the request-body bounds: an over-limit payload is
-// answered with 413 before it can balloon memory, on both the single-item
-// and batch endpoints, and the bound is configurable.
+// answered with 413 and code toolarge before it can balloon memory, on the
+// job endpoint (a fixed 1 MiB bound) and on the batch endpoints (a
+// configurable one).
 func TestBodyLimits(t *testing.T) {
 	m := NewManager(Config{})
-	srv := httptest.NewServer(NewHandler(m, HandlerConfig{MaxBodyBytes: 256, MaxBatchBodyBytes: 1024}))
+	srv := httptest.NewServer(NewHandler(m, HandlerConfig{MaxBatchBodyBytes: 1024}))
 	defer srv.Close()
 
 	post := func(path string, body []byte) int {
@@ -22,19 +24,30 @@ func TestBodyLimits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("POST %s: %v", path, err)
 		}
-		resp.Body.Close()
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusRequestEntityTooLarge {
+			var e struct {
+				Code Code `json:"code"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Code != CodeTooLarge {
+				t.Errorf("POST %s: 413 body code %v (%v), want CodeTooLarge", path, e.Code, err)
+			}
+		}
 		return resp.StatusCode
 	}
 
 	// Within bounds: normal processing.
-	if code := post("/v1/checkin", []byte(`{"device_id":"a","cpu":0.5,"mem":0.5}`)); code != http.StatusOK {
-		t.Errorf("small checkin status %d", code)
+	if code := post("/v1/checkin/batch", []byte(`{"checkins":[{"device_id":"a","cpu":0.5,"mem":0.5}]}`)); code != http.StatusOK {
+		t.Errorf("small batch status %d", code)
+	}
+	if code := post("/v1/jobs", []byte(`{"name":"j","category":"General","demand_per_round":1,"rounds":1}`)); code != http.StatusCreated {
+		t.Errorf("small job spec status %d", code)
 	}
 
-	// A giant single-item body trips the 256-byte bound.
-	big := []byte(fmt.Sprintf(`{"device_id":%q,"cpu":0.5,"mem":0.5}`, strings.Repeat("x", 4096)))
-	if code := post("/v1/checkin", big); code != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized checkin status %d, want 413", code)
+	// A job spec over 1 MiB trips the fixed bound.
+	big := []byte(fmt.Sprintf(`{"name":%q,"category":"General","demand_per_round":1,"rounds":1}`, strings.Repeat("x", defaultMaxBodyBytes)))
+	if code := post("/v1/jobs", big); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized job spec status %d, want 413", code)
 	}
 
 	// Same for the batch endpoint and its separate bound.

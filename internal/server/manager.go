@@ -51,7 +51,8 @@ import (
 	"venn/internal/tsdb"
 )
 
-// Errors returned by the manager.
+// Errors returned by the manager. ErrDeviceBusy and ErrUnknownDevice reach a
+// caller as a batch item's Error, which carries their message.
 var (
 	ErrUnknownJob      = errors.New("server: unknown job")
 	ErrUnknownCategory = errors.New("server: requirement must be one of the configured categories")
@@ -646,30 +647,6 @@ func (m *Manager) assignCoreLocked(s *slot, deviceID string, now simtime.Time) A
 	return Assignment{Assigned: true, JobID: int(j.ID), JobName: j.Name, Round: j.Round(), Policy: m.policyName}
 }
 
-// DeviceCheckIn registers availability and returns an assignment (or none).
-func (m *Manager) DeviceCheckIn(ci CheckIn) (Assignment, error) {
-	return m.DeviceCheckInSpan(ci, nil)
-}
-
-// DeviceCheckInSpan is DeviceCheckIn carrying the request's observability
-// span (nil when unsampled): ops that enter the core commit pipeline
-// attribute their queue wait and apply time to it. It serves ci as a batch of
-// one (CheckInBatchBuf).
-func (m *Manager) DeviceCheckInSpan(ci CheckIn, sp *obs.Span) (Assignment, error) {
-	if ci.DeviceID == "" {
-		return Assignment{}, errDeviceIDMissing
-	}
-	b := getBatchBuf()
-	b.CheckIns = append(b.CheckIns[:0], ci)
-	res := m.CheckInBatchBuf(b, sp)[0]
-	putBatchBuf(b)
-	if res.Error != "" {
-		// With an ID, the registry's busy refusal is the one per-item error.
-		return Assignment{}, ErrDeviceBusy
-	}
-	return res.Assignment, nil
-}
-
 // CheckInBatch processes a batch of check-ins; Results[i] answers
 // CheckIns[i]. Shard-local admission runs per device stripe; each admitted
 // device is then probed against the lock-free plan snapshot, and only the
@@ -680,10 +657,11 @@ func (m *Manager) CheckInBatch(cis []CheckIn) []CheckInResult {
 	return m.CheckInBatchBuf(&BatchBuf{CheckIns: cis}, nil)
 }
 
-// CheckInBatchBuf is CheckInBatch of buf.CheckIns carrying the request's span
-// (see DeviceCheckInSpan), with the results and the combiner's items in buf's
-// storage (see BatchBuf for how long the results stay valid). Every check-in
-// this node applies, single or batch, commits here.
+// CheckInBatchBuf is CheckInBatch of buf.CheckIns carrying the request's
+// observability span (nil when unsampled; ops that enter the core commit
+// pipeline attribute their queue wait and apply time to it), with the results
+// and the combiner's items in buf's storage (see BatchBuf for how long the
+// results stay valid). Every check-in this node applies commits here.
 func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 	cis, out := buf.CheckIns, buf.CheckInSlots(len(buf.CheckIns))
 	if len(cis) == 0 {
@@ -790,28 +768,6 @@ func (m *Manager) reportCoreLocked(r Report, s *slot, now simtime.Time) {
 		mj.j.Demand-mj.j.AttemptFailures() < mj.j.TargetResponses() {
 		m.abortLocked(mj, now)
 	}
-}
-
-// DeviceReport records a task result.
-func (m *Manager) DeviceReport(r Report) error {
-	return m.DeviceReportSpan(r, nil)
-}
-
-// DeviceReportSpan is DeviceReport carrying the request's span (see
-// DeviceCheckInSpan), served as a batch of one (ReportBatchBuf).
-func (m *Manager) DeviceReportSpan(r Report, sp *obs.Span) error {
-	if r.DeviceID == "" {
-		return errDeviceIDMissing
-	}
-	b := getBatchBuf()
-	b.Reports = append(b.Reports[:0], r)
-	failed := m.ReportBatchBuf(b, sp)[0].Error != ""
-	putBatchBuf(b)
-	if failed {
-		// With an ID, an unknown device is the one per-item error.
-		return ErrUnknownDevice
-	}
-	return nil
 }
 
 // ReportBatch processes a batch of reports with a single scheduler-lock

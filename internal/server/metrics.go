@@ -214,9 +214,7 @@ func (rc *rateCounter) PerSec(nowSec, startSec int64) float64 {
 // string forms of the obs.Op enum — the JSON view, the Prometheus view, and
 // the per-stage breakdowns all share one vocabulary.
 const (
-	RouteCheckIn      = "checkin"
 	RouteCheckInBatch = "checkin_batch"
-	RouteReport       = "report"
 	RouteReportBatch  = "report_batch"
 	RouteJobs         = "jobs"
 	RouteOther        = "other"

@@ -102,7 +102,7 @@ func TestMetricsSnapshotAndEndpoint(t *testing.T) {
 
 	resp := postJSON(t, srv, "/v1/jobs", JobSpec{Category: "General", DemandPerRound: 2, Rounds: 1})
 	resp.Body.Close()
-	resp = postJSON(t, srv, "/v1/checkin", CheckIn{DeviceID: "m0", CPU: 0.6, Mem: 0.6})
+	resp = postJSON(t, srv, "/v1/checkin/batch", CheckInBatchRequest{CheckIns: []CheckIn{{DeviceID: "m0", CPU: 0.6, Mem: 0.6}}})
 	resp.Body.Close()
 	resp = postJSON(t, srv, "/v1/checkin/batch", CheckInBatchRequest{CheckIns: []CheckIn{
 		{DeviceID: "m1", CPU: 0.7, Mem: 0.7},
@@ -139,15 +139,11 @@ func TestMetricsSnapshotAndEndpoint(t *testing.T) {
 	if mt.ActiveJobs != 1 || mt.CollectingJobs != 1 {
 		t.Errorf("job depths: %+v", mt)
 	}
-	ci, ok := mt.HandlerLatencyMs[RouteCheckIn]
-	if !ok || ci.Count != 1 {
-		t.Errorf("checkin latency: %+v (ok=%v)", ci, ok)
-	}
 	cb, ok := mt.HandlerLatencyMs[RouteCheckInBatch]
-	if !ok || cb.Count != 1 || cb.P99 < 0 {
+	if !ok || cb.Count != 2 || cb.P99 < 0 {
 		t.Errorf("checkin_batch latency: %+v (ok=%v)", cb, ok)
 	}
-	if _, ok := mt.HandlerLatencyMs[RouteReport]; ok {
+	if _, ok := mt.HandlerLatencyMs[RouteReportBatch]; ok {
 		t.Error("untouched route must be omitted from the latency map")
 	}
 

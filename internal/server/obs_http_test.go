@@ -150,7 +150,7 @@ func TestFlightEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	for i := 0; i < 4; i++ {
-		resp := postJSON(t, srv, "/v1/checkin", CheckIn{DeviceID: "fd-1", CPU: 0.5, Mem: 0.5})
+		resp := postJSON(t, srv, "/v1/checkin/batch", CheckInBatchRequest{CheckIns: []CheckIn{{DeviceID: "fd-1", CPU: 0.5, Mem: 0.5}}})
 		resp.Body.Close()
 	}
 
@@ -197,7 +197,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler(m))
 	defer srv.Close()
 
-	resp := postJSON(t, srv, "/v1/checkin", CheckIn{DeviceID: "pm-1", CPU: 0.5, Mem: 0.5})
+	resp := postJSON(t, srv, "/v1/checkin/batch", CheckInBatchRequest{CheckIns: []CheckIn{{DeviceID: "pm-1", CPU: 0.5, Mem: 0.5}}})
 	resp.Body.Close()
 
 	r, err := http.Get(srv.URL + "/metrics")
@@ -245,20 +245,20 @@ func TestUnifiedStageHistograms(t *testing.T) {
 	srv := httptest.NewServer(Handler(m))
 	defer srv.Close()
 
-	resp := postJSON(t, srv, "/v1/checkin", CheckIn{DeviceID: "uh-1", CPU: 0.5, Mem: 0.5})
+	resp := postJSON(t, srv, "/v1/checkin/batch", CheckInBatchRequest{CheckIns: []CheckIn{{DeviceID: "uh-1", CPU: 0.5, Mem: 0.5}}})
 	resp.Body.Close()
 
 	mt := m.MetricsSnapshot()
 	if mt.ObsSampleEvery != 1 {
 		t.Fatalf("ObsSampleEvery = %d", mt.ObsSampleEvery)
 	}
-	lat, ok := mt.HandlerLatencyMs[RouteCheckIn]
+	lat, ok := mt.HandlerLatencyMs[RouteCheckInBatch]
 	if !ok || lat.Count == 0 {
-		t.Fatalf("handler latency missing for %s: %+v", RouteCheckIn, mt.HandlerLatencyMs)
+		t.Fatalf("handler latency missing for %s: %+v", RouteCheckInBatch, mt.HandlerLatencyMs)
 	}
-	stages, ok := mt.RequestStageNs[RouteCheckIn]
+	stages, ok := mt.RequestStageNs[RouteCheckInBatch]
 	if !ok {
-		t.Fatalf("no stage breakdown for %s: %v", RouteCheckIn, mt.RequestStageNs)
+		t.Fatalf("no stage breakdown for %s: %v", RouteCheckInBatch, mt.RequestStageNs)
 	}
 	if s, ok := stages[obs.StageDecode.String()]; !ok || s.Count == 0 {
 		t.Fatalf("decode stage unobserved: %+v", stages)

@@ -7,7 +7,7 @@ import (
 )
 
 // TestConcurrentCheckInReport hammers the sharded manager from hundreds of
-// goroutines mixing single and batched check-ins, reports, deadline ticks,
+// goroutines mixing batches of one and of many, reports, deadline ticks,
 // and read-side snapshots. Run under -race (CI does) it is the proof that
 // the shard/core lock split has no data races; the invariant checks at the
 // end catch lost updates.
@@ -73,7 +73,7 @@ func TestConcurrentCheckInReport(t *testing.T) {
 			// Single-request path.
 			for i := 0; i < devicesPerWork; i++ {
 				id := fmt.Sprintf("w%d-d%d", w, i)
-				asg, err := m.DeviceCheckIn(CheckIn{
+				asg, err := checkInOne(m, CheckIn{
 					DeviceID: id,
 					CPU:      float64((w+i)%10) / 10,
 					Mem:      float64((w+3*i)%10) / 10,
@@ -85,7 +85,7 @@ func TestConcurrentCheckInReport(t *testing.T) {
 				if !asg.Assigned {
 					continue
 				}
-				if err := m.DeviceReport(Report{
+				if err := reportOne(m, Report{
 					DeviceID: id, JobID: asg.JobID, OK: i%5 != 0, DurationSeconds: 3,
 				}); err != nil {
 					t.Errorf("report %s: %v", id, err)
@@ -162,7 +162,7 @@ func TestConcurrentSameDevice(t *testing.T) {
 			defer wg.Done()
 			for d := 0; d < devices; d++ {
 				id := fmt.Sprintf("shared-%d", d)
-				asg, err := m.DeviceCheckIn(CheckIn{DeviceID: id, CPU: 0.6, Mem: 0.6})
+				asg, err := checkInOne(m, CheckIn{DeviceID: id, CPU: 0.6, Mem: 0.6})
 				if err != nil {
 					continue // busy collision: expected
 				}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,29 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 func newTestManager(clk *fakeClock) *Manager { return NewManager(Config{Clock: clk.now}) }
 
+// checkInOne serves ci as a batch of one, the only way a check-in is served.
+// A per-item rejection comes back as an error carrying the item's message
+// (ErrDeviceBusy's, for a busy device).
+func checkInOne(m *Manager, ci CheckIn) (Assignment, error) {
+	res := m.CheckInBatch([]CheckIn{ci})[0]
+	if res.Error != "" {
+		return Assignment{}, errors.New(res.Error)
+	}
+	return res.Assignment, nil
+}
+
+// reportOne is checkInOne for a report.
+func reportOne(m *Manager, r Report) error {
+	if res := m.ReportBatch([]Report{r})[0]; res.Error != "" {
+		return errors.New(res.Error)
+	}
+	return nil
+}
+
+// isErr reports whether err is the per-item rejection carrying sentinel's
+// message.
+func isErr(err, sentinel error) bool { return err != nil && err.Error() == sentinel.Error() }
+
 func TestRegisterAndCompleteJob(t *testing.T) {
 	clk := newFakeClock()
 	m := newTestManager(clk)
@@ -32,7 +56,7 @@ func TestRegisterAndCompleteJob(t *testing.T) {
 	// Two devices check in and get the job.
 	for i := 0; i < 2; i++ {
 		clk.advance(time.Minute)
-		asg, err := m.DeviceCheckIn(CheckIn{DeviceID: fmt.Sprintf("d%d", i), CPU: 0.6, Mem: 0.6})
+		asg, err := checkInOne(m, CheckIn{DeviceID: fmt.Sprintf("d%d", i), CPU: 0.6, Mem: 0.6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +67,7 @@ func TestRegisterAndCompleteJob(t *testing.T) {
 	// Both report: round 1 completes (target = ceil(0.8*2) = 2).
 	for i := 0; i < 2; i++ {
 		clk.advance(30 * time.Second)
-		if err := m.DeviceReport(Report{DeviceID: fmt.Sprintf("d%d", i), JobID: st.ID, OK: true, DurationSeconds: 45}); err != nil {
+		if err := reportOne(m, Report{DeviceID: fmt.Sprintf("d%d", i), JobID: st.ID, OK: true, DurationSeconds: 45}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +83,7 @@ func TestRegisterAndCompleteJob(t *testing.T) {
 	// budget).
 	for i := 2; i < 4; i++ {
 		clk.advance(time.Minute)
-		asg, err := m.DeviceCheckIn(CheckIn{DeviceID: fmt.Sprintf("d%d", i), CPU: 0.7, Mem: 0.7})
+		asg, err := checkInOne(m, CheckIn{DeviceID: fmt.Sprintf("d%d", i), CPU: 0.7, Mem: 0.7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +92,7 @@ func TestRegisterAndCompleteJob(t *testing.T) {
 		}
 	}
 	for i := 2; i < 4; i++ {
-		if err := m.DeviceReport(Report{DeviceID: fmt.Sprintf("d%d", i), JobID: st.ID, OK: true, DurationSeconds: 50}); err != nil {
+		if err := reportOne(m, Report{DeviceID: fmt.Sprintf("d%d", i), JobID: st.ID, OK: true, DurationSeconds: 50}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,19 +115,19 @@ func TestOneTaskPerDayLive(t *testing.T) {
 	if _, err := m.RegisterJob(JobSpec{Category: "General", DemandPerRound: 5, Rounds: 3}); err != nil {
 		t.Fatal(err)
 	}
-	asg, err := m.DeviceCheckIn(CheckIn{DeviceID: "d0", CPU: 0.5, Mem: 0.5})
+	asg, err := checkInOne(m, CheckIn{DeviceID: "d0", CPU: 0.5, Mem: 0.5})
 	if err != nil || !asg.Assigned {
 		t.Fatalf("first check-in: %+v %v", asg, err)
 	}
 	// Busy device checking in again conflicts.
-	if _, err := m.DeviceCheckIn(CheckIn{DeviceID: "d0", CPU: 0.5, Mem: 0.5}); err != ErrDeviceBusy {
+	if _, err := checkInOne(m, CheckIn{DeviceID: "d0", CPU: 0.5, Mem: 0.5}); !isErr(err, ErrDeviceBusy) {
 		t.Fatalf("busy check-in error = %v", err)
 	}
 	// After reporting, the same day check-in yields no assignment.
-	if err := m.DeviceReport(Report{DeviceID: "d0", JobID: asg.JobID, OK: true, DurationSeconds: 30}); err != nil {
+	if err := reportOne(m, Report{DeviceID: "d0", JobID: asg.JobID, OK: true, DurationSeconds: 30}); err != nil {
 		t.Fatal(err)
 	}
-	asg2, err := m.DeviceCheckIn(CheckIn{DeviceID: "d0", CPU: 0.5, Mem: 0.5})
+	asg2, err := checkInOne(m, CheckIn{DeviceID: "d0", CPU: 0.5, Mem: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +136,7 @@ func TestOneTaskPerDayLive(t *testing.T) {
 	}
 	// Next day it works again.
 	clk.advance(25 * time.Hour)
-	asg3, err := m.DeviceCheckIn(CheckIn{DeviceID: "d0", CPU: 0.5, Mem: 0.5})
+	asg3, err := checkInOne(m, CheckIn{DeviceID: "d0", CPU: 0.5, Mem: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +153,12 @@ func TestDeadlineAbortLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := m.DeviceCheckIn(CheckIn{DeviceID: fmt.Sprintf("d%d", i), CPU: 0.5, Mem: 0.5}); err != nil {
+		if _, err := checkInOne(m, CheckIn{DeviceID: fmt.Sprintf("d%d", i), CPU: 0.5, Mem: 0.5}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One response only, then the deadline passes.
-	if err := m.DeviceReport(Report{DeviceID: "d0", JobID: st.ID, OK: true, DurationSeconds: 20}); err != nil {
+	if err := reportOne(m, Report{DeviceID: "d0", JobID: st.ID, OK: true, DurationSeconds: 20}); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(20 * time.Minute)
@@ -147,7 +171,7 @@ func TestDeadlineAbortLive(t *testing.T) {
 		t.Error("abort not counted")
 	}
 	// A late (stale) report from d1 must be ignored without error.
-	if err := m.DeviceReport(Report{DeviceID: "d1", JobID: st.ID, OK: true, DurationSeconds: 900}); err != nil {
+	if err := reportOne(m, Report{DeviceID: "d1", JobID: st.ID, OK: true, DurationSeconds: 900}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = m.JobStatusByID(st.ID)
@@ -164,12 +188,12 @@ func TestFailureTriggersEarlyAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := m.DeviceCheckIn(CheckIn{DeviceID: fmt.Sprintf("d%d", i), CPU: 0.5, Mem: 0.5}); err != nil {
+		if _, err := checkInOne(m, CheckIn{DeviceID: fmt.Sprintf("d%d", i), CPU: 0.5, Mem: 0.5}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Target = ceil(0.8*4) = 4: one failure makes completion impossible.
-	if err := m.DeviceReport(Report{DeviceID: "d0", JobID: st.ID, OK: false}); err != nil {
+	if err := reportOne(m, Report{DeviceID: "d0", JobID: st.ID, OK: false}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := m.JobStatusByID(st.ID)
@@ -197,14 +221,14 @@ func TestEligibilityRespectedLive(t *testing.T) {
 	if _, err := m.RegisterJob(JobSpec{Category: "High-Perf", DemandPerRound: 1, Rounds: 1}); err != nil {
 		t.Fatal(err)
 	}
-	asg, err := m.DeviceCheckIn(CheckIn{DeviceID: "weak", CPU: 0.1, Mem: 0.1})
+	asg, err := checkInOne(m, CheckIn{DeviceID: "weak", CPU: 0.1, Mem: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if asg.Assigned {
 		t.Fatal("weak device must not serve a High-Perf job")
 	}
-	asg, err = m.DeviceCheckIn(CheckIn{DeviceID: "strong", CPU: 0.9, Mem: 0.9})
+	asg, err = checkInOne(m, CheckIn{DeviceID: "strong", CPU: 0.9, Mem: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,23 +266,27 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Device checks in.
-	resp = postJSON(t, srv, "/v1/checkin", CheckIn{DeviceID: "phone-1", CPU: 0.8, Mem: 0.8})
-	var asg Assignment
-	if err := json.NewDecoder(resp.Body).Decode(&asg); err != nil {
+	// Device checks in: a batch of one.
+	resp = postJSON(t, srv, "/v1/checkin/batch", CheckInBatchRequest{CheckIns: []CheckIn{{DeviceID: "phone-1", CPU: 0.8, Mem: 0.8}}})
+	var cres CheckInBatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cres); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !asg.Assigned || asg.JobName != "emoji" {
-		t.Fatalf("assignment: %+v", asg)
+	if len(cres.Results) != 1 || !cres.Results[0].Assigned || cres.Results[0].JobName != "emoji" {
+		t.Fatalf("assignment: %+v", cres.Results)
 	}
 
 	// Device reports; job completes.
-	resp = postJSON(t, srv, "/v1/report", Report{DeviceID: "phone-1", JobID: asg.JobID, OK: true, DurationSeconds: 12})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("report status %d", resp.StatusCode)
+	resp = postJSON(t, srv, "/v1/report/batch", ReportBatchRequest{Reports: []Report{{DeviceID: "phone-1", JobID: cres.Results[0].JobID, OK: true, DurationSeconds: 12}}})
+	var rres ReportBatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rres); err != nil {
+		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(rres.Results) != 1 || rres.Results[0].Error != "" {
+		t.Fatalf("report status %d: %+v", resp.StatusCode, rres.Results)
+	}
 
 	// Job status over HTTP.
 	r2, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d", srv.URL, st.ID))
@@ -316,10 +344,10 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("unknown job status %d", r2.StatusCode)
 	}
 	// Wrong method.
-	r3, _ := http.Get(srv.URL + "/v1/checkin")
+	r3, _ := http.Get(srv.URL + "/v1/checkin/batch")
 	r3.Body.Close()
 	if r3.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET checkin status %d", r3.StatusCode)
+		t.Errorf("GET checkin batch status %d", r3.StatusCode)
 	}
 	// Bad job id format.
 	r4, _ := http.Get(srv.URL + "/v1/jobs/abc")
@@ -339,7 +367,7 @@ func TestVennPrioritizationLive(t *testing.T) {
 	emj, _ := m.RegisterJob(JobSpec{Name: "emoji", Category: "High-Perf", DemandPerRound: 2, Rounds: 1})
 
 	// A strong device: must go to the scarce (High-Perf) job.
-	asg, err := m.DeviceCheckIn(CheckIn{DeviceID: "strong-1", CPU: 0.9, Mem: 0.9})
+	asg, err := checkInOne(m, CheckIn{DeviceID: "strong-1", CPU: 0.9, Mem: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +375,7 @@ func TestVennPrioritizationLive(t *testing.T) {
 		t.Errorf("strong device went to job %d, want the scarce job %d", asg.JobID, emj.ID)
 	}
 	// A weak device: only the keyboard job is eligible.
-	asg, err = m.DeviceCheckIn(CheckIn{DeviceID: "weak-1", CPU: 0.2, Mem: 0.2})
+	asg, err = checkInOne(m, CheckIn{DeviceID: "weak-1", CPU: 0.2, Mem: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}

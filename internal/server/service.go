@@ -1,6 +1,6 @@
 // The transport-neutral service layer. Service holds every piece of
-// request-handling logic the daemon exposes — check-in, report, their batch
-// variants, job registration and lookup, stats, metrics — operating purely
+// request-handling logic the daemon exposes — batch check-in and report, job
+// registration and lookup, stats, metrics — operating purely
 // on the wire structs and returning typed errors. Transport adapters (the
 // HTTP handler in http.go, the framed stream server in internal/transport)
 // reduce to decode → Service call → encode: they own bytes and status
@@ -41,7 +41,9 @@ const (
 	CodeInvalid Code = 1
 	// CodeNotFound is a lookup of a resource that does not exist.
 	CodeNotFound Code = 2
-	// CodeBusy is a check-in for a device that already holds a task.
+	// CodeBusy was a single check-in for a device that already holds a task.
+	// Nothing produces it any more: a busy device is a per-item error of a
+	// batch (ErrDeviceBusy's message). The value stays reserved.
 	CodeBusy Code = 3
 	// CodeTooLarge is a payload over the transport's configured bound.
 	CodeTooLarge Code = 4
@@ -61,8 +63,8 @@ type Error struct {
 
 func (e *Error) Error() string { return e.Err.Error() }
 
-// Unwrap exposes the cause so errors.Is(err, ErrDeviceBusy) etc. keep
-// working through the service layer.
+// Unwrap exposes the cause so errors.Is keeps working through the service
+// layer.
 func (e *Error) Unwrap() error { return e.Err }
 
 // ErrCode extracts the service code from an error chain; errors that did
@@ -77,22 +79,18 @@ func ErrCode(err error) Code {
 
 func svcErr(code Code, err error) error { return &Error{Code: code, Err: err} }
 
-// Router intercepts the four serving-path entry points when a federation
+// Router intercepts the two serving-path entry points when a federation
 // layer is attached to the Manager (SetRouter). The router owns the
 // ownership decision: it applies locally-owned requests to the Manager
 // directly and forwards the rest to the owning peer daemon, returning the
 // merged result. Implemented by internal/cluster; the interface lives here
 // so the server package never imports the federation (or client) packages.
 //
-// Errors returned by a Router may be pre-typed *Error values (remote
-// rejections arrive with their wire code); anything untyped is classified
-// exactly like a local Manager error.
-// Every entry point carries the request's observability span (nil when
+// A failure, a peer's rejection included, is reported per item in its
+// result's Error. Every entry point carries the request's observability span (nil when
 // unsampled): the router attributes forward round-trips to its hop stage
 // and propagates its trace ID across the wire.
 type Router interface {
-	CheckIn(ci CheckIn, sp *obs.Span) (Assignment, error)
-	Report(r Report, sp *obs.Span) error
 	// The batch entry points serve b's batch out of b, results included
 	// (see BatchBuf); raw is its still-encoded form, zero for HTTP ingress.
 	// The bool reports whether any item was forwarded to a peer: the
@@ -171,54 +169,8 @@ func (s *Service) JobStatusByID(id int) (JobStatus, error) {
 	return st, nil
 }
 
-// itemErr types a check-in or report failure. Errors already carrying a
-// service code (remote rejections relayed by a federation router) pass
-// through.
-func itemErr(err error) error {
-	var se *Error
-	if errors.As(err, &se) {
-		return se
-	}
-	code := CodeInvalid
-	if errors.Is(err, ErrDeviceBusy) {
-		code = CodeBusy
-	} else if errors.Is(err, ErrUnknownDevice) {
-		code = CodeNotFound
-	}
-	return svcErr(code, err)
-}
-
-// CheckIn processes a single device availability announcement. With a
-// federation router attached the request is served by the device's owning
-// daemon (forwarded transparently when that is a peer); otherwise it is
-// applied locally.
-func (s *Service) CheckIn(ci CheckIn, sp *obs.Span) (Assignment, error) {
-	if r := s.m.router(); r != nil {
-		asg, err := r.CheckIn(ci, sp)
-		if err != nil {
-			return Assignment{}, itemErr(err)
-		}
-		s.rate.Add(s.m.nowSec(), 1)
-		return asg, nil
-	}
-	return s.CheckInLocal(ci, sp)
-}
-
-// CheckInLocal applies ci to this node's manager unconditionally, bypassing
-// any federation router. Transport adapters call it for requests that
-// arrived with the forwarded (hop) mark — the hop guard that keeps a stale
-// peer ring from bouncing a request back and forth.
-func (s *Service) CheckInLocal(ci CheckIn, sp *obs.Span) (Assignment, error) {
-	asg, err := s.m.DeviceCheckInSpan(ci, sp)
-	if err != nil {
-		return Assignment{}, itemErr(err)
-	}
-	s.rate.Add(s.m.nowSec(), 1)
-	return asg, nil
-}
-
 // CheckInBatchLocal applies the batch to this node's manager, bypassing any
-// federation router (see CheckInLocal), over a fresh BatchBuf whose results
+// federation router, over a fresh BatchBuf whose results
 // the caller keeps. The serving paths do not use it; the benchmark's layer
 // walk compiles against it.
 func (s *Service) CheckInBatchLocal(req CheckInBatchRequest, sp *obs.Span) (CheckInBatchResponse, error) {
@@ -228,8 +180,10 @@ func (s *Service) CheckInBatchLocal(req CheckInBatchRequest, sp *obs.Span) (Chec
 
 // CheckInBatchBuf processes b.CheckIns out of b's storage; Results[i]
 // answers CheckIns[i], with a per-item rejection in its Error. Unless local is
-// set (see CheckInLocal), an attached router serves each item on its owner;
-// the bool reports whether any item took a hop. raw is optional (RawItems).
+// set, an attached router serves each item on its owner; the bool reports
+// whether any item took a hop. raw is optional (RawItems). Transport adapters
+// set local for a batch that arrived with the forwarded (hop) mark — the hop
+// guard that keeps a stale peer ring from bouncing a request back and forth.
 func (s *Service) CheckInBatchBuf(b *BatchBuf, raw RawItems, local bool, sp *obs.Span) ([]CheckInResult, bool, error) {
 	if len(b.CheckIns) > MaxBatch {
 		return nil, false, svcErr(CodeInvalid, fmt.Errorf("server: batch exceeds %d items", MaxBatch))
@@ -255,27 +209,6 @@ func (s *Service) countServed(results []CheckInResult) {
 		}
 	}
 	s.rate.Add(s.m.nowSec(), int64(served))
-}
-
-// Report records a single task result, routed to the device's owner when a
-// federation router is attached.
-func (s *Service) Report(r Report, sp *obs.Span) error {
-	if rt := s.m.router(); rt != nil {
-		if err := rt.Report(r, sp); err != nil {
-			return itemErr(err)
-		}
-		return nil
-	}
-	return s.ReportLocal(r, sp)
-}
-
-// ReportLocal applies r to this node's manager unconditionally (see
-// CheckInLocal).
-func (s *Service) ReportLocal(r Report, sp *obs.Span) error {
-	if err := s.m.DeviceReportSpan(r, sp); err != nil {
-		return itemErr(err)
-	}
-	return nil
 }
 
 // ReportBatchLocal is CheckInBatchLocal for reports.

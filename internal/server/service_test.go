@@ -33,8 +33,17 @@ func TestServiceTypedErrors(t *testing.T) {
 		t.Errorf("unknown job: code %v, want CodeNotFound", ErrCode(err))
 	}
 
-	if _, err := svc.CheckIn(CheckIn{}, nil); ErrCode(err) != CodeInvalid {
-		t.Errorf("missing device_id: code %v, want CodeInvalid", ErrCode(err))
+	// A check-in or report is served as a batch; what fails on one item is
+	// that item's Error, the sentinel's message.
+	checkIn := func(ci CheckIn) CheckInResult {
+		res, _, err := svc.CheckInBatchBuf(&BatchBuf{CheckIns: []CheckIn{ci}}, RawItems{}, false, nil)
+		if err != nil || len(res) != 1 {
+			t.Fatalf("check-in batch of one: %v, %d results", err, len(res))
+		}
+		return res[0]
+	}
+	if res := checkIn(CheckIn{}); res.Error != errDeviceIDMissing.Error() {
+		t.Errorf("missing device_id: item error %q, want %q", res.Error, errDeviceIDMissing)
 	}
 
 	// Busy device: register a job so the first check-in gets assigned, then
@@ -42,16 +51,16 @@ func TestServiceTypedErrors(t *testing.T) {
 	if _, err := svc.RegisterJob(JobSpec{Category: "General", DemandPerRound: 1, Rounds: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.CheckIn(CheckIn{DeviceID: "d1", CPU: 0.9, Mem: 0.9}, nil); err != nil {
-		t.Fatal(err)
+	if res := checkIn(CheckIn{DeviceID: "d1", CPU: 0.9, Mem: 0.9}); res.Error != "" || !res.Assigned {
+		t.Fatalf("first check-in: %+v", res)
 	}
-	_, err := svc.CheckIn(CheckIn{DeviceID: "d1", CPU: 0.9, Mem: 0.9}, nil)
-	if ErrCode(err) != CodeBusy || !errors.Is(err, ErrDeviceBusy) {
-		t.Errorf("busy device: got %v (code %v), want CodeBusy wrapping ErrDeviceBusy", err, ErrCode(err))
+	if res := checkIn(CheckIn{DeviceID: "d1", CPU: 0.9, Mem: 0.9}); res.Error != ErrDeviceBusy.Error() {
+		t.Errorf("busy device: item error %q, want %q", res.Error, ErrDeviceBusy)
 	}
 
-	if err := svc.Report(Report{DeviceID: "ghost", JobID: 0, OK: true}, nil); ErrCode(err) != CodeNotFound {
-		t.Errorf("unknown device report: code %v, want CodeNotFound", ErrCode(err))
+	res, _, err := svc.ReportBatchBuf(&BatchBuf{Reports: []Report{{DeviceID: "ghost", OK: true}}}, RawItems{}, false, nil)
+	if err != nil || len(res) != 1 || res[0].Error != ErrUnknownDevice.Error() {
+		t.Errorf("unknown device report: %+v, %v; want item error %q", res, err, ErrUnknownDevice)
 	}
 
 	over := make([]CheckIn, MaxBatch+1)

@@ -19,12 +19,12 @@ func TestDeviceTTLEviction(t *testing.T) {
 	if _, err := m.RegisterJob(JobSpec{Category: "General", DemandPerRound: 1, Rounds: 1}); err != nil {
 		t.Fatal(err)
 	}
-	busyAsg, err := m.DeviceCheckIn(CheckIn{DeviceID: "busy", CPU: 0.9, Mem: 0.9})
+	busyAsg, err := checkInOne(m, CheckIn{DeviceID: "busy", CPU: 0.9, Mem: 0.9})
 	if err != nil || !busyAsg.Assigned {
 		t.Fatalf("busy device must be assigned: %+v %v", busyAsg, err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := m.DeviceCheckIn(CheckIn{DeviceID: fmt.Sprintf("idle-%d", i), CPU: 0.5, Mem: 0.5}); err != nil {
+		if _, err := checkInOne(m, CheckIn{DeviceID: fmt.Sprintf("idle-%d", i), CPU: 0.5, Mem: 0.5}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func TestDeviceTTLEviction(t *testing.T) {
 	}
 
 	// An evicted device can come back as a fresh registration.
-	if _, err := m.DeviceCheckIn(CheckIn{DeviceID: "idle-0", CPU: 0.5, Mem: 0.5}); err != nil {
+	if _, err := checkInOne(m, CheckIn{DeviceID: "idle-0", CPU: 0.5, Mem: 0.5}); err != nil {
 		t.Fatalf("returning device rejected: %v", err)
 	}
 	if got := m.MetricsSnapshot().KnownDevices; got != 1 {
@@ -69,13 +69,13 @@ func TestDeviceTTLEviction(t *testing.T) {
 	}
 	// A late report from the evicted busy device is an expected, tolerated
 	// error — not a crash or a phantom response.
-	if err := m.DeviceReport(Report{DeviceID: "busy", JobID: busyAsg.JobID, OK: true, DurationSeconds: 5}); err != ErrUnknownDevice {
+	if err := reportOne(m, Report{DeviceID: "busy", JobID: busyAsg.JobID, OK: true, DurationSeconds: 5}); !isErr(err, ErrUnknownDevice) {
 		t.Errorf("stale report error = %v, want ErrUnknownDevice", err)
 	}
 
 	// TTL disabled (the default) must never evict.
 	m2 := NewManager(Config{Clock: clk.now})
-	if _, err := m2.DeviceCheckIn(CheckIn{DeviceID: "d", CPU: 0.5, Mem: 0.5}); err != nil {
+	if _, err := checkInOne(m2, CheckIn{DeviceID: "d", CPU: 0.5, Mem: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(1000 * time.Hour)
@@ -161,7 +161,7 @@ func TestLockFreeFastPathServesSurplus(t *testing.T) {
 // the per-cell supply counters out of range.
 func TestCheckInClampsWireScores(t *testing.T) {
 	m := NewManager(Config{Clock: newFakeClock().now})
-	if _, err := m.DeviceCheckIn(CheckIn{DeviceID: "d1", CPU: 0.5, Mem: 0.5}); err != nil {
+	if _, err := checkInOne(m, CheckIn{DeviceID: "d1", CPU: 0.5, Mem: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	nan := math.NaN()
@@ -172,7 +172,7 @@ func TestCheckInClampsWireScores(t *testing.T) {
 		{DeviceID: "d1", CPU: 7, Mem: 7},
 		{DeviceID: "fresh-nan", CPU: nan, Mem: -1},
 	} {
-		if _, err := m.DeviceCheckIn(ci); err != nil {
+		if _, err := checkInOne(m, ci); err != nil {
 			t.Fatalf("%+v: %v", ci, err)
 		}
 	}
@@ -193,12 +193,12 @@ func TestMetricsExposePlanTelemetry(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		id := fmt.Sprintf("m%02d", i)
-		asg, err := m.DeviceCheckIn(CheckIn{DeviceID: id, CPU: 0.7, Mem: 0.7})
+		asg, err := checkInOne(m, CheckIn{DeviceID: id, CPU: 0.7, Mem: 0.7})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if asg.Assigned {
-			if err := m.DeviceReport(Report{DeviceID: id, JobID: asg.JobID, OK: true, DurationSeconds: 5}); err != nil {
+			if err := reportOne(m, Report{DeviceID: id, JobID: asg.JobID, OK: true, DurationSeconds: 5}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -17,9 +17,9 @@
 //
 // There is one dialect. A frame with any other version byte is a framing
 // violation, handled like bad magic: the connection is closed without a
-// reply. A payload's encoding is a function of its opcode alone: the four
-// serving opcodes (check-in, report, and their batch forms), OpError and
-// OpTopology carry the fixed binary layouts; OpRegisterJob, OpJobs,
+// reply. A payload's encoding is a function of its opcode alone: the two
+// serving opcodes (the check-in and report batches), OpError and OpTopology
+// carry the fixed binary layouts; OpRegisterJob, OpJobs,
 // OpJobStatus, OpStats and OpMetrics carry JSON; OpPing is empty. See README
 // "Wire protocol" for the spec.
 //
@@ -51,9 +51,10 @@ const (
 // Opcodes. Response opcode = request opcode | RespFlag on success; OpError
 // carries an ErrorPayload on failure.
 const (
-	OpCheckIn      byte = 0x01
+	// 0x01 and 0x03 are retired (they were the single check-in and report:
+	// one is a batch of one now) and reserved: a server answers them like
+	// any unknown opcode.
 	OpCheckInBatch byte = 0x02
-	OpReport       byte = 0x03
 	OpReportBatch  byte = 0x04
 	OpRegisterJob  byte = 0x05
 	OpJobs         byte = 0x06
@@ -79,12 +80,12 @@ const (
 	// daemon (federation hop guard). A server must answer a hop-flagged
 	// frame itself — served locally or rejected — and never re-forward it,
 	// so two daemons with disagreeing (stale) rings cannot ping-pong a
-	// request between each other. Only the four serving opcodes (check-in,
-	// report, and their batch forms) may carry it. Responses echo the flag.
+	// request between each other. Only the two serving opcodes (the check-in
+	// and report batches) may carry it. Responses echo the flag.
 	HopFlag byte = 0x40
 	// TraceFlag marks a request frame as carrying a trace context: the
 	// payload begins with a TraceContextSize-byte prefix (see AppendTrace /
-	// PeelTrace) that the server strips before decoding. Only the four
+	// PeelTrace) that the server strips before decoding. Only the two
 	// serving opcodes may carry it (anything else is rejected as invalid),
 	// and it never appears on responses, which carry their timing in the
 	// origin's span instead of on the wire. The federation

@@ -89,9 +89,9 @@ func FuzzServeFrames(f *testing.F) {
 	}
 	seeds := [][]byte{
 		frame(Version2, OpRegisterJob, 1, []byte(`{"name":"j","category":"General","demand_per_round":2,"rounds":1}`)),
-		frame(Version2, OpCheckIn, 2, bin(ci.MarshalBinary())),
 		frame(Version2, OpCheckInBatch, 3, bin((&server.CheckInBatchRequest{CheckIns: []server.CheckIn{ci, {DeviceID: "dev-1", CPU: 0.2, Mem: 0.2}}}).MarshalBinary())),
-		frame(Version2, OpReport, 4, bin(rep.MarshalBinary())),
+		frame(Version2, OpCheckInBatch, 2, bin((&server.CheckInBatchRequest{CheckIns: []server.CheckIn{ci}}).MarshalBinary())),
+		frame(Version2, OpReportBatch, 4, bin((&server.ReportBatchRequest{Reports: []server.Report{rep, {DeviceID: "dev-1", OK: false}}}).MarshalBinary())),
 		frame(Version2, OpReportBatch, 5, bin((&server.ReportBatchRequest{Reports: []server.Report{rep}}).MarshalBinary())),
 		frame(Version2, OpJobs, 6, nil),
 		frame(Version2, OpJobStatus, 7, []byte(`{"id":0}`)),
@@ -99,8 +99,8 @@ func FuzzServeFrames(f *testing.F) {
 		frame(Version2, OpMetrics, 9, nil),
 		frame(Version2, OpPing, 10, nil),
 		frame(Version2, OpTopology, 11, nil),
-		frame(Version2, OpCheckIn|HopFlag|TraceFlag, 12, AppendTrace(nil, 0xfeed, true)),
-		frame(Version2, OpCheckIn|TraceFlag, 13, []byte{1, 2, 3}),
+		frame(Version2, OpCheckInBatch|HopFlag|TraceFlag, 12, AppendTrace(nil, 0xfeed, true)),
+		frame(Version2, OpReportBatch|TraceFlag, 13, []byte{1, 2, 3}),
 		frame(Version2, OpMetrics|TraceFlag, 14, AppendTrace(nil, 0xfeed, true)),
 		frame(Version2, OpStats|HopFlag, 15, nil),
 		frame(Version2, 0x0B, 16, []byte(`{"max_version":2}`)),

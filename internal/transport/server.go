@@ -444,12 +444,8 @@ func (s *Server) send(sc *srvConn, buf []byte, n int, try bool) error {
 // obsOpOf maps an opcode (flag bits ignored) to its observability op.
 func obsOpOf(op byte) obs.Op {
 	switch op &^ (HopFlag | TraceFlag) {
-	case OpCheckIn:
-		return obs.OpCheckIn
 	case OpCheckInBatch:
 		return obs.OpCheckInBatch
-	case OpReport:
-		return obs.OpReport
 	case OpReportBatch:
 		return obs.OpReportBatch
 	case OpRegisterJob, OpJobs, OpJobStatus:
@@ -459,10 +455,10 @@ func obsOpOf(op byte) obs.Op {
 	}
 }
 
-// serving reports whether op, flags stripped, is one of the four serving
+// serving reports whether op, flags stripped, is one of the two serving
 // opcodes: the only ones that may carry HopFlag or TraceFlag.
 func serving(op byte) bool {
-	return op >= OpCheckIn && op <= OpReportBatch
+	return op == OpCheckInBatch || op == OpReportBatch
 }
 
 // handle peels the optional trace context off a request frame, starts the
@@ -472,7 +468,7 @@ func serving(op byte) bool {
 // forced with the origin's trace ID — the receiving side of a federation hop
 // records the same trace the origin did, which is what lets a slow hop in the
 // origin's flight recorder be joined against the remote's record. The flag is
-// only legal on the four serving opcodes, so no other request can plant a
+// only legal on the two serving opcodes, so no other request can plant a
 // forced span. Unsampled requests get the regular 1-in-N sampler; hop requests
 // whose origin did not sample never start a span of their own.
 func (s *Server) handle(sc *srvConn, op byte, payload []byte) (byte, *obs.Span) {
@@ -527,7 +523,7 @@ func timed(sp *obs.Span, st obs.Stage, f func() error) error {
 // stale ring on a peer can never make a request ping-pong between daemons.
 // Its receipt (and payload size, for forward_bytes_in) is recorded with the
 // attached federation router, and the flag is echoed on the response opcode.
-// The flag is only legal on the four serving opcodes; anything else is
+// The flag is only legal on the two serving opcodes; anything else is
 // rejected as invalid.
 //
 // On a *non-hop* batch request, HopFlag on the response opcode means
@@ -547,22 +543,6 @@ func (s *Server) dispatch(sc *srvConn, op byte, payload []byte, sp *obs.Span) by
 		s.svc.NoteForwardedIn(len(payload))
 	}
 	switch op &^ HopFlag {
-	case OpCheckIn:
-		var ci server.CheckIn
-		if err := timed(sp, obs.StageDecode, func() error { return ci.UnmarshalBinary(payload) }); err != nil {
-			return sc.replySvcErr(err)
-		}
-		var asg server.Assignment
-		var err error
-		if forwarded {
-			asg, err = s.svc.CheckInLocal(ci, sp)
-		} else {
-			asg, err = s.svc.CheckIn(ci, sp)
-		}
-		if err != nil {
-			return sc.replySvcErr(err)
-		}
-		return sc.reply(op, &asg, sp)
 	case OpCheckInBatch:
 		b := &sc.batch
 		if err := timed(sp, obs.StageDecode, func() error { return b.DecodeCheckIns(payload) }); err != nil {
@@ -578,21 +558,6 @@ func (s *Server) dispatch(sc *srvConn, op byte, payload []byte, sp *obs.Span) by
 		}
 		sc.ciResp.Results = results
 		return sc.reply(op, &sc.ciResp, sp)
-	case OpReport:
-		var rep server.Report
-		if err := timed(sp, obs.StageDecode, func() error { return rep.UnmarshalBinary(payload) }); err != nil {
-			return sc.replySvcErr(err)
-		}
-		var err error
-		if forwarded {
-			err = s.svc.ReportLocal(rep, sp)
-		} else {
-			err = s.svc.Report(rep, sp)
-		}
-		if err != nil {
-			return sc.replySvcErr(err)
-		}
-		return op | RespFlag
 	case OpReportBatch:
 		b := &sc.batch
 		if err := timed(sp, obs.StageDecode, func() error { return b.DecodeReports(payload) }); err != nil {

@@ -112,9 +112,9 @@ func TestStreamEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStreamTypedErrors pins the error mapping across the wire: busy
-// devices and unknown jobs come back as StreamError with the service
-// layer's code.
+// TestStreamTypedErrors pins the error mapping across the wire: a busy
+// device comes back as its item's error, an unknown job as a StreamError
+// with the service layer's code.
 func TestStreamTypedErrors(t *testing.T) {
 	_, _, addr := startServer(t, transport.Options{})
 	c := client.NewStream(addr)
@@ -123,15 +123,15 @@ func TestStreamTypedErrors(t *testing.T) {
 	if _, err := c.RegisterJob(server.JobSpec{Category: "General", DemandPerRound: 1, Rounds: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CheckIn(server.CheckIn{DeviceID: "d1", CPU: 0.9, Mem: 0.9}); err != nil {
-		t.Fatal(err)
+	one := []server.CheckIn{{DeviceID: "d1", CPU: 0.9, Mem: 0.9}}
+	if res, err := c.CheckInBatch(one); err != nil || res[0].Error != "" {
+		t.Fatalf("first check-in: %+v, %v", res, err)
 	}
-	_, err := c.CheckIn(server.CheckIn{DeviceID: "d1", CPU: 0.9, Mem: 0.9})
+	if res, err := c.CheckInBatch(one); err != nil || res[0].Error != server.ErrDeviceBusy.Error() {
+		t.Errorf("busy device over stream: %+v, %v; want item error %q", res, err, server.ErrDeviceBusy)
+	}
 	var se *client.StreamError
-	if !errors.As(err, &se) || se.Code != server.CodeBusy {
-		t.Errorf("busy device over stream: %v, want StreamError CodeBusy", err)
-	}
-	_, err = c.JobStatus(424242)
+	_, err := c.JobStatus(424242)
 	if !errors.As(err, &se) || se.Code != server.CodeNotFound {
 		t.Errorf("unknown job over stream: %v, want StreamError CodeNotFound", err)
 	}
@@ -318,7 +318,7 @@ func TestStreamProtocolViolation(t *testing.T) {
 	}
 	defer raw2.Close()
 	bw := bufio.NewWriter(raw2)
-	if err := transport.WriteFrame(bw, transport.Version2, transport.OpCheckIn, 1, make([]byte, 4096)); err != nil {
+	if err := transport.WriteFrame(bw, transport.Version2, transport.OpCheckInBatch, 1, make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	_ = bw.Flush()

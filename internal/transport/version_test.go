@@ -38,13 +38,13 @@ func TestV2BinaryOnTheWire(t *testing.T) {
 	c := client.NewStream(addr, client.WithStreamConns(1))
 	defer c.Close()
 
-	if _, err := c.CheckIn(server.CheckIn{DeviceID: "dev", CPU: 0.5, Mem: 0.5}); err != nil {
+	if _, err := c.CheckInBatch([]server.CheckIn{{DeviceID: "dev", CPU: 0.5, Mem: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	if tel := ts.StreamTelemetry(); tel.StreamFramesIn != 1 || tel.StreamFramesOut != 1 {
 		t.Errorf("after the first call: frames in %d out %d, want 1 and 1", tel.StreamFramesIn, tel.StreamFramesOut)
 	}
-	if _, err := c.CheckInBatch([]server.CheckIn{{DeviceID: "dev", CPU: 1, Mem: 1}}); err != nil {
+	if _, err := c.ReportBatch([]server.Report{{DeviceID: "dev", OK: true}}); err != nil {
 		t.Fatal(err)
 	}
 	// A service rejection: binary error payload with the stable code, decoded
@@ -107,7 +107,8 @@ func (rc *rawConn) roundTrip(op byte, id uint32, payload []byte) transport.Frame
 // TestOneDialect pins the protocol's single dialect at the frame level: any
 // version byte but 2 is a framing violation, a payload's encoding follows its
 // opcode, and every malformed-but-framed request gets a binary OpError on a
-// connection that stays usable.
+// connection that stays usable. The retired single-item opcodes 0x01 and 0x03
+// are unknown opcodes like any other, flagged or not.
 func TestOneDialect(t *testing.T) {
 	m, ts, addr := startServer(t, transport.Options{})
 
@@ -145,6 +146,10 @@ func TestOneDialect(t *testing.T) {
 	}
 
 	sampled := transport.AppendTrace(nil, 0xfeed, true)
+	ci := server.CheckIn{DeviceID: "dev", CPU: 0.5, Mem: 0.5}
+	single, _ := ci.AppendBinary(nil)
+	rep := server.Report{DeviceID: "dev", OK: true}
+	singleRep, _ := rep.AppendBinary(nil)
 	for i, tc := range []struct {
 		name    string
 		op      byte
@@ -154,7 +159,11 @@ func TestOneDialect(t *testing.T) {
 		{"retired negotiation opcode", 0x0B, []byte(`{"max_version":2}`)},
 		{"hop flag on a control opcode", transport.OpStats | transport.HopFlag, nil},
 		{"trace flag on a control opcode", transport.OpMetrics | transport.TraceFlag, sampled},
-		{"truncated trace prefix", transport.OpCheckIn | transport.TraceFlag, sampled[:4]},
+		{"truncated trace prefix", transport.OpCheckInBatch | transport.TraceFlag, sampled[:4]},
+		{"retired single check-in opcode", 0x01, single},
+		{"retired single report opcode", 0x03, singleRep},
+		{"hop flag on the retired check-in opcode", 0x01 | transport.HopFlag, single},
+		{"trace flag on the retired check-in opcode", 0x01 | transport.TraceFlag, append(append([]byte{}, sampled...), single...)},
 	} {
 		fr := rc.roundTrip(tc.op, uint32(100+i), tc.payload)
 		var ep transport.ErrorPayload
@@ -166,6 +175,9 @@ func TestOneDialect(t *testing.T) {
 	}
 	if fr := rc.roundTrip(transport.OpPing, 200, nil); fr.Op != transport.OpPing|transport.RespFlag {
 		t.Errorf("ping after the rejections: reply op %#x", fr.Op)
+	}
+	if tel := ts.StreamTelemetry(); tel.StreamFramesIn != tel.StreamFramesOut {
+		t.Errorf("frames in %d, out %d: every request frame must get one reply", tel.StreamFramesIn, tel.StreamFramesOut)
 	}
 	// Fewer requests than one sampling period were made, so any recorded span
 	// would be the forced one a trace-flagged control frame must not plant.
