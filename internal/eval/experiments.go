@@ -6,7 +6,6 @@ import (
 	"venn/internal/job"
 	"venn/internal/sim"
 	"venn/internal/stats"
-	"venn/internal/trace"
 	"venn/internal/workload"
 )
 
@@ -343,17 +342,4 @@ func deviceCategories() []string {
 
 func categoriesOrdered() []string {
 	return []string{"General", "Compute-Rich", "Memory-Rich", "High-Perf"}
-}
-
-// JobTraceSummary summarizes a synthetic demand trace (Figure 8b).
-func JobTraceSummary(n int, seed int64) (rounds, demand stats.Summary) {
-	model := trace.DefaultJobTraceModel()
-	specs := model.Generate(n, stats.NewRNG(seed))
-	rs := make([]float64, n)
-	ds := make([]float64, n)
-	for i, s := range specs {
-		rs[i] = float64(s.Rounds)
-		ds[i] = float64(s.DemandPerRound)
-	}
-	return stats.Summarize(rs), stats.Summarize(ds)
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"venn/internal/job"
+	"venn/internal/stats"
+	"venn/internal/trace"
 )
 
 func TestTableRenderAlignment(t *testing.T) {
@@ -41,8 +43,20 @@ func TestFormatSpeedup(t *testing.T) {
 	}
 }
 
+// jobTraceSummary summarizes a synthetic demand trace (Figure 8b).
+func jobTraceSummary(n int, seed int64) (rounds, demand stats.Summary) {
+	specs := trace.DefaultJobTraceModel().Generate(n, stats.NewRNG(seed))
+	rs := make([]float64, n)
+	ds := make([]float64, n)
+	for i, s := range specs {
+		rs[i] = float64(s.Rounds)
+		ds[i] = float64(s.DemandPerRound)
+	}
+	return stats.Summarize(rs), stats.Summarize(ds)
+}
+
 func TestJobTraceSummaryRanges(t *testing.T) {
-	rounds, demand := JobTraceSummary(500, 3)
+	rounds, demand := jobTraceSummary(500, 3)
 	if rounds.Min < 10 || rounds.Max > 4000 {
 		t.Errorf("rounds out of Fig 8b range: %v", rounds)
 	}

@@ -12,13 +12,13 @@ import (
 
 // FIFO hands each device to the oldest eligible open request. It is the
 // promotion of the former core.Venn assignFIFO ablation into a first-class
-// policy: plain FIFO order, optionally with Venn's tier-based device
-// matching still in force (NewFIFOMatch) — the paper's "Venn w/o
-// scheduling" configuration of Figure 11.
+// policy: FIFO order with Venn's tier-based device matching still in force —
+// the paper's "Venn w/o scheduling" configuration of Figure 11. The plain
+// FIFO baseline is sched.NewFIFO.
 type FIFO struct {
 	queue fifoQueue
-	// match, when set, is a full Venn core the policy forwards every
-	// lifecycle event to; it contributes only its tier-matching decisions
+	// match is a full Venn core the policy forwards every lifecycle event
+	// to; it contributes only its tier-matching decisions
 	// (profiling, tier filters), never its job order. Keeping the real core
 	// behind the FIFO order — rather than re-extracting the matching
 	// machinery — is what keeps the ablation byte-identical to the former
@@ -26,9 +26,6 @@ type FIFO struct {
 	match *core.Venn
 	name  string
 }
-
-// NewFIFO returns the bare FIFO policy (no device matching).
-func NewFIFO() *FIFO { return &FIFO{queue: newFIFOQueue(), name: "FIFO"} }
 
 // NewFIFOMatch returns FIFO request order with Venn's tier-based matching in
 // force. Options configure the inner matching core; DisableMatching reduces
@@ -46,52 +43,40 @@ func (p *FIFO) Name() string { return p.name }
 
 // Bind implements Policy.
 func (p *FIFO) Bind(env *sim.Env) {
-	if p.match != nil {
-		p.match.Bind(env)
-	}
+	p.match.Bind(env)
 }
 
 // OnJobArrival implements Policy.
 func (p *FIFO) OnJobArrival(j *job.Job, now simtime.Time) {
-	if p.match != nil {
-		p.match.OnJobArrival(j, now)
-	}
+	p.match.OnJobArrival(j, now)
 }
 
 // OnRequest implements Policy.
 func (p *FIFO) OnRequest(j *job.Job, now simtime.Time) {
 	p.queue.Open(j)
-	if p.match != nil {
-		p.match.OnRequest(j, now)
-	}
+	p.match.OnRequest(j, now)
 }
 
 // OnRequestFulfilled implements Policy.
 func (p *FIFO) OnRequestFulfilled(j *job.Job, now simtime.Time) {
 	p.queue.Close(j.ID)
-	if p.match != nil {
-		p.match.OnRequestFulfilled(j, now)
-	}
+	p.match.OnRequestFulfilled(j, now)
 }
 
 // OnJobDone implements Policy.
 func (p *FIFO) OnJobDone(j *job.Job, now simtime.Time) {
 	p.queue.Drop(j.ID)
-	if p.match != nil {
-		p.match.OnJobDone(j, now)
-	}
+	p.match.OnJobDone(j, now)
 }
 
 // ObserveResponse implements Policy; responses feed the matching core's
 // per-tier profiles.
 func (p *FIFO) ObserveResponse(j *job.Job, d *device.Device, dur simtime.Duration, now simtime.Time) {
-	if p.match != nil {
-		p.match.ObserveResponse(j, d, dur, now)
-	}
+	p.match.ObserveResponse(j, d, dur, now)
 }
 
 // Assign implements Policy: the first open request in arrival order whose
-// requirement (and, with matching, tier filter) admits the device.
+// requirement and matching tier filter admit the device.
 func (p *FIFO) Assign(d *device.Device, now simtime.Time) *job.Job {
 	var out *job.Job
 	p.queue.ForEachOpen(func(j *job.Job) bool {
@@ -101,7 +86,7 @@ func (p *FIFO) Assign(d *device.Device, now simtime.Time) *job.Job {
 		if !j.Requirement.Eligible(d) {
 			return true
 		}
-		if p.match != nil && !p.match.TierAccepts(j.ID, d, now) {
+		if !p.match.TierAccepts(j.ID, d, now) {
 			return true
 		}
 		out = j

@@ -48,9 +48,6 @@ func TestRegistryPolicyNames(t *testing.T) {
 			t.Errorf("policy %q reports Name %q, want %q", reg, got, want)
 		}
 	}
-	if got := NewFIFO().Name(); got != "FIFO" {
-		t.Errorf("bare FIFO Name = %q, want FIFO", got)
-	}
 	if got := NewFIFOMatch(core.Options{DisableMatching: true}).Name(); got != "Venn-w/o-both" {
 		t.Errorf("FIFOMatch w/o matching Name = %q, want Venn-w/o-both", got)
 	}

@@ -1,14 +1,17 @@
-// Hand-rolled JSON codecs for the high-volume wire types. At hundreds of
-// thousands of check-ins per second the reflection-based encoding/json
-// round trip dominates the serving path's CPU profile (the scheduler core
-// itself is a sub-microsecond slice), so the batch request/response types
-// implement json.Marshaler/json.Unmarshaler with a small scanner specialized
-// to their fixed shapes; the items inside a batch encode through unexported
-// helpers. The wire format is unchanged and order-insensitive:
-// arbitrary whitespace, any field order, escaped strings, and null values
-// all parse; unknown fields are rejected exactly like the former
-// DisallowUnknownFields decoder. Round-trip equivalence with encoding/json
-// is pinned by codec_test.go.
+// Hand-rolled JSON codecs for the high-volume wire types. Per 64-item batch
+// on a 2-vCPU Xeon host, BenchmarkCheckInBatchDecode decodes a request in
+// 29–38 µs against encoding/json's 100–111 µs (about 3×), and
+// BenchmarkCheckInBatchEncode encodes a response in 1.0–1.4 µs against
+// 12–15 µs (about 12×). At 650–800k check-ins per core-second over HTTP a
+// batch costs 80–98 µs of CPU, client and server together, so encoding/json
+// would add ~80 µs to it; the scheduler core is a sub-microsecond slice.
+// So the batch request/response types implement json.Marshaler and
+// json.Unmarshaler with a small scanner specialized to their fixed shapes;
+// the items inside a batch encode through unexported helpers. The wire
+// format is order-insensitive: arbitrary whitespace, any field order,
+// escaped strings, and null values all parse; unknown fields are rejected
+// like a DisallowUnknownFields decoder. Round-trip equivalence with
+// encoding/json is pinned by codec_test.go.
 package server
 
 import (

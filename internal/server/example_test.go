@@ -1,8 +1,4 @@
-// Liveserver: runs the Venn resource manager as an in-process HTTP service
-// and drives it with simulated devices and jobs over the wire — the full
-// Figure 6 workflow (request, check-in, assign, participate, report) without
-// any simulator involvement.
-package main
+package server_test
 
 import (
 	"bytes"
@@ -11,16 +7,21 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"time"
 
 	"venn/internal/server"
 	"venn/internal/stats"
 )
 
-func main() {
-	m := server.NewManager(server.Config{})
+// The resource manager as an in-process HTTP service, driven by simulated
+// devices and jobs over the wire: the full Figure 6 workflow (request,
+// check-in, assign, participate, report) without any simulator involvement.
+func ExampleHandler() {
+	// A pinned clock keeps the reported JCT independent of wall time.
+	start := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	m := server.NewManager(server.Config{Clock: func() time.Time { return start }})
 	srv := httptest.NewServer(server.Handler(m))
 	defer srv.Close()
-	fmt.Println("resource manager at", srv.URL)
 
 	// Two product teams register jobs.
 	kbd := registerJob(srv.URL, server.JobSpec{
@@ -31,7 +32,6 @@ func main() {
 
 	// A fleet of phones checks in as they reach chargers.
 	rng := stats.NewRNG(7)
-	assigned := 0
 	for i := 0; i < 60 && activeJobs(srv.URL) > 0; i++ {
 		ci := server.CheckIn{
 			DeviceID: fmt.Sprintf("phone-%03d", i),
@@ -45,7 +45,6 @@ func main() {
 		if !asg.Assigned {
 			continue
 		}
-		assigned++
 		// The device runs its task and reports (always succeeds here).
 		post(srv.URL+"/v1/report/batch", server.ReportBatchRequest{Reports: []server.Report{{
 			DeviceID: ci.DeviceID, JobID: asg.JobID, OK: true,
@@ -60,6 +59,12 @@ func main() {
 	for _, j := range jobs(srv.URL) {
 		fmt.Printf("  job %d (%s): %s, %d/%d rounds\n", j.ID, j.Name, j.State, j.CompletedRounds, j.Rounds)
 	}
+	// Output:
+	// registered: keyboard (#0), emoji (#1)
+	//
+	// 24 devices assigned, 22 reports, 2 jobs completed (avg JCT 0s)
+	//   job 0 (keyboard): done, 2/2 rounds
+	//   job 1 (emoji): done, 2/2 rounds
 }
 
 func registerJob(base string, spec server.JobSpec) server.JobStatus {

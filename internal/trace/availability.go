@@ -11,8 +11,8 @@ import (
 // Interval is a half-open span [Start, End) during which a device is
 // available for CL work (charging and on WiFi).
 type Interval struct {
-	Start simtime.Time `json:"start"`
-	End   simtime.Time `json:"end"`
+	Start simtime.Time
+	End   simtime.Time
 }
 
 // Contains reports whether t falls inside the interval.

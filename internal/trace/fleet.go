@@ -1,11 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-
 	"venn/internal/device"
 	"venn/internal/simtime"
 	"venn/internal/stats"
@@ -14,9 +9,9 @@ import (
 // Fleet bundles a device population with its availability trace over a
 // simulation horizon. It is the complete "resources" input of one experiment.
 type Fleet struct {
-	Devices   []*device.Device `json:"devices"`
-	Intervals [][]Interval     `json:"intervals"` // Intervals[i] belongs to Devices[i]
-	Horizon   simtime.Duration `json:"horizon"`
+	Devices   []*device.Device
+	Intervals [][]Interval // Intervals[i] belongs to Devices[i]
+	Horizon   simtime.Duration
 }
 
 // FleetConfig controls fleet synthesis.
@@ -97,43 +92,4 @@ func (f *Fleet) CategoryCounts() map[string]int {
 		}
 	}
 	return out
-}
-
-// Save writes the fleet as JSON.
-func (f *Fleet) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
-}
-
-// LoadFleet reads a fleet from JSON.
-func LoadFleet(r io.Reader) (*Fleet, error) {
-	var f Fleet
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("decode fleet: %w", err)
-	}
-	if len(f.Devices) != len(f.Intervals) {
-		return nil, fmt.Errorf("fleet corrupt: %d devices but %d interval lists",
-			len(f.Devices), len(f.Intervals))
-	}
-	return &f, nil
-}
-
-// SaveFile writes the fleet to a JSON file.
-func (f *Fleet) SaveFile(path string) error {
-	w, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	return f.Save(w)
-}
-
-// LoadFleetFile reads a fleet from a JSON file.
-func LoadFleetFile(path string) (*Fleet, error) {
-	r, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return LoadFleet(r)
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -201,38 +200,6 @@ func TestDemandPercentileThresholds(t *testing.T) {
 	th := DemandPercentileThresholds(specs, []float64{0, 50, 100})
 	if th[0] != 10 || th[1] != 20 || th[2] != 30 {
 		t.Errorf("thresholds = %v", th)
-	}
-}
-
-func TestFleetSaveLoadRoundtrip(t *testing.T) {
-	fleet := GenerateFleet(FleetConfig{NumDevices: 30, Horizon: simtime.Day, Seed: 8})
-	var buf bytes.Buffer
-	if err := fleet.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFleet(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Devices) != len(fleet.Devices) {
-		t.Fatalf("device count changed: %d -> %d", len(fleet.Devices), len(loaded.Devices))
-	}
-	for i := range fleet.Devices {
-		if fleet.Devices[i].CPU != loaded.Devices[i].CPU {
-			t.Fatal("device scores changed in roundtrip")
-		}
-		if len(fleet.Intervals[i]) != len(loaded.Intervals[i]) {
-			t.Fatal("interval count changed in roundtrip")
-		}
-	}
-}
-
-func TestLoadFleetRejectsCorrupt(t *testing.T) {
-	if _, err := LoadFleet(bytes.NewBufferString(`{"devices":[{"ID":0}],"intervals":[],"horizon":1}`)); err == nil {
-		t.Error("mismatched devices/intervals must error")
-	}
-	if _, err := LoadFleet(bytes.NewBufferString(`not json`)); err == nil {
-		t.Error("garbage must error")
 	}
 }
 

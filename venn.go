@@ -24,7 +24,6 @@ import (
 	"venn/internal/core"
 	"venn/internal/device"
 	"venn/internal/job"
-	"venn/internal/policy"
 	"venn/internal/sched"
 	"venn/internal/sim"
 	"venn/internal/simtime"
@@ -74,26 +73,16 @@ var (
 
 // NewVenn returns the paper's scheduler: IRS contention-aware job ordering
 // plus resource-aware tier-based device matching. Zero-value options take
-// the defaults (3 tiers, fairness knob off).
+// the defaults (3 tiers, fairness knob off); when Tiers and
+// MinProfileSamples are both zero only those two are defaulted, and every
+// other field keeps the caller's value.
 func NewVenn(opts SchedulerOptions) Scheduler {
 	if opts.Tiers == 0 && opts.MinProfileSamples == 0 {
 		d := core.DefaultOptions()
-		d.Epsilon = opts.Epsilon
-		d.DisableMatching = opts.DisableMatching
-		opts = d
+		opts.Tiers, opts.MinProfileSamples = d.Tiers, d.MinProfileSamples
 	}
 	return core.New(opts)
 }
-
-// NewPolicy builds a scheduler by registry name ("venn", "fifo", "srsf",
-// "random") with default options — the same lookup venndaemon's -policy flag
-// uses. PolicyNames lists the valid names.
-func NewPolicy(name string) (Scheduler, error) {
-	return policy.New(name, policy.Config{Core: core.DefaultOptions()})
-}
-
-// PolicyNames lists the registered scheduling policies.
-func PolicyNames() []string { return policy.Names() }
 
 // NewRandom returns the optimized random-matching baseline (the common
 // design of production CL resource managers).

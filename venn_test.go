@@ -2,6 +2,8 @@ package venn
 
 import (
 	"testing"
+
+	"venn/internal/core"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -20,6 +22,25 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if sp := vn.SpeedupOver(random); sp <= 0 {
 		t.Errorf("speedup = %v", sp)
+	}
+}
+
+// NewVenn defaults only Tiers and MinProfileSamples: a caller's
+// DisableIncrementalPlan must reach the core, so every plan refresh is a
+// full rebuild and none is a patch.
+func TestNewVennKeepsDisableIncrementalPlan(t *testing.T) {
+	fleet := GenerateFleet(FleetConfig{NumDevices: 800, Seed: 1})
+	wl := GenerateWorkload(WorkloadConfig{NumJobs: 8, Seed: 2, MaxRounds: 5, MaxDemand: 40})
+	s := NewVenn(SchedulerOptions{DisableIncrementalPlan: true})
+	if _, err := Simulate(SimConfig{Fleet: fleet, Workload: wl, Scheduler: s, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	v := s.(*core.Venn)
+	if v.PlanRebuilds == 0 {
+		t.Fatal("no plan was built")
+	}
+	if v.PlanPatches != 0 {
+		t.Errorf("DisableIncrementalPlan was dropped: %d rebuilds, %d patches", v.PlanRebuilds, v.PlanPatches)
 	}
 }
 
