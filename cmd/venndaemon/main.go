@@ -11,11 +11,9 @@
 // HTTP API:
 //
 //	POST /v1/jobs           {"name":"kbd","category":"General","demand_per_round":100,"rounds":50}
-//	POST /v1/checkin        {"device_id":"phone-1","cpu":0.8,"mem":0.7}
-//	POST /v1/checkin/batch  {"checkins":[...]}
-//	POST /v1/report         {"device_id":"phone-1","job_id":0,"ok":true,"duration_seconds":42}
-//	POST /v1/report/batch   {"reports":[...]}
-//	GET  /v1/jobs, /v1/jobs/{id}, /v1/stats, /v1/metrics
+//	POST /v1/checkin/batch  {"checkins":[{"device_id":"phone-1","cpu":0.8,"mem":0.7}]}
+//	POST /v1/report/batch   {"reports":[{"device_id":"phone-1","job_id":0,"ok":true,"duration_seconds":42}]}
+//	GET  /v1/jobs, /v1/jobs/{id}, /v1/metrics, /v1/healthz, /metrics
 //
 // Policies: -policy selects the primary scheduler by registry name (venn,
 // fifo, srsf, random; see the README's Policies section). -seed fixes the
@@ -98,14 +96,36 @@ const (
 	blockProfileRateNs   = 10_000
 )
 
-// metricsLine renders the -log-metrics one-line serving summary: current
-// rates, the worst per-stage p99 across ops (sampled spans), federation
-// counters when clustered, and a health flag when the daemon is wedged.
-func metricsLine(m *server.Manager) string {
-	mt := m.MetricsSnapshot()
+// sample is one telemetry snapshot and the time it was taken; the
+// -log-metrics rates are the counter differences between two of them.
+type sample struct {
+	at time.Time
+	mt server.Metrics
+}
+
+// metricsLine renders the -log-metrics one-line serving summary: check-in
+// and report rates since prev, the worst per-stage p99 across ops (sampled
+// spans), and federation counters when clustered. It reads h before it takes
+// a snapshot, because a wedged core holds the mutex the snapshot needs: an
+// unhealthy line is built from h alone. A healthy line advances prev to the
+// new snapshot.
+func metricsLine(h server.HealthStatus, snapshot func() server.Metrics, prev *sample, now time.Time) string {
+	if !h.OK {
+		return fmt.Sprintf("UNHEALTHY(%s) core_held=%s", h.Detail,
+			time.Duration(h.CoreHeldSeconds*float64(time.Second)).Round(time.Millisecond))
+	}
+	cur := sample{at: now, mt: snapshot()}
+	mt := cur.mt
+	rate := func(d int64) float64 {
+		if dt := cur.at.Sub(prev.at).Seconds(); dt > 0 {
+			return float64(d) / dt
+		}
+		return 0
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "checkins/s=%.0f reports/s=%.0f devices=%d busy=%d",
-		mt.CheckInsPerSec, mt.ReportsPerSec, mt.KnownDevices, mt.BusyDevices)
+		rate(mt.CheckIns-prev.mt.CheckIns), rate(mt.Reports-prev.mt.Reports), mt.KnownDevices, mt.BusyDevices)
+	*prev = cur
 	worst := map[string]float64{}
 	for _, byStage := range mt.RequestStageNs {
 		for st, s := range byStage {
@@ -123,9 +143,6 @@ func metricsLine(m *server.Manager) string {
 		fmt.Fprintf(&b, " fwd_out=%d fwd_in=%d fwd_err=%d peers_up=%d/%d",
 			mt.ClusterForwardsOut, mt.ClusterForwardsIn, mt.ClusterForwardErrors,
 			mt.ClusterPeersUp, mt.ClusterPeersUp+mt.ClusterPeersDown)
-	}
-	if h := m.Health(); !h.OK {
-		fmt.Fprintf(&b, " UNHEALTHY(%s)", h.Detail)
 	}
 	return b.String()
 }
@@ -292,12 +309,13 @@ func main() {
 		go func() {
 			tick := time.NewTicker(*logMetrics)
 			defer tick.Stop()
+			prev := sample{at: time.Now(), mt: m.MetricsSnapshot()}
 			for {
 				select {
 				case <-ctx.Done():
 					return
-				case <-tick.C:
-					fmt.Fprintln(os.Stderr, "venndaemon: "+metricsLine(m))
+				case now := <-tick.C:
+					fmt.Fprintln(os.Stderr, "venndaemon: "+metricsLine(m.Health(), m.MetricsSnapshot, &prev, now))
 				}
 			}
 		}()

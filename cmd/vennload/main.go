@@ -333,16 +333,16 @@ func runLoad(lanes []lane, cfg loadConfig) loadreport.Run {
 	if cfg.Conns < len(lanes) {
 		cfg.Conns = len(lanes)
 	}
-	// Reachability probe; the stats reply also names the serving policy.
+	// Reachability probe; the metrics reply also names the serving policy.
 	var activePolicy string
 	for _, l := range lanes {
-		st, err := l.c.Stats()
+		mt, err := l.c.Metrics()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "vennload: daemon %s unreachable: %v\n", l.name, err)
 			os.Exit(1)
 		}
-		if st.Policy != "" {
-			activePolicy = st.Policy
+		if mt.PolicyPrimary != "" {
+			activePolicy = mt.PolicyPrimary
 		}
 	}
 
@@ -676,8 +676,8 @@ func runLoad(lanes []lane, cfg loadConfig) loadreport.Run {
 				mt.LockFreeCheckIns, mt.CheckIns)
 		}
 		if mt.StreamFramesIn > 0 {
-			fmt.Fprintf(&b, "  stream: %d conns, %d frames in, %d frames out; per-transport rates %v\n",
-				mt.StreamConns, mt.StreamFramesIn, mt.StreamFramesOut, mt.CheckInsPerSecByTransport)
+			fmt.Fprintf(&b, "  stream: %d conns, %d frames in, %d frames out\n",
+				mt.StreamConns, mt.StreamFramesIn, mt.StreamFramesOut)
 		}
 		// Per-stage p99 of the check-in batches' sampled spans (1 in
 		// obs_sample_every requests), in canonical stage order.

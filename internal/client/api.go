@@ -4,8 +4,7 @@
 //
 //	c := client.New("http://host:8080")                  // HTTP (scheme ⇒ transport)
 //	c := client.New("host:8081")                         // stream (bare host:port)
-//	c := client.New("host:8081", client.WithTransport(client.TransportStream),
-//	        client.WithTimeout(2*time.Second))
+//	c := client.New("host:8081", client.WithTimeout(2*time.Second))
 //
 // Both transports implement API. NewStream remains as a thin deprecated
 // shim returning the concrete *StreamClient.
@@ -21,7 +20,8 @@ import (
 	"venn/internal/server"
 )
 
-// Transport names accepted by WithTransport.
+// Transport names: a URL address selects TransportHTTP, a bare host:port
+// TransportStream.
 const (
 	TransportHTTP   = "http"
 	TransportStream = "stream"
@@ -38,7 +38,6 @@ type API interface {
 	WaitForJob(id int, poll, timeout time.Duration) (server.JobStatus, error)
 	CheckInBatch(cis []server.CheckIn) ([]server.CheckInResult, error)
 	ReportBatch(rs []server.Report) ([]server.ReportResult, error)
-	Stats() (server.Stats, error)
 	Metrics() (server.Metrics, error)
 	Ping() error
 	Close() error
@@ -47,7 +46,6 @@ type API interface {
 // config collects every knob of both transports; each constructor reads the
 // subset that applies to it.
 type config struct {
-	transport   string
 	timeout     time.Duration
 	timeoutSet  bool
 	retries     int
@@ -68,12 +66,6 @@ func defaultClientConfig() config {
 // Option customizes a client of either transport; options that do not
 // apply to the chosen transport are ignored.
 type Option func(*config)
-
-// WithTransport forces the transport instead of inferring it from the
-// address (a URL scheme means HTTP, a bare host:port means stream).
-func WithTransport(t string) Option {
-	return func(c *config) { c.transport = t }
-}
 
 // WithTimeout bounds one request round trip (dial included on the stream
 // transport); default 10s.
@@ -140,26 +132,15 @@ func WithTopology(on bool) Option {
 
 // New creates a client for the daemon at addr. The transport is inferred
 // from the address — a URL scheme ("http://host:8080") selects HTTP, a bare
-// host:port selects the framed stream protocol — unless WithTransport
-// overrides it. The concrete type is *Client or *StreamClient; callers that
-// need transport-specific extras can type-assert.
+// host:port selects the framed stream protocol. The concrete type is
+// *Client or *StreamClient; callers that need transport-specific extras can
+// type-assert.
 func New(addr string, opts ...Option) API {
 	cfg := defaultClientConfig()
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	t := cfg.transport
-	if t == "" {
-		if strings.Contains(addr, "://") {
-			t = TransportHTTP
-		} else {
-			t = TransportStream
-		}
-	}
-	if t == TransportHTTP {
-		if !strings.Contains(addr, "://") {
-			addr = "http://" + addr
-		}
+	if strings.Contains(addr, "://") {
 		return newHTTPClient(addr, cfg)
 	}
 	return newStreamClient(addr, cfg)

@@ -79,20 +79,20 @@ func TestClientGetRetries(t *testing.T) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"completed_jobs": 7}`))
+		_, _ = w.Write([]byte(`{"completed_jobs_total": 7}`))
 	}))
 	defer srv.Close()
 
 	// Without retries the transient 500 surfaces.
 	c := New(srv.URL)
-	if _, err := c.Stats(); err == nil {
+	if _, err := c.Metrics(); err == nil {
 		t.Fatal("expected error without retries")
 	}
 	calls.Store(0)
 
 	// With a retry budget the GET succeeds on the third attempt.
 	c = New(srv.URL, WithRetries(3), WithRetryDelay(time.Millisecond))
-	st, err := c.Stats()
+	st, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestClientConfigurableTimeout(t *testing.T) {
 
 	c := New(srv.URL, WithTimeout(50*time.Millisecond))
 	start := time.Now()
-	_, err := c.Stats()
+	_, err := c.Metrics()
 	if err == nil {
 		t.Fatal("expected timeout error")
 	}

@@ -94,13 +94,6 @@ func (c *Client) ReportBatch(rs []server.Report) ([]server.ReportResult, error) 
 	return resp.Results, nil
 }
 
-// Stats fetches the daemon's monitoring snapshot.
-func (c *Client) Stats() (server.Stats, error) {
-	var st server.Stats
-	err := c.get("/v1/stats", &st)
-	return st, err
-}
-
 // Metrics fetches the daemon's serving-throughput and latency metrics.
 func (c *Client) Metrics() (server.Metrics, error) {
 	var mt server.Metrics
@@ -108,9 +101,11 @@ func (c *Client) Metrics() (server.Metrics, error) {
 	return mt, err
 }
 
-// Ping probes daemon reachability with the cheapest idempotent request.
+// Ping probes the daemon with the cheapest idempotent request, GET
+// /v1/healthz, which takes no scheduler lock; an unhealthy daemon's 503
+// fails it.
 func (c *Client) Ping() error {
-	return c.get("/v1/stats", &struct{}{})
+	return c.get("/v1/healthz", &struct{}{})
 }
 
 // Close releases idle connections held by the underlying HTTP transport.

@@ -50,9 +50,9 @@ func TestClientJobLifecycle(t *testing.T) {
 	if err != nil || len(jobs) != 1 {
 		t.Fatalf("Jobs: %v %v", jobs, err)
 	}
-	stats, err := c.Stats()
+	stats, err := c.Metrics()
 	if err != nil || stats.CompletedJobs != 1 {
-		t.Fatalf("Stats: %+v %v", stats, err)
+		t.Fatalf("Metrics: %+v %v", stats, err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // StreamClient talks to a venndaemon stream listener (venndaemon
 // -stream-addr) over the persistent framed protocol of internal/transport.
 // It exposes the same surface as the HTTP Client — CheckInBatch, ReportBatch,
-// job registration and lookup, Stats, Metrics — but
+// job registration and lookup, Metrics — but
 // amortizes connection setup and HTTP framing away entirely: requests from
 // any number of goroutines are multiplexed over a small pool of persistent
 // connections, correlated by pipelined request IDs, and a connection that
@@ -48,9 +48,9 @@ const (
 // addr (e.g. "localhost:8081"). Connections are dialed lazily on first use
 // and redialed automatically after failures.
 //
-// Deprecated: use New — a bare host:port address (or
-// WithTransport(TransportStream)) selects this same transport. NewStream
-// remains for callers that need the concrete *StreamClient.
+// Deprecated: use New — a bare host:port address selects this same
+// transport. NewStream remains for callers that need the concrete
+// *StreamClient.
 func NewStream(addr string, opts ...Option) *StreamClient {
 	cfg := defaultClientConfig()
 	for _, opt := range opts {
@@ -166,13 +166,6 @@ func (s *StreamClient) Jobs() ([]server.JobStatus, error) {
 func (s *StreamClient) JobStatus(id int) (server.JobStatus, error) {
 	var st server.JobStatus
 	err := s.doJSON(transport.OpJobStatus, transport.JobIDRequest{ID: id}, &st)
-	return st, err
-}
-
-// Stats fetches the daemon's monitoring snapshot.
-func (s *StreamClient) Stats() (server.Stats, error) {
-	var st server.Stats
-	err := s.doJSON(transport.OpStats, nil, &st)
 	return st, err
 }
 

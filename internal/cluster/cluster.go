@@ -1,3 +1,24 @@
+// Package cluster federates several venndaemons into one serving fleet.
+// Device ownership is sharded across the member daemons by a consistent-hash
+// ring (internal/hashring — FNV-1a over the device ID, the same hash family
+// the manager's lock stripes use), and a request that lands on a non-owner
+// is transparently forwarded peer-to-peer over the persistent framed stream
+// transport (internal/transport) using the multiplexing client.StreamClient
+// pool — any daemon can accept any check-in or report, single or batch.
+// Ring-aware clients (client.WithTopology) fetch the same ring over
+// OpTopology and partition their batches before sending, so on the common
+// path nothing needs forwarding at all.
+//
+// Membership is static configuration: every member is told the full member
+// list (venndaemon -peers) and identifies itself by its published stream
+// address (-node-id, defaulting to -stream-addr). A lightweight health loop
+// pings each peer periodically; a peer that misses FailAfter consecutive
+// probes is marked down and forwarding to it falls back to applying the
+// request locally, so a dead peer degrades ownership locality instead of
+// erroring requests. The ring plus the alive-peer table is published as an
+// immutable snapshot behind an atomic pointer — the routing decision on the
+// serving hot path is lock-free, mirroring the scheduler's PlanSnapshot
+// pattern.
 package cluster
 
 import (
@@ -9,6 +30,7 @@ import (
 	"time"
 
 	"venn/internal/client"
+	"venn/internal/hashring"
 	"venn/internal/server"
 )
 
@@ -54,7 +76,7 @@ type Config struct {
 	// rings will disagree — the hop guard keeps that mistake from looping
 	// requests, but ownership locality suffers.
 	Peers []string
-	// VNodes is the virtual-node count per member (default DefaultVNodes).
+	// VNodes is the virtual-node count per member (default hashring.DefaultVNodes).
 	VNodes int
 	// HealthInterval is the peer-ping period (default 1s).
 	HealthInterval time.Duration
@@ -75,7 +97,7 @@ type Config struct {
 
 func (c *Config) fillDefaults() {
 	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
+		c.VNodes = hashring.DefaultVNodes
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = DefaultHealthInterval
@@ -112,7 +134,7 @@ type peer struct {
 // request and never take a lock — the PlanSnapshot pattern applied to
 // membership.
 type snapshot struct {
-	ring *Ring
+	ring *hashring.Ring
 	// table[ring.OwnerIndex(id)] is the remote member to forward id to, nil
 	// when that member is this node or is down. One entry past the members
 	// stands for the local group of a batch plan (see plan) and stays nil.
@@ -127,7 +149,7 @@ type snapshot struct {
 type Cluster struct {
 	cfg   Config
 	m     *server.Manager
-	ring  *Ring
+	ring  *hashring.Ring
 	self  int     // this node's index in ring.Members()
 	peers []*peer // remote members, sorted by ID
 
@@ -186,7 +208,7 @@ func New(m *server.Manager, cfg Config) (*Cluster, error) {
 		}
 	}
 	members := append([]string{cfg.SelfID}, cfg.Peers...)
-	ring := NewRing(members, cfg.VNodes)
+	ring := hashring.New(members, cfg.VNodes)
 	c := &Cluster{
 		cfg:  cfg,
 		m:    m,
@@ -216,7 +238,7 @@ func New(m *server.Manager, cfg Config) (*Cluster, error) {
 }
 
 // Ring exposes the (static) ownership ring.
-func (c *Cluster) Ring() *Ring { return c.ring }
+func (c *Cluster) Ring() *hashring.Ring { return c.ring }
 
 // publish installs a fresh routing snapshot from the peers' current health
 // state, and — when the live membership actually changed — advances the

@@ -13,6 +13,7 @@ import (
 
 	"venn/internal/client"
 	"venn/internal/cluster"
+	"venn/internal/hashring"
 	"venn/internal/server"
 	"venn/internal/transport"
 )
@@ -74,7 +75,7 @@ func checkInOne(clu *cluster.Cluster, ci server.CheckIn) server.CheckInResult {
 }
 
 // deviceOwnedBy finds a device ID the ring assigns to the wanted member.
-func deviceOwnedBy(t *testing.T, r *cluster.Ring, owner string, tag string) string {
+func deviceOwnedBy(t *testing.T, r *hashring.Ring, owner string, tag string) string {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
 		id := fmt.Sprintf("%s-%06d", tag, i)
@@ -281,7 +282,7 @@ func TestHopFlagRejectedOnNonServingOp(t *testing.T) {
 	}
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	if err := transport.WriteFrame(bw, transport.Version2, transport.OpStats|transport.HopFlag, 7, nil); err != nil {
+	if err := transport.WriteFrame(bw, transport.Version2, transport.OpMetrics|transport.HopFlag, 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"venn/internal/client"
 	"venn/internal/cluster"
+	"venn/internal/hashring"
 	"venn/internal/server"
 	"venn/internal/transport"
 )
@@ -34,7 +35,7 @@ func decodedBatch(t *testing.T, cis []server.CheckIn) (*server.BatchBuf, server.
 }
 
 // fleetOf names n devices tag-00 … and reports how many the ring gives owner.
-func fleetOf(r *cluster.Ring, tag string, n int, owner string) (cis []server.CheckIn, owned int) {
+func fleetOf(r *hashring.Ring, tag string, n int, owner string) (cis []server.CheckIn, owned int) {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("%s-%02d", tag, i)
 		cis = append(cis, server.CheckIn{DeviceID: id, CPU: 0.5, Mem: 0.5})

@@ -29,9 +29,9 @@ import (
 // sample names with labels, values dropped, each sorted.
 const telemetryViewsFile = "testdata/telemetry_views.txt"
 
-// viewsConfig pins everything the two views' shapes can depend on: the clock
-// (rates stay 0, so the per-transport map stays absent), the seed and the
-// sampling rate (every request carries a span, so the stage maps are full).
+// viewsConfig pins everything the two views' shapes can depend on: the clock,
+// the seed and the sampling rate (every request carries a span, so the stage
+// maps are full).
 func viewsConfig() server.Config {
 	at := time.Unix(1_700_000_000, 0)
 	return server.Config{Seed: 1, Shards: 4, ObsSampleEvery: 1, Clock: func() time.Time { return at }}

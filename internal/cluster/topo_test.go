@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"venn/internal/client"
-	"venn/internal/cluster"
+	"venn/internal/hashring"
 	"venn/internal/server"
 )
 
@@ -61,7 +61,7 @@ func TestStaleTopologyCorrection(t *testing.T) {
 
 	// The test is only meaningful if the rings actually disagree for this
 	// fleet — verify rather than assume.
-	staleRing := cluster.NewRing(membersA, 1)
+	staleRing := hashring.New(membersA, 1)
 	fleet := make([]server.CheckIn, 256)
 	misroutes := 0
 	for i := range fleet {

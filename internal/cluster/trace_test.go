@@ -8,6 +8,7 @@ import (
 
 	"venn/internal/client"
 	"venn/internal/cluster"
+	"venn/internal/hashring"
 	"venn/internal/obs"
 	"venn/internal/server"
 	"venn/internal/transport"
@@ -104,7 +105,7 @@ func TestForwardTraceJoinsFlightRecords(t *testing.T) {
 
 // deviceOwnedByRing is deviceOwnedBy against a standalone ring (the trace
 // test builds its own federation without the startFederation helper).
-func deviceOwnedByRing(t *testing.T, r *cluster.Ring, owner string) string {
+func deviceOwnedByRing(t *testing.T, r *hashring.Ring, owner string) string {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
 		id := fmt.Sprintf("trace-dev-%06d", i)

@@ -1,4 +1,4 @@
-package cluster
+package hashring
 
 import (
 	"fmt"
@@ -17,8 +17,8 @@ func ringKeys(n int) []string {
 }
 
 func TestRingDeterministicAndOrderIndependent(t *testing.T) {
-	a := NewRing([]string{"n1", "n2", "n3"}, 128)
-	b := NewRing([]string{"n3", "n1", "n2", "n1"}, 128) // shuffled + duplicate
+	a := New([]string{"n1", "n2", "n3"}, 128)
+	b := New([]string{"n3", "n1", "n2", "n1"}, 128) // shuffled + duplicate
 	if a.Size() != 3 || b.Size() != 3 {
 		t.Fatalf("sizes %d, %d; want 3", a.Size(), b.Size())
 	}
@@ -28,7 +28,7 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 		}
 	}
 	// Rebuilding from scratch yields the identical mapping.
-	c := NewRing([]string{"n1", "n2", "n3"}, 128)
+	c := New([]string{"n1", "n2", "n3"}, 128)
 	for _, k := range ringKeys(2000) {
 		if a.Owner(k) != c.Owner(k) {
 			t.Fatalf("owner of %q not deterministic across builds", k)
@@ -45,7 +45,7 @@ func TestRingBalance(t *testing.T) {
 		{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"},
 		{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003", "127.0.0.1:9004"},
 	} {
-		r := NewRing(members, 128)
+		r := New(members, 128)
 		counts := make(map[string]int, len(members))
 		for _, k := range keys {
 			counts[r.Owner(k)]++
@@ -69,8 +69,8 @@ func TestRingBalance(t *testing.T) {
 // removing one only moves the removed member's keys.
 func TestRingMinimalMovement(t *testing.T) {
 	keys := ringKeys(50000)
-	three := NewRing([]string{"a", "b", "c"}, 128)
-	four := NewRing([]string{"a", "b", "c", "d"}, 128)
+	three := New([]string{"a", "b", "c"}, 128)
+	four := New([]string{"a", "b", "c", "d"}, 128)
 
 	moved := 0
 	for _, k := range keys {
@@ -100,10 +100,10 @@ func TestRingMinimalMovement(t *testing.T) {
 }
 
 func TestRingEdgeCases(t *testing.T) {
-	if owner := NewRing(nil, 128).Owner("x"); owner != "" {
+	if owner := New(nil, 128).Owner("x"); owner != "" {
 		t.Fatalf("empty ring owner = %q, want \"\"", owner)
 	}
-	one := NewRing([]string{"solo"}, 16)
+	one := New([]string{"solo"}, 16)
 	for _, k := range ringKeys(100) {
 		if one.Owner(k) != "solo" {
 			t.Fatal("single-member ring must own everything")
@@ -120,7 +120,7 @@ func TestOwnerIndexAgreesWithOwner(t *testing.T) {
 		for i := 0; i < n; i++ {
 			members = append(members, fmt.Sprintf("10.0.0.%d:8081", n-i)) // unsorted on purpose
 		}
-		r := NewRing(members, 0)
+		r := New(members, 0)
 		for k := 0; k < 10000; k++ {
 			key := fmt.Sprintf("dev-%x", rng.Uint64())
 			if i := r.OwnerIndex(key); i < 0 || i >= n || r.Members()[i] != r.Owner(key) {
@@ -128,13 +128,13 @@ func TestOwnerIndexAgreesWithOwner(t *testing.T) {
 			}
 		}
 	}
-	if i := NewRing(nil, 0).OwnerIndex("x"); i != -1 {
+	if i := New(nil, 0).OwnerIndex("x"); i != -1 {
 		t.Fatalf("empty ring OwnerIndex = %d, want -1", i)
 	}
 }
 
 func BenchmarkRingOwner(b *testing.B) {
-	r := NewRing([]string{"n1", "n2", "n3", "n4"}, 128)
+	r := New([]string{"n1", "n2", "n3", "n4"}, 128)
 	keys := ringKeys(1024)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -79,8 +79,8 @@ func driveCorePipeline(t *testing.T, m *Manager, clk *fakeClock) []byte {
 			}
 		}
 	}
-	st := m.StatsSnapshot()
-	record([]int{st.CheckIns, st.Assignments, st.Reports, st.Failures, st.Aborts})
+	st := m.MetricsSnapshot()
+	record([]int64{st.CheckIns, st.Assignments, st.Reports, st.Failures, st.Aborts})
 	return buf.Bytes()
 }
 
@@ -211,7 +211,6 @@ func TestCombinerConcurrentMixedLoad(t *testing.T) {
 						default:
 						}
 						m.Tick()
-						_ = m.StatsSnapshot()
 						_ = m.MetricsSnapshot()
 					}
 				}()
@@ -220,12 +219,12 @@ func TestCombinerConcurrentMixedLoad(t *testing.T) {
 			close(done)
 			readers.Wait()
 
-			st := m.StatsSnapshot()
-			mt := m.MetricsSnapshot()
+			st := m.MetricsSnapshot()
+			mt := st
 			if st.CheckIns == 0 || st.Assignments == 0 {
 				t.Fatalf("no traffic recorded: %+v", st)
 			}
-			if st.Assignments > totalDemand {
+			if st.Assignments > int64(totalDemand) {
 				t.Errorf("assignments %d exceed total demand %d", st.Assignments, totalDemand)
 			}
 			if st.Reports > st.Assignments {

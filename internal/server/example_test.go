@@ -52,8 +52,8 @@ func ExampleHandler() {
 		}}}, &server.ReportBatchResponse{})
 	}
 
-	var st server.Stats
-	get(srv.URL+"/v1/stats", &st)
+	var st server.Metrics
+	get(srv.URL+"/v1/metrics", &st)
 	fmt.Printf("\n%d devices assigned, %d reports, %d jobs completed (avg JCT %.0fs)\n",
 		st.Assignments, st.Reports, st.CompletedJobs, st.AvgJCTSeconds)
 	for _, j := range jobs(srv.URL) {

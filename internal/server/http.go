@@ -49,7 +49,6 @@ func (c *HandlerConfig) fillDefaults() {
 //	GET  /v1/jobs/{id}       -> JobStatus
 //	POST /v1/checkin/batch   {CheckInBatchRequest}  -> CheckInBatchResponse
 //	POST /v1/report/batch    {ReportBatchRequest}   -> ReportBatchResponse
-//	GET  /v1/stats           -> Stats
 //	GET  /v1/metrics         -> Metrics (JSON)
 //	GET  /v1/healthz         -> HealthStatus (503 when unhealthy)
 //	GET  /v1/debug/flight    -> flight-recorder dump, slowest first
@@ -154,13 +153,6 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 			return
 		}
 		writeJSONSpan(w, ReportBatchResponse{Results: results}, http.StatusOK, sp)
-	})
-	handle("/v1/stats", obs.OpOther, func(w http.ResponseWriter, r *http.Request, sp *obs.Span) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		writeJSONSpan(w, svc.Stats(), http.StatusOK, sp)
 	})
 	handle("/v1/metrics", obs.OpOther, func(w http.ResponseWriter, r *http.Request, sp *obs.Span) {
 		if r.Method != http.MethodGet {

@@ -157,24 +157,6 @@ type (
 	}
 )
 
-// Stats summarizes the manager for monitoring.
-type Stats struct {
-	Policy         string  `json:"policy"`
-	ActiveJobs     int     `json:"active_jobs"`
-	CompletedJobs  int     `json:"completed_jobs"`
-	CheckIns       int     `json:"check_ins"`
-	Assignments    int     `json:"assignments"`
-	Reports        int     `json:"reports"`
-	Failures       int     `json:"failures"`
-	Aborts         int     `json:"aborts"`
-	AvgJCTSeconds  float64 `json:"avg_jct_seconds"`
-	UptimeSeconds  float64 `json:"uptime_seconds"`
-	SupplyPerHour  float64 `json:"supply_per_hour"`
-	PlanRebuilds   int     `json:"plan_rebuilds"`
-	PlanPatches    int     `json:"plan_patches"`
-	QueuedRequests int     `json:"queued_requests"`
-}
-
 // Config parameterizes the manager.
 type Config struct {
 	// Categories are the requirement strata jobs may ask for. Defaults
@@ -304,7 +286,6 @@ type Manager struct {
 	routerBox attachment[Router]
 	streamBox attachment[StreamServer]
 
-	metrics *metricsRecorder
 	// obs is the request-path observability registry: per-op total
 	// histograms (always on), sampled per-stage histograms, trace IDs, and
 	// the flight recorder. Immutable after NewManager.
@@ -434,7 +415,6 @@ func NewManager(cfg Config) *Manager {
 		jobs:       make(map[job.ID]*managedJob),
 		deadlines:  make(map[job.ID]simtime.Time),
 		attempt:    make(map[job.ID]uint64),
-		metrics:    newMetricsRecorder(),
 		obs:        obs.NewRegistry(cfg.ObsSampleEvery),
 	}
 	// The snapshot fast path and plan telemetry need the concrete core.
@@ -520,7 +500,7 @@ func (m *Manager) now() simtime.Time {
 	return simtime.Time(m.cfg.Clock().Sub(m.start) / time.Millisecond)
 }
 
-// nowSec is the wall-clock second used to bucket throughput rates.
+// nowSec is the wall-clock second the registry stamps on a device it sees.
 func (m *Manager) nowSec() int64 { return m.cfg.Clock().Unix() }
 
 // RegisterJob admits a new CL job and opens its first-round request. The
@@ -736,8 +716,6 @@ func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 			s.flags &^= slotBusy
 		}
 	}
-	m.metrics.checkins.Add(nowSec, int64(admitted))
-	m.metrics.assignRate.Add(nowSec, int64(assigned))
 	return out
 }
 
@@ -823,7 +801,6 @@ func (m *Manager) ReportBatchBuf(buf *BatchBuf, sp *obs.Span) []ReportResult {
 		}
 		m.submitReportBatch(buf.reports, sp)
 	}
-	m.metrics.reportRate.Add(m.nowSec(), int64(accepted))
 	return out
 }
 
@@ -1001,39 +978,13 @@ func (m *Manager) statusLocked(mj *managedJob) JobStatus {
 	return st
 }
 
-// StatsSnapshot returns a monitoring snapshot.
-func (m *Manager) StatsSnapshot() Stats {
+// StatsSnapshot moves the pending supply into the scheduler's history, then
+// returns MetricsSnapshot. Nothing in the daemon calls it: the benchmark's
+// replay reads CompletedJobs through it once per step, and its exact-on-seed
+// JCT depends on when supply reaches the history.
+func (m *Manager) StatsSnapshot() Metrics {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := Stats{
-		Policy:        m.policyName,
-		ActiveJobs:    len(m.jobs),
-		CompletedJobs: len(m.completed),
-		CheckIns:      int(m.checkIns.Load()),
-		Assignments:   m.assignments,
-		Reports:       m.reports,
-		Failures:      m.failures,
-		Aborts:        m.aborts,
-	}
-	now := m.now()
-	m.drainSupplyLocked(now)
-	s.UptimeSeconds = float64(now) / 1000
-	s.SupplyPerHour = m.env.DB.TotalRatePerHour(now)
-	if m.venn != nil {
-		s.PlanRebuilds = m.venn.PlanRebuilds
-		s.PlanPatches = m.venn.PlanPatches
-	}
-	for _, mj := range m.jobs {
-		if mj.j.State() == job.StateScheduling {
-			s.QueuedRequests++
-		}
-	}
-	var jct float64
-	for _, mj := range m.completed {
-		jct += mj.j.JCT().Seconds()
-	}
-	if len(m.completed) > 0 {
-		s.AvgJCTSeconds = jct / float64(len(m.completed))
-	}
-	return s
+	m.drainSupplyLocked(m.now())
+	m.mu.Unlock()
+	return m.MetricsSnapshot()
 }

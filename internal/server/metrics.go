@@ -1,33 +1,40 @@
 package server
 
 import (
-	"sync/atomic"
-
 	"venn/internal/job"
 	"venn/internal/obs"
 )
 
-// Metrics is the GET /v1/metrics payload: serving throughput, queue depths,
-// and handler latency percentiles. Rates are averaged over the trailing
-// rateWindowSeconds full seconds, or over the daemon's whole life while that
-// is shorter; latency percentiles are estimated from the cumulative obs
-// histograms.
+// Metrics is the GET /v1/metrics payload: cumulative counters, gauges,
+// queue depths and handler latency percentiles. It holds no rates: a rate is
+// the difference of two snapshots' counters over the time between them.
+// Latency percentiles are estimated from the cumulative obs histograms.
 //
 // It is also the one listing of the daemon's telemetry: GET /metrics renders
 // every field tagged prom:"counter,<help>" or prom:"gauge,<help>" as the
 // family venn_<json key> (plus _total for a counter whose key lacks it), and
-// prom:"-" marks a field the exposition leaves out — rates and ratios, which
+// prom:"-" marks a field the exposition leaves out — ratios, which
 // Prometheus derives itself, maps and summaries. Adding a counter is adding
 // a field.
 type Metrics struct {
-	UptimeSeconds     float64 `json:"uptime_seconds" prom:"gauge,Seconds since the daemon started."`
-	Shards            int     `json:"shards" prom:"-"`
-	CheckIns          int64   `json:"checkins_total" prom:"counter,Admitted device check-ins."`
-	Assignments       int64   `json:"assignments_total" prom:"counter,Task assignments handed out."`
-	Reports           int64   `json:"reports_total" prom:"counter,Task reports accepted."`
-	CheckInsPerSec    float64 `json:"checkins_per_sec" prom:"-"`
-	AssignmentsPerSec float64 `json:"assignments_per_sec" prom:"-"`
-	ReportsPerSec     float64 `json:"reports_per_sec" prom:"-"`
+	UptimeSeconds float64 `json:"uptime_seconds" prom:"gauge,Seconds since the daemon started."`
+	Shards        int     `json:"shards" prom:"-"`
+	CheckIns      int64   `json:"checkins_total" prom:"counter,Admitted device check-ins."`
+	Assignments   int64   `json:"assignments_total" prom:"counter,Task assignments handed out."`
+	Reports       int64   `json:"reports_total" prom:"counter,Task reports accepted."`
+	Failures      int64   `json:"failures_total" prom:"counter,Task reports of a failed task."`
+	Aborts        int64   `json:"aborts_total" prom:"counter,Collection attempts aborted and resubmitted."`
+
+	// CompletedJobs counts jobs that finished every round; AvgJCTSeconds is
+	// their mean job completion time, the paper's headline metric (0 before
+	// the first completes).
+	CompletedJobs int     `json:"completed_jobs_total" prom:"counter,Jobs that finished every round."`
+	AvgJCTSeconds float64 `json:"avg_jct_seconds" prom:"gauge,Mean job completion time of the completed jobs, in seconds."`
+	// SupplyPerHour is the fleet-wide check-in rate the scheduler plans with
+	// (the supply estimate over its averaging window). It covers the
+	// check-ins the core has drained into its history; a snapshot never
+	// drains them itself.
+	SupplyPerHour float64 `json:"supply_per_hour" prom:"gauge,Fleet-wide device check-ins per hour in the scheduler's supply estimate."`
 
 	// The job counts are rendered as one labelled family, venn_jobs{state}.
 	ActiveJobs     int   `json:"active_jobs" prom:"-"`
@@ -70,13 +77,6 @@ type Metrics struct {
 	CoreOpsPerRound float64        `json:"core_ops_per_round" prom:"-"`
 	CoreFastPathOps int64          `json:"core_fastpath_ops" prom:"counter,Core ops applied on the uncontended fast path."`
 	CoreWaitNs      LatencySummary `json:"core_wait_ns" prom:"-"`
-
-	// CheckInsPerSecByTransport splits the served check-in rate by the
-	// transport that carried it ("http", "stream"); transports with no
-	// traffic in the window are omitted. "Served" counts items not rejected
-	// per-item, so it can slightly exceed the admitted checkins_per_sec
-	// (daily-budget refusals are served but not admitted).
-	CheckInsPerSecByTransport map[string]float64 `json:"checkins_per_sec_by_transport,omitempty" prom:"-"`
 	StreamTelemetry
 	ClusterTelemetry
 
@@ -155,61 +155,6 @@ type LatencySummary struct {
 	Max   float64 `json:"max"`
 }
 
-const (
-	// rateRingSeconds is the per-second bucket ring size; it must exceed
-	// rateWindowSeconds so a full window of closed seconds is available.
-	rateRingSeconds = 32
-	// rateWindowSeconds is the averaging window for the */s rates.
-	rateWindowSeconds = 10
-)
-
-// rateCounter counts events into per-second buckets with atomics only, so
-// the serving paths can record throughput without sharing a lock. A bucket
-// is reused once its second falls out of the ring; the CAS hand-off may
-// drop a handful of events on the reuse boundary, which is acceptable for
-// monitoring.
-type rateCounter struct {
-	buckets [rateRingSeconds]rateBucket
-}
-
-type rateBucket struct {
-	sec atomic.Int64
-	n   atomic.Int64
-}
-
-// Add records n events at the given wall-clock second.
-func (rc *rateCounter) Add(nowSec int64, n int64) {
-	if n <= 0 {
-		return
-	}
-	b := &rc.buckets[nowSec%rateRingSeconds]
-	if s := b.sec.Load(); s != nowSec {
-		if b.sec.CompareAndSwap(s, nowSec) {
-			b.n.Store(0)
-		}
-	}
-	b.n.Add(n)
-}
-
-// PerSec averages the trailing window of elapsed seconds (the current,
-// still-filling second is excluded). The window is rateWindowSeconds, or the
-// seconds elapsed since startSec while those are fewer, so a young daemon's
-// rate is not diluted by seconds it did not live through.
-func (rc *rateCounter) PerSec(nowSec, startSec int64) float64 {
-	window := min(rateWindowSeconds, nowSec-startSec)
-	if window <= 0 {
-		return 0
-	}
-	var sum int64
-	for s := nowSec - window; s < nowSec; s++ {
-		b := &rc.buckets[s%rateRingSeconds]
-		if b.sec.Load() == s {
-			sum += b.n.Load()
-		}
-	}
-	return float64(sum) / float64(window)
-}
-
 // Route labels for the per-op latency maps of /v1/metrics. They are the
 // string forms of the obs.Op enum — the JSON view, the Prometheus view, and
 // the per-stage breakdowns all share one vocabulary.
@@ -219,36 +164,6 @@ const (
 	RouteJobs         = "jobs"
 	RouteOther        = "other"
 )
-
-// metricsRecorder aggregates the serving-path rate telemetry behind
-// /v1/metrics. Latency lives in the manager's obs registry, not here.
-type metricsRecorder struct {
-	checkins   rateCounter
-	assignRate rateCounter
-	reportRate rateCounter
-	// perTransport counts served check-ins by transport label; written once
-	// at construction and then only read, so lookups need no lock.
-	perTransport map[string]*rateCounter
-}
-
-func newMetricsRecorder() *metricsRecorder {
-	r := &metricsRecorder{
-		perTransport: make(map[string]*rateCounter, len(transportLabels)),
-	}
-	for _, tr := range transportLabels {
-		r.perTransport[tr] = &rateCounter{}
-	}
-	return r
-}
-
-// transportRate returns the served-check-in counter for a transport label,
-// defaulting unknown labels to the HTTP bucket.
-func (r *metricsRecorder) transportRate(transport string) *rateCounter {
-	if rc, ok := r.perTransport[transport]; ok {
-		return rc
-	}
-	return r.perTransport[TransportHTTP]
-}
 
 // histSummary condenses an obs histogram snapshot into the LatencySummary
 // shape; scale divides the nanosecond estimates (1 keeps ns, 1e6 yields ms).
@@ -262,23 +177,21 @@ func histSummary(s obs.HistSnapshot, scale float64) LatencySummary {
 	}
 }
 
-// MetricsSnapshot assembles the /v1/metrics payload.
+// MetricsSnapshot assembles the /v1/metrics payload. It moves no pending
+// supply into the scheduler's history, so a scrape changes nothing the
+// scheduler reads.
 func (m *Manager) MetricsSnapshot() Metrics {
-	sec, startSec := m.nowSec(), m.start.Unix()
 	reg := m.reg.stats()
 	out := Metrics{
-		Shards:            len(m.reg.shards),
-		CheckInsPerSec:    m.metrics.checkins.PerSec(sec, startSec),
-		AssignmentsPerSec: m.metrics.assignRate.PerSec(sec, startSec),
-		ReportsPerSec:     m.metrics.reportRate.PerSec(sec, startSec),
-		KnownDevices:      reg.Live,
-		BusyDevices:       m.reg.busy.Load(),
-		CheckIns:          m.checkIns.Load(),
-		LockFreeCheckIns:  m.lockFreeCheckIns.Load(),
-		DevicesEvicted:    m.reg.evictions.Load(),
-		HandlerLatencyMs:  make(map[string]LatencySummary, int(obs.NumOps)),
-		ObsSampleEvery:    m.obs.SampleEvery(),
-		FlightRecorded:    m.obs.Flight().Recorded(),
+		Shards:           len(m.reg.shards),
+		KnownDevices:     reg.Live,
+		BusyDevices:      m.reg.busy.Load(),
+		CheckIns:         m.checkIns.Load(),
+		LockFreeCheckIns: m.lockFreeCheckIns.Load(),
+		DevicesEvicted:   m.reg.evictions.Load(),
+		HandlerLatencyMs: make(map[string]LatencySummary, int(obs.NumOps)),
+		ObsSampleEvery:   m.obs.SampleEvery(),
+		FlightRecorded:   m.obs.Flight().Recorded(),
 	}
 	out.RegistrySlots, out.RegistryLive, out.RegistryTombstones = reg.Slots, reg.Live, reg.Tombstones
 	out.RegistryIDBytes, out.RegistryRehashes = reg.IDBytes, reg.Rehashes
@@ -309,14 +222,6 @@ func (m *Manager) MetricsSnapshot() Metrics {
 			out.RequestStageNs[op.String()] = stages
 		}
 	}
-	for _, tr := range transportLabels {
-		if rate := m.metrics.perTransport[tr].PerSec(sec, startSec); rate > 0 {
-			if out.CheckInsPerSecByTransport == nil {
-				out.CheckInsPerSecByTransport = make(map[string]float64, len(transportLabels))
-			}
-			out.CheckInsPerSecByTransport[tr] = rate
-		}
-	}
 	if s := m.streamBox.load(); s != nil {
 		out.StreamTelemetry = s.StreamTelemetry()
 	}
@@ -324,9 +229,21 @@ func (m *Manager) MetricsSnapshot() Metrics {
 		out.ClusterTelemetry = r.ClusterTelemetry()
 	}
 	m.mu.Lock()
-	out.UptimeSeconds = float64(m.now()) / 1000
+	now := m.now()
+	out.UptimeSeconds = float64(now) / 1000
 	out.Assignments = int64(m.assignments)
 	out.Reports = int64(m.reports)
+	out.Failures = int64(m.failures)
+	out.Aborts = int64(m.aborts)
+	out.CompletedJobs = len(m.completed)
+	if len(m.completed) > 0 {
+		var jct float64
+		for _, mj := range m.completed {
+			jct += mj.j.JCT().Seconds()
+		}
+		out.AvgJCTSeconds = jct / float64(len(m.completed))
+	}
+	out.SupplyPerHour = m.env.DB.TotalRatePerHour(now)
 	if m.venn != nil {
 		out.PlanRebuilds = int64(m.venn.PlanRebuilds)
 		out.PlanPatches = int64(m.venn.PlanPatches)

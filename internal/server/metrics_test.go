@@ -2,74 +2,10 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
-
-func TestRateCounter(t *testing.T) {
-	var rc rateCounter
-	// 5 events/s for the 10 seconds preceding "now" (second 100).
-	for s := int64(90); s < 100; s++ {
-		rc.Add(s, 5)
-	}
-	if got := rc.PerSec(100, 0); got != 5 {
-		t.Errorf("PerSec = %v, want 5", got)
-	}
-	// The current, still-filling second is excluded.
-	rc.Add(100, 1000)
-	if got := rc.PerSec(100, 0); got != 5 {
-		t.Errorf("PerSec with open second = %v, want 5", got)
-	}
-	// A quiet window decays to zero once the buckets fall out of range.
-	if got := rc.PerSec(100+rateRingSeconds+1, 0); got != 0 {
-		t.Errorf("stale PerSec = %v, want 0", got)
-	}
-	// Bucket reuse after the ring wraps.
-	rc.Add(100+rateRingSeconds, 7)
-	if got := rc.PerSec(101+rateRingSeconds, 0); got != 0.7 {
-		t.Errorf("reused-bucket PerSec = %v, want 0.7", got)
-	}
-}
-
-// TestRatesOfAYoungDaemon pins the rate window to the daemon's age: five
-// seconds after start, 50 check-ins are 10/s, not 50 spread over the full
-// ten-second window; from ten seconds on the window is the fixed one.
-func TestRatesOfAYoungDaemon(t *testing.T) {
-	clk := newFakeClock()
-	m := newTestManager(clk)
-	svc := NewService(m, TransportStream)
-	if got := m.MetricsSnapshot().CheckInsPerSec; got != 0 {
-		t.Errorf("checkins_per_sec in the start second = %v, want 0", got)
-	}
-	for s := 0; s < 5; s++ {
-		cis := make([]CheckIn, 10)
-		for i := range cis {
-			cis[i] = CheckIn{DeviceID: fmt.Sprintf("young-%d-%d", s, i), CPU: 0.5, Mem: 0.5}
-		}
-		if _, err := svc.CheckInBatchLocal(CheckInBatchRequest{CheckIns: cis}, nil); err != nil {
-			t.Fatal(err)
-		}
-		clk.advance(time.Second)
-	}
-	mt := m.MetricsSnapshot()
-	if mt.CheckInsPerSec != 10 {
-		t.Errorf("checkins_per_sec at 5 s = %v, want 10", mt.CheckInsPerSec)
-	}
-	if got := mt.CheckInsPerSecByTransport[TransportStream]; got != 10 {
-		t.Errorf("stream checkins_per_sec at 5 s = %v, want 10", got)
-	}
-	clk.advance(5 * time.Second)
-	if got := m.MetricsSnapshot().CheckInsPerSec; got != 5 {
-		t.Errorf("checkins_per_sec at 10 s = %v, want 5", got)
-	}
-	clk.advance(5 * time.Second)
-	if got := m.MetricsSnapshot().CheckInsPerSec; got != 0 {
-		t.Errorf("checkins_per_sec at 15 s = %v, want 0", got)
-	}
-}
 
 // TestLatencyTrack pins the core-wait summary of /v1/metrics to the
 // manager's wait histogram: a cumulative count, and percentiles within the
@@ -95,8 +31,7 @@ func TestLatencyTrack(t *testing.T) {
 }
 
 func TestMetricsSnapshotAndEndpoint(t *testing.T) {
-	clk := newFakeClock()
-	m := newTestManager(clk)
+	m := newTestManager(newFakeClock())
 	srv := httptest.NewServer(Handler(m))
 	defer srv.Close()
 
@@ -145,12 +80,6 @@ func TestMetricsSnapshotAndEndpoint(t *testing.T) {
 	}
 	if _, ok := mt.HandlerLatencyMs[RouteReportBatch]; ok {
 		t.Error("untouched route must be omitted from the latency map")
-	}
-
-	// Rates: the three check-ins above, one second on.
-	clk.advance(time.Second)
-	if got := m.MetricsSnapshot().CheckInsPerSec; got != 3 {
-		t.Errorf("checkins_per_sec = %v, want 3", got)
 	}
 }
 

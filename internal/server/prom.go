@@ -11,9 +11,8 @@ import (
 // Prometheus text-format view of the daemon's telemetry (GET /metrics). It
 // exposes the same counters and histograms as the JSON /v1/metrics payload,
 // renamed into Prometheus conventions: cumulative counters keep their
-// _total suffix, durations are histograms in seconds, and the windowed
-// */s rates are omitted — Prometheus derives rates from the counters. The
-// output passes obs.ValidateExposition (and promtool), which CI checks.
+// _total suffix and durations are histograms in seconds. The output passes
+// obs.ValidateExposition (and promtool), which CI checks.
 
 // promScalar is one single-sample family: a Metrics field tagged
 // prom:"counter,<help>" or prom:"gauge,<help>".

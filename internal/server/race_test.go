@@ -109,7 +109,6 @@ func TestConcurrentCheckInReport(t *testing.T) {
 				}
 				m.Tick()
 				_ = m.Jobs()
-				_ = m.StatsSnapshot()
 				_ = m.MetricsSnapshot()
 			}
 		}()
@@ -118,8 +117,8 @@ func TestConcurrentCheckInReport(t *testing.T) {
 	close(done)
 	readers.Wait()
 
-	st := m.StatsSnapshot()
-	mt := m.MetricsSnapshot()
+	st := m.MetricsSnapshot()
+	mt := st
 	if st.CheckIns == 0 || st.Assignments == 0 {
 		t.Fatalf("no traffic recorded: %+v", st)
 	}
@@ -182,7 +181,7 @@ func TestConcurrentSameDevice(t *testing.T) {
 			t.Errorf("device %d assigned %d times in one day", d, n)
 		}
 	}
-	st := m.StatsSnapshot()
+	st := m.MetricsSnapshot()
 	if st.Assignments > devices {
 		t.Errorf("%d assignments for %d devices", st.Assignments, devices)
 	}

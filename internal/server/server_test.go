@@ -103,7 +103,7 @@ func TestRegisterAndCompleteJob(t *testing.T) {
 	if got.State != "done" || got.JCTSeconds <= 0 {
 		t.Fatalf("job not done: %+v", got)
 	}
-	s := m.StatsSnapshot()
+	s := m.MetricsSnapshot()
 	if s.CompletedJobs != 1 || s.ActiveJobs != 0 || s.Assignments != 4 {
 		t.Errorf("stats: %+v", s)
 	}
@@ -167,7 +167,7 @@ func TestDeadlineAbortLive(t *testing.T) {
 	if got.State != "scheduling" {
 		t.Fatalf("deadline must reopen scheduling: %+v", got)
 	}
-	if m.StatsSnapshot().Aborts != 1 {
+	if m.MetricsSnapshot().Aborts != 1 {
 		t.Error("abort not counted")
 	}
 	// A late (stale) report from d1 must be ignored without error.
@@ -302,9 +302,9 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("job state = %s", got.State)
 	}
 
-	// Stats and list endpoints.
-	r3, _ := http.Get(srv.URL + "/v1/stats")
-	var stats Stats
+	// Metrics and list endpoints.
+	r3, _ := http.Get(srv.URL + "/v1/metrics")
+	var stats Metrics
 	if err := json.NewDecoder(r3.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // The transport-neutral service layer. Service holds every piece of
 // request-handling logic the daemon exposes — batch check-in and report, job
-// registration and lookup, stats, metrics — operating purely
+// registration and lookup, metrics — operating purely
 // on the wire structs and returning typed errors. Transport adapters (the
 // HTTP handler in http.go, the framed stream server in internal/transport)
 // reduce to decode → Service call → encode: they own bytes and status
@@ -16,15 +16,11 @@ import (
 	"venn/internal/obs"
 )
 
-// Transport labels, used for per-transport serving telemetry.
+// Transport labels name the transport a Service serves (see NewService).
 const (
 	TransportHTTP   = "http"
 	TransportStream = "stream"
 )
-
-// transportLabels is the fixed set of per-transport rate counters the
-// metrics recorder pre-allocates.
-var transportLabels = []string{TransportHTTP, TransportStream}
 
 // Code classifies a service-layer failure so each transport adapter can map
 // it to its native status space (HTTP statuses, stream error frames)
@@ -123,20 +119,18 @@ type RawItems struct {
 	Bounds []uint32
 }
 
-// Service is the transport-neutral serving core. One Service is
-// instantiated per transport (the label feeds the per-transport check-in
-// rates of /v1/metrics); all instances share the same Manager, so state and
+// Service is the transport-neutral serving core. Each transport adapter
+// creates its own; all instances share the same Manager, so state and
 // cumulative counters are transport-agnostic.
 type Service struct {
-	m    *Manager
-	rate *rateCounter // served check-ins attributed to this transport
+	m *Manager
 }
 
 // NewService creates the serving facade for one transport. The transport
-// label should be one of TransportHTTP or TransportStream; unknown labels
-// still work but share the HTTP rate bucket.
+// label (TransportHTTP or TransportStream) is unused; the benchmark's layer
+// walk compiles against this signature.
 func NewService(m *Manager, transport string) *Service {
-	return &Service{m: m, rate: m.metrics.transportRate(transport)}
+	return &Service{m: m}
 }
 
 // Manager exposes the underlying manager (tick loops, telemetry hooks).
@@ -195,20 +189,7 @@ func (s *Service) CheckInBatchBuf(b *BatchBuf, raw RawItems, local bool, sp *obs
 	} else {
 		results, forwarded = r.CheckInBatchBuf(b, raw, sp)
 	}
-	s.countServed(results)
 	return results, forwarded, nil
-}
-
-// countServed attributes a batch's accepted items to this transport's
-// served-check-in rate.
-func (s *Service) countServed(results []CheckInResult) {
-	served := 0
-	for i := range results {
-		if results[i].Error == "" {
-			served++
-		}
-	}
-	s.rate.Add(s.m.nowSec(), int64(served))
 }
 
 // ReportBatchLocal is CheckInBatchLocal for reports.
@@ -240,9 +221,6 @@ func (s *Service) NoteForwardedIn(bytes int) {
 		r.ForwardedIn(bytes)
 	}
 }
-
-// Stats returns the monitoring snapshot.
-func (s *Service) Stats() Stats { return s.m.StatsSnapshot() }
 
 // Metrics returns the serving-telemetry snapshot.
 func (s *Service) Metrics() Metrics { return s.m.MetricsSnapshot() }

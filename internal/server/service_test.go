@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // newTestService builds a manager + service pair on a manual clock.
@@ -77,53 +76,6 @@ func TestServiceTypedErrors(t *testing.T) {
 	// Non-service errors classify as CodeInvalid.
 	if ErrCode(errors.New("plain")) != CodeInvalid {
 		t.Error("plain error must classify as CodeInvalid")
-	}
-}
-
-// bucketCount reads one second's raw count out of a rate counter.
-func bucketCount(rc *rateCounter, sec int64) int64 {
-	b := &rc.buckets[sec%rateRingSeconds]
-	if b.sec.Load() == sec {
-		return b.n.Load()
-	}
-	return 0
-}
-
-// TestServicePerTransportRates checks that served check-ins land in the
-// rate bucket of the transport that carried them.
-func TestServicePerTransportRates(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	m := NewManager(Config{Clock: func() time.Time { return now }})
-	httpSvc := NewService(m, TransportHTTP)
-	streamSvc := NewService(m, TransportStream)
-
-	cis := make([]CheckIn, 10)
-	for i := range cis {
-		cis[i] = CheckIn{DeviceID: string(rune('a' + i)), CPU: 0.5, Mem: 0.5}
-	}
-	if _, err := httpSvc.CheckInBatchLocal(CheckInBatchRequest{CheckIns: cis[:4]}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := streamSvc.CheckInBatchLocal(CheckInBatchRequest{CheckIns: cis[4:]}, nil); err != nil {
-		t.Fatal(err)
-	}
-	sec := m.nowSec()
-	if got := bucketCount(m.metrics.transportRate(TransportHTTP), sec); got != 4 {
-		t.Errorf("http transport counted %d check-ins, want 4", got)
-	}
-	if got := bucketCount(m.metrics.transportRate(TransportStream), sec); got != 6 {
-		t.Errorf("stream transport counted %d check-ins, want 6", got)
-	}
-	// The snapshot splits the per-transport rates once the second closes.
-	now = now.Add(2 * time.Second)
-	mt := m.MetricsSnapshot()
-	per := mt.CheckInsPerSecByTransport
-	if per[TransportHTTP] <= 0 || per[TransportStream] <= 0 {
-		t.Errorf("per-transport rates missing from snapshot: %v", per)
-	}
-	// Unknown labels share the HTTP bucket rather than crashing.
-	if NewService(m, "carrier-pigeon").rate != m.metrics.perTransport[TransportHTTP] {
-		t.Error("unknown transport label must fall back to the http bucket")
 	}
 }
 

@@ -213,8 +213,8 @@ func TestMetricsExposePlanTelemetry(t *testing.T) {
 	if hr := mt.PlanIncrementalHitRate; hr <= 0 || hr >= 1 {
 		t.Errorf("plan_incremental_hit_rate = %v, want in (0,1)", hr)
 	}
-	st := m.StatsSnapshot()
-	if st.PlanRebuilds != int(mt.PlanRebuilds) || st.PlanPatches != int(mt.PlanPatches) {
-		t.Errorf("stats/metrics disagree: %+v vs %+v", st, mt)
+	st := m.MetricsSnapshot()
+	if st.PlanRebuilds != mt.PlanRebuilds || st.PlanPatches != mt.PlanPatches {
+		t.Errorf("successive snapshots disagree: %+v vs %+v", st, mt)
 	}
 }

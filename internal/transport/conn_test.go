@@ -379,7 +379,7 @@ func TestWarmBatchFramesAllocateNothing(t *testing.T) {
 			t.Errorf("%s frames: %d in, %d out, want 201 each", name, in, out)
 		}
 	}
-	if st := m.StatsSnapshot(); st.CheckIns == 0 {
+	if st := m.MetricsSnapshot(); st.CheckIns == 0 {
 		t.Error("the check-in frames did not reach the manager")
 	}
 }

@@ -20,7 +20,7 @@
 // reply. A payload's encoding is a function of its opcode alone: the two
 // serving opcodes (the check-in and report batches), OpError and OpTopology
 // carry the fixed binary layouts; OpRegisterJob, OpJobs,
-// OpJobStatus, OpStats and OpMetrics carry JSON; OpPing is empty. See README
+// OpJobStatus and OpMetrics carry JSON; OpPing is empty. See README
 // "Wire protocol" for the spec.
 //
 // A response reuses the request's opcode with RespFlag set, or OpError with
@@ -59,9 +59,10 @@ const (
 	OpRegisterJob  byte = 0x05
 	OpJobs         byte = 0x06
 	OpJobStatus    byte = 0x07
-	OpStats        byte = 0x08
-	OpMetrics      byte = 0x09
-	OpPing         byte = 0x0A
+	// 0x08 is retired (it was the stats snapshot, now part of OpMetrics)
+	// and reserved: a server answers it like any unknown opcode.
+	OpMetrics byte = 0x09
+	OpPing    byte = 0x0A
 	// 0x0B is retired (it was the version-negotiation opcode) and reserved:
 	// a server answers it like any unknown opcode.
 

@@ -95,14 +95,14 @@ func FuzzServeFrames(f *testing.F) {
 		frame(Version2, OpReportBatch, 5, bin((&server.ReportBatchRequest{Reports: []server.Report{rep}}).MarshalBinary())),
 		frame(Version2, OpJobs, 6, nil),
 		frame(Version2, OpJobStatus, 7, []byte(`{"id":0}`)),
-		frame(Version2, OpStats, 8, nil),
+		frame(Version2, OpMetrics, 8, nil),
 		frame(Version2, OpMetrics, 9, nil),
 		frame(Version2, OpPing, 10, nil),
 		frame(Version2, OpTopology, 11, nil),
 		frame(Version2, OpCheckInBatch|HopFlag|TraceFlag, 12, AppendTrace(nil, 0xfeed, true)),
 		frame(Version2, OpReportBatch|TraceFlag, 13, []byte{1, 2, 3}),
 		frame(Version2, OpMetrics|TraceFlag, 14, AppendTrace(nil, 0xfeed, true)),
-		frame(Version2, OpStats|HopFlag, 15, nil),
+		frame(Version2, OpMetrics|HopFlag, 15, nil),
 		frame(Version2, 0x0B, 16, []byte(`{"max_version":2}`)),
 		frame(Version2, OpError, 17, nil),
 		frame(Version2, OpCheckInBatch, 18, bin((&server.CheckInBatchRequest{CheckIns: big}).MarshalBinary())),

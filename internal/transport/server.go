@@ -595,8 +595,6 @@ func (s *Server) dispatch(sc *srvConn, op byte, payload []byte, sp *obs.Span) by
 			return sc.replySvcErr(err)
 		}
 		return sc.reply(op, st, nil)
-	case OpStats:
-		return sc.reply(op, s.svc.Stats(), nil)
 	case OpMetrics:
 		return sc.reply(op, s.svc.Metrics(), nil)
 	case OpPing:

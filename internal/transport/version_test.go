@@ -60,7 +60,7 @@ func TestV2BinaryOnTheWire(t *testing.T) {
 	// A second client's first frame is its request too, whatever the opcode.
 	c2 := client.NewStream(addr, client.WithStreamConns(1))
 	defer c2.Close()
-	if _, err := c2.Stats(); err != nil {
+	if _, err := c2.Metrics(); err != nil {
 		t.Fatal(err)
 	}
 	if tel := ts.StreamTelemetry(); tel.StreamFramesIn != 5 || tel.StreamFramesOut != 5 {
@@ -108,7 +108,8 @@ func (rc *rawConn) roundTrip(op byte, id uint32, payload []byte) transport.Frame
 // version byte but 2 is a framing violation, a payload's encoding follows its
 // opcode, and every malformed-but-framed request gets a binary OpError on a
 // connection that stays usable. The retired single-item opcodes 0x01 and 0x03
-// are unknown opcodes like any other, flagged or not.
+// and the retired stats opcode 0x08 are unknown opcodes like any other,
+// flagged or not.
 func TestOneDialect(t *testing.T) {
 	m, ts, addr := startServer(t, transport.Options{})
 
@@ -136,7 +137,6 @@ func TestOneDialect(t *testing.T) {
 		{transport.OpRegisterJob, spec},
 		{transport.OpJobs, nil},
 		{transport.OpJobStatus, []byte(`{"id":0}`)},
-		{transport.OpStats, nil},
 		{transport.OpMetrics, nil},
 	} {
 		fr := rc.roundTrip(tc.op, uint32(i+1), tc.payload)
@@ -157,12 +157,14 @@ func TestOneDialect(t *testing.T) {
 	}{
 		{"unknown opcode", 0x70, nil},
 		{"retired negotiation opcode", 0x0B, []byte(`{"max_version":2}`)},
-		{"hop flag on a control opcode", transport.OpStats | transport.HopFlag, nil},
+		{"hop flag on a control opcode", transport.OpMetrics | transport.HopFlag, nil},
 		{"trace flag on a control opcode", transport.OpMetrics | transport.TraceFlag, sampled},
 		{"truncated trace prefix", transport.OpCheckInBatch | transport.TraceFlag, sampled[:4]},
 		{"retired single check-in opcode", 0x01, single},
 		{"retired single report opcode", 0x03, singleRep},
 		{"hop flag on the retired check-in opcode", 0x01 | transport.HopFlag, single},
+		{"retired stats opcode", 0x08, nil},
+		{"hop flag on the retired stats opcode", 0x08 | transport.HopFlag, nil},
 		{"trace flag on the retired check-in opcode", 0x01 | transport.TraceFlag, append(append([]byte{}, sampled...), single...)},
 	} {
 		fr := rc.roundTrip(tc.op, uint32(100+i), tc.payload)
