@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -18,7 +19,12 @@ type CellID int
 type Grid struct {
 	cpuCuts []float64 // ascending, cpuCuts[0] == 0
 	memCuts []float64 // ascending, memCuts[0] == 0
+	// bounds[c] is the half-open score rectangle of cell c, its top bands
+	// open to +Inf, so that Contains agrees with CellOf on every score.
+	bounds []cellBounds
 }
+
+type cellBounds struct{ cpuLo, cpuHi, memLo, memHi float64 }
 
 // NewGrid builds the atomic-cell grid for the given requirements. The zero
 // threshold is always included so the grid covers the whole plane.
@@ -39,7 +45,24 @@ func NewGrid(reqs []Requirement) *Grid {
 	}
 	sort.Float64s(g.cpuCuts)
 	sort.Float64s(g.memCuts)
+	g.bounds = make([]cellBounds, 0, g.NumCells())
+	for mi := range g.memCuts {
+		for ci := range g.cpuCuts {
+			g.bounds = append(g.bounds, cellBounds{
+				cpuLo: g.cpuCuts[ci], cpuHi: cutAbove(g.cpuCuts, ci),
+				memLo: g.memCuts[mi], memHi: cutAbove(g.memCuts, mi),
+			})
+		}
+	}
 	return g
+}
+
+// cutAbove is the cut that ends band i, +Inf for the top band.
+func cutAbove(cuts []float64, i int) float64 {
+	if i+1 < len(cuts) {
+		return cuts[i+1]
+	}
+	return math.Inf(1)
 }
 
 // NumCells returns the total number of atomic cells.
@@ -56,6 +79,14 @@ func (g *Grid) CellOf(cpu, mem float64) CellID {
 	ci := bandOf(g.cpuCuts, cpu)
 	mi := bandOf(g.memCuts, mem)
 	return CellID(mi*len(g.cpuCuts) + ci)
+}
+
+// Contains reports whether CellOf(cpu, mem) == c, for scores in [0, 1], with
+// four compares instead of CellOf's two binary searches: the registry uses it
+// to revalidate a device's cached cell on every check-in.
+func (g *Grid) Contains(c CellID, cpu, mem float64) bool {
+	b := &g.bounds[c]
+	return b.cpuLo <= cpu && cpu < b.cpuHi && b.memLo <= mem && mem < b.memHi
 }
 
 // CellOfDevice returns the atomic cell containing the device.

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -45,6 +46,36 @@ func TestCellOfBoundaries(t *testing.T) {
 	for _, c := range cases {
 		if got := g.CellOf(c.cpu, c.mem); got != c.want {
 			t.Errorf("CellOf(%v,%v) = %d, want %d", c.cpu, c.mem, got, c.want)
+		}
+	}
+}
+
+// TestGridContains checks Contains against CellOf for every cell, on the
+// scores where they could part: 0 and 1, every cut, the float just below
+// each cut, and random scores. The uneven grid has a cut at 1, so its top
+// CPU band holds the single score 1.
+func TestGridContains(t *testing.T) {
+	uneven := NewGrid([]Requirement{
+		{MinCPU: 0.3, MinMem: 0.25}, {MinCPU: 0.5, MinMem: 0.7}, {MinCPU: 1, MinMem: 0.1},
+	})
+	rng := rand.New(rand.NewSource(1))
+	for name, g := range map[string]*Grid{"standard": standardGrid(), "uneven": uneven, "empty": NewGrid(nil)} {
+		scores := []float64{0, 1}
+		for _, cut := range append(append([]float64(nil), g.cpuCuts...), g.memCuts...) {
+			scores = append(scores, cut, Clamp01(math.Nextafter(cut, math.Inf(-1))))
+		}
+		for i := 0; i < 200; i++ {
+			scores = append(scores, Clamp01(rng.Float64()*1.4-0.2))
+		}
+		for _, cpu := range scores {
+			for _, mem := range scores {
+				want := g.CellOf(cpu, mem)
+				for c := CellID(0); int(c) < g.NumCells(); c++ {
+					if got := g.Contains(c, cpu, mem); got != (c == want) {
+						t.Fatalf("%s: Contains(%d, %v, %v) = %v; CellOf = %d", name, c, cpu, mem, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -158,9 +158,10 @@ func fleetCheckIns(n int) (inOrder, shuffled []CheckIn) {
 }
 
 // BenchmarkRegistryAdmit is the registry layer alone: one warm admit (hash,
-// shard lock, probe, ID compare, score refresh, reserve and release) per op,
-// at a fleet that fits the cache and at the benchmark's fleet, which does
-// not. The gap between the two is what a registry cache miss costs.
+// shard lock, probe, ID compare, cell revalidation, reserve and release) per
+// op, at a fleet that fits the cache and at the benchmark's fleet, which does
+// not. The gap between the two is what a registry cache miss costs. B/device
+// is the registry's allocated bytes per registered device.
 func BenchmarkRegistryAdmit(b *testing.B) {
 	for _, fleet := range []int{2_000, 100_000} {
 		b.Run(fmt.Sprintf("fleet=%dk", fleet/1000), func(b *testing.B) {
@@ -171,7 +172,7 @@ func BenchmarkRegistryAdmit(b *testing.B) {
 				sh := r.shardOf(h)
 				sh.mu.Lock()
 				sh.reserve(1)
-				s, err := r.admit(sh, h, ci, 0, 0)
+				s, err := r.admit(sh, h, ci.DeviceID, ci.CPU, ci.Mem, 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -189,6 +190,8 @@ func BenchmarkRegistryAdmit(b *testing.B) {
 					k = 0
 				}
 			}
+			st := r.stats()
+			b.ReportMetric(float64(st.Bytes)/float64(st.Live), "B/device")
 		})
 	}
 }

@@ -46,14 +46,16 @@ const (
 	opRefresh
 )
 
-// assignItem is one admitted check-in of a batch op. The result is written
-// through out, which points into the submitter's result slice; the submitter
-// is parked (or is the combiner) until the op completes, holding the shard
-// locks, so out and the slot handle s stay valid for the combiner.
+// assignItem is one admitted check-in of a batch op, with its clamped scores.
+// The result is written through out, which points into the submitter's
+// result slice; the submitter is parked (or is the combiner) until the op
+// completes, holding the shard locks, so out and the slot handle s stay
+// valid for the combiner.
 type assignItem struct {
-	s   *slot
-	id  string
-	out *Assignment
+	s        *slot
+	id       string
+	cpu, mem float64
+	out      *Assignment
 }
 
 // reportItem is one accepted report of a batch op.
@@ -251,7 +253,7 @@ func (m *Manager) applyOpLocked(op *coreOp, now simtime.Time) {
 	case opAssignBatch:
 		for i := range op.assigns {
 			it := &op.assigns[i]
-			*it.out = m.assignCoreLocked(it.s, it.id, now)
+			*it.out = m.assignCoreLocked(it, now)
 		}
 	case opReportBatch:
 		for i := range op.reports {

@@ -51,13 +51,17 @@ import (
 	"venn/internal/tsdb"
 )
 
-// Errors returned by the manager. ErrDeviceBusy and ErrUnknownDevice reach a
-// caller as a batch item's Error, which carries their message.
+// Errors returned by the manager. ErrDeviceBusy, ErrUnknownDevice and
+// ErrRegistryFull reach a caller as a batch item's Error, which carries their
+// message.
 var (
 	ErrUnknownJob      = errors.New("server: unknown job")
 	ErrUnknownCategory = errors.New("server: requirement must be one of the configured categories")
 	ErrDeviceBusy      = errors.New("server: device already has a task today")
 	ErrUnknownDevice   = errors.New("server: unknown device")
+	// ErrRegistryFull refuses a new device whose ID would end past the 4 GiB
+	// a registry shard's ID arena can address.
+	ErrRegistryFull    = errors.New("server: device registry shard has no room for the ID")
 	errDeviceIDMissing = errors.New("server: device_id required")
 )
 
@@ -230,7 +234,8 @@ type Manager struct {
 	// reg is the device registry: sharded device state, admission, TTL.
 	reg *registry
 	// coreDev is the device view handed to the policy during one core-op
-	// item, materialised from the item's slot; the policy never retains it.
+	// item, materialised from the item's slot and scores; the policy never
+	// retains it.
 	coreDev device.Device
 
 	// lockFreeOK gates the snapshot-probe fast path; false when the
@@ -379,7 +384,15 @@ type managedJob struct {
 	spec JobSpec
 	j    *job.Job
 	// inFlight tracks devices working on the current attempt.
-	inFlight map[string]uint64 // deviceID -> attempt
+	inFlight map[string]inFlightTask // deviceID -> task
+}
+
+// inFlightTask is one device's task: the attempt it belongs to and the
+// clamped scores the device was assigned with, which its report hands the
+// policy.
+type inFlightTask struct {
+	attempt  uint64
+	cpu, mem float64
 }
 
 // NewManager constructs a live manager.
@@ -423,6 +436,10 @@ func NewManager(cfg Config) *Manager {
 		m.categories[c.Name] = c
 	}
 	grid := device.NewGrid(cfg.Categories)
+	if grid.NumCells() > maxCells {
+		panic(fmt.Sprintf("server: the categories cut the score plane into %d grid cells; a registry slot indexes at most %d",
+			grid.NumCells(), maxCells))
+	}
 	m.reg = newRegistry(cfg.Shards, grid, !cfg.DisableDailyBudget)
 	m.env = &sim.Env{
 		Grid:          grid,
@@ -530,7 +547,7 @@ func (m *Manager) registerJobLocked(spec JobSpec, now simtime.Time) JobStatus {
 	if spec.Name != "" {
 		j.Name = spec.Name
 	}
-	mj := &managedJob{spec: spec, j: j, inFlight: map[string]uint64{}}
+	mj := &managedJob{spec: spec, j: j, inFlight: map[string]inFlightTask{}}
 	m.jobs[id] = mj
 	m.env.Jobs[id] = j
 	m.attempt[id] = 1
@@ -590,7 +607,7 @@ func (m *Manager) drainSupplyLocked(now simtime.Time) {
 // the freshness check (first) and snapshot load (second) bracket a provably
 // current view. Devices with a candidate — and any check-in racing a plan
 // refresh — fall back to the locked path.
-func (m *Manager) snapshotSaysIdle(s *slot, now simtime.Time) bool {
+func (m *Manager) snapshotSaysIdle(s *slot, cpu, mem float64, now simtime.Time) bool {
 	if !m.lockFreeOK || !m.venn.PlanFresh() {
 		return false
 	}
@@ -598,7 +615,7 @@ func (m *Manager) snapshotSaysIdle(s *slot, now simtime.Time) bool {
 	if snap == nil {
 		return false
 	}
-	d := s.device()
+	d := s.device(cpu, mem)
 	return !snap.HasCandidate(&d, device.CellID(s.cell), now)
 }
 
@@ -606,17 +623,18 @@ func (m *Manager) snapshotSaysIdle(s *slot, now simtime.Time) bool {
 // admitted check-in. The caller holds both the device's shard mutex and the
 // core mutex; the device stays reserved on assignment and the caller frees
 // it otherwise.
-func (m *Manager) assignCoreLocked(s *slot, deviceID string, now simtime.Time) Assignment {
-	m.coreDev = s.device()
+func (m *Manager) assignCoreLocked(it *assignItem, now simtime.Time) Assignment {
+	s := it.s
+	m.coreDev = s.device(it.cpu, it.mem)
 	j := m.pol.Assign(&m.coreDev, now)
 	if j == nil {
 		return Assignment{Assigned: false}
 	}
 	mj := m.jobs[j.ID]
 	s.lastTaskDay = int32(now.DayIndex())
-	// Clone: deviceID may share a v2 request payload's backing (bdec.shared)
+	// Clone: the ID may share a v2 request payload's backing (bdec.shared)
 	// and this key outlives the request, until the device reports back.
-	mj.inFlight[strings.Clone(deviceID)] = m.attempt[j.ID]
+	mj.inFlight[strings.Clone(it.id)] = inFlightTask{attempt: m.attempt[j.ID], cpu: it.cpu, mem: it.mem}
 	m.assignments++
 
 	if full := j.AddAssignment(now); full {
@@ -668,6 +686,7 @@ func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 	m.reg.touch(sc)
 	day := now.DayIndex()
 	admitted, lockFree := 0, 0
+	buf.assigns = buf.assigns[:0]
 	for i := range cis {
 		ci := &cis[i]
 		sh := sc.shard[i]
@@ -675,7 +694,11 @@ func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 			out[i].Error = errDeviceIDMissing.Error()
 			continue
 		}
-		s, err := m.reg.admit(sh, sc.hash[i], ci, day, nowSec)
+		// Clamp exactly like device.New: raw wire values can be negative or
+		// NaN, and an unclamped score would put the device in an out-of-range
+		// cell.
+		cpu, mem := device.Clamp01(ci.CPU), device.Clamp01(ci.Mem)
+		s, err := m.reg.admit(sh, sc.hash[i], ci.DeviceID, cpu, mem, day, nowSec)
 		if err != nil {
 			out[i].Error = err.Error()
 			continue
@@ -688,24 +711,19 @@ func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 		sc.supply[s.cell]++
 		// The probe re-checks freshness per item: a concurrent batch may
 		// fulfil a request (or a job may register) mid-loop.
-		if m.snapshotSaysIdle(s, now) {
+		if m.snapshotSaysIdle(s, cpu, mem, now) {
 			lockFree++
 			continue
 		}
-		sc.core = append(sc.core, i)
+		buf.assigns = append(buf.assigns, assignItem{s: s, id: ci.DeviceID, cpu: cpu, mem: mem, out: &out[i].Assignment})
 	}
 	m.countCheckIns(admitted, lockFree, sc.supply)
 
-	assigned := 0
-	if len(sc.core) > 0 {
-		buf.assigns = grow(buf.assigns, len(sc.core))
-		items := buf.assigns
-		for k, i := range sc.core {
-			items[k] = assignItem{s: sc.slots[i], id: cis[i].DeviceID, out: &out[i].Assignment}
-		}
+	if items := buf.assigns; len(items) > 0 {
 		m.submitAssignBatch(items, sp)
-		for _, i := range sc.core {
-			if out[i].Assigned {
+		assigned := 0
+		for k := range items {
+			if items[k].out.Assigned {
 				assigned++
 			}
 		}
@@ -727,14 +745,14 @@ func (m *Manager) reportCoreLocked(r Report, s *slot, now simtime.Time) {
 		// Job finished meanwhile; the report is stale but harmless.
 		return
 	}
-	att, working := mj.inFlight[r.DeviceID]
+	task, working := mj.inFlight[r.DeviceID]
 	delete(mj.inFlight, r.DeviceID)
-	if !working || att != m.attempt[mj.j.ID] || mj.j.Done() {
+	if !working || task.attempt != m.attempt[mj.j.ID] || mj.j.Done() {
 		return // stale attempt
 	}
 	if r.OK {
 		m.reports++
-		m.coreDev = s.device()
+		m.coreDev = s.device(task.cpu, task.mem)
 		m.pol.ObserveResponse(mj.j, &m.coreDev, simtime.FromSeconds(r.DurationSeconds), now)
 		mj.j.AddResponse(now)
 		m.maybeCompleteLocked(mj, now)
@@ -812,7 +830,7 @@ func (m *Manager) maybeCompleteLocked(mj *managedJob, now simtime.Time) {
 	}
 	delete(m.deadlines, mj.j.ID)
 	m.attempt[mj.j.ID]++
-	mj.inFlight = map[string]uint64{}
+	mj.inFlight = map[string]inFlightTask{}
 	if mj.j.CompleteRound(now) {
 		m.pol.OnJobDone(mj.j, now)
 		m.completed = append(m.completed, mj)
@@ -828,7 +846,7 @@ func (m *Manager) abortLocked(mj *managedJob, now simtime.Time) {
 	m.aborts++
 	mj.j.AbortAttempt(now)
 	m.attempt[mj.j.ID]++
-	mj.inFlight = map[string]uint64{}
+	mj.inFlight = map[string]inFlightTask{}
 	delete(m.deadlines, mj.j.ID)
 	m.pol.OnRequest(mj.j, now)
 }

@@ -59,11 +59,14 @@ type Metrics struct {
 	// The device registry's shape (registry.go), summed over its shards:
 	// table slots, slots holding a device (= KnownDevices) or a tombstone —
 	// (live+tombstones)/slots is the load factor — the ID arenas' bytes, IDs
-	// of evicted devices not yet compacted away included, and table rebuilds.
+	// of evicted devices not yet compacted away included, the bytes the
+	// tables and arenas hold allocated (RegistryBytes/RegistryLive is the
+	// registry's cost per device), and table rebuilds.
 	RegistrySlots      int64 `json:"registry_slots" prom:"gauge,Device registry table slots, all shards."`
 	RegistryLive       int64 `json:"registry_live" prom:"gauge,Device registry slots holding a device."`
 	RegistryTombstones int64 `json:"registry_tombstones" prom:"gauge,Device registry slots holding an evicted device's tombstone."`
 	RegistryIDBytes    int64 `json:"registry_id_bytes" prom:"gauge,Bytes in the device registry's ID arenas, evicted IDs not yet compacted included."`
+	RegistryBytes      int64 `json:"registry_bytes" prom:"gauge,Bytes allocated to the device registry's tables and ID arenas, all shards."`
 	RegistryRehashes   int64 `json:"registry_rehashes_total" prom:"counter,Device registry table rebuilds (growth, tombstone purge, arena compaction)."`
 
 	// Core commit pipeline telemetry (combiner.go). CoreRounds counts
@@ -194,7 +197,7 @@ func (m *Manager) MetricsSnapshot() Metrics {
 		FlightRecorded:   m.obs.Flight().Recorded(),
 	}
 	out.RegistrySlots, out.RegistryLive, out.RegistryTombstones = reg.Slots, reg.Live, reg.Tombstones
-	out.RegistryIDBytes, out.RegistryRehashes = reg.IDBytes, reg.Rehashes
+	out.RegistryIDBytes, out.RegistryBytes, out.RegistryRehashes = reg.IDBytes, reg.Bytes, reg.Rehashes
 	out.CoreRounds = m.coreRounds.Load()
 	out.CoreCombinedOps = m.coreCombinedOps.Load()
 	if out.CoreRounds > 0 {

@@ -3,8 +3,11 @@ package server
 // The device registry: sharded device state, admission, and TTL eviction.
 //
 // Each shard is an open-addressed, linearly probed table of fixed-size,
-// pointer-free slots plus a byte arena holding the device IDs. A slot is one
-// cache line (64 bytes, pinned by TestSlotLayout), so a warm lookup costs the
+// pointer-free slots plus a byte arena holding the device IDs. A slot keeps
+// only what outlives a check-in: 32 bytes, two to a cache line (pinned by
+// TestSlotLayout). The scores do not: every check-in carries them again, so
+// the batch clamps them once and hands them to the snapshot probe and the
+// core, and the slot keeps only their grid cell. A warm lookup costs the
 // slot's line plus one ID compare against the arena; a cold insert is an
 // amortised append to the table and the arena, no per-device allocation. The
 // tables and arenas contain no pointers, so the garbage collector never scans
@@ -27,6 +30,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"venn/internal/device"
 )
@@ -40,23 +44,24 @@ const (
 
 // slot is one registered device.
 type slot struct {
-	hash  uint64 // registry.hash of the ID
-	idOff uint64 // the ID is shard.ids[idOff : idOff+idLen]
-	// cpu and mem are the clamped scores of the latest check-in; cell caches
-	// their grid cell.
-	cpu, mem    float64
-	lastSeenSec int64 // wall-clock second of the latest check-in; drives TTL eviction
+	lastSeenSec int64  // wall-clock second of the latest check-in; drives TTL eviction
+	hash        uint32 // low half of registry.hash of the ID; the high half picked the shard
+	idOff       uint32 // the ID is shard.ids[idOff : idOff+idLen]
 	idLen       uint32
-	dev         int32 // device number, in registration order across the registry
-	cell        int32
-	lastTaskDay int32 // day index of the latest assignment, -1 before the first
+	dev         int32  // device number, in registration order across the registry
+	lastTaskDay int32  // day index of the latest assignment, -1 before the first
+	cell        uint16 // grid cell of the latest check-in's scores
 	flags       uint8
 }
 
-// device materialises the scheduler's view of the slot. The core and the
-// snapshot probe read it during the call and never retain it.
-func (s *slot) device() device.Device {
-	return device.Device{ID: device.ID(s.dev), CPU: s.cpu, Mem: s.mem, LastTaskDay: s.lastTaskDay}
+// maxCells is the largest grid a slot's cell field can index.
+const maxCells = 1 << 16
+
+// device materialises the scheduler's view of the slot, with the scores of
+// the check-in or assignment at hand. The core and the snapshot probe read it
+// during the call and never retain it.
+func (s *slot) device(cpu, mem float64) device.Device {
+	return device.Device{ID: device.ID(s.dev), CPU: cpu, Mem: mem, LastTaskDay: s.lastTaskDay}
 }
 
 // minShardSlots is a shard table's initial size; sizes are powers of two.
@@ -111,7 +116,7 @@ func (sh *regShard) rehash(n int) {
 	if compact {
 		sh.ids = make([]byte, 0, len(oldIDs)-sh.dead)
 	}
-	mask := uint64(size - 1)
+	mask := uint32(size - 1)
 	for i := range old {
 		s := &old[i]
 		if s.flags&slotUsed == 0 {
@@ -123,25 +128,29 @@ func (sh *regShard) rehash(n int) {
 		}
 		sh.slots[j] = *s
 		if compact {
-			sh.slots[j].idOff = uint64(len(sh.ids))
-			sh.ids = append(sh.ids, oldIDs[s.idOff:s.idOff+uint64(s.idLen)]...)
+			sh.slots[j].idOff = uint32(len(sh.ids))
+			sh.ids = append(sh.ids, oldIDs[s.idOff:uint64(s.idOff)+uint64(s.idLen)]...)
 		}
 	}
 	sh.tombs, sh.dead = 0, 0
 	sh.rehashes++
 }
 
+// id returns the slot's ID bytes in sh's arena.
+func (sh *regShard) id(s *slot) []byte {
+	return sh.ids[s.idOff : uint64(s.idOff)+uint64(s.idLen)]
+}
+
 // holds reports whether s is id's live slot, given that the hashes match.
 func (sh *regShard) holds(s *slot, id string) bool {
-	return s.flags&slotUsed != 0 && int(s.idLen) == len(id) &&
-		string(sh.ids[s.idOff:s.idOff+uint64(s.idLen)]) == id
+	return s.flags&slotUsed != 0 && int(s.idLen) == len(id) && string(sh.id(s)) == id
 }
 
 // find returns id's slot and nil, or nil and the slot an insert of id goes
 // to: the first tombstone on its probe run, else the run's empty end.
 func (sh *regShard) find(h uint64, id string) (found, free *slot) {
-	mask := uint64(len(sh.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
+	mask, h32 := uint32(len(sh.slots)-1), uint32(h)
+	for i := h32 & mask; ; i = (i + 1) & mask {
 		s := &sh.slots[i]
 		switch {
 		case s.flags == 0:
@@ -153,7 +162,7 @@ func (sh *regShard) find(h uint64, id string) (found, free *slot) {
 			if free == nil {
 				free = s
 			}
-		case s.hash == h && sh.holds(s, id):
+		case s.hash == h32 && sh.holds(s, id):
 			return s, nil
 		}
 	}
@@ -173,7 +182,10 @@ type registry struct {
 	seed   maphash.Seed
 	// hashMask is all ones; tests narrow it so that distinct IDs share a
 	// full 64-bit hash.
-	hashMask    uint64
+	hashMask uint64
+	// arenaMax bounds a shard's arena, so that every ID offset fits a
+	// slot's idOff; tests narrow it.
+	arenaMax    uint64
 	grid        *device.Grid
 	dailyBudget bool // one task per device per day
 
@@ -190,6 +202,7 @@ func newRegistry(shards int, grid *device.Grid, dailyBudget bool) *registry {
 		shards:      make([]regShard, shards),
 		seed:        maphash.MakeSeed(),
 		hashMask:    ^uint64(0),
+		arenaMax:    1 << 32,
 		grid:        grid,
 		dailyBudget: dailyBudget,
 	}
@@ -200,7 +213,7 @@ func newRegistry(shards int, grid *device.Grid, dailyBudget bool) *registry {
 }
 
 // hash is the one hash taken of a device ID: its high half picks the shard,
-// its low bits the home slot, and the whole is stored for probe compares.
+// and its low half, which the slot stores for probe compares, the home slot.
 func (r *registry) hash(id string) uint64 {
 	return maphash.String(r.seed, id) & r.hashMask
 }
@@ -211,31 +224,32 @@ func (r *registry) shardIndex(h uint64) int {
 
 func (r *registry) shardOf(h uint64) *regShard { return &r.shards[r.shardIndex(h)] }
 
-// admit runs the shard-local admission checks for one check-in and reserves
-// the device (slotBusy) on success, so that a second check-in for it, in this
-// batch or a concurrent one, cannot double-book it while the core section
-// runs. The caller holds sh's mutex, has reserved room for the insert, and
-// clears the reservation if the scheduler hands out no assignment.
+// admit runs the shard-local admission checks for one check-in, whose scores
+// the caller has clamped, and reserves the device (slotBusy) on success, so
+// that a second check-in for it, in this batch or a concurrent one, cannot
+// double-book it while the core section runs. The caller holds sh's mutex,
+// has reserved room for the insert, and clears the reservation if the
+// scheduler hands out no assignment.
 //
 // Returns (s, nil) when the check-in should proceed to assignment, (nil, nil)
 // when it is refused without error (daily task budget), and (nil, err) for a
-// busy device.
-func (r *registry) admit(sh *regShard, h uint64, ci *CheckIn, day int, nowSec int64) (*slot, error) {
-	// Clamp exactly like device.New: raw wire values can be negative or NaN,
-	// and an unclamped score would put the device in an out-of-range cell.
-	cpu, mem := device.Clamp01(ci.CPU), device.Clamp01(ci.Mem)
-	s, free := sh.find(h, ci.DeviceID)
+// busy device or a new one whose ID the shard's arena has no room for.
+func (r *registry) admit(sh *regShard, h uint64, id string, cpu, mem float64, day int, nowSec int64) (*slot, error) {
+	s, free := sh.find(h, id)
 	if s == nil {
+		if uint64(len(sh.ids))+uint64(len(id)) > r.arenaMax {
+			return nil, ErrRegistryFull
+		}
 		if free.flags == slotTomb {
 			sh.tombs--
 		}
 		s = free
 		*s = slot{
-			hash: h, idOff: uint64(len(sh.ids)), idLen: uint32(len(ci.DeviceID)),
-			cpu: cpu, mem: mem, cell: int32(r.grid.CellOf(cpu, mem)),
-			dev: int32(r.nextDev.Add(1) - 1), lastTaskDay: -1, flags: slotUsed,
+			hash: uint32(h), idOff: uint32(len(sh.ids)), idLen: uint32(len(id)),
+			cell: uint16(r.grid.CellOf(cpu, mem)),
+			dev:  int32(r.nextDev.Add(1) - 1), lastTaskDay: -1, flags: slotUsed,
 		}
-		sh.ids = append(sh.ids, ci.DeviceID...)
+		sh.ids = append(sh.ids, id...)
 		sh.live++
 	} else {
 		if s.flags&slotBusy != 0 {
@@ -244,9 +258,8 @@ func (r *registry) admit(sh *regShard, h uint64, ci *CheckIn, day int, nowSec in
 		}
 		// Hardware doesn't change, but normalization or reporting might; the
 		// cached cell follows the scores.
-		if s.cpu != cpu || s.mem != mem {
-			s.cpu, s.mem = cpu, mem
-			s.cell = int32(r.grid.CellOf(cpu, mem))
+		if !r.grid.Contains(device.CellID(s.cell), cpu, mem) {
+			s.cell = uint16(r.grid.CellOf(cpu, mem))
 		}
 	}
 	s.lastSeenSec = nowSec
@@ -259,8 +272,8 @@ func (r *registry) admit(sh *regShard, h uint64, ci *CheckIn, day int, nowSec in
 
 // sweep evicts, from a rotating fraction of the shards, every device last
 // seen before cutoff, busy ones included, and returns how many went. With the
-// default 64 shards and a 1s tick the whole fleet is revisited roughly every
-// 16 seconds, so a huge registry never stalls one tick.
+// default 64 shards and a 1s tick, 5 shards a tick, the whole fleet is
+// revisited about every 13 seconds, so a huge registry never stalls one tick.
 func (r *registry) sweep(cutoff int64) int {
 	evicted, busyEvicted := 0, 0
 	for n := len(r.shards)/16 + 1; n > 0; n-- {
@@ -285,13 +298,15 @@ func (r *registry) sweep(cutoff int64) int {
 }
 
 // registryStats is the registry's shape, summed over its shards: load factor
-// is (Live+Tombstones)/Slots, and IDBytes is the arenas' length, evicted IDs
-// not yet compacted away included.
+// is (Live+Tombstones)/Slots, IDBytes is the arenas' length, evicted IDs not
+// yet compacted away included, and Bytes is what the tables and arenas hold
+// allocated.
 type registryStats struct {
 	Slots      int64
 	Live       int64
 	Tombstones int64
 	IDBytes    int64
+	Bytes      int64
 	Rehashes   int64
 }
 
@@ -304,6 +319,7 @@ func (r *registry) stats() registryStats {
 		st.Live += int64(sh.live)
 		st.Tombstones += int64(sh.tombs)
 		st.IDBytes += int64(len(sh.ids))
+		st.Bytes += int64(cap(sh.slots))*int64(unsafe.Sizeof(slot{})) + int64(cap(sh.ids))
 		st.Rehashes += sh.rehashes
 		sh.mu.Unlock()
 	}
@@ -314,8 +330,7 @@ func (r *registry) stats() registryStats {
 // that a warm batch allocates only its result slice. Per item: the ID's hash
 // and shard (nil for an item without an ID) and the slot handle the batch
 // took. Per batch: the set of shards to lock as a bitmask, how many items
-// hash to each (the reserve bound), the per-cell supply counts, and the
-// indices of the items that need the core.
+// hash to each (the reserve bound), and the per-cell supply counts.
 type batchScratch struct {
 	hash   []uint64
 	shard  []*regShard
@@ -323,7 +338,6 @@ type batchScratch struct {
 	need   []uint64
 	count  []int32
 	supply []int64
-	core   []int
 	// sink receives what touch reads, so the reads are not dead code.
 	sink byte
 }
@@ -387,11 +401,11 @@ func (r *registry) touch(sc *batchScratch) {
 		if sh == nil {
 			continue
 		}
-		h := sc.hash[i]
-		mask := uint64(len(sh.slots) - 1)
+		h := uint32(sc.hash[i])
+		mask := uint32(len(sh.slots) - 1)
 		for j := h & mask; sh.slots[j].flags != 0; j = (j + 1) & mask {
 			if s := &sh.slots[j]; s.hash == h && s.idLen > 0 {
-				t += sh.ids[s.idOff] + sh.ids[s.idOff+uint64(s.idLen)-1]
+				t += sh.ids[s.idOff] + sh.ids[uint64(s.idOff)+uint64(s.idLen)-1]
 				break
 			}
 		}
@@ -412,6 +426,5 @@ func (r *registry) unlockMarked(sc *batchScratch) {
 	}
 	clear(sc.shard)
 	clear(sc.slots)
-	sc.core = sc.core[:0]
 	r.scratchPool.Put(sc)
 }

@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"venn/internal/device"
+	"venn/internal/simtime"
 )
 
 // all iterates the registered devices, shard by shard under the shard's lock,
@@ -27,7 +28,7 @@ func (r *registry) all() iter.Seq2[string, *slot] {
 				if s.flags&slotUsed == 0 {
 					continue
 				}
-				if !yield(string(sh.ids[s.idOff:s.idOff+uint64(s.idLen)]), s) {
+				if !yield(string(sh.id(s)), s) {
 					sh.mu.Unlock()
 					return
 				}
@@ -37,16 +38,19 @@ func (r *registry) all() iter.Seq2[string, *slot] {
 	}
 }
 
-// TestSlotLayout pins what the registry's cost model rests on: a slot is one
-// 64-byte cache line and holds no pointers (so tables are allocated noscan).
+// TestSlotLayout pins what the registry's cost model rests on: a slot is 32
+// bytes, two to a cache line, holds no pointers (so tables are allocated
+// noscan) and no scores, which a check-in carries again.
 func TestSlotLayout(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 64 {
-		t.Errorf("sizeof(slot) = %d, want 64", got)
+	if got := unsafe.Sizeof(slot{}); got != 32 {
+		t.Errorf("sizeof(slot) = %d, want 32", got)
 	}
 	typ := reflect.TypeOf(slot{})
 	for i := 0; i < typ.NumField(); i++ {
 		switch k := typ.Field(i).Type.Kind(); k {
-		case reflect.Uint8, reflect.Uint32, reflect.Uint64, reflect.Int32, reflect.Int64, reflect.Float64:
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Int32, reflect.Int64:
+		case reflect.Float32, reflect.Float64:
+			t.Errorf("slot.%s is a %v; scores do not outlive a check-in", typ.Field(i).Name, k)
 		default:
 			t.Errorf("slot.%s has kind %v; slots must stay pointer-free", typ.Field(i).Name, k)
 		}
@@ -56,8 +60,7 @@ func TestSlotLayout(t *testing.T) {
 // oracleDevice is the differential test's model of one registered device.
 type oracleDevice struct {
 	dev         int32
-	cpu, mem    float64
-	cell        int32
+	cell        uint16 // CellOf the latest check-in's clamped scores
 	busy        bool
 	lastSeenSec int64
 	lastTaskDay int32
@@ -119,8 +122,8 @@ func TestRegistryDifferential(t *testing.T) {
 						r.touch(sc)
 						for i := range cis {
 							ci := &cis[i]
-							s, err := r.admit(sc.shard[i], sc.hash[i], ci, day, nowSec)
 							cpu, mem := device.Clamp01(ci.CPU), device.Clamp01(ci.Mem)
+							s, err := r.admit(sc.shard[i], sc.hash[i], ci.DeviceID, cpu, mem, day, nowSec)
 							od, known := oracle[ci.DeviceID]
 							switch {
 							case known && od.busy:
@@ -134,7 +137,7 @@ func TestRegistryDifferential(t *testing.T) {
 								nextDev++
 								oracle[ci.DeviceID] = od
 							}
-							od.cpu, od.mem, od.cell = cpu, mem, int32(grid.CellOf(cpu, mem))
+							od.cell = uint16(grid.CellOf(cpu, mem))
 							od.lastSeenSec = nowSec
 							if err != nil {
 								t.Fatalf("step %d item %d: %v", step, i, err)
@@ -148,7 +151,7 @@ func TestRegistryDifferential(t *testing.T) {
 							if s == nil {
 								t.Fatalf("step %d item %d: refused without cause", step, i)
 							}
-							if s.dev != od.dev || s.cpu != cpu || s.mem != mem || s.cell != od.cell || s.flags != slotUsed|slotBusy {
+							if s.dev != od.dev || s.cell != od.cell || s.flags != slotUsed|slotBusy {
 								t.Fatalf("step %d item %d: slot %+v, oracle %+v", step, i, *s, *od)
 							}
 							sc.slots[i] = s
@@ -232,7 +235,7 @@ func TestRegistryDifferential(t *testing.T) {
 							if !ok {
 								t.Fatalf("step %d: registry holds %.20q, oracle does not", step, id)
 							}
-							if s.dev != od.dev || s.cpu != od.cpu || s.mem != od.mem || s.cell != od.cell ||
+							if s.dev != od.dev || s.cell != od.cell ||
 								s.lastSeenSec != od.lastSeenSec || s.lastTaskDay != od.lastTaskDay ||
 								(s.flags&slotBusy != 0) != od.busy {
 								t.Fatalf("step %d: %.20q: slot %+v, oracle %+v", step, id, *s, *od)
@@ -265,7 +268,7 @@ func TestRegistryTombstoneReuse(t *testing.T) {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		sh.reserve(1)
-		s, err := r.admit(sh, r.hash(id), &CheckIn{DeviceID: id, CPU: 0.5, Mem: 0.5}, 0, sec)
+		s, err := r.admit(sh, r.hash(id), id, 0.5, 0.5, 0, sec)
 		if err != nil || s == nil {
 			t.Fatalf("admit %q: %v, %v", id, s, err)
 		}
@@ -362,8 +365,8 @@ func TestWarmSurplusAdmitAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() {
 		sh.mu.Lock()
 		sh.reserve(1)
-		s, err := m.reg.admit(sh, h, ci, now.DayIndex(), 0)
-		idle = idle && err == nil && s != nil && m.snapshotSaysIdle(s, now)
+		s, err := m.reg.admit(sh, h, ci.DeviceID, ci.CPU, ci.Mem, now.DayIndex(), 0)
+		idle = idle && err == nil && s != nil && m.snapshotSaysIdle(s, ci.CPU, ci.Mem, now)
 		if s != nil {
 			s.flags &^= slotBusy
 		}
@@ -465,4 +468,148 @@ func TestRegistryConcurrentMixedBatches(t *testing.T) {
 	if (mt.RegistryLive+mt.RegistryTombstones)*8 > mt.RegistrySlots*7 {
 		t.Errorf("load bound broken: %+v", mt)
 	}
+}
+
+// TestRegistryBytesPerDevice gates the registry's footprint: a 100,000-device
+// fleet of cold inserts on the default shards costs at most 56 allocated
+// bytes per device, which is 32-byte slots in tables run at 7/8 load, plus
+// the ID arenas. registry_bytes is what the daemon exports.
+func TestRegistryBytesPerDevice(t *testing.T) {
+	const fleet, batch = 100_000, 64
+	m := NewManager(Config{DisableDailyBudget: true})
+	cis := make([]CheckIn, batch)
+	for off := 0; off < fleet; off += batch {
+		cis = cis[:min(batch, fleet-off)]
+		for i := range cis {
+			cis[i] = CheckIn{DeviceID: fmt.Sprintf("dev-%06d", off+i), CPU: 0.5, Mem: 0.5}
+		}
+		m.CheckInBatch(cis)
+	}
+	mt := m.MetricsSnapshot()
+	if mt.RegistryLive != fleet {
+		t.Fatalf("registry_live = %d, want %d", mt.RegistryLive, fleet)
+	}
+	perDevice := float64(mt.RegistryBytes) / float64(mt.RegistryLive)
+	t.Logf("registry_bytes %d: %.1f B/device", mt.RegistryBytes, perDevice)
+	if perDevice > 56 {
+		t.Errorf("%.1f registry bytes per device, want at most 56", perDevice)
+	}
+	if held := mt.RegistrySlots*int64(unsafe.Sizeof(slot{})) + mt.RegistryIDBytes; mt.RegistryBytes < held {
+		t.Errorf("registry_bytes %d is less than the tables and IDs it holds, %d", mt.RegistryBytes, held)
+	}
+}
+
+// TestCheckInMovesCell checks one device in twice, with scores on either side
+// of Compute-Rich's CPU cut: the second check-in must move the cached cell,
+// so its supply is counted in the new cell and the snapshot probe, which
+// reads the cell, sends it to the Compute-Rich job instead of answering it
+// as surplus.
+func TestCheckInMovesCell(t *testing.T) {
+	m := NewManager(Config{Clock: newFakeClock().now})
+	if _, err := m.RegisterJob(JobSpec{Category: device.ComputeRich.Name, DemandPerRound: 1, Rounds: 1}); err != nil {
+		t.Fatal(err)
+	}
+	grid := m.env.Grid
+	low, high := grid.CellOf(0.4, 0.6), grid.CellOf(0.6, 0.6)
+	if low == high {
+		t.Fatal("the scores share a cell")
+	}
+	a, err := checkInOne(m, CheckIn{DeviceID: "mover", CPU: 0.4, Mem: 0.6})
+	if err != nil || a.Assigned {
+		t.Fatalf("below the cut: %+v, %v", a, err)
+	}
+	if got := m.pendingSupply[low].Load(); got != 1 || m.MetricsSnapshot().LockFreeCheckIns != 1 {
+		t.Fatalf("below the cut: supply %d in cell %d, metrics %+v", got, low, m.MetricsSnapshot())
+	}
+	a, err = checkInOne(m, CheckIn{DeviceID: "mover", CPU: 0.6, Mem: 0.6})
+	if err != nil || !a.Assigned {
+		t.Fatalf("above the cut: %+v, %v (the probe read a stale cell)", a, err)
+	}
+	if got := m.MetricsSnapshot().LockFreeCheckIns; got != 1 {
+		t.Errorf("above the cut: %d lock-free check-ins, want 1", got)
+	}
+	for id, s := range m.reg.all() {
+		if device.CellID(s.cell) != high {
+			t.Errorf("%s: cached cell %d, want %d", id, s.cell, high)
+		}
+	}
+	m.mu.Lock()
+	m.drainSupplyLocked(m.now())
+	rates := m.env.DB.Rates(m.now().Add(simtime.Minute)) // a rate needs covered time
+	m.mu.Unlock()
+	for c, r := range rates {
+		if want := c == int(low) || c == int(high); (r > 0) != want {
+			t.Errorf("cell %d: supply rate %v, want one check-in: %v", c, r, want)
+		}
+	}
+}
+
+// TestRegistryArenaLimit narrows a shard's arena to 30 bytes: the insert that
+// would end past it is refused with ErrRegistryFull, and the registry is left
+// as it was, the tombstone the insert would have reused included, with every
+// device still resolvable.
+func TestRegistryArenaLimit(t *testing.T) {
+	clk := newFakeClock()
+	m := NewManager(Config{Shards: 1, Clock: clk.now})
+	m.reg.arenaMax = 30
+	// One probe run, so the refused insert passes the tombstone; the six IDs
+	// fill the arena.
+	m.reg.hashMask = 0
+	ids := []string{"dev-0", "dev-1", "dev-2", "dev-3", "dev-4", "dev-5"}
+	checkIn := func(ids ...string) []CheckInResult {
+		cis := make([]CheckIn, len(ids))
+		for i, id := range ids {
+			cis[i] = CheckIn{DeviceID: id, CPU: 0.5, Mem: 0.5}
+		}
+		return m.CheckInBatch(cis)
+	}
+	for i, res := range checkIn(ids...) {
+		if res.Error != "" {
+			t.Fatalf("%s: %s", ids[i], res.Error)
+		}
+	}
+	clk.advance(time.Minute)
+	checkIn(ids[1:]...)
+	if n := m.reg.sweep(clk.now().Unix()); n != 1 {
+		t.Fatalf("sweep evicted %d, want 1", n)
+	}
+	before := m.reg.stats()
+	if before.Tombstones != 1 || before.IDBytes != 30 {
+		t.Fatalf("before: %+v", before)
+	}
+	res := checkIn("dev-1", "dev-6", "dev-2")
+	if res[1].Error != ErrRegistryFull.Error() {
+		t.Errorf("the crossing insert: %+v, want %q", res[1], ErrRegistryFull)
+	}
+	if res[0].Error != "" || res[2].Error != "" {
+		t.Errorf("known devices beside it: %+v", res)
+	}
+	if after := m.reg.stats(); after != before {
+		t.Errorf("the refused insert changed the registry: %+v, was %+v", after, before)
+	}
+	sh := &m.reg.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, id := range append(ids[1:], "dev-0", "dev-6") {
+		s, _ := sh.find(m.reg.hash(id), id)
+		if want := id != "dev-0" && id != "dev-6"; (s != nil) != want {
+			t.Errorf("find(%s) = %v, want registered: %v", id, s, want)
+		}
+	}
+}
+
+// TestNewManagerRefusesOversizedGrid: 256 categories with distinct cuts on
+// both axes make a 257 x 257 grid, more cells than a slot's cell field holds.
+func TestNewManagerRefusesOversizedGrid(t *testing.T) {
+	cats := make([]device.Requirement, 256)
+	for i := range cats {
+		cut := float64(i+1) / 1000
+		cats[i] = device.Requirement{Name: fmt.Sprintf("cat-%d", i), MinCPU: cut, MinMem: cut}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewManager accepted a 66,049-cell grid")
+		}
+	}()
+	NewManager(Config{Categories: cats})
 }
