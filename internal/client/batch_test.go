@@ -1,8 +1,12 @@
 package client
 
 import (
+	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -150,5 +154,45 @@ func TestBackoffJitterBounds(t *testing.T) {
 				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, lo, hi)
 			}
 		}
+	}
+}
+
+// TestNonFiniteScoresFailBeforeSending: JSON has no NaN or infinity, so a
+// batch carrying one fails in the client with encoding/json's
+// *json.UnsupportedValueError instead of going out as a body the server
+// rejects whole.
+func TestNonFiniteScoresFailBeforeSending(t *testing.T) {
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "unexpected request", http.StatusTeapot)
+	}))
+	defer ts.Close()
+	c := New(ts.URL)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, call := range map[string]func() error{
+			"cpu": func() error {
+				_, err := c.CheckInBatch([]server.CheckIn{{DeviceID: "ok", CPU: 0.5, Mem: 0.5}, {DeviceID: "bad", CPU: v, Mem: 0.5}})
+				return err
+			},
+			"mem": func() error {
+				_, err := c.CheckInBatch([]server.CheckIn{{DeviceID: "bad", CPU: 0.5, Mem: v}})
+				return err
+			},
+			"duration_seconds": func() error {
+				_, err := c.ReportBatch([]server.Report{{DeviceID: "bad", JobID: 1, OK: true, DurationSeconds: v}})
+				return err
+			},
+		} {
+			var uve *json.UnsupportedValueError
+			if err := call(); !errors.As(err, &uve) {
+				t.Errorf("%s = %v: error %v (%T), want a *json.UnsupportedValueError", field, v, err, err)
+			} else if want := "json: unsupported value: " + strconv.FormatFloat(v, 'g', -1, 64); err.Error() != want {
+				t.Errorf("%s = %v: error %q, want %q", field, v, err, want)
+			}
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("the server saw %d requests, want 0", n)
 	}
 }

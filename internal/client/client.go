@@ -12,6 +12,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"sync"
 	"time"
 
 	"venn/internal/server"
@@ -69,10 +70,15 @@ func (c *Client) Jobs() ([]server.JobStatus, error) {
 
 // CheckInBatch announces availability for a whole batch of devices in one
 // request. Results[i] answers cis[i]; per-item rejections surface in each
-// result's Error field, not as a Go error.
+// result's Error field, not as a Go error. A NaN or infinite score fails the
+// whole call with a *json.UnsupportedValueError before anything is sent.
 func (c *Client) CheckInBatch(cis []server.CheckIn) ([]server.CheckInResult, error) {
-	var resp server.CheckInBatchResponse
-	if err := c.post("/v1/checkin/batch", server.CheckInBatchRequest{CheckIns: cis}, &resp); err != nil {
+	body, err := server.CheckInBatchRequest{CheckIns: cis}.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	resp := server.CheckInBatchResponse{Results: make([]server.CheckInResult, 0, len(cis))}
+	if err := c.postBatch("/v1/checkin/batch", body, resp.UnmarshalJSON); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(cis) {
@@ -82,10 +88,14 @@ func (c *Client) CheckInBatch(cis []server.CheckIn) ([]server.CheckInResult, err
 }
 
 // ReportBatch submits a batch of task results in one request. Results[i]
-// answers rs[i].
+// answers rs[i]. A NaN or infinite duration fails it as in CheckInBatch.
 func (c *Client) ReportBatch(rs []server.Report) ([]server.ReportResult, error) {
-	var resp server.ReportBatchResponse
-	if err := c.post("/v1/report/batch", server.ReportBatchRequest{Reports: rs}, &resp); err != nil {
+	body, err := server.ReportBatchRequest{Reports: rs}.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	resp := server.ReportBatchResponse{Results: make([]server.ReportResult, 0, len(rs))}
+	if err := c.postBatch("/v1/report/batch", body, resp.UnmarshalJSON); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(rs) {
@@ -133,15 +143,7 @@ func (c *Client) WaitForJob(id int, poll, timeout time.Duration) (server.JobStat
 }
 
 func (c *Client) post(path string, body, out any) error {
-	var buf []byte
-	var err error
-	// The hot batch wire types marshal themselves (see server/codec.go);
-	// calling them directly skips encoding/json's re-validation pass.
-	if m, ok := body.(json.Marshaler); ok {
-		buf, err = m.MarshalJSON()
-	} else {
-		buf, err = json.Marshal(body)
-	}
+	buf, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
@@ -151,6 +153,35 @@ func (c *Client) post(path string, body, out any) error {
 	}
 	defer resp.Body.Close()
 	return decodeResponse(resp, out)
+}
+
+// replyBufs recycles batch reply bodies. The batch decoders copy every
+// string they keep, so a buffer is free again once its reply is decoded; one
+// grown past 1 MiB (transport.PutBuf's bound) is left to the GC.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// postBatch posts an encoded batch and hands the reply body to decode. The
+// request body is not pooled: net/http may still read it after Do returns.
+func (c *Client) postBatch(path string, body []byte, decode func([]byte) error) error {
+	resp, err := c.http.Post(c.base+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		return statusError(resp)
+	}
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= 1<<20 {
+			replyBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	return decode(buf.Bytes())
 }
 
 // get fetches an idempotent resource, retrying transient failures (network
@@ -200,25 +231,21 @@ func backoff(base time.Duration, attempt int) time.Duration {
 
 func decodeResponse(resp *http.Response, out any) error {
 	if resp.StatusCode >= 300 {
-		var apiErr struct {
-			Error string `json:"error"`
-			Code  int    `json:"code"`
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		if json.Unmarshal(body, &apiErr) == nil && apiErr.Error != "" {
-			return &APIError{Code: server.Code(apiErr.Code), Status: resp.StatusCode, Msg: apiErr.Error}
-		}
-		return fmt.Errorf("client: status %d", resp.StatusCode)
-	}
-	// Hand-rolled unmarshalers get the raw bytes directly: a json.Decoder
-	// would tokenize the value once to find its extent and then have the
-	// custom unmarshaler parse it a second time.
-	if u, ok := out.(json.Unmarshaler); ok {
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		return u.UnmarshalJSON(body)
+		return statusError(resp)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// statusError reads a failed reply's error body into an *APIError, or names
+// the status when the body carries none.
+func statusError(resp *http.Response) error {
+	var apiErr struct {
+		Error string `json:"error"`
+		Code  int    `json:"code"`
+	}
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	if json.Unmarshal(body, &apiErr) == nil && apiErr.Error != "" {
+		return &APIError{Code: server.Code(apiErr.Code), Status: resp.StatusCode, Msg: apiErr.Error}
+	}
+	return fmt.Errorf("client: status %d", resp.StatusCode)
 }

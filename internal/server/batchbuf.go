@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"math"
+	"strconv"
 	"sync"
 	"unsafe"
 )
@@ -10,12 +12,15 @@ import (
 // their byte boundaries, the results, the combiner's item slices, and the
 // scratch of a federation router that splits the batch by owner. A stream
 // connection owns one and serves every frame out of it, local or forwarded,
-// so a warm batch allocates nothing; the HTTP batch routes and the single-item
-// entry points serve out of a pooled one (getBatchBuf), and the allocating
-// entry points run the same code over a fresh zero BatchBuf. Everything in
-// it, and every result slice a …Buf call returns, is valid only until the
-// owner's next use of it; after a Decode* the device IDs are views of the
-// payload, which must stay untouched until the reply is encoded.
+// so a warm batch allocates nothing; the HTTP batch routes serve out of a
+// pooled one (getBatchBuf), which also holds their request body and reply,
+// and the allocating entry points run the same code over a fresh zero
+// BatchBuf. Everything in it, and every result slice a …Buf call returns, is
+// valid only until the owner's next use of it. After a Decode* the device
+// IDs are views of the payload, which must stay untouched until the reply is
+// encoded; after an HTTP route's decode they are views of its body, which
+// the route keeps until the reply is written. The manager clones what it
+// keeps.
 type BatchBuf struct {
 	CheckIns []CheckIn
 	Reports  []Report
@@ -31,6 +36,10 @@ type BatchBuf struct {
 	reportResults  []ReportResult
 	assigns        []assignItem
 	reports        []reportItem
+
+	body     bytes.Buffer // an HTTP batch route's request body
+	reply    []byte       // and its encoded reply
+	replyLen string       // a Content-Length value; see replyLength
 }
 
 // batchBufs holds the BatchBufs of the callers that bring none of their own.
@@ -38,10 +47,21 @@ var batchBufs = sync.Pool{New: func() any { return new(BatchBuf) }}
 
 func getBatchBuf() *BatchBuf { return batchBufs.Get().(*BatchBuf) }
 
+// maxPooledBody is the largest body or reply buffer a pooled BatchBuf keeps,
+// the bound transport.PutBuf sets on frame buffers: one outsized batch must
+// not pin its footprint forever.
+const maxPooledBody = 1 << 20
+
 // putBatchBuf releases b and returns it to the pool; nothing b held, results
 // included, may be read afterwards.
 func putBatchBuf(b *BatchBuf) {
 	b.Release()
+	if b.body.Cap() > maxPooledBody {
+		b.body = bytes.Buffer{}
+	}
+	if cap(b.reply) > maxPooledBody {
+		b.reply = nil
+	}
 	batchBufs.Put(b)
 }
 
@@ -101,6 +121,32 @@ func (b *BatchBuf) DecodeReports(payload []byte) (err error) {
 	return err
 }
 
+// replyLength returns len(b.reply) in decimal for the Content-Length
+// header. It keeps the last string while replies keep their length, as a run
+// of surplus batches does, so the header costs no allocation.
+func (b *BatchBuf) replyLength() string {
+	if n, err := strconv.Atoi(b.replyLen); err != nil || n != len(b.reply) {
+		b.replyLen = strconv.Itoa(len(b.reply))
+	}
+	return b.replyLen
+}
+
+// decodeCheckInsJSON decodes an HTTP check-in batch body into b.CheckIns,
+// the device IDs as views of body.
+func (b *BatchBuf) decodeCheckInsJSON(body []byte) (err error) {
+	s := jscan{b: body, views: true}
+	b.CheckIns, err = scanCheckIns(&s, b.CheckIns[:0])
+	return err
+}
+
+// decodeReportsJSON decodes an HTTP report batch body into b.Reports, the
+// device IDs as views of body.
+func (b *BatchBuf) decodeReportsJSON(body []byte) (err error) {
+	s := jscan{b: body, views: true}
+	b.Reports, err = scanReports(&s, b.Reports[:0])
+	return err
+}
+
 // Release ends a frame's use of b, once its reply is encoded. It does nothing
 // in a normal build; the poolcheck build overwrites what the frame left in b,
 // so that a test catches whatever still reads it.
@@ -123,4 +169,6 @@ func (b *BatchBuf) Release() {
 	fill(b.reportResults, ReportResult{Error: gone})
 	clear(b.assigns)
 	clear(b.reports)
+	fill(b.body.Bytes(), 0xA5)
+	fill(b.reply, 0xA5)
 }

@@ -1,23 +1,38 @@
 // Hand-rolled JSON codecs for the high-volume wire types. Per 64-item batch
-// on a 2-vCPU Xeon host, BenchmarkCheckInBatchDecode decodes a request in
-// 29–38 µs against encoding/json's 100–111 µs (about 3×), and
-// BenchmarkCheckInBatchEncode encodes a response in 1.0–1.4 µs against
-// 12–15 µs (about 12×). At 650–800k check-ins per core-second over HTTP a
-// batch costs 80–98 µs of CPU, client and server together, so encoding/json
-// would add ~80 µs to it; the scheduler core is a sub-microsecond slice.
-// So the batch request/response types implement json.Marshaler and
-// json.Unmarshaler with a small scanner specialized to their fixed shapes;
-// the items inside a batch encode through unexported helpers. The wire
-// format is order-insensitive: arbitrary whitespace, any field order,
-// escaped strings, and null values all parse; unknown fields are rejected
-// like a DisallowUnknownFields decoder. Round-trip equivalence with
-// encoding/json is pinned by codec_test.go.
+// on a 2-vCPU Xeon host (min–median of 10 interleaved runs),
+// BenchmarkCheckInBatchDecode decodes a request in 23–31 µs against
+// encoding/json's 92–113 µs, and BenchmarkCheckInBatchEncode encodes a
+// response in 1.1–1.3 µs against 10–14 µs. On bench's http-json workload a
+// batch costs about 130 µs of CPU, client and server together, and the
+// scheduler core is a sub-microsecond slice of it. So the batch
+// request/response types implement json.Marshaler and json.Unmarshaler with
+// a small scanner specialized to their fixed shapes; the items inside a
+// batch encode through unexported helpers. The wire format is
+// order-insensitive: arbitrary whitespace, any field order, escaped strings,
+// and null values all parse; unknown fields are rejected like a
+// DisallowUnknownFields decoder. Round-trip equivalence with encoding/json
+// is pinned by codec_test.go. The HTTP batch routes decode into a BatchBuf
+// with the device IDs as views of the pooled body (decodeCheckInsJSON);
+// UnmarshalJSON copies them.
+//
+// Scores take a one-pass fast path (jscan.decimal). A plain decimal
+// -?d+(.d+)? with at most 19 significant digits is m/10^k for a uint64 m.
+// When m < 2^53 and k ≤ 22, m and 10^k are both exact float64 values, so
+// the one IEEE division m/10^k is correctly rounded: it is the value
+// strconv.ParseFloat returns, bit for bit (Clinger's fast path). 67.9% of
+// the scores in the bench's seed-1 fleet qualify. Everything else (an
+// exponent, an m or k past those bounds, a token that runs on with e, E, +,
+// - or .) and every rejection take numToken and ParseFloat as before, so no
+// accepted input, rejected input or decoded bit changes; FuzzJSONFloat
+// holds the fast path to that reference.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"strconv"
 	"unsafe"
 )
@@ -45,16 +60,34 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-func appendJSONFloat(b []byte, f float64) []byte {
-	return strconv.AppendFloat(b, f, 'g', -1, 64)
+// appendJSONFloat appends f in its shortest 'g' form. JSON has no NaN or
+// infinity, so for those it fails as encoding/json does instead of writing a
+// token every decoder rejects.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	return strconv.AppendFloat(b, f, 'g', -1, 64), nil
 }
+
+// Upper bounds on an encoded request item's bytes besides its device ID's,
+// comma included, which presize a request body: a float's shortest 'g' form
+// is at most 24 bytes (-2.2250738585072014e-308) and an int's 20. An ID that
+// needs no escapes therefore never regrows the body.
+const (
+	maxJSONFloat   = 24
+	checkInJSONMax = len(`,{"device_id":"","cpu":,"mem":}`) + 2*maxJSONFloat
+	reportJSONMax  = len(`,{"device_id":"","job_id":,"ok":false,"duration_seconds":}`) + 20 + maxJSONFloat
+)
 
 // --- scanning helpers ---
 
-// jscan is a minimal JSON scanner for the fixed wire shapes.
+// jscan is a minimal JSON scanner for the fixed wire shapes. With views
+// set, an unescaped string is a view of b rather than a copy (see BatchBuf).
 type jscan struct {
-	b []byte
-	i int
+	b     []byte
+	i     int
+	views bool
 }
 
 func (s *jscan) skipWS() {
@@ -117,9 +150,9 @@ func (s *jscan) key() ([]byte, error) {
 	return nil, errMalformedJSON
 }
 
-// bytesToString views b as a string without copying. Only for short-lived
-// conversions whose result does not outlive b (the strconv parse calls);
-// callers must not retain the string.
+// bytesToString views b as a string without copying: for the strconv parse
+// calls, and for the device IDs of a BatchBuf's HTTP body, which live until
+// the reply is written. The string must not outlive b.
 func bytesToString(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -134,7 +167,8 @@ func (s *jscan) null() bool {
 }
 
 // str parses a JSON string (or null, yielding ""). Unescaped strings are
-// sliced out directly; escapes fall back to encoding/json.
+// copied out, or viewed when s.views is set; escapes fall back to
+// encoding/json.
 func (s *jscan) str() (string, error) {
 	if s.null() {
 		return "", nil
@@ -153,6 +187,9 @@ func (s *jscan) str() (string, error) {
 		case c == '"':
 			s.i++
 			if !escaped {
+				if s.views {
+					return bytesToString(s.b[start+1 : s.i-1]), nil
+				}
 				return string(s.b[start+1 : s.i-1]), nil
 			}
 			var out string
@@ -187,9 +224,70 @@ func (s *jscan) numToken() ([]byte, error) {
 	return s.b[start:s.i], nil
 }
 
+// pow10 holds the powers of ten that float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// decimal parses a plain decimal -?d+(.d+)? at the cursor in one pass, as
+// m/10^k, when it has at most 19 significant digits (so m fits a uint64),
+// m < 2^53 and k ≤ 22. Both operands are then exact float64 values, so one
+// IEEE division rounds correctly (Clinger's fast path) and gives the bits
+// strconv.ParseFloat returns. For anything else (an exponent, an m or k
+// past those bounds, a token that goes on with e, E, +, - or .) ok is false
+// and the cursor stays put.
+func (s *jscan) decimal() (f float64, ok bool) {
+	b, i := s.b, s.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	start, point, nd := i, -1, 0
+	for ; i < len(b); i++ {
+		if d := b[i] - '0'; d <= 9 {
+			if m|uint64(d) != 0 { // leading zeros are not significant
+				m = m*10 + uint64(d)
+				nd++
+			}
+			continue
+		}
+		if b[i] != '.' || point >= 0 || i == start {
+			break
+		}
+		point = i
+	}
+	k := 0
+	if point >= 0 {
+		if k = i - point - 1; k == 0 {
+			return 0, false
+		}
+	}
+	if i == start || nd > 19 || m >= 1<<53 || k >= len(pow10) {
+		return 0, false
+	}
+	if i < len(b) {
+		switch b[i] {
+		case 'e', 'E', '+', '-', '.':
+			return 0, false
+		}
+	}
+	f = float64(m) / pow10[k]
+	if neg {
+		f = -f
+	}
+	s.i = i
+	return f, true
+}
+
+// float parses a number (or null, yielding 0): a plain decimal in one pass
+// when it can be exact, everything else, and every rejection, as numToken's
+// token through strconv.ParseFloat.
 func (s *jscan) float() (float64, error) {
 	if s.null() {
 		return 0, nil
+	}
+	if f, ok := s.decimal(); ok {
+		return f, nil
 	}
 	tok, err := s.numToken()
 	if err != nil {
@@ -308,14 +406,18 @@ func (s *jscan) array(elem func() error) error {
 
 // --- CheckIn ---
 
-func (ci CheckIn) appendJSON(b []byte) []byte {
+func (ci CheckIn) appendJSON(b []byte) (_ []byte, err error) {
 	b = append(b, `{"device_id":`...)
 	b = appendJSONString(b, ci.DeviceID)
 	b = append(b, `,"cpu":`...)
-	b = appendJSONFloat(b, ci.CPU)
+	if b, err = appendJSONFloat(b, ci.CPU); err != nil {
+		return b, err
+	}
 	b = append(b, `,"mem":`...)
-	b = appendJSONFloat(b, ci.Mem)
-	return append(b, '}')
+	if b, err = appendJSONFloat(b, ci.Mem); err != nil {
+		return b, err
+	}
+	return append(b, '}'), nil
 }
 
 func (ci *CheckIn) scanFrom(s *jscan) error {
@@ -337,35 +439,50 @@ func (ci *CheckIn) scanFrom(s *jscan) error {
 
 // --- CheckInBatchRequest ---
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. The body is allocated once, sized
+// from the batch (see checkInJSONMax). A NaN or infinite score fails it with
+// a *json.UnsupportedValueError, as encoding/json would.
 func (r CheckInBatchRequest) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 16+56*len(r.CheckIns))
-	b = append(b, `{"checkins":[`...)
+	n := len(`{"checkins":[]}`) + checkInJSONMax*len(r.CheckIns)
+	for i := range r.CheckIns {
+		n += len(r.CheckIns[i].DeviceID)
+	}
+	b := append(make([]byte, 0, n), `{"checkins":[`...)
 	for i, ci := range r.CheckIns {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = ci.appendJSON(b)
+		var err error
+		if b, err = ci.appendJSON(b); err != nil {
+			return nil, err
+		}
 	}
 	return append(b, ']', '}'), nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *CheckInBatchRequest) UnmarshalJSON(b []byte) error {
+// UnmarshalJSON implements json.Unmarshaler. The device IDs are copies.
+func (r *CheckInBatchRequest) UnmarshalJSON(b []byte) (err error) {
 	s := jscan{b: b}
-	return s.object(func(key []byte) error {
+	r.CheckIns, err = scanCheckIns(&s, r.CheckIns)
+	return err
+}
+
+// scanCheckIns appends a check-in batch request's items to dst.
+func scanCheckIns(s *jscan, dst []CheckIn) ([]CheckIn, error) {
+	err := s.object(func(key []byte) error {
 		if string(key) != "checkins" {
 			return errUnknownField(string(key))
 		}
 		return s.array(func() error {
 			var ci CheckIn
-			if err := ci.scanFrom(&s); err != nil {
+			if err := ci.scanFrom(s); err != nil {
 				return err
 			}
-			r.CheckIns = append(r.CheckIns, ci)
+			dst = append(dst, ci)
 			return nil
 		})
 	})
+	return dst, err
 }
 
 // --- Assignment / CheckInResult ---
@@ -449,7 +566,10 @@ func (r *CheckInResult) UnmarshalJSON(b []byte) error {
 
 // MarshalJSON implements json.Marshaler.
 func (r CheckInBatchResponse) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 16+8*len(r.Results))
+	return r.appendJSON(make([]byte, 0, 16+8*len(r.Results))), nil
+}
+
+func (r CheckInBatchResponse) appendJSON(b []byte) []byte {
 	b = append(b, `{"results":[`...)
 	for i, res := range r.Results {
 		if i > 0 {
@@ -457,10 +577,11 @@ func (r CheckInBatchResponse) MarshalJSON() ([]byte, error) {
 		}
 		b = res.appendJSON(b)
 	}
-	return append(b, ']', '}'), nil
+	return append(b, ']', '}')
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. Results are appended to
+// r.Results, so a caller that knows the batch length presizes it.
 func (r *CheckInBatchResponse) UnmarshalJSON(b []byte) error {
 	s := jscan{b: b}
 	return s.object(func(key []byte) error {
@@ -480,7 +601,7 @@ func (r *CheckInBatchResponse) UnmarshalJSON(b []byte) error {
 
 // --- Report ---
 
-func (r Report) appendJSON(b []byte) []byte {
+func (r Report) appendJSON(b []byte) (_ []byte, err error) {
 	b = append(b, `{"device_id":`...)
 	b = appendJSONString(b, r.DeviceID)
 	b = append(b, `,"job_id":`...)
@@ -491,8 +612,10 @@ func (r Report) appendJSON(b []byte) []byte {
 		b = append(b, `,"ok":false`...)
 	}
 	b = append(b, `,"duration_seconds":`...)
-	b = appendJSONFloat(b, r.DurationSeconds)
-	return append(b, '}')
+	if b, err = appendJSONFloat(b, r.DurationSeconds); err != nil {
+		return b, err
+	}
+	return append(b, '}'), nil
 }
 
 func (r *Report) scanFrom(s *jscan) error {
@@ -516,40 +639,58 @@ func (r *Report) scanFrom(s *jscan) error {
 
 // --- ReportBatchRequest / ReportBatchResponse ---
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler: one allocation sized from the batch
+// (see reportJSONMax), and a *json.UnsupportedValueError for a NaN or
+// infinite duration, as encoding/json would give.
 func (r ReportBatchRequest) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 16+72*len(r.Reports))
-	b = append(b, `{"reports":[`...)
+	n := len(`{"reports":[]}`) + reportJSONMax*len(r.Reports)
+	for i := range r.Reports {
+		n += len(r.Reports[i].DeviceID)
+	}
+	b := append(make([]byte, 0, n), `{"reports":[`...)
 	for i, rep := range r.Reports {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = rep.appendJSON(b)
+		var err error
+		if b, err = rep.appendJSON(b); err != nil {
+			return nil, err
+		}
 	}
 	return append(b, ']', '}'), nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *ReportBatchRequest) UnmarshalJSON(b []byte) error {
+// UnmarshalJSON implements json.Unmarshaler. The device IDs are copies.
+func (r *ReportBatchRequest) UnmarshalJSON(b []byte) (err error) {
 	s := jscan{b: b}
-	return s.object(func(key []byte) error {
+	r.Reports, err = scanReports(&s, r.Reports)
+	return err
+}
+
+// scanReports appends a report batch request's items to dst.
+func scanReports(s *jscan, dst []Report) ([]Report, error) {
+	err := s.object(func(key []byte) error {
 		if string(key) != "reports" {
 			return errUnknownField(string(key))
 		}
 		return s.array(func() error {
 			var rep Report
-			if err := rep.scanFrom(&s); err != nil {
+			if err := rep.scanFrom(s); err != nil {
 				return err
 			}
-			r.Reports = append(r.Reports, rep)
+			dst = append(dst, rep)
 			return nil
 		})
 	})
+	return dst, err
 }
 
 // MarshalJSON implements json.Marshaler.
 func (r ReportBatchResponse) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 16+4*len(r.Results))
+	return r.appendJSON(make([]byte, 0, 16+4*len(r.Results))), nil
+}
+
+func (r ReportBatchResponse) appendJSON(b []byte) []byte {
 	b = append(b, `{"results":[`...)
 	for i, res := range r.Results {
 		if i > 0 {
@@ -563,10 +704,10 @@ func (r ReportBatchResponse) MarshalJSON() ([]byte, error) {
 		b = appendJSONString(b, res.Error)
 		b = append(b, '}')
 	}
-	return append(b, ']', '}'), nil
+	return append(b, ']', '}')
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler; see CheckInBatchResponse's.
 func (r *ReportBatchResponse) UnmarshalJSON(b []byte) error {
 	s := jscan{b: b}
 	return s.object(func(key []byte) error {

@@ -2,8 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
+	"strconv"
 	"testing"
+
+	"venn/internal/stats"
 )
 
 // FuzzCodecRoundTrip drives arbitrary bytes through every hand-rolled codec
@@ -112,4 +116,57 @@ func roundTrip[T any](t *testing.T, data []byte) {
 	if !reflect.DeepEqual(v2, v3) {
 		t.Fatalf("round trip diverged:\n%+v\n%+v\ninput %q", v2, v3, data)
 	}
+}
+
+// refFloat is jscan.float before its decimal fast path: the whole token
+// through strconv.ParseFloat. FuzzJSONFloat holds the fast path to it.
+func refFloat(s *jscan) (float64, error) {
+	if s.null() {
+		return 0, nil
+	}
+	tok, err := s.numToken()
+	if err != nil {
+		return 0, err
+	}
+	f, err := strconv.ParseFloat(bytesToString(tok), 64)
+	if err != nil {
+		return 0, errMalformedJSON
+	}
+	return f, nil
+}
+
+// FuzzJSONFloat: for any bytes, jscan.float and the reference agree on
+// accepting them, on the value's bits and on where the cursor stops, so the
+// fast path changes no decoded score and no verdict.
+func FuzzJSONFloat(f *testing.F) {
+	rng := stats.NewRNG(1)
+	for i := 0; i < 16; i++ {
+		f.Add(strconv.FormatFloat(rng.Float64(), 'g', -1, 64))
+		f.Add(strconv.FormatFloat(-rng.Float64()*1e6, 'f', -1, 64))
+	}
+	for _, s := range []string{
+		"9007199254740991", "9007199254740992", "9007199254740993", // 2^53-1, 2^53, 2^53+1
+		"9.007199254740991", "0.9007199254740992", "-900719925474099.3",
+		"1234567890123456789", "0.1234567890123456789", // 19 digits
+		"12345678901234567890", "1.2345678901234567890", // 20 digits
+		"0.0000000000000000000001", "0.00000000000000000000001", "1e22", "1e23",
+		"-0", "0", "0.", ".5", "01", "00.5", "1e5", "1E-5", "1.5.5", "1.5e", "1.5+", "1-", "-", "--1",
+		"null", " 0.5 ", "0.5,", "0.5}", "0x1p-2", "1_000", "Inf", "NaN", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		got, want := jscan{b: []byte(in)}, jscan{b: []byte(in)}
+		gf, gerr := got.float()
+		wf, werr := refFloat(&want)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("%q: error %v, reference %v", in, gerr, werr)
+		}
+		if gerr == nil && math.Float64bits(gf) != math.Float64bits(wf) {
+			t.Fatalf("%q: %v (%#x), reference %v (%#x)", in, gf, math.Float64bits(gf), wf, math.Float64bits(wf))
+		}
+		if got.i != want.i {
+			t.Fatalf("%q: cursor at %d, reference at %d", in, got.i, want.i)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"venn/internal/obs"
@@ -78,7 +76,7 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 		switch r.Method {
 		case http.MethodPost:
 			var spec JobSpec
-			if !decodeTimed(w, r, defaultMaxBodyBytes, &spec, sp) {
+			if !decode(w, r, defaultMaxBodyBytes, &spec, sp) {
 				return
 			}
 			st, err := svc.RegisterJob(spec)
@@ -121,18 +119,18 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 		}
 		b := getBatchBuf()
 		defer putBatchBuf(b)
-		req := CheckInBatchRequest{CheckIns: b.CheckIns[:0]}
-		if !decodeTimed(w, r, cfg.MaxBatchBodyBytes, &req, sp) {
+		if !decodeBatch(w, r, cfg.MaxBatchBodyBytes, b, (*BatchBuf).decodeCheckInsJSON, sp) {
 			return
 		}
-		b.CheckIns = req.CheckIns
 		results, _, err := svc.CheckInBatchBuf(b, RawItems{}, false, sp)
 		if err != nil {
 			sp.SetError()
 			writeErr(w, err)
 			return
 		}
-		writeJSONSpan(w, CheckInBatchResponse{Results: results}, http.StatusOK, sp)
+		t0 := spanClock(sp)
+		b.reply = CheckInBatchResponse{Results: results}.appendJSON(b.reply[:0])
+		writeBody(w, b.reply, b.replyLength(), http.StatusOK, sp, t0)
 	})
 	handle("/v1/report/batch", obs.OpReportBatch, func(w http.ResponseWriter, r *http.Request, sp *obs.Span) {
 		if r.Method != http.MethodPost {
@@ -141,18 +139,18 @@ func NewHandler(m *Manager, cfg HandlerConfig) http.Handler {
 		}
 		b := getBatchBuf()
 		defer putBatchBuf(b)
-		req := ReportBatchRequest{Reports: b.Reports[:0]}
-		if !decodeTimed(w, r, cfg.MaxBatchBodyBytes, &req, sp) {
+		if !decodeBatch(w, r, cfg.MaxBatchBodyBytes, b, (*BatchBuf).decodeReportsJSON, sp) {
 			return
 		}
-		b.Reports = req.Reports
 		results, _, err := svc.ReportBatchBuf(b, RawItems{}, false, sp)
 		if err != nil {
 			sp.SetError()
 			writeErr(w, err)
 			return
 		}
-		writeJSONSpan(w, ReportBatchResponse{Results: results}, http.StatusOK, sp)
+		t0 := spanClock(sp)
+		b.reply = ReportBatchResponse{Results: results}.appendJSON(b.reply[:0])
+		writeBody(w, b.reply, b.replyLength(), http.StatusOK, sp, t0)
 	})
 	handle("/v1/metrics", obs.OpOther, func(w http.ResponseWriter, r *http.Request, sp *obs.Span) {
 		if r.Method != http.MethodGet {
@@ -236,55 +234,59 @@ func Serve(ctx context.Context, addr string, m *Manager, cfg HandlerConfig) erro
 // for in-flight requests to complete.
 const shutdownGrace = 10 * time.Second
 
-// bodyPool recycles request-body read buffers across the hot endpoints.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// decode parses the request body into v, first bounding it to limit bytes
-// (an over-limit body answers 413 without being buffered past the limit).
-// Types with a hand-rolled UnmarshalJSON (the hot wire types, see codec.go)
-// are fed the raw bytes directly — a json.Decoder would tokenize the value
-// once just to find its extent and then have the custom unmarshaler parse
-// it again. Everything else takes the reflective decoder with the original
-// unknown-field strictness, which the custom codecs replicate.
-func decode(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if u, ok := v.(json.Unmarshaler); ok {
-		buf := bodyPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		defer bodyPool.Put(buf)
-		if _, err := buf.ReadFrom(r.Body); err != nil {
-			writeErr(w, bodyErr(err))
-			return false
-		}
-		if err := u.UnmarshalJSON(buf.Bytes()); err != nil {
-			writeErr(w, svcErr(CodeInvalid, err))
-			return false
-		}
-		return true
-	}
-	dec := json.NewDecoder(r.Body)
+// decode parses a request body into v with the reflective decoder, unknown
+// fields rejected, after bounding the body to limit bytes (an over-limit
+// body answers 413 without being buffered past the limit).
+func decode(w http.ResponseWriter, r *http.Request, limit int64, v any, sp *obs.Span) bool {
+	t0 := spanClock(sp)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, bodyErr(err))
+	err := dec.Decode(v)
+	if err != nil {
+		err = bodyErr(err)
+	}
+	return decoded(w, err, sp, t0)
+}
+
+// decodeBatch reads a batch body, bounded to limit bytes, into b and parses
+// it with parse, which leaves the device IDs views of the body: b must not
+// be released before the reply is written (see BatchBuf).
+func decodeBatch(w http.ResponseWriter, r *http.Request, limit int64, b *BatchBuf, parse func(*BatchBuf, []byte) error, sp *obs.Span) bool {
+	t0 := spanClock(sp)
+	b.body.Reset()
+	_, err := b.body.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		err = bodyErr(err)
+	} else if err = parse(b, b.body.Bytes()); err != nil {
+		err = svcErr(CodeInvalid, err)
+	}
+	return decoded(w, err, sp, t0)
+}
+
+// decoded ends a request's decode stage, which on HTTP holds the body read
+// and the parse both (there is no separate frame-read stage), and answers a
+// failed one with its error.
+func decoded(w http.ResponseWriter, err error, sp *obs.Span, t0 time.Time) bool {
+	if sp != nil {
+		sp.Mark(obs.StageDecode, time.Since(t0))
+		if err != nil {
+			sp.SetError()
+		}
+	}
+	if err != nil {
+		writeErr(w, err)
 		return false
 	}
 	return true
 }
 
-// decodeTimed is decode with the span's decode-stage mark. HTTP has no
-// separate frame-read stage: the body read and the parse both land in
-// decode. The clock reads are span-gated — the unsampled path pays nothing.
-func decodeTimed(w http.ResponseWriter, r *http.Request, limit int64, v any, sp *obs.Span) bool {
+// spanClock reads the clock for a stage mark only when sp is sampled: the
+// unsampled path pays nothing.
+func spanClock(sp *obs.Span) time.Time {
 	if sp == nil {
-		return decode(w, r, limit, v)
+		return time.Time{}
 	}
-	t0 := time.Now()
-	ok := decode(w, r, limit, v)
-	sp.Mark(obs.StageDecode, time.Since(t0))
-	if !ok {
-		sp.SetError()
-	}
-	return ok
+	return time.Now()
 }
 
 // bodyErr classifies a body-read failure: the MaxBytesReader limit maps to
@@ -312,27 +314,21 @@ func httpStatus(code Code) int {
 
 func writeJSON(w http.ResponseWriter, v any, code int) { writeJSONSpan(w, v, code, nil) }
 
-// writeJSONSpan renders v, attributing the marshal to the span's encode
-// stage and the response write to its write stage (clock reads span-gated).
+// writeJSONSpan renders v with encoding/json.
 func writeJSONSpan(w http.ResponseWriter, v any, code int, sp *obs.Span) {
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
-	var buf []byte
-	var err error
-	// The hot wire types marshal themselves; calling them directly skips
-	// encoding/json's re-validation pass over their output.
-	if jm, ok := v.(json.Marshaler); ok {
-		buf, err = jm.MarshalJSON()
-	} else {
-		buf, err = json.Marshal(v)
-	}
+	t0 := spanClock(sp)
+	buf, err := json.Marshal(v)
 	if err != nil {
 		sp.SetError()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, buf, strconv.Itoa(len(buf)), code, sp, t0)
+}
+
+// writeBody writes an encoded JSON reply of length clen, attributing the
+// time since t0 to the span's encode stage and the write to its write stage.
+func writeBody(w http.ResponseWriter, buf []byte, clen string, code int, sp *obs.Span, t0 time.Time) {
 	if sp != nil {
 		sp.Mark(obs.StageEncode, time.Since(t0))
 		t0 = time.Now()
@@ -340,7 +336,7 @@ func writeJSONSpan(w http.ResponseWriter, v any, code int, sp *obs.Span) {
 	w.Header().Set("Content-Type", "application/json")
 	// Explicit Content-Length keeps large batch replies out of chunked
 	// framing.
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	w.Header().Set("Content-Length", clen)
 	w.WriteHeader(code)
 	_, _ = w.Write(buf)
 	if sp != nil {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"fmt"
 	"net"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"testing"
@@ -16,14 +17,33 @@ import (
 
 // TestRetainedIDsOutliveTheirFrames drives the sites that keep a device ID
 // past its request — the registry, a job's in-flight map, the federation
-// relay's buffer — over real stream connections, where a v2
-// batch's IDs are views of the connection's read buffer, and checks that
-// each kept its own copy. In a normal build the test can only notice a view
-// if a later frame happens to overwrite it; built with -tags poolcheck the
-// transport overwrites a frame's bytes (and the connection's batch buffer,
-// and every pooled buffer) with 0xA5 the moment it is answered, so a retained
-// view reads as garbage here. CI runs it both ways.
+// relay's buffer — and checks that each kept its own copy. It runs twice:
+// over real stream connections, where a v2 batch's IDs are views of the
+// connection's read buffer, and over HTTP through server.Handler, where a
+// JSON batch's IDs are views of the pooled request body. In a normal build
+// the test can only notice a view if a later request happens to overwrite
+// it; built with -tags poolcheck the transport overwrites a frame's bytes
+// (and the connection's batch buffer, and every pooled buffer) and the
+// handler a body with 0xA5 the moment it is answered, so a retained view
+// reads as garbage here. CI runs it both ways.
 func TestRetainedIDsOutliveTheirFrames(t *testing.T) {
+	t.Run("stream", func(t *testing.T) {
+		testRetainedIDs(t, func(addr string, _ *server.Manager) client.API {
+			return client.NewStream(addr, client.WithStreamConns(1))
+		})
+	})
+	t.Run("http", func(t *testing.T) {
+		testRetainedIDs(t, func(_ string, m *server.Manager) client.API {
+			hs := httptest.NewServer(server.Handler(m))
+			t.Cleanup(hs.Close)
+			return client.New(hs.URL)
+		})
+	})
+}
+
+// testRetainedIDs runs the check with the client dial returns for member A,
+// given its stream address and its manager.
+func testRetainedIDs(t *testing.T, dial func(addr string, m *server.Manager) client.API) {
 	var clockMu sync.Mutex
 	now := time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return now }
@@ -77,7 +97,7 @@ func TestRetainedIDsOutliveTheirFrames(t *testing.T) {
 	if len(owned[a.addr]) == 0 || len(owned[b.addr]) == 0 {
 		t.Fatalf("fleet does not span both owners: %d on A, %d on B", len(owned[a.addr]), len(owned[b.addr]))
 	}
-	c := client.NewStream(a.addr, client.WithStreamConns(1))
+	c := dial(a.addr, a.m)
 	defer c.Close()
 
 	sorted := func(ids []string) []string { slices.Sort(ids); return ids }
