@@ -48,8 +48,6 @@ type API interface {
 type config struct {
 	timeout     time.Duration
 	timeoutSet  bool
-	retries     int
-	retryDelay  time.Duration
 	httpClient  *http.Client
 	streamConns int
 	topology    bool
@@ -58,7 +56,6 @@ type config struct {
 func defaultClientConfig() config {
 	return config{
 		timeout:     DefaultTimeout,
-		retryDelay:  DefaultRetryDelay,
 		streamConns: DefaultStreamConns,
 	}
 }
@@ -74,28 +71,6 @@ func WithTimeout(d time.Duration) Option {
 		if d > 0 {
 			c.timeout = d
 			c.timeoutSet = true
-		}
-	}
-}
-
-// WithRetries enables up to n bounded retries with exponential backoff and
-// jitter for idempotent GET requests (status polls, stats, metrics) on the
-// HTTP transport. Mutating POSTs are never retried: a timed-out check-in
-// may still have been applied server-side.
-func WithRetries(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.retries = n
-		}
-	}
-}
-
-// WithRetryDelay sets the HTTP retry backoff base delay (default 100ms);
-// attempt k waits delay*2^k plus up to 50% jitter.
-func WithRetryDelay(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.retryDelay = d
 		}
 	}
 }

@@ -75,52 +75,23 @@ func TestClientBatchLifecycle(t *testing.T) {
 	}
 }
 
-func TestClientGetRetries(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			http.Error(w, "boom", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"completed_jobs_total": 7}`))
-	}))
-	defer srv.Close()
-
-	// Without retries the transient 500 surfaces.
-	c := New(srv.URL)
-	if _, err := c.Metrics(); err == nil {
-		t.Fatal("expected error without retries")
-	}
-	calls.Store(0)
-
-	// With a retry budget the GET succeeds on the third attempt.
-	c = New(srv.URL, WithRetries(3), WithRetryDelay(time.Millisecond))
-	st, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CompletedJobs != 7 {
-		t.Errorf("stats: %+v", st)
-	}
-	if calls.Load() != 3 {
-		t.Errorf("attempts = %d, want 3", calls.Load())
-	}
-}
-
-func TestClientPostNotRetried(t *testing.T) {
+// TestClientGetFailsOnceOn5xx: a GET is sent once, and a 5xx reply fails it
+// through statusError like any other status of 300 or more.
+func TestClientGetFailsOnceOn5xx(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		http.Error(w, "boom", http.StatusInternalServerError)
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = w.Write([]byte(`{"error":"core wedged","code":5}`))
 	}))
 	defer srv.Close()
-	c := New(srv.URL, WithRetries(5), WithRetryDelay(time.Millisecond))
-	if _, err := c.ReportBatch([]server.Report{{DeviceID: "d0"}}); err == nil {
-		t.Fatal("expected error")
+	_, err := New(srv.URL).Metrics()
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable || ae.Msg != "core wedged" {
+		t.Fatalf("err = %v, want an *APIError with status 503", err)
 	}
 	if calls.Load() != 1 {
-		t.Errorf("POST attempted %d times; mutating requests must not retry", calls.Load())
+		t.Errorf("GET sent %d times, want 1", calls.Load())
 	}
 }
 
@@ -140,20 +111,6 @@ func TestClientConfigurableTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("timeout took %v; the configured 50ms timeout was not applied", elapsed)
-	}
-}
-
-func TestBackoffJitterBounds(t *testing.T) {
-	base := 10 * time.Millisecond
-	for attempt := 0; attempt < 4; attempt++ {
-		for i := 0; i < 50; i++ {
-			d := backoff(base, attempt)
-			lo := base << uint(attempt)
-			hi := lo + lo/2
-			if d < lo || d > hi {
-				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, lo, hi)
-			}
-		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -18,18 +17,14 @@ import (
 	"venn/internal/server"
 )
 
-// Defaults for the configurable knobs.
-const (
-	DefaultTimeout    = 10 * time.Second
-	DefaultRetryDelay = 100 * time.Millisecond
-)
+// DefaultTimeout bounds one request round trip unless WithTimeout says
+// otherwise.
+const DefaultTimeout = 10 * time.Second
 
 // Client talks to one venndaemon instance.
 type Client struct {
-	base       string
-	http       *http.Client
-	retries    int           // extra attempts for idempotent GETs
-	retryDelay time.Duration // backoff base, doubled per attempt, jittered
+	base string
+	http *http.Client
 }
 
 func newHTTPClient(baseURL string, cfg config) *Client {
@@ -39,12 +34,7 @@ func newHTTPClient(baseURL string, cfg config) *Client {
 	} else if cfg.timeoutSet {
 		h.Timeout = cfg.timeout
 	}
-	return &Client{
-		base:       baseURL,
-		http:       h,
-		retries:    cfg.retries,
-		retryDelay: cfg.retryDelay,
-	}
+	return &Client{base: baseURL, http: h}
 }
 
 // RegisterJob submits a new CL job and returns its status (including ID).
@@ -184,49 +174,15 @@ func (c *Client) postBatch(path string, body []byte, decode func([]byte) error) 
 	return decode(buf.Bytes())
 }
 
-// get fetches an idempotent resource, retrying transient failures (network
-// errors and 5xx statuses) up to the configured retry budget with jittered
-// exponential backoff.
+// get fetches a resource; any status of 300 or more fails it through
+// statusError, as it does a POST.
 func (c *Client) get(path string, out any) error {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		resp, err := c.http.Get(c.base + path)
-		if err == nil && resp.StatusCode < 500 {
-			err := decodeResponse(resp, out)
-			resp.Body.Close()
-			return err
-		}
-		if err != nil {
-			lastErr = err
-		} else {
-			lastErr = fmt.Errorf("client: status %d", resp.StatusCode)
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-		}
-		if attempt >= c.retries {
-			return lastErr
-		}
-		time.Sleep(backoff(c.retryDelay, attempt))
+	resp, err := c.http.Get(c.base + path)
+	if err != nil {
+		return err
 	}
-}
-
-// maxBackoff caps one retry wait; it also keeps the doubling shift far
-// from int64 overflow for large retry budgets.
-const maxBackoff = 30 * time.Second
-
-// backoff returns base*2^attempt plus up to 50% jitter, capped at
-// maxBackoff. The global math/rand source is goroutine-safe and fine for
-// jitter — unlike the simulator's seeded RNGs, there is no reproducibility
-// requirement here.
-func backoff(base time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < maxBackoff; i++ {
-		d *= 2
-	}
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
+	defer resp.Body.Close()
+	return decodeResponse(resp, out)
 }
 
 func decodeResponse(resp *http.Response, out any) error {

@@ -19,15 +19,16 @@
 // connection lost, timeout) retries the sub-batch ONCE on a different live
 // member, which serves or forwards it authoritatively. That makes routed
 // calls at-least-once under member failure: a sub-batch is never silently
-// dropped, which is the guarantee the chaos smoke pins. It is not
-// exactly-once. When the failed attempt did commit (a timeout or a
-// connection lost after the owner applied it), the retry is applied a
-// second time, and check-ins are not idempotent: a device the first attempt
-// assigned is answered with ErrDeviceBusy's per-item error, and the first
-// assignment, whose reply was lost, stays held until its deadline expires
-// it. So failover can lose an assignment, never a device. Making a retry
-// return the first answer is the idempotency item in ROADMAP.md. Typed
-// rejections (StreamError) are authoritative answers and are never retried.
+// dropped, which is the guarantee TestRingAwareFailoverLosesNoCheckIn
+// (internal/cluster) pins. It is not exactly-once. When the failed attempt
+// did commit (a timeout or a connection lost after the owner applied it),
+// the retry is applied a second time, and check-ins are not idempotent: a
+// device the first attempt assigned is answered with ErrDeviceBusy's
+// per-item error, and the first assignment, whose reply was lost, stays
+// held until its deadline expires it. So failover can lose an assignment,
+// never a device. Making a retry return the first answer is the idempotency
+// item in ROADMAP.md. Typed rejections (StreamError) are authoritative
+// answers and are never retried.
 //
 // Degradation: a seed daemon that answers OpTopology with CodeUnavailable
 // (no federation layer) permanently disables the mode — the client behaves

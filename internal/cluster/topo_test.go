@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"venn/internal/client"
+	"venn/internal/cluster"
 	"venn/internal/hashring"
 	"venn/internal/server"
 )
@@ -164,5 +165,66 @@ func TestStaleTopologyCorrection(t *testing.T) {
 	}
 	if direct == 0 {
 		t.Fatal("no direct-routed batches counted on the fresh federation")
+	}
+}
+
+// TestRingAwareFailoverLosesNoCheckIn pins topo.go's failover contract with
+// a member gone: once B's cluster and listener are closed, every sub-batch
+// a ring-aware client sends to B fails in transport and is retried once on
+// A, which serves it locally. Fifty batches spanning both owners must all
+// succeed with no per-item error, A must count no forward error (a forward
+// that provably never reached B falls back locally), and A's health loop
+// must mark B down.
+func TestRingAwareFailoverLosesNoCheckIn(t *testing.T) {
+	fed := startFederation(t, 2, func(cfg *cluster.Config) { cfg.HealthInterval = 20 * time.Millisecond })
+	a, b := fed[0], fed[1]
+	c := ringAware(t, a.addr)
+
+	batch := func(tag string, n int) []server.CheckIn {
+		cis := make([]server.CheckIn, n)
+		for i := range cis {
+			cis[i] = server.CheckIn{DeviceID: fmt.Sprintf("%s-%03d", tag, i), CPU: 0.5, Mem: 0.5}
+		}
+		return cis
+	}
+	if _, err := c.CheckInBatch(batch("warm", 64)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.TopologyEpoch(); !ok {
+		t.Fatal("client has no topology view after its first call")
+	}
+
+	_ = b.clu.Close()
+	_ = b.ts.Close()
+
+	ring := a.clu.Ring()
+	for k := 0; k < 50; k++ {
+		cis := batch(fmt.Sprintf("chaos-%02d", k), 256)
+		owners := map[string]bool{}
+		for _, ci := range cis {
+			owners[ring.Owner(ci.DeviceID)] = true
+		}
+		if len(owners) != 2 {
+			t.Fatalf("batch %d spans %d owners, want 2", k, len(owners))
+		}
+		res, err := c.CheckInBatch(cis)
+		if err != nil {
+			t.Fatalf("batch %d: %v", k, err)
+		}
+		for i, r := range res {
+			if r.Error != "" {
+				t.Fatalf("batch %d item %s: %s", k, cis[i].DeviceID, r.Error)
+			}
+		}
+	}
+	if n := a.clu.ClusterTelemetry().ClusterForwardErrors; n != 0 {
+		t.Fatalf("survivor counted %d forward errors, want 0", n)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for a.clu.ClusterTelemetry().ClusterPeersDown != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("survivor never marked its peer down: %+v", a.clu.ClusterTelemetry().ClusterPeerStates)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -138,20 +138,3 @@ func acquireSeconds(demand, idle, ratePerHour float64) float64 {
 	}
 	return remaining / ratePerHour * 3600
 }
-
-// responseScheduleRatio estimates c_i = t_response / t_schedule for the
-// job's current request (kept for observability and tests; decideTier uses
-// the absolute-time form).
-func (v *Venn) responseScheduleRatio(j *job.Job, prof *profile, now simtime.Time) float64 {
-	tResp := prof.p95All()
-	if tResp <= 0 {
-		tResp = 180
-	}
-	demand := float64(j.RemainingDemand())
-	if demand <= 0 {
-		demand = float64(j.Demand)
-	}
-	idle, rate := v.supplyFor(j, now)
-	tSched := acquireSeconds(demand, idle, rate)
-	return tResp / tSched
-}

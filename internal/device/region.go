@@ -218,13 +218,6 @@ func (s *RegionSet) CopyFrom(t RegionSet) {
 	s.n = t.n
 }
 
-// Clear removes every cell, keeping the set's grid size and storage.
-func (s *RegionSet) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // AccumulateDiff adds to s every cell on which a and b disagree (their
 // symmetric difference). Used by the incremental planner to collect the
 // cells whose allocation owner changed between two plans.

@@ -60,7 +60,6 @@ type Registry struct {
 	tick        atomic.Uint64
 	seed        uint64
 	seq         atomic.Uint64
-	start       time.Time
 	total       [NumOps]Hist
 	stage       [NumOps][NumStages]Hist
 	flight      Flight
@@ -71,7 +70,7 @@ type Registry struct {
 // propagation, and the flight recorder entirely (the always-on per-op total
 // histograms keep recording — they are the cheap path).
 func NewRegistry(sampleEvery int) *Registry {
-	r := &Registry{start: time.Now()}
+	r := &Registry{}
 	switch {
 	case sampleEvery == 0:
 		r.sampleEvery = DefaultSampleEvery
@@ -84,9 +83,6 @@ func NewRegistry(sampleEvery int) *Registry {
 
 // SampleEvery reports the active sampling rate, 0 when sampling is off.
 func (r *Registry) SampleEvery() int { return int(r.sampleEvery) }
-
-// Uptime is the time since the registry (in practice, the daemon) started.
-func (r *Registry) Uptime() time.Duration { return time.Since(r.start) }
 
 // Flight is the registry's flight recorder.
 func (r *Registry) Flight() *Flight { return &r.flight }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"venn/internal/stats"
 )
 
 // TestDeviceTTLEviction pins the registry-bounding behavior: devices idle
@@ -216,5 +218,74 @@ func TestMetricsExposePlanTelemetry(t *testing.T) {
 	st := m.MetricsSnapshot()
 	if st.PlanRebuilds != mt.PlanRebuilds || st.PlanPatches != mt.PlanPatches {
 		t.Errorf("successive snapshots disagree: %+v vs %+v", st, mt)
+	}
+}
+
+// TestPlanHitRateUnderStandingQueue holds the incremental replanner to its
+// purpose on the shape that keeps a standing queue in the scheduler: 48
+// single-device jobs of 16 rounds in one category, served by a seeded fleet
+// of 2,000 devices checking in 64 at a time, each assignment reported OK at
+// once. Every report opens the job's next round, a churn within a stable
+// group set that the plan must patch rather than rebuild; at least 90% of
+// plan refreshes must be patches. With core.Options.DisableIncrementalPlan
+// set it reads 0.
+func TestPlanHitRateUnderStandingQueue(t *testing.T) {
+	const (
+		jobs, rounds = 48, 16
+		fleetSize    = 2000
+		batch        = 64
+	)
+	m := NewManager(Config{Clock: newFakeClock().now})
+	for i := 0; i < jobs; i++ {
+		if _, err := m.RegisterJob(JobSpec{Name: fmt.Sprintf("job-%d", i), Category: "General", DemandPerRound: 1, Rounds: rounds}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := stats.NewRNG(1)
+	fleet := make([]CheckIn, fleetSize)
+	for i := range fleet {
+		fleet[i] = CheckIn{DeviceID: fmt.Sprintf("load-%06d", i), CPU: rng.Float64(), Mem: rng.Float64()}
+	}
+
+	done := func() int {
+		n := 0
+		for _, st := range m.Jobs() {
+			if st.State == "done" {
+				n++
+			}
+		}
+		return n
+	}
+	assigned := 0
+	// The fixed clock allows each device one task, and the 768 rounds need
+	// fewer devices than the fleet has, so one pass serves every job.
+	for lo := 0; lo < fleetSize && done() < jobs; lo += batch {
+		cis := fleet[lo:min(lo+batch, fleetSize)]
+		var reports []Report
+		for i, res := range m.CheckInBatch(cis) {
+			if res.Error != "" {
+				t.Fatalf("%s: %s", cis[i].DeviceID, res.Error)
+			}
+			if res.Assigned {
+				reports = append(reports, Report{DeviceID: cis[i].DeviceID, JobID: res.JobID, OK: true, DurationSeconds: 10})
+			}
+		}
+		assigned += len(reports)
+		for i, res := range m.ReportBatch(reports) {
+			if res.Error != "" {
+				t.Fatalf("report %+v: %s", reports[i], res.Error)
+			}
+		}
+	}
+
+	mt := m.MetricsSnapshot()
+	t.Logf("%d rebuilds, %d patches, %d assignments, %d/%d jobs done",
+		mt.PlanRebuilds, mt.PlanPatches, assigned, done(), jobs)
+	if got := done(); got != jobs {
+		t.Fatalf("%d/%d jobs done after %d assignments", got, jobs, assigned)
+	}
+	if hr := mt.PlanIncrementalHitRate; hr < 0.90 {
+		t.Errorf("plan_incremental_hit_rate = %.3f (%d rebuilds, %d patches), want >= 0.90",
+			hr, mt.PlanRebuilds, mt.PlanPatches)
 	}
 }

@@ -23,17 +23,6 @@ type FleetConfig struct {
 	Seed         int64
 }
 
-// DefaultFleetConfig returns a mid-size fleet over a 4-day horizon.
-func DefaultFleetConfig() FleetConfig {
-	return FleetConfig{
-		NumDevices:   5000,
-		Horizon:      4 * simtime.Day,
-		Capacity:     DefaultCapacityModel(),
-		Availability: DefaultAvailabilityModel(),
-		Seed:         1,
-	}
-}
-
 // GenerateFleet synthesizes a fleet from the config.
 func GenerateFleet(cfg FleetConfig) *Fleet {
 	if cfg.Capacity == nil {
