@@ -15,9 +15,9 @@
 //	POST /v1/report/batch   {"reports":[{"device_id":"phone-1","job_id":0,"ok":true,"duration_seconds":42}]}
 //	GET  /v1/jobs, /v1/jobs/{id}, /v1/metrics, /v1/healthz, /metrics
 //
-// Policies: -policy selects the primary scheduler by registry name (venn,
-// fifo, srsf, random; see the README's Policies section). -seed fixes the
-// scheduling RNG for reproducible replays.
+// Policies: -policy selects the scheduler by name (venn, fifo, srsf, random;
+// fifo is the paper's FIFO baseline; see the README's Policies section).
+// -seed fixes the scheduling RNG for reproducible replays.
 //
 // Stream API: -stream-addr opens a persistent binary framed listener
 // (internal/transport) carrying the same operations over pipelined frames;
@@ -83,7 +83,7 @@ import (
 
 	"venn/internal/cluster"
 	"venn/internal/core"
-	"venn/internal/policy"
+	"venn/internal/sched"
 	"venn/internal/server"
 	"venn/internal/transport"
 )
@@ -166,7 +166,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "HTTP listen address")
 		streamAddr   = flag.String("stream-addr", "", "binary stream listen address (empty disables)")
-		polName      = flag.String("policy", policy.Default, "primary scheduling policy: "+strings.Join(policy.Names(), ", "))
+		polName      = flag.String("policy", "venn", "scheduling policy: "+strings.Join(sched.Names, ", "))
 		seed         = flag.Int64("seed", 0, "scheduling RNG seed (0 = clock-derived; fix it for reproducible replays)")
 		tiers        = flag.Int("tiers", 3, "device-tier granularity V")
 		epsilon      = flag.Float64("epsilon", 0, "fairness knob")
@@ -238,8 +238,8 @@ func main() {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if !policy.Valid(*polName) {
-		fmt.Fprintf(os.Stderr, "venndaemon: unknown -policy %q (have: %s)\n", *polName, strings.Join(policy.Names(), ", "))
+	if _, ok := sched.ByName(*polName, core.Options{}); !ok {
+		fmt.Fprintf(os.Stderr, "venndaemon: unknown -policy %q (have: %s)\n", *polName, strings.Join(sched.Names, ", "))
 		stopProfile()
 		os.Exit(1)
 	}

@@ -182,7 +182,7 @@ func TestForwardedResultsOutliveReplyBuffer(t *testing.T) {
 	}
 	// What an assignment of that job reads like when no buffer is involved.
 	ref := owner.m.CheckInBatch([]server.CheckIn{{DeviceID: deviceOwnedBy(t, a.clu.Ring(), owner.addr, "ref"), CPU: 0.9, Mem: 0.9}})[0]
-	if !ref.Assigned || ref.JobName != "keep" || ref.Policy == "" {
+	if !ref.Assigned || ref.JobName != "keep" {
 		t.Fatalf("reference assignment: %+v", ref)
 	}
 
@@ -212,8 +212,8 @@ func TestForwardedResultsOutliveReplyBuffer(t *testing.T) {
 		if a.clu.Ring().Owner(fleet[i].DeviceID) != owner.addr {
 			t.Fatalf("%s assigned on the node without a job", fleet[i].DeviceID)
 		}
-		if res.JobName != ref.JobName || res.Policy != ref.Policy || res.JobID != ref.JobID {
-			t.Errorf("%s: forwarded assignment reads %+v, want job %q policy %q", fleet[i].DeviceID, res.Assignment, ref.JobName, ref.Policy)
+		if res.JobName != ref.JobName || res.JobID != ref.JobID {
+			t.Errorf("%s: forwarded assignment reads %+v, want job %q", fleet[i].DeviceID, res.Assignment, ref.JobName)
 		}
 		if got, want := second[i].Error, server.ErrDeviceBusy.Error(); got != want {
 			t.Errorf("%s: second check-in error %q, want %q", fleet[i].DeviceID, got, want)

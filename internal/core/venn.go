@@ -18,9 +18,9 @@ type Options struct {
 	// Epsilon is the fairness knob of §4.4 (0 disables).
 	Epsilon float64
 	// DisableMatching turns off tier-based matching — the paper's
-	// "Venn w/o matching" ablation. (The former DisableScheduling knob —
-	// FIFO job order with matching kept — is now a policy of its own:
-	// internal/policy's NewFIFOMatch, registry name "fifo".)
+	// "Venn w/o matching" ablation. (The "Venn w/o scheduling" ablation,
+	// FIFO job order with matching kept, is an arm of its own in
+	// internal/eval.)
 	DisableMatching bool
 	// MinProfileSamples gates tier decisions on profile maturity.
 	MinProfileSamples int
@@ -333,8 +333,8 @@ func (v *Venn) cellOf(d *device.Device) device.CellID {
 func (v *Venn) ResetCellCache() { v.cellCache = nil }
 
 // TierAccepts reports whether job id's tier filter (if any) admits device d
-// at time now. It exposes the matching decision to policies outside the
-// package: the FIFO-order ablation (internal/policy) keeps tier-based
+// at time now. It exposes the matching decision to schedulers outside the
+// package: Figure 11's FIFO-order ablation (internal/eval) keeps tier-based
 // matching in force while replacing the IRS job order, so it forwards the
 // lifecycle events to an inner Venn and consults this during its own
 // assignment walk.

@@ -68,17 +68,7 @@ func Table1(scale Scale, seeds int) (*Table1Result, error) {
 		return nil, err
 	}
 	for i, sc := range res.Scenarios {
-		acc := map[string][]float64{}
-		for s := 0; s < seeds; s++ {
-			cmp := cmps[i*seeds+s]
-			for _, name := range res.Schedulers {
-				acc[name] = append(acc[name], cmp.Speedup(name, "Random"))
-			}
-		}
-		res.Speedup[sc] = map[string]float64{}
-		for _, name := range res.Schedulers {
-			res.Speedup[sc][name] = stats.Mean(acc[name])
-		}
+		res.Speedup[sc] = meanSpeedups(cmps[i*seeds:(i+1)*seeds], res.Schedulers)
 	}
 	return res, nil
 }
@@ -290,17 +280,7 @@ func Table4(scale Scale, seeds int) (*Table4Result, error) {
 		return nil, err
 	}
 	for i, bias := range res.Biases {
-		acc := map[string][]float64{}
-		for s := 0; s < seeds; s++ {
-			cmp := cmps[i*seeds+s]
-			for _, name := range res.Schedulers {
-				acc[name] = append(acc[name], cmp.Speedup(name, "Random"))
-			}
-		}
-		res.Speedup[bias] = map[string]float64{}
-		for _, name := range res.Schedulers {
-			res.Speedup[bias][name] = stats.Mean(acc[name])
-		}
+		res.Speedup[bias] = meanSpeedups(cmps[i*seeds:(i+1)*seeds], res.Schedulers)
 	}
 	return res, nil
 }

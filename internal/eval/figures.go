@@ -8,7 +8,7 @@ import (
 	"venn/internal/core"
 	"venn/internal/device"
 	"venn/internal/job"
-	"venn/internal/policy"
+	"venn/internal/sched"
 	"venn/internal/sim"
 	"venn/internal/simtime"
 	"venn/internal/stats"
@@ -303,21 +303,65 @@ type Figure11Result struct {
 	Speedup    map[workload.Scenario]map[string]float64
 }
 
-// AblationSchedulers returns the Figure 11 lineup.
+// AblationSchedulers returns the Figure 11 lineup: the standard lineup
+// without SRSF, plus Venn without scheduling and Venn without matching.
 func AblationSchedulers() map[string]SchedulerFactory {
-	return map[string]SchedulerFactory{
-		"Random": func() sim.Scheduler { return newRandomBaseline() },
-		"FIFO":   func() sim.Scheduler { return newFIFOBaseline() },
-		"Venn-w/o-sched": func() sim.Scheduler {
-			return policy.MustNew("fifo", policy.Config{Core: core.DefaultOptions()})
-		},
-		"Venn-w/o-match": func() sim.Scheduler {
-			o := core.DefaultOptions()
-			o.DisableMatching = true
-			return core.New(o)
-		},
-		"Venn": func() sim.Scheduler { return core.NewDefault() },
+	lineup := StandardSchedulers()
+	delete(lineup, "SRSF")
+	lineup["Venn-w/o-sched"] = func() sim.Scheduler { return newFIFOMatch() }
+	lineup["Venn-w/o-match"] = func() sim.Scheduler {
+		o := core.DefaultOptions()
+		o.DisableMatching = true
+		return core.New(o)
 	}
+	return lineup
+}
+
+// fifoMatch is Figure 11's "Venn w/o scheduling" arm: FIFO request order
+// with Venn's tier-based matching still in force. The order is sched's FIFO
+// queue. The Venn core behind it sees every lifecycle event, but only its
+// tier filters (TierAccepts) and its response profiling are read; its own
+// job order never is.
+type fifoMatch struct {
+	queue *sched.Baseline
+	match *core.Venn
+}
+
+func newFIFOMatch() *fifoMatch {
+	return &fifoMatch{queue: sched.NewFIFO(), match: core.NewDefault()}
+}
+
+func (p *fifoMatch) Name() string { return "Venn-w/o-sched" }
+
+func (p *fifoMatch) Bind(env *sim.Env) {
+	p.queue.Bind(env)
+	p.match.Bind(env)
+}
+
+func (p *fifoMatch) OnJobArrival(j *job.Job, now simtime.Time) { p.match.OnJobArrival(j, now) }
+
+func (p *fifoMatch) OnRequest(j *job.Job, now simtime.Time) {
+	p.queue.OnRequest(j, now)
+	p.match.OnRequest(j, now)
+}
+
+func (p *fifoMatch) OnRequestFulfilled(j *job.Job, now simtime.Time) {
+	p.queue.OnRequestFulfilled(j, now)
+	p.match.OnRequestFulfilled(j, now)
+}
+
+func (p *fifoMatch) OnJobDone(j *job.Job, now simtime.Time) {
+	p.queue.OnJobDone(j, now)
+	p.match.OnJobDone(j, now)
+}
+
+func (p *fifoMatch) ObserveResponse(j *job.Job, d *device.Device, dur simtime.Duration, now simtime.Time) {
+	p.match.ObserveResponse(j, d, dur, now)
+}
+
+// Assign hands d to the oldest open request whose tier filter admits it.
+func (p *fifoMatch) Assign(d *device.Device, now simtime.Time) *job.Job {
+	return p.queue.AssignIf(d, func(j *job.Job) bool { return p.match.TierAccepts(j.ID, d, now) })
 }
 
 // Figure11 reproduces the ablation breakdown.
@@ -343,17 +387,7 @@ func Figure11(scale Scale, seeds int) (*Figure11Result, error) {
 		return nil, err
 	}
 	for i, sc := range res.Workloads {
-		acc := map[string][]float64{}
-		for s := 0; s < seeds; s++ {
-			cmp := cmps[i*seeds+s]
-			for _, name := range res.Schedulers {
-				acc[name] = append(acc[name], cmp.Speedup(name, "Random"))
-			}
-		}
-		res.Speedup[sc] = map[string]float64{}
-		for _, name := range res.Schedulers {
-			res.Speedup[sc][name] = stats.Mean(acc[name])
-		}
+		res.Speedup[sc] = meanSpeedups(cmps[i*seeds:(i+1)*seeds], res.Schedulers)
 	}
 	return res, nil
 }
@@ -395,32 +429,31 @@ func Figure12(scale Scale, seeds int) (*Figure12Result, error) {
 	if scale == ScaleQuick {
 		res.JobCounts = []int{8, 16, 24}
 	}
-	setups := make([]Setup, 0, len(res.JobCounts)*seeds)
-	for _, n := range res.JobCounts {
-		for s := 0; s < seeds; s++ {
-			setup := NewSetup(scale, int64(7000+100*n+s))
-			setup.Jobs.NumJobs = n
-			setups = append(setups, setup)
-		}
-	}
+	setups := figure12Setups(scale, res.JobCounts, seeds)
 	cmps, err := CompareMany(setups, func(int) map[string]SchedulerFactory { return StandardSchedulers() })
 	if err != nil {
 		return nil, err
 	}
 	for i, n := range res.JobCounts {
-		acc := map[string][]float64{}
-		for s := 0; s < seeds; s++ {
-			cmp := cmps[i*seeds+s]
-			for _, name := range res.Schedulers {
-				acc[name] = append(acc[name], cmp.Speedup(name, "Random"))
-			}
-		}
-		res.Speedup[n] = map[string]float64{}
-		for _, name := range res.Schedulers {
-			res.Speedup[n][name] = stats.Mean(acc[name])
-		}
+		res.Speedup[n] = meanSpeedups(cmps[i*seeds:(i+1)*seeds], res.Schedulers)
 	}
 	return res, nil
+}
+
+// figure12Setups returns Figure 12's setups, seeds per job count. Every job
+// count of a seed index runs on the same fleet; the workload is drawn anew,
+// since its size is what the sweep changes.
+func figure12Setups(scale Scale, jobCounts []int, seeds int) []Setup {
+	setups := make([]Setup, 0, len(jobCounts)*seeds)
+	for _, n := range jobCounts {
+		for s := 0; s < seeds; s++ {
+			setup := NewSetup(scale, int64(7000+100*n+s))
+			setup.Fleet.Seed = int64(7000 + s)
+			setup.Jobs.NumJobs = n
+			setups = append(setups, setup)
+		}
+	}
+	return setups
 }
 
 // Render prints the sweep.
@@ -485,11 +518,7 @@ func Figure13(scale Scale, seeds int) (*Figure13Result, error) {
 		return nil, err
 	}
 	for i, v := range res.Tiers {
-		var acc []float64
-		for s := 0; s < seeds; s++ {
-			acc = append(acc, cmps[i*seeds+s].Speedup("Venn", "Random"))
-		}
-		res.Speedup[v] = stats.Mean(acc)
+		res.Speedup[v] = meanSpeedups(cmps[i*seeds:(i+1)*seeds], []string{"Venn"})["Venn"]
 	}
 	return res, nil
 }
@@ -525,28 +554,19 @@ func Figure14(scale Scale, seeds int) (*Figure14Result, error) {
 		Speedup:   map[float64]float64{},
 		FairShare: map[float64]float64{},
 	}
-	n := len(res.Epsilons) * seeds
-	sp := make([]float64, n)
-	fair := make([]float64, n)
-	err := parallelEach(n, func(i int) error {
-		epsilon := res.Epsilons[i/seeds]
-		s := i % seeds
-		setup := NewSetup(scale, int64(9000+int(epsilon*37)+s))
-		factories := map[string]SchedulerFactory{
-			"Random": func() sim.Scheduler { return newRandomBaseline() },
-			"Venn": func() sim.Scheduler {
-				o := core.DefaultOptions()
-				o.Epsilon = epsilon
-				return core.New(o)
-			},
-		}
+	setups := figure14Setups(scale, res.Epsilons, seeds)
+	sp := make([]float64, len(setups))
+	fair := make([]float64, len(setups))
+	err := parallelEach(len(setups), func(i int) error {
+		setup, o := setups[i], core.DefaultOptions()
+		o.Epsilon = res.Epsilons[i/seeds]
 		fleet := trace.GenerateFleet(setup.Fleet)
 		wl := workload.Generate(setup.Jobs)
-		random, err := RunOne(fleet, wl, factories["Random"], setup.Seed+100, nil)
+		random, err := RunOne(fleet, wl, newRandomBaseline, setup.Seed+100, nil)
 		if err != nil {
 			return err
 		}
-		venn, err := RunOne(fleet, wl, factories["Venn"], setup.Seed+100, nil)
+		venn, err := RunOne(fleet, wl, func() sim.Scheduler { return core.New(o) }, setup.Seed+100, nil)
 		if err != nil {
 			return err
 		}
@@ -562,6 +582,18 @@ func Figure14(scale Scale, seeds int) (*Figure14Result, error) {
 		res.FairShare[eps] = stats.Mean(fair[i*seeds : (i+1)*seeds])
 	}
 	return res, nil
+}
+
+// figure14Setups returns Figure 14's setups, seeds per epsilon. Every
+// epsilon of a seed index runs on the same fleet and workload.
+func figure14Setups(scale Scale, epsilons []float64, seeds int) []Setup {
+	setups := make([]Setup, 0, len(epsilons)*seeds)
+	for range epsilons {
+		for s := 0; s < seeds; s++ {
+			setups = append(setups, NewSetup(scale, int64(9000+s)))
+		}
+	}
+	return setups
 }
 
 // fairShareFraction computes the share of the m submitted jobs that completed

@@ -86,11 +86,56 @@ func TestFigure11Ablation(t *testing.T) {
 		if venn <= 0 {
 			t.Errorf("%v: Venn speedup missing", sc)
 		}
-		// Venn-w/o-sched is the registry's "fifo" policy: IRS ordering must
-		// beat FIFO request order on mean JCT, matching intact.
+		// Venn-w/o-sched is FIFO request order with Venn's matching: IRS
+		// ordering must beat it on mean JCT, matching intact.
 		if venn <= noSched {
 			t.Errorf("%v: Venn %.2fx does not beat Venn-w/o-sched %.2fx", sc, venn, noSched)
 		}
+	}
+}
+
+// runFIFOMatch runs Figure 11's Venn-w/o-sched arm p on jobs over a small
+// generated fleet.
+func runFIFOMatch(t *testing.T, p *fifoMatch, jobs ...*job.Job) *sim.Result {
+	t.Helper()
+	fleet := trace.GenerateFleet(trace.FleetConfig{NumDevices: 400, Horizon: simtime.Day, Seed: 5})
+	res, err := RunOne(fleet, &workload.Workload{Jobs: jobs}, func() sim.Scheduler { return p }, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestFIFOAblationOrdersByArrival(t *testing.T) {
+	res := runFIFOMatch(t, newFIFOMatch(),
+		job.New(0, device.General, 10, 2, 0),
+		job.New(1, device.General, 4, 1, simtime.Time(simtime.Minute)))
+	jct0, ok0 := res.JobJCT(0)
+	jct1, ok1 := res.JobJCT(1)
+	if !ok0 || !ok1 {
+		t.Fatalf("both jobs must complete: %v", res)
+	}
+	// Under FIFO the earlier, larger job holds priority across rounds,
+	// so the later small job cannot finish dramatically earlier.
+	if jct1 < jct0/4 {
+		t.Errorf("FIFO ablation let the later job jump the queue: %0.fs vs %.0fs", jct1, jct0)
+	}
+}
+
+// TestFIFOMatchForwardsMatching pins that the Venn-w/o-sched arm keeps
+// tier-based matching in force: the inner Venn core must see every
+// lifecycle event (its tier filters drive TierAccepts during the FIFO walk).
+func TestFIFOMatchForwardsMatching(t *testing.T) {
+	p := newFIFOMatch()
+	res := runFIFOMatch(t, p, job.New(0, device.General, 8, 2, 0), job.New(1, device.HighPerf, 6, 1, 0))
+	if len(res.Completed) != 2 {
+		t.Fatalf("both jobs must complete: %v", res)
+	}
+	if p.Name() != "Venn-w/o-sched" || p.match == nil {
+		t.Fatalf("arm %q must carry the matching core", p.Name())
+	}
+	if n := p.queue.QueueLen(); n != 0 {
+		t.Errorf("queue must drain after completion, still holds %d", n)
 	}
 }
 
@@ -105,6 +150,34 @@ func TestFigure13Tiers(t *testing.T) {
 			t.Errorf("tiers=%d: no speedup recorded", v)
 		}
 	}
+}
+
+// TestSweepsVaryOnlyTheSweptValue pins that a sweep compares its swept
+// values on identical inputs: at every seed index, each swept value runs on
+// the same fleet (Figures 12 and 14) and, where the sweep leaves the
+// workload alone, on the same workload and engine seed (Figure 14).
+func TestSweepsVaryOnlyTheSweptValue(t *testing.T) {
+	const seeds = 3
+	check := func(fig string, setups []Setup, values int, sameWorkload bool) {
+		t.Helper()
+		if len(setups) != values*seeds {
+			t.Fatalf("%s: %d setups, want %d", fig, len(setups), values*seeds)
+		}
+		for v := 1; v < values; v++ {
+			for s := 0; s < seeds; s++ {
+				first, other := setups[s], setups[v*seeds+s]
+				if other.Fleet.Seed != first.Fleet.Seed {
+					t.Errorf("%s seed %d: value %d runs on fleet seed %d, value 0 on %d", fig, s, v, other.Fleet.Seed, first.Fleet.Seed)
+				}
+				if sameWorkload && (other.Jobs.Seed != first.Jobs.Seed || other.Seed != first.Seed) {
+					t.Errorf("%s seed %d: value %d runs workload/engine seeds %d/%d, value 0 %d/%d",
+						fig, s, v, other.Jobs.Seed, other.Seed, first.Jobs.Seed, first.Seed)
+				}
+			}
+		}
+	}
+	check("fig12", figure12Setups(ScaleQuick, []int{8, 16, 24}, seeds), 3, false)
+	check("fig14", figure14Setups(ScaleQuick, []float64{0, 1, 2, 4, 6}, seeds), 5, true)
 }
 
 func TestFigure14Fairness(t *testing.T) {

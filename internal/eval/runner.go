@@ -13,6 +13,7 @@ import (
 	"venn/internal/sched"
 	"venn/internal/sim"
 	"venn/internal/simtime"
+	"venn/internal/stats"
 	"venn/internal/trace"
 	"venn/internal/workload"
 )
@@ -107,20 +108,22 @@ func NewSetup(scale Scale, seed int64) Setup {
 // stateful and single-use).
 type SchedulerFactory func() sim.Scheduler
 
-// StandardSchedulers returns the paper's scheduler lineup in report order:
-// Random (the baseline every speed-up is computed against), FIFO, SRSF, and
-// Venn.
+// StandardSchedulers returns the paper's scheduler lineup, one arm per name
+// sched.ByName resolves, keyed by the scheduler's Name(): Random (the
+// baseline every speed-up is computed against), FIFO, SRSF, and Venn.
 func StandardSchedulers() map[string]SchedulerFactory {
-	return map[string]SchedulerFactory{
-		"Random": func() sim.Scheduler { return sched.NewRandom() },
-		"FIFO":   func() sim.Scheduler { return sched.NewFIFO() },
-		"SRSF":   func() sim.Scheduler { return sched.NewSRSF() },
-		"Venn":   func() sim.Scheduler { return core.NewDefault() },
+	lineup := make(map[string]SchedulerFactory, len(sched.Names))
+	for _, name := range sched.Names {
+		factory := func() sim.Scheduler {
+			s, _ := sched.ByName(name, core.DefaultOptions())
+			return s
+		}
+		lineup[factory().Name()] = factory
 	}
+	return lineup
 }
 
 func newRandomBaseline() sim.Scheduler { return sched.NewRandom() }
-func newFIFOBaseline() sim.Scheduler   { return sched.NewFIFO() }
 
 // RunOne simulates the workload under one scheduler. The fleet is reset and
 // the workload cloned, so the same Setup can be replayed repeatedly.
@@ -195,6 +198,20 @@ func CompareMany(setups []Setup, factories func(i int) map[string]SchedulerFacto
 		return nil, err
 	}
 	return out, nil
+}
+
+// meanSpeedups averages each named scheduler's speed-up over Random across
+// cmps, the seeds of one table row.
+func meanSpeedups(cmps []*Comparison, names []string) map[string]float64 {
+	out := make(map[string]float64, len(names))
+	for _, name := range names {
+		acc := make([]float64, len(cmps))
+		for s, cmp := range cmps {
+			acc[s] = cmp.Speedup(name, "Random")
+		}
+		out[name] = stats.Mean(acc)
+	}
+	return out
 }
 
 // Speedup returns scheduler's average-JCT improvement over the named

@@ -3,11 +3,16 @@
 // Apple's, Meta's, and Google's resource managers), FIFO, and SRSF (shortest
 // remaining service first). All three keep a priority-ordered queue of open
 // requests and hand each checked-in device to the first eligible job.
+//
+// ByName is the one place a scheduler name resolves: the live manager, the
+// daemon's -policy flag and the evaluation's lineup all go through it.
 package sched
 
 import (
 	"sort"
+	"strings"
 
+	"venn/internal/core"
 	"venn/internal/device"
 	"venn/internal/job"
 	"venn/internal/sim"
@@ -29,6 +34,26 @@ const (
 	// smallest first.
 	PolicySRSF
 )
+
+// Names lists the scheduler names ByName resolves, sorted.
+var Names = []string{"fifo", "random", "srsf", "venn"}
+
+// ByName builds the named scheduler (case-insensitive): the paper's Venn
+// configured by opts, or one of its three baselines, which take no options.
+// ok is false for a name not in Names.
+func ByName(name string, opts core.Options) (s sim.Scheduler, ok bool) {
+	switch strings.ToLower(name) {
+	case "venn":
+		return core.New(opts), true
+	case "fifo":
+		return NewFIFO(), true
+	case "srsf":
+		return NewSRSF(), true
+	case "random":
+		return NewRandom(), true
+	}
+	return nil, false
+}
 
 // String implements fmt.Stringer.
 func (p Policy) String() string {
@@ -129,13 +154,19 @@ func (b *Baseline) remove(id job.ID) {
 // Assign implements sim.Scheduler: first eligible open request in queue
 // order gets the device.
 func (b *Baseline) Assign(d *device.Device, now simtime.Time) *job.Job {
+	return b.AssignIf(d, nil)
+}
+
+// AssignIf is Assign restricted to the jobs accept admits; a nil accept
+// admits every job.
+func (b *Baseline) AssignIf(d *device.Device, accept func(*job.Job) bool) *job.Job {
 	b.ensureSorted()
 	for _, q := range b.queue {
 		j := q.job
 		if j.State() != job.StateScheduling || j.RemainingDemand() <= 0 {
 			continue
 		}
-		if j.Requirement.Eligible(d) {
+		if j.Requirement.Eligible(d) && (accept == nil || accept(j)) {
 			return j
 		}
 	}

@@ -1,8 +1,12 @@
 package sched
 
 import (
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
+	"venn/internal/core"
 	"venn/internal/device"
 	"venn/internal/job"
 	"venn/internal/sim"
@@ -32,6 +36,84 @@ func TestFIFOOrdersByArrival(t *testing.T) {
 	d := device.New(0, 0.5, 0.5)
 	if got := b.Assign(d, 200); got.ID != 2 {
 		t.Errorf("FIFO picked job %d, want the earlier arrival (2)", got.ID)
+	}
+}
+
+// queueOrder lists the open requests in the order Assign would try them.
+func queueOrder(b *Baseline) []job.ID {
+	var ids []job.ID
+	b.AssignIf(device.New(0, 0.5, 0.5), func(j *job.Job) bool {
+		ids = append(ids, j.ID)
+		return false
+	})
+	return ids
+}
+
+func TestFIFOArrivalOrderAndReopen(t *testing.T) {
+	b := NewFIFO()
+	bindEnv(b)
+	// Out-of-order IDs at distinct arrivals, plus an ID tie-break at the
+	// same arrival instant.
+	j3 := openJob(3, device.General, 1, 1, 10)
+	j1 := openJob(1, device.General, 1, 1, 30)
+	j2 := openJob(2, device.General, 1, 1, 20)
+	j5 := openJob(5, device.General, 1, 1, 20)
+	for _, j := range []*job.Job{j3, j1, j2, j5} {
+		b.OnRequest(j, 40)
+	}
+	want := []job.ID{3, 2, 5, 1}
+	if got := queueOrder(b); !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if b.QueueLen() != 4 {
+		t.Fatalf("QueueLen = %d, want 4", b.QueueLen())
+	}
+
+	// A fulfilled request leaves the queue; on re-open the job is back at
+	// its arrival position, not at the tail.
+	b.OnRequestFulfilled(j2, 50)
+	if got := queueOrder(b); !slices.Equal(got, []job.ID{3, 5, 1}) {
+		t.Fatalf("after fulfil: %v", got)
+	}
+	b.OnRequest(j2, 60)
+	if got := queueOrder(b); !slices.Equal(got, want) {
+		t.Fatalf("after re-open: %v, want %v", got, want)
+	}
+
+	// Duplicate opens are idempotent.
+	b.OnRequest(j2, 70)
+	if got := queueOrder(b); !slices.Equal(got, want) || b.QueueLen() != 4 {
+		t.Fatalf("after duplicate open: %v (QueueLen %d)", got, b.QueueLen())
+	}
+}
+
+func TestByName(t *testing.T) {
+	if len(Names) != 4 || !sort.StringsAreSorted(Names) {
+		t.Fatalf("Names = %v, want the four scheduler names, sorted", Names)
+	}
+	for _, name := range Names {
+		// Lookup is case-insensitive: flags arrive in whatever case users type.
+		for _, spelled := range []string{name, strings.ToUpper(name)} {
+			if s, ok := ByName(spelled, core.Options{}); !ok || s == nil {
+				t.Fatalf("ByName(%q) = %v, %v", spelled, s, ok)
+			}
+		}
+	}
+	if s, ok := ByName("no-such-policy", core.Options{}); ok || s != nil {
+		t.Errorf("ByName accepted an unknown name: %v", s)
+	}
+}
+
+func TestByNameSchedulerNames(t *testing.T) {
+	want := map[string]string{"fifo": "FIFO", "random": "Random", "srsf": "SRSF", "venn": "Venn"}
+	for _, name := range Names {
+		if s, _ := ByName(name, core.Options{}); s == nil || s.Name() != want[name] {
+			t.Errorf("ByName(%q) reports Name %v, want %q", name, s, want[name])
+		}
+	}
+	// The options reach Venn.
+	if s, _ := ByName("venn", core.Options{DisableMatching: true}); s.Name() != "Venn-w/o-match" {
+		t.Errorf("ByName(venn, DisableMatching).Name() = %q, want Venn-w/o-match", s.Name())
 	}
 }
 

@@ -17,7 +17,7 @@
 //	Assignment           = u8 flags | tail?
 //	                       flags bit0 = assigned, bit1 = tail present
 //	                       tail  = varint job_id | varint round |
-//	                               str job_name | str policy
+//	                               str job_name
 //	CheckInResult        = u8 flags | tail? | str error?
 //	                       flags bit0 = assigned, bit1 = tail present,
 //	                       bit2 = error present
@@ -231,13 +231,13 @@ const (
 
 // assignmentFlags computes the flag byte; the tail bit is set whenever any
 // tail field is non-zero, so encoding is lossless even for shapes the
-// manager never emits (e.g. a policy name on an unassigned reply).
+// manager never emits (e.g. a job name on an unassigned reply).
 func (a *Assignment) assignmentFlags() byte {
 	var fl byte
 	if a.Assigned {
 		fl |= binFlagAssigned
 	}
-	if a.JobID != 0 || a.Round != 0 || a.JobName != "" || a.Policy != "" {
+	if a.JobID != 0 || a.Round != 0 || a.JobName != "" {
 		fl |= binFlagTail
 	}
 	return fl
@@ -246,15 +246,13 @@ func (a *Assignment) assignmentFlags() byte {
 func (a *Assignment) appendTail(b []byte) []byte {
 	b = binary.AppendVarint(b, int64(a.JobID))
 	b = binary.AppendVarint(b, int64(a.Round))
-	b = appendBinString(b, a.JobName)
-	return appendBinString(b, a.Policy)
+	return appendBinString(b, a.JobName)
 }
 
 func (a *Assignment) decodeTail(d *bdec) {
 	a.JobID = int(d.varint())
 	a.Round = int(d.varint())
 	a.JobName = d.str()
-	a.Policy = d.str()
 }
 
 func (a *Assignment) decodeBinary(d *bdec, allowedFlags byte) byte {

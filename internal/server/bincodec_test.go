@@ -20,10 +20,10 @@ func TestBinCodecRoundTrip(t *testing.T) {
 		ciOne(CheckIn{DeviceID: "dev-0042", CPU: 0.75, Mem: 0.5}),
 		ciOne(CheckIn{DeviceID: strings.Repeat("x", 300), CPU: math.Inf(1), Mem: -0}),
 		resOne(CheckInResult{}),
-		resOne(CheckInResult{Assignment: Assignment{Assigned: true, JobID: 12, Round: 3, JobName: "resnet", Policy: "venn"}}),
+		resOne(CheckInResult{Assignment: Assignment{Assigned: true, JobID: 12, Round: 3, JobName: "resnet"}}),
 		resOne(CheckInResult{Assignment: Assignment{Assigned: true}}), // assigned with zero tail: flags-only
 		resOne(CheckInResult{Assignment: Assignment{JobID: -5}}),      // tail without assigned
-		resOne(CheckInResult{Assignment: Assignment{Assigned: true, JobID: 1, JobName: "j", Policy: "fifo"}}),
+		resOne(CheckInResult{Assignment: Assignment{Assigned: true, JobID: 1, JobName: "j"}}),
 		resOne(CheckInResult{Error: "device busy"}),
 		&ReportBatchRequest{Reports: []Report{{DeviceID: "d", JobID: -1, OK: false, DurationSeconds: 0.001}}},
 		&ReportBatchRequest{Reports: []Report{{DeviceID: "", JobID: 1 << 40, OK: true}}},
@@ -60,7 +60,7 @@ func TestBinCodecRoundTrip(t *testing.T) {
 func TestBinCodecMatchesJSON(t *testing.T) {
 	resp := CheckInBatchResponse{Results: []CheckInResult{
 		{},
-		{Assignment: Assignment{Assigned: true, JobID: 3, Round: 1, JobName: "mobilenet", Policy: "venn"}},
+		{Assignment: Assignment{Assigned: true, JobID: 3, Round: 1, JobName: "mobilenet"}},
 		{Error: "device busy"},
 	}}
 	wantJSON, err := resp.MarshalJSON()

@@ -500,10 +500,6 @@ func (a Assignment) appendJSON(b []byte) []byte {
 			b = append(b, `,"round":`...)
 			b = strconv.AppendInt(b, int64(a.Round), 10)
 		}
-		if a.Policy != "" {
-			b = append(b, `,"policy":`...)
-			b = appendJSONString(b, a.Policy)
-		}
 	}
 	return append(b, '}')
 }
@@ -519,8 +515,6 @@ func (a *Assignment) scanField(s *jscan, key []byte) (bool, error) {
 		a.JobName, err = s.str()
 	case "round":
 		a.Round, err = s.int()
-	case "policy":
-		a.Policy, err = s.str()
 	default:
 		return false, nil
 	}

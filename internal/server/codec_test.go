@@ -149,7 +149,7 @@ func TestCheckInBatchResponseRoundTrip(t *testing.T) {
 	resp := CheckInBatchResponse{Results: []CheckInResult{
 		{},
 		{Assignment: Assignment{Assigned: true, JobID: 0, JobName: "job0", Round: 1}},
-		{Assignment: Assignment{Assigned: true, JobID: 42, JobName: `we"ird`, Round: 3, Policy: "Venn"}},
+		{Assignment: Assignment{Assigned: true, JobID: 42, JobName: `we"ird`, Round: 3}},
 		{Error: ErrDeviceBusy.Error()},
 		{Error: `err with "quotes" and π`},
 	}}

@@ -28,7 +28,7 @@ func FuzzCodecV2RoundTrip(f *testing.F) {
 		&CheckInBatchRequest{CheckIns: []CheckIn{{DeviceID: "dev-1", CPU: 0.5, Mem: 0.25}}},
 		&CheckInBatchRequest{CheckIns: []CheckIn{{DeviceID: "a", CPU: 1}, {DeviceID: "b"}, {}}},
 		&CheckInBatchResponse{},
-		&CheckInBatchResponse{Results: []CheckInResult{{Assignment: Assignment{Assigned: true, JobID: 3, Round: 2, JobName: "job", Policy: "venn"}}}},
+		&CheckInBatchResponse{Results: []CheckInResult{{Assignment: Assignment{Assigned: true, JobID: 3, Round: 2, JobName: "job"}}}},
 		&CheckInBatchResponse{Results: []CheckInResult{{}, {Error: "device busy"}, {Assignment: Assignment{Assigned: true, JobID: -1}}}},
 		&ReportBatchRequest{},
 		&ReportBatchRequest{Reports: []Report{{DeviceID: "dev-1", JobID: 7, OK: true, DurationSeconds: 12.5}}},

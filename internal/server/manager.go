@@ -44,7 +44,7 @@ import (
 	"venn/internal/device"
 	"venn/internal/job"
 	"venn/internal/obs"
-	"venn/internal/policy"
+	"venn/internal/sched"
 	"venn/internal/sim"
 	"venn/internal/simtime"
 	"venn/internal/stats"
@@ -113,11 +113,6 @@ type Assignment struct {
 	JobID    int    `json:"job_id,omitempty"`
 	JobName  string `json:"job_name,omitempty"`
 	Round    int    `json:"round,omitempty"`
-	// Policy attributes the assignment to the scheduling policy that made
-	// it. It rides every transport unchanged (batch, stream, cluster
-	// forwarding), so in a federation of daemons running different
-	// policies each assignment still names its decider.
-	Policy string `json:"policy,omitempty"`
 }
 
 // CheckInResult is one element of a batch check-in reply. Error is set when
@@ -166,10 +161,9 @@ type Config struct {
 	// Categories are the requirement strata jobs may ask for. Defaults
 	// to the four standard strata.
 	Categories []device.Requirement
-	// Policy selects the primary scheduling policy by registry name
-	// (internal/policy: "venn", "fifo", "srsf", "random"); empty means
-	// policy.Default. Unknown names panic in NewManager — the CLIs
-	// validate with policy.Valid before constructing.
+	// Policy names the scheduler, resolved by sched.ByName ("venn",
+	// "fifo", "srsf", "random"); empty means "venn". Unknown names panic in
+	// NewManager — the daemon validates its -policy flag the same way first.
 	Policy string
 	// Seed seeds the scheduling environment's RNG (the Random policy's
 	// priority stream); 0 derives a seed from the clock. Fixing it makes
@@ -223,7 +217,7 @@ type Manager struct {
 	// primary is the Venn core — the lock-free snapshot fast path and the
 	// plan telemetry are Venn-specific and disabled (nil) otherwise.
 	policyName string
-	pol        policy.Policy
+	pol        sim.Scheduler
 	venn       *core.Venn
 	env        *sim.Env
 
@@ -413,7 +407,11 @@ func NewManager(cfg Config) *Manager {
 		cfg.Shards = defaultShards
 	}
 	if cfg.Policy == "" {
-		cfg.Policy = policy.Default
+		cfg.Policy = "venn"
+	}
+	pol, ok := sched.ByName(cfg.Policy, cfg.Options)
+	if !ok {
+		panic(fmt.Sprintf("server: unknown policy %q (have %s)", cfg.Policy, strings.Join(sched.Names, ", ")))
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -424,7 +422,7 @@ func NewManager(cfg Config) *Manager {
 		start:      cfg.Clock(),
 		categories: make(map[string]device.Requirement, len(cfg.Categories)),
 		policyName: strings.ToLower(cfg.Policy),
-		pol:        policy.MustNew(cfg.Policy, policy.Config{Core: cfg.Options}),
+		pol:        pol,
 		jobs:       make(map[job.ID]*managedJob),
 		deadlines:  make(map[job.ID]simtime.Time),
 		attempt:    make(map[job.ID]uint64),
@@ -454,7 +452,7 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// PolicyName reports the primary scheduling policy's registry name.
+// PolicyName reports the scheduling policy's name, lower-cased.
 func (m *Manager) PolicyName() string { return m.policyName }
 
 // Obs exposes the manager's observability registry: the transport adapters
@@ -642,7 +640,7 @@ func (m *Manager) assignCoreLocked(it *assignItem, now simtime.Time) Assignment 
 		m.setDeadlineLocked(j.ID, now.Add(j.Deadline()))
 		m.maybeCompleteLocked(mj, now)
 	}
-	return Assignment{Assigned: true, JobID: int(j.ID), JobName: j.Name, Round: j.Round(), Policy: m.policyName}
+	return Assignment{Assigned: true, JobID: int(j.ID), JobName: j.Name, Round: j.Round()}
 }
 
 // CheckInBatch processes a batch of check-ins; Results[i] answers
