@@ -39,36 +39,9 @@ func main() {
 	}
 	selected := func(name string) bool { return len(want) == 0 || want[name] }
 
-	type experiment struct {
-		name string
-		run  func() (string, error)
-	}
-	experiments := []experiment{
-		{"fig2a", func() (string, error) {
-			r := eval.Figure2a(2000, 1)
-			return fmt.Sprintf("Figure 2a: diurnal availability, peak/trough ratio %.2f\n", r.PeakTroughRatio()), nil
-		}},
-		{"fig8a", func() (string, error) { return eval.Figure8a(5000, 1).Render(), nil }},
-		{"fig3", func() (string, error) { r, err := eval.Figure3(); return render(r, err) }},
-		{"fig4", func() (string, error) { r, err := eval.Figure4(scale); return render(r, err) }},
-		{"fig5", func() (string, error) { r, err := eval.Figure5(scale); return render(r, err) }},
-		{"table1", func() (string, error) { r, err := eval.Table1(scale, *seeds); return render(r, err) }},
-		{"fig9", func() (string, error) { r, err := eval.Figure9(scale, 0); return render(r, err) }},
-		{"fig10", func() (string, error) { return eval.Figure10().Render(), nil }},
-		{"fig11", func() (string, error) { r, err := eval.Figure11(scale, *seeds); return render(r, err) }},
-		{"table2", func() (string, error) { r, err := eval.Table2(scale, *seeds); return render(r, err) }},
-		{"table3", func() (string, error) { r, err := eval.Table3(scale, *seeds); return render(r, err) }},
-		{"table4", func() (string, error) { r, err := eval.Table4(scale, *seeds); return render(r, err) }},
-		{"fig12", func() (string, error) { r, err := eval.Figure12(scale, *seeds); return render(r, err) }},
-		{"fig13", func() (string, error) { r, err := eval.Figure13(scale, *seeds); return render(r, err) }},
-		{"fig14", func() (string, error) { r, err := eval.Figure14(scale, *seeds); return render(r, err) }},
-		{"ablation-window", func() (string, error) { r, err := eval.SupplyWindowAblation(scale, *seeds); return render(r, err) }},
-		{"ablation-heaviness", func() (string, error) { r, err := eval.TaskHeaviness(scale, *seeds); return render(r, err) }},
-	}
-
-	var todo []experiment
-	for _, ex := range experiments {
-		if selected(ex.name) {
+	var todo []eval.Experiment
+	for _, ex := range eval.Experiments(scale, *seeds) {
+		if selected(ex.Name) {
 			todo = append(todo, ex)
 		}
 	}
@@ -99,26 +72,17 @@ func main() {
 			release := eval.WorkerSlot()
 			defer release()
 			start := time.Now()
-			out, err := ex.run()
+			out, err := ex.Run()
 			results[i] <- outcome{out: out, err: err, secs: time.Since(start).Seconds()}
 		}()
 	}
 	for i, ex := range todo {
 		res := <-results[i]
 		if res.err != nil {
-			fatal(fmt.Errorf("%s: %w", ex.name, res.err))
+			fatal(fmt.Errorf("%s: %w", ex.Name, res.err))
 		}
-		fmt.Printf("=== %s (%.1fs) ===\n%s\n", ex.name, res.secs, res.out)
+		fmt.Printf("=== %s (%.1fs) ===\n%s\n", ex.Name, res.secs, res.out)
 	}
-}
-
-type renderer interface{ Render() string }
-
-func render(r renderer, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
 }
 
 func parseScale(s string) (eval.Scale, error) {

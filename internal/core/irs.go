@@ -134,21 +134,23 @@ func pressure(queue, allocRate float64) float64 {
 	return queue / allocRate
 }
 
-// CellPlan is the per-cell group priority order derived from an allocation:
-// for each atomic cell, the groups eligible for it, allocation owner first,
-// then scarcest-supply first. A checked-in device in cell c is offered to
-// plan[c]'s groups in order (the "first eligible job in the order" rule).
+// CellPlan is Algorithm 1's partition in the form the assignment walk reads
+// it: each cell's allocation owner, plus one scarcity order over the planned
+// groups. A device checked in to cell c is offered to Owner[c]'s jobs first,
+// then to every other group whose region holds c, scarcest supply first (the
+// "first eligible job in the order" rule). The fallback decides only when the
+// owner has no job the device can take, e.g. while a tier filter blocks it.
 type CellPlan struct {
-	// Order[c] lists indices into the planner's group slice.
-	Order [][]int
+	// Owner[c] indexes the planner's group slice: the group allocated cell
+	// c, or -1 when no group is eligible for it.
+	Owner []int32
+	// Order lists every group index, lowest supply first.
+	Order []int
 }
 
 // scarcityOrder returns the group indices sorted lowest supply first,
 // structurally scarcer (fewer eligible cells) on ties, original index on
-// full ties (matching the former per-cell stable sort). It is the single
-// definition of the per-cell priority order shared by the full plan build
-// and the incremental patch path — the patcher reuses existing rows only
-// when this permutation is unchanged.
+// full ties.
 func scarcityOrder(groups []*GroupState) []int {
 	order := make([]int, len(groups))
 	counts := make([]int, len(groups))
@@ -166,112 +168,25 @@ func scarcityOrder(groups []*GroupState) []int {
 	return order
 }
 
-// BuildCellPlan derives the per-cell priority lists for the given groups
-// (after ComputeAllocation has filled Alloc). Order is always sized to
-// numCells, so every cell of the grid has a (possibly empty) row.
-//
-// Instead of sorting each cell's eligible groups independently (O(cells x
-// groups log groups) with two allocations per cell), the groups are sorted by
-// scarcity once and appended cell-row by cell-row into one flat backing
-// array, which is O(total region size) and three allocations total.
+// BuildCellPlan derives the cell plan for the given groups after
+// ComputeAllocation has filled Alloc. Owner is always sized to numCells, so
+// every cell of the grid has an entry. Allocations are disjoint subsets of
+// their groups' regions; should they ever overlap, the first group in slice
+// order keeps the cell and the other holders fall through to Order.
 func BuildCellPlan(groups []*GroupState, numCells int) *CellPlan {
 	if numCells < 0 {
 		numCells = 0
 	}
-	plan := &CellPlan{Order: make([][]int, numCells)}
-	if len(groups) == 0 || numCells == 0 {
-		return plan
-	}
-	return buildCellPlanOrdered(groups, numCells, scarcityOrder(groups))
-}
-
-// buildCellPlanOrdered is BuildCellPlan with the scarcity permutation
-// precomputed by the caller.
-func buildCellPlanOrdered(groups []*GroupState, numCells int, order []int) *CellPlan {
-	plan := &CellPlan{Order: make([][]int, numCells)}
-
-	// Size each cell's row, then carve all rows out of one backing slice.
-	sizes := make([]int, numCells)
-	for _, g := range groups {
-		g.Region.ForEach(func(c device.CellID) {
-			if int(c) < numCells {
-				sizes[c]++
-			}
-		})
-	}
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	backing := make([]int, 0, total)
-	off := 0
-	for c := range plan.Order {
-		plan.Order[c] = backing[off : off : off+sizes[c]]
-		off += sizes[c]
-	}
-
-	// The allocation owner leads its cell's row. First-in-group-order wins
-	// if allocations ever overlap (they are disjoint after
-	// ComputeAllocation); any extra alloc-holder falls through to the
-	// scarcity-ordered remainder below.
-	owner := make([]int32, numCells)
-	for c := range owner {
-		owner[c] = -1
+	plan := &CellPlan{Owner: make([]int32, numCells), Order: scarcityOrder(groups)}
+	for c := range plan.Owner {
+		plan.Owner[c] = -1
 	}
 	for gi, g := range groups {
 		g.Alloc.ForEach(func(c device.CellID) {
-			if int(c) < numCells && owner[c] < 0 && g.Region.Has(c) {
-				owner[c] = int32(gi)
-				plan.Order[c] = append(plan.Order[c], gi)
+			if int(c) < numCells && plan.Owner[c] < 0 && g.Region.Has(c) {
+				plan.Owner[c] = int32(gi)
 			}
 		})
 	}
-	for _, gi := range order {
-		g := groups[gi]
-		g.Region.ForEach(func(c device.CellID) {
-			if int(c) < numCells && owner[c] != int32(gi) {
-				plan.Order[c] = append(plan.Order[c], gi)
-			}
-		})
-	}
-	return plan
-}
-
-// patchCellPlan derives the cell plan that buildCellPlanOrdered would
-// produce for the given groups, reusing every row of the previous plan
-// except those of the changed cells. It must only be called when the group
-// slice (set and order) and the scarcity permutation are unchanged since old
-// was built, so a row's content can only differ on a cell whose allocation
-// owner moved. The returned plan is a fresh object sharing the unchanged
-// rows: published snapshots stay immutable for concurrent readers, while the
-// patch cost is O(numCells pointer copies + changed cells x groups) instead
-// of a full O(total region size) rebuild.
-func patchCellPlan(old *CellPlan, groups []*GroupState, order []int, changed device.RegionSet) *CellPlan {
-	numCells := len(old.Order)
-	plan := &CellPlan{Order: make([][]int, numCells)}
-	copy(plan.Order, old.Order)
-	changed.ForEach(func(c device.CellID) {
-		if int(c) >= numCells {
-			return
-		}
-		row := make([]int, 0, len(old.Order[c]))
-		// Allocation owner leads the row: first group in original index
-		// order holding the cell (allocations are disjoint subsets of the
-		// group's region, mirroring buildCellPlanOrdered's owner rule).
-		ownerIdx := -1
-		for gi, g := range groups {
-			if g.Alloc.Has(c) {
-				ownerIdx = gi
-				row = append(row, gi)
-				break
-			}
-		}
-		for _, gi := range order {
-			if gi != ownerIdx && groups[gi].Region.Has(c) {
-				row = append(row, gi)
-			}
-		}
-		plan.Order[c] = row
-	})
 	return plan
 }

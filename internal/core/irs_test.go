@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -151,13 +152,16 @@ func TestBuildCellPlanOwnerFirst(t *testing.T) {
 	plan := BuildCellPlan(groups, grid.NumCells())
 	highCell := grid.CellOf(0, 0.9)
 	lowCell := grid.CellOf(0, 0)
-	// High cell: owner is B (index 1), then A.
-	if got := plan.Order[highCell]; len(got) != 2 || got[0] != 1 || got[1] != 0 {
-		t.Errorf("high cell order = %v, want [1 0]", got)
+	// High cell: B (index 1) owns it; low cell: only A is eligible.
+	if got := plan.Owner[highCell]; got != 1 {
+		t.Errorf("high cell owner = %d, want 1", got)
 	}
-	// Low cell: only A is eligible.
-	if got := plan.Order[lowCell]; len(got) != 1 || got[0] != 0 {
-		t.Errorf("low cell order = %v, want [0]", got)
+	if got := plan.Owner[lowCell]; got != 0 {
+		t.Errorf("low cell owner = %d, want 0", got)
+	}
+	// B is the scarcer group, so it leads the fallback order.
+	if got := plan.Order; !slices.Equal(got, []int{1, 0}) {
+		t.Errorf("order = %v, want [1 0]", got)
 	}
 }
 
@@ -175,11 +179,13 @@ func TestBuildCellPlanFallbackScarcestFirst(t *testing.T) {
 	groups := []*GroupState{mk(device.General, 1), mk(device.ComputeRich, 1), mk(device.HighPerf, 1)}
 	ComputeAllocation(groups, rates)
 	plan := BuildCellPlan(groups, grid.NumCells())
-	// The high/high cell (3) must list HighPerf (owner, idx 2) first,
-	// then ComputeRich (scarcer) before General.
-	got := plan.Order[3]
-	if len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 0 {
-		t.Errorf("cell 3 order = %v, want [2 1 0]", got)
+	// HighPerf (idx 2) owns the high/high cell (3); a device it cannot
+	// take falls back to ComputeRich (scarcer) before General.
+	if got := plan.Owner[3]; got != 2 {
+		t.Errorf("cell 3 owner = %d, want 2", got)
+	}
+	if got := plan.Order; !slices.Equal(got, []int{2, 1, 0}) {
+		t.Errorf("order = %v, want [2 1 0]", got)
 	}
 }
 
@@ -198,9 +204,7 @@ func TestPressureSafeDivision(t *testing.T) {
 func TestComputeAllocationEmpty(t *testing.T) {
 	ComputeAllocation(nil, nil) // must not panic
 	plan := BuildCellPlan(nil, 4)
-	for _, o := range plan.Order {
-		if len(o) != 0 {
-			t.Error("empty plan must have empty orders")
-		}
+	if !slices.Equal(plan.Owner, []int32{-1, -1, -1, -1}) || len(plan.Order) != 0 {
+		t.Errorf("empty plan = %+v, want four unowned cells and no order", plan)
 	}
 }

@@ -6,28 +6,28 @@ import (
 	"venn/internal/simtime"
 )
 
-// PlanSnapshot is an immutable, epoch-versioned view of one finished cell
-// plan: the per-cell group priority rows plus a copy of each planned group's
-// job queue and the tier filters in force when the plan was published.
+// PlanSnapshot is an immutable, epoch-versioned view of one finished plan:
+// each planned group's requirement, eligible region and a copy of its job
+// queue, plus the tier filters in force when the plan was published.
 //
 // Snapshots are published behind an atomic pointer at the end of every
 // (re)plan, so concurrent readers — the live server's check-in fast path,
 // metrics endpoints, monitoring — can consult the current plan without
 // taking the scheduler lock. Nothing reachable from a snapshot is ever
-// mutated after publication: the rows either belong to a freshly built plan
-// or were copy-on-write patched, the job slices are copies, and tier filters
-// are immutable once created. Job *state* is deliberately not captured;
-// readers that need it (e.g. to commit an assignment) must revalidate under
-// the scheduler lock. A snapshot paired with a true Venn.PlanFresh() answer
+// mutated after publication: a group's region is fixed when the group is
+// created, the job slices are copies, and tier filters are immutable once
+// created. Job *state* is deliberately not captured; readers that need it
+// (e.g. to commit an assignment) must revalidate under the scheduler lock. A snapshot paired with a true Venn.PlanFresh() answer
 // is current: every lifecycle event marks the plan stale before the event's
 // effects are observable.
 type PlanSnapshot struct {
-	epoch   uint64
-	order   [][]int
-	reqs    []device.Requirement
-	groups  [][]*job.Job
-	filters map[job.ID]*tierFilter
-	open    int
+	epoch    uint64
+	numCells int
+	reqs     []device.Requirement
+	regions  []device.RegionSet
+	groups   [][]*job.Job
+	filters  map[job.ID]*tierFilter
+	open     int
 }
 
 // Epoch returns the snapshot's monotonically increasing version.
@@ -46,23 +46,24 @@ func (s *PlanSnapshot) NumCells() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.order)
+	return s.numCells
 }
 
 // HasCandidate reports whether the plan has any open request a device in the
-// given cell could serve: it walks the cell's group priority row applying
-// the requirement and tier-filter checks exactly as Venn.Assign does, but
-// against the snapshot's frozen queues instead of live job state. While the
+// given cell could serve: it visits every group whose region holds the cell,
+// which are the groups Venn.Assign walks, and applies the same requirement
+// and tier-filter checks against the snapshot's frozen queues instead of live
+// job state. Only whether some group has a candidate matters here, not which
+// one Assign would pick, so the visiting order is the groups' own. While the
 // snapshot is fresh (Venn.PlanFresh), a false answer proves the device would
 // leave Assign empty-handed, because every queued job of a fresh plan still
 // has an open request — state transitions always mark the plan stale first.
 func (s *PlanSnapshot) HasCandidate(d *device.Device, cell device.CellID, now simtime.Time) bool {
-	if s == nil || s.open == 0 || int(cell) < 0 || int(cell) >= len(s.order) {
+	if s == nil || s.open == 0 || int(cell) < 0 || int(cell) >= s.numCells {
 		return false
 	}
-	for _, gi := range s.order[cell] {
-		jobs := s.groups[gi]
-		if len(jobs) == 0 || !s.reqs[gi].Eligible(d) {
+	for gi, jobs := range s.groups {
+		if len(jobs) == 0 || !s.regions[gi].Has(cell) || !s.reqs[gi].Eligible(d) {
 			continue
 		}
 		if len(s.filters) == 0 {
@@ -84,13 +85,15 @@ func (s *PlanSnapshot) HasCandidate(d *device.Device, cell device.CellID, now si
 func (v *Venn) publishSnapshot() {
 	v.planEpoch++
 	s := &PlanSnapshot{
-		epoch:  v.planEpoch,
-		order:  v.plan.Order,
-		reqs:   make([]device.Requirement, len(v.planGroups)),
-		groups: make([][]*job.Job, len(v.planGroups)),
+		epoch:    v.planEpoch,
+		numCells: len(v.plan.Owner),
+		reqs:     make([]device.Requirement, len(v.planGroups)),
+		regions:  make([]device.RegionSet, len(v.planGroups)),
+		groups:   make([][]*job.Job, len(v.planGroups)),
 	}
 	for i, g := range v.planGroups {
 		s.reqs[i] = g.req
+		s.regions[i] = g.region
 		s.groups[i] = append([]*job.Job(nil), g.jobs...)
 		s.open += len(g.jobs)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -26,22 +27,9 @@ func newBoundVenn(opts Options) (*Venn, *sim.Env) {
 	return v, env
 }
 
-// plansEqual deep-compares two cell plans row by row.
+// plansEqual compares two cell plans' owners and scarcity orders.
 func plansEqual(a, b *CellPlan) bool {
-	if len(a.Order) != len(b.Order) {
-		return false
-	}
-	for c := range a.Order {
-		if len(a.Order[c]) != len(b.Order[c]) {
-			return false
-		}
-		for i := range a.Order[c] {
-			if a.Order[c][i] != b.Order[c][i] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(a.Owner, b.Owner) && slices.Equal(a.Order, b.Order)
 }
 
 // TestIncrementalPlanEquivalence drives an incremental and a full-rebuild
@@ -80,7 +68,7 @@ func TestIncrementalPlanEquivalence(t *testing.T) {
 			}
 		}
 		if !plansEqual(inc.plan, full.plan) {
-			t.Fatalf("plans diverged at %v:\ninc=%v\nfull=%v", now, inc.plan.Order, full.plan.Order)
+			t.Fatalf("plans diverged at %v:\ninc=%+v\nfull=%+v", now, inc.plan, full.plan)
 		}
 	}
 
@@ -213,6 +201,34 @@ func TestPlanSnapshotMatchesAssign(t *testing.T) {
 		t.Errorf("drained scheduler still advertises %d open requests", snap2.OpenRequests())
 	} else if snap2.Epoch() <= snap.Epoch() {
 		t.Errorf("epoch must advance: %d -> %d", snap.Epoch(), snap2.Epoch())
+	}
+
+	// Overlapping General, Compute-Rich and High-Perf groups: High-Perf owns
+	// the high/high cell. Once a tier filter blocks its only job, the device
+	// falls back to the scarcer of the other two groups, Compute-Rich, and
+	// the probe agrees.
+	v, env = newBoundVenn(Options{Tiers: 1})
+	jobs := map[device.Requirement]*job.Job{}
+	for i, c := range []device.Requirement{device.General, device.ComputeRich, device.HighPerf} {
+		j := job.New(job.ID(i), c, 5, 1, 0)
+		j.Start(0)
+		env.Jobs[j.ID] = j
+		v.OnJobArrival(j, 0)
+		v.OnRequest(j, 0)
+		jobs[c] = j
+	}
+	d := devs[0]
+	if got := v.Assign(d, 1); got != jobs[device.HighPerf] {
+		t.Fatalf("unfiltered high/high device got %v, want the High-Perf owner's job", got)
+	}
+	v.filters[jobs[device.HighPerf].ID] = &tierFilter{tier: 1, cuts: []float64{2}, lapseAt: 100}
+	v.planStale.Store(true)
+	got := v.Assign(d, 1)
+	if got != jobs[device.ComputeRich] {
+		t.Errorf("filter-blocked owner: Assign = %v, want the Compute-Rich job", got)
+	}
+	if has := v.PlanSnapshot().HasCandidate(d, env.Grid.CellOfDevice(d), 1); has != (got != nil) {
+		t.Errorf("filter-blocked owner: HasCandidate=%v, Assign=%v", has, got)
 	}
 }
 

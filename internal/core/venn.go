@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -24,11 +25,10 @@ type Options struct {
 	DisableMatching bool
 	// MinProfileSamples gates tier decisions on profile maturity.
 	MinProfileSamples int
-	// DisableIncrementalPlan forces a full Algorithm-1 rebuild on every
-	// plan refresh instead of the incremental patch path. Plans are
-	// byte-identical either way (the differential test in internal/eval
-	// pins this); the knob exists for that test and for attributing
-	// regressions.
+	// DisableIncrementalPlan makes every plan refresh structural: the group
+	// set is re-collected and every group's inputs recomputed. Plans are
+	// identical either way; the knob is the reference the differential
+	// tests (here and in internal/eval) compare the default path against.
 	DisableIncrementalPlan bool
 }
 
@@ -54,9 +54,9 @@ type vgroup struct {
 	adj   map[job.ID]float64
 	state *GroupState
 	// dirty marks that the queue changed (insert, remove, or re-key)
-	// since the group's planner inputs were last refreshed. The planner
-	// skips recomputing queue pressure for clean groups on the
-	// incremental path.
+	// since the group's planner inputs were last refreshed. Within an
+	// unchanged group set, the planner recomputes queue pressure for dirty
+	// groups only.
 	dirty bool
 }
 
@@ -111,11 +111,6 @@ func (g *vgroup) removeJob(id job.ID) {
 	g.jobs = g.jobs[:len(g.jobs)-1]
 }
 
-// maxCellCacheEntries caps the device→cell memoization table so the core's
-// footprint stays bounded no matter how many device IDs a long-lived server
-// hands out; devices beyond the cap fall back to the two binary searches.
-const maxCellCacheEntries = 1 << 20
-
 // Venn is the paper's CL resource manager. It implements sim.Scheduler.
 type Venn struct {
 	opts Options
@@ -134,13 +129,10 @@ type Venn struct {
 	// so lock-free snapshot readers can pair it with the published
 	// snapshot (see PlanFresh).
 	planStale atomic.Bool
-	// structChanged records that the set of planned groups itself changed
-	// (a group gained its first or lost its last open request), which
-	// invalidates the plan's group indexing and forces a full rebuild.
+	// structChanged records that the set of planned groups may have
+	// changed (a group gained its first or lost its last open request, or
+	// the env was rebound), so the next refresh re-collects it.
 	structChanged bool
-	// fullRebuild forces the next ensurePlan through the full path (env
-	// rebinds, first plan).
-	fullRebuild bool
 
 	// Last computed plan and the groups it indexes into, sorted by
 	// requirement key for deterministic planning order.
@@ -151,26 +143,16 @@ type Venn struct {
 	snap      atomic.Pointer[PlanSnapshot]
 	planEpoch uint64
 
-	// Incremental-plan input caches: the cell rates, per-group
-	// allocations, and scarcity permutation the current plan was built
-	// from. The patch path recomputes inputs, diffs against these, and
-	// only rebuilds what changed.
-	ratePrev  []float64
-	allocPrev []device.RegionSet
-	scarcity  []int
+	// ratePrev holds the cell rates the current plan was computed from.
+	ratePrev []float64
 
 	// Reused plan-rebuild buffers.
 	stateBuf []*GroupState
 	rateBuf  []float64
 
-	// cellCache memoizes the device → cell mapping by device ID (device
-	// scores are immutable for a run). Entries are cell+1 so the zero
-	// value means "unknown".
-	cellCache []int32
-
-	// PlanRebuilds counts full Algorithm-1 pipeline runs; PlanPatches
-	// counts refreshes served by the incremental path (including
-	// no-input-change hits). Their ratio is the incremental hit rate
+	// PlanRebuilds counts plan refreshes that re-collected the group set;
+	// PlanPatches counts refreshes within an unchanged group set, whether
+	// or not an input moved. Their ratio is the incremental hit rate
 	// surfaced in /v1/metrics.
 	PlanRebuilds int
 	PlanPatches  int
@@ -211,8 +193,7 @@ func (v *Venn) Name() string {
 // Bind implements sim.Scheduler.
 func (v *Venn) Bind(env *sim.Env) {
 	v.env = env
-	v.cellCache = v.cellCache[:0] // a new env means a new grid
-	v.fullRebuild = true          // ...and a new grid invalidates every plan row
+	v.structChanged = true // a new env means a new grid
 	v.planStale.Store(true)
 }
 
@@ -273,64 +254,43 @@ func (v *Venn) ObserveResponse(j *job.Job, d *device.Device, dur simtime.Duratio
 	v.profiles.observe(j.ID, d.Capability(), dur.Seconds())
 }
 
-// Assign implements sim.Scheduler. The per-device walk consults the cell
-// plan's group order for the device's cell and hands out the first
-// schedulable job, honoring tier filters (devices outside a job's tier flow
-// to the next job in the order).
+// Assign implements sim.Scheduler. A device is offered to its cell's
+// allocation owner first, then to every other group whose region holds the
+// cell in scarcity order, and goes to the first schedulable job that accepts
+// it. A device outside a job's tier filter flows on to the next job.
 func (v *Venn) Assign(d *device.Device, now simtime.Time) *job.Job {
 	v.lastNow = now
 	v.ensurePlan(now)
-	cell := v.cellOf(d)
-	if int(cell) >= len(v.plan.Order) {
+	cell := v.env.Grid.CellOfDevice(d)
+	if int(cell) >= len(v.plan.Owner) {
 		return nil
 	}
-	checkFilters := len(v.filters) > 0
-	for _, gi := range v.plan.Order[cell] {
-		for _, j := range v.planGroups[gi].jobs {
-			if j.State() != job.StateScheduling || j.RemainingDemand() <= 0 {
-				continue
-			}
-			if !j.Requirement.Eligible(d) {
-				continue
-			}
-			if checkFilters {
-				if f := v.filters[j.ID]; f != nil && now < f.lapseAt && !f.accepts(d) {
-					continue
-				}
-			}
+	owner := int(v.plan.Owner[cell])
+	if owner >= 0 {
+		if j := v.firstJob(v.planGroups[owner], d, now); j != nil {
 			return j
+		}
+	}
+	for _, gi := range v.plan.Order {
+		if g := v.planGroups[gi]; gi != owner && g.region.Has(cell) {
+			if j := v.firstJob(g, d, now); j != nil {
+				return j
+			}
 		}
 	}
 	return nil
 }
 
-// cellOf memoizes Grid.CellOfDevice by device ID: two binary searches per
-// assignment add up over millions of check-ins, and a device never changes
-// cells within a run. The table is capped (see maxCellCacheEntries) so it
-// cannot grow without bound as a long-lived server mints device IDs.
-func (v *Venn) cellOf(d *device.Device) device.CellID {
-	id := int(d.ID)
-	if id < 0 || id >= maxCellCacheEntries {
-		return v.env.Grid.CellOfDevice(d)
+// firstJob returns the first job in g's queue that can take d now.
+func (v *Venn) firstJob(g *vgroup, d *device.Device, now simtime.Time) *job.Job {
+	for _, j := range g.jobs {
+		if j.State() == job.StateScheduling && j.RemainingDemand() > 0 &&
+			j.Requirement.Eligible(d) && v.TierAccepts(j.ID, d, now) {
+			return j
+		}
 	}
-	if id >= len(v.cellCache) {
-		grown := make([]int32, id+1+1024)
-		copy(grown, v.cellCache)
-		v.cellCache = grown
-	}
-	if c := v.cellCache[id]; c > 0 {
-		return device.CellID(c - 1)
-	}
-	c := v.env.Grid.CellOfDevice(d)
-	v.cellCache[id] = int32(c) + 1
-	return c
+	return nil
 }
-
-// ResetCellCache drops the device→cell memoization table. The live server
-// calls this after evicting idle devices: their IDs are never reused, so
-// keeping their entries would leak table space proportional to fleet churn.
-// The cache repopulates on demand.
-func (v *Venn) ResetCellCache() { v.cellCache = nil }
 
 // TierAccepts reports whether job id's tier filter (if any) admits device d
 // at time now. It exposes the matching decision to schedulers outside the
@@ -347,31 +307,52 @@ func (v *Venn) TierAccepts(id job.ID, d *device.Device, now simtime.Time) bool {
 }
 
 // ensurePlan lazily refreshes the IRS allocation and cell plan, then
-// republishes the snapshot. Three paths, cheapest first:
+// republishes the snapshot:
 //
-//   - nothing stale: return (the hot path — one atomic load);
-//   - plan stale but the planned group set unchanged: refresh the planner
-//     inputs for dirty groups only, rerun the (cheap, group-level)
-//     Algorithm-1 allocation when any input moved, and patch just the cells
-//     whose allocation owner changed — or keep the plan outright when the
-//     recomputed inputs and allocations are identical (PlanPatches);
-//   - the group set changed or the env was rebound: full rebuild
-//     (PlanRebuilds).
+//   - nothing stale: return (the hot path, one atomic load);
+//   - a structural change (a group entered or left the plan, the env was
+//     rebound, or DisableIncrementalPlan is set): re-collect the group set
+//     and refresh every group's inputs (PlanRebuilds);
+//   - otherwise refresh the supplies and the dirty groups' queues
+//     (PlanPatches).
 //
-// Both refresh paths produce byte-identical plans for identical inputs —
-// the patch path only reuses a row when the scarcity permutation is
-// unchanged and the cell's owner did not move, which together determine the
-// row's exact content.
+// Algorithm 1 and the owner pass rerun only when an input moved; identical
+// inputs reproduce the identical plan, so the old one is kept.
 func (v *Venn) ensurePlan(now simtime.Time) {
 	if v.plan != nil && !v.planStale.Load() {
 		return
 	}
-	if v.plan == nil || v.fullRebuild || v.structChanged || v.opts.DisableIncrementalPlan {
-		v.rebuildPlan(now)
+	structural := v.plan == nil || v.structChanged || v.opts.DisableIncrementalPlan
+	if structural {
+		v.PlanRebuilds++
+		v.collectGroups()
 	} else {
-		v.patchPlan(now)
+		v.PlanPatches++
 	}
-	v.fullRebuild, v.structChanged = false, false
+	numCells := v.env.Grid.NumCells()
+	rates := v.refreshRates(now, numCells)
+
+	changed := structural || !slices.Equal(v.ratePrev, rates)
+	refreshAll := structural || v.opts.Epsilon > 0 // fairness terms drift with time for every group
+	for _, g := range v.planGroups {
+		if sup := g.region.WeightedSum(rates); sup != g.state.Supply {
+			g.state.Supply = sup
+			changed = true
+		}
+		if g.dirty || refreshAll {
+			if q := v.adjustedQueue(g.jobs); q != g.state.Queue {
+				g.state.Queue = q
+				changed = true
+			}
+			g.dirty = false
+		}
+	}
+	if changed {
+		ComputeAllocation(v.stateBuf, rates)
+		v.plan = BuildCellPlan(v.stateBuf, numCells)
+		v.ratePrev = append(v.ratePrev[:0], rates...)
+	}
+	v.structChanged = false
 	v.publishSnapshot()
 	v.planStale.Store(false)
 }
@@ -389,18 +370,12 @@ func (v *Venn) refreshRates(now simtime.Time, numCells int) []float64 {
 	return rates
 }
 
-// rebuildPlan is the full Algorithm-1 pipeline: collect the non-empty
-// groups, refresh every planner input, allocate, and build all cell rows.
-func (v *Venn) rebuildPlan(now simtime.Time) {
-	v.PlanRebuilds++
-	numCells := v.env.Grid.NumCells()
-	rates := v.refreshRates(now, numCells)
-
-	// Collect groups with open requests and refresh their state. Each
-	// group's queue is already ordered by fairness-adjusted remaining
-	// demand, smallest first (Algorithm 1 line 3) — the order is
-	// maintained incrementally at request open/close, so the rebuild only
-	// refreshes supply and queue pressure.
+// collectGroups gathers the groups with open requests into planGroups and
+// their planner states into stateBuf, sorted by requirement key so planning
+// does not depend on map iteration. Each group's queue is already ordered
+// by fairness-adjusted remaining demand, smallest first (Algorithm 1 line
+// 3): the order is maintained at request open and close.
+func (v *Venn) collectGroups() {
 	v.planGroups = v.planGroups[:0]
 	for _, g := range v.groups {
 		if len(g.jobs) == 0 {
@@ -409,12 +384,8 @@ func (v *Venn) rebuildPlan(now simtime.Time) {
 		if g.state == nil {
 			g.state = &GroupState{Region: g.region}
 		}
-		g.state.Supply = g.region.WeightedSum(rates)
-		g.state.Queue = v.adjustedQueue(g.jobs)
-		g.dirty = false
 		v.planGroups = append(v.planGroups, g)
 	}
-	// Deterministic planning order regardless of map iteration.
 	sort.SliceStable(v.planGroups, func(a, b int) bool {
 		ka, kb := v.planGroups[a].req.Key(), v.planGroups[b].req.Key()
 		if ka.MinCPU != kb.MinCPU {
@@ -422,108 +393,10 @@ func (v *Venn) rebuildPlan(now simtime.Time) {
 		}
 		return ka.MinMem < kb.MinMem
 	})
-
-	states := v.stateBuf[:0]
+	v.stateBuf = v.stateBuf[:0]
 	for _, g := range v.planGroups {
-		states = append(states, g.state)
+		v.stateBuf = append(v.stateBuf, g.state)
 	}
-	v.stateBuf = states
-	ComputeAllocation(states, rates)
-	order := scarcityOrder(states)
-	v.plan = buildCellPlanOrdered(states, numCells, order)
-	v.savePlanInputs(rates, order)
-}
-
-// patchPlan refreshes the plan knowing the planned group set is unchanged:
-// group indices, regions, and row sizes all still hold, so the previous
-// plan's rows can be reused wherever the recomputed allocation and scarcity
-// order agree with the cached ones.
-func (v *Venn) patchPlan(now simtime.Time) {
-	numCells := v.env.Grid.NumCells()
-	rates := v.refreshRates(now, numCells)
-
-	inputChanged := !float64sEqual(v.ratePrev, rates)
-	refreshAll := v.opts.Epsilon > 0 // fairness terms drift with time for every group
-	for _, g := range v.planGroups {
-		if sup := g.region.WeightedSum(rates); sup != g.state.Supply {
-			g.state.Supply = sup
-			inputChanged = true
-		}
-		if g.dirty || refreshAll {
-			if q := v.adjustedQueue(g.jobs); q != g.state.Queue {
-				g.state.Queue = q
-				inputChanged = true
-			}
-			g.dirty = false
-		}
-	}
-	if !inputChanged {
-		// Identical inputs reproduce the identical plan; keep it.
-		v.PlanPatches++
-		return
-	}
-
-	ComputeAllocation(v.stateBuf, rates)
-	order := scarcityOrder(v.stateBuf)
-	if !intsEqual(order, v.scarcity) {
-		// The per-cell priority order shifted: every row may change.
-		v.PlanRebuilds++
-		v.plan = buildCellPlanOrdered(v.stateBuf, numCells, order)
-		v.savePlanInputs(rates, order)
-		return
-	}
-
-	// Same priority order: rows can only differ on cells whose allocation
-	// owner moved. Collect those cells and patch them copy-on-write.
-	changed := v.env.Grid.EmptySet()
-	for i, g := range v.planGroups {
-		if !g.state.Alloc.Equal(v.allocPrev[i]) {
-			changed.AccumulateDiff(g.state.Alloc, v.allocPrev[i])
-		}
-	}
-	v.PlanPatches++
-	if !changed.Empty() {
-		v.plan = patchCellPlan(v.plan, v.stateBuf, order, changed)
-	}
-	v.savePlanInputs(rates, order)
-}
-
-// savePlanInputs caches the inputs the current plan was derived from, for
-// the next patch-path diff.
-func (v *Venn) savePlanInputs(rates []float64, order []int) {
-	v.ratePrev = append(v.ratePrev[:0], rates...)
-	v.scarcity = append(v.scarcity[:0], order...)
-	if cap(v.allocPrev) < len(v.planGroups) {
-		v.allocPrev = make([]device.RegionSet, len(v.planGroups))
-	}
-	v.allocPrev = v.allocPrev[:len(v.planGroups)]
-	for i, g := range v.planGroups {
-		v.allocPrev[i].CopyFrom(g.state.Alloc)
-	}
-}
-
-func float64sEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (v *Venn) ensureGroup(req device.Requirement) *vgroup {

@@ -155,8 +155,8 @@ func TestAssignCoversLastCell(t *testing.T) {
 	if got == nil {
 		t.Fatal("device in the last grid cell must receive a job")
 	}
-	if len(v.plan.Order) != env.Grid.NumCells() {
-		t.Errorf("plan covers %d cells, want %d", len(v.plan.Order), env.Grid.NumCells())
+	if len(v.plan.Owner) != env.Grid.NumCells() {
+		t.Errorf("plan covers %d cells, want %d", len(v.plan.Owner), env.Grid.NumCells())
 	}
 }
 
@@ -167,7 +167,7 @@ func TestAssignHotPathAllocFree(t *testing.T) {
 	v := NewDefault()
 	hotPathEnv(t, v, 10)
 	d := device.New(0, 0.8, 0.8)
-	if v.Assign(d, 1) == nil { // warm up: builds the plan and cell cache
+	if v.Assign(d, 1) == nil { // warm up: builds the plan
 		t.Fatal("no assignment")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -211,35 +211,6 @@ func (s RegionSet) Clone() RegionSet {
 	return RegionSet{words: w, n: s.n}
 }
 
-// CopyFrom makes s an independent copy of t, reusing s's storage when it has
-// capacity (the allocation-free counterpart of Clone).
-func (s *RegionSet) CopyFrom(t RegionSet) {
-	s.words = append(s.words[:0], t.words...)
-	s.n = t.n
-}
-
-// AccumulateDiff adds to s every cell on which a and b disagree (their
-// symmetric difference). Used by the incremental planner to collect the
-// cells whose allocation owner changed between two plans.
-func (s *RegionSet) AccumulateDiff(a, b RegionSet) {
-	n := len(a.words)
-	if len(b.words) < n {
-		n = len(b.words)
-	}
-	for i := 0; i < n && i < len(s.words); i++ {
-		s.words[i] |= a.words[i] ^ b.words[i]
-	}
-	// Tail words present in only one operand differ wherever they are set.
-	for i := n; i < len(s.words); i++ {
-		if i < len(a.words) {
-			s.words[i] |= a.words[i]
-		}
-		if i < len(b.words) {
-			s.words[i] |= b.words[i]
-		}
-	}
-}
-
 // UnionWith adds every cell of t to s, in place. Cells of t beyond s's grid
 // size are ignored (mirrors Union's clone-of-s semantics).
 func (s *RegionSet) UnionWith(t RegionSet) {

@@ -11,10 +11,9 @@ import (
 
 // TestIncrementalPlanMatchesFullRebuild is the differential guard for the
 // incremental replanner: the same seeded workload must produce byte-identical
-// results whether every plan refresh runs the full Algorithm-1 pipeline
-// (DisableIncrementalPlan) or the incremental patch path. Any divergence in
-// a patched cell row, a stale planner input, or a missed invalidation shows
-// up as a fingerprint mismatch.
+// results whether every plan refresh is structural (DisableIncrementalPlan)
+// or refreshes only the dirty groups within an unchanged group set. A stale
+// planner input or a missed invalidation shows up as a fingerprint mismatch.
 func TestIncrementalPlanMatchesFullRebuild(t *testing.T) {
 	type variant struct {
 		name string

@@ -930,19 +930,13 @@ func (m *Manager) Tick() {
 // mid-task (task deadlines are minutes, the TTL is hours), and exempting it
 // would leak exactly the registry growth the TTL exists to cap. A
 // straggler's late report gets ErrUnknownDevice, which the agent protocol
-// already tolerates. After evictions, the core's device→cell cache is
-// reset: evicted device numbers are never reused, so their entries would
-// otherwise leak with fleet churn.
+// already tolerates.
 func (m *Manager) sweepExpiredDevices() {
 	ttl := m.cfg.DeviceTTL
 	if ttl <= 0 {
 		return
 	}
-	if m.reg.sweep(m.cfg.Clock().Add(-ttl).Unix()) > 0 && m.venn != nil {
-		m.mu.Lock()
-		m.venn.ResetCellCache()
-		m.mu.Unlock()
-	}
+	m.reg.sweep(m.cfg.Clock().Add(-ttl).Unix())
 }
 
 // JobStatusByID returns the status of an active or completed job.

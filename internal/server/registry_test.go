@@ -544,6 +544,34 @@ func TestCheckInMovesCell(t *testing.T) {
 	}
 }
 
+// TestCheckInMovesCellAfterService is TestCheckInMovesCell for a device the
+// scheduler has already served: a General job takes it at (0.05, 0.05), it
+// reports, and it checks in again at (0.99, 0.99) while a High-Perf job
+// waits. The probe and Assign must both place it in the new cell, so it gets
+// the High-Perf job.
+func TestCheckInMovesCellAfterService(t *testing.T) {
+	m := NewManager(Config{Clock: newFakeClock().now, DisableDailyBudget: true})
+	gen, err := m.RegisterJob(JobSpec{Category: device.General.Name, DemandPerRound: 1, Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp, err := m.RegisterJob(JobSpec{Category: device.HighPerf.Name, DemandPerRound: 1, Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := checkInOne(m, CheckIn{DeviceID: "mover", CPU: 0.05, Mem: 0.05})
+	if err != nil || !a.Assigned || a.JobID != gen.ID {
+		t.Fatalf("low check-in: %+v, %v, want General job %d", a, err, gen.ID)
+	}
+	if err := reportOne(m, Report{DeviceID: "mover", JobID: gen.ID, OK: true, DurationSeconds: 1}); err != nil {
+		t.Fatal(err)
+	}
+	a, err = checkInOne(m, CheckIn{DeviceID: "mover", CPU: 0.99, Mem: 0.99})
+	if err != nil || !a.Assigned || a.JobID != hp.ID {
+		t.Fatalf("high check-in: %+v, %v, want High-Perf job %d (Assign read a stale cell)", a, err, hp.ID)
+	}
+}
+
 // TestRegistryArenaLimit narrows a shard's arena to 30 bytes: the insert that
 // would end past it is refused with ErrRegistryFull, and the registry is left
 // as it was, the tombstone the insert would have reused included, with every
