@@ -47,7 +47,7 @@ func (v *Venn) soloJCT(j *job.Job) simtime.Duration {
 		rate = 1
 	}
 	acquireH := float64(j.Demand) / rate
-	respS := v.profiles.global.p95All()
+	respS := v.profiles.p95All(&v.profiles.global)
 	if respS <= 0 {
 		respS = 180
 	}

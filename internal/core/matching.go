@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"venn/internal/device"
 	"venn/internal/job"
 	"venn/internal/simtime"
@@ -25,10 +27,27 @@ func (f *tierFilter) accepts(d *device.Device) bool {
 	return tierOf(d.Capability(), f.cuts) == f.tier
 }
 
+// TierExit names the point at which decideTier settled a request, so a
+// live daemon can say why it did or did not filter (Venn.TierExits counts
+// them).
+type TierExit uint8
+
+const (
+	TierExitMatchingDisabled TierExit = iota // matching off, or a single tier
+	TierExitNoProfile                        // no mature profile: this round profiles
+	TierExitNoCuts                           // the profile yields no tier cuts
+	TierExitNotFaster                        // the sampled tier is not faster than the mix
+	TierExitRegime                           // the regime detector: arrivals cannot sustain response-time cadence
+	TierExitPoolShort                        // the tier's standing pool does not cover the request
+	TierExitTradeOff                         // Algorithm 2's trade-off condition is false
+	TierExitFilterApplied                    // the request runs tier-restricted
+	NumTierExits
+)
+
 // decideTier evaluates Algorithm 2 for a newly opened request and returns
 // the tier filter to apply, or nil to run the round unfiltered (either the
 // trade-off condition fails, or the job has no profile yet and this round
-// profiles its devices).
+// profiles its devices), and the exit it took.
 //
 // The paper's condition V + g_u*c < 1 + c (with c = t_response/t_schedule)
 // models supply as a pure arrival rate, where restricting to one of V tiers
@@ -36,26 +55,27 @@ func (f *tierFilter) accepts(d *device.Device) bool {
 // absolute times — t_sched(filtered) + g_u*t_resp < t_sched(unfiltered) +
 // t_resp — with a supply estimate that also covers the standing idle pool;
 // when supply is rate-limited the two forms coincide exactly.
-func (v *Venn) decideTier(j *job.Job, now simtime.Time) *tierFilter {
+func (v *Venn) decideTier(j *job.Job, now simtime.Time) (*tierFilter, TierExit) {
 	V := v.opts.Tiers
 	if v.opts.DisableMatching || V <= 1 {
-		return nil
+		return nil, TierExitMatchingDisabled
 	}
-	prof := v.profiles.forJob(j.ID)
+	pf := v.profiles
+	prof := pf.forJob(j.ID)
 	if prof == nil {
-		return nil // profiling round
+		return nil, TierExitNoProfile // profiling round
 	}
-	cuts := prof.tierThresholds(V)
+	cuts := pf.tierThresholds(prof, V)
 	if len(cuts) == 0 {
-		return nil
+		return nil, TierExitNoCuts
 	}
 	u := v.env.RNG.Intn(V) // rotate tiers randomly for participant diversity
-	g := prof.speedup(u, cuts, v.profiles.minN)
+	tResp := pf.p95All(prof)
+	g := pf.speedup(prof, u, cuts, tResp)
 	if g >= 1 {
-		return nil // the sampled tier is not faster than the mix
+		return nil, TierExitNotFaster // the sampled tier is not faster than the mix
 	}
 
-	tResp := prof.p95All()
 	if tResp <= 0 {
 		tResp = 180
 	}
@@ -72,7 +92,7 @@ func (v *Venn) decideTier(j *job.Job, now simtime.Time) *tierFilter {
 	// precondition); otherwise response savings just convert into
 	// scheduling delay.
 	if rate <= 0 || demand/rate*3600 > tResp {
-		return nil
+		return nil, TierExitRegime
 	}
 	tU := acquireSeconds(demand, idle, rate)
 	// The filtered acquisition draws on the tier's actual standing pool
@@ -90,7 +110,7 @@ func (v *Venn) decideTier(j *job.Job, now simtime.Time) *tierFilter {
 	// speed-up is a pure win. Outside that regime supply estimates are
 	// too noisy for the trade-off to be reliably positive.
 	if idleU < demand {
-		return nil
+		return nil, TierExitPoolShort
 	}
 	tF := acquireSeconds(demand, idleU, rate/float64(V))
 	if tF+g*tResp < tU+tResp {
@@ -99,11 +119,12 @@ func (v *Venn) decideTier(j *job.Job, now simtime.Time) *tierFilter {
 		// tier first); lapse almost immediately so a missed fill costs
 		// seconds of scheduling delay, never minutes. The response-time
 		// benefit is locked in by whatever fraction did come from the
-		// tier.
+		// tier. The cuts are the profiler's scratch: the filter keeps a
+		// copy.
 		const grace = 15 * simtime.Second
-		return &tierFilter{tier: u, cuts: cuts, lapseAt: now.Add(grace)}
+		return &tierFilter{tier: u, cuts: slices.Clone(cuts), lapseAt: now.Add(grace)}, TierExitFilterApplied
 	}
-	return nil
+	return nil, TierExitTradeOff
 }
 
 // supplyFor returns the job's standing idle eligible devices and the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"venn/internal/job"
 	"venn/internal/stats"
 )
@@ -33,8 +31,6 @@ func (r *ring) add(x float64) {
 
 func (r *ring) len() int { return len(r.buf) }
 
-func (r *ring) values() []float64 { return r.buf }
-
 // profile accumulates (capability, response-duration) pairs for one job or
 // globally. The two rings move in lockstep so pair i is (caps[i], durs[i]).
 type profile struct {
@@ -49,22 +45,6 @@ func (p *profile) add(capability, durSeconds float64) {
 
 func (p *profile) count() int { return p.caps.len() }
 
-// tierThresholds returns the V-1 capability cut points that split the
-// profiled participants into V equal-mass tiers (ascending capability).
-func (p *profile) tierThresholds(v int) []float64 {
-	if v <= 1 || p.count() == 0 {
-		return nil
-	}
-	caps := make([]float64, len(p.caps.buf))
-	copy(caps, p.caps.buf)
-	sort.Float64s(caps)
-	cuts := make([]float64, v-1)
-	for i := 1; i < v; i++ {
-		cuts[i-1] = stats.PercentileSorted(caps, float64(i)/float64(v)*100)
-	}
-	return cuts
-}
-
 // tierOf maps a capability score to its tier index (0 = slowest) under the
 // given thresholds.
 func tierOf(capability float64, cuts []float64) int {
@@ -77,39 +57,57 @@ func tierOf(capability float64, cuts []float64) int {
 	return t
 }
 
-// p95All returns the 95th-percentile response duration across all tiers —
-// the statistical tail latency the paper uses for response collection time.
-func (p *profile) p95All() float64 {
+// tierThresholds returns the V-1 capability cut points that split p's
+// participants into V equal-mass tiers (ascending capability). The slice is
+// pf's and holds until the next call.
+func (pf *profiler) tierThresholds(p *profile, v int) []float64 {
+	if v <= 1 || p.count() == 0 {
+		return nil
+	}
+	pf.sel = append(pf.sel[:0], p.caps.buf...)
+	pf.cuts = pf.cuts[:0]
+	for i := 1; i < v; i++ {
+		pf.cuts = append(pf.cuts, stats.PercentileSelect(pf.sel, float64(i)/float64(v)*100))
+	}
+	return pf.cuts
+}
+
+// p95All returns the 95th-percentile response duration across all of p's
+// tiers — the statistical tail latency the paper uses for response
+// collection time.
+func (pf *profiler) p95All(p *profile) float64 {
 	if p.durs.len() == 0 {
 		return 0
 	}
-	return stats.Percentile(p.durs.values(), 95)
+	pf.sel = append(pf.sel[:0], p.durs.buf...)
+	return stats.PercentileSelect(pf.sel, 95)
 }
 
-// p95Tier returns the 95th-percentile response duration of one tier, and the
-// number of samples it is based on.
-func (p *profile) p95Tier(tier int, cuts []float64) (p95 float64, n int) {
-	var durs []float64
+// p95Tier returns the 95th-percentile response duration of one of p's
+// tiers, and the number of samples it is based on.
+func (pf *profiler) p95Tier(p *profile, tier int, cuts []float64) (p95 float64, n int) {
+	durs := pf.sel[:0]
 	for i := range p.caps.buf {
 		if tierOf(p.caps.buf[i], cuts) == tier {
 			durs = append(durs, p.durs.buf[i])
 		}
 	}
+	pf.sel = durs
 	if len(durs) == 0 {
 		return 0, 0
 	}
-	return stats.Percentile(durs, 95), len(durs)
+	return stats.PercentileSelect(durs, 95), len(durs)
 }
 
 // speedup returns g_u = t95_u / t95_all for the tier (Algorithm 2 line 3),
-// or 1 (no speed-up) when there is not enough data to trust the estimate.
-func (p *profile) speedup(tier int, cuts []float64, minSamples int) float64 {
-	all := p.p95All()
-	if all <= 0 || p.count() < minSamples {
+// given all = pf.p95All(p), or 1 (no speed-up) when there is not enough data
+// to trust the estimate.
+func (pf *profiler) speedup(p *profile, tier int, cuts []float64, all float64) float64 {
+	if all <= 0 || p.count() < pf.minN {
 		return 1
 	}
-	t95, n := p.p95Tier(tier, cuts)
-	if n < minSamples/4 || t95 <= 0 {
+	t95, n := pf.p95Tier(p, tier, cuts)
+	if n < pf.minN/4 || t95 <= 0 {
 		return 1
 	}
 	return t95 / all
@@ -122,6 +120,11 @@ type profiler struct {
 	global profile
 	byJob  map[job.ID]*profile
 	minN   int
+	// sel is the buffer tierThresholds, p95All and p95Tier select in, and
+	// cuts holds the latest tierThresholds; both are reused, so Algorithm 2
+	// allocates nothing once they have grown.
+	sel  []float64
+	cuts []float64
 }
 
 func newProfiler(minSamples int) *profiler {

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"venn/internal/device"
+	"venn/internal/job"
+	"venn/internal/sim"
 	"venn/internal/stats"
 )
 
@@ -15,8 +19,8 @@ func TestRingBounded(t *testing.T) {
 		t.Fatalf("ring grew to %d, want %d", r.len(), sampleCap)
 	}
 	// Oldest values must be gone: the ring now holds the second half.
-	minVal := r.values()[0]
-	for _, v := range r.values() {
+	minVal := r.buf[0]
+	for _, v := range r.buf {
 		if v < minVal {
 			minVal = v
 		}
@@ -31,18 +35,19 @@ func TestTierThresholdsSplitEvenly(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		p.add(float64(i)/300, 10)
 	}
-	cuts := p.tierThresholds(3)
+	pf := newProfiler(20)
+	cuts := pf.tierThresholds(&p, 3)
 	if len(cuts) != 2 {
 		t.Fatalf("cuts = %v", cuts)
 	}
 	if cuts[0] < 0.25 || cuts[0] > 0.40 || cuts[1] < 0.60 || cuts[1] > 0.75 {
 		t.Errorf("cuts %v not near terciles", cuts)
 	}
-	if p.tierThresholds(1) != nil {
+	if pf.tierThresholds(&p, 1) != nil {
 		t.Error("V=1 must have no cuts")
 	}
 	var empty profile
-	if empty.tierThresholds(3) != nil {
+	if pf.tierThresholds(&empty, 3) != nil {
 		t.Error("empty profile must have no cuts")
 	}
 }
@@ -72,9 +77,11 @@ func TestSpeedupFasterTierBelowOne(t *testing.T) {
 		dur := 100 * (1.5 - capability) * rng.Uniform(0.9, 1.1)
 		p.add(capability, dur)
 	}
-	cuts := p.tierThresholds(3)
-	gFast := p.speedup(2, cuts, 20)
-	gSlow := p.speedup(0, cuts, 20)
+	pf := newProfiler(20)
+	cuts := slices.Clone(pf.tierThresholds(&p, 3))
+	all := pf.p95All(&p)
+	gFast := pf.speedup(&p, 2, cuts, all)
+	gSlow := pf.speedup(&p, 0, cuts, all)
 	if gFast >= 1 {
 		t.Errorf("fast tier speedup = %v, want < 1", gFast)
 	}
@@ -86,7 +93,8 @@ func TestSpeedupFasterTierBelowOne(t *testing.T) {
 func TestSpeedupNeedsSamples(t *testing.T) {
 	var p profile
 	p.add(0.5, 100)
-	if g := p.speedup(0, []float64{0.5}, 20); g != 1 {
+	pf := newProfiler(20)
+	if g := pf.speedup(&p, 0, []float64{0.5}, pf.p95All(&p)); g != 1 {
 		t.Errorf("immature profile speedup = %v, want 1", g)
 	}
 }
@@ -124,15 +132,44 @@ func TestP95Tier(t *testing.T) {
 		p.add(0.8, 50)  // fast tier
 	}
 	cuts := []float64{0.5}
-	p95, n := p.p95Tier(1, cuts)
+	pf := newProfiler(20)
+	p95, n := pf.p95Tier(&p, 1, cuts)
 	if n != 100 || p95 != 50 {
 		t.Errorf("fast tier p95 = %v (n=%d)", p95, n)
 	}
-	p95, n = p.p95Tier(0, cuts)
+	p95, n = pf.p95Tier(&p, 0, cuts)
 	if n != 100 || p95 != 200 {
 		t.Errorf("slow tier p95 = %v (n=%d)", p95, n)
 	}
-	if _, n := p.p95Tier(5, cuts); n != 0 {
+	if _, n := pf.p95Tier(&p, 5, cuts); n != 0 {
 		t.Error("nonexistent tier must have no samples")
+	}
+}
+
+// BenchmarkDecideTier times Algorithm 2's decision for one opened request,
+// V = 3, on full profiles: the job's 512 responses make both its own
+// profile and the global one full, so every call selects the tier cuts and
+// the p95s over 512 samples.
+func BenchmarkDecideTier(b *testing.B) {
+	v := New(Options{Tiers: 3})
+	grid := device.NewGrid(device.Categories())
+	v.Bind(&sim.Env{
+		Grid:          grid,
+		CellPriorRate: []float64{40, 20, 20, 10},
+		RNG:           stats.NewRNG(1),
+		Jobs:          map[job.ID]*job.Job{},
+		IdlePerCell:   make([]int, grid.NumCells()),
+	})
+	j := job.New(0, device.General, 50, 3, 0)
+	j.Start(0)
+	rng := stats.NewRNG(2)
+	for i := 0; i < sampleCap; i++ {
+		capability := rng.Float64()
+		v.profiles.observe(j.ID, capability, 100*(1.5-capability)*rng.Uniform(0.9, 1.1))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.decideTier(j, 0)
 	}
 }

@@ -156,9 +156,10 @@ type Venn struct {
 	// surfaced in /v1/metrics.
 	PlanRebuilds int
 	PlanPatches  int
-	// TierFiltersApplied counts requests that ran tier-restricted
-	// (observability).
-	TierFiltersApplied int
+	// TierExits counts opened requests by the exit decideTier took;
+	// TierExits[TierExitFilterApplied] is the requests that ran
+	// tier-restricted. The counts sum to the requests opened.
+	TierExits [NumTierExits]int
 }
 
 // New creates a Venn scheduler with the given options.
@@ -221,9 +222,10 @@ func (v *Venn) OnRequest(j *job.Job, now simtime.Time) {
 		g.insertJob(j, d)
 		g.dirty = true
 	}
-	if f := v.decideTier(j, now); f != nil {
+	f, exit := v.decideTier(j, now)
+	v.TierExits[exit]++
+	if f != nil {
 		v.filters[j.ID] = f
-		v.TierFiltersApplied++
 	} else {
 		delete(v.filters, j.ID)
 	}

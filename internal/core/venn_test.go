@@ -313,12 +313,12 @@ func TestDecideTierRespectsDisable(t *testing.T) {
 	v.Bind(&sim.Env{Grid: grid, CellPriorRate: []float64{10, 10, 10, 10}})
 	j := job.New(0, device.General, 5, 1, 0)
 	j.Start(0)
-	if f := v.decideTier(j, 0); f != nil {
+	if f, _ := v.decideTier(j, 0); f != nil {
 		t.Error("DisableMatching must suppress tier filters")
 	}
 	v1 := New(Options{Tiers: 1})
 	v1.Bind(&sim.Env{Grid: grid, CellPriorRate: []float64{10, 10, 10, 10}})
-	if f := v1.decideTier(j, 0); f != nil {
+	if f, _ := v1.decideTier(j, 0); f != nil {
 		t.Error("V=1 must suppress tier filters")
 	}
 }

@@ -226,3 +226,36 @@ func BenchmarkManagerCheckInBatchFleet100k(b *testing.B) {
 		b.Fatalf("%d lock-free check-ins for %d batches: not the surplus path", got, b.N)
 	}
 }
+
+// BenchmarkDemandCommit times the demand commit path one job at a time:
+// register a job of demand 64, check in a 64-device batch, all of which it
+// is assigned, then send the batch's reports, which finish the job. It is
+// the core half of bench/'s demand-stream workload: Algorithm 2's tier
+// decision, the assignments, the in-flight table and the report apply.
+func BenchmarkDemandCommit(b *testing.B) {
+	const batch = 64
+	m := NewManager(Config{DisableDailyBudget: true, ObsSampleEvery: -1})
+	cis := make([]CheckIn, batch)
+	for i := range cis {
+		cis[i] = CheckIn{DeviceID: fmt.Sprintf("commit-%03d", i), CPU: 0.25 + float64(i)/256, Mem: 0.5}
+	}
+	reps := make([]Report, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.RegisterJob(JobSpec{Category: "General", DemandPerRound: batch, Rounds: 1}); err != nil {
+			b.Fatal(err)
+		}
+		for k, r := range m.CheckInBatch(cis) {
+			if !r.Assigned {
+				b.Fatalf("device %d not assigned: %+v", k, r)
+			}
+			reps[k] = Report{DeviceID: cis[k].DeviceID, JobID: r.JobID, OK: true, DurationSeconds: 30}
+		}
+		for _, r := range m.ReportBatch(reps) {
+			if r.Error != "" {
+				b.Fatal(r.Error)
+			}
+		}
+	}
+}

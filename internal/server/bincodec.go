@@ -73,14 +73,20 @@ func appendBinBool(b []byte, v bool) []byte {
 // to one copy of the payload; BatchBuf's set it to a view of the payload
 // itself, so the IDs they decode ARE the frame's bytes, valid until the
 // transport has encoded the frame's reply. Either way a site that RETAINS a
-// decoded string beyond the request (the device registry, in-flight maps,
-// the relay) must copy it; transient uses (map lookups,
-// comparisons, re-encoding) need nothing.
+// decoded string beyond the request (the device registry, the relay) must
+// copy it; transient uses (map lookups, comparisons, re-encoding) need
+// nothing.
+//
+// The reply decoders leave shared unset, so str copies; but it returns its
+// previous string again when the bytes equal it. A batch's assignments
+// almost always name one job, so a reply allocates once per distinct job
+// name, not once per assigned device.
 type bdec struct {
 	b      []byte
 	shared string
 	i      int
 	err    error
+	last   string // the latest string str copied
 }
 
 func (d *bdec) fail(msg string) {
@@ -124,14 +130,16 @@ func (d *bdec) str() string {
 		d.fail("string length exceeds payload")
 		return ""
 	}
-	var s string
 	if d.shared != "" {
-		s = d.shared[d.i : d.i+int(n)]
-	} else {
-		s = string(d.b[d.i : d.i+int(n)])
+		s := d.shared[d.i : d.i+int(n)]
+		d.i += int(n)
+		return s
+	}
+	if b := d.b[d.i : d.i+int(n)]; string(b) != d.last {
+		d.last = string(b)
 	}
 	d.i += int(n)
-	return s
+	return d.last
 }
 
 func (d *bdec) f64() float64 {

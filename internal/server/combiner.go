@@ -53,7 +53,6 @@ const (
 // valid for the combiner.
 type assignItem struct {
 	s        *slot
-	id       string
 	cpu, mem float64
 	out      *Assignment
 }

@@ -16,8 +16,9 @@ import (
 )
 
 // TestRetainedIDsOutliveTheirFrames drives the sites that keep a device ID
-// past its request — the registry, a job's in-flight map, the federation
-// relay's buffer — and checks that each kept its own copy. It runs twice:
+// past its request — the registry, a job's in-flight table (which keys by
+// device number; RetainedIDs reads the IDs back through the registry), the
+// federation relay's buffer — and checks that each kept its own copy. It runs twice:
 // over real stream connections, where a v2 batch's IDs are views of the
 // connection's read buffer, and over HTTP through server.Handler, where a
 // JSON batch's IDs are views of the pooled request body. In a normal build

@@ -35,6 +35,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -204,9 +205,9 @@ type Config struct {
 // Manager is the live resource manager. All methods are safe for concurrent
 // use.
 type Manager struct {
-	// mu guards the scheduler core: venn, env, jobs, deadlines, attempt,
-	// completed, coreDev, and the lifecycle counters. Device state lives in
-	// reg.
+	// mu guards the scheduler core: venn, env, jobs, deadlines, completed,
+	// completedJCT, coreDev, and the lifecycle counters. Device state lives
+	// in reg.
 	mu sync.Mutex
 
 	cfg        Config
@@ -224,6 +225,10 @@ type Manager struct {
 	jobs      map[job.ID]*managedJob
 	nextJob   job.ID
 	completed []*managedJob
+	// completedJCT sums the completed jobs' JCTs in seconds, added in
+	// completion order, so a metrics scrape reads the mean in O(1) and gets
+	// the value a walk of completed would sum to.
+	completedJCT float64
 
 	// reg is the device registry: sharded device state, admission, TTL.
 	reg *registry
@@ -259,7 +264,6 @@ type Manager struct {
 	// never a missed expiry.
 	deadlines   map[job.ID]simtime.Time
 	deadlineDue atomic.Int64
-	attempt     map[job.ID]uint64
 
 	// Flat-combining core commit pipeline (combiner.go). coreHead is the
 	// MPSC op queue, combining elects the single combiner. The counters and
@@ -377,15 +381,18 @@ func (m *Manager) NotifyTopologyChanged(info TopologyInfo) int {
 type managedJob struct {
 	spec JobSpec
 	j    *job.Job
-	// inFlight tracks devices working on the current attempt.
-	inFlight map[string]inFlightTask // deviceID -> task
+	// inFlight holds the devices working on the current attempt, keyed by
+	// their registry device number (slot.dev). Every attempt change clears
+	// it, so an entry is always the current attempt's and a report that
+	// finds none is stale. It is presized at registration, so an
+	// assignment or report allocates nothing, and dropped when the job
+	// finishes: completed keeps every finished job.
+	inFlight map[int32]inFlightTask
 }
 
-// inFlightTask is one device's task: the attempt it belongs to and the
-// clamped scores the device was assigned with, which its report hands the
-// policy.
+// inFlightTask is one device's task: the clamped scores the device was
+// assigned with, which its report hands the policy.
 type inFlightTask struct {
-	attempt  uint64
 	cpu, mem float64
 }
 
@@ -425,7 +432,6 @@ func NewManager(cfg Config) *Manager {
 		pol:        pol,
 		jobs:       make(map[job.ID]*managedJob),
 		deadlines:  make(map[job.ID]simtime.Time),
-		attempt:    make(map[job.ID]uint64),
 		obs:        obs.NewRegistry(cfg.ObsSampleEvery),
 	}
 	// The snapshot fast path and plan telemetry need the concrete core.
@@ -545,10 +551,11 @@ func (m *Manager) registerJobLocked(spec JobSpec, now simtime.Time) JobStatus {
 	if spec.Name != "" {
 		j.Name = spec.Name
 	}
-	mj := &managedJob{spec: spec, j: j, inFlight: map[string]inFlightTask{}}
+	// An attempt assigns at most DemandPerRound devices; MaxBatch caps the
+	// presize so a huge demand cannot reserve a huge table up front.
+	mj := &managedJob{spec: spec, j: j, inFlight: make(map[int32]inFlightTask, min(spec.DemandPerRound, MaxBatch))}
 	m.jobs[id] = mj
 	m.env.Jobs[id] = j
-	m.attempt[id] = 1
 
 	j.Start(now)
 	m.pol.OnJobArrival(j, now)
@@ -630,9 +637,7 @@ func (m *Manager) assignCoreLocked(it *assignItem, now simtime.Time) Assignment 
 	}
 	mj := m.jobs[j.ID]
 	s.lastTaskDay = int32(now.DayIndex())
-	// Clone: the ID may share a v2 request payload's backing (bdec.shared)
-	// and this key outlives the request, until the device reports back.
-	mj.inFlight[strings.Clone(it.id)] = inFlightTask{attempt: m.attempt[j.ID], cpu: it.cpu, mem: it.mem}
+	mj.inFlight[s.dev] = inFlightTask{cpu: it.cpu, mem: it.mem}
 	m.assignments++
 
 	if full := j.AddAssignment(now); full {
@@ -713,7 +718,11 @@ func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 			lockFree++
 			continue
 		}
-		buf.assigns = append(buf.assigns, assignItem{s: s, id: ci.DeviceID, cpu: cpu, mem: mem, out: &out[i].Assignment})
+		if len(buf.assigns) == cap(buf.assigns) {
+			// Room for every item left: a fresh BatchBuf grows once a batch.
+			buf.assigns = slices.Grow(buf.assigns, len(cis)-i)
+		}
+		buf.assigns = append(buf.assigns, assignItem{s: s, cpu: cpu, mem: mem, out: &out[i].Assignment})
 	}
 	m.countCheckIns(admitted, lockFree, sc.supply)
 
@@ -743,11 +752,11 @@ func (m *Manager) reportCoreLocked(r Report, s *slot, now simtime.Time) {
 		// Job finished meanwhile; the report is stale but harmless.
 		return
 	}
-	task, working := mj.inFlight[r.DeviceID]
-	delete(mj.inFlight, r.DeviceID)
-	if !working || task.attempt != m.attempt[mj.j.ID] || mj.j.Done() {
-		return // stale attempt
+	task, working := mj.inFlight[s.dev]
+	if !working {
+		return // stale: the device's attempt ended
 	}
+	delete(mj.inFlight, s.dev)
 	if r.OK {
 		m.reports++
 		m.coreDev = s.device(task.cpu, task.mem)
@@ -827,13 +836,13 @@ func (m *Manager) maybeCompleteLocked(mj *managedJob, now simtime.Time) {
 		return
 	}
 	delete(m.deadlines, mj.j.ID)
-	m.attempt[mj.j.ID]++
-	mj.inFlight = map[string]inFlightTask{}
+	clear(mj.inFlight) // the attempt is over
 	if mj.j.CompleteRound(now) {
+		mj.inFlight = nil
 		m.pol.OnJobDone(mj.j, now)
 		m.completed = append(m.completed, mj)
+		m.completedJCT += mj.j.JCT().Seconds()
 		delete(m.jobs, mj.j.ID)
-		delete(m.attempt, mj.j.ID)
 		return
 	}
 	m.pol.OnRequest(mj.j, now)
@@ -843,8 +852,7 @@ func (m *Manager) maybeCompleteLocked(mj *managedJob, now simtime.Time) {
 func (m *Manager) abortLocked(mj *managedJob, now simtime.Time) {
 	m.aborts++
 	mj.j.AbortAttempt(now)
-	m.attempt[mj.j.ID]++
-	mj.inFlight = map[string]inFlightTask{}
+	clear(mj.inFlight)
 	delete(m.deadlines, mj.j.ID)
 	m.pol.OnRequest(mj.j, now)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"venn/internal/core"
 	"venn/internal/job"
 	"venn/internal/obs"
 )
@@ -51,6 +52,17 @@ type Metrics struct {
 	PlanRebuilds           int64   `json:"plan_rebuilds" prom:"counter,Full scheduling-plan rebuilds."`
 	PlanPatches            int64   `json:"plan_patches" prom:"counter,Incremental scheduling-plan patches."`
 	PlanIncrementalHitRate float64 `json:"plan_incremental_hit_rate" prom:"-"`
+	// Algorithm 2's verdict on every opened request, one counter per exit
+	// of the tier decision (core.TierExit); they sum to the requests opened.
+	// Zero under a policy other than venn.
+	TierExitMatchingDisabled int64 `json:"tier_exit_matching_disabled_total" prom:"counter,Opened requests run unfiltered because tier matching is off or has one tier."`
+	TierExitNoProfile        int64 `json:"tier_exit_no_profile_total" prom:"counter,Opened requests run unfiltered to profile devices: no mature response profile yet."`
+	TierExitNoCuts           int64 `json:"tier_exit_no_cuts_total" prom:"counter,Opened requests run unfiltered because the profile yields no tier cuts."`
+	TierExitNotFaster        int64 `json:"tier_exit_not_faster_total" prom:"counter,Opened requests run unfiltered because the sampled tier is not faster than the mix."`
+	TierExitRegime           int64 `json:"tier_exit_regime_total" prom:"counter,Opened requests run unfiltered because arrivals cannot sustain rounds at response-time cadence."`
+	TierExitPoolShort        int64 `json:"tier_exit_pool_short_total" prom:"counter,Opened requests run unfiltered because the tier's idle pool does not cover the demand."`
+	TierExitTradeOff         int64 `json:"tier_exit_trade_off_total" prom:"counter,Opened requests run unfiltered because the tier trade-off condition is false."`
+	TierExitFilterApplied    int64 `json:"tier_exit_filter_applied_total" prom:"counter,Opened requests run restricted to one device tier."`
 	// LockFreeCheckIns counts check-ins answered from a plan snapshot
 	// without entering the scheduler lock.
 	LockFreeCheckIns int64 `json:"lock_free_checkins_total" prom:"counter,Check-ins answered from a plan snapshot without the scheduler lock."`
@@ -239,12 +251,8 @@ func (m *Manager) MetricsSnapshot() Metrics {
 	out.Failures = int64(m.failures)
 	out.Aborts = int64(m.aborts)
 	out.CompletedJobs = len(m.completed)
-	if len(m.completed) > 0 {
-		var jct float64
-		for _, mj := range m.completed {
-			jct += mj.j.JCT().Seconds()
-		}
-		out.AvgJCTSeconds = jct / float64(len(m.completed))
+	if out.CompletedJobs > 0 {
+		out.AvgJCTSeconds = m.completedJCT / float64(out.CompletedJobs)
 	}
 	out.SupplyPerHour = m.env.DB.TotalRatePerHour(now)
 	if m.venn != nil {
@@ -253,6 +261,15 @@ func (m *Manager) MetricsSnapshot() Metrics {
 		if total := out.PlanRebuilds + out.PlanPatches; total > 0 {
 			out.PlanIncrementalHitRate = float64(out.PlanPatches) / float64(total)
 		}
+		ex := &m.venn.TierExits
+		out.TierExitMatchingDisabled = int64(ex[core.TierExitMatchingDisabled])
+		out.TierExitNoProfile = int64(ex[core.TierExitNoProfile])
+		out.TierExitNoCuts = int64(ex[core.TierExitNoCuts])
+		out.TierExitNotFaster = int64(ex[core.TierExitNotFaster])
+		out.TierExitRegime = int64(ex[core.TierExitRegime])
+		out.TierExitPoolShort = int64(ex[core.TierExitPoolShort])
+		out.TierExitTradeOff = int64(ex[core.TierExitTradeOff])
+		out.TierExitFilterApplied = int64(ex[core.TierExitFilterApplied])
 	}
 	out.ActiveJobs = len(m.jobs)
 	for _, mj := range m.jobs {

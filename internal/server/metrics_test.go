@@ -2,9 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
+
+	"venn/internal/obs"
+	"venn/internal/stats"
 )
 
 // TestLatencyTrack pins the core-wait summary of /v1/metrics to the
@@ -94,5 +100,125 @@ func TestMetricsMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST metrics status %d", resp.StatusCode)
+	}
+}
+
+// driveSeededJobs runs a seeded workload long enough for the scheduler's
+// response profiles to mature: a standing set of multi-round jobs of every
+// category, a fleet of 240 devices with fixed scores checking in 24 at a
+// time, and reports whose durations fall with capability, one in ten a
+// failure. A job that finishes is replaced until 40 have registered.
+func driveSeededJobs(t *testing.T, m *Manager, clk *fakeClock) {
+	t.Helper()
+	rng := stats.NewRNG(43)
+	cats := []string{"General", "High-Perf", "Compute-Rich", "Memory-Rich"}
+	fleet := make([]CheckIn, 240)
+	for i := range fleet {
+		fleet[i] = CheckIn{DeviceID: fmt.Sprintf("seed-%03d", i), CPU: rng.Float64(), Mem: rng.Float64()}
+	}
+	registered := 0
+	register := func() {
+		if _, err := m.RegisterJob(JobSpec{
+			Name:           fmt.Sprintf("job-%d", registered),
+			Category:       cats[registered%len(cats)],
+			DemandPerRound: 3 + registered%4,
+			Rounds:         2 + registered%5,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		registered++
+	}
+	for registered < 8 {
+		register()
+	}
+	for step := 0; step < 400; step++ {
+		clk.advance(20 * time.Second)
+		batch := make([]CheckIn, 24)
+		for i := range batch {
+			batch[i] = fleet[rng.Intn(len(fleet))]
+		}
+		res := m.CheckInBatch(batch)
+		var reps []Report
+		for i, r := range res {
+			if r.Assigned {
+				capability := (batch[i].CPU + batch[i].Mem) / 2
+				reps = append(reps, Report{
+					DeviceID: batch[i].DeviceID, JobID: r.JobID, OK: rng.Float64() >= 0.1,
+					DurationSeconds: 60 * (1.5 - capability) * rng.Uniform(0.9, 1.1),
+				})
+			}
+		}
+		if len(reps) > 0 {
+			m.ReportBatch(reps)
+		}
+		m.Tick()
+		for st := m.MetricsSnapshot(); st.ActiveJobs < 8 && registered < 40; st.ActiveJobs++ {
+			register()
+		}
+	}
+}
+
+// TestTierExitsAndRunningJCT checks a seeded run's end state. Algorithm 2's
+// exit counters sum to the requests the manager opened — one per job
+// registration, per round a job went on from and per aborted attempt — and
+// render as valid exposition. The running JCT sum behind avg_jct_seconds
+// equals, bit for bit, the walk over the completed jobs it replaced. No
+// finished job keeps an in-flight table.
+func TestTierExitsAndRunningJCT(t *testing.T) {
+	clk := newFakeClock()
+	m := NewManager(Config{Clock: clk.now, Seed: 43, DisableDailyBudget: true})
+	driveSeededJobs(t, m, clk)
+	mt := m.MetricsSnapshot()
+
+	exits := []int64{mt.TierExitMatchingDisabled, mt.TierExitNoProfile, mt.TierExitNoCuts,
+		mt.TierExitNotFaster, mt.TierExitRegime, mt.TierExitPoolShort, mt.TierExitTradeOff, mt.TierExitFilterApplied}
+	var sum int64
+	reasons := 0
+	for _, n := range exits {
+		sum += n
+		if n > 0 {
+			reasons++
+		}
+	}
+	opened := mt.Aborts
+	for _, st := range m.Jobs() {
+		opened += int64(st.CompletedRounds)
+		if st.State != "done" {
+			opened++
+		}
+	}
+	if sum != opened || sum == 0 {
+		t.Errorf("tier exits %v sum to %d; the manager opened %d requests", exits, sum, opened)
+	}
+	// A run this long gets past the profiling rounds.
+	if mt.TierExitNoProfile == 0 || reasons < 2 {
+		t.Errorf("tier exits %v: want profiling rounds and at least one later exit", exits)
+	}
+	t.Logf("tier exits %v over %d requests, %d completed jobs", exits, opened, mt.CompletedJobs)
+
+	m.mu.Lock()
+	var jct float64
+	for _, mj := range m.completed {
+		jct += mj.j.JCT().Seconds()
+		if mj.inFlight != nil {
+			t.Errorf("finished job %d keeps an in-flight table", mj.j.ID)
+		}
+	}
+	n := len(m.completed)
+	m.mu.Unlock()
+	if n == 0 {
+		t.Fatal("no job completed")
+	}
+	if mt.CompletedJobs != n || mt.AvgJCTSeconds != jct/float64(n) {
+		t.Errorf("completed %d, avg JCT %v; the walk over completed gives %d, %v", mt.CompletedJobs, mt.AvgJCTSeconds, n, jct/float64(n))
+	}
+
+	var b strings.Builder
+	WritePrometheus(&b, m)
+	if _, _, err := obs.ValidateExposition(b.String()); err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	if want := fmt.Sprintf("\nvenn_tier_exit_no_profile_total %d\n", mt.TierExitNoProfile); !strings.Contains(b.String(), want) {
+		t.Errorf("exposition lacks %q", strings.TrimSpace(want))
 	}
 }
