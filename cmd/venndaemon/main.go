@@ -22,9 +22,10 @@
 // Stream API: -stream-addr opens a persistent binary framed listener
 // (internal/transport) carrying the same operations over pipelined frames;
 // high-volume agents should prefer it (see the README's Transports
-// section). Both transports drive one scheduler core. The listener runs
-// -stream-shards SO_REUSEPORT accept loops (default GOMAXPROCS) so the
-// stream path scales across cores. The protocol has one version (see the
+// section). Both transports drive one scheduler core. The stream listener
+// is one plain TCP listener: connections are persistent, so each is
+// accepted once and served by its own goroutine, and a second daemon on the
+// same -stream-addr fails to bind. The protocol has one version (see the
 // README's Wire protocol section).
 //
 // Federation: -peers federates this daemon with others into one serving
@@ -164,25 +165,24 @@ func writeProfile(name, path string) {
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8080", "HTTP listen address")
-		streamAddr   = flag.String("stream-addr", "", "binary stream listen address (empty disables)")
-		polName      = flag.String("policy", "venn", "scheduling policy: "+strings.Join(sched.Names, ", "))
-		seed         = flag.Int64("seed", 0, "scheduling RNG seed (0 = clock-derived; fix it for reproducible replays)")
-		tiers        = flag.Int("tiers", 3, "device-tier granularity V")
-		epsilon      = flag.Float64("epsilon", 0, "fairness knob")
-		shards       = flag.Int("shards", 0, "device-state lock shards (0 = default)")
-		dailyBudget  = flag.Bool("daily-budget", true, "enforce the one-task-per-device-day budget (false lifts it, for sustained-demand benchmarking)")
-		deviceTTL    = flag.Duration("device-ttl", 24*time.Hour, "evict devices not seen for this long (0 disables)")
-		streamShards = flag.Int("stream-shards", 0, "SO_REUSEPORT accept shards for the stream listener (0 = GOMAXPROCS, 1 = single listener)")
-		peers        = flag.String("peers", "", "comma-separated stream addresses of every cluster member (enables federation; requires -stream-addr)")
-		nodeID       = flag.String("node-id", "", "this node's member ID in -peers (default: the -stream-addr value)")
-		vnodes       = flag.Int("vnodes", 0, "virtual nodes per member on the ownership ring (0 = default 128)")
-		obsSample    = flag.Int("obs-sample", 0, "request-span sampling: 1 in N requests gets a per-stage span (0 = default 64, negative disables spans)")
-		logMetrics   = flag.Duration("log-metrics", 0, "log a one-line serving summary to stderr at this interval (0 disables)")
-		pprofSrv     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile here until shutdown")
-		mutexProf    = flag.String("mutexprofile", "", "write a mutex contention profile here at shutdown")
-		blockProf    = flag.String("blockprofile", "", "write a goroutine blocking profile here at shutdown")
+		addr        = flag.String("addr", ":8080", "HTTP listen address")
+		streamAddr  = flag.String("stream-addr", "", "binary stream listen address (empty disables)")
+		polName     = flag.String("policy", "venn", "scheduling policy: "+strings.Join(sched.Names, ", "))
+		seed        = flag.Int64("seed", 0, "scheduling RNG seed (0 = clock-derived; fix it for reproducible replays)")
+		tiers       = flag.Int("tiers", 3, "device-tier granularity V")
+		epsilon     = flag.Float64("epsilon", 0, "fairness knob")
+		shards      = flag.Int("shards", 0, "device-state lock shards (0 = default)")
+		dailyBudget = flag.Bool("daily-budget", true, "enforce the one-task-per-device-day budget (false lifts it, for sustained-demand benchmarking)")
+		deviceTTL   = flag.Duration("device-ttl", 24*time.Hour, "evict devices not seen for this long (0 disables)")
+		peers       = flag.String("peers", "", "comma-separated stream addresses of every cluster member (enables federation; requires -stream-addr)")
+		nodeID      = flag.String("node-id", "", "this node's member ID in -peers (default: the -stream-addr value)")
+		vnodes      = flag.Int("vnodes", 0, "virtual nodes per member on the ownership ring (0 = default 128)")
+		obsSample   = flag.Int("obs-sample", 0, "request-span sampling: 1 in N requests gets a per-stage span (0 = default 64, negative disables spans)")
+		logMetrics  = flag.Duration("log-metrics", 0, "log a one-line serving summary to stderr at this interval (0 disables)")
+		pprofSrv    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile here until shutdown")
+		mutexProf   = flag.String("mutexprofile", "", "write a mutex contention profile here at shutdown")
+		blockProf   = flag.String("blockprofile", "", "write a goroutine blocking profile here at shutdown")
 	)
 	flag.Parse()
 
@@ -244,11 +244,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := core.DefaultOptions()
-	opts.Tiers = *tiers
-	opts.Epsilon = *epsilon
 	m := server.NewManager(server.Config{
-		Options:            opts,
+		Options:            core.Options{Tiers: *tiers, Epsilon: *epsilon},
 		Policy:             *polName,
 		Seed:               *seed,
 		Shards:             *shards,
@@ -259,14 +256,10 @@ func main() {
 
 	var streamFailed atomic.Bool
 	var streamSrv *transport.Server
-	acceptShards := *streamShards
-	if acceptShards <= 0 {
-		acceptShards = runtime.GOMAXPROCS(0)
-	}
 	if *streamAddr != "" {
 		streamSrv = transport.NewServer(m, transport.Options{})
 		go func() {
-			if err := streamSrv.ListenAndServeSharded(*streamAddr, acceptShards); err != nil && !errors.Is(err, transport.ErrServerClosed) {
+			if err := streamSrv.ListenAndServe(*streamAddr); err != nil && !errors.Is(err, transport.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "venndaemon: stream listener:", err)
 				streamFailed.Store(true)
 				cancel() // take the HTTP side down too
@@ -327,7 +320,7 @@ func main() {
 		fmt.Printf(" daily-budget=off")
 	}
 	if *streamAddr != "" {
-		fmt.Printf(" stream=%s shards=%d", *streamAddr, acceptShards)
+		fmt.Printf(" stream=%s", *streamAddr)
 	}
 	if *obsSample != 0 {
 		fmt.Printf(" obs-sample=%d", *obsSample)

@@ -9,24 +9,24 @@ import (
 // FIFO so profiles track the recent response-time regime.
 const sampleCap = 512
 
-// ring is a bounded FIFO buffer of float64 samples.
+// minProfileSamples is the number of responses a profile needs before it
+// can back a tier decision.
+const minProfileSamples = 20
+
+// ring is a bounded FIFO buffer of float64 samples. The buffer grows on
+// demand up to sampleCap, so a job pays for the samples it has.
 type ring struct {
 	buf  []float64
 	next int
-	full bool
 }
 
 func (r *ring) add(x float64) {
-	if r.buf == nil {
-		r.buf = make([]float64, 0, sampleCap)
-	}
 	if len(r.buf) < sampleCap {
 		r.buf = append(r.buf, x)
 		return
 	}
 	r.buf[r.next] = x
 	r.next = (r.next + 1) % sampleCap
-	r.full = true
 }
 
 func (r *ring) len() int { return len(r.buf) }
@@ -103,11 +103,11 @@ func (pf *profiler) p95Tier(p *profile, tier int, cuts []float64) (p95 float64, 
 // given all = pf.p95All(p), or 1 (no speed-up) when there is not enough data
 // to trust the estimate.
 func (pf *profiler) speedup(p *profile, tier int, cuts []float64, all float64) float64 {
-	if all <= 0 || p.count() < pf.minN {
+	if all <= 0 || p.count() < minProfileSamples {
 		return 1
 	}
 	t95, n := pf.p95Tier(p, tier, cuts)
-	if n < pf.minN/4 || t95 <= 0 {
+	if n < minProfileSamples/4 || t95 <= 0 {
 		return 1
 	}
 	return t95 / all
@@ -119,7 +119,6 @@ func (pf *profiler) speedup(p *profile, tier int, cuts []float64, all float64) f
 type profiler struct {
 	global profile
 	byJob  map[job.ID]*profile
-	minN   int
 	// sel is the buffer tierThresholds, p95All and p95Tier select in, and
 	// cuts holds the latest tierThresholds; both are reused, so Algorithm 2
 	// allocates nothing once they have grown.
@@ -127,11 +126,8 @@ type profiler struct {
 	cuts []float64
 }
 
-func newProfiler(minSamples int) *profiler {
-	if minSamples <= 0 {
-		minSamples = 20
-	}
-	return &profiler{byJob: make(map[job.ID]*profile), minN: minSamples}
+func newProfiler() *profiler {
+	return &profiler{byJob: make(map[job.ID]*profile)}
 }
 
 func (pf *profiler) observe(id job.ID, capability, durSeconds float64) {
@@ -147,10 +143,10 @@ func (pf *profiler) observe(id job.ID, capability, durSeconds float64) {
 // forJob returns the profile to use for a job's matching decision: the job's
 // own when mature, the global otherwise, nil when neither has enough data.
 func (pf *profiler) forJob(id job.ID) *profile {
-	if jp := pf.byJob[id]; jp != nil && jp.count() >= pf.minN {
+	if jp := pf.byJob[id]; jp != nil && jp.count() >= minProfileSamples {
 		return jp
 	}
-	if pf.global.count() >= pf.minN {
+	if pf.global.count() >= minProfileSamples {
 		return &pf.global
 	}
 	return nil

@@ -15,8 +15,8 @@ func TestRingBounded(t *testing.T) {
 	for i := 0; i < sampleCap*2; i++ {
 		r.add(float64(i))
 	}
-	if r.len() != sampleCap {
-		t.Fatalf("ring grew to %d, want %d", r.len(), sampleCap)
+	if r.len() != sampleCap || cap(r.buf) != sampleCap {
+		t.Fatalf("ring grew to len %d cap %d, want %d", r.len(), cap(r.buf), sampleCap)
 	}
 	// Oldest values must be gone: the ring now holds the second half.
 	minVal := r.buf[0]
@@ -35,7 +35,7 @@ func TestTierThresholdsSplitEvenly(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		p.add(float64(i)/300, 10)
 	}
-	pf := newProfiler(20)
+	pf := newProfiler()
 	cuts := pf.tierThresholds(&p, 3)
 	if len(cuts) != 2 {
 		t.Fatalf("cuts = %v", cuts)
@@ -77,7 +77,7 @@ func TestSpeedupFasterTierBelowOne(t *testing.T) {
 		dur := 100 * (1.5 - capability) * rng.Uniform(0.9, 1.1)
 		p.add(capability, dur)
 	}
-	pf := newProfiler(20)
+	pf := newProfiler()
 	cuts := slices.Clone(pf.tierThresholds(&p, 3))
 	all := pf.p95All(&p)
 	gFast := pf.speedup(&p, 2, cuts, all)
@@ -93,34 +93,35 @@ func TestSpeedupFasterTierBelowOne(t *testing.T) {
 func TestSpeedupNeedsSamples(t *testing.T) {
 	var p profile
 	p.add(0.5, 100)
-	pf := newProfiler(20)
+	pf := newProfiler()
 	if g := pf.speedup(&p, 0, []float64{0.5}, pf.p95All(&p)); g != 1 {
 		t.Errorf("immature profile speedup = %v, want 1", g)
 	}
 }
 
 func TestProfilerPrefersMatureJobProfile(t *testing.T) {
-	pf := newProfiler(10)
+	pf := newProfiler()
 	if pf.forJob(1) != nil {
 		t.Fatal("empty profiler must return nil")
 	}
 	// Global data only.
-	for i := 0; i < 15; i++ {
+	for i := 0; i < minProfileSamples+5; i++ {
 		pf.observe(2, 0.5, 100)
 	}
 	if pf.forJob(1) == nil {
 		t.Fatal("global profile must back an unknown job")
 	}
 	// Job 1 matures.
-	for i := 0; i < 12; i++ {
+	const mature = minProfileSamples + 2
+	for i := 0; i < mature; i++ {
 		pf.observe(1, 0.9, 20)
 	}
 	prof := pf.forJob(1)
-	if prof == nil || prof.count() != 12 {
+	if prof == nil || prof.count() != mature {
 		t.Fatalf("job profile not used (count=%d)", prof.count())
 	}
 	pf.drop(1)
-	if got := pf.forJob(1); got == nil || got.count() == 12 {
+	if got := pf.forJob(1); got == nil || got.count() == mature {
 		t.Error("drop must fall back to global")
 	}
 }
@@ -132,7 +133,7 @@ func TestP95Tier(t *testing.T) {
 		p.add(0.8, 50)  // fast tier
 	}
 	cuts := []float64{0.5}
-	pf := newProfiler(20)
+	pf := newProfiler()
 	p95, n := pf.p95Tier(&p, 1, cuts)
 	if n != 100 || p95 != 50 {
 		t.Errorf("fast tier p95 = %v (n=%d)", p95, n)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"testing"
@@ -32,111 +33,153 @@ func plansEqual(a, b *CellPlan) bool {
 	return slices.Equal(a.Owner, b.Owner) && slices.Equal(a.Order, b.Order)
 }
 
-// TestIncrementalPlanEquivalence drives an incremental and a full-rebuild
-// scheduler through the same randomized lifecycle-event sequence and demands
-// identical cell plans and assignment decisions after every step. This is
-// the unit-level counterpart of the eval differential test: it exercises
-// group add/remove (structural rebuilds), queue growth/shrink (patches), and
-// no-op refreshes, with interleaved assigns forcing a replan at every stage.
+// scratchPlan builds v's plan from nothing at now: it re-collects the
+// groups with open requests in requirement-key order, gives each a fresh
+// GroupState with its current supply and queue, and runs Algorithm 1 and
+// the owner pass on them.
+func scratchPlan(v *Venn, now simtime.Time) ([]*vgroup, *CellPlan) {
+	numCells := v.env.Grid.NumCells()
+	rates := slices.Clone(v.refreshRates(now, numCells))
+	var groups []*vgroup
+	for _, g := range v.groups {
+		if len(g.jobs) > 0 {
+			groups = append(groups, g)
+		}
+	}
+	slices.SortFunc(groups, func(a, b *vgroup) int {
+		ka, kb := a.req.Key(), b.req.Key()
+		if ka.MinCPU != kb.MinCPU {
+			return cmp.Compare(ka.MinCPU, kb.MinCPU)
+		}
+		return cmp.Compare(ka.MinMem, kb.MinMem)
+	})
+	states := make([]*GroupState, len(groups))
+	for i, g := range groups {
+		states[i] = &GroupState{Region: g.region, Supply: g.region.WeightedSum(rates), Queue: v.adjustedQueue(g.jobs)}
+	}
+	ComputeAllocation(states, rates)
+	return groups, BuildCellPlan(states, numCells)
+}
+
+// TestIncrementalPlanEquivalence drives one scheduler through a randomized
+// lifecycle-event sequence and, after every step, demands that the plan it
+// serves equals a plan built from scratch. A refresh whose inputs did not
+// move republishes the previous plan instead of rerunning Algorithm 1; this
+// holds that shortcut sound across group add/remove, queue growth/shrink
+// and no-op refreshes, with the fairness knob off and on (ε > 0 makes every
+// queue drift with time).
 func TestIncrementalPlanEquivalence(t *testing.T) {
-	inc, _ := newBoundVenn(Options{Tiers: 1})
-	full, _ := newBoundVenn(Options{Tiers: 1, DisableIncrementalPlan: true})
+	for _, eps := range []float64{0, 2} {
+		v, _ := newBoundVenn(Options{Tiers: 1, Epsilon: eps})
+		rng := stats.NewRNG(99)
+		cats := device.Categories()
+		var live []*job.Job
+		nextID := 0
+		now := simtime.Time(0)
 
-	rng := stats.NewRNG(99)
-	cats := device.Categories()
-	type pair struct{ a, b *job.Job } // same spec, one per scheduler
-	var livePairs []pair
-	nextID := 0
-	now := simtime.Time(0)
+		probe := []*device.Device{
+			device.New(1_000_001, 0.9, 0.9),
+			device.New(1_000_002, 0.2, 0.8),
+			device.New(1_000_003, 0.8, 0.2),
+			device.New(1_000_004, 0.1, 0.1),
+		}
 
-	probe := []*device.Device{
-		device.New(1_000_001, 0.9, 0.9),
-		device.New(1_000_002, 0.2, 0.8),
-		device.New(1_000_003, 0.8, 0.2),
-		device.New(1_000_004, 0.1, 0.1),
-	}
-
-	step := func() {
-		now = now.Add(simtime.Duration(1+rng.Intn(30)) * simtime.Second)
-		for _, d := range probe {
-			ja := inc.Assign(d, now)
-			jb := full.Assign(d, now)
-			switch {
-			case ja == nil && jb == nil:
-			case ja == nil || jb == nil || ja.ID != jb.ID:
-				t.Fatalf("assign diverged at %v: inc=%v full=%v", now, ja, jb)
+		step := func() {
+			now = now.Add(simtime.Duration(1+rng.Intn(30)) * simtime.Second)
+			for _, d := range probe {
+				v.Assign(d, now)
+			}
+			groups, want := scratchPlan(v, now)
+			if !slices.Equal(groups, v.planGroups) || !plansEqual(v.plan, want) {
+				t.Fatalf("ε=%v: plan diverged from scratch at %v:\nserved=%+v\nscratch=%+v", eps, now, v.plan, want)
 			}
 		}
-		if !plansEqual(inc.plan, full.plan) {
-			t.Fatalf("plans diverged at %v:\ninc=%+v\nfull=%+v", now, inc.plan, full.plan)
-		}
-	}
 
-	for i := 0; i < 400; i++ {
-		switch op := rng.Intn(10); {
-		case op < 4 || len(livePairs) == 0: // arrive + open request
-			req := cats[rng.Intn(len(cats))]
-			demand := 1 + rng.Intn(50)
-			rounds := 1 + rng.Intn(3)
-			a := job.New(job.ID(nextID), req, demand, rounds, now)
-			b := job.New(job.ID(nextID), req, demand, rounds, now)
-			nextID++
-			a.Start(now)
-			b.Start(now)
-			inc.OnJobArrival(a, now)
-			full.OnJobArrival(b, now)
-			inc.OnRequest(a, now)
-			full.OnRequest(b, now)
-			livePairs = append(livePairs, pair{a, b})
-		case op < 7: // fulfil an open request
-			k := rng.Intn(len(livePairs))
-			p := livePairs[k]
-			if p.a.State() != job.StateScheduling {
-				continue
-			}
-			for p.a.State() == job.StateScheduling {
-				p.a.AddAssignment(now)
-				p.b.AddAssignment(now)
-			}
-			inc.OnRequestFulfilled(p.a, now)
-			full.OnRequestFulfilled(p.b, now)
-		default: // finish a collecting job's round (maybe the whole job)
-			k := rng.Intn(len(livePairs))
-			p := livePairs[k]
-			if p.a.State() != job.StateCollecting {
-				continue
-			}
-			for !p.a.CanComplete() {
-				p.a.AddResponse(now)
-				p.b.AddResponse(now)
-			}
-			doneA := p.a.CompleteRound(now)
-			doneB := p.b.CompleteRound(now)
-			if doneA != doneB {
-				t.Fatal("job lifecycles diverged")
-			}
-			if doneA {
-				inc.OnJobDone(p.a, now)
-				full.OnJobDone(p.b, now)
-				livePairs = append(livePairs[:k], livePairs[k+1:]...)
-			} else {
-				inc.OnRequest(p.a, now)
-				full.OnRequest(p.b, now)
+		// event applies one random lifecycle event.
+		event := func() {
+			switch op := rng.Intn(10); {
+			case op < 4 || len(live) == 0: // arrive + open request
+				req := cats[rng.Intn(len(cats))]
+				j := job.New(job.ID(nextID), req, 1+rng.Intn(50), 1+rng.Intn(3), now)
+				nextID++
+				j.Start(now)
+				v.OnJobArrival(j, now)
+				v.OnRequest(j, now)
+				live = append(live, j)
+			case op < 7: // fulfil an open request
+				j := live[rng.Intn(len(live))]
+				if j.State() != job.StateScheduling {
+					return
+				}
+				for j.State() == job.StateScheduling {
+					j.AddAssignment(now)
+				}
+				v.OnRequestFulfilled(j, now)
+			default: // finish a collecting job's round (maybe the whole job)
+				k := rng.Intn(len(live))
+				j := live[k]
+				if j.State() != job.StateCollecting {
+					return
+				}
+				for !j.CanComplete() {
+					j.AddResponse(now)
+				}
+				if j.CompleteRound(now) {
+					v.OnJobDone(j, now)
+					live = append(live[:k], live[k+1:]...)
+				} else {
+					v.OnRequest(j, now)
+				}
 			}
 		}
-		step()
+		for i := 0; i < 400; i++ {
+			// A step applies one to three events before the next refresh,
+			// so a group can leave the plan and another enter between two
+			// plans of the same size.
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				event()
+			}
+			step()
+		}
+		if v.PlanRebuilds == 0 || v.PlanPatches == 0 {
+			t.Errorf("ε=%v: both refresh outcomes must occur: %d rebuilds, %d patches", eps, v.PlanRebuilds, v.PlanPatches)
+		}
+		t.Logf("ε=%v: %d rebuilds + %d patches", eps, v.PlanRebuilds, v.PlanPatches)
 	}
-	if inc.PlanPatches == 0 {
-		t.Error("incremental scheduler never took the patch path")
+}
+
+// TestPlanRebuildsOnGroupSwap swaps one planned group for another between
+// two refreshes, so the group set keeps its size and the entering group's
+// planner state still holds the supply and queue it last planned with, equal
+// to its inputs now. Only the group-set comparison can tell the plans apart.
+func TestPlanRebuildsOnGroupSwap(t *testing.T) {
+	v, _ := newBoundVenn(Options{Tiers: 1})
+	open := func(id job.ID, req device.Requirement, now simtime.Time) *job.Job {
+		j := job.New(id, req, 1, 2, now)
+		j.Start(now)
+		v.OnJobArrival(j, now)
+		v.OnRequest(j, now)
+		return j
 	}
-	if full.PlanPatches != 0 {
-		t.Errorf("full-rebuild scheduler must never patch, got %d", full.PlanPatches)
+	fulfil := func(j *job.Job, now simtime.Time) {
+		j.AddAssignment(now)
+		v.OnRequestFulfilled(j, now)
 	}
-	if inc.PlanRebuilds >= full.PlanRebuilds {
-		t.Errorf("incremental path saved no rebuilds: %d vs %d full", inc.PlanRebuilds, full.PlanRebuilds)
+	check := func(now simtime.Time) {
+		v.RefreshPlan(now)
+		groups, want := scratchPlan(v, now)
+		if !slices.Equal(groups, v.planGroups) || !plansEqual(v.plan, want) {
+			t.Fatalf("at %v: served plan %+v, scratch %+v", now, v.plan, want)
+		}
 	}
-	t.Logf("incremental: %d rebuilds + %d patches; full: %d rebuilds",
-		inc.PlanRebuilds, inc.PlanPatches, full.PlanRebuilds)
+	general := open(0, device.General, 0)
+	high := open(1, device.HighPerf, 0)
+	check(1) // plans {General, High-Perf}, one job each
+	fulfil(high, 2)
+	check(3) // plans {General}
+	fulfil(general, 4)
+	open(2, device.HighPerf, 4)
+	check(5) // plans {High-Perf}: one group, one job, as at the last plan
 }
 
 // TestPlanSnapshotMatchesAssign checks the lock-free candidate probe against

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -23,19 +24,12 @@ type Options struct {
 	// FIFO job order with matching kept, is an arm of its own in
 	// internal/eval.)
 	DisableMatching bool
-	// MinProfileSamples gates tier decisions on profile maturity.
-	MinProfileSamples int
-	// DisableIncrementalPlan makes every plan refresh structural: the group
-	// set is re-collected and every group's inputs recomputed. Plans are
-	// identical either way; the knob is the reference the differential
-	// tests (here and in internal/eval) compare the default path against.
-	DisableIncrementalPlan bool
 }
 
 // DefaultOptions returns the configuration used in the end-to-end
 // evaluation: 3 tiers, fairness knob off.
 func DefaultOptions() Options {
-	return Options{Tiers: 3, MinProfileSamples: 20}
+	return Options{Tiers: 3}
 }
 
 // vgroup is one resource-homogeneous job group at run time.
@@ -47,17 +41,12 @@ type vgroup struct {
 	// adjusted demand only moves on its own lifecycle events (round
 	// completion, abort), each of which re-opens the request through
 	// OnRequest, so re-keying the one affected job keeps the whole queue
-	// ordered without the former full re-sort on every plan rebuild.
+	// ordered without a full re-sort on every plan refresh.
 	jobs []*job.Job
 	// adj caches each queued job's sort key and doubles as the O(1)
 	// membership index that replaced linear containment scans.
 	adj   map[job.ID]float64
 	state *GroupState
-	// dirty marks that the queue changed (insert, remove, or re-key)
-	// since the group's planner inputs were last refreshed. Within an
-	// unchanged group set, the planner recomputes queue pressure for dirty
-	// groups only.
-	dirty bool
 }
 
 // insertJob places j into the group's demand order under sort key d.
@@ -129,15 +118,13 @@ type Venn struct {
 	// so lock-free snapshot readers can pair it with the published
 	// snapshot (see PlanFresh).
 	planStale atomic.Bool
-	// structChanged records that the set of planned groups may have
-	// changed (a group gained its first or lost its last open request, or
-	// the env was rebound), so the next refresh re-collects it.
-	structChanged bool
 
 	// Last computed plan and the groups it indexes into, sorted by
-	// requirement key for deterministic planning order.
+	// requirement key for deterministic planning order. groupBuf is the
+	// spare buffer collectGroups fills before swapping it with planGroups.
 	plan       *CellPlan
 	planGroups []*vgroup
+	groupBuf   []*vgroup
 
 	// Published snapshot state (see snapshot.go).
 	snap      atomic.Pointer[PlanSnapshot]
@@ -150,10 +137,9 @@ type Venn struct {
 	stateBuf []*GroupState
 	rateBuf  []float64
 
-	// PlanRebuilds counts plan refreshes that re-collected the group set;
-	// PlanPatches counts refreshes within an unchanged group set, whether
-	// or not an input moved. Their ratio is the incremental hit rate
-	// surfaced in /v1/metrics.
+	// PlanRebuilds counts plan refreshes that ran Algorithm 1 and the owner
+	// pass; PlanPatches counts refreshes whose inputs were unchanged, which
+	// republished the previous plan. Each refresh counts once.
 	PlanRebuilds int
 	PlanPatches  int
 	// TierExits counts opened requests by the exit decideTier took;
@@ -167,14 +153,11 @@ func New(opts Options) *Venn {
 	if opts.Tiers <= 0 {
 		opts.Tiers = 3
 	}
-	if opts.MinProfileSamples <= 0 {
-		opts.MinProfileSamples = 20
-	}
 	return &Venn{
 		opts:     opts,
 		groups:   make(map[device.RequirementKey]*vgroup),
 		filters:  make(map[job.ID]*tierFilter),
-		profiles: newProfiler(opts.MinProfileSamples),
+		profiles: newProfiler(),
 		sdCache:  make(map[job.ID]simtime.Duration),
 		fairM:    make(map[job.ID]int),
 	}
@@ -194,7 +177,7 @@ func (v *Venn) Name() string {
 // Bind implements sim.Scheduler.
 func (v *Venn) Bind(env *sim.Env) {
 	v.env = env
-	v.structChanged = true // a new env means a new grid
+	v.plan = nil // a new env means a new grid: the next refresh rebuilds
 	v.planStale.Store(true)
 }
 
@@ -212,15 +195,10 @@ func (v *Venn) OnRequest(j *job.Job, now simtime.Time) {
 	g := v.ensureGroup(j.Requirement)
 	d := v.adjustedDemand(j)
 	if old, queued := g.adj[j.ID]; !queued {
-		if len(g.jobs) == 0 {
-			v.structChanged = true // group enters the plan
-		}
 		g.insertJob(j, d)
-		g.dirty = true
 	} else if old != d {
 		g.removeJob(j.ID)
 		g.insertJob(j, d)
-		g.dirty = true
 	}
 	f, exit := v.decideTier(j, now)
 	v.TierExits[exit]++
@@ -309,52 +287,39 @@ func (v *Venn) TierAccepts(id job.ID, d *device.Device, now simtime.Time) bool {
 }
 
 // ensurePlan lazily refreshes the IRS allocation and cell plan, then
-// republishes the snapshot:
-//
-//   - nothing stale: return (the hot path, one atomic load);
-//   - a structural change (a group entered or left the plan, the env was
-//     rebound, or DisableIncrementalPlan is set): re-collect the group set
-//     and refresh every group's inputs (PlanRebuilds);
-//   - otherwise refresh the supplies and the dirty groups' queues
-//     (PlanPatches).
-//
-// Algorithm 1 and the owner pass rerun only when an input moved; identical
-// inputs reproduce the identical plan, so the old one is kept.
+// republishes the snapshot. Nothing stale is the hot path, one atomic load.
+// A stale refresh re-collects the planned groups and recomputes every
+// group's supply and queue. Algorithm 1 and the owner pass rerun
+// (PlanRebuilds) only when the group set, a cell rate or a group's input
+// moved; identical inputs reproduce the identical plan, so otherwise the
+// previous plan is republished (PlanPatches).
 func (v *Venn) ensurePlan(now simtime.Time) {
 	if v.plan != nil && !v.planStale.Load() {
 		return
 	}
-	structural := v.plan == nil || v.structChanged || v.opts.DisableIncrementalPlan
-	if structural {
-		v.PlanRebuilds++
-		v.collectGroups()
-	} else {
-		v.PlanPatches++
-	}
+	changed := v.collectGroups() || v.plan == nil
 	numCells := v.env.Grid.NumCells()
 	rates := v.refreshRates(now, numCells)
-
-	changed := structural || !slices.Equal(v.ratePrev, rates)
-	refreshAll := structural || v.opts.Epsilon > 0 // fairness terms drift with time for every group
+	changed = changed || !slices.Equal(v.ratePrev, rates)
 	for _, g := range v.planGroups {
-		if sup := g.region.WeightedSum(rates); sup != g.state.Supply {
-			g.state.Supply = sup
+		sup, q := g.region.WeightedSum(rates), v.adjustedQueue(g.jobs)
+		if sup != g.state.Supply || q != g.state.Queue {
+			g.state.Supply, g.state.Queue = sup, q
 			changed = true
-		}
-		if g.dirty || refreshAll {
-			if q := v.adjustedQueue(g.jobs); q != g.state.Queue {
-				g.state.Queue = q
-				changed = true
-			}
-			g.dirty = false
 		}
 	}
 	if changed {
+		v.PlanRebuilds++
+		v.stateBuf = v.stateBuf[:0]
+		for _, g := range v.planGroups {
+			v.stateBuf = append(v.stateBuf, g.state)
+		}
 		ComputeAllocation(v.stateBuf, rates)
 		v.plan = BuildCellPlan(v.stateBuf, numCells)
 		v.ratePrev = append(v.ratePrev[:0], rates...)
+	} else {
+		v.PlanPatches++
 	}
-	v.structChanged = false
 	v.publishSnapshot()
 	v.planStale.Store(false)
 }
@@ -372,13 +337,15 @@ func (v *Venn) refreshRates(now simtime.Time, numCells int) []float64 {
 	return rates
 }
 
-// collectGroups gathers the groups with open requests into planGroups and
-// their planner states into stateBuf, sorted by requirement key so planning
-// does not depend on map iteration. Each group's queue is already ordered
-// by fairness-adjusted remaining demand, smallest first (Algorithm 1 line
-// 3): the order is maintained at request open and close.
-func (v *Venn) collectGroups() {
-	v.planGroups = v.planGroups[:0]
+// collectGroups gathers the groups with open requests into planGroups,
+// sorted by requirement key so planning does not depend on map iteration,
+// and reports whether the set differs from the previous refresh's. Each
+// group's queue is already ordered by fairness-adjusted remaining demand,
+// smallest first (Algorithm 1 line 3): the order is maintained at request
+// open and close. It runs on every refresh, so it fills the spare buffer and
+// swaps it in rather than allocating.
+func (v *Venn) collectGroups() bool {
+	next := v.groupBuf[:0]
 	for _, g := range v.groups {
 		if len(g.jobs) == 0 {
 			continue
@@ -386,19 +353,18 @@ func (v *Venn) collectGroups() {
 		if g.state == nil {
 			g.state = &GroupState{Region: g.region}
 		}
-		v.planGroups = append(v.planGroups, g)
+		next = append(next, g)
 	}
-	sort.SliceStable(v.planGroups, func(a, b int) bool {
-		ka, kb := v.planGroups[a].req.Key(), v.planGroups[b].req.Key()
-		if ka.MinCPU != kb.MinCPU {
-			return ka.MinCPU < kb.MinCPU
+	slices.SortStableFunc(next, func(a, b *vgroup) int {
+		ka, kb := a.req.Key(), b.req.Key()
+		if c := cmp.Compare(ka.MinCPU, kb.MinCPU); c != 0 {
+			return c
 		}
-		return ka.MinMem < kb.MinMem
+		return cmp.Compare(ka.MinMem, kb.MinMem)
 	})
-	v.stateBuf = v.stateBuf[:0]
-	for _, g := range v.planGroups {
-		v.stateBuf = append(v.stateBuf, g.state)
-	}
+	changed := !slices.Equal(next, v.planGroups)
+	v.planGroups, v.groupBuf = next, v.planGroups
+	return changed
 }
 
 func (v *Venn) ensureGroup(req device.Requirement) *vgroup {
@@ -417,13 +383,6 @@ func (v *Venn) ensureGroup(req device.Requirement) *vgroup {
 
 func (v *Venn) removeOpen(j *job.Job) {
 	if g, ok := v.groups[j.Requirement.Key()]; ok {
-		if _, queued := g.adj[j.ID]; queued {
-			g.removeJob(j.ID)
-			if len(g.jobs) == 0 {
-				v.structChanged = true // group leaves the plan
-			} else {
-				g.dirty = true
-			}
-		}
+		g.removeJob(j.ID)
 	}
 }

@@ -80,13 +80,6 @@ func (r *WindowAblationResult) Render() string {
 	return t.Render()
 }
 
-// WorkConservationResult compares full Venn against a variant whose cell
-// plan offers devices only to the allocation-owning group.
-type WorkConservationResult struct {
-	WithFallback    float64 // speed-up over Random (standard Venn)
-	WithoutFallback float64 // owner-only assignment
-}
-
 // TaskHeavinessAblation reports how the Venn-over-Random speed-up shifts as
 // per-task duration grows relative to the round deadline (heavier models
 // abort more rounds).

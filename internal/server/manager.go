@@ -170,7 +170,8 @@ type Config struct {
 	// priority stream); 0 derives a seed from the clock. Fixing it makes
 	// seeded-traffic replays reproducible.
 	Seed int64
-	// Options are scheduler options for the Venn policy family.
+	// Options are scheduler options for the Venn policy family; a zero
+	// Tiers takes core.New's default and every other field is kept.
 	Options core.Options
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
@@ -406,9 +407,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	if cfg.TSDBWindow <= 0 {
 		cfg.TSDBWindow = 24 * simtime.Hour
-	}
-	if cfg.Options.Tiers == 0 {
-		cfg.Options = core.DefaultOptions()
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = defaultShards

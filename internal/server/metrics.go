@@ -47,11 +47,11 @@ type Metrics struct {
 	// PolicyPrimary names the scheduling policy serving assignments.
 	PolicyPrimary string `json:"policy_primary" prom:"-"`
 
-	// Plan-lifecycle telemetry: full Algorithm-1 rebuilds vs incremental
-	// patches, and the fraction of refreshes the incremental path served.
-	PlanRebuilds           int64   `json:"plan_rebuilds" prom:"counter,Full scheduling-plan rebuilds."`
-	PlanPatches            int64   `json:"plan_patches" prom:"counter,Incremental scheduling-plan patches."`
-	PlanIncrementalHitRate float64 `json:"plan_incremental_hit_rate" prom:"-"`
+	// Plan-lifecycle telemetry: every plan refresh counts once, as a
+	// rebuild when its inputs moved and Algorithm 1 reran, or as a patch
+	// when they had not and the previous plan was republished.
+	PlanRebuilds int64 `json:"plan_rebuilds" prom:"counter,Plan refreshes that reran Algorithm 1 because the group set, a cell rate or a queue moved."`
+	PlanPatches  int64 `json:"plan_patches" prom:"counter,Plan refreshes with unchanged inputs that republished the previous plan."`
 	// Algorithm 2's verdict on every opened request, one counter per exit
 	// of the tier decision (core.TierExit); they sum to the requests opened.
 	// Zero under a policy other than venn.
@@ -258,9 +258,6 @@ func (m *Manager) MetricsSnapshot() Metrics {
 	if m.venn != nil {
 		out.PlanRebuilds = int64(m.venn.PlanRebuilds)
 		out.PlanPatches = int64(m.venn.PlanPatches)
-		if total := out.PlanRebuilds + out.PlanPatches; total > 0 {
-			out.PlanIncrementalHitRate = float64(out.PlanPatches) / float64(total)
-		}
 		ex := &m.venn.TierExits
 		out.TierExitMatchingDisabled = int64(ex[core.TierExitMatchingDisabled])
 		out.TierExitNoProfile = int64(ex[core.TierExitNoProfile])

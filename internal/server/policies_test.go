@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"venn/internal/core"
 	"venn/internal/sched"
 	"venn/internal/stats"
 )
@@ -78,5 +79,15 @@ func TestManagerServesEveryPolicy(t *testing.T) {
 				t.Errorf("%d plan rebuilds and patches under %s; only venn plans", planned, name)
 			}
 		})
+	}
+}
+
+// TestManagerKeepsSchedulerOptions holds NewManager to the caller's
+// scheduler options: a zero Tiers is core.New's to default, and it must not
+// replace the whole struct and silently run full Venn.
+func TestManagerKeepsSchedulerOptions(t *testing.T) {
+	m := NewManager(Config{Options: core.Options{DisableMatching: true}, Clock: newFakeClock().now})
+	if got := m.pol.Name(); got != "Venn-w/o-match" {
+		t.Errorf("policy = %q, want Venn-w/o-match", got)
 	}
 }

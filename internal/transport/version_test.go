@@ -3,10 +3,7 @@ package transport_test
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"net"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,20 +11,6 @@ import (
 	"venn/internal/server"
 	"venn/internal/transport"
 )
-
-// startShardedServer is startServer over N SO_REUSEPORT listeners.
-func startShardedServer(t *testing.T, opts transport.Options, shards int) (*server.Manager, *transport.Server, string) {
-	t.Helper()
-	m := server.NewManager(server.Config{})
-	ts := transport.NewServer(m, opts)
-	lns, err := transport.ListenSharded("127.0.0.1:0", shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = ts.ServeListeners(lns) }()
-	t.Cleanup(func() { _ = ts.Close() })
-	return m, ts, lns[0].Addr().String()
-}
 
 // TestV2BinaryOnTheWire asserts a client ↔ server pair moves the serving
 // opcodes as binary frames, typed errors come back binary too, and the first
@@ -185,60 +168,5 @@ func TestOneDialect(t *testing.T) {
 	// would be the forced one a trace-flagged control frame must not plant.
 	if n := m.MetricsSnapshot().FlightRecorded; n != 0 {
 		t.Errorf("flight recorder holds %d spans, want 0", n)
-	}
-}
-
-// TestShardedListeners serves concurrent batch traffic over per-core
-// SO_REUSEPORT listeners and then exercises the multi-listener shutdown
-// path. On platforms (or kernels) without SO_REUSEPORT, ListenSharded
-// degrades to one listener and this still passes.
-func TestShardedListeners(t *testing.T) {
-	shards := runtime.GOMAXPROCS(0)
-	if shards < 2 {
-		shards = 2
-	}
-	m, ts, addr := startShardedServer(t, transport.Options{}, shards)
-	if _, err := server.NewService(m, server.TransportStream).RegisterJob(server.JobSpec{Name: "j", Category: "General", DemandPerRound: 1, Rounds: 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	const clients = 8
-	var wg sync.WaitGroup
-	errc := make(chan error, clients)
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c := client.NewStream(addr, client.WithStreamConns(1))
-			defer c.Close()
-			for i := 0; i < 20; i++ {
-				cis := []server.CheckIn{{DeviceID: fmt.Sprintf("d-%d-%d", g, i), CPU: 0.5, Mem: 0.5}}
-				if _, err := c.CheckInBatch(cis); err != nil {
-					errc <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	if tel := ts.StreamTelemetry(); tel.StreamFramesIn < clients*20 {
-		t.Errorf("frames_in = %d, want >= %d", tel.StreamFramesIn, clients*20)
-	}
-	if err := ts.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// All listeners must actually be closed: a fresh dial fails.
-	if c, err := net.DialTimeout("tcp", addr, 500*time.Millisecond); err == nil {
-		// Accept queues may hold a connection briefly; a read distinguishes.
-		_ = c.SetReadDeadline(time.Now().Add(time.Second))
-		buf := make([]byte, 1)
-		if _, rerr := c.Read(buf); rerr == nil {
-			t.Error("post-Close listener still serving")
-		}
-		c.Close()
 	}
 }

@@ -72,17 +72,10 @@ var (
 )
 
 // NewVenn returns the paper's scheduler: IRS contention-aware job ordering
-// plus resource-aware tier-based device matching. Zero-value options take
-// the defaults (3 tiers, fairness knob off); when Tiers and
-// MinProfileSamples are both zero only those two are defaulted, and every
-// other field keeps the caller's value.
-func NewVenn(opts SchedulerOptions) Scheduler {
-	if opts.Tiers == 0 && opts.MinProfileSamples == 0 {
-		d := core.DefaultOptions()
-		opts.Tiers, opts.MinProfileSamples = d.Tiers, d.MinProfileSamples
-	}
-	return core.New(opts)
-}
+// plus resource-aware tier-based device matching. A zero Tiers takes the
+// default of 3; every other field keeps the caller's value, so zero-value
+// options are 3 tiers with the fairness knob off.
+func NewVenn(opts SchedulerOptions) Scheduler { return core.New(opts) }
 
 // NewRandom returns the optimized random-matching baseline (the common
 // design of production CL resource managers).

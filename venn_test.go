@@ -25,22 +25,33 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
-// NewVenn defaults only Tiers and MinProfileSamples: a caller's
-// DisableIncrementalPlan must reach the core, so every plan refresh is a
-// full rebuild and none is a patch.
-func TestNewVennKeepsDisableIncrementalPlan(t *testing.T) {
+// NewVenn defaults only a zero Tiers: a caller's DisableMatching must reach
+// the core, so every opened request runs unfiltered, while zero-value
+// options match on the default three tiers.
+func TestNewVennKeepsCallerOptions(t *testing.T) {
 	fleet := GenerateFleet(FleetConfig{NumDevices: 800, Seed: 1})
 	wl := GenerateWorkload(WorkloadConfig{NumJobs: 8, Seed: 2, MaxRounds: 5, MaxDemand: 40})
-	s := NewVenn(SchedulerOptions{DisableIncrementalPlan: true})
-	if _, err := Simulate(SimConfig{Fleet: fleet, Workload: wl, Scheduler: s, Seed: 3}); err != nil {
-		t.Fatal(err)
+	// unfiltered runs s and returns how many requests it opened and how
+	// many of them ran unfiltered because matching was off.
+	unfiltered := func(s Scheduler) (opened, off int) {
+		if _, err := Simulate(SimConfig{Fleet: fleet, Workload: wl, Scheduler: s, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		v := s.(*core.Venn)
+		for _, n := range v.TierExits {
+			opened += n
+		}
+		return opened, v.TierExits[core.TierExitMatchingDisabled]
 	}
-	v := s.(*core.Venn)
-	if v.PlanRebuilds == 0 {
-		t.Fatal("no plan was built")
+	s := NewVenn(SchedulerOptions{DisableMatching: true})
+	if s.Name() != "Venn-w/o-match" {
+		t.Errorf("Name = %q, want Venn-w/o-match", s.Name())
 	}
-	if v.PlanPatches != 0 {
-		t.Errorf("DisableIncrementalPlan was dropped: %d rebuilds, %d patches", v.PlanRebuilds, v.PlanPatches)
+	if opened, off := unfiltered(s); opened == 0 || off != opened {
+		t.Errorf("DisableMatching was dropped: %d of %d requests ran with matching off", off, opened)
+	}
+	if opened, off := unfiltered(NewVenn(SchedulerOptions{})); off == opened {
+		t.Errorf("zero Tiers was not defaulted: all %d requests ran with matching off", opened)
 	}
 }
 
