@@ -13,6 +13,11 @@ const sampleCap = 512
 // can back a tier decision.
 const minProfileSamples = 20
 
+// ringFirstCap is a ring's first capacity: the smallest power of two that
+// holds minProfileSamples, so a ring that backs tier decisions grows by
+// doubling to sampleCap in four steps.
+const ringFirstCap = 32
+
 // ring is a bounded FIFO buffer of float64 samples. The buffer grows on
 // demand up to sampleCap, so a job pays for the samples it has.
 type ring struct {
@@ -22,6 +27,9 @@ type ring struct {
 
 func (r *ring) add(x float64) {
 	if len(r.buf) < sampleCap {
+		if r.buf == nil {
+			r.buf = make([]float64, 0, ringFirstCap)
+		}
 		r.buf = append(r.buf, x)
 		return
 	}

@@ -30,6 +30,37 @@ func TestRingBounded(t *testing.T) {
 	}
 }
 
+// grownRing is package-level so its buffer lives on the heap, as a
+// profile's does.
+var grownRing ring
+
+// TestRingGrowthAllocations: a ring allocates once up to ringFirstCap
+// samples, then once per doubling: twice for a 64-response job and five
+// times for a full ring.
+func TestRingGrowthAllocations(t *testing.T) {
+	if ringFirstCap < minProfileSamples {
+		t.Fatalf("ringFirstCap %d < minProfileSamples %d", ringFirstCap, minProfileSamples)
+	}
+	for _, tc := range []struct{ samples, allocs int }{
+		{minProfileSamples, 1}, {64, 2}, {sampleCap, 5}, {2 * sampleCap, 5},
+	} {
+		got := testing.AllocsPerRun(20, func() {
+			grownRing = ring{}
+			for i := 0; i < tc.samples; i++ {
+				grownRing.add(float64(i))
+			}
+		})
+		if int(got) != tc.allocs {
+			t.Errorf("%d samples: %v allocations, want %d", tc.samples, got, tc.allocs)
+		}
+		for i, v := range grownRing.buf {
+			if tc.samples <= sampleCap && v != float64(i) {
+				t.Fatalf("%d samples: buf[%d] = %v, want %d", tc.samples, i, v, i)
+			}
+		}
+	}
+}
+
 func TestTierThresholdsSplitEvenly(t *testing.T) {
 	var p profile
 	for i := 0; i < 300; i++ {

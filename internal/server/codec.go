@@ -15,24 +15,14 @@
 // with the device IDs as views of the pooled body (decodeCheckInsJSON);
 // UnmarshalJSON copies them.
 //
-// Scores take a one-pass fast path (jscan.decimal). A plain decimal
-// -?d+(.d+)? with at most 19 significant digits is m/10^k for a uint64 m.
-// When m < 2^53 and k ≤ 22, m and 10^k are both exact float64 values, so
-// the one IEEE division m/10^k is correctly rounded: it is the value
-// strconv.ParseFloat returns, bit for bit (Clinger's fast path). 67.9% of
-// the scores in the bench's seed-1 fleet qualify. Everything else (an
-// exponent, an m or k past those bounds, a token that runs on with e, E, +,
-// - or .) and every rejection take numToken and ParseFloat as before, so no
-// accepted input, rejected input or decoded bit changes; FuzzJSONFloat
-// holds the fast path to that reference.
+// Scores convert through the exact number kernel in jsonnum.go, which
+// returns strconv's bytes and bits.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"reflect"
 	"strconv"
 	"unsafe"
 )
@@ -58,16 +48,6 @@ func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
-}
-
-// appendJSONFloat appends f in its shortest 'g' form. JSON has no NaN or
-// infinity, so for those it fails as encoding/json does instead of writing a
-// token every decoder rejects.
-func appendJSONFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	return strconv.AppendFloat(b, f, 'g', -1, 64), nil
 }
 
 // Upper bounds on an encoded request item's bytes besides its device ID's,
@@ -222,61 +202,6 @@ func (s *jscan) numToken() ([]byte, error) {
 		return nil, errMalformedJSON
 	}
 	return s.b[start:s.i], nil
-}
-
-// pow10 holds the powers of ten that float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
-// decimal parses a plain decimal -?d+(.d+)? at the cursor in one pass, as
-// m/10^k, when it has at most 19 significant digits (so m fits a uint64),
-// m < 2^53 and k ≤ 22. Both operands are then exact float64 values, so one
-// IEEE division rounds correctly (Clinger's fast path) and gives the bits
-// strconv.ParseFloat returns. For anything else (an exponent, an m or k
-// past those bounds, a token that goes on with e, E, +, - or .) ok is false
-// and the cursor stays put.
-func (s *jscan) decimal() (f float64, ok bool) {
-	b, i := s.b, s.i
-	neg := i < len(b) && b[i] == '-'
-	if neg {
-		i++
-	}
-	var m uint64
-	start, point, nd := i, -1, 0
-	for ; i < len(b); i++ {
-		if d := b[i] - '0'; d <= 9 {
-			if m|uint64(d) != 0 { // leading zeros are not significant
-				m = m*10 + uint64(d)
-				nd++
-			}
-			continue
-		}
-		if b[i] != '.' || point >= 0 || i == start {
-			break
-		}
-		point = i
-	}
-	k := 0
-	if point >= 0 {
-		if k = i - point - 1; k == 0 {
-			return 0, false
-		}
-	}
-	if i == start || nd > 19 || m >= 1<<53 || k >= len(pow10) {
-		return 0, false
-	}
-	if i < len(b) {
-		switch b[i] {
-		case 'e', 'E', '+', '-', '.':
-			return 0, false
-		}
-	}
-	f = float64(m) / pow10[k]
-	if neg {
-		f = -f
-	}
-	s.i = i
-	return f, true
 }
 
 // float parses a number (or null, yielding 0): a plain decimal in one pass

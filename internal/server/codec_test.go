@@ -299,6 +299,37 @@ func BenchmarkCheckInBatchEncode(b *testing.B) {
 	})
 }
 
+// BenchmarkCheckInBatchRequestEncode times the client side of a check-in:
+// a 64-item request with seed-1 scores, two floats per item.
+func BenchmarkCheckInBatchRequestEncode(b *testing.B) {
+	cis := make([]CheckIn, 64)
+	rng := stats.NewRNG(1)
+	for i := range cis {
+		cis[i] = CheckIn{DeviceID: fmt.Sprintf("load-%06d", i), CPU: rng.Float64(), Mem: rng.Float64()}
+	}
+	req := CheckInBatchRequest{CheckIns: cis}
+	b.Run("custom", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := req.MarshalJSON(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	std := make([]stdCheckIn, len(cis))
+	for i, ci := range cis {
+		std[i] = stdCheckIn(ci)
+	}
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(stdCheckInBatchRequest{CheckIns: std}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 type stdCheckInBatchResponse struct {
 	Results []CheckInResult `json:"results"`
 }
