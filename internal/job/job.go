@@ -1,8 +1,14 @@
 // Package job models collaborative-learning jobs: their resource
 // requirements, per-round resource requests, the synchronous-round lifecycle
-// (schedule -> collect responses -> complete or abort on deadline), and the
-// completion-time accounting the evaluation reports (scheduling delay,
-// response-collection time, JCT).
+// (schedule -> collect responses -> complete, or abort on too many dropouts
+// or on the deadline), and the completion-time accounting the evaluation
+// reports (scheduling delay, response-collection time, JCT).
+//
+// The lifecycle's rules live here and nowhere else: one method per event
+// (Assign, Report, Expire) applies the event and returns an Outcome. The two
+// places that run jobs, the simulator (sim.Engine) and the live daemon
+// (server.Manager), each turn an Outcome into scheduler callbacks, deadline
+// arming and their own counters.
 package job
 
 import (
@@ -99,16 +105,26 @@ type RoundRecord struct {
 	Attempts []Attempt
 }
 
-// Aborts returns how many attempts of the round were aborted.
-func (r RoundRecord) Aborts() int {
-	n := 0
-	for _, a := range r.Attempts {
-		if a.Aborted {
-			n++
-		}
-	}
-	return n
-}
+// Outcome is the set of things one lifecycle event did to the job.
+type Outcome uint8
+
+const (
+	// Stale: the event belongs to an attempt that already ended or to a
+	// finished job, and changed nothing.
+	Stale Outcome = 1 << iota
+	// Fulfilled: the open request acquired its full demand and response
+	// collection began, so the attempt's deadline runs from now unless the
+	// round is done too.
+	Fulfilled
+	// RoundDone: the round reached its report target and finished; the next
+	// round's request is open unless JobDone is set too.
+	RoundDone
+	// JobDone: the round that finished was the last.
+	JobDone
+	// Aborted: the attempt ended short of its report target and a fresh
+	// attempt of the same round is open.
+	Aborted
+)
 
 // Job is one collaborative-learning job.
 type Job struct {
@@ -126,6 +142,7 @@ type Job struct {
 	// State of the in-flight request.
 	state      State
 	round      int // current round, 1-based; round > Rounds means done
+	attempt    int // current attempt over the job's life, 1-based
 	assigned   int
 	responses  int
 	failures   int
@@ -237,7 +254,7 @@ func (j *Job) ServiceTime() simtime.Duration { return j.serviceTime }
 // Records returns the per-round records accumulated so far.
 func (j *Job) Records() []RoundRecord { return j.records }
 
-// --- lifecycle transitions, driven by the simulator ---
+// --- lifecycle transitions, driven by sim.Engine and server.Manager ---
 
 // Start opens the first round's request. Must be called exactly once, at the
 // job's arrival time.
@@ -257,6 +274,7 @@ func (j *Job) beginRound(now simtime.Time) {
 
 // beginAttempt opens a (re)scheduling attempt of the current round.
 func (j *Job) beginAttempt(now simtime.Time) {
+	j.attempt++
 	j.state = StateScheduling
 	j.assigned, j.responses, j.failures = 0, 0, 0
 	j.curAttempt = Attempt{RequestTime: now}
@@ -294,17 +312,6 @@ func (j *Job) AddResponse(now simtime.Time) (roundComplete bool) {
 	return false
 }
 
-// AddFailure notes one device dropout.
-func (j *Job) AddFailure() {
-	if j.state == StateCollecting || j.state == StateScheduling {
-		j.failures++
-		j.curAttempt.Failures = j.failures
-	}
-}
-
-// AttemptFailures returns the dropout count of the current attempt.
-func (j *Job) AttemptFailures() int { return j.failures }
-
 // AttemptResponses returns the response count of the current attempt.
 func (j *Job) AttemptResponses() int { return j.responses }
 
@@ -339,12 +346,9 @@ func (j *Job) CompleteRound(now simtime.Time) (jobDone bool) {
 	return false
 }
 
-// AbortAttempt abandons the current attempt (deadline fired with too few
-// responses) and opens a fresh attempt of the same round.
-func (j *Job) AbortAttempt(now simtime.Time) {
-	if j.state != StateCollecting && j.state != StateScheduling {
-		return
-	}
+// abortAttempt abandons the current attempt and opens a fresh attempt of
+// the same round.
+func (j *Job) abortAttempt(now simtime.Time) Outcome {
 	j.curAttempt.EndTime = now
 	j.curAttempt.Aborted = true
 	rec := &j.records[len(j.records)-1]
@@ -353,39 +357,77 @@ func (j *Job) AbortAttempt(now simtime.Time) {
 	// active period toward service time so fairness sees the usage.
 	j.serviceTime += j.curAttempt.ResponseTime()
 	j.beginAttempt(now)
+	return Aborted
 }
 
-// --- aggregate metrics over the finished job ---
+// finishRound finalizes the current round and says whether the job finished
+// with it.
+func (j *Job) finishRound(now simtime.Time) Outcome {
+	if j.CompleteRound(now) {
+		return RoundDone | JobDone
+	}
+	return RoundDone
+}
 
-// TotalSchedulingDelay sums scheduling delay over all attempts.
-func (j *Job) TotalSchedulingDelay() simtime.Duration {
-	var total simtime.Duration
-	for _, r := range j.records {
-		for _, a := range r.Attempts {
-			total += a.SchedulingDelay()
+// stale reports whether an event of the given attempt arrives after that
+// attempt, or the whole job, ended.
+func (j *Job) stale(attempt int) bool {
+	return attempt != j.attempt || j.state == StateDone
+}
+
+// Attempt returns the current attempt's number, counted from 1 over the
+// job's whole life: every round completion and every abort opens the next
+// one. Report and Expire take the number of the attempt their event belongs
+// to; sim.Engine stamps each task and deadline event with it.
+func (j *Job) Attempt() int { return j.attempt }
+
+// Assign commits device d to the open request. It panics when d does not meet
+// the job's requirement or no request is open: the scheduler returned a job
+// it must not. The round finishes at once when responses that arrived while
+// it was still being scheduled already reach its target.
+func (j *Job) Assign(d *device.Device, now simtime.Time) Outcome {
+	if !j.Requirement.Eligible(d) {
+		panic(fmt.Sprintf("job %d: assigned ineligible %v to %v", j.ID, d, j))
+	}
+	if !j.AddAssignment(now) {
+		return 0
+	}
+	if j.CanComplete() {
+		return Fulfilled | j.finishRound(now)
+	}
+	return Fulfilled
+}
+
+// Report applies the end of one task of the given attempt: a response when
+// ok, a dropout otherwise. A response that reaches the report target finishes
+// the round. A dropout that leaves the target out of reach of the devices
+// still working aborts the attempt at once rather than at the deadline (§5.1).
+func (j *Job) Report(attempt int, ok bool, now simtime.Time) Outcome {
+	if j.stale(attempt) {
+		return Stale
+	}
+	if ok {
+		if j.AddResponse(now) {
+			return j.finishRound(now)
 		}
+		return 0
 	}
-	return total
+	j.failures++
+	j.curAttempt.Failures = j.failures
+	if j.state == StateCollecting && j.Demand-j.failures < j.TargetResponses() {
+		return j.abortAttempt(now)
+	}
+	return 0
 }
 
-// TotalResponseTime sums response-collection time over all attempts.
-func (j *Job) TotalResponseTime() simtime.Duration {
-	var total simtime.Duration
-	for _, r := range j.records {
-		for _, a := range r.Attempts {
-			total += a.ResponseTime()
-		}
+// Expire applies the response deadline of the given attempt: a collecting
+// attempt is aborted. Assign and Report finish a round the moment it reaches
+// its target, so an attempt still collecting at its deadline is short of it.
+func (j *Job) Expire(attempt int, now simtime.Time) Outcome {
+	if j.stale(attempt) || j.state != StateCollecting {
+		return Stale
 	}
-	return total
-}
-
-// TotalAborts counts aborted attempts across all rounds.
-func (j *Job) TotalAborts() int {
-	n := 0
-	for _, r := range j.records {
-		n += r.Aborts()
-	}
-	return n
+	return j.abortAttempt(now)
 }
 
 // String implements fmt.Stringer.

@@ -116,21 +116,38 @@ func TestResponsesDuringScheduling(t *testing.T) {
 	}
 }
 
+// totals sums the scheduling delay, the response-collection time and the
+// aborted attempts over a job's records.
+func totals(j *Job) (sched, resp simtime.Duration, aborts int) {
+	for _, r := range j.Records() {
+		for _, a := range r.Attempts {
+			sched += a.SchedulingDelay()
+			resp += a.ResponseTime()
+			if a.Aborted {
+				aborts++
+			}
+		}
+	}
+	return sched, resp, aborts
+}
+
 func TestAbortAndRetry(t *testing.T) {
 	j := newTestJob(2, 1)
 	j.Start(0)
 	j.AddAssignment(10)
 	j.AddAssignment(20)
-	j.AddFailure()
-	j.AbortAttempt(500)
-	if j.State() != StateScheduling {
-		t.Fatal("abort must reopen scheduling")
+	// Target ceil(0.8*2)=2: one dropout of two puts it out of reach.
+	if out := j.Report(1, false, 500); out != Aborted {
+		t.Fatalf("dropout outcome = %b, want Aborted", out)
+	}
+	if j.State() != StateScheduling || j.Attempt() != 2 {
+		t.Fatalf("abort must reopen scheduling as attempt 2: %v attempt %d", j.State(), j.Attempt())
 	}
 	if j.RemainingDemand() != 2 {
 		t.Fatal("retry needs full demand again")
 	}
-	if j.TotalAborts() != 1 {
-		t.Fatalf("TotalAborts = %d", j.TotalAborts())
+	if _, _, aborts := totals(j); aborts != 1 {
+		t.Fatalf("aborted attempts = %d", aborts)
 	}
 	// Finish on retry.
 	j.AddAssignment(600)
@@ -188,8 +205,9 @@ func TestServiceTimeAccumulates(t *testing.T) {
 		t.Fatalf("ServiceTime = %v, want 300ms", j.ServiceTime())
 	}
 	j.AddAssignment(500)
-	j.AddFailure()
-	j.AbortAttempt(900)
+	if out := j.Expire(2, 900); out != Aborted {
+		t.Fatalf("deadline outcome = %b, want Aborted", out)
+	}
 	// Aborted attempt adds its active window (500->900).
 	if j.ServiceTime() != 700 {
 		t.Fatalf("ServiceTime after abort = %v, want 700ms", j.ServiceTime())
@@ -207,9 +225,13 @@ func TestMisusePanics(t *testing.T) {
 	}
 	j := newTestJob(1, 1)
 	mustPanic("AddAssignment before Start", func() { j.AddAssignment(0) })
+	mustPanic("Assign before Start", func() { j.Assign(device.New(0, 0.5, 0.5), 0) })
 	mustPanic("CompleteRound before Start", func() { j.CompleteRound(0) })
 	j.Start(0)
 	mustPanic("double Start", func() { j.Start(0) })
+	hp := New(2, device.HighPerf, 1, 1, 0)
+	hp.Start(0)
+	mustPanic("Assign of an ineligible device", func() { hp.Assign(device.New(0, 0.1, 0.1), 0) })
 }
 
 func TestConstructorClamps(t *testing.T) {
@@ -229,6 +251,7 @@ func TestInvariantProperty(t *testing.T) {
 		demand := int(demandRaw%6) + 1
 		rounds := int(roundsRaw%4) + 1
 		j := New(1, device.General, demand, rounds, 0)
+		d := device.New(0, 0.5, 0.5)
 		j.Start(0)
 		now := simtime.Time(1)
 		for _, op := range script {
@@ -239,22 +262,18 @@ func TestInvariantProperty(t *testing.T) {
 			switch op % 4 {
 			case 0: // assignment if open
 				if j.State() == StateScheduling {
-					j.AddAssignment(now)
+					j.Assign(d, now)
 				}
-			case 1: // response from a previously assigned device
-				if j.AttemptResponses()+j.AttemptFailures() < j.AttemptAssigned() {
-					j.AddResponse(now)
+			case 1, 2: // response or dropout of a previously assigned device
+				if j.AttemptResponses()+j.failures < j.AttemptAssigned() {
+					j.Report(j.Attempt(), op%4 == 1, now)
 				}
-			case 2: // failure of a previously assigned device
-				if j.AttemptResponses()+j.AttemptFailures() < j.AttemptAssigned() {
-					j.AddFailure()
-				}
-			case 3: // deadline-style abort or completion
-				if j.CanComplete() {
-					j.CompleteRound(now)
-				} else if j.State() == StateCollecting {
-					j.AbortAttempt(now)
-				}
+			case 3: // the deadline
+				j.Expire(j.Attempt(), now)
+			}
+			// A collecting attempt is never at its target: it finished.
+			if j.CanComplete() {
+				return false
 			}
 			// Invariants.
 			if j.AttemptResponses() > j.AttemptAssigned() {
@@ -286,11 +305,15 @@ func TestAggregateMetrics(t *testing.T) {
 	j.AddAssignment(300)
 	j.AddResponse(450)
 	j.CompleteRound(450)
-	if j.TotalSchedulingDelay() != 200 { // 100 + 100
-		t.Errorf("TotalSchedulingDelay = %v", j.TotalSchedulingDelay())
+	sched, resp, aborts := totals(j)
+	if sched != 200 { // 100 + 100
+		t.Errorf("total scheduling delay = %v", sched)
 	}
-	if j.TotalResponseTime() != 250 { // 100 + 150
-		t.Errorf("TotalResponseTime = %v", j.TotalResponseTime())
+	if resp != 250 { // 100 + 150
+		t.Errorf("total response time = %v", resp)
+	}
+	if aborts != 0 {
+		t.Errorf("aborted attempts = %d", aborts)
 	}
 	if j.String() == "" {
 		t.Error("String empty")

@@ -383,11 +383,12 @@ type managedJob struct {
 	spec JobSpec
 	j    *job.Job
 	// inFlight holds the devices working on the current attempt, keyed by
-	// their registry device number (slot.dev). Every attempt change clears
-	// it, so an entry is always the current attempt's and a report that
-	// finds none is stale. It is presized at registration, so an
-	// assignment or report allocates nothing, and dropped when the job
-	// finishes: completed keeps every finished job.
+	// their registry device number (slot.dev). It decides staleness: every
+	// attempt end clears it, which bounds its memory, so an entry is always
+	// a task of j.Attempt() and a report that finds none is dropped before
+	// the job sees it. It is presized at registration, so an assignment or
+	// report allocates nothing, and dropped when the job finishes: completed
+	// keeps every finished job.
 	inFlight map[int32]inFlightTask
 }
 
@@ -633,16 +634,12 @@ func (m *Manager) assignCoreLocked(it *assignItem, now simtime.Time) Assignment 
 	if j == nil {
 		return Assignment{Assigned: false}
 	}
+	out := j.Assign(&m.coreDev, now)
 	mj := m.jobs[j.ID]
 	s.lastTaskDay = int32(now.DayIndex())
 	mj.inFlight[s.dev] = inFlightTask{cpu: it.cpu, mem: it.mem}
 	m.assignments++
-
-	if full := j.AddAssignment(now); full {
-		m.pol.OnRequestFulfilled(j, now)
-		m.setDeadlineLocked(j.ID, now.Add(j.Deadline()))
-		m.maybeCompleteLocked(mj, now)
-	}
+	m.settleLocked(mj, out, now)
 	return Assignment{Assigned: true, JobID: int(j.ID), JobName: j.Name, Round: j.Round()}
 }
 
@@ -755,20 +752,15 @@ func (m *Manager) reportCoreLocked(r Report, s *slot, now simtime.Time) {
 		return // stale: the device's attempt ended
 	}
 	delete(mj.inFlight, s.dev)
+	out := mj.j.Report(mj.j.Attempt(), r.OK, now)
 	if r.OK {
 		m.reports++
 		m.coreDev = s.device(task.cpu, task.mem)
 		m.pol.ObserveResponse(mj.j, &m.coreDev, simtime.FromSeconds(r.DurationSeconds), now)
-		mj.j.AddResponse(now)
-		m.maybeCompleteLocked(mj, now)
-		return
+	} else {
+		m.failures++
 	}
-	m.failures++
-	mj.j.AddFailure()
-	if mj.j.State() == job.StateCollecting &&
-		mj.j.Demand-mj.j.AttemptFailures() < mj.j.TargetResponses() {
-		m.abortLocked(mj, now)
-	}
+	m.settleLocked(mj, out, now)
 }
 
 // ReportBatch processes a batch of reports with a single scheduler-lock
@@ -827,32 +819,33 @@ func (m *Manager) ReportBatchBuf(buf *BatchBuf, sp *obs.Span) []ReportResult {
 	return out
 }
 
-// maybeCompleteLocked finishes the round (and possibly the job) when enough
-// responses are in.
-func (m *Manager) maybeCompleteLocked(mj *managedJob, now simtime.Time) {
-	if !mj.j.CanComplete() {
+// settleLocked turns the outcome of one of mj's lifecycle events into policy
+// callbacks, deadline arming and the manager's counters.
+func (m *Manager) settleLocked(mj *managedJob, out job.Outcome, now simtime.Time) {
+	j := mj.j
+	if out&job.Fulfilled != 0 {
+		m.pol.OnRequestFulfilled(j, now)
+		if out&job.RoundDone == 0 {
+			m.setDeadlineLocked(j.ID, now.Add(j.Deadline()))
+		}
+	}
+	if out&(job.RoundDone|job.Aborted) == 0 {
 		return
 	}
-	delete(m.deadlines, mj.j.ID)
+	if out&job.Aborted != 0 {
+		m.aborts++
+	}
+	delete(m.deadlines, j.ID)
 	clear(mj.inFlight) // the attempt is over
-	if mj.j.CompleteRound(now) {
+	if out&job.JobDone != 0 {
 		mj.inFlight = nil
-		m.pol.OnJobDone(mj.j, now)
+		m.pol.OnJobDone(j, now)
 		m.completed = append(m.completed, mj)
-		m.completedJCT += mj.j.JCT().Seconds()
-		delete(m.jobs, mj.j.ID)
+		m.completedJCT += j.JCT().Seconds()
+		delete(m.jobs, j.ID)
 		return
 	}
-	m.pol.OnRequest(mj.j, now)
-}
-
-// abortLocked resubmits the current attempt.
-func (m *Manager) abortLocked(mj *managedJob, now simtime.Time) {
-	m.aborts++
-	mj.j.AbortAttempt(now)
-	clear(mj.inFlight)
-	delete(m.deadlines, mj.j.ID)
-	m.pol.OnRequest(mj.j, now)
+	m.pol.OnRequest(j, now)
 }
 
 // setDeadlineLocked records a collecting job's response deadline and keeps
@@ -880,26 +873,14 @@ func (m *Manager) expireDueLocked(now simtime.Time) {
 	m.expireDeadlinesLocked(now)
 }
 
-// expireDeadlinesLocked aborts attempts whose response deadline passed and
-// recomputes the earliest remaining deadline.
+// expireDeadlinesLocked applies every response deadline that passed and
+// recomputes the earliest remaining one. An entry is always the current
+// attempt's: settleLocked removes it when the attempt ends.
 func (m *Manager) expireDeadlinesLocked(now simtime.Time) {
 	for id, at := range m.deadlines {
-		if now < at {
-			continue
-		}
-		mj, ok := m.jobs[id]
-		if !ok {
-			delete(m.deadlines, id)
-			continue
-		}
-		if mj.j.CanComplete() {
-			m.maybeCompleteLocked(mj, now)
-			continue
-		}
-		if mj.j.State() == job.StateCollecting {
-			m.abortLocked(mj, now)
-		} else {
-			delete(m.deadlines, id)
+		if now >= at {
+			mj := m.jobs[id]
+			m.settleLocked(mj, mj.j.Expire(mj.j.Attempt(), now), now)
 		}
 	}
 	earliest := simtime.Time(0)

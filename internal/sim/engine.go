@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"venn/internal/device"
 	"venn/internal/job"
@@ -57,22 +58,16 @@ type Engine struct {
 	idle    []idleEntry
 	idleSeq uint64
 
-	// attempt tracks each job's current attempt sequence number; response
-	// and deadline events from older attempts are stale.
-	attempt map[job.ID]uint64
 	// responders collects the successful participants of the current
 	// attempt per job, handed to the RoundObserver on completion.
 	responders map[job.ID][]device.ID
 
-	jobs      map[job.ID]*job.Job
-	active    int // jobs arrived and not done
-	completed []*job.Job
+	jobs map[job.ID]*job.Job
 
 	// openDemand is the total unassigned demand over jobs currently in
 	// StateScheduling. When it is zero no scheduler may legally assign
-	// anything (validateAssignment would panic), so idle-queue walks stop
-	// offering devices entirely instead of collecting nil answers from
-	// every entry.
+	// anything (job.Assign would panic), so idle-queue walks stop offering
+	// devices entirely instead of collecting nil answers from every entry.
 	openDemand int
 
 	// Aggregate counters.
@@ -122,7 +117,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		sched:      cfg.Scheduler,
 		rng:        stats.NewRNG(cfg.Seed),
 		devs:       make(map[device.ID]*devRuntime, len(cfg.Fleet.Devices)),
-		attempt:    make(map[job.ID]uint64, len(cfg.Jobs)),
 		responders: make(map[job.ID][]device.ID, len(cfg.Jobs)),
 		jobs:       make(map[job.ID]*job.Job, len(cfg.Jobs)),
 	}
@@ -250,9 +244,6 @@ func (e *Engine) handleArrival(ev *event) {
 	j := ev.job
 	j.Start(e.now)
 	e.openDemand += j.RemainingDemand()
-	e.active++
-	e.attempt[j.ID] = 1
-	e.responders[j.ID] = e.responders[j.ID][:0]
 	e.sched.OnJobArrival(j, e.now)
 	e.sched.OnRequest(j, e.now)
 	e.drain()
@@ -264,84 +255,47 @@ func (e *Engine) handleResponse(ev *event) {
 	// The device stays out of the pool until its next check-in (it has
 	// used its task-per-day budget).
 	j := ev.job
-	if j.Done() || ev.attempt != e.attempt[j.ID] {
-		return // stale: round completed or attempt aborted meanwhile
+	before := j.RemainingDemand()
+	out := j.Report(int(ev.attempt), ev.ok, e.now)
+	if out == job.Stale {
+		return
 	}
 	if ev.ok {
 		e.responses++
-		e.observeResponseDuration(j, ev)
-		j.AddResponse(e.now)
+		e.sched.ObserveResponse(j, ev.dev, ev.at.Sub(ev.start), e.now)
 		e.responders[j.ID] = append(e.responders[j.ID], ev.dev.ID)
-		if j.CanComplete() {
-			e.completeRound(j)
-		}
-		return
+	} else {
+		e.failures++
 	}
-	e.failures++
-	j.AddFailure()
-	// Early abort: if enough devices failed that the 80% target can never
-	// be met by the remaining in-flight tasks, resubmit immediately
-	// rather than waiting for the deadline.
-	if j.State() == job.StateCollecting {
-		maxPossible := j.Demand - j.AttemptFailures()
-		if maxPossible < j.TargetResponses() {
-			e.abortAttempt(j)
-		}
-	}
-}
-
-// observeResponseDuration forwards the measured task duration to the
-// scheduler's profiler. The duration is reconstructed from the attempt's
-// request bookkeeping on the event itself.
-func (e *Engine) observeResponseDuration(j *job.Job, ev *event) {
-	// ev.intervalEnd doubles as the task start time for response events.
-	start := ev.intervalEnd
-	if start > 0 && ev.at > start {
-		e.sched.ObserveResponse(j, ev.dev, ev.at.Sub(start), e.now)
-	}
+	e.settle(j, out, before)
 }
 
 func (e *Engine) handleDeadline(ev *event) {
-	j := ev.job
-	if j.Done() || ev.attempt != e.attempt[j.ID] {
-		return
-	}
-	if j.State() != job.StateCollecting {
-		return
-	}
-	if j.CanComplete() {
-		e.completeRound(j)
-		return
-	}
-	e.abortAttempt(j)
+	before := ev.job.RemainingDemand()
+	e.settle(ev.job, ev.job.Expire(int(ev.attempt), e.now), before)
 }
 
-func (e *Engine) abortAttempt(j *job.Job) {
-	e.aborts++
-	before := j.RemainingDemand()
-	j.AbortAttempt(e.now)
-	e.openDemand += j.RemainingDemand() - before
-	e.attempt[j.ID]++
-	e.responders[j.ID] = e.responders[j.ID][:0]
-	e.sched.OnRequest(j, e.now)
-	e.drain()
-}
-
-func (e *Engine) completeRound(j *job.Job) {
-	round := j.Round()
-	if e.cfg.Observer != nil {
-		parts := make([]device.ID, len(e.responders[j.ID]))
-		copy(parts, e.responders[j.ID])
-		e.cfg.Observer(j, round, parts, e.now)
+// settle turns the outcome of one of j's lifecycle events into scheduler
+// callbacks, deadline arming and the engine's counters. openBefore is j's
+// open demand before the event.
+func (e *Engine) settle(j *job.Job, out job.Outcome, openBefore int) {
+	e.openDemand += j.RemainingDemand() - openBefore
+	if out&job.Fulfilled != 0 {
+		e.sched.OnRequestFulfilled(j, e.now)
+		if out&job.RoundDone == 0 {
+			e.cal.push(&event{at: e.now.Add(j.Deadline()), kind: evDeadline, job: j, attempt: int32(j.Attempt())})
+		}
 	}
-	before := j.RemainingDemand()
-	done := j.CompleteRound(e.now)
-	e.openDemand += j.RemainingDemand() - before
-	e.attempt[j.ID]++
+	if out&(job.RoundDone|job.Aborted) == 0 {
+		return
+	}
+	if out&job.Aborted != 0 {
+		e.aborts++
+	} else if e.cfg.Observer != nil {
+		e.cfg.Observer(j, j.CompletedRounds(), slices.Clone(e.responders[j.ID]), e.now)
+	}
 	e.responders[j.ID] = e.responders[j.ID][:0]
-	if done {
-		e.active--
-		e.completed = append(e.completed, j)
+	if out&job.JobDone != 0 {
 		e.sched.OnJobDone(j, e.now)
 	} else {
 		e.sched.OnRequest(j, e.now)
@@ -366,9 +320,6 @@ func (e *Engine) tryAssign(rt *devRuntime) bool {
 	if j == nil {
 		return false
 	}
-	e.validateAssignment(rt.dev, j)
-	rt.idleSeq = 0
-	e.env.IdlePerCell[rt.cell]--
 	e.assign(rt, j)
 	return true
 }
@@ -406,9 +357,6 @@ func (e *Engine) drain() {
 				kept = append(kept, ent)
 				continue
 			}
-			e.validateAssignment(rt.dev, j)
-			rt.idleSeq = 0
-			e.env.IdlePerCell[rt.cell]--
 			e.assign(rt, j)
 			assignedAny = true
 		}
@@ -423,21 +371,14 @@ func (e *Engine) drain() {
 	}
 }
 
-func (e *Engine) validateAssignment(d *device.Device, j *job.Job) {
-	if !j.Requirement.Eligible(d) {
-		panic(fmt.Sprintf("sim: scheduler %s assigned ineligible %v to %v",
-			e.sched.Name(), d, j))
-	}
-	if j.State() != job.StateScheduling || j.RemainingDemand() <= 0 {
-		panic(fmt.Sprintf("sim: scheduler %s assigned %v to %v with no open demand",
-			e.sched.Name(), d, j))
-	}
-}
-
-// assign commits a device to a job's open request and schedules its outcome.
+// assign commits an idle device to the job the scheduler picked for it and
+// schedules the task's outcome.
 func (e *Engine) assign(rt *devRuntime, j *job.Job) {
+	attempt, before := int32(j.Attempt()), j.RemainingDemand()
+	out := j.Assign(rt.dev, e.now)
 	e.assignments++
-	e.openDemand--
+	rt.idleSeq = 0
+	e.env.IdlePerCell[rt.cell]--
 	rt.busy = true
 	rt.dev.LastTaskDay = int32(e.now.DayIndex())
 
@@ -452,29 +393,8 @@ func (e *Engine) assign(rt *devRuntime, j *job.Job) {
 			finish = e.now.Add(simtime.Second)
 		}
 	}
-	e.cal.push(&event{
-		at:          finish,
-		kind:        evResponse,
-		dev:         rt.dev,
-		job:         j,
-		attempt:     e.attempt[j.ID],
-		ok:          ok,
-		intervalEnd: e.now, // repurposed: task start time for profiling
-	})
-
-	fully := j.AddAssignment(e.now)
-	if fully {
-		e.sched.OnRequestFulfilled(j, e.now)
-		e.cal.push(&event{
-			at:      e.now.Add(j.Deadline()),
-			kind:    evDeadline,
-			job:     j,
-			attempt: e.attempt[j.ID],
-		})
-		if j.CanComplete() {
-			e.completeRound(j)
-		}
-	}
+	e.cal.push(&event{at: finish, kind: evResponse, dev: rt.dev, job: j, attempt: attempt, ok: ok, start: e.now})
+	e.settle(j, out, before)
 }
 
 func (e *Engine) buildResult() *Result {

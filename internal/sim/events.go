@@ -17,7 +17,7 @@ import (
 )
 
 // eventKind enumerates simulator events.
-type eventKind int
+type eventKind uint8
 
 const (
 	evDeviceOnline eventKind = iota
@@ -30,20 +30,24 @@ const (
 // event is one entry of the simulation event queue. Ties on time are broken
 // by sequence number so runs are fully deterministic.
 type event struct {
-	at   simtime.Time
-	seq  uint64
-	kind eventKind
+	at  simtime.Time
+	seq uint64
 
 	dev *device.Device
 	job *job.Job
 
-	// attempt is the per-job attempt sequence an evResponse/evDeadline
-	// belongs to; stale events (attempt moved on) are dropped.
-	attempt uint64
-	// ok marks an evResponse as a successful report (false = failure).
-	ok bool
+	// start is an evResponse's task start, for the profiler's duration.
+	start simtime.Time
 	// intervalEnd carries the availability-interval end for evDeviceOnline.
 	intervalEnd simtime.Time
+	// attempt is the job attempt (job.Attempt) an evResponse/evDeadline
+	// belongs to; the job reports an event of an ended attempt as stale.
+	// It and the two narrow fields below share one word, so an event stays
+	// in the 64-byte size class.
+	attempt int32
+	kind    eventKind
+	// ok marks an evResponse as a successful report (false = failure).
+	ok bool
 }
 
 // eventQueue is a min-heap over (at, seq).

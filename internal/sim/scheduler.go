@@ -38,7 +38,9 @@ type Scheduler interface {
 	// Assign picks the job a checked-in device should serve, or nil to
 	// leave the device idle. The engine guarantees the device is online
 	// and unused today; the scheduler must only return jobs whose
-	// requirement the device satisfies and whose request is open.
+	// requirement the device satisfies and whose request is open. The job
+	// enforces both (job.Job.Assign panics) on both paths, under the
+	// simulator and under the live daemon.
 	Assign(d *device.Device, now simtime.Time) *job.Job
 
 	// ObserveResponse reports a completed (successful) task so the
@@ -72,11 +74,16 @@ type Env struct {
 	// IdlePerCell[c] is the engine-maintained count of devices currently
 	// checked in, idle, and schedulable in cell c. Schedulers may fold it
 	// into their scheduling-delay estimates: a standing pool fulfills a
-	// request immediately regardless of the arrival rate.
+	// request immediately regardless of the arrival rate. The live daemon
+	// (server.Manager) leaves it nil, so IdleInRegion reads 0 there.
 	IdlePerCell []int
 
 	// CountIdle counts currently idle schedulable devices matching the
-	// predicate (engine-provided). Nil outside a live engine.
+	// predicate (engine-provided). The live daemon leaves it nil as well, so
+	// core.decideTier's standing-pool test reads 0 there and every request
+	// that passes its regime test exits at pool_short: until the daemon
+	// keeps an idle pool, the simulator and the daemon make different tier
+	// decisions.
 	CountIdle func(pred func(*device.Device) bool) int
 }
 
