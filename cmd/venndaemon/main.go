@@ -49,10 +49,10 @@
 // -cpuprofile records a CPU profile until shutdown, so perf work can
 // attribute serving-path time without ad-hoc patches; -mutexprofile and
 // -blockprofile capture lock-contention and goroutine-blocking profiles at
-// shutdown, the natural lenses on the core commit pipeline.
+// shutdown, the natural lenses on the core mutex.
 //
-// Core commit: scheduler-core mutations commit by flat combining with an
-// uncontended fast path (see the README's Core commit pipeline section).
+// Core commit: each scheduler-core mutation commits in one section under
+// the core mutex (see the README's Core commit pipeline section).
 // -daily-budget=false lifts the one-task-per-day device budget for
 // sustained-demand benchmarking.
 //

@@ -11,7 +11,7 @@ type Stage uint8
 const (
 	StageRead      Stage = iota // frame payload read off the socket
 	StageDecode                 // wire payload decode into the typed request
-	StageQueueWait              // combiner queue wait (core_wait, per request)
+	StageQueueWait              // wait for the core mutex (core_wait, per request)
 	StageApply                  // scheduler-core apply under the commit path
 	StageHop                    // federation forward round-trip (origin side)
 	StageEncode                 // response payload encode

@@ -9,7 +9,7 @@ import (
 )
 
 // BatchBuf is the reusable storage of one batch request: the decoded items,
-// their byte boundaries, the results, the combiner's item slices, and the
+// their byte boundaries, the results, the core section's items, and the
 // scratch of a federation router that splits the batch by owner. A stream
 // connection owns one and serves every frame out of it, local or forwarded,
 // so a warm batch allocates nothing; the HTTP batch routes serve out of a
@@ -35,7 +35,6 @@ type BatchBuf struct {
 	checkInResults []CheckInResult
 	reportResults  []ReportResult
 	assigns        []assignItem
-	reports        []reportItem
 
 	body     bytes.Buffer // an HTTP batch route's request body
 	reply    []byte       // and its encoded reply
@@ -168,7 +167,6 @@ func (b *BatchBuf) Release() {
 	fill(b.checkInResults, CheckInResult{Error: gone})
 	fill(b.reportResults, ReportResult{Error: gone})
 	clear(b.assigns)
-	clear(b.reports)
 	fill(b.body.Bytes(), 0xA5)
 	fill(b.reply, 0xA5)
 }

@@ -13,8 +13,8 @@ import (
 // driveCorePipeline replays a fixed traffic script — staggered job
 // registrations, mixed eligible/surplus check-in batches, lone check-ins
 // (batches of one), and reports — and returns every result the manager
-// handed back, JSON encoded in arrival order. Two managers with the same seed and clock must
-// produce byte-identical transcripts regardless of the core commit mode.
+// handed back, JSON encoded in arrival order. Two managers with the same seed
+// and clock must produce byte-identical transcripts.
 func driveCorePipeline(t *testing.T, m *Manager, clk *fakeClock) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -84,29 +84,6 @@ func driveCorePipeline(t *testing.T, m *Manager, clk *fakeClock) []byte {
 	return buf.Bytes()
 }
 
-// coreCommitNames names the commit modes in subtests and messages.
-var coreCommitNames = [...]string{coreAuto: "auto", coreDirect: "direct", coreCombine: "combine"}
-
-// TestCoreCommitDeterminismPin pins the flat-combining applier to the
-// direct-lock path: for a fixed seed and clock, the full result transcript
-// (assignments, batch replies, report replies, final counters) must be
-// byte-identical across commit modes. "combine" forces every op through the
-// queue; "auto" exercises the fast path (a sequential driver never
-// contends).
-func TestCoreCommitDeterminismPin(t *testing.T) {
-	run := func(mode int) []byte {
-		clk := newFakeClock()
-		m := NewManager(Config{Clock: clk.now, Seed: 7, coreCommit: mode})
-		return driveCorePipeline(t, m, clk)
-	}
-	want := run(coreDirect)
-	for _, mode := range []int{coreAuto, coreCombine} {
-		if got := run(mode); !bytes.Equal(got, want) {
-			t.Errorf("core commit mode %q diverged from direct-lock transcript:\nbytes %d vs %d", coreCommitNames[mode], len(got), len(want))
-		}
-	}
-}
-
 // coreTranscriptFile is driveCorePipeline's transcript for seed 7, captured
 // when single check-ins and reports had a commit path of their own. A change
 // that moves a decision on purpose (a scheduler change) re-captures it.
@@ -128,128 +105,126 @@ func TestCoreTranscriptGolden(t *testing.T) {
 }
 
 // TestCombinerConcurrentMixedLoad races concurrent mixed surplus/demand
-// CheckInBatch and report traffic against the combiner (run under -race in
-// CI). Low-spec devices stay surplus for the High-Perf-only demand and are
+// CheckInBatch and report traffic through the core sections (run under -race
+// in CI). Low-spec devices stay surplus for the High-Perf-only demand and are
 // answered off the snapshot mid-batch while high-spec items of the same
-// batches commit through the core pipeline; budget is disabled so demand
+// batches commit in the batch's core section; budget is disabled so demand
 // stays contended for the whole run. The end-state invariants catch lost
-// updates; the forced-combine subtest additionally proves rounds actually
-// combined multiple ops.
+// updates. The subtest keeps the name of the default ("auto") commit mode,
+// which is now the only core path.
 func TestCombinerConcurrentMixedLoad(t *testing.T) {
-	for _, mode := range []int{coreAuto, coreCombine} {
-		t.Run(coreCommitNames[mode], func(t *testing.T) {
-			m := NewManager(Config{coreCommit: mode, DisableDailyBudget: true})
-			const (
-				workers        = 64
-				devicesPerWork = 32
-				iterations     = 4
-			)
-			totalDemand := 0
-			for i := 0; i < 8; i++ {
-				d := 40 + i*10
-				if _, err := m.RegisterJob(JobSpec{
-					Name: fmt.Sprintf("hp-%d", i), Category: "High-Perf",
-					DemandPerRound: d, Rounds: 2,
-				}); err != nil {
-					t.Fatal(err)
-				}
-				totalDemand += d * 2
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for it := 0; it < iterations; it++ {
-						cis := make([]CheckIn, devicesPerWork)
-						for i := range cis {
-							// Even items are high-spec (High-Perf eligible),
-							// odd items are low-spec surplus.
-							score := 0.95
-							if i%2 == 1 {
-								score = 0.05
-							}
-							cis[i] = CheckIn{
-								DeviceID: fmt.Sprintf("w%d-d%d", w, i),
-								CPU:      score, Mem: score,
-							}
-						}
-						res := m.CheckInBatch(cis)
-						var reps []Report
-						for i, r := range res {
-							if r.Error != "" {
-								t.Errorf("batch item error: %s", r.Error)
-								return
-							}
-							if r.Assigned {
-								reps = append(reps, Report{
-									DeviceID: cis[i].DeviceID, JobID: r.JobID,
-									OK: true, DurationSeconds: 2,
-								})
-							}
-						}
-						if len(reps) > 0 {
-							for _, rr := range m.ReportBatch(reps) {
-								if rr.Error != "" {
-									t.Errorf("report item error: %s", rr.Error)
-								}
-							}
-						}
-					}
-				}(w)
-			}
-			done := make(chan struct{})
-			var readers sync.WaitGroup
-			for r := 0; r < 4; r++ {
-				readers.Add(1)
-				go func() {
-					defer readers.Done()
-					for {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						m.Tick()
-						_ = m.MetricsSnapshot()
-					}
-				}()
-			}
-			wg.Wait()
-			close(done)
-			readers.Wait()
+	t.Run("auto", concurrentMixedLoad)
+}
 
-			st := m.MetricsSnapshot()
-			mt := st
-			if st.CheckIns == 0 || st.Assignments == 0 {
-				t.Fatalf("no traffic recorded: %+v", st)
-			}
-			if st.Assignments > int64(totalDemand) {
-				t.Errorf("assignments %d exceed total demand %d", st.Assignments, totalDemand)
-			}
-			if st.Reports > st.Assignments {
-				t.Errorf("more reports than assignments: %+v", st)
-			}
-			if mt.LockFreeCheckIns == 0 {
-				t.Errorf("no surplus check-ins took the lock-free path")
-			}
-			applied := mt.CoreCombinedOps + mt.CoreFastPathOps
-			if applied == 0 {
-				t.Errorf("no ops committed through the core pipeline: %+v", mt)
-			}
-			if mode == coreCombine && mt.CoreRounds == 0 {
-				t.Errorf("forced-combine run recorded no combining rounds")
-			}
-			busy := 0
-			for _, s := range m.reg.all() {
-				if s.flags&slotBusy != 0 {
-					busy++
+func concurrentMixedLoad(t *testing.T) {
+	m := NewManager(Config{DisableDailyBudget: true})
+	const (
+		workers        = 64
+		devicesPerWork = 32
+		iterations     = 4
+	)
+	totalDemand := 0
+	for i := 0; i < 8; i++ {
+		d := 40 + i*10
+		if _, err := m.RegisterJob(JobSpec{
+			Name: fmt.Sprintf("hp-%d", i), Category: "High-Perf",
+			DemandPerRound: d, Rounds: 2,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		totalDemand += d * 2
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for it := 0; it < iterations; it++ {
+				cis := make([]CheckIn, devicesPerWork)
+				for i := range cis {
+					// Even items are high-spec (High-Perf eligible),
+					// odd items are low-spec surplus.
+					score := 0.95
+					if i%2 == 1 {
+						score = 0.05
+					}
+					cis[i] = CheckIn{
+						DeviceID: fmt.Sprintf("w%d-d%d", w, i),
+						CPU:      score, Mem: score,
+					}
+				}
+				res := m.CheckInBatch(cis)
+				var reps []Report
+				for i, r := range res {
+					if r.Error != "" {
+						t.Errorf("batch item error: %s", r.Error)
+						return
+					}
+					if r.Assigned {
+						reps = append(reps, Report{
+							DeviceID: cis[i].DeviceID, JobID: r.JobID,
+							OK: true, DurationSeconds: 2,
+						})
+					}
+				}
+				if len(reps) > 0 {
+					for _, rr := range m.ReportBatch(reps) {
+						if rr.Error != "" {
+							t.Errorf("report item error: %s", rr.Error)
+						}
+					}
 				}
 			}
-			if got := m.reg.busy.Load(); got != int64(busy) {
-				t.Errorf("busy gauge %d != actual busy %d", got, busy)
+		}(w)
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				m.Tick()
+				_ = m.MetricsSnapshot()
 			}
-		})
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+
+	st := m.MetricsSnapshot()
+	if st.CheckIns == 0 || st.Assignments == 0 {
+		t.Fatalf("no traffic recorded: %+v", st)
+	}
+	if st.Assignments > int64(totalDemand) {
+		t.Errorf("assignments %d exceed total demand %d", st.Assignments, totalDemand)
+	}
+	if st.Reports > st.Assignments {
+		t.Errorf("more reports than assignments: %+v", st)
+	}
+	if st.LockFreeCheckIns == 0 {
+		t.Errorf("no surplus check-ins took the lock-free path")
+	}
+	if st.CoreRounds == 0 {
+		t.Errorf("no core sections recorded: %+v", st)
+	}
+	if st.CoreWaitNs.Count != st.CoreCombinedOps {
+		t.Errorf("%d waits observed for %d core sections that waited", st.CoreWaitNs.Count, st.CoreCombinedOps)
+	}
+	busy := 0
+	for _, s := range m.reg.all() {
+		if s.flags&slotBusy != 0 {
+			busy++
+		}
+	}
+	if got := m.reg.busy.Load(); got != int64(busy) {
+		t.Errorf("busy gauge %d != actual busy %d", got, busy)
 	}
 }
 

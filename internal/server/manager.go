@@ -23,18 +23,18 @@
 // points (CheckInBatch, ReportBatch) amortize one core-mutex acquisition
 // across every item that still needs the scheduler.
 //
-// Check-ins that do need the scheduler — and reports, and job arrivals —
-// commit through the flat-combining pipeline in combiner.go: under
-// contention callers enqueue typed core ops and a single combiner applies
-// them in rounds, one mutex acquisition and one maintenance pass per round
-// instead of per caller; uncontended callers keep the historical direct
-// lock. Lock order is always: shard locks in ascending shard index, then
-// the core mutex (the combiner takes no shard locks).
+// Check-ins that do need the scheduler — and reports, job arrivals and plan
+// refreshes — commit in a core section (lockCore/unlockCore): the core
+// mutex, one maintenance pass (supply drain, deadline expiry), the apply,
+// and a republish of the plan the apply left stale. A batch pays one section
+// for all of its items. Lock order is always: shard locks in ascending shard
+// index, then the core mutex.
 package server
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -62,7 +62,11 @@ var (
 	ErrUnknownDevice   = errors.New("server: unknown device")
 	// ErrRegistryFull refuses a new device whose ID would end past the 4 GiB
 	// a registry shard's ID arena can address.
-	ErrRegistryFull    = errors.New("server: device registry shard has no room for the ID")
+	ErrRegistryFull = errors.New("server: device registry shard has no room for the ID")
+	// ErrBadDuration refuses a report whose duration_seconds is NaN, ±Inf or
+	// negative; ErrBadTaskScale refuses such a job task_scale.
+	ErrBadDuration     = errors.New("server: duration_seconds must be a finite non-negative number")
+	ErrBadTaskScale    = errors.New("server: task_scale must be a finite non-negative number")
 	errDeviceIDMissing = errors.New("server: device_id required")
 )
 
@@ -186,10 +190,6 @@ type Config struct {
 	// it with a 24h default). Applies to busy devices too: a reservation
 	// a full TTL old belongs to a device that crashed mid-task.
 	DeviceTTL time.Duration
-	// coreCommit selects how core ops commit (combiner.go). The zero value,
-	// coreAuto, is what every daemon runs; in-package tests and benchmarks
-	// set coreDirect (the reference) and coreCombine.
-	coreCommit int
 	// DisableDailyBudget lifts the one-task-per-device-per-day realism
 	// constraint. Load benchmarks set it so a demand-heavy run exercises
 	// sustained assignment traffic instead of exhausting the fleet's
@@ -266,18 +266,14 @@ type Manager struct {
 	deadlines   map[job.ID]simtime.Time
 	deadlineDue atomic.Int64
 
-	// Flat-combining core commit pipeline (combiner.go). coreHead is the
-	// MPSC op queue, combining elects the single combiner. The counters and
-	// the wait histogram feed /v1/metrics (core_rounds, core_ops_per_round,
-	// core_wait_ns).
-	coreHead        atomic.Pointer[coreOp]
-	combining       atomic.Bool
-	coreRounds      atomic.Int64
-	coreCombinedOps atomic.Int64
-	coreFastOps     atomic.Int64
-	coreWait        obs.Hist
-	// coreHeldSince is the UnixNano at which the current combiner took the
-	// core mutex (0 when free); Health reads it to detect a wedged core.
+	// Core section telemetry (lockCore): the sections that took the core
+	// mutex at once and those that waited for it, and the waits. They feed
+	// /v1/metrics (core_fastpath_ops, core_combined_ops, core_wait_ns).
+	coreFast   atomic.Int64
+	coreWaited atomic.Int64
+	coreWait   obs.Hist
+	// coreHeldSince is the UnixNano at which the current core section took
+	// the core mutex (0 when free); Health reads it to detect a wedged core.
 	coreHeldSince atomic.Int64
 
 	// Cumulative counters (guarded by mu; all mutated in core sections).
@@ -465,9 +461,9 @@ func (m *Manager) PolicyName() string { return m.policyName }
 // /v1/debug/flight dumps its flight recorder.
 func (m *Manager) Obs() *obs.Registry { return m.obs }
 
-// coreWedgeAfter is how long one combiner may hold the core mutex before
-// Health declares the core wedged. Real rounds hold it for microseconds;
-// seconds means a stuck policy or a deadlock.
+// coreWedgeAfter is how long one core section may hold the core mutex
+// before Health declares the core wedged. Real sections hold it for
+// microseconds; seconds means a stuck policy or a deadlock.
 const coreWedgeAfter = 5 * time.Second
 
 // HealthStatus is the GET /v1/healthz payload. OK mirrors the HTTP status
@@ -475,7 +471,7 @@ const coreWedgeAfter = 5 * time.Second
 type HealthStatus struct {
 	OK            bool    `json:"ok"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// CoreHeldSeconds is how long the current core-combiner mutex hold has
+	// CoreHeldSeconds is how long the current core section's mutex hold has
 	// lasted (0 when the core is free); past coreWedgeAfter the daemon is
 	// unhealthy.
 	CoreHeldSeconds float64 `json:"core_held_seconds,omitempty"`
@@ -488,7 +484,7 @@ type HealthStatus struct {
 	Detail    string `json:"detail,omitempty"`
 }
 
-// Health evaluates daemon liveness in one place: the core commit pipeline
+// Health evaluates daemon liveness in one place: the core commit path
 // must not be wedged (one mutex hold exceeding coreWedgeAfter), and
 // federation peer health is surfaced alongside. Every health surface —
 // /v1/healthz, the venndaemon -log-metrics line — derives from this. It takes
@@ -523,24 +519,23 @@ func (m *Manager) now() simtime.Time {
 // nowSec is the wall-clock second the registry stamps on a device it sees.
 func (m *Manager) nowSec() int64 { return m.cfg.Clock().Unix() }
 
-// RegisterJob admits a new CL job and opens its first-round request. The
-// admission itself commits through the core pipeline (combiner.go) as an
-// opRegister, so job arrivals combine with in-flight assignment rounds.
+// RegisterJob admits a new CL job and opens its first-round request, in a
+// core section of its own.
 func (m *Manager) RegisterJob(spec JobSpec) (JobStatus, error) {
-	if _, ok := m.categories[spec.Category]; !ok {
+	req, ok := m.categories[spec.Category]
+	if !ok {
 		return JobStatus{}, fmt.Errorf("%w: %q", ErrUnknownCategory, spec.Category)
 	}
 	if spec.DemandPerRound < 1 || spec.Rounds < 1 {
 		return JobStatus{}, errors.New("server: demand and rounds must be positive")
 	}
-	return m.submitRegister(spec), nil
-}
-
-// registerJobLocked admits a pre-validated job spec. The caller holds the
-// core mutex and has run the section preamble.
-func (m *Manager) registerJobLocked(spec JobSpec, now simtime.Time) JobStatus {
-	req := m.categories[spec.Category]
-	m.drainSupplyLocked(now) // the arrival estimate reads supply history
+	// A task_scale scales the job's per-device task duration: NaN, ±Inf and
+	// negative ones are refused (0 keeps the default).
+	if !finiteNonNegative(spec.TaskScale) {
+		return JobStatus{}, ErrBadTaskScale
+	}
+	now := m.lockCore(nil) // its supply drain feeds the arrival estimate
+	defer m.unlockCore()
 	id := m.nextJob
 	m.nextJob++
 	j := job.New(id, req, spec.DemandPerRound, spec.Rounds, now)
@@ -559,7 +554,50 @@ func (m *Manager) registerJobLocked(spec JobSpec, now simtime.Time) JobStatus {
 	j.Start(now)
 	m.pol.OnJobArrival(j, now)
 	m.pol.OnRequest(j, now)
-	return m.statusLocked(mj)
+	return m.statusLocked(mj), nil
+}
+
+// finiteNonNegative reports whether f is a number in [0, +Inf).
+func finiteNonNegative(f float64) bool { return f >= 0 && !math.IsInf(f, 1) }
+
+// lockCore opens a core section, the one path every core mutation (an
+// assignment batch, a report batch, a job arrival, a plan refresh) commits
+// through: it takes the core mutex, counting whether it had to wait, and runs
+// the section preamble (supply drain, deadline expiry). It returns the
+// section's time. A wait lands in core_wait_ns and on sp's queue_wait stage.
+func (m *Manager) lockCore(sp *obs.Span) simtime.Time {
+	if m.mu.TryLock() {
+		m.coreFast.Add(1)
+	} else {
+		t0 := time.Now()
+		m.mu.Lock()
+		wait := time.Since(t0)
+		m.coreWaited.Add(1)
+		m.coreWait.Observe(int64(wait))
+		sp.Mark(obs.StageQueueWait, wait)
+	}
+	m.coreHeldSince.Store(time.Now().UnixNano())
+	now := m.now()
+	m.drainSupplyLocked(now)
+	m.expireDueLocked(now)
+	return now
+}
+
+// unlockCore closes a core section. It first republishes the plan if the
+// section left it stale, so trailing check-ins keep the lock-free surplus
+// path instead of entering the core one by one.
+func (m *Manager) unlockCore() {
+	if m.lockFreeOK && !m.venn.PlanFresh() {
+		m.venn.RefreshPlan(m.now())
+	}
+	m.coreHeldSince.Store(0)
+	m.mu.Unlock()
+}
+
+// refreshPlan republishes a stale plan in a core section of its own.
+func (m *Manager) refreshPlan() {
+	m.lockCore(nil)
+	m.unlockCore()
 }
 
 // countCheckIns records n admitted check-ins, lockFree of them answered from
@@ -623,6 +661,14 @@ func (m *Manager) snapshotSaysIdle(s *slot, cpu, mem float64, now simtime.Time) 
 	return !snap.HasCandidate(&d, device.CellID(s.cell), now)
 }
 
+// assignItem is one check-in of a batch that enters the core: its slot, its
+// clamped scores, and its index in the batch.
+type assignItem struct {
+	s        *slot
+	cpu, mem float64
+	i        int
+}
+
 // assignCoreLocked runs the short scheduler critical section for one
 // admitted check-in. The caller holds both the device's shard mutex and the
 // core mutex; the device stays reserved on assignment and the caller frees
@@ -654,10 +700,11 @@ func (m *Manager) CheckInBatch(cis []CheckIn) []CheckInResult {
 }
 
 // CheckInBatchBuf is CheckInBatch of buf.CheckIns carrying the request's
-// observability span (nil when unsampled; ops that enter the core commit
-// pipeline attribute their queue wait and apply time to it), with the results
-// and the combiner's items in buf's storage (see BatchBuf for how long the
-// results stay valid). Every check-in this node applies commits here.
+// observability span (nil when unsampled; a batch that enters the core
+// attributes its wait for the core mutex and its apply time to it), with the
+// results and the core section's items in buf's storage (see BatchBuf for
+// how long the results stay valid). Every check-in this node applies commits
+// here.
 func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 	cis, out := buf.CheckIns, buf.CheckInSlots(len(buf.CheckIns))
 	if len(cis) == 0 {
@@ -675,11 +722,10 @@ func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 	now := m.now()
 	nowSec := m.nowSec()
 	// If churn left the plan stale, pay one refresh up front so the whole
-	// batch probes a fresh snapshot instead of queueing for the locked
-	// path item by item. The refresh commits through the core pipeline, so
-	// concurrent batches share one republish.
+	// batch probes a fresh snapshot instead of entering the core for items
+	// the plan would prove idle.
 	if m.lockFreeOK && !m.venn.PlanFresh() {
-		m.submitRefresh()
+		m.refreshPlan()
 	}
 	m.reg.touch(sc)
 	day := now.DayIndex()
@@ -717,18 +763,24 @@ func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 			// Room for every item left: a fresh BatchBuf grows once a batch.
 			buf.assigns = slices.Grow(buf.assigns, len(cis)-i)
 		}
-		buf.assigns = append(buf.assigns, assignItem{s: s, cpu: cpu, mem: mem, out: &out[i].Assignment})
+		buf.assigns = append(buf.assigns, assignItem{s: s, cpu: cpu, mem: mem, i: i})
 	}
 	m.countCheckIns(admitted, lockFree, sc.supply)
 
 	if items := buf.assigns; len(items) > 0 {
-		m.submitAssignBatch(items, sp)
+		now := m.lockCore(sp)
+		t0 := spanClock(sp)
 		assigned := 0
 		for k := range items {
-			if items[k].out.Assigned {
+			if a := m.assignCoreLocked(&items[k], now); a.Assigned {
+				out[items[k].i].Assignment = a
 				assigned++
 			}
 		}
+		if sp != nil {
+			sp.Mark(obs.StageApply, time.Since(t0))
+		}
+		m.unlockCore()
 		m.reg.busy.Add(int64(assigned))
 	}
 	for i, s := range sc.slots {
@@ -741,7 +793,7 @@ func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 
 // reportCoreLocked applies one report to the scheduler core. The caller
 // holds the core mutex (and the device's shard mutex).
-func (m *Manager) reportCoreLocked(r Report, s *slot, now simtime.Time) {
+func (m *Manager) reportCoreLocked(r *Report, s *slot, now simtime.Time) {
 	mj, ok := m.jobs[job.ID(r.JobID)]
 	if !ok {
 		// Job finished meanwhile; the report is stale but harmless.
@@ -779,8 +831,15 @@ func (m *Manager) ReportBatchBuf(buf *BatchBuf, sp *obs.Span) []ReportResult {
 	}
 	sc := m.reg.scratch(len(rs))
 	for i := range rs {
-		if id := rs[i].DeviceID; id != "" {
-			m.reg.mark(sc, i, id)
+		switch {
+		case !finiteNonNegative(rs[i].DurationSeconds):
+			// The duration feeds the job's response profile: a NaN, ±Inf or
+			// negative one is refused before the registry sees the report.
+			out[i].Error = ErrBadDuration.Error()
+		case rs[i].DeviceID == "":
+			out[i].Error = errDeviceIDMissing.Error()
+		default:
+			m.reg.mark(sc, i, rs[i].DeviceID)
 		}
 	}
 	m.reg.lockMarked(sc, false)
@@ -791,8 +850,7 @@ func (m *Manager) ReportBatchBuf(buf *BatchBuf, sp *obs.Span) []ReportResult {
 	for i := range rs {
 		sh := sc.shard[i]
 		if sh == nil {
-			out[i].Error = errDeviceIDMissing.Error()
-			continue
+			continue // refused above
 		}
 		s, _ := sh.find(sc.hash[i], rs[i].DeviceID)
 		if s == nil {
@@ -808,13 +866,17 @@ func (m *Manager) ReportBatchBuf(buf *BatchBuf, sp *obs.Span) []ReportResult {
 	}
 	if accepted > 0 {
 		m.reg.busy.Add(int64(-freed))
-		buf.reports = grow(buf.reports, accepted)[:0]
+		now := m.lockCore(sp)
+		t0 := spanClock(sp)
 		for i, s := range sc.slots {
 			if s != nil {
-				buf.reports = append(buf.reports, reportItem{r: rs[i], s: s})
+				m.reportCoreLocked(&rs[i], s, now)
 			}
 		}
-		m.submitReportBatch(buf.reports, sp)
+		if sp != nil {
+			sp.Mark(obs.StageApply, time.Since(t0))
+		}
+		m.unlockCore()
 	}
 	return out
 }

@@ -50,7 +50,7 @@ func (r *peersRouter) ClusterTelemetry() ClusterTelemetry {
 }
 
 // TestHealthReportsWedgedCore holds the core mutex past coreWedgeAfter, as a
-// stuck combiner round would: Health and GET /v1/healthz must still answer,
+// stuck core section would: Health and GET /v1/healthz must still answer,
 // within a second, unhealthy with 503 — standalone, and federated with the
 // peer counts still reported.
 func TestHealthReportsWedgedCore(t *testing.T) {

@@ -17,9 +17,9 @@ package server
 // A handle is valid only while the shard's mutex is held and only until the
 // shard's next reserve: reserve may rebuild the table, admit never does. A
 // batch therefore locks its shards, reserves room for every insert it could
-// make, and only then takes handles, which stay valid — also for the core
-// combiner, which dereferences the handles its ops carry while the submitter
-// is parked holding the shard locks — until the batch unlocks.
+// make, and only then takes handles, which stay valid — also in the batch's
+// core section, which it enters holding the shard locks — until the batch
+// unlocks.
 //
 // Eviction leaves a tombstone so probe runs stay intact. A later insert whose
 // probe passes a tombstone reuses it; what remains is reclaimed, along with

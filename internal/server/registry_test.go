@@ -355,7 +355,7 @@ func TestWarmSurplusAdmitAllocatesNothing(t *testing.T) {
 	for i := range cis {
 		cis[i] = CheckIn{DeviceID: fmt.Sprintf("warm-%d", i), CPU: 0.5, Mem: 0.5}
 	}
-	m.submitRefresh() // publish a plan snapshot: no jobs, so every device is surplus
+	m.refreshPlan() // publish a plan snapshot: no jobs, so every device is surplus
 	m.CheckInBatch(cis)
 	ci := &cis[0]
 	h := m.reg.hash(ci.DeviceID)
