@@ -57,24 +57,6 @@ func benchPlan(b *testing.B, jobs, groups int) {
 // default evaluation size (4 groups).
 func BenchmarkIRSPlanSmall(b *testing.B) { benchPlan(b, 50, 4) }
 
-// BenchmarkRegionAlgebra measures the bitset set operations that dominate
-// planning.
-func BenchmarkRegionAlgebra(b *testing.B) {
-	reqs := make([]device.Requirement, 64)
-	for i := range reqs {
-		reqs[i] = device.Requirement{MinCPU: float64(i%8) / 8, MinMem: float64(i/8) / 8}
-	}
-	grid := device.NewGrid(reqs)
-	a := grid.RegionOf(reqs[5])
-	c := grid.RegionOf(reqs[37])
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		u := a.Union(c)
-		_ = u.Intersect(a).Subtract(c).Count()
-	}
-}
-
 // BenchmarkAssignHotPath measures per-device assignment latency for each
 // scheduler with 40 open requests.
 func BenchmarkAssignHotPath(b *testing.B) {
@@ -148,7 +130,7 @@ func BenchmarkFLRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts := rng.SampleWithoutReplacement(len(ds.Shards), cfg.DemandPerRound)
+		parts := rng.Perm(len(ds.Shards))[:cfg.DemandPerRound]
 		tr.RunRound(parts)
 	}
 }

@@ -6,8 +6,8 @@
 //	c := client.New("host:8081")                         // stream (bare host:port)
 //	c := client.New("host:8081", client.WithTimeout(2*time.Second))
 //
-// Both transports implement API. NewStream remains as a thin deprecated
-// shim returning the concrete *StreamClient.
+// Both transports implement API. NewStream returns the concrete
+// *StreamClient, whose ForwardRaw the federation relay needs.
 package client
 
 import (
@@ -18,13 +18,6 @@ import (
 	"time"
 
 	"venn/internal/server"
-)
-
-// Transport names: a URL address selects TransportHTTP, a bare host:port
-// TransportStream.
-const (
-	TransportHTTP   = "http"
-	TransportStream = "stream"
 )
 
 // API is the transport-neutral client surface: everything a job owner or a

@@ -40,17 +40,15 @@ type StreamClient struct {
 // Stream defaults.
 const (
 	DefaultStreamConns      = 2
-	DefaultStreamTimeout    = 10 * time.Second
 	defaultClientMaxPayload = 64 << 20 // responses can carry full batch + metrics payloads
 )
 
 // NewStream creates a stream client for the daemon's stream listener at
 // addr (e.g. "localhost:8081"). Connections are dialed lazily on first use
-// and redialed automatically after failures.
-//
-// Deprecated: use New — a bare host:port address selects this same
-// transport. NewStream remains for callers that need the concrete
-// *StreamClient.
+// and redialed automatically after failures. New with a bare host:port
+// selects the same transport but returns the API interface; NewStream stays
+// because the federation relay needs the concrete *StreamClient for
+// ForwardRaw.
 func NewStream(addr string, opts ...Option) *StreamClient {
 	cfg := defaultClientConfig()
 	for _, opt := range opts {

@@ -288,7 +288,7 @@ func TestHopFlagRejectedOnNonServingOp(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := transport.ReadFrame(bufio.NewReader(conn), 1<<20, transport.MaxVersion)
+	fr, err := transport.ReadFramePooled(bufio.NewReader(conn), 1<<20, transport.MaxVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func TestRelayCoalescesIntoContributorsSlots(t *testing.T) {
 	}
 	base := known()
 
-	fake.failForwardsWith(&client.StreamError{Code: server.CodeBusy, Msg: "owner says no"})
+	fake.failForwardsWith(&client.StreamError{Code: server.CodeInvalid, Msg: "owner says no"})
 	cis, res, remote := run("typed")
 	check("typed rejection", cis, res, func(string) string { return "owner says no" })
 	if got := known(); got != base+per-remote {
@@ -181,7 +181,7 @@ func TestForwardedResultsOutliveReplyBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// What an assignment of that job reads like when no buffer is involved.
-	ref := owner.m.CheckInBatch([]server.CheckIn{{DeviceID: deviceOwnedBy(t, a.clu.Ring(), owner.addr, "ref"), CPU: 0.9, Mem: 0.9}})[0]
+	ref := owner.m.CheckInBatchBuf(&server.BatchBuf{CheckIns: []server.CheckIn{{DeviceID: deviceOwnedBy(t, a.clu.Ring(), owner.addr, "ref"), CPU: 0.9, Mem: 0.9}}}, nil)[0]
 	if !ref.Assigned || ref.JobName != "keep" {
 		t.Fatalf("reference assignment: %+v", ref)
 	}

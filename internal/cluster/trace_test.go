@@ -64,15 +64,16 @@ func TestForwardTraceJoinsFlightRecords(t *testing.T) {
 	// the response, so the flight records can land an instant after
 	// CheckInBatch returns.
 	var arec, brec obs.Record
+	aobs, bobs := server.NewService(a, "").Obs(), server.NewService(b, "").Obs()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		arec, brec = obs.Record{}, obs.Record{}
-		for _, r := range a.Obs().Flight().Snapshot() {
+		for _, r := range aobs.Flight().Snapshot() {
 			if r.Forwarded && r.Op == "checkin_batch" {
 				arec = r
 			}
 		}
-		for _, r := range b.Obs().Flight().Snapshot() {
+		for _, r := range bobs.Flight().Snapshot() {
 			if r.Hop && r.Op == "checkin_batch" {
 				brec = r
 			}

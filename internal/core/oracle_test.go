@@ -8,7 +8,8 @@ import (
 // small instances — the integer program of Appendix B, solved by exhaustive
 // search with pruning. It exists to validate the scheduling heuristic: the
 // property tests compare Algorithm 1's outcome against the true optimum on
-// instances small enough to enumerate (the full problem is NP-hard).
+// instances small enough to enumerate (the full problem is NP-hard). Only
+// tests call it, so it lives in a test file.
 
 // OptInstance is a small IRS instance: devices arrive at ArrivalTimes (in
 // any time unit, ascending), each eligible for a subset of jobs, and job j

@@ -33,22 +33,6 @@ type PlanSnapshot struct {
 // Epoch returns the snapshot's monotonically increasing version.
 func (s *PlanSnapshot) Epoch() uint64 { return s.epoch }
 
-// OpenRequests returns the total number of open requests in the plan.
-func (s *PlanSnapshot) OpenRequests() int {
-	if s == nil {
-		return 0
-	}
-	return s.open
-}
-
-// NumCells returns the number of grid cells the plan covers.
-func (s *PlanSnapshot) NumCells() int {
-	if s == nil {
-		return 0
-	}
-	return s.numCells
-}
-
 // HasCandidate reports whether the plan has any open request a device in the
 // given cell could serve: it visits every group whose region holds the cell,
 // which are the groups Venn.Assign walks, and applies the same requirement

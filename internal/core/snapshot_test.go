@@ -210,8 +210,8 @@ func TestPlanSnapshotMatchesAssign(t *testing.T) {
 	if snap == nil {
 		t.Fatal("no snapshot published")
 	}
-	if snap.OpenRequests() != len(cats) {
-		t.Fatalf("snapshot sees %d open requests, want %d", snap.OpenRequests(), len(cats))
+	if snap.open != len(cats) {
+		t.Fatalf("snapshot sees %d open requests, want %d", snap.open, len(cats))
 	}
 	for _, d := range devs {
 		got := snap.HasCandidate(d, env.Grid.CellOfDevice(d), 1)
@@ -221,7 +221,7 @@ func TestPlanSnapshotMatchesAssign(t *testing.T) {
 		}
 	}
 	// Out-of-range cells never match.
-	if snap.HasCandidate(devs[0], device.CellID(snap.NumCells()), 1) {
+	if snap.HasCandidate(devs[0], device.CellID(snap.numCells), 1) {
 		t.Error("out-of-range cell must have no candidate")
 	}
 
@@ -240,8 +240,8 @@ func TestPlanSnapshotMatchesAssign(t *testing.T) {
 	if !v.PlanFresh() {
 		t.Fatal("plan must be fresh again")
 	}
-	if snap2 := v.PlanSnapshot(); snap2.OpenRequests() != 0 {
-		t.Errorf("drained scheduler still advertises %d open requests", snap2.OpenRequests())
+	if snap2 := v.PlanSnapshot(); snap2.open != 0 {
+		t.Errorf("drained scheduler still advertises %d open requests", snap2.open)
 	} else if snap2.Epoch() <= snap.Epoch() {
 		t.Errorf("epoch must advance: %d -> %d", snap.Epoch(), snap2.Epoch())
 	}
@@ -298,7 +298,7 @@ func TestPlanSnapshotConcurrentReaders(t *testing.T) {
 				if v.PlanFresh() {
 					if s := v.PlanSnapshot(); s != nil {
 						s.HasCandidate(d, cell, 1)
-						s.OpenRequests()
+						_ = s.open
 					}
 				}
 			}

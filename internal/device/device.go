@@ -116,12 +116,6 @@ type RequirementKey struct {
 	MinCPU, MinMem int64
 }
 
-// Contains reports whether every device eligible for other is also eligible
-// for r (r's eligible set is a superset).
-func (r Requirement) Contains(other Requirement) bool {
-	return r.MinCPU <= other.MinCPU && r.MinMem <= other.MinMem
-}
-
 // String implements fmt.Stringer.
 func (r Requirement) String() string {
 	if r.Name != "" {
@@ -143,16 +137,4 @@ var (
 // Categories lists the four standard requirement strata in a stable order.
 func Categories() []Requirement {
 	return []Requirement{General, ComputeRich, MemoryRich, HighPerf}
-}
-
-// CategoryIndex returns the position of the requirement within Categories(),
-// or -1 if it is not one of the standard strata.
-func CategoryIndex(r Requirement) int {
-	key := r.Key()
-	for i, c := range Categories() {
-		if c.Key() == key {
-			return i
-		}
-	}
-	return -1
 }

@@ -47,21 +47,6 @@ func TestRequirementEligible(t *testing.T) {
 	}
 }
 
-func TestRequirementContains(t *testing.T) {
-	if !General.Contains(HighPerf) {
-		t.Error("General must contain High-Perf")
-	}
-	if !ComputeRich.Contains(HighPerf) || !MemoryRich.Contains(HighPerf) {
-		t.Error("both mid strata must contain High-Perf")
-	}
-	if HighPerf.Contains(General) {
-		t.Error("High-Perf must not contain General")
-	}
-	if ComputeRich.Contains(MemoryRich) || MemoryRich.Contains(ComputeRich) {
-		t.Error("Compute-Rich and Memory-Rich only overlap, not contain")
-	}
-}
-
 func TestRequirementKeyGroupsEqualThresholds(t *testing.T) {
 	a := Requirement{Name: "a", MinCPU: 0.5, MinMem: 0.25}
 	b := Requirement{Name: "b", MinCPU: 0.5, MinMem: 0.25}
@@ -84,13 +69,10 @@ func TestCategories(t *testing.T) {
 	if len(cats) != 4 {
 		t.Fatalf("want 4 categories, got %d", len(cats))
 	}
-	for i, c := range cats {
-		if CategoryIndex(c) != i {
-			t.Errorf("CategoryIndex(%s) = %d, want %d", c.Name, CategoryIndex(c), i)
+	for i, want := range []Requirement{General, ComputeRich, MemoryRich, HighPerf} {
+		if cats[i] != want {
+			t.Errorf("Categories()[%d] = %v, want %v", i, cats[i], want)
 		}
-	}
-	if CategoryIndex(Requirement{MinCPU: 0.123}) != -1 {
-		t.Error("unknown requirement must index -1")
 	}
 }
 

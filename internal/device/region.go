@@ -68,12 +68,6 @@ func cutAbove(cuts []float64, i int) float64 {
 // NumCells returns the total number of atomic cells.
 func (g *Grid) NumCells() int { return len(g.cpuCuts) * len(g.memCuts) }
 
-// CPUBands returns the number of CPU bands.
-func (g *Grid) CPUBands() int { return len(g.cpuCuts) }
-
-// MemBands returns the number of memory bands.
-func (g *Grid) MemBands() int { return len(g.memCuts) }
-
 // CellOf returns the atomic cell containing the given scores.
 func (g *Grid) CellOf(cpu, mem float64) CellID {
 	ci := bandOf(g.cpuCuts, cpu)
@@ -115,22 +109,6 @@ func (g *Grid) CellCorner(c CellID) (cpu, mem float64) {
 	return g.cpuCuts[int(c)%nc], g.memCuts[int(c)/nc]
 }
 
-// CellBounds returns the half-open score rectangle [cpuLo,cpuHi)x[memLo,memHi)
-// covered by the cell. The top band extends to 1 (inclusive upper score).
-func (g *Grid) CellBounds(c CellID) (cpuLo, cpuHi, memLo, memHi float64) {
-	nc := len(g.cpuCuts)
-	ci, mi := int(c)%nc, int(c)/nc
-	cpuLo, memLo = g.cpuCuts[ci], g.memCuts[mi]
-	cpuHi, memHi = 1.0, 1.0
-	if ci+1 < len(g.cpuCuts) {
-		cpuHi = g.cpuCuts[ci+1]
-	}
-	if mi+1 < len(g.memCuts) {
-		memHi = g.memCuts[mi+1]
-	}
-	return
-}
-
 // RegionOf returns the set of cells eligible for the requirement. A cell is
 // eligible iff its lower-left corner satisfies the requirement; because the
 // grid cuts include every requirement threshold, this is exact.
@@ -145,23 +123,14 @@ func (g *Grid) RegionOf(r Requirement) RegionSet {
 	return s
 }
 
-// UniverseSet returns the set of all cells.
-func (g *Grid) UniverseSet() RegionSet {
-	s := g.EmptySet()
-	for c := 0; c < g.NumCells(); c++ {
-		s.Insert(CellID(c))
-	}
-	return s
-}
-
 // EmptySet returns an empty region sized for this grid.
 func (g *Grid) EmptySet() RegionSet {
 	return RegionSet{words: make([]uint64, (g.NumCells()+63)/64), n: g.NumCells()}
 }
 
 // RegionSet is a set of atomic cells, backed by a bitset. Methods with value
-// receivers treat the set as immutable and return new sets; Insert/Remove
-// mutate in place.
+// receivers only read the set; Insert and the *With/*Of operations mutate it
+// in place.
 type RegionSet struct {
 	words []uint64
 	n     int // grid cell count, for bounds and iteration
@@ -170,11 +139,6 @@ type RegionSet struct {
 // Insert adds cell c to the set.
 func (s *RegionSet) Insert(c CellID) {
 	s.words[int(c)/64] |= 1 << (uint(c) % 64)
-}
-
-// Remove deletes cell c from the set.
-func (s *RegionSet) Remove(c CellID) {
-	s.words[int(c)/64] &^= 1 << (uint(c) % 64)
 }
 
 // Has reports whether cell c is in the set.
@@ -212,7 +176,7 @@ func (s RegionSet) Clone() RegionSet {
 }
 
 // UnionWith adds every cell of t to s, in place. Cells of t beyond s's grid
-// size are ignored (mirrors Union's clone-of-s semantics).
+// size are ignored.
 func (s *RegionSet) UnionWith(t RegionSet) {
 	n := len(s.words)
 	if len(t.words) < n {
@@ -235,7 +199,7 @@ func (s *RegionSet) SubtractWith(t RegionSet) {
 }
 
 // IntersectOf sets s = a ∩ b, reusing s's storage. s takes a's grid size
-// (identical to a.Intersect(b) without the allocation once s has capacity).
+// (no allocation once s has capacity).
 func (s *RegionSet) IntersectOf(a, b RegionSet) {
 	s.words = append(s.words[:0], a.words...)
 	s.n = a.n
@@ -266,41 +230,6 @@ func (s RegionSet) WeightedSum(w []float64) float64 {
 	return total
 }
 
-// Union returns s ∪ t.
-func (s RegionSet) Union(t RegionSet) RegionSet {
-	out := s.Clone()
-	for i := range out.words {
-		if i < len(t.words) {
-			out.words[i] |= t.words[i]
-		}
-	}
-	return out
-}
-
-// Intersect returns s ∩ t.
-func (s RegionSet) Intersect(t RegionSet) RegionSet {
-	out := s.Clone()
-	for i := range out.words {
-		if i < len(t.words) {
-			out.words[i] &= t.words[i]
-		} else {
-			out.words[i] = 0
-		}
-	}
-	return out
-}
-
-// Subtract returns s \ t.
-func (s RegionSet) Subtract(t RegionSet) RegionSet {
-	out := s.Clone()
-	for i := range out.words {
-		if i < len(t.words) {
-			out.words[i] &^= t.words[i]
-		}
-	}
-	return out
-}
-
 // Overlaps reports whether s ∩ t is non-empty.
 func (s RegionSet) Overlaps(t RegionSet) bool {
 	n := len(s.words)
@@ -313,40 +242,6 @@ func (s RegionSet) Overlaps(t RegionSet) bool {
 		}
 	}
 	return false
-}
-
-// ContainsSet reports whether every cell of t is in s.
-func (s RegionSet) ContainsSet(t RegionSet) bool {
-	for i, w := range t.words {
-		if i >= len(s.words) {
-			if w != 0 {
-				return false
-			}
-			continue
-		}
-		if w&^s.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether s and t contain exactly the same cells.
-func (s RegionSet) Equal(t RegionSet) bool {
-	return s.ContainsSet(t) && t.ContainsSet(s)
-}
-
-// Cells returns the cells of the set in ascending order.
-func (s RegionSet) Cells() []CellID {
-	out := make([]CellID, 0, s.Count())
-	for i, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, CellID(i*64+b))
-			w &= w - 1
-		}
-	}
-	return out
 }
 
 // ForEach calls fn for every cell in ascending order.

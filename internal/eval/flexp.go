@@ -199,15 +199,6 @@ func (r *Figure4Result) Render() string {
 	return b.String()
 }
 
-// FinalAccuracy returns the last point of the curve for k jobs.
-func (r *Figure4Result) FinalAccuracy(k int) float64 {
-	c := r.Curves[k]
-	if len(c) == 0 {
-		return 0
-	}
-	return c[len(c)-1]
-}
-
 // --- Figure 9: accuracy over time per scheduler ---
 
 // Figure9Result holds, per scheduler, the average-test-accuracy-vs-time

@@ -13,8 +13,9 @@ func TestFigure4Contention(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Render())
-	one := res.FinalAccuracy(1)
-	many := res.FinalAccuracy(res.JobCounts[len(res.JobCounts)-1])
+	final := func(k int) float64 { c := res.Curves[k]; return c[len(c)-1] }
+	one := final(1)
+	many := final(res.JobCounts[len(res.JobCounts)-1])
 	if one <= 0.3 {
 		t.Errorf("single-job final accuracy %.3f too low to be meaningful", one)
 	}

@@ -89,9 +89,9 @@ func TestSchedulerInvariants(t *testing.T) {
 					}
 				}
 				// JCT consistency: completion equals last round end.
-				if j.Completion() != recs[len(recs)-1].End {
+				if j.Arrival.Add(j.JCT()) != recs[len(recs)-1].End {
 					t.Errorf("job %d: completion %v != last round end %v",
-						j.ID, j.Completion(), recs[len(recs)-1].End)
+						j.ID, j.Arrival.Add(j.JCT()), recs[len(recs)-1].End)
 				}
 			}
 			// Engine assignments cover at least the fully-assigned

@@ -43,27 +43,23 @@ func TestFormatSpeedup(t *testing.T) {
 	}
 }
 
-// jobTraceSummary summarizes a synthetic demand trace (Figure 8b).
-func jobTraceSummary(n int, seed int64) (rounds, demand stats.Summary) {
-	specs := trace.DefaultJobTraceModel().Generate(n, stats.NewRNG(seed))
-	rs := make([]float64, n)
-	ds := make([]float64, n)
-	for i, s := range specs {
-		rs[i] = float64(s.Rounds)
-		ds[i] = float64(s.DemandPerRound)
-	}
-	return stats.Summarize(rs), stats.Summarize(ds)
-}
-
 func TestJobTraceSummaryRanges(t *testing.T) {
-	rounds, demand := jobTraceSummary(500, 3)
-	if rounds.Min < 10 || rounds.Max > 4000 {
-		t.Errorf("rounds out of Fig 8b range: %v", rounds)
+	// A synthetic demand trace (Figure 8b).
+	specs := trace.DefaultJobTraceModel().Generate(500, stats.NewRNG(3))
+	rounds := make([]float64, len(specs))
+	demand := make([]float64, len(specs))
+	for i, s := range specs {
+		rounds[i] = float64(s.Rounds)
+		demand[i] = float64(s.DemandPerRound)
 	}
-	if demand.Min < 10 || demand.Max > 1500 {
-		t.Errorf("demand out of Fig 8b range: %v", demand)
+	lo, hi := stats.Min(rounds), stats.Max(rounds)
+	if lo < 10 || hi > 4000 {
+		t.Errorf("rounds out of Fig 8b range: [%v, %v]", lo, hi)
 	}
-	if rounds.Mean <= rounds.Min || rounds.Mean >= rounds.Max {
+	if lo, hi := stats.Min(demand), stats.Max(demand); lo < 10 || hi > 1500 {
+		t.Errorf("demand out of Fig 8b range: [%v, %v]", lo, hi)
+	}
+	if m := stats.Mean(rounds); m <= lo || m >= hi {
 		t.Error("mean must be interior")
 	}
 }

@@ -62,19 +62,6 @@ func softmax(z []float64) {
 	}
 }
 
-// Predict returns the argmax class for x.
-func (m *Model) Predict(x []float64) int {
-	z := make([]float64, m.Classes)
-	m.logits(x, z)
-	best, bestV := 0, z[0]
-	for k, v := range z[1:] {
-		if v > bestV {
-			best, bestV = k+1, v
-		}
-	}
-	return best
-}
-
 // Accuracy returns classification accuracy over the examples.
 func (m *Model) Accuracy(examples []Example) float64 {
 	if len(examples) == 0 {
@@ -95,25 +82,6 @@ func (m *Model) Accuracy(examples []Example) float64 {
 		}
 	}
 	return float64(correct) / float64(len(examples))
-}
-
-// Loss returns mean cross-entropy over the examples.
-func (m *Model) Loss(examples []Example) float64 {
-	if len(examples) == 0 {
-		return 0
-	}
-	total := 0.0
-	z := make([]float64, m.Classes)
-	for _, ex := range examples {
-		m.logits(ex.X, z)
-		softmax(z)
-		p := z[ex.Y]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		total += -math.Log(p)
-	}
-	return total / float64(len(examples))
 }
 
 // TrainLocal runs epochs of shuffled SGD with the given learning rate and L2

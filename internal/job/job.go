@@ -194,9 +194,6 @@ func (j *Job) CompletedRounds() int {
 // Done reports whether the job has finished all rounds.
 func (j *Job) Done() bool { return j.state == StateDone }
 
-// Completion returns the completion time (valid only once Done).
-func (j *Job) Completion() simtime.Time { return j.completion }
-
 // JCT returns the job completion time (valid only once Done).
 func (j *Job) JCT() simtime.Duration { return j.completion.Sub(j.Arrival) }
 

@@ -71,14 +71,6 @@ type HistSnapshot struct {
 	Sum    int64
 }
 
-// Merge adds o's counters into s.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Sum += o.Sum
-}
-
 // Count is the total number of observations.
 func (s HistSnapshot) Count() int64 {
 	var n int64
@@ -150,13 +142,4 @@ func (s HistSnapshot) MaxNs() float64 {
 		}
 	}
 	return 0
-}
-
-// MeanNs is the average observation, 0 when empty.
-func (s HistSnapshot) MeanNs() float64 {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(n)
 }

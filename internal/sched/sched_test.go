@@ -65,9 +65,6 @@ func TestFIFOArrivalOrderAndReopen(t *testing.T) {
 	if got := queueOrder(b); !slices.Equal(got, want) {
 		t.Fatalf("order = %v, want %v", got, want)
 	}
-	if b.QueueLen() != 4 {
-		t.Fatalf("QueueLen = %d, want 4", b.QueueLen())
-	}
 
 	// A fulfilled request leaves the queue; on re-open the job is back at
 	// its arrival position, not at the tail.
@@ -82,8 +79,8 @@ func TestFIFOArrivalOrderAndReopen(t *testing.T) {
 
 	// Duplicate opens are idempotent.
 	b.OnRequest(j2, 70)
-	if got := queueOrder(b); !slices.Equal(got, want) || b.QueueLen() != 4 {
-		t.Fatalf("after duplicate open: %v (QueueLen %d)", got, b.QueueLen())
+	if got := queueOrder(b); !slices.Equal(got, want) || len(b.queue) != 4 {
+		t.Fatalf("after duplicate open: %v (queue length %d)", got, len(b.queue))
 	}
 }
 
@@ -177,16 +174,16 @@ func TestQueueRemovalOnFulfilledAndDone(t *testing.T) {
 	bindEnv(b)
 	j := openJob(1, device.General, 1, 1, 0)
 	b.OnRequest(j, 0)
-	if b.QueueLen() != 1 {
+	if len(b.queue) != 1 {
 		t.Fatal("queued")
 	}
 	b.OnRequestFulfilled(j, 1)
-	if b.QueueLen() != 0 {
+	if len(b.queue) != 0 {
 		t.Fatal("fulfilled request must leave the queue")
 	}
 	b.OnRequest(j, 2)
 	b.OnJobDone(j, 3)
-	if b.QueueLen() != 0 {
+	if len(b.queue) != 0 {
 		t.Fatal("done job must leave the queue")
 	}
 }
@@ -224,7 +221,7 @@ func TestReopenUpdatesPriority(t *testing.T) {
 	if b.queue[0].priority >= pr0 {
 		t.Errorf("priority must drop with remaining service: %v -> %v", pr0, b.queue[0].priority)
 	}
-	if b.QueueLen() != 1 {
+	if len(b.queue) != 1 {
 		t.Error("re-request must not duplicate the queue entry")
 	}
 }

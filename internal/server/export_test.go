@@ -1,5 +1,10 @@
 package server
 
+// CheckInBatch is CheckInBatchBuf on a fresh buffer with no span.
+func (m *Manager) CheckInBatch(cis []CheckIn) []CheckInResult {
+	return m.CheckInBatchBuf(&BatchBuf{CheckIns: cis}, nil)
+}
+
 // RetainedIDs lists the device IDs m holds beyond the requests that brought
 // them: the registry's, and those of every job's in-flight devices, which
 // the in-flight tables key by device number and the registry translates

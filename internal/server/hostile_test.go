@@ -60,7 +60,11 @@ func post(t *testing.T, m *Manager, route, body string, reply any) int {
 // duration_seconds and as a job's task_scale. A report gets ErrBadDuration
 // as its item error before it frees its device or reaches the profiler, and
 // the device's task stays in flight: a valid report after it is accepted. A
-// job is refused with CodeInvalid. Nothing else changes.
+// job is refused with CodeInvalid. A job whose demand_per_round × rounds
+// exceeds math.MaxInt32, whose remaining service would wrap (2^32 × 2^32
+// wraps to 0 and jumps the SRSF queue), gets ErrBadDemand the same way.
+// Both job errors are checked through the Manager, the Service and the HTTP
+// route. Nothing else changes.
 func TestHostileDurationAndTaskScale(t *testing.T) {
 	for _, hv := range hostileFloats {
 		t.Run(hv.name, func(t *testing.T) {
@@ -124,35 +128,77 @@ func TestHostileDurationAndTaskScale(t *testing.T) {
 					}
 				})
 			}
-			spec := JobSpec{Name: "j", Category: "General", DemandPerRound: 1, Rounds: 1, TaskScale: hv.v}
-			for _, leg := range []string{"manager", "service", "json"} {
-				t.Run("task_scale/"+leg, func(t *testing.T) {
-					m := newTestManager(newFakeClock())
-					before := stateOf(t, m)
-					switch leg {
-					case "manager":
-						if _, err := m.RegisterJob(spec); !errors.Is(err, ErrBadTaskScale) {
-							t.Errorf("RegisterJob: %v, want %v", err, ErrBadTaskScale)
-						}
-					case "service":
-						if _, err := NewService(m, TransportHTTP).RegisterJob(spec); ErrCode(err) != CodeInvalid || !errors.Is(err, ErrBadTaskScale) {
-							t.Errorf("Service.RegisterJob: %v (code %d), want %v as CodeInvalid", err, ErrCode(err), ErrBadTaskScale)
-						}
-					case "json":
-						body := `{"name":"j","category":"General","demand_per_round":1,"rounds":1,"task_scale":` + hv.lit + `}`
-						var reply struct {
-							Error string `json:"error"`
-							Code  int    `json:"code"`
-						}
-						if code := post(t, m, "/v1/jobs", body, &reply); code != http.StatusBadRequest || reply.Code != int(CodeInvalid) {
-							t.Errorf("POST /v1/jobs: status %d, reply %+v", code, reply)
-						}
-					}
-					if after := stateOf(t, m); after != before {
-						t.Errorf("state changed:\n got %+v\nwant %+v", after, before)
-					}
-				})
-			}
 		})
+	}
+	// Each refused job spec, named by its value and the field that carries
+	// it, with its JSON body and the error it gets. refusedLit marks a body
+	// the decoder refuses before the spec reaches the manager.
+	type specRow struct {
+		name       string
+		spec       JobSpec
+		body       string
+		want       error
+		refusedLit bool
+	}
+	var rows []specRow
+	for _, hv := range hostileFloats {
+		rows = append(rows, specRow{
+			name:       hv.name + "/task_scale",
+			spec:       JobSpec{Name: "j", Category: "General", DemandPerRound: 1, Rounds: 1, TaskScale: hv.v},
+			body:       `{"name":"j","category":"General","demand_per_round":1,"rounds":1,"task_scale":` + hv.lit + `}`,
+			want:       ErrBadTaskScale,
+			refusedLit: math.IsNaN(hv.v) || math.IsInf(hv.v, 0),
+		})
+	}
+	huge := int(int64(1) << 32)
+	for _, dr := range []struct {
+		name           string
+		demand, rounds int
+	}{
+		{"2^32x2^32", huge, huge},
+		{"MaxInt32x2", math.MaxInt32, 2},
+		{"2x2^30", 2, 1 << 30},
+	} {
+		rows = append(rows, specRow{
+			name: dr.name + "/demand",
+			spec: JobSpec{Name: "j", Category: "General", DemandPerRound: dr.demand, Rounds: dr.rounds},
+			body: fmt.Sprintf(`{"name":"j","category":"General","demand_per_round":%d,"rounds":%d}`, dr.demand, dr.rounds),
+			want: ErrBadDemand,
+		})
+	}
+	for _, row := range rows {
+		for _, leg := range []string{"manager", "service", "json"} {
+			t.Run(row.name+"/"+leg, func(t *testing.T) {
+				m := newTestManager(newFakeClock())
+				before := stateOf(t, m)
+				switch leg {
+				case "manager":
+					if _, err := m.RegisterJob(row.spec); !errors.Is(err, row.want) {
+						t.Errorf("RegisterJob: %v, want %v", err, row.want)
+					}
+				case "service":
+					if _, err := NewService(m, TransportHTTP).RegisterJob(row.spec); ErrCode(err) != CodeInvalid || !errors.Is(err, row.want) {
+						t.Errorf("Service.RegisterJob: %v (code %d), want %v as CodeInvalid", err, ErrCode(err), row.want)
+					}
+				case "json":
+					var reply struct {
+						Error string `json:"error"`
+						Code  int    `json:"code"`
+					}
+					code := post(t, m, "/v1/jobs", row.body, &reply)
+					if code != http.StatusBadRequest || reply.Code != int(CodeInvalid) || !row.refusedLit && reply.Error != row.want.Error() {
+						t.Errorf("POST /v1/jobs: status %d, reply %+v", code, reply)
+					}
+				}
+				if after := stateOf(t, m); after != before {
+					t.Errorf("state changed:\n got %+v\nwant %+v", after, before)
+				}
+			})
+		}
+	}
+	// The bound itself is accepted.
+	m := newTestManager(newFakeClock())
+	if _, err := m.RegisterJob(JobSpec{Name: "j", Category: "General", DemandPerRound: math.MaxInt32, Rounds: 1}); err != nil {
+		t.Errorf("RegisterJob at the bound: %v", err)
 	}
 }

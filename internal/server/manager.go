@@ -65,8 +65,12 @@ var (
 	ErrRegistryFull = errors.New("server: device registry shard has no room for the ID")
 	// ErrBadDuration refuses a report whose duration_seconds is NaN, ±Inf or
 	// negative; ErrBadTaskScale refuses such a job task_scale.
-	ErrBadDuration     = errors.New("server: duration_seconds must be a finite non-negative number")
-	ErrBadTaskScale    = errors.New("server: task_scale must be a finite non-negative number")
+	ErrBadDuration  = errors.New("server: duration_seconds must be a finite non-negative number")
+	ErrBadTaskScale = errors.New("server: task_scale must be a finite non-negative number")
+	// ErrBadDemand refuses a job whose demand_per_round × rounds exceeds
+	// math.MaxInt32: the schedulers order jobs by that product (remaining
+	// service) in an int, and a larger one can wrap.
+	ErrBadDemand       = errors.New("server: demand_per_round × rounds must not exceed 2147483647")
 	errDeviceIDMissing = errors.New("server: device_id required")
 )
 
@@ -179,8 +183,6 @@ type Config struct {
 	Options core.Options
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
-	// TSDBWindow is the supply-averaging window (default 24h).
-	TSDBWindow simtime.Duration
 	// Shards is the device-state lock striping factor (default 64; 1
 	// reproduces the former single-lock behavior for baselines).
 	Shards int
@@ -394,6 +396,10 @@ type inFlightTask struct {
 	cpu, mem float64
 }
 
+// supplyWindow is the window the manager averages device check-ins over to
+// estimate supply (§4.4), the offline engine's default.
+const supplyWindow = 24 * simtime.Hour
+
 // NewManager constructs a live manager.
 func NewManager(cfg Config) *Manager {
 	if len(cfg.Categories) == 0 {
@@ -401,9 +407,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
-	}
-	if cfg.TSDBWindow <= 0 {
-		cfg.TSDBWindow = 24 * simtime.Hour
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = defaultShards
@@ -442,7 +445,7 @@ func NewManager(cfg Config) *Manager {
 	m.reg = newRegistry(cfg.Shards, grid, !cfg.DisableDailyBudget)
 	m.env = &sim.Env{
 		Grid:          grid,
-		DB:            tsdb.New(grid.NumCells(), cfg.TSDBWindow, simtime.Hour),
+		DB:            tsdb.New(grid.NumCells(), supplyWindow, simtime.Hour),
 		CellPriorRate: make([]float64, grid.NumCells()),
 		Jobs:          make(map[job.ID]*job.Job),
 		RNG:           stats.NewRNG(seed),
@@ -455,11 +458,6 @@ func NewManager(cfg Config) *Manager {
 
 // PolicyName reports the scheduling policy's name, lower-cased.
 func (m *Manager) PolicyName() string { return m.policyName }
-
-// Obs exposes the manager's observability registry: the transport adapters
-// sample spans from it, /v1/metrics and /metrics read its histograms, and
-// /v1/debug/flight dumps its flight recorder.
-func (m *Manager) Obs() *obs.Registry { return m.obs }
 
 // coreWedgeAfter is how long one core section may hold the core mutex
 // before Health declares the core wedged. Real sections hold it for
@@ -513,7 +511,7 @@ func (m *Manager) Health() HealthStatus {
 
 // now maps wall-clock to manager-relative simulated time.
 func (m *Manager) now() simtime.Time {
-	return simtime.Time(m.cfg.Clock().Sub(m.start) / time.Millisecond)
+	return simtime.Time(simtime.FromStd(m.cfg.Clock().Sub(m.start)))
 }
 
 // nowSec is the wall-clock second the registry stamps on a device it sees.
@@ -528,6 +526,9 @@ func (m *Manager) RegisterJob(spec JobSpec) (JobStatus, error) {
 	}
 	if spec.DemandPerRound < 1 || spec.Rounds < 1 {
 		return JobStatus{}, errors.New("server: demand and rounds must be positive")
+	}
+	if spec.DemandPerRound > math.MaxInt32/spec.Rounds {
+		return JobStatus{}, ErrBadDemand
 	}
 	// A task_scale scales the job's per-device task duration: NaN, ±Inf and
 	// negative ones are refused (0 keeps the default).
@@ -689,22 +690,17 @@ func (m *Manager) assignCoreLocked(it *assignItem, now simtime.Time) Assignment 
 	return Assignment{Assigned: true, JobID: int(j.ID), JobName: j.Name, Round: j.Round()}
 }
 
-// CheckInBatch processes a batch of check-ins; Results[i] answers
-// CheckIns[i]. Shard-local admission runs per device stripe; each admitted
-// device is then probed against the lock-free plan snapshot, and only the
-// devices with a potential assignment enter the single core critical
-// section. In a surplus fleet (no open requests the device could serve) a
-// whole batch completes without ever touching the scheduler lock.
-func (m *Manager) CheckInBatch(cis []CheckIn) []CheckInResult {
-	return m.CheckInBatchBuf(&BatchBuf{CheckIns: cis}, nil)
-}
-
-// CheckInBatchBuf is CheckInBatch of buf.CheckIns carrying the request's
-// observability span (nil when unsampled; a batch that enters the core
-// attributes its wait for the core mutex and its apply time to it), with the
-// results and the core section's items in buf's storage (see BatchBuf for
-// how long the results stay valid). Every check-in this node applies commits
-// here.
+// CheckInBatchBuf processes the batch of check-ins in buf.CheckIns; result
+// i answers check-in i. Shard-local admission runs per device stripe; each
+// admitted device is then probed against the lock-free plan snapshot, and
+// only the devices with a potential assignment enter the single core
+// critical section. In a surplus fleet (no open requests the device could
+// serve) a whole batch completes without ever touching the scheduler lock.
+// sp is the request's observability span (nil when unsampled; a batch that
+// enters the core attributes its wait for the core mutex and its apply time
+// to it). The results and the core section's items live in buf's storage
+// (see BatchBuf for how long the results stay valid). Every check-in this
+// node applies commits here.
 func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 	cis, out := buf.CheckIns, buf.CheckInSlots(len(buf.CheckIns))
 	if len(cis) == 0 {

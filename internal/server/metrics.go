@@ -172,15 +172,11 @@ type LatencySummary struct {
 	Max   float64 `json:"max"`
 }
 
-// Route labels for the per-op latency maps of /v1/metrics. They are the
-// string forms of the obs.Op enum — the JSON view, the Prometheus view, and
-// the per-stage breakdowns all share one vocabulary.
-const (
-	RouteCheckInBatch = "checkin_batch"
-	RouteReportBatch  = "report_batch"
-	RouteJobs         = "jobs"
-	RouteOther        = "other"
-)
+// RouteCheckInBatch is the check-in batch route's key in the per-op
+// latency maps of /v1/metrics. The keys are the string forms of the obs.Op
+// enum, so the JSON view, the Prometheus view and the per-stage breakdowns
+// share one vocabulary.
+const RouteCheckInBatch = "checkin_batch"
 
 // histSummary condenses an obs histogram snapshot into the LatencySummary
 // shape; scale divides the nanosecond estimates (1 keeps ns, 1e6 yields ms).

@@ -84,7 +84,7 @@ func TestMetricsSnapshotAndEndpoint(t *testing.T) {
 	if !ok || cb.Count != 2 || cb.P99 < 0 {
 		t.Errorf("checkin_batch latency: %+v (ok=%v)", cb, ok)
 	}
-	if _, ok := mt.HandlerLatencyMs[RouteReportBatch]; ok {
+	if _, ok := mt.HandlerLatencyMs[obs.OpReportBatch.String()]; ok {
 		t.Error("untouched route must be omitted from the latency map")
 	}
 }

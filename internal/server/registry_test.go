@@ -535,7 +535,11 @@ func TestCheckInMovesCell(t *testing.T) {
 	}
 	m.mu.Lock()
 	m.drainSupplyLocked(m.now())
-	rates := m.env.DB.Rates(m.now().Add(simtime.Minute)) // a rate needs covered time
+	at := m.now().Add(simtime.Minute) // a rate needs covered time
+	rates := make([]float64, m.env.Grid.NumCells())
+	for c := range rates {
+		rates[c] = m.env.DB.RatePerHour(device.CellID(c), at)
+	}
 	m.mu.Unlock()
 	for c, r := range rates {
 		if want := c == int(low) || c == int(high); (r > 0) != want {

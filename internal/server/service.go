@@ -37,10 +37,10 @@ const (
 	CodeInvalid Code = 1
 	// CodeNotFound is a lookup of a resource that does not exist.
 	CodeNotFound Code = 2
-	// CodeBusy was a single check-in for a device that already holds a task.
-	// Nothing produces it any more: a busy device is a per-item error of a
-	// batch (ErrDeviceBusy's message). The value stays reserved.
-	CodeBusy Code = 3
+	// 3 was a single check-in for a device that already holds a task. A
+	// busy device is now a per-item error of a batch (ErrDeviceBusy's
+	// message), and the value stays reserved.
+
 	// CodeTooLarge is a payload over the transport's configured bound.
 	CodeTooLarge Code = 4
 	// CodeUnavailable is a request that could not be served right now and
@@ -132,9 +132,6 @@ type Service struct {
 func NewService(m *Manager, transport string) *Service {
 	return &Service{m: m}
 }
-
-// Manager exposes the underlying manager (tick loops, telemetry hooks).
-func (s *Service) Manager() *Manager { return s.m }
 
 // Obs exposes the manager's observability registry. Transport adapters
 // sample request spans from it and feed the always-on per-op total

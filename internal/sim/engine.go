@@ -181,15 +181,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Env exposes the engine's scheduler environment (useful in tests).
-func (e *Engine) Env() *Env { return e.env }
-
-// Grid returns the requirement grid of the run.
-func (e *Engine) Grid() *device.Grid { return e.grid }
-
-// Now returns the current simulation time.
-func (e *Engine) Now() simtime.Time { return e.now }
-
 // Run executes the simulation to the horizon (or event exhaustion) and
 // returns the result.
 func (e *Engine) Run() *Result {

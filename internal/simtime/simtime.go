@@ -31,27 +31,12 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t - u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
 // DayIndex returns the zero-based day the instant falls in.
 func (t Time) DayIndex() int {
 	if t < 0 {
 		return int((t - Time(Day) + 1) / Time(Day))
 	}
 	return int(t / Time(Day))
-}
-
-// TimeOfDay returns the offset of t within its day, in [0, Day).
-func (t Time) TimeOfDay() Duration {
-	d := Duration(t % Time(Day))
-	if d < 0 {
-		d += Day
-	}
-	return d
 }
 
 // Seconds returns the duration as floating-point seconds.
@@ -62,9 +47,6 @@ func (d Duration) Minutes() float64 { return float64(d) / float64(Minute) }
 
 // Hours returns the duration as floating-point hours.
 func (d Duration) Hours() float64 { return float64(d) / float64(Hour) }
-
-// Std converts the simulated duration to a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) * time.Millisecond }
 
 // FromSeconds converts floating-point seconds to a Duration, rounding to the
 // nearest millisecond.
@@ -94,38 +76,6 @@ func (d Duration) String() string {
 		return fmt.Sprintf("%s%d:%02d:%02d", neg, h, m, s)
 	}
 	return fmt.Sprintf("%s%d:%02d:%02d.%03d", neg, h, m, s, ms)
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinDur returns the smaller of a and b.
-func MinDur(a, b Duration) Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxDur returns the larger of a and b.
-func MaxDur(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Clamp restricts d to the inclusive range [lo, hi].

@@ -43,14 +43,6 @@ func (g *RNG) Int63() int64 { return g.r.Int63() }
 // Uniform returns a uniform sample in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.r.Float64() }
 
-// UniformInt returns a uniform integer in [lo, hi] inclusive.
-func (g *RNG) UniformInt(lo, hi int) int {
-	if hi <= lo {
-		return lo
-	}
-	return lo + g.r.Intn(hi-lo+1)
-}
-
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 
@@ -79,31 +71,6 @@ func (g *RNG) LogNormalMedianP95(median, p95 float64) float64 {
 // Exp returns a sample from an exponential distribution with the given mean
 // (not rate). Used for Poisson job inter-arrival times.
 func (g *RNG) Exp(mean float64) float64 { return g.r.ExpFloat64() * mean }
-
-// Poisson returns a Poisson-distributed count with the given mean, using
-// inversion for small means and a normal approximation for large ones.
-func (g *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		n := int(g.Normal(mean, math.Sqrt(mean)) + 0.5)
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= g.r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
 
 // Gamma returns a sample from Gamma(shape, scale) using the Marsaglia–Tsang
 // method (with Ahrens-style boosting for shape < 1).
@@ -213,14 +180,4 @@ func (g *RNG) WeightedChoice(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// SampleWithoutReplacement returns k distinct indices drawn uniformly from
-// [0, n). If k >= n it returns all n indices (shuffled).
-func (g *RNG) SampleWithoutReplacement(n, k int) []int {
-	if k >= n {
-		return g.Perm(n)
-	}
-	perm := g.Perm(n)
-	return perm[:k]
 }

@@ -48,13 +48,6 @@ func TestUniformBounds(t *testing.T) {
 		if x < 3 || x >= 7 {
 			t.Fatalf("Uniform out of range: %v", x)
 		}
-		n := g.UniformInt(2, 5)
-		if n < 2 || n > 5 {
-			t.Fatalf("UniformInt out of range: %d", n)
-		}
-	}
-	if g.UniformInt(9, 3) != 9 {
-		t.Error("degenerate UniformInt should return lo")
 	}
 }
 
@@ -77,41 +70,25 @@ func TestLogNormalMedianP95(t *testing.T) {
 
 func TestExpMean(t *testing.T) {
 	g := NewRNG(4)
-	var o Online
-	for i := 0; i < 20000; i++ {
-		o.Add(g.Exp(42))
+	xs := make([]float64, 20000)
+	for i := range xs {
+		xs[i] = g.Exp(42)
 	}
-	if math.Abs(o.Mean()-42)/42 > 0.05 {
-		t.Errorf("Exp mean = %v, want ~42", o.Mean())
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	g := NewRNG(5)
-	for _, mean := range []float64{0.5, 4, 30, 200} {
-		var o Online
-		for i := 0; i < 5000; i++ {
-			o.Add(float64(g.Poisson(mean)))
-		}
-		if math.Abs(o.Mean()-mean)/mean > 0.1 {
-			t.Errorf("Poisson(%v) mean = %v", mean, o.Mean())
-		}
-	}
-	if g.Poisson(0) != 0 || g.Poisson(-1) != 0 {
-		t.Error("non-positive mean must give 0")
+	if m := Mean(xs); math.Abs(m-42)/42 > 0.05 {
+		t.Errorf("Exp mean = %v, want ~42", m)
 	}
 }
 
 func TestGammaMoments(t *testing.T) {
 	g := NewRNG(6)
 	for _, c := range []struct{ shape, scale float64 }{{0.5, 2}, {3, 1.5}, {10, 0.3}} {
-		var o Online
-		for i := 0; i < 20000; i++ {
-			o.Add(g.Gamma(c.shape, c.scale))
+		xs := make([]float64, 20000)
+		for i := range xs {
+			xs[i] = g.Gamma(c.shape, c.scale)
 		}
 		wantMean := c.shape * c.scale
-		if math.Abs(o.Mean()-wantMean)/wantMean > 0.05 {
-			t.Errorf("Gamma(%v,%v) mean = %v, want %v", c.shape, c.scale, o.Mean(), wantMean)
+		if m := Mean(xs); math.Abs(m-wantMean)/wantMean > 0.05 {
+			t.Errorf("Gamma(%v,%v) mean = %v, want %v", c.shape, c.scale, m, wantMean)
 		}
 	}
 	if g.Gamma(0, 1) != 0 || g.Gamma(1, -1) != 0 {
@@ -121,16 +98,15 @@ func TestGammaMoments(t *testing.T) {
 
 func TestBetaRangeAndMean(t *testing.T) {
 	g := NewRNG(7)
-	var o Online
-	for i := 0; i < 20000; i++ {
-		x := g.Beta(2, 5)
-		if x < 0 || x > 1 {
-			t.Fatalf("Beta out of [0,1]: %v", x)
+	xs := make([]float64, 20000)
+	for i := range xs {
+		xs[i] = g.Beta(2, 5)
+		if xs[i] < 0 || xs[i] > 1 {
+			t.Fatalf("Beta out of [0,1]: %v", xs[i])
 		}
-		o.Add(x)
 	}
-	if math.Abs(o.Mean()-2.0/7.0) > 0.01 {
-		t.Errorf("Beta(2,5) mean = %v, want %v", o.Mean(), 2.0/7.0)
+	if m := Mean(xs); math.Abs(m-2.0/7.0) > 0.01 {
+		t.Errorf("Beta(2,5) mean = %v, want %v", m, 2.0/7.0)
 	}
 }
 
@@ -174,24 +150,6 @@ func TestWeightedChoiceDistribution(t *testing.T) {
 	// Degenerate weights fall back to uniform.
 	if idx := g.WeightedChoice([]float64{0, 0}); idx < 0 || idx > 1 {
 		t.Errorf("degenerate WeightedChoice = %d", idx)
-	}
-}
-
-func TestSampleWithoutReplacement(t *testing.T) {
-	g := NewRNG(10)
-	got := g.SampleWithoutReplacement(10, 4)
-	if len(got) != 4 {
-		t.Fatalf("want 4 samples, got %d", len(got))
-	}
-	seen := map[int]bool{}
-	for _, i := range got {
-		if i < 0 || i >= 10 || seen[i] {
-			t.Fatalf("bad sample set %v", got)
-		}
-		seen[i] = true
-	}
-	if all := g.SampleWithoutReplacement(3, 10); len(all) != 3 {
-		t.Errorf("oversized k should return n items, got %d", len(all))
 	}
 }
 

@@ -13,13 +13,7 @@ func TestMeanVariance(t *testing.T) {
 	if m := Mean(xs); m != 5 {
 		t.Errorf("Mean = %v, want 5", m)
 	}
-	if v := Variance(xs); v != 4 {
-		t.Errorf("Variance = %v, want 4", v)
-	}
-	if sd := StdDev(xs); sd != 2 {
-		t.Errorf("StdDev = %v, want 2", sd)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Error("empty input must give 0")
 	}
 }
@@ -65,92 +59,10 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	s := Summarize(xs)
-	if s.Count != 101 || s.Min != 0 || s.Max != 100 || s.Median != 50 {
-		t.Errorf("Summary wrong: %+v", s)
-	}
-	if !almost(s.P95, 95, 1e-9) {
-		t.Errorf("P95 = %v", s.P95)
-	}
-	if s.String() == "" {
-		t.Error("String empty")
-	}
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	rng := NewRNG(1)
-	xs := make([]float64, 1000)
-	var o Online
-	for i := range xs {
-		xs[i] = rng.Normal(3, 2)
-		o.Add(xs[i])
-	}
-	if !almost(o.Mean(), Mean(xs), 1e-9) {
-		t.Errorf("online mean %v vs batch %v", o.Mean(), Mean(xs))
-	}
-	if !almost(o.Variance(), Variance(xs), 1e-6) {
-		t.Errorf("online var %v vs batch %v", o.Variance(), Variance(xs))
-	}
-	if o.Min() != Min(xs) || o.Max() != Max(xs) {
-		t.Error("online min/max mismatch")
-	}
-	if o.Count() != 1000 {
-		t.Error("count mismatch")
-	}
-}
-
-func TestOnlineMergeProperty(t *testing.T) {
-	f := func(a, b []float64) bool {
-		clean := func(xs []float64) []float64 {
-			out := xs[:0]
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		a, b = clean(a), clean(b)
-		var oa, ob, all Online
-		for _, x := range a {
-			oa.Add(x)
-			all.Add(x)
-		}
-		for _, x := range b {
-			ob.Add(x)
-			all.Add(x)
-		}
-		oa.Merge(&ob)
-		return oa.Count() == all.Count() &&
-			almost(oa.Mean(), all.Mean(), 1e-6) &&
-			almost(oa.Variance(), all.Variance(), 1e-4*(1+all.Variance()))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); !almost(g, 10, 1e-9) {
-		t.Errorf("GeoMean = %v, want 10", g)
-	}
-	if g := GeoMean([]float64{-1, 0}); g != 0 {
-		t.Errorf("all-nonpositive GeoMean = %v, want 0", g)
-	}
-	if g := GeoMean([]float64{-5, 4, 9}); !almost(g, 6, 1e-9) {
-		t.Errorf("GeoMean skipping nonpositive = %v, want 6", g)
-	}
-}
-
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 9 {
-		t.Error("Min/Max/Sum broken")
+	if Min(xs) != -1 || Max(xs) != 7 {
+		t.Error("Min/Max broken")
 	}
 	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
 		t.Error("empty Min/Max sentinels wrong")

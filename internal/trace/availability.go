@@ -15,12 +15,6 @@ type Interval struct {
 	End   simtime.Time
 }
 
-// Contains reports whether t falls inside the interval.
-func (iv Interval) Contains(t simtime.Time) bool { return t >= iv.Start && t < iv.End }
-
-// Duration returns the interval's length.
-func (iv Interval) Duration() simtime.Duration { return iv.End.Sub(iv.Start) }
-
 // AvailabilityModel generates per-device availability intervals with the
 // diurnal shape of the FedScale client trace (Figure 2a): most devices come
 // online overnight while charging on WiFi, a smaller share during the day,

@@ -68,26 +68,6 @@ func (m *CapacityModel) Sample(rng *stats.RNG) (cpu, mem float64) {
 	return cpu, mem
 }
 
-// CellProbabilities estimates, by Monte-Carlo over the model, the probability
-// that a device falls into each atomic cell of the grid. The scheduler uses
-// these as priors for per-cell supply before the time-series database has
-// observed enough check-ins.
-func (m *CapacityModel) CellProbabilities(grid *device.Grid, rng *stats.RNG, samples int) []float64 {
-	if samples <= 0 {
-		samples = 20000
-	}
-	counts := make([]int, grid.NumCells())
-	for i := 0; i < samples; i++ {
-		cpu, mem := m.Sample(rng)
-		counts[grid.CellOf(cpu, mem)]++
-	}
-	probs := make([]float64, len(counts))
-	for i, c := range counts {
-		probs[i] = float64(c) / float64(samples)
-	}
-	return probs
-}
-
 // GenerateDevices samples a fleet of n devices from the capacity model.
 func (m *CapacityModel) GenerateDevices(n int, rng *stats.RNG) []*device.Device {
 	devs := make([]*device.Device, n)

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"sort"
-
-	"venn/internal/stats"
-)
+import "venn/internal/stats"
 
 // JobSpec is one entry of the CL job demand trace (Figure 8b): how many
 // training rounds the job runs and how many participants each round needs.
@@ -108,19 +104,4 @@ func SplitByRoundDemand(specs []JobSpec) (low, high []JobSpec) {
 		}
 	}
 	return low, high
-}
-
-// DemandPercentileThresholds returns the total-demand values at the given
-// percentiles of the trace, used by Table 2's per-percentile breakdown.
-func DemandPercentileThresholds(specs []JobSpec, percentiles []float64) []float64 {
-	totals := make([]float64, len(specs))
-	for i, s := range specs {
-		totals[i] = float64(s.TotalDemand())
-	}
-	sort.Float64s(totals)
-	out := make([]float64, len(percentiles))
-	for i, p := range percentiles {
-		out[i] = stats.PercentileSorted(totals, p)
-	}
-	return out
 }

@@ -51,22 +51,6 @@ func TestCapacityStrataOrdering(t *testing.T) {
 	}
 }
 
-func TestCellProbabilitiesSumToOne(t *testing.T) {
-	m := DefaultCapacityModel()
-	grid := device.NewGrid(device.Categories())
-	probs := m.CellProbabilities(grid, stats.NewRNG(3), 10000)
-	sum := 0.0
-	for _, p := range probs {
-		if p < 0 {
-			t.Fatalf("negative probability %v", p)
-		}
-		sum += p
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("probabilities sum to %v", sum)
-	}
-}
-
 func TestAvailabilityIntervalsWellFormed(t *testing.T) {
 	m := DefaultAvailabilityModel()
 	rng := stats.NewRNG(4)
@@ -84,16 +68,6 @@ func TestAvailabilityIntervalsWellFormed(t *testing.T) {
 				t.Fatalf("intervals overlap or touch: %v then %v", ivs[k-1], iv)
 			}
 		}
-	}
-}
-
-func TestIntervalContainsAndDuration(t *testing.T) {
-	iv := Interval{Start: 100, End: 200}
-	if !iv.Contains(100) || iv.Contains(200) || iv.Contains(99) {
-		t.Error("Contains half-open semantics broken")
-	}
-	if iv.Duration() != 100 {
-		t.Error("Duration wrong")
 	}
 }
 
@@ -192,14 +166,6 @@ func TestJobTraceSplitsPartition(t *testing.T) {
 				_ = l
 			}
 		}
-	}
-}
-
-func TestDemandPercentileThresholds(t *testing.T) {
-	specs := []JobSpec{{Rounds: 1, DemandPerRound: 10}, {Rounds: 1, DemandPerRound: 20}, {Rounds: 1, DemandPerRound: 30}}
-	th := DemandPercentileThresholds(specs, []float64{0, 50, 100})
-	if th[0] != 10 || th[1] != 20 || th[2] != 30 {
-		t.Errorf("thresholds = %v", th)
 	}
 }
 

@@ -85,7 +85,7 @@ const (
 	// and report batches) may carry it. Responses echo the flag.
 	HopFlag byte = 0x40
 	// TraceFlag marks a request frame as carrying a trace context: the
-	// payload begins with a TraceContextSize-byte prefix (see AppendTrace /
+	// payload begins with a TraceContextSize-byte prefix (see PrependTrace /
 	// PeelTrace) that the server strips before decoding. Only the two
 	// serving opcodes may carry it (anything else is rejected as invalid),
 	// and it never appears on responses, which carry their timing in the
@@ -232,17 +232,6 @@ const TraceContextSize = 9
 // traceSampledBit is the sampled flag in a trace context's flags byte.
 const traceSampledBit = 0x01
 
-// AppendTrace appends a trace context to b — used by forwarders to build
-// `trace prefix | payload` bodies for TraceFlag frames.
-func AppendTrace(b []byte, traceID uint64, sampled bool) []byte {
-	var ctx [TraceContextSize]byte
-	binary.BigEndian.PutUint64(ctx[:8], traceID)
-	if sampled {
-		ctx[8] = traceSampledBit
-	}
-	return append(b, ctx[:]...)
-}
-
 // PrependTrace shifts payload right by TraceContextSize bytes and writes the
 // trace context at the front, returning the grown slice. The payload is
 // typically a pooled buffer mid-build; the copy is the price of keeping the
@@ -306,8 +295,9 @@ func appendFrame(b []byte, ver, op byte, id uint32, payload []byte) []byte {
 // WriteFrame writes one frame to w (typically a *bufio.Writer; the caller
 // owns flushing). A *bufio.Writer with room gets the header built in its own
 // buffer; through the io.Writer interface a local header array escapes, one
-// heap object per frame. ver has one legal value, Version2; like ReadFrame's
-// last parameter it stays because the benchmark compiles against it.
+// heap object per frame. ver has one legal value, Version2; like
+// ReadFramePooled's last parameter it stays because the benchmark compiles
+// against it.
 func WriteFrame(w io.Writer, ver, op byte, id uint32, payload []byte) error {
 	var hdr []byte
 	if bw, ok := w.(*bufio.Writer); ok && bw.Available() >= HeaderSize {
@@ -348,26 +338,13 @@ func readHeader(br *bufio.Reader, maxPayload int) (Frame, int, error) {
 	return fr, int(n), nil
 }
 
-// ReadFrame reads and validates one frame (see readHeader for what is
-// rejected). The returned payload is freshly allocated (it may outlive the
-// reader). The last parameter was the highest version to accept; with one
-// version it is ignored, and stays because the benchmark compiles against it.
-func ReadFrame(br *bufio.Reader, maxPayload int, _ byte) (Frame, error) {
-	fr, n, err := readHeader(br, maxPayload)
-	if err != nil || n == 0 {
-		return fr, err
-	}
-	fr.Payload = make([]byte, n)
-	if _, err := io.ReadFull(br, fr.Payload); err != nil {
-		return Frame{}, err
-	}
-	return fr, nil
-}
-
-// ReadFramePooled is ReadFrame with the payload read into a pooled buffer
-// (GetBuf). The caller owns the payload and must return it with PutBuf once
-// the frame is fully handled — which also means the payload must not escape
-// the handler (decoders copy what they keep).
+// ReadFramePooled reads and validates one frame (see readHeader for what is
+// rejected), with the payload read into a pooled buffer (GetBuf). The
+// caller owns the payload and must return it with PutBuf once the frame is
+// fully handled — which also means the payload must not escape the handler
+// (decoders copy what they keep). The last parameter was the highest
+// version to accept; with one version it is ignored, and stays because the
+// benchmark compiles against it.
 func ReadFramePooled(br *bufio.Reader, maxPayload int, _ byte) (Frame, error) {
 	fr, n, err := readHeader(br, maxPayload)
 	if err != nil || n == 0 {

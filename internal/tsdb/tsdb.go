@@ -66,9 +66,6 @@ func (db *DB) Window() simtime.Duration {
 	return db.bucketWidth * simtime.Duration(db.numBuckets)
 }
 
-// Cells returns the number of tracked cells.
-func (db *DB) Cells() int { return db.cells }
-
 // slotFor returns the ring slot for time t, recycling it if it holds data
 // from an older wrap of the ring.
 func (db *DB) slotFor(t simtime.Time) int {
@@ -146,15 +143,6 @@ func (db *DB) RatePerHour(cell device.CellID, now simtime.Time) float64 {
 		return 0
 	}
 	return total / covered.Hours()
-}
-
-// Rates returns RatePerHour for every cell.
-func (db *DB) Rates(now simtime.Time) []float64 {
-	out := make([]float64, db.cells)
-	for c := range out {
-		out[c] = db.RatePerHour(device.CellID(c), now)
-	}
-	return out
 }
 
 // TotalRatePerHour returns the fleet-wide check-in rate over the window.

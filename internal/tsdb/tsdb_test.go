@@ -102,7 +102,7 @@ func TestConstructorDefaults(t *testing.T) {
 	if db.Window() <= 0 {
 		t.Error("degenerate constructor must produce a usable window")
 	}
-	if db.Cells() != 1 {
+	if db.cells != 1 {
 		t.Error("cell count lost")
 	}
 }

@@ -277,12 +277,3 @@ func (w *Workload) Clone() *Workload {
 	}
 	return &Workload{Jobs: jobs, Config: w.Config}
 }
-
-// TotalDemand sums lifetime device demand across jobs.
-func (w *Workload) TotalDemand() int {
-	total := 0
-	for _, j := range w.Jobs {
-		total += j.TotalDemand()
-	}
-	return total
-}

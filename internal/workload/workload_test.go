@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"venn/internal/device"
@@ -32,7 +33,7 @@ func TestGenerateBasics(t *testing.T) {
 		if j.TaskScale < 0.6 || j.TaskScale > 1.6 {
 			t.Errorf("TaskScale %v outside defaults", j.TaskScale)
 		}
-		if device.CategoryIndex(j.Requirement) < 0 {
+		if !slices.ContainsFunc(device.Categories(), func(c device.Requirement) bool { return c.Key() == j.Requirement.Key() }) {
 			t.Errorf("job mapped to non-standard requirement %v", j.Requirement)
 		}
 	}
@@ -121,8 +122,10 @@ func TestCloneIsDeepForJobState(t *testing.T) {
 	if wl.Jobs[0].State() == cl.Jobs[0].State() {
 		t.Error("Clone must not share job state")
 	}
-	if wl.TotalDemand() != cl.TotalDemand() {
-		t.Error("Clone must preserve demands")
+	for i, j := range wl.Jobs {
+		if j.TotalDemand() != cl.Jobs[i].TotalDemand() {
+			t.Error("Clone must preserve demands")
+		}
 	}
 }
 
