@@ -176,7 +176,6 @@ func main() {
 		deviceTTL   = flag.Duration("device-ttl", 24*time.Hour, "evict devices not seen for this long (0 disables)")
 		peers       = flag.String("peers", "", "comma-separated stream addresses of every cluster member (enables federation; requires -stream-addr)")
 		nodeID      = flag.String("node-id", "", "this node's member ID in -peers (default: the -stream-addr value)")
-		vnodes      = flag.Int("vnodes", 0, "virtual nodes per member on the ownership ring (0 = default 128)")
 		obsSample   = flag.Int("obs-sample", 0, "request-span sampling: 1 in N requests gets a per-stage span (0 = default 64, negative disables spans)")
 		logMetrics  = flag.Duration("log-metrics", 0, "log a one-line serving summary to stderr at this interval (0 disables)")
 		pprofSrv    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -282,7 +281,6 @@ func main() {
 		clu, err = cluster.New(m, cluster.Config{
 			SelfID: self,
 			Peers:  strings.Split(*peers, ","),
-			VNodes: *vnodes,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "venndaemon:", err)

@@ -64,9 +64,6 @@ func newStreamClient(addr string, cfg config) *StreamClient {
 	}
 	if cfg.topology {
 		sc.topo = newTopoState(sc, addr, cfg)
-		for _, c := range sc.conns {
-			c.onPush = sc.topo.applyPush
-		}
 	}
 	return sc
 }
@@ -244,10 +241,6 @@ func (s *StreamClient) pick() *streamConn {
 type streamConn struct {
 	addr    string
 	timeout time.Duration
-	// onPush, when set, receives unsolicited OpTopology|RespFlag frames
-	// (request ID 0) — the server's topology-change notifications. Called on
-	// the read-loop goroutine; must not block.
-	onPush func(transport.TopologyPayload)
 
 	mu      sync.Mutex
 	c       net.Conn
@@ -314,18 +307,6 @@ func (sc *streamConn) readLoop(gen uint64, c net.Conn, br *bufio.Reader) {
 		if err != nil {
 			sc.teardown(gen, fmt.Errorf("client: stream connection lost: %w", err))
 			return
-		}
-		if fr.ID == 0 && fr.Op == transport.OpTopology|transport.RespFlag {
-			// Unsolicited topology push (ID 0 never collides with a request:
-			// request IDs start at 1).
-			if sc.onPush != nil {
-				var tp transport.TopologyPayload
-				if tp.UnmarshalBinary(fr.Payload) == nil {
-					sc.onPush(tp)
-				}
-			}
-			transport.PutBuf(fr.Payload)
-			continue
 		}
 		sc.mu.Lock()
 		var ch chan streamResp

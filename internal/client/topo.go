@@ -9,11 +9,11 @@
 // Staleness: the ring is a cache. When it is stale (a member joined, died,
 // or recovered between the fetch and a send), misrouted items still land on
 // a daemon — which forwards them server-side exactly as before and sets the
-// forwarded flag on its response. The client treats that flag as "re-fetch
-// before the next batch" (single-flight, asynchronous); the daemons also
-// push fresh topologies at subscribed connections on every epoch change, so
-// the correction usually arrives before it is needed. Correctness never
-// depends on ring freshness — only locality does.
+// forwarded flag on its response. The client treats that flag, and any
+// failed send (see Failover), as "re-fetch before the next batch"
+// (single-flight, asynchronous); it learns the ring only by asking, so a
+// ring that goes stale is corrected by the traffic it misroutes. Correctness
+// never depends on ring freshness — only locality does.
 //
 // Failover: a transport failure on a member connection (dial refused,
 // connection lost, timeout) retries the sub-batch ONCE on a different live
@@ -194,16 +194,6 @@ func (t *topoState) buildView(tp transport.TopologyPayload) *topoView {
 		members: members,
 		clients: clients,
 	}
-}
-
-// applyPush installs a server-pushed topology (read-loop goroutine).
-func (t *topoState) applyPush(tp transport.TopologyPayload) {
-	view := t.buildView(tp)
-	t.mu.Lock()
-	if !t.disabled && (t.view == nil || view.epoch >= t.view.epoch) {
-		t.view = view
-	}
-	t.mu.Unlock()
 }
 
 // markStale triggers one asynchronous re-fetch unless a fresher view (epoch

@@ -76,8 +76,6 @@ type Config struct {
 	// rings will disagree — the hop guard keeps that mistake from looping
 	// requests, but ownership locality suffers.
 	Peers []string
-	// VNodes is the virtual-node count per member (default hashring.DefaultVNodes).
-	VNodes int
 	// HealthInterval is the peer-ping period (default 1s).
 	HealthInterval time.Duration
 	// FailAfter marks a peer down after this many consecutive failed pings
@@ -96,9 +94,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.VNodes <= 0 {
-		c.VNodes = hashring.DefaultVNodes
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = DefaultHealthInterval
 	}
@@ -169,7 +164,6 @@ type Cluster struct {
 	directRoutedBatches atomic.Int64
 	forwardBytesIn      atomic.Int64
 	forwardBytesOut     atomic.Int64
-	topologyPushes      atomic.Int64
 
 	// epoch advances whenever the live membership changes; topo holds the
 	// payload ring-aware clients fetch (published by publish, which only
@@ -208,7 +202,7 @@ func New(m *server.Manager, cfg Config) (*Cluster, error) {
 		}
 	}
 	members := append([]string{cfg.SelfID}, cfg.Peers...)
-	ring := hashring.New(members, cfg.VNodes)
+	ring := hashring.New(members, hashring.DefaultVNodes)
 	c := &Cluster{
 		cfg:  cfg,
 		m:    m,
@@ -242,9 +236,9 @@ func (c *Cluster) Ring() *hashring.Ring { return c.ring }
 
 // publish installs a fresh routing snapshot from the peers' current health
 // state, and — when the live membership actually changed — advances the
-// topology epoch and pushes the new topology at subscribed client
-// connections. Called at construction and by the health loop on transitions
-// (never concurrently: both run on one goroutine at a time).
+// topology epoch that ring-aware clients fetch. Called at construction and by
+// the health loop on transitions (never concurrently: both run on one
+// goroutine at a time).
 func (c *Cluster) publish() {
 	table := make([]*peer, c.ring.Size()+1)
 	for _, p := range c.peers {
@@ -269,15 +263,12 @@ func (c *Cluster) publish() {
 		Members: members,
 	}
 	c.topo.Store(&info)
-	if pushed := c.m.NotifyTopologyChanged(info); pushed > 0 {
-		c.topologyPushes.Add(int64(pushed))
-	}
 }
 
-// Topology implements server.Router: the topology served to (and
-// pushed at) ring-aware clients. Members lists the *live* members — self
-// plus peers currently passing health probes — so clients stop routing at a
-// daemon this node considers dead.
+// Topology implements server.Router: the topology served to ring-aware
+// clients. Members lists the *live* members — self plus peers currently
+// passing health probes — so clients stop routing at a daemon this node
+// considers dead.
 func (c *Cluster) Topology() server.TopologyInfo {
 	return *c.topo.Load()
 }
@@ -428,7 +419,6 @@ func (c *Cluster) ClusterTelemetry() server.ClusterTelemetry {
 		ClusterLocalFallbacks: c.localFallbacks.Load(),
 		DirectRoutedBatches:   c.directRoutedBatches.Load(),
 		TopologyEpoch:         c.epoch.Load(),
-		TopologyPushes:        c.topologyPushes.Load(),
 		ForwardBytesIn:        c.forwardBytesIn.Load(),
 		ForwardBytesOut:       c.forwardBytesOut.Load(),
 	}

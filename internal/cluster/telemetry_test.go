@@ -260,8 +260,8 @@ func readViews(t *testing.T) map[string][]string {
 }
 
 // newFederationFamilies are the exposition's only additions since the views
-// were captured: three federation counters /v1/metrics already carried.
-var newFederationFamilies = []string{"venn_direct_routed_batches_total", "venn_topology_epoch", "venn_topology_pushes_total"}
+// were captured: two federation metrics /v1/metrics already carried.
+var newFederationFamilies = []string{"venn_direct_routed_batches_total", "venn_topology_epoch"}
 
 // promFamily returns the family a "prom " view line belongs to ("" for JSON
 // lines).
@@ -283,8 +283,8 @@ func promFamily(line string) string {
 
 // TestTelemetryViewsUnchanged pins the JSON key set and the exposition's
 // families, help texts, types and labelled sample names of four set-ups to
-// the captured ones. The federation set-ups must carry the three new
-// families and differ in nothing else.
+// the captured ones. The federation set-ups must carry the two new families
+// and differ in nothing else.
 func TestTelemetryViewsUnchanged(t *testing.T) {
 	want := readViews(t)
 	got := telemetryViews(t)

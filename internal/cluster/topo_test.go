@@ -35,17 +35,21 @@ func marshalResults(t *testing.T, res []server.CheckInResult) string {
 }
 
 // TestStaleTopologyCorrection pins the staleness contract end to end over
-// real transport: a client whose ring disagrees with the servers' (injected
-// with a different vnode count, the worst realistic skew — every send is
-// partitioned under one view, then lands on daemons running another)
-// misroutes a large fraction of its items, the owners forward them
-// server-side and flag the responses, and the client re-syncs from the flag.
-// Correctness is asserted the strong way: the stale client's merged results
-// are byte-identical to a fresh-topology client's for the same fleet, and
-// after the re-sync its traffic stops producing forwards entirely.
+// real transport, for two stale views. A client whose ring disagrees with
+// the servers' misroutes a fraction of its items, the daemon that receives
+// them forwards them server-side and flags the response, and the client
+// re-syncs from the flag: the client learns the ring only by asking, so the
+// flag is the whole correction. The first view has a different vnode count,
+// the worst realistic skew (every send is partitioned under one view, then
+// lands on daemons running another). The second lists only the seed member,
+// the view of a client that missed a member's recovery: it sends everything
+// to the seed. Correctness is asserted the strong way: each stale client's
+// merged results are byte-identical to a fresh-topology client's for the
+// same fleet, and after the re-sync its traffic stops producing forwards
+// entirely.
 //
 // Run under -race in CI: batch sends race against the asynchronous
-// markStale→fetch→install path and against server topology pushes.
+// markStale→fetch→install path.
 func TestStaleTopologyCorrection(t *testing.T) {
 	fedA := startFederation(t, 2, nil) // serves the stale client
 	fedB := startFederation(t, 2, nil) // serves the fresh client
@@ -120,22 +124,6 @@ func TestStaleTopologyCorrection(t *testing.T) {
 		t.Fatal("stale-topology client results differ from fresh-topology client results")
 	}
 
-	// The forwarded flag must have triggered a re-fetch; wait for the
-	// corrected view (any server-published epoch, i.e. > the injected 0).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if epoch, ok := stale.TopologyEpoch(); ok && epoch > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			epoch, ok := stale.TopologyEpoch()
-			t.Fatalf("client never re-synced: epoch=%d active=%v", epoch, ok)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// With the corrected ring the client and servers agree on every owner:
-	// further traffic must produce zero new forwards.
 	forwardsA := func() int64 {
 		var total int64
 		for _, nd := range fedA {
@@ -144,13 +132,47 @@ func TestStaleTopologyCorrection(t *testing.T) {
 		}
 		return total
 	}
+	// resynced checks the correction for client c: the forwarded flag must
+	// have triggered a re-fetch, so wait for the corrected view (any
+	// server-published epoch, i.e. > the injected 0). With the corrected ring
+	// the client and servers agree on every owner: further traffic must
+	// produce zero new forwards.
+	resynced := func(c *client.StreamClient) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if epoch, ok := c.TopologyEpoch(); ok && epoch > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				epoch, ok := c.TopologyEpoch()
+				t.Fatalf("client never re-synced: epoch=%d active=%v", epoch, ok)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		before := forwardsA()
+		if marshalResults(t, sendAll(c)) != marshalResults(t, freshRes) {
+			t.Fatal("post-correction results differ")
+		}
+		if after := forwardsA(); after != before {
+			t.Fatalf("corrected client still causes forwards: %d -> %d", before, after)
+		}
+	}
+	resynced(stale)
+
+	// The second stale view: only the seed, at epoch 0, as held by a client
+	// that fetched while fedA[1] was down and missed its recovery. Every
+	// item goes to fedA[0], which forwards fedA[1]'s share.
+	missed := ringAware(t, fedA[0].addr)
+	missed.InjectTopologyForTest(0, hashring.DefaultVNodes, membersA[:1])
 	before := forwardsA()
-	if marshalResults(t, sendAll(stale)) != marshalResults(t, freshRes) {
-		t.Fatal("post-correction results differ")
+	if marshalResults(t, sendAll(missed)) != marshalResults(t, freshRes) {
+		t.Fatal("seed-only-view client results differ from fresh-topology client results")
 	}
-	if after := forwardsA(); after != before {
-		t.Fatalf("corrected client still causes forwards: %d -> %d", before, after)
+	if forwardsA() == before {
+		t.Fatal("seed-only view caused no forwards before its re-sync; stale view exercises nothing")
 	}
+	resynced(missed)
 
 	// The fresh client, ring-aware from its first call, must never have
 	// caused a forward at all — and its direct sub-batches are counted.

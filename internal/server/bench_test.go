@@ -169,7 +169,7 @@ func BenchmarkRegistryAdmit(b *testing.B) {
 			inOrder, cis := fleetCheckIns(fleet)
 			admit := func(ci *CheckIn) {
 				h := r.hash(ci.DeviceID)
-				sh := r.shardOf(h)
+				sh := &r.shards[r.shardIndex(h)]
 				sh.mu.Lock()
 				sh.reserve(1)
 				s, err := r.admit(sh, h, ci.DeviceID, ci.CPU, ci.Mem, 0, 0)

@@ -282,8 +282,8 @@ type Manager struct {
 	assignments, reports, failures, aborts int
 
 	// routerBox and streamBox hold the two attached layers: the federation
-	// (routing, topology, federation counters) and the stream server (topology
-	// pushes, stream counters). Atomic, because every serving-path request
+	// (routing, topology, federation counters) and the stream server (stream
+	// counters). Atomic, because every serving-path request
 	// loads the router, and so that no telemetry read waits for the core.
 	routerBox attachment[Router]
 	streamBox attachment[StreamServer]
@@ -328,18 +328,15 @@ func (m *Manager) ClearRouter(r Router) { m.routerBox.clear(r) }
 // router returns the attached federation router, or nil.
 func (m *Manager) router() Router { return m.routerBox.load() }
 
-// StreamServer is the stream transport as the Manager sees it. Both methods
-// are called without the core mutex and must not call back into the Manager.
+// StreamServer is the stream transport as the Manager sees it.
+// StreamTelemetry snapshots the transport's counters for /v1/metrics; it is
+// called without the core mutex and must not call back into the Manager.
 type StreamServer interface {
-	// StreamTelemetry snapshots the transport's counters for /v1/metrics.
 	StreamTelemetry() StreamTelemetry
-	// PushTopology sends an unsolicited topology frame to every connection
-	// that has fetched the topology and returns how many it was handed to.
-	PushTopology(TopologyInfo) int
 }
 
 // SetStreamServer attaches the stream server whose counters /v1/metrics
-// reports and through which topology changes are pushed.
+// reports.
 func (m *Manager) SetStreamServer(s StreamServer) { m.streamBox.set(s) }
 
 // ClearStreamServer detaches s if it is still the attached server, so a
@@ -364,17 +361,6 @@ func (m *Manager) Topology() (info TopologyInfo, ok bool) {
 		return r.Topology(), true
 	}
 	return info, false
-}
-
-// NotifyTopologyChanged fans a fresh topology out to subscribed stream
-// connections through the attached stream server (a no-op returning 0
-// without one). The attached cluster calls it whenever its live membership —
-// and thus the epoch — changes.
-func (m *Manager) NotifyTopologyChanged(info TopologyInfo) int {
-	if s := m.streamBox.load(); s != nil {
-		return s.PushTopology(info)
-	}
-	return 0
 }
 
 type managedJob struct {

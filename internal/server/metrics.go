@@ -138,11 +138,11 @@ type StreamTelemetry struct {
 //
 // Direct-routing observability: DirectRoutedBatches counts ingress batches
 // that needed no peer hop at all (a ring-aware client landed every item on
-// its owner), TopologyEpoch/TopologyPushes track the topology the daemon
-// advertises over OpTopology, and the byte pair makes the direct-vs-forwarded
-// traffic ratio observable (bytes_out counts the payloads of the relay's
-// batch hop frames, whether their items arrived encoded or were encoded for
-// the hop; bytes_in counts the payload of every hop frame received).
+// its owner), TopologyEpoch tracks the topology the daemon advertises over
+// OpTopology, and the byte pair makes the direct-vs-forwarded traffic ratio
+// observable (bytes_out counts the payloads of the relay's batch hop frames,
+// whether their items arrived encoded or were encoded for the hop; bytes_in
+// counts the payload of every hop frame received).
 type ClusterTelemetry struct {
 	ClusterNodeID         string            `json:"cluster_node_id,omitempty" prom:"-"`
 	ClusterRingSize       int               `json:"cluster_ring_size,omitempty" prom:"-"`
@@ -156,7 +156,6 @@ type ClusterTelemetry struct {
 	ClusterLocalFallbacks int64             `json:"cluster_local_fallbacks,omitempty" prom:"counter,Would-be forwards applied locally instead."`
 	DirectRoutedBatches   int64             `json:"direct_routed_batches,omitempty" prom:"counter,Ingress batches whose every item was already on its owner."`
 	TopologyEpoch         uint64            `json:"topology_epoch,omitempty" prom:"gauge,Epoch of the federation topology served to ring-aware clients."`
-	TopologyPushes        int64             `json:"topology_pushes,omitempty" prom:"counter,Topology frames pushed to subscribed stream connections."`
 	ForwardBytesIn        int64             `json:"forward_bytes_in,omitempty" prom:"counter,Bytes of hop request frames received."`
 	ForwardBytesOut       int64             `json:"forward_bytes_out,omitempty" prom:"counter,Payload bytes of the batch hop frames sent to owning peers."`
 }

@@ -222,8 +222,6 @@ func (r *registry) shardIndex(h uint64) int {
 	return int((h >> 32) * uint64(len(r.shards)) >> 32)
 }
 
-func (r *registry) shardOf(h uint64) *regShard { return &r.shards[r.shardIndex(h)] }
-
 // admit runs the shard-local admission checks for one check-in, whose scores
 // the caller has clamped, and reserves the device (slotBusy) on success, so
 // that a second check-in for it, in this batch or a concurrent one, cannot

@@ -178,7 +178,7 @@ func TestRegistryDifferential(t *testing.T) {
 						for n := 1 + rng.Intn(20); n > 0; n-- {
 							id := pool[rng.Intn(len(pool))]
 							h := r.hash(id)
-							sh := r.shardOf(h)
+							sh := &r.shards[r.shardIndex(h)]
 							sh.mu.Lock()
 							s, _ := sh.find(h, id)
 							od, known := oracle[id]
@@ -359,7 +359,7 @@ func TestWarmSurplusAdmitAllocatesNothing(t *testing.T) {
 	m.CheckInBatch(cis)
 	ci := &cis[0]
 	h := m.reg.hash(ci.DeviceID)
-	sh := m.reg.shardOf(h)
+	sh := &m.reg.shards[m.reg.shardIndex(h)]
 	now := m.now()
 	idle := true
 	if got := testing.AllocsPerRun(200, func() {

@@ -79,12 +79,10 @@ func TestServiceTypedErrors(t *testing.T) {
 	}
 }
 
-// fakeStreamServer is a StreamServer reporting fixed counters and pushing
-// nowhere.
+// fakeStreamServer is a StreamServer reporting fixed counters.
 type fakeStreamServer struct{ tel StreamTelemetry }
 
 func (f *fakeStreamServer) StreamTelemetry() StreamTelemetry { return f.tel }
-func (f *fakeStreamServer) PushTopology(TopologyInfo) int    { return 0 }
 
 // TestStreamTelemetryHook checks the stream server's counters pass through
 // into MetricsSnapshot, including the compare-on-clear semantics a restarted

@@ -135,103 +135,6 @@ func TestFrameLargerThanReadBuffer(t *testing.T) {
 	}
 }
 
-// fixedTopology is a federation Router serving one unchanging topology. It
-// routes nothing: the tests that attach it send only pings and OpTopology,
-// so the embedded nil Router's methods are never called.
-type fixedTopology struct {
-	server.Router
-	info server.TopologyInfo
-}
-
-func (f *fixedTopology) Topology() server.TopologyInfo { return f.info }
-
-// TestTopologyPushReachesIdleAndBusyConns subscribes two connections, leaves
-// one idle and keeps the other answering pipelined pings, and pushes a
-// topology: both receive it, and the busy connection's reply stream stays
-// well-formed around it.
-func TestTopologyPushReachesIdleAndBusyConns(t *testing.T) {
-	m, ts, addr := startServer(t, transport.Options{})
-	info := server.TopologyInfo{Epoch: 1, VNodes: 8, Members: []string{addr}}
-	src := &fixedTopology{info: info}
-	m.SetRouter(src)
-	defer m.ClearRouter(src)
-
-	subscribe := func() (net.Conn, *bufio.Reader) {
-		t.Helper()
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		var w bytes.Buffer
-		_ = transport.WriteFrame(&w, transport.Version2, transport.OpTopology, 1, nil)
-		if _, err := c.Write(w.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		br := bufio.NewReader(c)
-		if fr, err := transport.ReadFrame(br, 1<<20, transport.MaxVersion); err != nil || fr.Op != transport.OpTopology|transport.RespFlag {
-			t.Fatalf("subscribe: %+v, %v", fr, err)
-		}
-		return c, br
-	}
-	_, idle := subscribe()
-	busyConn, busy := subscribe()
-
-	isPush := func(fr transport.Frame) bool {
-		if fr.ID != 0 || fr.Op != transport.OpTopology|transport.RespFlag {
-			return false
-		}
-		var tp transport.TopologyPayload
-		if err := tp.UnmarshalBinary(fr.Payload); err != nil || tp.Epoch != 2 {
-			t.Errorf("push payload: %+v, %v", tp, err)
-		}
-		return true
-	}
-	// The busy connection answers bursts of 16 pings back to back; the push
-	// is issued from another goroutine once it is going.
-	info.Epoch = 2
-	handed := make(chan int, 1)
-	id, pushed := uint32(1), false
-	var w bytes.Buffer
-	for round := 0; !pushed; round++ {
-		if round == 10 {
-			go func() { handed <- ts.PushTopology(info) }()
-		}
-		if round == 100000 {
-			t.Fatal("busy connection never saw the push")
-		}
-		w.Reset()
-		for k := 0; k < 16; k++ {
-			_ = transport.WriteFrame(&w, transport.Version2, transport.OpPing, id+uint32(k)+1, nil)
-		}
-		if _, err := busyConn.Write(w.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 16; {
-			fr, err := transport.ReadFrame(busy, 1<<20, transport.MaxVersion)
-			if err != nil {
-				t.Fatalf("busy connection: %v", err)
-			}
-			if isPush(fr) {
-				pushed = true
-				continue
-			}
-			// Replies stay whole and in order around the push.
-			if id++; fr.ID != id || fr.Op != transport.OpPing|transport.RespFlag {
-				t.Fatalf("busy reply: id %d op %#x, want ping reply %d", fr.ID, fr.Op, id)
-			}
-			k++
-		}
-	}
-	if n := <-handed; n != 2 {
-		t.Errorf("PushTopology handed the push to %d connections, want 2", n)
-	}
-	if fr, err := transport.ReadFrame(idle, 1<<20, transport.MaxVersion); err != nil || !isPush(fr) {
-		t.Errorf("idle connection: %+v, %v; want the push", fr, err)
-	}
-}
-
 // wedge connects a client that sends 1,000 requests, each with a reply of
 // tens of kilobytes, and never reads one: the replies fill both sockets and
 // the connection's goroutine blocks in Write.

@@ -69,12 +69,12 @@ const (
 	// OpTopology requests the federation topology: the ring's member
 	// addresses, vnode count, and an epoch that advances whenever the live
 	// membership changes. The request payload is empty; the response is a
-	// TopologyPayload in the fixed binary layout. The server additionally
-	// *pushes* an unsolicited OpTopology|RespFlag frame
-	// with request ID 0 to every connection that has fetched the topology
-	// whenever the epoch advances, so ring-aware clients re-partition
-	// without polling. A daemon with no federation layer attached answers
-	// OpError with CodeUnavailable.
+	// TopologyPayload in the fixed binary layout. It is a plain request and
+	// reply: the server never sends a frame nobody asked for, so a client
+	// learns a new epoch only by asking again (a ring-aware client does when
+	// a batch reply carries the forwarded flag or a send fails). A daemon
+	// with no federation layer attached answers OpError with
+	// CodeUnavailable.
 	OpTopology byte = 0x0C
 
 	// HopFlag marks a request frame as already forwarded once by a peer
@@ -283,13 +283,6 @@ func PutHeader(hdr []byte, ver, op byte, id uint32, payloadLen int) {
 	hdr[0], hdr[1], hdr[2], hdr[3] = Magic0, Magic1, ver, op
 	binary.BigEndian.PutUint32(hdr[4:8], id)
 	binary.BigEndian.PutUint32(hdr[8:12], uint32(payloadLen))
-}
-
-// appendFrame appends one whole frame to b.
-func appendFrame(b []byte, ver, op byte, id uint32, payload []byte) []byte {
-	b = append(b, make([]byte, HeaderSize)...)
-	PutHeader(b[len(b)-HeaderSize:], ver, op, id, len(payload))
-	return append(b, payload...)
 }
 
 // WriteFrame writes one frame to w (typically a *bufio.Writer; the caller

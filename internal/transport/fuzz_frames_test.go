@@ -73,7 +73,9 @@ func requestIDs(data []byte) (ids []uint32) {
 // locally with `go test -fuzz=FuzzServeFrames ./internal/transport/`.
 func FuzzServeFrames(f *testing.F) {
 	frame := func(ver, op byte, id uint32, payload []byte) []byte {
-		return appendFrame(nil, ver, op, id, payload)
+		b := make([]byte, HeaderSize, HeaderSize+len(payload))
+		PutHeader(b, ver, op, id, len(payload))
+		return append(b, payload...)
 	}
 	bin := func(b []byte, err error) []byte {
 		if err != nil {

@@ -60,8 +60,7 @@ type Server struct {
 
 // NewServer builds a stream server over m and attaches it to the manager
 // (SetStreamServer): /v1/metrics reports its counters (stream_conns,
-// stream_frames_*) and topology changes are pushed through it. Shutdown and
-// Close detach it again.
+// stream_frames_*). Shutdown and Close detach it again.
 func NewServer(m *server.Manager, opts Options) *Server {
 	opts.fillDefaults()
 	s := &Server{
@@ -74,34 +73,6 @@ func NewServer(m *server.Manager, opts Options) *Server {
 	}
 	m.SetStreamServer(s)
 	return s
-}
-
-// PushTopology implements server.StreamServer: it sends an unsolicited
-// OpTopology|RespFlag frame (request ID 0) to every connection that has
-// fetched the topology, so ring-aware clients learn of membership changes
-// without polling. It never waits for a connection: the payload is parked on
-// each one (replacing an older push not yet written) and written here only
-// if the connection's write lock is free; a connection busy writing sends it
-// with that write. The count is of connections the push was handed to.
-func (s *Server) PushTopology(info server.TopologyInfo) int {
-	tp := TopologyPayload{Epoch: info.Epoch, VNodes: info.VNodes, Members: info.Members}
-	payload, err := tp.MarshalBinary()
-	if err != nil {
-		return 0
-	}
-	s.mu.Lock()
-	conns := make([]*srvConn, 0, len(s.conns))
-	for sc := range s.conns {
-		if sc.topoSub.Load() {
-			conns = append(conns, sc)
-		}
-	}
-	s.mu.Unlock()
-	for _, sc := range conns {
-		sc.push.Store(&payload)
-		_ = s.send(sc, nil, 0, true) // a failed write has closed the connection
-	}
-	return len(conns)
 }
 
 // StreamTelemetry implements server.StreamServer: the live stream counters,
@@ -232,9 +203,8 @@ const (
 )
 
 // srvConn is one accepted connection. c never changes; its goroutine
-// (serveConn) owns every other field above the marker exclusively; the
-// fields below it are what a topology push, arriving from another goroutine,
-// may touch.
+// (serveConn) owns every other field exclusively, the socket's writes
+// included.
 type srvConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -253,16 +223,6 @@ type srvConn struct {
 	batch   server.BatchBuf
 	ciResp  server.CheckInBatchResponse
 	repResp server.ReportBatchResponse
-
-	// --- shared with PushTopology ---
-
-	// topoSub marks a connection that has fetched the topology (served an
-	// OpTopology request) and therefore receives topology pushes.
-	topoSub atomic.Bool
-	// wmu serializes socket writes: the connection's flushes and a pusher's
-	// direct write. push parks the latest topology payload not yet written.
-	wmu  sync.Mutex
-	push atomic.Pointer[[]byte]
 }
 
 // beginDrain stops the connection's read loop at the next frame boundary by
@@ -388,7 +348,7 @@ func (s *Server) flush(sc *srvConn) bool {
 	if len(sc.spans) > 0 {
 		t0 = time.Now()
 	}
-	err := s.send(sc, sc.wbuf, sc.pending, false)
+	err := s.send(sc, sc.wbuf, sc.pending)
 	for _, sp := range sc.spans {
 		if err != nil {
 			sp.SetError()
@@ -405,40 +365,23 @@ func (s *Server) flush(sc *srvConn) bool {
 	return err == nil
 }
 
-// send writes buf (n frames) and any parked topology push to the socket
-// under the write lock and the write deadline. With try set it gives up
-// when the lock is taken, leaving the push parked for the lock's holder,
-// which looks again after unlocking. A failed write closes the connection:
-// a frame may be half on the wire.
-func (s *Server) send(sc *srvConn, buf []byte, n int, try bool) error {
-	for {
-		if !try {
-			sc.wmu.Lock()
-		} else if !sc.wmu.TryLock() {
-			return nil
-		}
-		if p := sc.push.Swap(nil); p != nil {
-			buf = appendFrame(buf, Version2, OpTopology|RespFlag, 0, *p)
-			n++
-		}
-		var err error
-		if n > 0 {
-			// Count before the write, not after: a client that holds its
-			// answer must find it counted, and it can read the answer and
-			// sample the telemetry before Write has even returned here.
-			s.framesOut.Add(int64(n))
-			_ = sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-			if _, err = sc.c.Write(buf); err != nil {
-				s.framesOut.Add(int64(-n))
-				sc.c.Close()
-			}
-		}
-		sc.wmu.Unlock()
-		if err != nil || sc.push.Load() == nil {
-			return err
-		}
-		buf, n = buf[:0], 0
+// send writes buf (n frames) under the write deadline. A failed write closes
+// the connection: a frame may be half on the wire.
+func (s *Server) send(sc *srvConn, buf []byte, n int) error {
+	if n == 0 {
+		return nil
 	}
+	// Count before the write, not after: a client that holds its answer must
+	// find it counted, and it can read the answer and sample the telemetry
+	// before Write has even returned here.
+	s.framesOut.Add(int64(n))
+	_ = sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+	_, err := sc.c.Write(buf)
+	if err != nil {
+		s.framesOut.Add(int64(-n))
+		sc.c.Close()
+	}
+	return err
 }
 
 // obsOpOf maps an opcode (flag bits ignored) to its observability op.
@@ -600,12 +543,10 @@ func (s *Server) dispatch(sc *srvConn, op byte, payload []byte, sp *obs.Span) by
 	case OpPing:
 		return op | RespFlag
 	case OpTopology:
-		// Serving it flags the connection for topology pushes.
 		info, ok := s.m.Topology()
 		if !ok {
 			return sc.replyErr(server.CodeUnavailable, errors.New("transport: no federation topology attached"))
 		}
-		sc.topoSub.Store(true)
 		tp := TopologyPayload{Epoch: info.Epoch, VNodes: info.VNodes, Members: info.Members}
 		return sc.reply(op, &tp, nil)
 	default:
