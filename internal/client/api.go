@@ -7,7 +7,7 @@
 //	c := client.New("host:8081", client.WithTimeout(2*time.Second))
 //
 // Both transports implement API. NewStream returns the concrete
-// *StreamClient, whose ForwardRaw the federation relay needs.
+// *StreamClient, whose ForwardRaw the federation hop needs.
 package client
 
 import (

@@ -47,7 +47,7 @@ const (
 // addr (e.g. "localhost:8081"). Connections are dialed lazily on first use
 // and redialed automatically after failures. New with a bare host:port
 // selects the same transport but returns the API interface; NewStream stays
-// because the federation relay needs the concrete *StreamClient for
+// because the federation hop needs the concrete *StreamClient for
 // ForwardRaw.
 func NewStream(addr string, opts ...Option) *StreamClient {
 	cfg := defaultClientConfig()

@@ -1,10 +1,12 @@
 // Package cluster federates several venndaemons into one serving fleet.
 // Device ownership is sharded across the member daemons by a consistent-hash
-// ring (internal/hashring — FNV-1a over the device ID, the same hash family
-// the manager's lock stripes use), and a request that lands on a non-owner
-// is transparently forwarded peer-to-peer over the persistent framed stream
-// transport (internal/transport) using the multiplexing client.StreamClient
-// pool — any daemon can accept any check-in or report, single or batch.
+// ring (internal/hashring — FNV-1a over the device ID, unseeded so that
+// every member and client derives the same owner; the manager's registry
+// stripes use seeded hash/maphash, private to one process). The items of a
+// batch that lands on a non-owner are forwarded peer-to-peer, one hop frame
+// per owner, over the persistent framed stream transport (internal/transport)
+// using the multiplexing client.StreamClient pool — any daemon can accept any
+// check-in or report batch.
 // Ring-aware clients (client.WithTopology) fetch the same ring over
 // OpTopology and partition their batches before sending, so on the common
 // path nothing needs forwarding at all.
@@ -117,10 +119,6 @@ type peer struct {
 	c     PeerClient
 	fails int
 	down  atomic.Bool
-	// Per-peer forward coalescers: every batch hop goes through one (see
-	// relay.go).
-	ciRelay  *relay[server.CheckIn, server.CheckInResult]
-	repRelay *relay[server.Report, server.ReportResult]
 }
 
 // snapshot is the immutable routing view the serving hot path reads: the
@@ -220,9 +218,7 @@ func New(m *server.Manager, cfg Config) (*Cluster, error) {
 			c.self = i
 			continue
 		}
-		p := &peer{id: id, idx: i, c: dial(id)}
-		p.ciRelay, p.repRelay = newRelay(c, p, &checkInOps), newRelay(c, p, &reportOps)
-		c.peers = append(c.peers, p)
+		c.peers = append(c.peers, &peer{id: id, idx: i, c: dial(id)})
 	}
 	c.publish()
 	c.healthWG.Add(1)

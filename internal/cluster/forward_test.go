@@ -46,22 +46,23 @@ func fleetOf(r *hashring.Ring, tag string, n int, owner string) (cis []server.Ch
 	return cis, owned
 }
 
-// TestRelayCoalescesIntoContributorsSlots holds a fake owner's first reply
-// while eight batches contribute to its relay: the first is a commit round of
-// its own, the other seven coalesce into the second, and the one reply to
-// that round is decoded straight into seven different BatchBufs — every
-// contributor reads its own items' results, in item order, at exactly the
-// forwarded indices. The three failure verdicts then fill the same indices
-// and no others.
-func TestRelayCoalescesIntoContributorsSlots(t *testing.T) {
+// TestOneHopFramePerBatchOwner holds two fake owners' replies while eight
+// batches split across them and this node: each batch sends one hop frame to
+// each owner, all sixteen are at the owners at once, and each reply is
+// decoded into its own batch's slots only — every batch reads its own items'
+// results, in item order, at exactly the forwarded indices. The three
+// failure verdicts then fill the same indices and no others.
+func TestOneHopFramePerBatchOwner(t *testing.T) {
 	m := server.NewManager(server.Config{})
-	fake := newFakePeer()
-	fake.echo.Store(true)
+	fakes := map[string]*fakePeer{"peer-1": newFakePeer(), "peer-2": newFakePeer()}
+	for _, f := range fakes {
+		f.echo.Store(true)
+	}
 	clu, err := cluster.New(m, cluster.Config{
 		SelfID:         "self",
-		Peers:          []string{"self", "peer-1"},
+		Peers:          []string{"self", "peer-1", "peer-2"},
 		HealthInterval: time.Hour,
-		Dial:           func(string) cluster.PeerClient { return fake },
+		Dial:           func(addr string) cluster.PeerClient { return fakes[addr] },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestRelayCoalescesIntoContributorsSlots(t *testing.T) {
 		}
 		for i, ci := range cis {
 			want := ""
-			if clu.Ring().Owner(ci.DeviceID) == "peer-1" {
+			if clu.Ring().Owner(ci.DeviceID) != "self" {
 				want = wantPeer(ci.DeviceID)
 			}
 			if got := results[i].Error; got != want && !(want != "" && strings.Contains(got, want)) {
@@ -87,21 +88,45 @@ func TestRelayCoalescesIntoContributorsSlots(t *testing.T) {
 	}
 	echo := func(id string) string { return "echo:" + id }
 	known := func() int { return int(m.MetricsSnapshot().KnownDevices) }
+	// fleet is a batch of per check-ins spanning all three members, and how
+	// many of them are served here.
+	const per = 32
+	fleet := func(tag string) (cis []server.CheckIn, local int) {
+		cis, local = fleetOf(clu.Ring(), tag, per, "self")
+		for owner := range fakes {
+			if _, n := fleetOf(clu.Ring(), tag, per, owner); n == 0 {
+				t.Fatalf("%s has no item on %s", tag, owner)
+			}
+		}
+		if local == 0 {
+			t.Fatalf("%s has no item on self", tag)
+		}
+		return cis, local
+	}
+	forwards := func() (n int64) {
+		for _, f := range fakes {
+			n += f.forwards.Load()
+		}
+		return n
+	}
 
-	const conns, per = 8, 16
+	const conns = 8
 	var batches [conns][]server.CheckIn
 	var results [conns][]server.CheckInResult
-	local := 0
 	for k := range batches {
-		var remote int
-		batches[k], remote = fleetOf(clu.Ring(), fmt.Sprintf("co%d", k), per, "peer-1")
-		if remote == 0 || remote == per {
-			t.Fatalf("batch %d does not span both owners (%d of %d on the peer)", k, remote, per)
-		}
-		local += per - remote
+		batches[k], _ = fleet(fmt.Sprintf("co%d", k))
 	}
+	// Released on every path, so that a failed wait does not leave Close
+	// waiting on parked hops.
 	var wg sync.WaitGroup
-	contribute := func(k int) {
+	defer wg.Wait()
+	release := sync.OnceFunc(func() {
+		for _, f := range fakes {
+			close(f.block)
+		}
+	})
+	defer release()
+	for k := range batches {
 		b, raw := decodedBatch(t, batches[k])
 		wg.Add(1)
 		go func() {
@@ -112,42 +137,45 @@ func TestRelayCoalescesIntoContributorsSlots(t *testing.T) {
 			}
 		}()
 	}
-	contribute(0)
-	waitFor(t, func() bool { return fake.forwards.Load() == 1 }) // round 1 is parked in the fake
-	for k := 1; k < conns; k++ {
-		contribute(k)
-	}
-	// A batch serves its local half right after contributing, so once every
-	// local device is registered every group is in the relay.
-	waitFor(t, func() bool { return known() == local })
-	close(fake.block)
+	waitFor(t, func() bool { return forwards() == 2*conns }) // every hop is parked in a fake
+	release()
 	wg.Wait()
 	for k := range batches {
 		check(fmt.Sprintf("batch %d", k), batches[k], results[k], echo)
 	}
-	if tel := clu.ClusterTelemetry(); tel.ClusterForwardsOut != 2 || tel.ClusterForwardErrors != 0 || tel.ClusterLocalFallbacks != 0 || fake.forwards.Load() != 2 {
-		t.Fatalf("8 batches over a held reply: %d hop frames (%d reached the peer), %d errors, %d fallbacks; want 2 commit rounds, clean",
-			tel.ClusterForwardsOut, fake.forwards.Load(), tel.ClusterForwardErrors, tel.ClusterLocalFallbacks)
+	for owner, f := range fakes {
+		if got := f.forwards.Load(); got != conns {
+			t.Errorf("%s: %d hop frames, want one per batch (%d)", owner, got, conns)
+		}
+	}
+	if tel := clu.ClusterTelemetry(); tel.ClusterForwardsOut != 2*conns || tel.ClusterForwardErrors != 0 || tel.ClusterLocalFallbacks != 0 {
+		t.Fatalf("8 batches over held replies: %d hop frames, %d errors, %d fallbacks; want one frame per batch and owner, clean",
+			tel.ClusterForwardsOut, tel.ClusterForwardErrors, tel.ClusterLocalFallbacks)
 	}
 
-	// The failure verdicts, one batch each.
+	// The failure verdicts, one batch each, from both owners.
 	run := func(tag string) ([]server.CheckIn, []server.CheckInResult, int) {
-		cis, remote := fleetOf(clu.Ring(), tag, per, "peer-1")
+		cis, local := fleet(tag)
 		b, raw := decodedBatch(t, cis)
 		res, _ := clu.CheckInBatchBuf(b, raw, nil)
-		return cis, res, remote
+		return cis, res, local
+	}
+	failWith := func(err error) {
+		for _, f := range fakes {
+			f.failForwardsWith(err)
+		}
 	}
 	base := known()
 
-	fake.failForwardsWith(&client.StreamError{Code: server.CodeInvalid, Msg: "owner says no"})
-	cis, res, remote := run("typed")
+	failWith(&client.StreamError{Code: server.CodeInvalid, Msg: "owner says no"})
+	cis, res, local := run("typed")
 	check("typed rejection", cis, res, func(string) string { return "owner says no" })
-	if got := known(); got != base+per-remote {
-		t.Errorf("typed rejection: %d devices registered here, want only the %d local ones", got-base, per-remote)
+	if got := known(); got != base+local {
+		t.Errorf("typed rejection: %d devices registered here, want only the %d local ones", got-base, local)
 	}
-	base += per - remote
+	base += local
 
-	fake.failForwardsWith(&client.NotSentError{Err: errors.New("fake: dial refused")})
+	failWith(&client.NotSentError{Err: errors.New("fake: dial refused")})
 	cis, res, _ = run("unsent")
 	check("local fallback", cis, res, func(string) string { return "" })
 	if got := known(); got != base+per {
@@ -155,19 +183,21 @@ func TestRelayCoalescesIntoContributorsSlots(t *testing.T) {
 	}
 	base += per
 
-	fake.failForwardsWith(nil)
-	fake.short.Store(true)
-	cis, res, remote = run("short")
-	check("short reply", cis, res, func(string) string { return "forward to owner failed" })
-	if got := known(); got != base+per-remote {
-		t.Errorf("short reply: %d devices registered here, want only the %d local ones", got-base, per-remote)
+	failWith(nil)
+	for _, f := range fakes {
+		f.short.Store(true)
 	}
-	if tel := clu.ClusterTelemetry(); tel.ClusterForwardErrors != 1 || tel.ClusterLocalFallbacks != 1 {
-		t.Errorf("after the three verdicts: %d forward errors, %d fallbacks; want 1 (short reply) and 1 (unsent)", tel.ClusterForwardErrors, tel.ClusterLocalFallbacks)
+	cis, res, local = run("short")
+	check("short reply", cis, res, func(string) string { return "forward to owner failed" })
+	if got := known(); got != base+local {
+		t.Errorf("short reply: %d devices registered here, want only the %d local ones", got-base, local)
+	}
+	if tel := clu.ClusterTelemetry(); tel.ClusterForwardErrors != 2 || tel.ClusterLocalFallbacks != 2 {
+		t.Errorf("after the three verdicts: %d forward errors, %d fallbacks; want 2 (short replies) and 2 (unsent)", tel.ClusterForwardErrors, tel.ClusterLocalFallbacks)
 	}
 }
 
-// TestForwardedResultsOutliveReplyBuffer is the lifetime check of the relay's
+// TestForwardedResultsOutliveReplyBuffer is the lifetime check of the hop's
 // decode-into-slots: a forwarded result's strings are read out of the owner's
 // reply, a pooled buffer recycled the moment the decoder returns (and, built
 // with -tags poolcheck, overwritten with 0xA5 then), so they must be copies.
@@ -248,7 +278,7 @@ func TestForwardedResultsOutliveReplyBuffer(t *testing.T) {
 // down, a batch spanning all three forwards one group, serves the down
 // member's items here with its own, and counts one local fallback — per
 // batch, not per item — whether the batch arrived encoded (stream) or not
-// (HTTP ingress, encoded into the relay).
+// (HTTP ingress, encoded for the hop).
 func TestDownOwnerFallsBackOncePerBatch(t *testing.T) {
 	m := server.NewManager(server.Config{})
 	fakes := map[string]*fakePeer{"peer-1": newFakePeer(), "peer-2": newFakePeer()}
@@ -300,14 +330,14 @@ func TestDownOwnerFallsBackOncePerBatch(t *testing.T) {
 	}
 }
 
-// TestRelayKeepsHopsWithinFrameLimit: the owner's frame limit (the transport
+// TestHopsKeepWithinFrameLimit: the owner's frame limit (the transport
 // default, server.MaxBatch KiB, a trace context included) bounds every hop.
-// A group that would push a pending batch past it makes the pending batch
-// leave first and travels in a frame of its own; a group past the limit on
-// its own is answered too large on every item and never sent.
-func TestRelayKeepsHopsWithinFrameLimit(t *testing.T) {
+// A group just under it travels in one frame; a group past it is answered too
+// large on every item and never sent.
+func TestHopsKeepWithinFrameLimit(t *testing.T) {
 	m := server.NewManager(server.Config{})
 	fake := newFakePeer()
+	close(fake.block)
 	clu, err := cluster.New(m, cluster.Config{
 		SelfID:         "self",
 		Peers:          []string{"self", "peer-1"},
@@ -318,11 +348,9 @@ func TestRelayKeepsHopsWithinFrameLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clu.Close()
-	known := func() int { return int(m.MetricsSnapshot().KnownDevices) }
 
 	// wide returns n peer-owned check-ins whose IDs make each item 1,125 wire
-	// bytes, then one local check-in: it registers here once the batch has
-	// contributed its remote group.
+	// bytes, then one local check-in.
 	pad, seq := strings.Repeat("x", 1100), 0
 	wide := func(n int) []server.CheckIn {
 		var cis []server.CheckIn
@@ -335,41 +363,19 @@ func TestRelayKeepsHopsWithinFrameLimit(t *testing.T) {
 		return append(cis, server.CheckIn{DeviceID: deviceOwnedBy(t, clu.Ring(), "self", fmt.Sprintf("limit-%d", seq)), CPU: 0.5, Mem: 0.5})
 	}
 
-	// Round 1 parks in the fake; 100 items (112 KB) then wait behind it, and
-	// a 7,400-item group (8.3 MB) arrives: together they would be 8.4 MB.
-	small, remote := fleetOf(clu.Ring(), "limit-small", 16, "peer-1")
-	batches := [][]server.CheckIn{small, wide(100), wide(7400)}
-	local := []int{len(small) - remote, 1, 1}
-	results := make([][]server.CheckInResult, len(batches))
-	var wg sync.WaitGroup
-	want := 0
-	for k, cis := range batches {
-		b, raw := decodedBatch(t, cis)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[k], _ = clu.CheckInBatchBuf(b, raw, nil)
-		}()
-		want += local[k]
-		if k == 0 {
-			waitFor(t, func() bool { return fake.forwards.Load() == 1 })
-		}
-		waitFor(t, func() bool { return known() == want })
-	}
-	close(fake.block)
-	wg.Wait()
-	for k := range batches {
-		for i, res := range results[k] {
-			if res.Error != "" {
-				t.Fatalf("batch %d item %d: %s", k, i, res.Error)
-			}
+	// A 7,400-item group (8.3 MB) fits.
+	b, raw := decodedBatch(t, wide(7400))
+	res, _ := clu.CheckInBatchBuf(b, raw, nil)
+	for i, r := range res {
+		if r.Error != "" {
+			t.Fatalf("item %d: %s", i, r.Error)
 		}
 	}
 	fake.mu.Lock()
 	sizes := slices.Clone(fake.sizes)
 	fake.mu.Unlock()
-	if len(sizes) != 3 {
-		t.Errorf("%d hop frames, want 3 (round 1, the pending batch, the big group)", len(sizes))
+	if len(sizes) != 1 {
+		t.Errorf("%d hop frames, want 1", len(sizes))
 	}
 	for _, n := range sizes {
 		if n+transport.TraceContextSize > server.MaxBatch*1024 {
@@ -377,10 +383,10 @@ func TestRelayKeepsHopsWithinFrameLimit(t *testing.T) {
 		}
 	}
 
-	// A group the limit cannot take at all, as HTTP ingress can produce it:
-	// no raw bytes, each item encoded into the relay.
+	// A group the limit cannot take, as HTTP ingress can produce it: no raw
+	// bytes, each item encoded into the hop payload.
 	cis := wide(7460)
-	res, _ := clu.CheckInBatchRaw(cis, server.RawItems{}, nil)
+	res, _ = clu.CheckInBatchRaw(cis, server.RawItems{}, nil)
 	for i, r := range res[:len(res)-1] {
 		if !strings.Contains(r.Error, "frame limit") {
 			t.Fatalf("item %d of an oversized group: error %q, want the frame limit", i, r.Error)
@@ -389,11 +395,14 @@ func TestRelayKeepsHopsWithinFrameLimit(t *testing.T) {
 	if r := res[len(res)-1]; r.Error != "" {
 		t.Errorf("the local item of an oversized batch: %s", r.Error)
 	}
-	if got := fake.forwards.Load(); got != 3 {
-		t.Errorf("the oversized group reached the peer (%d forwards, want 3)", got)
+	if got := fake.forwards.Load(); got != 1 {
+		t.Errorf("the oversized group reached the peer (%d forwards, want 1)", got)
 	}
-	if tel := clu.ClusterTelemetry(); tel.ClusterForwardErrors != 0 || tel.ClusterLocalFallbacks != 0 {
-		t.Errorf("%d forward errors, %d fallbacks; want none", tel.ClusterForwardErrors, tel.ClusterLocalFallbacks)
+	if tel := clu.ClusterTelemetry(); tel.ClusterForwardsOut != 1 || tel.ClusterForwardErrors != 0 || tel.ClusterLocalFallbacks != 0 {
+		t.Errorf("%d hop frames, %d forward errors, %d fallbacks; want 1, 0, 0", tel.ClusterForwardsOut, tel.ClusterForwardErrors, tel.ClusterLocalFallbacks)
+	}
+	if got := int(m.MetricsSnapshot().KnownDevices); got != 2 {
+		t.Errorf("%d devices registered here, want the 2 local ones", got)
 	}
 }
 
@@ -415,12 +424,12 @@ func postCheckIns(h http.Handler, cis []server.CheckIn) ([]server.CheckInResult,
 	return resp.Results, nil
 }
 
-// TestHTTPIngressRidesTheRelay: a JSON batch has no wire bytes to splice, so
-// its remote groups are encoded into the owner's relay. Through a real
-// two-member federation the results equal a direct run on one daemon and the
-// hop bytes are counted; behind a held hop, eight concurrent HTTP batches
-// coalesce the way stream batches do.
-func TestHTTPIngressRidesTheRelay(t *testing.T) {
+// TestHTTPIngressRidesTheHop: a JSON batch has no wire bytes to splice, so
+// its remote groups are encoded item by item into their hop payloads.
+// Through a real two-member federation the results equal a direct run on one
+// daemon and the hop bytes are counted; behind held replies, concurrent HTTP
+// batches send one hop frame each, as stream batches do.
+func TestHTTPIngressRidesTheHop(t *testing.T) {
 	nodes := startFederation(t, 2, func(cfg *cluster.Config) { cfg.HealthInterval = time.Hour })
 	a, b := nodes[0], nodes[1]
 	job := server.JobSpec{Name: "http", Category: "General", DemandPerRound: 6, Rounds: 1}
@@ -462,15 +471,16 @@ func TestHTTPIngressRidesTheRelay(t *testing.T) {
 	}
 	defer clu.Close()
 	h := server.Handler(m)
-	const posts, per = 9, 16
+	const posts, per = 8, 16
 	var wg sync.WaitGroup
-	local := 0
+	defer wg.Wait()
+	release := sync.OnceFunc(func() { close(fake.block) })
+	defer release() // on every path, as in TestOneHopFramePerBatchOwner
 	for k := 0; k < posts; k++ {
 		cis, remote := fleetOf(clu.Ring(), fmt.Sprintf("hc%d", k), per, "peer-1")
 		if remote == 0 || remote == per {
 			t.Fatalf("batch %d does not span both owners (%d of %d on the peer)", k, remote, per)
 		}
-		local += per - remote
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -485,19 +495,11 @@ func TestHTTPIngressRidesTheRelay(t *testing.T) {
 				}
 			}
 		}()
-		if k == 0 {
-			waitFor(t, func() bool { return fake.forwards.Load() == 1 }) // the held hop
-		}
 	}
-	// Every batch serves its local half after contributing: once all local
-	// devices are known, every remote group is in the relay.
-	waitFor(t, func() bool { return int(m.MetricsSnapshot().KnownDevices) == local })
-	close(fake.block)
+	waitFor(t, func() bool { return fake.forwards.Load() == posts }) // every hop is parked in the fake
+	release()
 	wg.Wait()
-	if frames := fake.forwards.Load() - 1; frames > 2 {
-		t.Errorf("8 HTTP batches behind a held hop left in %d hop frames, want at most 2", frames)
-	}
-	if tel := clu.ClusterTelemetry(); tel.ClusterForwardErrors != 0 || tel.ClusterForwardsOut != fake.forwards.Load() {
-		t.Errorf("%d hop frames counted for %d sent, %d errors", tel.ClusterForwardsOut, fake.forwards.Load(), tel.ClusterForwardErrors)
+	if tel := clu.ClusterTelemetry(); tel.ClusterForwardErrors != 0 || tel.ClusterForwardsOut != posts || fake.forwards.Load() != posts {
+		t.Errorf("%d HTTP batches: %d hop frames counted for %d sent, %d errors; want one per batch, clean", posts, tel.ClusterForwardsOut, fake.forwards.Load(), tel.ClusterForwardErrors)
 	}
 }

@@ -73,7 +73,7 @@ func appendBinBool(b []byte, v bool) []byte {
 // to one copy of the payload; BatchBuf's set it to a view of the payload
 // itself, so the IDs they decode ARE the frame's bytes, valid until the
 // transport has encoded the frame's reply. Either way a site that RETAINS a
-// decoded string beyond the request (the device registry, the relay) must
+// decoded string beyond the request (the device registry, a federation hop) must
 // copy it; transient uses (map lookups, comparisons, re-encoding) need
 // nothing.
 //
@@ -390,7 +390,7 @@ func (r *CheckInBatchRequest) UnmarshalBinary(data []byte) (err error) {
 
 // UnmarshalBinaryBounds is UnmarshalBinary plus the item byte boundaries:
 // item i of the decoded batch occupies data[bounds[i]:bounds[i+1]] (bounds
-// has count+1 entries; nil for an empty batch). The federation relay uses
+// has count+1 entries; nil for an empty batch). The federation hop uses
 // the boundaries to splice still-encoded items into forward frames without
 // re-encoding them.
 func (r *CheckInBatchRequest) UnmarshalBinaryBounds(data []byte) (bounds []uint32, err error) {
@@ -428,9 +428,8 @@ func (r *CheckInBatchResponse) UnmarshalBinary(data []byte) error {
 
 // ResultCursor walks a v2 batch-response payload one result at a time,
 // decoding each straight into a slot its caller owns: Count, then CheckIn (or
-// Report) once per result, then Finish. The federation relay scatters an
-// owner's reply over its contributors' result slots this way, with no
-// intermediate slice. Decoded strings are copies, so the slots outlive the
+// Report) once per result, then Finish. A federation hop scatters an owner's
+// reply over its batch's result slots this way, with no intermediate slice. Decoded strings are copies, so the slots outlive the
 // payload.
 type ResultCursor struct{ d bdec }
 

@@ -7,8 +7,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+
+	"venn/internal/device"
 )
 
 // hostileFloats are the values a device or a job owner can send that no
@@ -36,7 +39,9 @@ type coreState struct {
 func stateOf(t *testing.T, m *Manager) coreState {
 	t.Helper()
 	mt := m.MetricsSnapshot()
-	jobs, err := json.Marshal(m.Jobs())
+	st := m.Jobs() // in map order
+	slices.SortFunc(st, func(a, b JobStatus) int { return a.ID - b.ID })
+	jobs, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +69,13 @@ func post(t *testing.T, m *Manager, route, body string, reply any) int {
 // exceeds math.MaxInt32, whose remaining service would wrap (2^32 × 2^32
 // wraps to 0 and jumps the SRSF queue), gets ErrBadDemand the same way.
 // Both job errors are checked through the Manager, the Service and the HTTP
-// route. Nothing else changes.
+// route. Nothing else changes. Check-ins and reports then run the rest of the
+// table through the Manager and both codecs: a check-in's cpu or mem of NaN,
+// ±Inf, -1 or 2 is clamped by device.Clamp01 and accepted, its cell in range
+// (on the JSON route, a NaN or infinite literal is refused as malformed); an
+// empty device_id gets errDeviceIDMissing, a report for a device never seen
+// ErrUnknownDevice, and one naming a job that does not hold its device
+// ErrWrongJob, none of them changing anything.
 func TestHostileDurationAndTaskScale(t *testing.T) {
 	for _, hv := range hostileFloats {
 		t.Run(hv.name, func(t *testing.T) {
@@ -196,9 +207,152 @@ func TestHostileDurationAndTaskScale(t *testing.T) {
 			})
 		}
 	}
+	type itemRow struct {
+		name       string
+		ci         *CheckIn // a check-in, or else r, a report
+		r          *Report
+		lits       [2]string // the JSON leg's cpu and mem literals
+		want       error     // the item error; nil for an accepted check-in
+		refusedLit bool
+	}
+	const jobID = 0 // the first job a manager registers
+	var items []itemRow
+	for _, hv := range []struct {
+		name string
+		v    float64
+		lit  string
+	}{{"NaN", math.NaN(), "NaN"}, {"+Inf", math.Inf(1), "1e999"}, {"-Inf", math.Inf(-1), "-1e999"}, {"-1", -1, "-1"}, {"2", 2, "2"}} {
+		refused := math.IsNaN(hv.v) || math.IsInf(hv.v, 0)
+		items = append(items,
+			itemRow{name: hv.name + "/cpu", ci: &CheckIn{DeviceID: "h", CPU: hv.v, Mem: 0.5}, lits: [2]string{hv.lit, "0.5"}, refusedLit: refused},
+			itemRow{name: hv.name + "/mem", ci: &CheckIn{DeviceID: "h", CPU: 0.5, Mem: hv.v}, lits: [2]string{"0.5", hv.lit}, refusedLit: refused})
+	}
+	items = append(items,
+		itemRow{name: "empty-id/checkin", ci: &CheckIn{CPU: 0.5, Mem: 0.5}, lits: [2]string{"0.5", "0.5"}, want: errDeviceIDMissing},
+		itemRow{name: "empty-id/report", r: &Report{JobID: jobID, OK: true}, want: errDeviceIDMissing},
+		itemRow{name: "unknown-device/report", r: &Report{DeviceID: "ghost", JobID: jobID, OK: true}, want: ErrUnknownDevice},
+		itemRow{name: "wrong-job/report", r: &Report{DeviceID: "d", JobID: jobID + 1000, OK: true}, want: ErrWrongJob})
+	for _, row := range items {
+		for _, leg := range []string{"manager", "binary", "json"} {
+			t.Run(row.name+"/"+leg, func(t *testing.T) {
+				// Device d holds a task of the manager's one job.
+				m := newTestManager(newFakeClock())
+				if _, err := m.RegisterJob(JobSpec{Name: "j", Category: "General", DemandPerRound: 2, Rounds: 1}); err != nil {
+					t.Fatal(err)
+				}
+				if asg, err := checkInOne(m, CheckIn{DeviceID: "d", CPU: 0.9, Mem: 0.9}); err != nil || !asg.Assigned || asg.JobID != jobID {
+					t.Fatalf("check-in: %+v, %v", asg, err)
+				}
+				before := stateOf(t, m)
+				var got string
+				refused := false
+				if row.ci != nil {
+					got, refused = checkInVia(t, m, leg, *row.ci, row.lits)
+				} else {
+					got, refused = reportVia(t, m, leg, *row.r)
+				}
+				if refused != (leg == "json" && row.refusedLit) {
+					t.Fatalf("refused as malformed: %v, want %v", refused, !refused)
+				}
+				if refused || row.want != nil {
+					if want := errString(row.want); !refused && got != want {
+						t.Errorf("item error %q, want %q", got, want)
+					}
+					if after := stateOf(t, m); after != before {
+						t.Errorf("state changed:\n got %+v\nwant %+v", after, before)
+					}
+					return
+				}
+				if got != "" {
+					t.Fatalf("check-in refused: %s", got)
+				}
+				ci, cells := row.ci, m.env.Grid.NumCells()
+				want := m.env.Grid.CellOf(device.Clamp01(ci.CPU), device.Clamp01(ci.Mem))
+				for id, s := range m.reg.all() {
+					if id == ci.DeviceID && (int(s.cell) >= cells || device.CellID(s.cell) != want) {
+						t.Errorf("cell %d, want %d (of %d)", s.cell, want, cells)
+					}
+				}
+				if st := stateOf(t, m); st.checkIns != before.checkIns+1 {
+					t.Errorf("check-ins %d, want %d", st.checkIns, before.checkIns+1)
+				}
+			})
+		}
+	}
 	// The bound itself is accepted.
 	m := newTestManager(newFakeClock())
 	if _, err := m.RegisterJob(JobSpec{Name: "j", Category: "General", DemandPerRound: math.MaxInt32, Rounds: 1}); err != nil {
 		t.Errorf("RegisterJob at the bound: %v", err)
 	}
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// checkInVia serves ci through leg — the Manager, the binary codec or the
+// JSON route, whose body carries lits as ci's cpu and mem — and returns the
+// item's error. refused reports a JSON body the decoder refused whole, with
+// status 400 and CodeInvalid.
+func checkInVia(t *testing.T, m *Manager, leg string, ci CheckIn, lits [2]string) (itemErr string, refused bool) {
+	t.Helper()
+	switch leg {
+	case "manager":
+		return m.CheckInBatch([]CheckIn{ci})[0].Error, false
+	case "binary":
+		payload, err := (&CheckInBatchRequest{CheckIns: []CheckIn{ci}}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b BatchBuf
+		if err := b.DecodeCheckIns(payload); err != nil {
+			t.Fatal(err)
+		}
+		return m.CheckInBatchBuf(&b, nil)[0].Error, false
+	}
+	body := fmt.Sprintf(`{"checkins":[{"device_id":%q,"cpu":%s,"mem":%s}]}`, ci.DeviceID, lits[0], lits[1])
+	return viaJSON(t, m, "/v1/checkin/batch", body)
+}
+
+// reportVia is checkInVia for a report.
+func reportVia(t *testing.T, m *Manager, leg string, r Report) (itemErr string, refused bool) {
+	t.Helper()
+	switch leg {
+	case "manager":
+		return m.ReportBatch([]Report{r})[0].Error, false
+	case "binary":
+		payload, err := (&ReportBatchRequest{Reports: []Report{r}}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b BatchBuf
+		if err := b.DecodeReports(payload); err != nil {
+			t.Fatal(err)
+		}
+		return m.ReportBatchBuf(&b, nil)[0].Error, false
+	}
+	body := fmt.Sprintf(`{"reports":[{"device_id":%q,"job_id":%d,"ok":%t,"duration_seconds":%g}]}`, r.DeviceID, r.JobID, r.OK, r.DurationSeconds)
+	return viaJSON(t, m, "/v1/report/batch", body)
+}
+
+// viaJSON posts a one-item batch body to route and returns the item's error,
+// or refused when the decoder refused the body whole.
+func viaJSON(t *testing.T, m *Manager, route, body string) (itemErr string, refused bool) {
+	t.Helper()
+	var reply struct {
+		Results []struct {
+			Error string `json:"error"`
+		} `json:"results"`
+		Code int `json:"code"`
+	}
+	switch code := post(t, m, route, body, &reply); {
+	case code == http.StatusBadRequest && reply.Code == int(CodeInvalid):
+		return "", true
+	case code != http.StatusOK || len(reply.Results) != 1:
+		t.Fatalf("POST %s: status %d, reply %+v", route, code, reply)
+	}
+	return reply.Results[0].Error, false
 }

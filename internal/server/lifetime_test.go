@@ -18,7 +18,7 @@ import (
 // TestRetainedIDsOutliveTheirFrames drives the sites that keep a device ID
 // past its request — the registry, a job's in-flight table (which keys by
 // device number; RetainedIDs reads the IDs back through the registry), the
-// federation relay's buffer — and checks that each kept its own copy. It runs twice:
+// federation hop's payload — and checks that each kept its own copy. It runs twice:
 // over real stream connections, where a v2 batch's IDs are views of the
 // connection's read buffer, and over HTTP through server.Handler, where a
 // JSON batch's IDs are views of the pooled request body. In a normal build
@@ -86,7 +86,7 @@ func testRetainedIDs(t *testing.T, dial func(addr string, m *server.Manager) cli
 			t.Fatal(err)
 		}
 	}
-	// A fleet spanning both owners, all sent to A: B's half crosses the relay.
+	// A fleet spanning both owners, all sent to A: B's half crosses a hop.
 	fleet := make([]server.CheckIn, 128)
 	owned := map[string][]string{}
 	for i := range fleet {

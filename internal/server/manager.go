@@ -52,14 +52,17 @@ import (
 	"venn/internal/tsdb"
 )
 
-// Errors returned by the manager. ErrDeviceBusy, ErrUnknownDevice and
-// ErrRegistryFull reach a caller as a batch item's Error, which carries their
-// message.
+// Errors returned by the manager. ErrDeviceBusy, ErrUnknownDevice,
+// ErrWrongJob and ErrRegistryFull reach a caller as a batch item's Error,
+// which carries their message.
 var (
 	ErrUnknownJob      = errors.New("server: unknown job")
 	ErrUnknownCategory = errors.New("server: requirement must be one of the configured categories")
 	ErrDeviceBusy      = errors.New("server: device already has a task today")
 	ErrUnknownDevice   = errors.New("server: unknown device")
+	// ErrWrongJob refuses a report whose job does not hold the device while
+	// another live job does: the device keeps its reservation and its task.
+	ErrWrongJob = errors.New("server: the device holds a task of another job")
 	// ErrRegistryFull refuses a new device whose ID would end past the 4 GiB
 	// a registry shard's ID arena can address.
 	ErrRegistryFull = errors.New("server: device registry shard has no room for the ID")
@@ -773,17 +776,29 @@ func (m *Manager) CheckInBatchBuf(buf *BatchBuf, sp *obs.Span) []CheckInResult {
 	return out
 }
 
-// reportCoreLocked applies one report to the scheduler core. The caller
-// holds the core mutex (and the device's shard mutex).
-func (m *Manager) reportCoreLocked(r *Report, s *slot, now simtime.Time) {
+// reportCoreLocked applies one report to the scheduler core and frees the
+// device's reservation. A report the named job cannot take is stale (the job
+// or the device's attempt ended) and frees the device without touching a
+// job, unless another live job holds the device: then it is ErrWrongJob and
+// the device stays reserved. It returns whether it freed a reservation. The
+// caller holds the core mutex (and the device's shard mutex).
+func (m *Manager) reportCoreLocked(r *Report, s *slot, now simtime.Time) (freed bool, err error) {
 	mj, ok := m.jobs[job.ID(r.JobID)]
-	if !ok {
-		// Job finished meanwhile; the report is stale but harmless.
-		return
+	var task inFlightTask
+	if ok {
+		task, ok = mj.inFlight[s.dev]
 	}
-	task, working := mj.inFlight[s.dev]
-	if !working {
-		return // stale: the device's attempt ended
+	if !ok {
+		for _, other := range m.jobs {
+			if _, held := other.inFlight[s.dev]; held {
+				return false, ErrWrongJob
+			}
+		}
+	}
+	freed = s.flags&slotBusy != 0
+	s.flags &^= slotBusy
+	if !ok {
+		return freed, nil
 	}
 	delete(mj.inFlight, s.dev)
 	out := mj.j.Report(mj.j.Attempt(), r.OK, now)
@@ -795,6 +810,7 @@ func (m *Manager) reportCoreLocked(r *Report, s *slot, now simtime.Time) {
 		m.failures++
 	}
 	m.settleLocked(mj, out, now)
+	return freed, nil
 }
 
 // ReportBatch processes a batch of reports with a single scheduler-lock
@@ -828,7 +844,7 @@ func (m *Manager) ReportBatchBuf(buf *BatchBuf, sp *obs.Span) []ReportResult {
 	defer m.reg.unlockMarked(sc)
 
 	m.reg.touch(sc)
-	accepted, freed := 0, 0
+	accepted := 0
 	for i := range rs {
 		sh := sc.shard[i]
 		if sh == nil {
@@ -839,26 +855,29 @@ func (m *Manager) ReportBatchBuf(buf *BatchBuf, sp *obs.Span) []ReportResult {
 			out[i].Error = ErrUnknownDevice.Error()
 			continue
 		}
-		if s.flags&slotBusy != 0 {
-			s.flags &^= slotBusy
-			freed++
-		}
 		sc.slots[i] = s
 		accepted++
 	}
 	if accepted > 0 {
-		m.reg.busy.Add(int64(-freed))
+		freed := 0
 		now := m.lockCore(sp)
 		t0 := spanClock(sp)
 		for i, s := range sc.slots {
-			if s != nil {
-				m.reportCoreLocked(&rs[i], s, now)
+			if s == nil {
+				continue
+			}
+			f, err := m.reportCoreLocked(&rs[i], s, now)
+			if err != nil {
+				out[i].Error = err.Error()
+			} else if f {
+				freed++
 			}
 		}
 		if sp != nil {
 			sp.Mark(obs.StageApply, time.Since(t0))
 		}
 		m.unlockCore()
+		m.reg.busy.Add(int64(-freed))
 	}
 	return out
 }

@@ -140,7 +140,7 @@ type StreamTelemetry struct {
 // that needed no peer hop at all (a ring-aware client landed every item on
 // its owner), TopologyEpoch tracks the topology the daemon advertises over
 // OpTopology, and the byte pair makes the direct-vs-forwarded traffic ratio
-// observable (bytes_out counts the payloads of the relay's batch hop frames,
+// observable (bytes_out counts the payloads of the batch hop frames,
 // whether their items arrived encoded or were encoded for the hop; bytes_in
 // counts the payload of every hop frame received).
 type ClusterTelemetry struct {

@@ -180,6 +180,72 @@ func TestDeadlineAbortLive(t *testing.T) {
 	}
 }
 
+// TestWrongJobReportKeepsTheDevice: a report naming a job that does not hold
+// the device, while another live job does, is refused with ErrWrongJob and
+// frees nothing: the device stays busy, its task stays in flight, and the
+// right report is then accepted. A report that no live job can take (here
+// after the deadline ended the attempt) still frees the device.
+func TestWrongJobReportKeepsTheDevice(t *testing.T) {
+	clk := newFakeClock()
+	m := NewManager(Config{Clock: clk.now, DisableDailyBudget: true})
+	a, err := m.RegisterJob(JobSpec{Name: "a", Category: "General", DemandPerRound: 2, Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg, err := checkInOne(m, CheckIn{DeviceID: "d", CPU: 0.5, Mem: 0.5})
+	if err != nil || !asg.Assigned || asg.JobID != a.ID {
+		t.Fatalf("check-in: %+v, %v, want job %d", asg, err, a.ID)
+	}
+	b, err := m.RegisterJob(JobSpec{Name: "b", Category: "General", DemandPerRound: 2, Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := stateOf(t, m)
+	for _, wrong := range []int{a.ID + 1000, b.ID} {
+		if err := reportOne(m, Report{DeviceID: "d", JobID: wrong, OK: true, DurationSeconds: 5}); !isErr(err, ErrWrongJob) {
+			t.Errorf("report naming job %d: %v, want %v", wrong, err, ErrWrongJob)
+		}
+		if after := stateOf(t, m); after != before {
+			t.Errorf("report naming job %d changed the state:\n got %+v\nwant %+v", wrong, after, before)
+		}
+	}
+	if _, err := checkInOne(m, CheckIn{DeviceID: "d", CPU: 0.5, Mem: 0.5}); !isErr(err, ErrDeviceBusy) {
+		t.Fatalf("check-in of the working device: %v, want %v", err, ErrDeviceBusy)
+	}
+	if err := reportOne(m, Report{DeviceID: "d", JobID: a.ID, OK: true, DurationSeconds: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if st := stateOf(t, m); st.reports != before.reports+1 || st.busy != 0 {
+		t.Errorf("the right report: %+v, before %+v", st, before)
+	}
+	if got, _ := m.JobStatusByID(a.ID); got.Responses != 1 || got.Assigned != 1 {
+		t.Errorf("job a: %d responses, %d assigned; want 1 and 1", got.Responses, got.Assigned)
+	}
+
+	// A straggler: the deadline ends c's attempt while e holds a task of it.
+	m2 := NewManager(Config{Clock: clk.now, DisableDailyBudget: true})
+	c, err := m2.RegisterJob(JobSpec{Name: "c", Category: "General", DemandPerRound: 2, Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"e", "f"} {
+		if asg, err := checkInOne(m2, CheckIn{DeviceID: id, CPU: 0.5, Mem: 0.5}); err != nil || !asg.Assigned {
+			t.Fatalf("check-in %s: %+v, %v", id, asg, err)
+		}
+	}
+	if err := reportOne(m2, Report{DeviceID: "f", JobID: c.ID, OK: true, DurationSeconds: 5}); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(20 * time.Minute)
+	m2.Tick()
+	if err := reportOne(m2, Report{DeviceID: "e", JobID: c.ID + 1000, OK: true, DurationSeconds: 900}); err != nil {
+		t.Fatalf("straggler's report: %v", err)
+	}
+	if busy := m2.MetricsSnapshot().BusyDevices; busy != 0 {
+		t.Errorf("after the straggler's report: %d busy devices, want 0", busy)
+	}
+}
+
 func TestFailureTriggersEarlyAbort(t *testing.T) {
 	clk := newFakeClock()
 	m := newTestManager(clk)

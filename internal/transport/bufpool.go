@@ -7,9 +7,9 @@ import (
 )
 
 // Frame buffer pooling. GetBuf/PutBuf recycle byte slices through a
-// sync.Pool so the client's request scratch and reply buffers, the relay's
-// coalescing buffers, and the server's detour for frames larger than a
-// connection's read buffer all reuse steady-state memory.
+// sync.Pool so the client's request scratch and reply buffers, the
+// federation's hop payloads, and the server's detour for frames larger than
+// a connection's read buffer all reuse steady-state memory.
 //
 // The pool holds *[]byte (not []byte) so Put never allocates an interface
 // box for the slice header, and the boxes themselves cycle through boxPool:

@@ -290,7 +290,7 @@ func TestWarmBatchFramesAllocateNothing(t *testing.T) {
 // TestWarmForwardedFrameAllocatesNothing is TestWarmBatchFramesAllocateNothing
 // with a federation attached: two daemons over loopback, and a warm 64-item
 // surplus frame of which the ring gives about half to the other one. The
-// origin's side — serveFrame, the owner plan, the relay, the merge — runs on
+// origin's side — serveFrame, the owner plan, the hop payload, the merge — runs on
 // the test goroutine; the hop frame, the owner serving it and the reply
 // decoded into the origin's slots run behind it; AllocsPerRun counts them all.
 func TestWarmForwardedFrameAllocatesNothing(t *testing.T) {
